@@ -27,6 +27,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -43,6 +44,7 @@
 #include "dft/fft.h"
 #include "la/solve.h"
 #include "la/svd.h"
+#include "serve/serve_query.h"
 #include "shard/sharded.h"
 #include "ts/generators.h"
 #include "ts/stats.h"
@@ -675,6 +677,72 @@ void BM_MerSweepWA(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_MerSweepWA)->Apply(ThreadArgs);
+
+// --- Top-k strategies: the rows behind the planner's top-k cost rule --------
+//
+// BM_TopK/<surface>/<measure>/<strategy>: a largest top-10 over the `query`
+// perfbench workload's shape (sensor data, n = 256, window 1024, 8 clusters)
+// on the live engine and on an epoch flattened from it, answered by the
+// SCAPE threshold algorithm or the WA pass. The `examined` counter is the
+// entries the strategy read (planner.h quotes these rows).
+
+struct TopKFixture {
+  core::Affinity fw;
+  std::shared_ptr<const serve::ServingSnapshot> epoch;
+};
+
+const TopKFixture& TopKData() {
+  static const TopKFixture* fixture = [] {
+    ts::DatasetSpec spec;
+    spec.num_series = 256;
+    spec.num_samples = 1024;
+    spec.num_clusters = 8;
+    spec.noise_level = 0.02;
+    spec.seed = 42;
+    core::AffinityOptions options;
+    options.afclst.k = 8;
+    options.build_dft = false;
+    auto built = core::Affinity::Build(ts::MakeSensorData(spec).matrix, options);
+    AFFINITY_CHECK(built.ok());
+    auto* f = new TopKFixture{std::move(built).value(), nullptr};
+    f->epoch = serve::SnapshotBuilder::Build(f->fw.model(), f->fw.scape(),
+                                             f->fw.engine().Capabilities(),
+                                             f->fw.engine().quality(), 1, spec.num_samples);
+    return f;
+  }();
+  return *fixture;
+}
+
+void BM_TopK(benchmark::State& state, bool epoch, core::Measure measure,
+             core::QueryMethod method) {
+  const TopKFixture& f = TopKData();
+  const core::TopKRequest req{measure, 10, true};
+  std::size_t examined = 0;
+  for (auto _ : state) {
+    auto result =
+        epoch ? serve::SnapshotTopK(*f.epoch, req, method) : f.fw.engine().TopK(req, method);
+    AFFINITY_CHECK(result.ok());
+    examined = result->examined;
+    benchmark::DoNotOptimize(result->entries.data());
+  }
+  state.counters["examined"] = static_cast<double>(examined);
+}
+
+[[maybe_unused]] const bool kTopKRegistered = [] {
+  for (const bool epoch : {true, false}) {
+    for (const core::Measure measure : {core::Measure::kCovariance, core::Measure::kCorrelation}) {
+      for (const core::QueryMethod method :
+           {core::QueryMethod::kScape, core::QueryMethod::kAffine}) {
+        const std::string name = std::string("BM_TopK/") + (epoch ? "snapshot" : "live") + "/" +
+                                 std::string(core::MeasureName(measure)) + "/" +
+                                 std::string(core::QueryMethodName(method));
+        benchmark::RegisterBenchmark(name.c_str(), BM_TopK, epoch, measure, method)
+            ->Unit(benchmark::kMicrosecond);
+      }
+    }
+  }
+  return true;
+}();
 
 void BM_AffinityBuild(benchmark::State& state) {
   core::AffinityOptions options;

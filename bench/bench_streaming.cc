@@ -780,8 +780,8 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
       Stopwatch full_watch;
       auto full = serve::SnapshotBuilder::Build(
           stream->framework()->model(), stream->framework()->scape(),
-          stream->framework()->engine().Capabilities(), stream->serving()->generation,
-          stream->serving()->snapshot_row, &full_stats);
+          stream->framework()->engine().Capabilities(), stream->framework()->engine().quality(),
+          stream->serving()->generation, stream->serving()->snapshot_row, &full_stats);
       full_samples.push_back(full_watch.ElapsedSeconds() * 1e6);
       if (full == nullptr) {
         std::fprintf(stderr, "cold flatten failed\n");

@@ -1,5 +1,6 @@
 #include "core/planner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <utility>
@@ -16,6 +17,10 @@ double EntityCount(Measure measure, std::size_t n) {
 
 constexpr double kLookupCost = 24.0;  ///< hash probe + propagation flops (WA)
 constexpr double kTreeStep = 8.0;     ///< B-tree descent/emit per entry (SCAPE)
+/// One sift through a heap of stream heads or kept candidates (~log2
+/// levels of compare-and-move) — the top-k threshold algorithm pays two
+/// per entry it examines (planner.h).
+constexpr double kHeapOp = 12.0;
 constexpr double kMomentEvalCost = 12.0;  ///< PairMeasureFromMoments on warm co-moments
 
 }  // namespace
@@ -119,14 +124,36 @@ PlanChoice QueryPlanner::PlanSelection(Measure measure, double selectivity, bool
       !IsDerived(measure) || HasSeparableNormalizer(measure);  // Jaccard/Dice are not
 
   if (caps_.has_scape && indexable) {
-    const double emitted = top_k ? static_cast<double>(k) : selectivity * entities;
-    // Scan cost: per-pivot descent (log of entries) + emitted entries; the
-    // k·n upper bound on pivots is folded into the constant.
+    // Per-pivot descent (log of entries); the k·n upper bound on pivots
+    // is folded into the constant.
     const double descent = static_cast<double>(n_) * std::log2(2.0 + entities);
-    PlanChoice choice{QueryMethod::kScape, descent + emitted * kTreeStep,
-                      top_k ? "SCAPE: threshold-algorithm top-k over pivot trees"
-                            : "SCAPE: key-range scan per pivot, no per-entity computation"};
-    return Shardify(std::move(choice), measure);
+    if (!top_k) {
+      return Shardify(PlanChoice{QueryMethod::kScape,
+                                 descent + selectivity * entities * kTreeStep,
+                                 "SCAPE: key-range scan per pivot, no per-entity computation"},
+                      measure);
+    }
+    // Top-k: the threshold algorithm examines what its bound cannot rule
+    // out — k entries under the exact T/L bound, every entity under the
+    // loose D-measure bound ‖α‖ξ/U_min — at two heap operations each.
+    // A WA pass reads every entity once, so it wins wherever the bound
+    // is loose (planner.h has the rule and the measured rows).
+    const double examined =
+        IsDerived(measure) ? entities : std::min(static_cast<double>(k), entities);
+    const double ta_cost = descent + examined * 2.0 * kHeapOp;
+    const double wa_cost = entities * kLookupCost;
+    if (caps_.has_model && wa_cost < ta_cost) {
+      return Shardify(PlanChoice{QueryMethod::kAffine, wa_cost,
+                                 "WA: one k-bounded pass over every entity (the threshold "
+                                 "algorithm's bound would examine " +
+                                     std::to_string(static_cast<std::size_t>(examined)) +
+                                     " of " + std::to_string(static_cast<std::size_t>(entities)) +
+                                     ")"},
+                      measure);
+    }
+    return Shardify(PlanChoice{QueryMethod::kScape, ta_cost,
+                               "SCAPE: threshold-algorithm top-k over pivot trees"},
+                    measure);
   }
   if (caps_.has_model) {
     return Shardify(

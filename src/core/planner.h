@@ -24,7 +24,8 @@
 /// symex.h and DESIGN.md §3.)
 ///
 /// Costs are abstract "scalar operation" counts, good for ranking
-/// strategies, not for predicting wall time.
+/// strategies, not for predicting wall time. The top-k rule is the one
+/// checked against measured rows (see PlanTopK).
 
 #include <cstdint>
 #include <string>
@@ -108,6 +109,29 @@ class QueryPlanner {
   PlanChoice PlanMer(Measure measure, double selectivity = 0.5) const;
 
   /// Plans a top-k query.
+  ///
+  /// The cost rule: the SCAPE threshold algorithm (TA) is charged the
+  /// per-pivot descent plus two heap operations for every entry its bound
+  /// makes it examine — k entries for T- and L-measures, whose bound ‖α‖ξ
+  /// is exact, and every entity for D-measures, whose bound ‖α‖ξ/U_min is
+  /// loose. A WA pass reads every entity once at one lookup each and is
+  /// chosen whenever it is cheaper: correlation and cosine plan WA
+  /// whenever a model exists, while covariance, dot product and the
+  /// L-measures keep SCAPE unless k covers nearly every entity. A plan
+  /// must match on the live engine and on an epoch, so the rule follows
+  /// the live costs, where the TA wins for T-measures.
+  ///
+  /// Measured (bench_micro `BM_TopK`, sensor data n = 256, window 1024,
+  /// largest top-10; medians of 3 on a 4-core Intel Xeon, AVX2 backend;
+  /// µs, TA entries examined in brackets):
+  ///   epoch, correlation:  TA 3838 [9577]  vs the epoch's pass 83
+  ///   epoch, covariance:   TA  183 [10]    vs the epoch's pass 88
+  ///   live,  correlation:  TA 3003 [9577]  vs WA sweep 1765
+  ///   live,  covariance:   TA  133 [10]    vs WA sweep 1491
+  /// The one measured case where the rule picks the slower path: stock
+  /// data n = 128, window 4096, correlation smallest top-10 on the live
+  /// engine, TA 117 [506] against the WA sweep's 460 (the epoch's pass
+  /// takes 15 there).
   PlanChoice PlanTopK(Measure measure, std::size_t k) const;
 
   /// Per-entity naive kernel cost of a measure (scalar ops) — the cost

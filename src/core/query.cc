@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -125,22 +124,104 @@ ExecutedPlan QueryEngine::ResolvePlan(
   return plan(QueryPlanner(data_->n(), data_->m(), Capabilities()));
 }
 
-Status QueryEngine::CheckQualityPredicate(double min_quality) const {
+Status QualitySurface::CheckPredicate(double min_quality) const {
   if (min_quality <= 0.0) return Status::OK();
-  if (quality_ == nullptr) {
+  if (scores_ == nullptr) {
     return Status::FailedPrecondition(
         "min_quality requires an attached per-series quality surface");
   }
-  if (quality_->size() != data_->n()) {
+  if (scores_->size() != n_) {
     return Status::FailedPrecondition("quality surface covers " +
-                                      std::to_string(quality_->size()) + " series but n=" +
-                                      std::to_string(data_->n()));
+                                      std::to_string(scores_->size()) + " series but n=" +
+                                      std::to_string(n_));
   }
   return Status::OK();
 }
 
-double QueryEngine::QualityScore(ts::SeriesId v) const {
-  return quality_ == nullptr || v >= quality_->size() ? 1.0 : (*quality_)[v];
+void QualitySurface::FilterSelection(double min_quality, SelectionResult* out) const {
+  if (!attached()) return;
+  // Scores read through locals: the compaction stores could otherwise
+  // alias the surface and force a reload per entity. remove_if writes
+  // nothing until the first exclusion, so an unfiltered answer is only
+  // read.
+  const double* scores = scores_->data();
+  const std::size_t size = scores_->size();
+  const auto score = [&](ts::SeriesId v) { return v < size ? scores[v] : 1.0; };
+  const auto below = [&](double s) { return min_quality > 0.0 && s < min_quality; };
+  AnswerQuality q;
+  q.populated = true;
+  const auto series_end =
+      std::remove_if(out->series.begin(), out->series.end(), [&](ts::SeriesId v) {
+        const double s = score(v);
+        if (below(s)) return true;
+        q.min_score = std::min(q.min_score, s);
+        return false;
+      });
+  q.excluded += static_cast<std::size_t>(out->series.end() - series_end);
+  out->series.erase(series_end, out->series.end());
+  const auto pairs_end =
+      std::remove_if(out->pairs.begin(), out->pairs.end(), [&](const ts::SequencePair& p) {
+        const double su = score(p.u);
+        const double sv = score(p.v);
+        if (below(su) || below(sv)) return true;
+        q.min_score = std::min(q.min_score, std::min(su, sv));
+        return false;
+      });
+  q.excluded += static_cast<std::size_t>(out->pairs.end() - pairs_end);
+  out->pairs.erase(pairs_end, out->pairs.end());
+  out->quality = q;
+  if (min_quality > 0.0) AnnotateQualityFiltered(&out->plan, min_quality, q.excluded);
+}
+
+void QualitySurface::StampTopK(TopKResult* out) const {
+  if (!attached()) return;
+  out->quality.populated = true;
+  out->quality.min_score =
+      WorstEntryScore(out->entries, [&](ts::SeriesId v) { return Score(v); });
+}
+
+Status QualitySurface::StampMec(const MecRequest& request, AnswerQuality* out) const {
+  if (!attached()) return Status::OK();
+  out->populated = true;
+  for (const ts::SeriesId id : request.ids) {
+    const double s = Score(id);
+    out->min_score = std::min(out->min_score, s);
+    if (request.min_quality > 0.0 && s < request.min_quality) {
+      return Status::FailedPrecondition(
+          "series " + std::to_string(id) + " has quality " + std::to_string(s) +
+          " below the requested min_quality " + std::to_string(request.min_quality));
+    }
+  }
+  return Status::OK();
+}
+
+void RouteQualityTopK(double min_quality, bool has_model, ExecutedPlan* plan) {
+  if (min_quality <= 0.0 || plan->method != QueryMethod::kScape) return;
+  plan->method = has_model ? QueryMethod::kAffine : QueryMethod::kNaive;
+  plan->rationale += "; quality filter: SCAPE bypassed, " +
+                     std::string(QueryMethodName(plan->method)) +
+                     " sweep over eligible entities";
+}
+
+TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
+                           const QualitySurface& quality,
+                           std::vector<ScapeTopKEntry> selected, ExecutedPlan plan) {
+  const bool location = IsLocation(request.measure);
+  TopKResult out;
+  out.entries = std::move(selected);
+  out.examined = location ? n : ts::SequencePairCount(n);
+  out.plan = std::move(plan);
+  if (request.min_quality > 0.0) {
+    std::size_t eligible = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      eligible += quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality) ? 1 : 0;
+    }
+    out.quality.excluded =
+        out.examined - (location ? eligible : ts::SequencePairCount(eligible));
+    AnnotateQualityFiltered(&out.plan, request.min_quality, out.quality.excluded);
+  }
+  quality.StampTopK(&out);
+  return out;
 }
 
 Status QueryEngine::CheckIds(const std::vector<ts::SeriesId>& ids) const {
@@ -208,22 +289,10 @@ StatusOr<double> QueryEngine::Value(Measure measure, ts::SeriesId u, ts::SeriesI
 
 StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod method) const {
   AFFINITY_RETURN_IF_ERROR(CheckIds(request.ids));
-  AFFINITY_RETURN_IF_ERROR(CheckQualityPredicate(request.min_quality));
+  const QualitySurface quality = quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   AnswerQuality answer_quality;
-  if (quality_ != nullptr) {
-    // MEC's response shape is id-aligned, so the predicate cannot silently
-    // exclude: every requested id must satisfy it (DESIGN.md §12).
-    answer_quality.populated = true;
-    for (const ts::SeriesId id : request.ids) {
-      const double s = QualityScore(id);
-      answer_quality.min_score = std::min(answer_quality.min_score, s);
-      if (request.min_quality > 0.0 && s < request.min_quality) {
-        return Status::FailedPrecondition(
-            "series " + std::to_string(id) + " has quality " + std::to_string(s) +
-            " below the requested min_quality " + std::to_string(request.min_quality));
-      }
-    }
-  }
+  AFFINITY_RETURN_IF_ERROR(quality.StampMec(request, &answer_quality));
   ExecutedPlan plan = ResolvePlan(method, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
@@ -391,44 +460,9 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
   return out;
 }
 
-namespace {
-
-/// Post-filters a MET/MER selection by the quality predicate and stamps
-/// its AnswerQuality (DESIGN.md §12). The measure predicate and the
-/// quality predicate are conjunctive, so filtering *after* any strategy —
-/// SCAPE included — is exact. `score(v)` must return the composite score
-/// of series v.
-template <class ScoreFn>
-void FilterAndStampSelection(double min_quality, const ScoreFn& score, SelectionResult* out) {
-  AnswerQuality q;
-  q.populated = true;
-  std::size_t kept_series = 0;
-  for (const ts::SeriesId v : out->series) {
-    const double s = score(v);
-    if (min_quality > 0.0 && s < min_quality) continue;
-    out->series[kept_series++] = v;
-    q.min_score = std::min(q.min_score, s);
-  }
-  q.excluded += out->series.size() - kept_series;
-  out->series.resize(kept_series);
-  std::size_t kept_pairs = 0;
-  for (const ts::SequencePair& p : out->pairs) {
-    const double su = score(p.u);
-    const double sv = score(p.v);
-    if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) continue;
-    out->pairs[kept_pairs++] = p;
-    q.min_score = std::min(q.min_score, std::min(su, sv));
-  }
-  q.excluded += out->pairs.size() - kept_pairs;
-  out->pairs.resize(kept_pairs);
-  out->quality = q;
-  if (min_quality > 0.0) AnnotateQualityFiltered(&out->plan, min_quality, q.excluded);
-}
-
-}  // namespace
-
 StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMethod method) const {
-  AFFINITY_RETURN_IF_ERROR(CheckQualityPredicate(request.min_quality));
+  const QualitySurface quality = quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlan(
       method, [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); });
   method = plan.method;
@@ -453,16 +487,14 @@ StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMetho
   }();
   if (!result.ok()) return result.status();
   result->plan = std::move(plan);
-  if (quality_ != nullptr) {
-    FilterAndStampSelection(request.min_quality, [&](ts::SeriesId v) { return QualityScore(v); },
-                            &*result);
-  }
+  quality.FilterSelection(request.min_quality, &*result);
   return result;
 }
 
 StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMethod method) const {
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  AFFINITY_RETURN_IF_ERROR(CheckQualityPredicate(request.min_quality));
+  const QualitySurface quality = quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlan(
       method, [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); });
   method = plan.method;
@@ -484,44 +516,18 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
   }();
   if (!result.ok()) return result.status();
   result->plan = std::move(plan);
-  if (quality_ != nullptr) {
-    FilterAndStampSelection(request.min_quality, [&](ts::SeriesId v) { return QualityScore(v); },
-                            &*result);
-  }
+  quality.FilterSelection(request.min_quality, &*result);
   return result;
 }
 
 StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod method) const {
-  AFFINITY_RETURN_IF_ERROR(CheckQualityPredicate(request.min_quality));
+  const QualitySurface quality = quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlan(method, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
+  RouteQualityTopK(request.min_quality, model_ != nullptr, &plan);
   method = plan.method;
-  const bool quality_filter = request.min_quality > 0.0;
-  if (quality_filter && method == QueryMethod::kScape) {
-    // The index's threshold algorithm pops a fixed k entries with no
-    // notion of eligibility; restricting the competition to eligible
-    // series needs the sweep (graceful degradation, DESIGN.md §12).
-    method = model_ != nullptr ? QueryMethod::kAffine : QueryMethod::kNaive;
-    plan.method = method;
-    plan.rationale += "; quality filter: SCAPE bypassed, " +
-                      std::string(QueryMethodName(method)) + " sweep over eligible entities";
-  }
-  // Stamps the answer with the worst score among the series it touched
-  // (populated only when a quality surface is attached).
-  const auto stamp = [&](TopKResult* out) {
-    if (quality_ == nullptr) return;
-    out->quality.populated = true;
-    out->quality.min_score = 1.0;
-    for (const ScapeTopKEntry& e : out->entries) {
-      if (e.series != kNoSeries) {
-        out->quality.min_score = std::min(out->quality.min_score, QualityScore(e.series));
-      } else {
-        out->quality.min_score = std::min(
-            out->quality.min_score, std::min(QualityScore(e.pair.u), QualityScore(e.pair.v)));
-      }
-    }
-  };
   if (method == QueryMethod::kScape) {
     if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
     AFFINITY_ASSIGN_OR_RETURN(ScapeTopKResult r,
@@ -529,40 +535,32 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
     TopKResult out;
     static_cast<ScapeTopKResult&>(out) = std::move(r);
     out.plan = std::move(plan);
-    stamp(&out);
+    quality.StampTopK(&out);
     return out;
   }
   if (method == QueryMethod::kDft) {
     return Status::InvalidArgument("top-k supports WN, WA, and SCAPE");
   }
-  // WN/WA: evaluate every entity in parallel, then partial-sort. Under the
-  // quality predicate, ineligible entities get the worst-possible sentinel
-  // value so they can never claim one of the k slots (k is clamped to the
-  // eligible count below, so sentinels never surface in the result).
+  // WN/WA: every chunk runs its own k-bounded selection over the eligible
+  // entities it evaluates, and the chunk selections merge under the one
+  // total rank order — the same answer as a sequential pass at any
+  // thread count.
   const std::size_t n = data_->n();
-  const std::size_t total =
-      IsLocation(request.measure) ? n : ts::SequencePairCount(n);
-  const double sentinel = request.largest ? -std::numeric_limits<double>::infinity()
-                                          : std::numeric_limits<double>::infinity();
+  const std::size_t total = IsLocation(request.measure) ? n : ts::SequencePairCount(n);
   const auto eligible = [&](std::size_t v) {
-    return !quality_filter || QualityScore(static_cast<ts::SeriesId>(v)) >= request.min_quality;
+    return quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality);
   };
-  std::size_t eligible_series = 0;
-  for (std::size_t v = 0; v < n; ++v) eligible_series += eligible(v) ? 1 : 0;
-  const std::size_t eligible_total =
-      IsLocation(request.measure) ? eligible_series : ts::SequencePairCount(eligible_series);
-  std::vector<ScapeTopKEntry> all(total);
+  std::vector<TopKSelector> parts(ExecNumChunks(total),
+                                  TopKSelector(request.k, request.largest));
   if (IsLocation(request.measure)) {
     AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-        exec_, total, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        exec_, total, [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
           for (std::size_t v = lo; v < hi; ++v) {
-            if (!eligible(v)) {
-              all[v] = ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), sentinel};
-              continue;
-            }
+            if (!eligible(v)) continue;
             auto value = SeriesValue(request.measure, static_cast<ts::SeriesId>(v), method);
             if (!value.ok()) return value.status();
-            all[v] = ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), *value};
+            parts[c].Offer(
+                ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), *value});
           }
           return Status::OK();
         }));
@@ -571,17 +569,11 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
     std::vector<kernels::Marginals> marginals;
     if (method == QueryMethod::kNaive) marginals = kernels::HoistMarginals(*data_, exec_);
     AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-        exec_, total, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        exec_, total, [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
           ts::SequencePair p = PairFromIndex(lo, n);
           std::size_t u = p.u, v = p.v;
-          for (std::size_t i = lo; i < hi; ++i) {
-            if (!eligible(u) || !eligible(v)) {
-              all[i] = ScapeTopKEntry{
-                  ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)),
-                  kNoSeries, sentinel};
-              NextPair(n, &u, &v);
-              continue;
-            }
+          for (std::size_t i = lo; i < hi; ++i, NextPair(n, &u, &v)) {
+            if (!eligible(u) || !eligible(v)) continue;
             StatusOr<double> value = [&]() -> StatusOr<double> {
               if (method != QueryMethod::kNaive) {
                 return Value(request.measure, static_cast<ts::SeriesId>(u),
@@ -596,31 +588,16 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
                   PairMomentsFromMarginals(marginals[u], marginals[v], dot, data_->m()));
             }();
             if (!value.ok()) return value.status();
-            all[i] = ScapeTopKEntry{
+            parts[c].Offer(ScapeTopKEntry{
                 ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)),
-                kNoSeries, *value};
-            NextPair(n, &u, &v);
+                kNoSeries, *value});
           }
           return Status::OK();
         }));
   }
-  const std::size_t cap = quality_filter ? std::min(request.k, eligible_total) : request.k;
-  const std::size_t k = cap < all.size() ? cap : all.size();
-  const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    return request.largest ? a.value > b.value : a.value < b.value;
-  };
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), better);
-  all.resize(k);
-  TopKResult out;
-  out.entries = std::move(all);
-  out.examined = total;
-  out.plan = std::move(plan);
-  if (quality_filter) {
-    out.quality.excluded = total - eligible_total;
-    AnnotateQualityFiltered(&out.plan, request.min_quality, out.quality.excluded);
-  }
-  stamp(&out);
-  return out;
+  TopKSelector best(request.k, request.largest);
+  for (const TopKSelector& part : parts) best.Merge(part);
+  return FinishSweepTopK(request, n, quality, std::move(best).Finish(), std::move(plan));
 }
 
 }  // namespace affinity::core

@@ -25,6 +25,7 @@
 /// time MEC under WN/WA; Figs. 15–16 and Table 4 time MET/MER under all
 /// four strategies.
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -125,6 +126,84 @@ struct TopKResult : ScapeTopKResult {
   ExecutedPlan plan;
   AnswerQuality quality;
 };
+
+/// The worst composite score among the series a top-k answer touched
+/// (both endpoints of a pair entry); 1.0 for an empty answer.
+/// `score(id)` returns the score of series `id`.
+template <typename ScoreFn>
+double WorstEntryScore(const std::vector<ScapeTopKEntry>& entries, const ScoreFn& score) {
+  double worst = 1.0;
+  for (const ScapeTopKEntry& e : entries) {
+    worst = std::min(worst, e.has_series() ? score(e.series)
+                                           : std::min(score(e.pair.u), score(e.pair.v)));
+  }
+  return worst;
+}
+
+/// A per-series quality surface as one answering path sees it (DESIGN.md
+/// §12): the live engine's attached scores, an epoch's frozen copy of
+/// them, or none. The engine and the snapshot paths check, filter and
+/// stamp through this one implementation, so a served answer carries the
+/// live engine's quality semantics bit for bit.
+class QualitySurface {
+ public:
+  /// `scores` (nullptr = no surface) must outlive the view; `n` is the
+  /// series count of the data the answer runs over.
+  QualitySurface(const std::vector<double>* scores, std::size_t n) : scores_(scores), n_(n) {}
+
+  bool attached() const { return scores_ != nullptr; }
+
+  /// Composite score of series v (1.0 when detached or out of range).
+  double Score(ts::SeriesId v) const {
+    return scores_ == nullptr || v >= scores_->size() ? 1.0 : (*scores_)[v];
+  }
+
+  /// True when series v may take part in an answer under `min_quality`.
+  bool Eligible(ts::SeriesId v, double min_quality) const {
+    return min_quality <= 0.0 || Score(v) >= min_quality;
+  }
+
+  /// OK unless `min_quality > 0` cannot be served: FailedPrecondition
+  /// when no surface is attached or it does not cover all n series.
+  Status CheckPredicate(double min_quality) const;
+
+  /// MET/MER post-filter: drops entities with a series (either endpoint
+  /// of a pair) below `min_quality`, counts them in `excluded`, stamps
+  /// the worst surviving score, and notes the filter in the plan. The
+  /// measure and quality predicates are conjunctive, so filtering after
+  /// any strategy (SCAPE included) is exact. No-op when detached.
+  void FilterSelection(double min_quality, SelectionResult* out) const;
+
+  /// Stamps a top-k answer with the worst score among its entries.
+  /// No-op when detached.
+  void StampTopK(TopKResult* out) const;
+
+  /// Stamps a MEC answer with the worst score among the requested ids.
+  /// MEC's response is id-aligned, so the predicate cannot exclude:
+  /// FailedPrecondition when a requested id scores below
+  /// `min_quality`. No-op when detached.
+  Status StampMec(const MecRequest& request, AnswerQuality* out) const;
+
+ private:
+  const std::vector<double>* scores_;
+  std::size_t n_;
+};
+
+/// Quality predicate on a top-k planned as SCAPE: the threshold
+/// algorithm pops a fixed k entries with no notion of eligibility, so
+/// restricting the competition to eligible series needs the sweep
+/// (WA when a model is attached, else WN). Rewrites `plan` accordingly;
+/// identity otherwise.
+void RouteQualityTopK(double min_quality, bool has_model, ExecutedPlan* plan);
+
+/// The tail of every sweep-style top-k (engine WN/WA, an epoch's pass
+/// over its frozen table): `selected` must hold the best k eligible
+/// entities best-first (a `TopKSelector` result); this fills `examined`
+/// (every entity of the sweep), the quality exclusion count and plan
+/// note when `min_quality > 0`, and the stamp.
+TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
+                           const QualitySurface& quality,
+                           std::vector<ScapeTopKEntry> selected, ExecutedPlan plan);
 
 /// The selection predicates — keep(value, a, b) — shared by the engine's
 /// MET/MER sweeps, the streaming freshness-blend path, and the shard
@@ -233,8 +312,10 @@ class QueryEngine {
   StatusOr<SelectionResult> Mer(const MerRequest& request,
                                 QueryMethod method = QueryMethod::kAuto) const;
 
-  /// Top-k query (extension). WN/WA evaluate all entities and select;
-  /// SCAPE runs the index-side threshold algorithm. Results are best-first.
+  /// Top-k query (extension). WN/WA evaluate every eligible entity in
+  /// one k-bounded pass (`TopKSelector`); SCAPE runs the index-side
+  /// threshold algorithm. Results are best-first, value ties in
+  /// (series, pair) order (`TopKBefore`).
   StatusOr<TopKResult> TopK(const TopKRequest& request,
                             QueryMethod method = QueryMethod::kAuto) const;
 
@@ -256,11 +337,8 @@ class QueryEngine {
                                                  bool (*keep)(double, double, double), double a,
                                                  double b) const;
 
-  /// Shared epilogue of the quality-aware query paths: verifies the
-  /// predicate is servable (quality attached when min_quality > 0).
-  Status CheckQualityPredicate(double min_quality) const;
-  /// Score of one series under the attached surface (1.0 when detached).
-  double QualityScore(ts::SeriesId v) const;
+  /// The attached quality surface over this engine's n series.
+  QualitySurface quality_surface() const { return QualitySurface(quality_, data_->n()); }
 
   const ts::DataMatrix* data_;
   const AffinityModel* model_ = nullptr;

@@ -35,6 +35,7 @@
 /// L-measures use the series-level relationships (one per series) with
 /// per-cluster pivot nodes — the "linear in n" structure of Table 4.
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -101,11 +102,83 @@ struct ScapeTopKEntry {
 /// Result of a top-k query, ordered best-first.
 struct ScapeTopKResult {
   std::vector<ScapeTopKEntry> entries;
-  /// Entries whose exact value was computed. For T/L measures this equals
-  /// |entries| + the frontier overshoot; for D-measures it shows how few
-  /// normalizer divisions the threshold algorithm needed versus scanning
-  /// all indexed entries.
+  /// Entries whose value the answering path read. For the threshold
+  /// algorithm: T/L measures examine |entries| plus the frontier
+  /// overshoot, D-measures every entry their loose bound could not rule
+  /// out. For a WN/WA sweep or an epoch's pass over its frozen table:
+  /// every entity of the table (n series or n(n−1)/2 pairs), eligible
+  /// under a quality predicate or not.
   std::size_t examined = 0;
+};
+
+/// The one rank order of top-k entries: by value in the query direction
+/// (larger first when `largest`), value ties broken by (series, pair).
+/// Every entity has a distinct (series, pair) key, so the order is total
+/// over non-NaN values and a selection under it never depends on scan
+/// order, chunking, or shard layout.
+inline bool TopKBefore(const ScapeTopKEntry& a, const ScapeTopKEntry& b, bool largest) {
+  if (a.value != b.value) return largest ? a.value > b.value : a.value < b.value;
+  if (a.series != b.series) return a.series < b.series;
+  return a.pair < b.pair;
+}
+
+/// One k-bounded selection pass under `TopKBefore`, shared by every
+/// sweep-style top-k (engine WN/WA, epoch pass, freshness blend, the
+/// routers' cross-shard runs). A heap holds the best k entries offered
+/// so far with the worst on top, so an offer costs at most one pop and
+/// one push and memory stays O(k). Offers from parallel chunks may go to
+/// per-chunk selectors joined with `Merge`: the total order makes the
+/// result identical to one sequential pass.
+class TopKSelector {
+ public:
+  TopKSelector(std::size_t k, bool largest) : k_(k), largest_(largest) {}
+
+  /// False when an entry valued `value` cannot enter (k entries are kept
+  /// and `value` ranks strictly after the worst of them) — a branch-light
+  /// pre-check for hot passes; `Offer` decides every other case.
+  bool Admits(double value) const {
+    if (heap_.size() < k_) return true;
+    if (k_ == 0) return false;
+    const double worst = heap_.front().value;
+    return largest_ ? value >= worst : value <= worst;
+  }
+
+  void Offer(const ScapeTopKEntry& entry) {
+    const RanksBefore before{largest_};
+    if (heap_.size() < k_) {
+      heap_.push_back(entry);
+      std::push_heap(heap_.begin(), heap_.end(), before);
+    } else if (k_ > 0 && TopKBefore(entry, heap_.front(), largest_)) {
+      std::pop_heap(heap_.begin(), heap_.end(), before);
+      heap_.back() = entry;
+      std::push_heap(heap_.begin(), heap_.end(), before);
+    }
+  }
+
+  /// Offers every entry `other` kept.
+  void Merge(const TopKSelector& other) {
+    for (const ScapeTopKEntry& entry : other.heap_) Offer(entry);
+  }
+
+  /// The kept entries, best-first.
+  std::vector<ScapeTopKEntry> Finish() && {
+    std::sort_heap(heap_.begin(), heap_.end(), RanksBefore{largest_});
+    return std::move(heap_);
+  }
+
+ private:
+  /// Heap comparator: `a` ranks before `b`. A std max-heap under it
+  /// keeps the worst kept entry on top.
+  struct RanksBefore {
+    bool largest;
+    bool operator()(const ScapeTopKEntry& a, const ScapeTopKEntry& b) const {
+      return TopKBefore(a, b, largest);
+    }
+  };
+
+  std::size_t k_;
+  bool largest_;
+  std::vector<ScapeTopKEntry> heap_;
 };
 
 /// Dirty ξ-interval of one (pivot, measure-family) tree across one
@@ -149,9 +222,9 @@ struct ScapeDeltaLog {
 /// K-way heap merge of best-first top-k runs (the gather half of a
 /// scatter-gather top-k, DESIGN.md §9): each run must already be ordered
 /// best-first under `largest`; the merged result is the global best `k`
-/// entries. Ties in value break by (series, pair) so the merged order is
-/// deterministic regardless of how entries were distributed over runs.
-/// `examined` counts are summed.
+/// entries, ranked by `TopKBefore`, so the merged order is deterministic
+/// regardless of how entries were distributed over runs. `examined`
+/// counts are summed.
 ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t k, bool largest);
 
 /// The SCAPE index. Built once from an AffinityModel snapshot; queries are

@@ -246,14 +246,6 @@ StatusOr<ScapeTopKResult> ScapeIndex::TopK(Measure measure, std::size_t k, bool 
 
 ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t k,
                           bool largest) {
-  // "a better than b" in the query direction, with a deterministic
-  // (series, pair) tiebreak so merged order never depends on run layout.
-  const auto better = [largest](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    if (a.value != b.value) return largest ? a.value > b.value : a.value < b.value;
-    if (a.series != b.series) return a.series < b.series;
-    return a.pair < b.pair;
-  };
-
   // Frontier heap over run heads: each run is already best-first, so the
   // globally best unmerged entry is always some run's head.
   struct Head {
@@ -262,7 +254,7 @@ ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t 
   };
   ScapeTopKResult out;
   const auto worse_head = [&](const Head& a, const Head& b) {
-    return better(runs[b.run].entries[b.pos], runs[a.run].entries[a.pos]);
+    return TopKBefore(runs[b.run].entries[b.pos], runs[a.run].entries[a.pos], largest);
   };
   std::priority_queue<Head, std::vector<Head>, decltype(worse_head)> frontier(worse_head);
   for (std::size_t r = 0; r < runs.size(); ++r) {

@@ -162,7 +162,7 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
   AFFINITY_ASSIGN_OR_RETURN(Affinity fw,
                             Affinity::FromModelWith(std::move(model), options.build, exec));
   stream.framework_ = std::make_unique<Affinity>(std::move(fw));
-  stream.framework_->mutable_engine()->AttachQuality(&stream.quality_scores_);
+  stream.framework_->mutable_engine()->AttachQuality(stream.quality_scores_.get());
   stream.rows_ = m;
   stream.snapshot_row_ = m;
   stream.rebuilds_ = 1;
@@ -191,7 +191,7 @@ void StreamingAffinity::InitBuffers(std::size_t series_count) {
     rolling_.emplace_back(options_.window);
   }
   quality_ = std::make_unique<ts::QualityTracker>(series_count, options_.window);
-  quality_scores_.assign(series_count, 1.0);
+  quality_scores_->assign(series_count, 1.0);
   if (options_.mode == UpdateMode::kIncremental) {
     // One interval of rows, preallocated once: the append hot path copies
     // into this pool and never allocates in steady state.
@@ -264,7 +264,7 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
 
 void StreamingAffinity::RefreshQualityScores() {
   const std::vector<double>& scores = quality_->Scores();
-  quality_scores_.assign(scores.begin(), scores.end());
+  quality_scores_->assign(scores.begin(), scores.end());
 }
 
 AppendResult StreamingAffinity::Refresh() {
@@ -336,11 +336,11 @@ Status StreamingAffinity::Rebuild() {
   RefreshQualityScores();
   AffinityOptions build = options_.build;
   if (build.afclst.min_center_quality > 0.0) {
-    build.afclst.series_quality = quality_scores_;
+    build.afclst.series_quality = *quality_scores_;
   }
   AFFINITY_ASSIGN_OR_RETURN(Affinity fw, Affinity::BuildWith(window, build, exec_));
   framework_ = std::make_unique<Affinity>(std::move(fw));
-  framework_->mutable_engine()->AttachQuality(&quality_scores_);
+  framework_->mutable_engine()->AttachQuality(quality_scores_.get());
   maintainer_ = nullptr;
   if (options_.mode == UpdateMode::kIncremental) {
     AFFINITY_ASSIGN_OR_RETURN(
@@ -378,21 +378,26 @@ void StreamingAffinity::PublishServingSnapshot(bool try_delta) {
     if (auto prior = publisher_->Acquire(); prior != nullptr) {
       next = serve::SnapshotBuilder::BuildDelta(
           framework_->model(), framework_->scape(), *scape_delta_log_, table_, *prior,
-          framework_->engine().Capabilities(), serving_generation_, rows_, exec_, &stats,
-          std::move(serving_scratch_));
+          framework_->engine().Capabilities(), framework_->engine().quality(),
+          serving_generation_, rows_, exec_, &stats, std::move(serving_scratch_));
       serving_scratch_.reset();
     }
   }
   if (next == nullptr) {
     next = serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
                                          framework_->engine().Capabilities(),
-                                         serving_generation_, rows_, &stats);
+                                         framework_->engine().quality(), serving_generation_,
+                                         rows_, &stats);
   }
   // Recycle the retired epoch (no surviving readers) into the next delta
   // build: its tables are rewritten in place, so steady-state publication
   // neither frees nor allocates the replica's memory.
   if (auto retired = publisher_->Publish(std::move(next));
       retired != nullptr && retired.use_count() == 1) {
+    // use_count() is a relaxed load: the acquire fence orders every
+    // access of the last reader (before its releasing reference drop)
+    // before the in-place rewrite.
+    std::atomic_thread_fence(std::memory_order_acquire);
     serving_scratch_ = std::const_pointer_cast<serve::ServingSnapshot>(std::move(retired));
   }
   delta_publish_valid_ = true;
@@ -410,7 +415,8 @@ void StreamingAffinity::PublishServingSnapshot(bool try_delta) {
 std::shared_ptr<const serve::ServingSnapshot> StreamingAffinity::BuildColdSnapshot() const {
   if (framework_ == nullptr) return nullptr;
   return serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
-                                       framework_->engine().Capabilities(), serving_generation_,
+                                       framework_->engine().Capabilities(),
+                                       framework_->engine().quality(), serving_generation_,
                                        snapshot_row_);
 }
 
@@ -511,33 +517,30 @@ StatusOr<TopKResult> StreamingAffinity::BlendedTopK(const TopKRequest& request) 
   const std::size_t n = rolling_.size();
   const std::size_t total =
       IsLocation(request.measure) ? n : ts::SequencePairCount(n);
-  std::vector<ScapeTopKEntry> all(total);
+  TopKSelector best(request.k, request.largest);
   if (IsLocation(request.measure)) {
     for (std::size_t v = 0; v < n; ++v) {
       AFFINITY_ASSIGN_OR_RETURN(const double value,
                                 BlendedSeriesValue(request.measure, static_cast<ts::SeriesId>(v)));
-      all[v] = ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), value};
+      best.Offer(ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), value});
     }
   } else {
     const std::vector<ts::SequencePair> pairs = ts::AllSequencePairs(n);
+    std::vector<TopKSelector> parts(ExecNumChunks(pairs.size()),
+                                    TopKSelector(request.k, request.largest));
     AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-        exec_, pairs.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        exec_, pairs.size(), [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
           for (std::size_t i = lo; i < hi; ++i) {
             auto value = BlendedPairValue(request.measure, pairs[i].u, pairs[i].v);
             if (!value.ok()) return value.status();
-            all[i] = ScapeTopKEntry{pairs[i], kNoSeries, *value};
+            parts[c].Offer(ScapeTopKEntry{pairs[i], kNoSeries, *value});
           }
           return Status::OK();
         }));
+    for (const TopKSelector& part : parts) best.Merge(part);
   }
-  const std::size_t k = request.k < all.size() ? request.k : all.size();
-  const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    return request.largest ? a.value > b.value : a.value < b.value;
-  };
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), better);
-  all.resize(k);
   TopKResult out;
-  out.entries = std::move(all);
+  out.entries = std::move(best).Finish();
   out.examined = total;
   return out;
 }
@@ -598,53 +601,6 @@ StatusOr<MecResponse> StreamingAffinity::BlendedMec(const MecRequest& request) c
   return out;
 }
 
-namespace {
-
-// Quality stamps for snapshot-served answers (DESIGN.md §12). The serving
-// replica carries no quality surface (it bounces min_quality > 0 to the
-// live engine), but `quality_scores_` is refreshed at exactly the
-// publication points — so the live surface is as-of the served epoch and
-// the facade can stamp the answer the live engine would have produced.
-
-double FoldSeriesScore(const std::vector<double>& scores, ts::SeriesId v, double acc) {
-  return v < scores.size() ? std::min(acc, scores[v]) : acc;
-}
-
-void StampSelectionQuality(const std::vector<double>& scores, SelectionResult* out) {
-  out->quality.populated = true;
-  double lo = 1.0;
-  for (const ts::SeriesId v : out->series) lo = FoldSeriesScore(scores, v, lo);
-  for (const ts::SequencePair& p : out->pairs) {
-    lo = FoldSeriesScore(scores, p.u, lo);
-    lo = FoldSeriesScore(scores, p.v, lo);
-  }
-  out->quality.min_score = lo;
-}
-
-void StampTopKQuality(const std::vector<double>& scores, TopKResult* out) {
-  out->quality.populated = true;
-  double lo = 1.0;
-  for (const ScapeTopKEntry& e : out->entries) {
-    if (e.has_series()) {
-      lo = FoldSeriesScore(scores, e.series, lo);
-    } else {
-      lo = FoldSeriesScore(scores, e.pair.u, lo);
-      lo = FoldSeriesScore(scores, e.pair.v, lo);
-    }
-  }
-  out->quality.min_score = lo;
-}
-
-void StampMecQuality(const std::vector<double>& scores, const std::vector<ts::SeriesId>& ids,
-                     MecResponse* out) {
-  out->quality.populated = true;
-  double lo = 1.0;
-  for (const ts::SeriesId v : ids) lo = FoldSeriesScore(scores, v, lo);
-  out->quality.min_score = lo;
-}
-
-}  // namespace
-
 StatusOr<bool> StreamingAffinity::PrepareFreshness(const FreshnessOptions& options,
                                                    FreshnessReport* report) const {
   // Zero the report unconditionally first: every exit of every freshness
@@ -669,10 +625,6 @@ StatusOr<MecResponse> StreamingAffinity::Mec(const MecRequest& request,
     // final answer, success or error.
     if (auto snap = serving(); snap != nullptr) {
       auto served = serve::SnapshotMec(*snap, request, options.method);
-      if (served.ok()) {
-        StampMecQuality(quality_scores_, request.ids, &*served);
-        return served;
-      }
       if (served.status().code() != StatusCode::kUnavailable) return served;
       serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
     }
@@ -690,10 +642,6 @@ StatusOr<SelectionResult> StreamingAffinity::Met(const MetRequest& request,
   if (!blend) {
     if (auto snap = serving(); snap != nullptr) {
       auto served = serve::SnapshotMet(*snap, request, options.method);
-      if (served.ok()) {
-        StampSelectionQuality(quality_scores_, &*served);
-        return served;
-      }
       if (served.status().code() != StatusCode::kUnavailable) return served;
       serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
     }
@@ -715,10 +663,6 @@ StatusOr<SelectionResult> StreamingAffinity::Mer(const MerRequest& request,
   if (!blend) {
     if (auto snap = serving(); snap != nullptr) {
       auto served = serve::SnapshotMer(*snap, request, options.method);
-      if (served.ok()) {
-        StampSelectionQuality(quality_scores_, &*served);
-        return served;
-      }
       if (served.status().code() != StatusCode::kUnavailable) return served;
       serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
     }
@@ -737,10 +681,6 @@ StatusOr<TopKResult> StreamingAffinity::TopK(const TopKRequest& request,
   if (!blend) {
     if (auto snap = serving(); snap != nullptr) {
       auto served = serve::SnapshotTopK(*snap, request, options.method);
-      if (served.ok()) {
-        StampTopKQuality(quality_scores_, &*served);
-        return served;
-      }
       if (served.status().code() != StatusCode::kUnavailable) return served;
       serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
     }

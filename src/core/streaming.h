@@ -240,11 +240,11 @@ class StreamingAffinity {
   /// Quality of one series over the current window.
   ts::SeriesQuality series_quality(ts::SeriesId v) const { return quality_->Quality(v); }
 
-  /// The composite quality scores the snapshot engine answers
-  /// `min_quality` predicates against — refreshed at every publication
-  /// point, so the surface is as-of the snapshot the engine serves (the
-  /// same freshness contract as every other snapshot answer).
-  const std::vector<double>& quality_scores() const { return quality_scores_; }
+  /// The composite quality scores the live engine answers `min_quality`
+  /// predicates against — refreshed at every publication point and
+  /// frozen into the epoch published there (`ServingSnapshot::quality`),
+  /// so served and live answers filter and stamp with the same scores.
+  const std::vector<double>& quality_scores() const { return *quality_scores_; }
 
   /// Arms the incremental maintainer's fault injection (recovery tests):
   /// the next `count` refreshes fail and must heal through escalation.
@@ -301,8 +301,9 @@ class StreamingAffinity {
   /// may hold handles and run serve::SnapshotMec/Met/Mer/TopK against them
   /// while this stream keeps appending and refreshing — readers never
   /// block on maintenance, and an epoch is reclaimed when the last handle
-  /// drops. Answers are bitwise identical to the facade's non-blended
-  /// queries at the same epoch.
+  /// drops. Answers — quality predicates and stamps included — are
+  /// bitwise identical to the facade's non-blended queries at the same
+  /// epoch.
   std::shared_ptr<const serve::ServingSnapshot> serving() const {
     return publisher_ != nullptr ? publisher_->Acquire() : nullptr;
   }
@@ -389,9 +390,11 @@ class StreamingAffinity {
   /// Ring mirror of the window's validity/fill masks (DESIGN.md §12);
   /// heap-held so the stream stays movable with a stable tracker address.
   std::unique_ptr<ts::QualityTracker> quality_;
-  /// Composite scores attached to the snapshot engine (AttachQuality):
-  /// refreshed at publication points, stable address across refreshes.
-  std::vector<double> quality_scores_;
+  /// Composite scores attached to the live engine (AttachQuality):
+  /// refreshed at publication points; heap-held so the attached address
+  /// survives moving the stream (Restore returns it by value).
+  std::unique_ptr<std::vector<double>> quality_scores_ =
+      std::make_unique<std::vector<double>>();
   /// Preallocated pool of rows awaiting the next incremental refresh:
   /// `pending_[0..pending_used_)` are live; capacity (one interval of rows)
   /// never shrinks, so steady-state appends allocate nothing.

@@ -627,17 +627,118 @@ StatusOr<ScapeTopKResult> FlatTopK(const ServingSnapshot& snap, Measure measure,
   return result;
 }
 
+/// The frozen WA table a top-k pass reads: the L-measure family's
+/// location table or the pair measure's lexicographic table. Mirrors the
+/// errors of the engine's per-entity WA path (SeriesValueServed /
+/// PairValueServed): FailedPrecondition without a model, kUnavailable
+/// when the epoch lacks the table.
+StatusOr<const std::vector<double>*> WaTableServed(const ServingSnapshot& snap, Measure measure) {
+  if (!snap.caps.has_model) return Status::FailedPrecondition("WA strategy not attached");
+  const bool location = IsLocation(measure);
+  const int slot = location ? LocationFamilyIndex(measure)
+                            : static_cast<int>(measure) - static_cast<int>(Measure::kCovariance);
+  const bool ok = location ? snap.location_ok[static_cast<std::size_t>(slot)]
+                           : snap.pair_ok[static_cast<std::size_t>(slot)];
+  if (!ok) {
+    return Status::Unavailable("snapshot lacks the WA table for " +
+                               std::string(MeasureName(measure)));
+  }
+  return location ? &snap.location[static_cast<std::size_t>(slot)]
+                  : &snap.pair_values[static_cast<std::size_t>(slot)];
+}
+
+/// The epoch's sweep top-k: one k-bounded pass over the eligible entities
+/// in lexicographic order — WA straight out of the frozen table (no
+/// per-entity StatusOr, no materialized candidate array), WN over the
+/// window copy with the engine's marginal-hoisted kernels. The selection
+/// order is total (`core::TopKBefore`), so the answer is bitwise the
+/// engine's chunked selection over the same values.
+StatusOr<std::vector<ScapeTopKEntry>> SweepTopKServed(const ServingSnapshot& snap,
+                                                      const core::TopKRequest& request,
+                                                      QueryMethod method,
+                                                      const core::QualitySurface& quality) {
+  const std::size_t n = snap.data.n();
+  const bool location = IsLocation(request.measure);
+  std::vector<char> eligible(n);
+  std::size_t eligible_count = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    eligible[v] = quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality) ? 1 : 0;
+    eligible_count += static_cast<std::size_t>(eligible[v]);
+  }
+  core::TopKSelector best(request.k, request.largest);
+  // Like the engine, a sweep with nothing to evaluate cannot fail.
+  if (eligible_count < (location ? 1u : 2u)) return std::move(best).Finish();
+
+  if (method == QueryMethod::kAffine) {
+    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double>* table,
+                              WaTableServed(snap, request.measure));
+    const double* values = table->data();
+    if (location) {
+      for (std::size_t v = 0; v < n; ++v) {
+        if (eligible[v] != 0) {
+          best.Offer(ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), values[v]});
+        }
+      }
+      return std::move(best).Finish();
+    }
+    std::size_t i = 0;  // lexicographic index of (u, v) in the table
+    for (std::size_t u = 0; u + 1 < n; ++u) {
+      if (eligible[u] == 0) {
+        i += n - u - 1;
+        continue;
+      }
+      for (std::size_t v = u + 1; v < n; ++v, ++i) {
+        if (eligible[v] == 0 || !best.Admits(values[i])) continue;
+        best.Offer(ScapeTopKEntry{
+            ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)),
+            kNoSeries, values[i]});
+      }
+    }
+    return std::move(best).Finish();
+  }
+
+  if (location) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (eligible[v] == 0) continue;
+      AFFINITY_ASSIGN_OR_RETURN(const double value,
+                                SeriesValueServed(snap, request.measure,
+                                                  static_cast<ts::SeriesId>(v), method));
+      best.Offer(ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), value});
+    }
+    return std::move(best).Finish();
+  }
+  const std::vector<core::kernels::Marginals> marginals =
+      core::kernels::HoistMarginals(snap.data.dense(), ExecContext{});
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    if (eligible[u] == 0) continue;
+    for (std::size_t v = u + 1; v < n; ++v) {
+      if (eligible[v] == 0) continue;
+      const double dot = core::kernels::BlockedDot(
+          snap.data.ColumnData(static_cast<ts::SeriesId>(u)),
+          snap.data.ColumnData(static_cast<ts::SeriesId>(v)), snap.data.m(),
+          snap.data.anchor_row());
+      AFFINITY_ASSIGN_OR_RETURN(
+          const double value,
+          core::PairMeasureFromMoments(request.measure,
+                                       core::PairMomentsFromMarginals(marginals[u], marginals[v],
+                                                                      dot, snap.data.m())));
+      best.Offer(ScapeTopKEntry{
+          ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)),
+          kNoSeries, value});
+    }
+  }
+  return std::move(best).Finish();
+}
+
 }  // namespace
 
 StatusOr<core::MecResponse> SnapshotMec(const ServingSnapshot& snap,
                                         const core::MecRequest& request, QueryMethod method) {
-  if (request.min_quality > 0.0) {
-    // The quality surface is live state (it advances with every append,
-    // not every publication), so a frozen replica cannot answer the
-    // predicate — bounce to the live engine.
-    return Status::Unavailable("quality predicates are not snapshot-servable");
-  }
   AFFINITY_RETURN_IF_ERROR(CheckIdsServed(snap, request.ids));
+  const core::QualitySurface quality = snap.quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
+  core::AnswerQuality answer_quality;
+  AFFINITY_RETURN_IF_ERROR(quality.StampMec(request, &answer_quality));
   ExecutedPlan plan = ResolvePlanServed(snap, method, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
@@ -646,6 +747,7 @@ StatusOr<core::MecResponse> SnapshotMec(const ServingSnapshot& snap,
 
   core::MecResponse out;
   out.plan = std::move(plan);
+  out.quality = answer_quality;
   const std::size_t count = request.ids.size();
   if (IsLocation(request.measure)) {
     out.location = la::Vector(count);
@@ -692,9 +794,8 @@ StatusOr<core::MecResponse> SnapshotMec(const ServingSnapshot& snap,
 
 StatusOr<SelectionResult> SnapshotMet(const ServingSnapshot& snap,
                                       const core::MetRequest& request, QueryMethod method) {
-  if (request.min_quality > 0.0) {
-    return Status::Unavailable("quality predicates are not snapshot-servable");
-  }
+  const core::QualitySurface quality = snap.quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlanServed(
       snap, method, [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); });
   method = plan.method;
@@ -719,15 +820,15 @@ StatusOr<SelectionResult> SnapshotMet(const ServingSnapshot& snap,
   if (!result.ok()) return result.status();
   core::AnnotateSnapshotServed(&plan, snap.generation);
   result->plan = std::move(plan);
+  quality.FilterSelection(request.min_quality, &*result);
   return result;
 }
 
 StatusOr<SelectionResult> SnapshotMer(const ServingSnapshot& snap,
                                       const core::MerRequest& request, QueryMethod method) {
-  if (request.min_quality > 0.0) {
-    return Status::Unavailable("quality predicates are not snapshot-servable");
-  }
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
+  const core::QualitySurface quality = snap.quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlanServed(
       snap, method, [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); });
   method = plan.method;
@@ -750,26 +851,28 @@ StatusOr<SelectionResult> SnapshotMer(const ServingSnapshot& snap,
   if (!result.ok()) return result.status();
   core::AnnotateSnapshotServed(&plan, snap.generation);
   result->plan = std::move(plan);
+  quality.FilterSelection(request.min_quality, &*result);
   return result;
 }
 
 StatusOr<core::TopKResult> SnapshotTopK(const ServingSnapshot& snap,
                                         const core::TopKRequest& request, QueryMethod method) {
-  if (request.min_quality > 0.0) {
-    return Status::Unavailable("quality predicates are not snapshot-servable");
-  }
+  const core::QualitySurface quality = snap.quality_surface();
+  AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlanServed(snap, method, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
+  core::RouteQualityTopK(request.min_quality, snap.caps.has_model, &plan);
   method = plan.method;
+  core::AnnotateSnapshotServed(&plan, snap.generation);
   if (method == QueryMethod::kScape) {
     if (!snap.has_scape) return Status::FailedPrecondition("SCAPE index not attached");
     AFFINITY_ASSIGN_OR_RETURN(ScapeTopKResult r,
                               FlatTopK(snap, request.measure, request.k, request.largest));
     core::TopKResult out;
     static_cast<ScapeTopKResult&>(out) = std::move(r);
-    core::AnnotateSnapshotServed(&plan, snap.generation);
     out.plan = std::move(plan);
+    quality.StampTopK(&out);
     return out;
   }
   if (method == QueryMethod::kDft) {
@@ -777,55 +880,10 @@ StatusOr<core::TopKResult> SnapshotTopK(const ServingSnapshot& snap,
     // (kUnavailable would bounce to the live engine just to hear it).
     return Status::InvalidArgument("top-k supports WN, WA, and SCAPE");
   }
-  const std::size_t n = snap.data.n();
-  const std::size_t total = IsLocation(request.measure) ? n : ts::SequencePairCount(n);
-  std::vector<ScapeTopKEntry> all(total);
-  if (IsLocation(request.measure)) {
-    for (std::size_t v = 0; v < total; ++v) {
-      auto value = SeriesValueServed(snap, request.measure, static_cast<ts::SeriesId>(v), method);
-      if (!value.ok()) return value.status();
-      all[v] = ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), *value};
-    }
-  } else {
-    std::vector<core::kernels::Marginals> marginals;
-    if (method == QueryMethod::kNaive) {
-      marginals = core::kernels::HoistMarginals(snap.data.dense(), ExecContext{});
-    }
-    std::size_t i = 0;
-    for (std::size_t u = 0; u + 1 < n; ++u) {
-      for (std::size_t v = u + 1; v < n; ++v, ++i) {
-        StatusOr<double> value = [&]() -> StatusOr<double> {
-          if (method != QueryMethod::kNaive) {
-            return PairValueServed(snap, request.measure, static_cast<ts::SeriesId>(u),
-                                   static_cast<ts::SeriesId>(v), method);
-          }
-          const double dot = core::kernels::BlockedDot(
-              snap.data.ColumnData(static_cast<ts::SeriesId>(u)),
-              snap.data.ColumnData(static_cast<ts::SeriesId>(v)), snap.data.m(),
-              snap.data.anchor_row());
-          return core::PairMeasureFromMoments(
-              request.measure,
-              core::PairMomentsFromMarginals(marginals[u], marginals[v], dot, snap.data.m()));
-        }();
-        if (!value.ok()) return value.status();
-        all[i] = ScapeTopKEntry{
-            ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)),
-            kNoSeries, *value};
-      }
-    }
-  }
-  const std::size_t k = request.k < all.size() ? request.k : all.size();
-  const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-    return request.largest ? a.value > b.value : a.value < b.value;
-  };
-  std::partial_sort(all.begin(), all.begin() + static_cast<long>(k), all.end(), better);
-  all.resize(k);
-  core::TopKResult out;
-  out.entries = std::move(all);
-  out.examined = total;
-  core::AnnotateSnapshotServed(&plan, snap.generation);
-  out.plan = std::move(plan);
-  return out;
+  AFFINITY_ASSIGN_OR_RETURN(std::vector<ScapeTopKEntry> selected,
+                            SweepTopKServed(snap, request, method, quality));
+  return core::FinishSweepTopK(request, snap.data.n(), quality, std::move(selected),
+                               std::move(plan));
 }
 
 }  // namespace affinity::serve

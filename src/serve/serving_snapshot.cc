@@ -114,6 +114,17 @@ namespace {
 
 using core::Measure;
 
+/// Copies the engine's quality scores into the epoch — assigned in place,
+/// so a recycled scratch epoch keeps its capacity and never carries the
+/// previous epoch's scores; cleared when the engine has no surface.
+void FreezeQuality(const std::vector<double>* quality, ServingSnapshot* out) {
+  if (quality != nullptr) {
+    out->quality.assign(quality->begin(), quality->end());
+  } else {
+    out->quality.clear();
+  }
+}
+
 /// Fills the snapshot's WA location tables (one per L-measure family).
 /// A family whose accessor errors is marked absent, not fatal.
 void FillLocationTables(const core::AffinityModel& model, ServingSnapshot* out) {
@@ -381,14 +392,15 @@ void AddStats(PublishStats* into, const PublishStats& from) {
 
 std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
     const core::AffinityModel& model, const core::ScapeIndex* scape,
-    const core::QueryPlanner::Capabilities& caps, std::uint64_t generation,
-    std::size_t snapshot_row, PublishStats* stats) {
+    const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
+    std::uint64_t generation, std::size_t snapshot_row, PublishStats* stats) {
   auto out = std::make_shared<ServingSnapshot>();
   out->generation = generation;
   out->snapshot_row = snapshot_row;
   // Dense copy keeps names and the block-grid anchor.
   out->data = CowWindow::FromDense(model.data());
   out->caps = caps;
+  FreezeQuality(quality, out.get());
 
   PublishStats local;
   local.delta = false;
@@ -399,7 +411,7 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
   for (std::size_t v = 0; v < n; ++v) {
     out->stats.push_back(model.series_stats(static_cast<ts::SeriesId>(v)));
   }
-  local.bytes_copied += n * sizeof(core::SeriesStats);
+  local.bytes_copied += n * sizeof(core::SeriesStats) + out->quality.size() * sizeof(double);
   FillLocationTables(model, out.get());
   FillPairTables(model, out.get());
   for (const auto& table : out->location) local.bytes_copied += table.size() * sizeof(double);
@@ -453,8 +465,8 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
     const core::AffinityModel& model, const core::ScapeIndex* scape,
     const core::ScapeDeltaLog& delta, const storage::DataMatrixTable& table,
     const ServingSnapshot& prior, const core::QueryPlanner::Capabilities& caps,
-    std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec,
-    PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
+    const std::vector<double>* quality, std::uint64_t generation, std::size_t snapshot_row,
+    const ExecContext& exec, PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
   const std::size_t n = model.data().n();
   const std::size_t m = model.data().m();
   // Preconditions: `prior` must be the flatten of these same structures
@@ -481,6 +493,7 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
   out->generation = generation;
   out->snapshot_row = snapshot_row;
   out->caps = caps;
+  FreezeQuality(quality, out.get());
   if (!CowWindow::FromTable(table, first_row, m, model.data().names(), &out->data)) {
     return nullptr;
   }
@@ -494,7 +507,7 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
   for (std::size_t v = 0; v < n; ++v) {
     out->stats.push_back(model.series_stats(static_cast<ts::SeriesId>(v)));
   }
-  total.bytes_copied += n * sizeof(core::SeriesStats);
+  total.bytes_copied += n * sizeof(core::SeriesStats) + out->quality.size() * sizeof(double);
   // The WA surface is value-level state: at interval-1 slides every value
   // moves, so it is refilled — but through the bulk accessor and in
   // parallel, not one hash lookup per (measure, pair).

@@ -58,6 +58,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "core/planner.h"
+#include "core/query.h"
 #include "core/scape.h"
 #include "core/symex.h"
 #include "storage/table.h"
@@ -219,6 +220,17 @@ struct ServingSnapshot {
   /// affected WA query kUnavailable, and the caller falls back live.
   std::array<std::vector<double>, 6> pair_values;
   std::array<bool, 6> pair_ok{};
+
+  /// The live engine's composite quality scores at publication, one per
+  /// series (DESIGN.md §12) — meaningful when `caps.has_quality`. Frozen
+  /// with the epoch, so `min_quality` predicates and answer stamps read
+  /// the scores the live engine held at this publication point.
+  std::vector<double> quality;
+
+  /// The epoch's quality surface over its n series.
+  core::QualitySurface quality_surface() const {
+    return core::QualitySurface(caps.has_quality ? &quality : nullptr, data.n());
+  }
 };
 
 /// Accounting of one publication, for the maintenance profile and the
@@ -241,13 +253,15 @@ class SnapshotBuilder {
   /// `snapshot_row`, copying the window densely and walking every tree —
   /// the from-scratch oracle every delta build must match bit for bit.
   /// `scape` may be null (no SCAPE surface). `caps` must be the serving
-  /// engine's capabilities so kAuto plans match. Never fails: a WA table
-  /// whose model accessor errors (truncated model) is marked absent
-  /// instead, demoting only those queries to live fallback.
+  /// engine's capabilities so kAuto plans match, and `quality` its
+  /// attached quality surface (`QueryEngine::quality()`; null when none,
+  /// matching `caps.has_quality`), copied into the epoch. Never fails: a
+  /// WA table whose model accessor errors (truncated model) is marked
+  /// absent instead, demoting only those queries to live fallback.
   static std::shared_ptr<const ServingSnapshot> Build(
       const core::AffinityModel& model, const core::ScapeIndex* scape,
-      const core::QueryPlanner::Capabilities& caps, std::uint64_t generation,
-      std::size_t snapshot_row, PublishStats* stats = nullptr);
+      const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
+      std::uint64_t generation, std::size_t snapshot_row, PublishStats* stats = nullptr);
 
   /// Incremental publication (DESIGN.md §11): builds the same snapshot
   /// `Build` would, but
@@ -270,14 +284,16 @@ class SnapshotBuilder {
   /// Publish` returned, with no surviving readers): its vectors are
   /// overwritten in place, so the steady state allocates nothing per
   /// epoch — the retiring epoch's memory becomes the next one's. Every
-  /// element is rewritten (or cleared) before the result is published, so
-  /// recycling never changes the produced bits.
+  /// element is rewritten (or cleared) before the result is published —
+  /// the quality scores included — so recycling never changes the
+  /// produced bits.
   static std::shared_ptr<const ServingSnapshot> BuildDelta(
       const core::AffinityModel& model, const core::ScapeIndex* scape,
       const core::ScapeDeltaLog& delta, const storage::DataMatrixTable& table,
       const ServingSnapshot& prior, const core::QueryPlanner::Capabilities& caps,
-      std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec = {},
-      PublishStats* stats = nullptr, std::shared_ptr<ServingSnapshot> scratch = nullptr);
+      const std::vector<double>* quality, std::uint64_t generation, std::size_t snapshot_row,
+      const ExecContext& exec = {}, PublishStats* stats = nullptr,
+      std::shared_ptr<ServingSnapshot> scratch = nullptr);
 };
 
 /// Epoch-based publication point: writers atomically swap in a fresh

@@ -54,6 +54,12 @@ const double* ColumnOf(const RouterSnapshot& snap, ts::SeriesId id) {
   return snap.shards[snap.shard_of[id]]->data.ColumnData(snap.local_of[id]);
 }
 
+/// Composite quality score of global series `id` as its shard's epoch
+/// froze it — the served twin of ShardedAffinity::GlobalQualityScore.
+double QualityOf(const RouterSnapshot& snap, ts::SeriesId id) {
+  return snap.shards[snap.shard_of[id]]->quality_surface().Score(snap.local_of[id]);
+}
+
 /// Mirrors ShardedAffinity::ResolveShardPlan for the unblended path. A
 /// RouterSnapshot only exists once the deployment is ready, so there is
 /// no FailedPrecondition arm; blending is live-only (the facade handles
@@ -117,8 +123,8 @@ StatusOr<std::vector<double>> RouterCrossValues(const RouterSnapshot& snap, Meas
 template <typename PlanFn, typename ShardQuery>
 StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure measure,
                                              bool (*keep)(double, double, double), double a,
-                                             double b, QueryMethod method, const PlanFn& plan,
-                                             const ShardQuery& shard_query) {
+                                             double b, double min_quality, QueryMethod method,
+                                             const PlanFn& plan, const ShardQuery& shard_query) {
   ExecutedPlan resolved = ResolveRouterPlan(snap, method, plan);
   const QueryMethod per_shard = method == QueryMethod::kAuto ? resolved.method : method;
 
@@ -127,9 +133,11 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   const std::size_t n_shards = snap.shards.size();
   std::vector<std::vector<ts::SeriesId>> series_runs(n_shards);
   std::vector<std::vector<ts::SequencePair>> pair_runs(n_shards);
+  std::vector<core::AnswerQuality> qualities(n_shards);
   for (std::size_t s = 0; s < n_shards; ++s) {
     AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r, shard_query(*snap.shards[s], per_shard));
     out.prune += r.prune;
+    qualities[s] = r.quality;
     if (location) {
       for (ts::SeriesId& v : r.series) v = snap.groups[s][v];
       std::sort(r.series.begin(), r.series.end());
@@ -142,20 +150,21 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
       pair_runs[s] = std::move(r.pairs);
     }
   }
+  core::AnswerQuality merged = MergeShardQuality(qualities);
   if (!location && n_shards > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
                               RouterCrossValues(snap, measure));
-    std::vector<ts::SequencePair> kept;
-    for (std::size_t i = 0; i < snap.cross.size(); ++i) {
-      if (keep(values[i], a, b)) kept.push_back(snap.cross[i]);
-    }
-    pair_runs.push_back(std::move(kept));  // already lex-sorted
+    pair_runs.push_back(KeepCrossPairs(
+        snap.cross, values, keep, a, b, min_quality,
+        [&](ts::SeriesId id) { return QualityOf(snap, id); }, &merged));  // already lex-sorted
   }
   if (location) {
     out.series = MergeSortedRuns(series_runs, std::less<ts::SeriesId>{});
   } else {
     out.pairs = MergeSortedRuns(pair_runs, std::less<ts::SequencePair>{});
   }
+  out.quality = merged;
+  if (min_quality > 0.0) core::AnnotateQualityFiltered(&resolved, min_quality, merged.excluded);
   core::AnnotateSnapshotServed(&resolved, snap.generation);
   out.plan = std::move(resolved);
   return out;
@@ -168,7 +177,7 @@ StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
                                           QueryMethod method) {
   return RouterSelect(
       snap, request.measure, request.greater ? core::KeepGreater : core::KeepLesser,
-      request.tau, 0.0, method,
+      request.tau, 0.0, request.min_quality, method,
       [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
       [&](const serve::ServingSnapshot& shard, QueryMethod m) {
         return serve::SnapshotMet(shard, request, m);
@@ -180,7 +189,8 @@ StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
                                           QueryMethod method) {
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
   return RouterSelect(
-      snap, request.measure, core::KeepInside, request.lo, request.hi, method,
+      snap, request.measure, core::KeepInside, request.lo, request.hi, request.min_quality,
+      method,
       [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
       [&](const serve::ServingSnapshot& shard, QueryMethod m) {
         return serve::SnapshotMer(shard, request, m);
@@ -195,9 +205,11 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
   const QueryMethod per_shard = method == QueryMethod::kAuto ? plan.method : method;
 
   std::vector<ScapeTopKResult> runs(snap.shards.size());
+  std::vector<core::AnswerQuality> qualities(snap.shards.size());
   for (std::size_t s = 0; s < snap.shards.size(); ++s) {
     AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r,
                               serve::SnapshotTopK(*snap.shards[s], request, per_shard));
+    qualities[s] = r.quality;
     for (ScapeTopKEntry& entry : r.entries) {
       if (entry.has_series()) {
         entry.series = snap.groups[s][entry.series];
@@ -207,27 +219,22 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
     }
     runs[s] = std::move(r);
   }
+  core::AnswerQuality merged = MergeShardQuality(qualities);
+  const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
   if (!core::IsLocation(request.measure) && snap.shards.size() > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
                               RouterCrossValues(snap, request.measure));
-    ScapeTopKResult cross_run;
-    cross_run.entries.resize(snap.cross.size());
-    for (std::size_t i = 0; i < snap.cross.size(); ++i) {
-      cross_run.entries[i] = ScapeTopKEntry{snap.cross[i], core::kNoSeries, values[i]};
-    }
-    const std::size_t k = std::min(request.k, cross_run.entries.size());
-    const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-      return request.largest ? a.value > b.value : a.value < b.value;
-    };
-    std::partial_sort(cross_run.entries.begin(),
-                      cross_run.entries.begin() + static_cast<long>(k), cross_run.entries.end(),
-                      better);
-    cross_run.entries.resize(k);
-    cross_run.examined = snap.cross.size();
-    runs.push_back(std::move(cross_run));
+    runs.push_back(CrossTopKRun(snap.cross, values, request, score, &merged.excluded));
   }
   core::TopKResult out;
   static_cast<ScapeTopKResult&>(out) = core::MergeTopK(runs, request.k, request.largest);
+  // The stamp covers the entries that survived the merge, not the shard
+  // minima (as the live router).
+  merged.min_score = merged.populated ? core::WorstEntryScore(out.entries, score) : 1.0;
+  out.quality = merged;
+  if (request.min_quality > 0.0) {
+    core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
+  }
   core::AnnotateSnapshotServed(&plan, snap.generation);
   out.plan = std::move(plan);
   return out;
@@ -254,6 +261,7 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
     const std::size_t s = snap.shard_of[request.ids[i]];
     positions[s].push_back(i);
     slices[s].measure = request.measure;
+    slices[s].min_quality = request.min_quality;
     slices[s].ids.push_back(snap.local_of[request.ids[i]]);
   }
 
@@ -265,10 +273,14 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
   } else {
     out.pair_values = la::Matrix(count, count);
   }
+  // Stamps of the shards the request touched (each slice enforced the
+  // FailedPrecondition contract for its ids).
+  std::vector<core::AnswerQuality> qualities;
   for (std::size_t s = 0; s < snap.shards.size(); ++s) {
     if (slices[s].ids.empty()) continue;
     AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r,
                               serve::SnapshotMec(*snap.shards[s], slices[s], per_shard));
+    qualities.push_back(r.quality);
     if (location) {
       for (std::size_t t = 0; t < positions[s].size(); ++t) {
         out.location[positions[s][t]] = r.location[t];
@@ -321,9 +333,21 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
       }
     }
   }
+  out.quality = MergeShardQuality(qualities);
   core::AnnotateSnapshotServed(&plan, snap.generation);
   out.plan = std::move(plan);
   return out;
+}
+
+core::AnswerQuality MergeShardQuality(const std::vector<core::AnswerQuality>& parts) {
+  core::AnswerQuality merged;
+  merged.populated = !parts.empty();
+  for (const core::AnswerQuality& q : parts) {
+    merged.populated = merged.populated && q.populated;
+    merged.min_score = std::min(merged.min_score, q.min_score);
+    merged.excluded += q.excluded;
+  }
+  return merged;
 }
 
 }  // namespace affinity::shard

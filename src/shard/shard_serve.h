@@ -26,6 +26,7 @@
 /// `StatusCode::kUnavailable`, and the caller falls back to the live
 /// service.
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -90,9 +91,73 @@ struct RouterSnapshot {
   std::size_t max_n = 0;
 };
 
+// ---------------------------------------------------------------------------
+// Cross-shard gather rules, shared by the live router (ShardedAffinity) and
+// the Router* serving paths so both filter and stamp identically. No shard
+// model covers a pair spanning two shards, so its quality predicate runs
+// at the gather, against each endpoint's shard surface: `score(id)` returns
+// the composite score of global series `id` (the live shard's published
+// scores, or the shard epoch's frozen copy — the same values at one epoch).
+// ---------------------------------------------------------------------------
+
+/// Folds per-shard answer stamps: populated only when there is at least
+/// one part and every part was stamped; worst score; exclusions summed.
+core::AnswerQuality MergeShardQuality(const std::vector<core::AnswerQuality>& parts);
+
+/// The cross pairs a MET/MER gather keeps, in `cross` (lex) order: those
+/// with `keep(values[i], a, b)` whose endpoints, under `min_quality > 0`,
+/// both score at least `min_quality`. Pairs the predicate drops count
+/// into `merged->excluded`; when `merged->populated`, kept pairs fold
+/// their worst endpoint score into `merged->min_score`.
+template <typename ScoreFn>
+std::vector<ts::SequencePair> KeepCrossPairs(const std::vector<ts::SequencePair>& cross,
+                                             const std::vector<double>& values,
+                                             bool (*keep)(double, double, double), double a,
+                                             double b, double min_quality, const ScoreFn& score,
+                                             core::AnswerQuality* merged) {
+  std::vector<ts::SequencePair> kept;
+  for (std::size_t i = 0; i < cross.size(); ++i) {
+    if (!keep(values[i], a, b)) continue;
+    const double su = score(cross[i].u);
+    const double sv = score(cross[i].v);
+    if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
+      ++merged->excluded;
+      continue;
+    }
+    if (merged->populated) merged->min_score = std::min(merged->min_score, std::min(su, sv));
+    kept.push_back(cross[i]);
+  }
+  return kept;
+}
+
+/// The cross-shard run of a top-k gather: one `core::TopKSelector` pass
+/// over the cross pairs whose endpoints both score at least
+/// `request.min_quality` (the rest count into `*excluded`); `examined`
+/// counts every cross pair.
+template <typename ScoreFn>
+core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
+                                   const std::vector<double>& values,
+                                   const core::TopKRequest& request, const ScoreFn& score,
+                                   std::size_t* excluded) {
+  core::TopKSelector best(request.k, request.largest);
+  for (std::size_t i = 0; i < cross.size(); ++i) {
+    if (request.min_quality > 0.0 &&
+        (score(cross[i].u) < request.min_quality || score(cross[i].v) < request.min_quality)) {
+      ++*excluded;
+      continue;
+    }
+    best.Offer(core::ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
+  }
+  core::ScapeTopKResult run;
+  run.entries = std::move(best).Finish();
+  run.examined = cross.size();
+  return run;
+}
+
 /// Query 1 against a router snapshot. Mirrors `ShardedAffinity::Mec`
 /// (unblended path); answers carry no per-shard freshness — the snapshot
-/// is one coherent epoch.
+/// is one coherent epoch. The Router* paths answer `min_quality` from the
+/// shard epochs' frozen scores, with the live router's stamps.
 StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
                                       core::QueryMethod method = core::QueryMethod::kAuto);
 

@@ -572,36 +572,14 @@ StatusOr<ShardedSelection> ShardedAffinity::SelectAcrossShards(
         return Status::OK();
       }));
   for (const core::PruneStats& p : prunes) out.result.prune += p;
-  // The merged stamp: populated only when every shard answered with a
-  // quality surface; min over shard minima, exclusions summed (cross-pair
-  // exclusions added below).
-  core::AnswerQuality merged;
-  merged.populated = n_shards > 0;
-  for (const core::AnswerQuality& q : qualities) {
-    merged.populated = merged.populated && q.populated;
-    merged.min_score = std::min(merged.min_score, q.min_score);
-    merged.excluded += q.excluded;
-  }
+  // Cross-pair exclusions add to the shards' (shard_serve.h gather rules).
+  core::AnswerQuality merged = MergeShardQuality(qualities);
   if (!location && n_shards > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
                               CrossPairValues(measure, NeedsBlend(options)));
-    const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-    std::vector<ts::SequencePair> kept;
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-      if (!keep(values[i], a, b)) continue;
-      // No shard model covers a cross pair, so its quality predicate runs
-      // here, against each endpoint's shard-local surface — same
-      // conjunctive semantics as QueryEngine's post-filter.
-      const double su = GlobalQualityScore(cross[i].u);
-      const double sv = GlobalQualityScore(cross[i].v);
-      if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
-        ++merged.excluded;
-        continue;
-      }
-      if (merged.populated) merged.min_score = std::min(merged.min_score, std::min(su, sv));
-      kept.push_back(cross[i]);
-    }
-    pair_runs.push_back(std::move(kept));  // already lex-sorted
+    pair_runs.push_back(KeepCrossPairs(
+        router_.cross_pairs(), values, keep, a, b, min_quality,
+        [&](ts::SeriesId id) { return GlobalQualityScore(id); }, &merged));  // lex-sorted
   }
   if (location) {
     out.result.series = MergeSortedRuns(series_runs, std::less<ts::SeriesId>{});
@@ -675,54 +653,20 @@ StatusOr<ShardedTopK> ShardedAffinity::TopK(const core::TopKRequest& request,
         }
         return Status::OK();
       }));
-  core::AnswerQuality merged;
-  merged.populated = !shards_.empty();
-  for (const core::AnswerQuality& q : qualities) {
-    merged.populated = merged.populated && q.populated;
-    merged.excluded += q.excluded;
-  }
+  // Per-shard answers already restricted their own competition; cross
+  // pairs compete only when both endpoints are eligible.
+  core::AnswerQuality merged = MergeShardQuality(qualities);
+  const auto score = [&](ts::SeriesId id) { return GlobalQualityScore(id); };
   if (!core::IsLocation(request.measure) && shards_.size() > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
                               CrossPairValues(request.measure, NeedsBlend(options)));
-    const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-    ScapeTopKResult cross_run;
-    cross_run.entries.reserve(cross.size());
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-      // Cross pairs compete only when both endpoints satisfy the quality
-      // predicate (per-shard answers already restricted their own
-      // competition).
-      if (request.min_quality > 0.0 &&
-          (GlobalQualityScore(cross[i].u) < request.min_quality ||
-           GlobalQualityScore(cross[i].v) < request.min_quality)) {
-        ++merged.excluded;
-        continue;
-      }
-      cross_run.entries.push_back(ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
-    }
-    const std::size_t k = std::min(request.k, cross_run.entries.size());
-    const auto better = [&](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
-      return request.largest ? a.value > b.value : a.value < b.value;
-    };
-    std::partial_sort(cross_run.entries.begin(),
-                      cross_run.entries.begin() + static_cast<long>(k), cross_run.entries.end(),
-                      better);
-    cross_run.entries.resize(k);
-    cross_run.examined = cross.size();
-    runs.push_back(std::move(cross_run));
+    runs.push_back(
+        CrossTopKRun(router_.cross_pairs(), values, request, score, &merged.excluded));
   }
   static_cast<ScapeTopKResult&>(out.result) = core::MergeTopK(runs, request.k, request.largest);
-  if (merged.populated) {
-    // Exact stamp over the entries that actually survived the merge.
-    for (const ScapeTopKEntry& e : out.result.entries) {
-      if (e.has_series()) {
-        merged.min_score = std::min(merged.min_score, GlobalQualityScore(e.series));
-      } else {
-        merged.min_score = std::min(merged.min_score,
-                                    std::min(GlobalQualityScore(e.pair.u),
-                                             GlobalQualityScore(e.pair.v)));
-      }
-    }
-  }
+  // The stamp covers the entries that survived the merge, not the shard
+  // minima.
+  merged.min_score = merged.populated ? core::WorstEntryScore(out.result.entries, score) : 1.0;
   out.result.quality = merged;
   if (request.min_quality > 0.0) {
     core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
@@ -876,15 +820,11 @@ StatusOr<ShardedMec> ShardedAffinity::Mec(const core::MecRequest& request,
   // Merged stamp over the shards the request actually touched (every id
   // lands in exactly one slice, and each slice already enforced the
   // FailedPrecondition contract for its ids).
-  core::AnswerQuality merged;
-  merged.populated = true;
+  std::vector<core::AnswerQuality> touched;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (!sliced[s]) continue;
-    merged.populated = merged.populated && qualities[s].populated;
-    merged.min_score = std::min(merged.min_score, qualities[s].min_score);
-    merged.excluded += qualities[s].excluded;
+    if (sliced[s]) touched.push_back(qualities[s]);
   }
-  out.response.quality = merged;
+  out.response.quality = MergeShardQuality(touched);
   out.response.plan = std::move(plan);
   return out;
 }

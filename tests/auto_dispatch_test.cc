@@ -3,6 +3,8 @@
 // choice, surface the executed plan in the response, and return exactly
 // what the explicitly-requested strategy would have returned.
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -159,19 +161,26 @@ TEST_F(AutoDispatchTest, MecAutoUsesModelWhenPresent) {
   EXPECT_EQ(naive->plan.method, QueryMethod::kNaive);
 }
 
-TEST_F(AutoDispatchTest, TopKAutoPrefersScapeAndMatchesExplicit) {
-  TopKRequest req;
-  req.measure = Measure::kCorrelation;
-  req.k = 10;
-  auto result = framework_->engine().TopK(req, QueryMethod::kAuto);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->plan.method, QueryMethod::kScape);
-  auto explicit_result = framework_->engine().TopK(req, QueryMethod::kScape);
-  ASSERT_TRUE(explicit_result.ok());
-  ASSERT_EQ(result->entries.size(), explicit_result->entries.size());
-  for (std::size_t i = 0; i < result->entries.size(); ++i) {
-    EXPECT_EQ(result->entries[i].value, explicit_result->entries[i].value);
-    EXPECT_EQ(result->entries[i].pair, explicit_result->entries[i].pair);
+TEST_F(AutoDispatchTest, TopKAutoMatchesTheExplicitPlan) {
+  // Correlation (D-measure) plans the WA pass, covariance (T-measure) the
+  // threshold algorithm; either way kAuto is bitwise the explicit method.
+  for (const auto& [measure, expected] :
+       {std::pair{Measure::kCorrelation, QueryMethod::kAffine},
+        std::pair{Measure::kCovariance, QueryMethod::kScape}}) {
+    SCOPED_TRACE(std::string(MeasureName(measure)));
+    TopKRequest req;
+    req.measure = measure;
+    req.k = 10;
+    auto result = framework_->engine().TopK(req, QueryMethod::kAuto);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result->plan.method, expected);
+    auto explicit_result = framework_->engine().TopK(req, expected);
+    ASSERT_TRUE(explicit_result.ok());
+    ASSERT_EQ(result->entries.size(), explicit_result->entries.size());
+    for (std::size_t i = 0; i < result->entries.size(); ++i) {
+      EXPECT_EQ(result->entries[i].value, explicit_result->entries[i].value);
+      EXPECT_EQ(result->entries[i].pair, explicit_result->entries[i].pair);
+    }
   }
 }
 

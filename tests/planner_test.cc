@@ -55,10 +55,27 @@ TEST(Planner, MerMirrorsMet) {
   EXPECT_EQ(FullPlanner().PlanMer(Measure::kJaccard).method, QueryMethod::kAffine);
 }
 
-TEST(Planner, TopKPrefersScape) {
-  const PlanChoice c = FullPlanner().PlanTopK(Measure::kCorrelation, 10);
-  EXPECT_EQ(c.method, QueryMethod::kScape);
-  EXPECT_NE(c.rationale.find("top-k"), std::string::npos);
+TEST(Planner, TopKChargesTheThresholdAlgorithmForWhatItExamines) {
+  // D-measures: the loose ‖α‖ξ/U_min bound makes the threshold algorithm
+  // examine every entity at two heap operations each, so the WA pass wins.
+  for (Measure m : {Measure::kCorrelation, Measure::kCosine}) {
+    const PlanChoice c = FullPlanner().PlanTopK(m, 10);
+    EXPECT_EQ(c.method, QueryMethod::kAffine) << MeasureName(m);
+    EXPECT_NE(c.rationale.find("k-bounded pass"), std::string::npos) << c.rationale;
+  }
+  // T- and L-measures: the bound is exact, the TA examines k entries and
+  // beats reading every entity.
+  for (Measure m : {Measure::kCovariance, Measure::kDotProduct, Measure::kMean}) {
+    const PlanChoice c = FullPlanner().PlanTopK(m, 10);
+    EXPECT_EQ(c.method, QueryMethod::kScape) << MeasureName(m);
+    EXPECT_NE(c.rationale.find("top-k"), std::string::npos);
+  }
+  // Without a model the index still answers derived top-k.
+  const QueryPlanner index_only(670, 720, {.has_model = false, .has_scape = true});
+  EXPECT_EQ(index_only.PlanTopK(Measure::kCorrelation, 10).method, QueryMethod::kScape);
+  // A k covering every entity leaves the TA nothing to prune.
+  const QueryPlanner tiny(5, 720, {.has_model = true, .has_scape = true});
+  EXPECT_EQ(tiny.PlanTopK(Measure::kCovariance, 10).method, QueryMethod::kAffine);
 }
 
 TEST(Planner, CostsOrderStrategiesSensibly) {

@@ -7,6 +7,7 @@
 
 #include "serve/serving_snapshot.h"
 
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -108,6 +109,8 @@ void ExpectSameSnapshot(const ServingSnapshot& got, const ServingSnapshot& want)
     EXPECT_EQ(got.pair_ok[t], want.pair_ok[t]) << "pair table " << t;
     EXPECT_EQ(got.pair_values[t], want.pair_values[t]) << "pair table " << t;
   }
+  EXPECT_EQ(got.caps.has_quality, want.caps.has_quality);
+  EXPECT_EQ(got.quality, want.quality);
   ASSERT_EQ(got.has_scape, want.has_scape);
   ASSERT_EQ(got.pair_pivots.size(), want.pair_pivots.size());
   for (std::size_t p = 0; p < want.pair_pivots.size(); ++p) {
@@ -229,6 +232,39 @@ TEST(ServeDelta, EscalationRebuildAndRestoreInvalidateTheDeltaPath) {
     ASSERT_NE(published, nullptr);
     ExpectSameSnapshot(*published, *cold);
   }
+}
+
+TEST(ServeDelta, RecycledEpochsFreezeEachPublicationsQualityScores) {
+  // A gappy stream moves the quality scores between publications; every
+  // delta epoch (built into a recycled retired epoch, no ring) must carry
+  // exactly the scores the live engine held when it was published.
+  const ts::Dataset ds = TestData();
+  const std::size_t n = ds.matrix.n();
+  auto stream = StreamingAffinity::Create(Names(n), StreamOptions(1, 1));
+  ASSERT_TRUE(stream.ok());
+  std::vector<double> row(n);
+  std::vector<std::uint8_t> valid(n), filled(n, 0);
+  std::size_t moved = 0;
+  std::vector<double> last;
+  for (std::size_t i = 0; i < kWindow + 80; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      row[j] = ds.matrix.matrix()(i, j);
+      // Series j drops out on a period of its own, so scores drift apart.
+      valid[j] = (i % (j + 3)) == 0 ? 0 : 1;
+    }
+    const auto result = stream->AppendMasked(row, valid, filled);
+    ASSERT_TRUE(result.ok());
+    if (!result.refreshed) continue;
+    auto published = stream->serving();
+    ASSERT_NE(published, nullptr);
+    ASSERT_TRUE(published->caps.has_quality);
+    EXPECT_EQ(published->quality, stream->quality_scores());
+    ExpectSameSnapshot(*published, *stream->BuildColdSnapshot());
+    if (!last.empty() && published->quality != last) ++moved;
+    last = published->quality;
+  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(stream->maintenance().epochs_delta, 0u);
 }
 
 TEST(ServeDelta, EpochRingPinsOldGenerationsWithoutCopying) {

@@ -7,6 +7,7 @@
 #include "serve/serve_query.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -85,8 +86,45 @@ void Feed(ShardedAffinity* service, const ts::Dataset& ds, std::size_t begin, st
   }
 }
 
+/// Gappy masks for row i: series j misses every (j + 3)-th sample (every
+/// other sample for series 0 once `dirtier`), so per-series quality scores
+/// spread apart and move with the window.
+void GappyMasks(std::size_t i, bool dirtier, std::vector<std::uint8_t>* valid) {
+  for (std::size_t j = 0; j < valid->size(); ++j) {
+    const std::size_t period = dirtier && j == 0 ? 2 : j + 3;
+    (*valid)[j] = i % period == 0 ? 0 : 1;
+  }
+}
+
+/// Appends rows [begin, end) with GappyMasks to any facade with
+/// AppendMasked (a stream or the sharded service).
+template <typename Facade>
+void FeedGappy(Facade* sink, const ts::Dataset& ds, std::size_t begin, std::size_t end,
+               bool dirtier = false) {
+  const std::size_t n = ds.matrix.n();
+  std::vector<double> row(n);
+  std::vector<std::uint8_t> valid(n), filled(n, 0);
+  for (std::size_t i = begin; i < end; ++i) {
+    for (std::size_t j = 0; j < n; ++j) row[j] = ds.matrix.matrix()(i, j);
+    GappyMasks(i, dirtier, &valid);
+    ASSERT_TRUE(sink->AppendMasked(row, valid, filled).ok());
+  }
+}
+
+/// A min_quality threshold halfway between the worst and best score.
+double MidThreshold(const std::vector<double>& scores) {
+  const auto [lo, hi] = std::minmax_element(scores.begin(), scores.end());
+  return 0.5 * (*lo + *hi);
+}
+
 // Bitwise comparison helpers: EXPECT_EQ on doubles is deliberate — the
 // serving contract is bitwise identity, not tolerance.
+
+void ExpectSameQuality(const core::AnswerQuality& served, const core::AnswerQuality& live) {
+  EXPECT_EQ(served.populated, live.populated);
+  EXPECT_EQ(served.min_score, live.min_score);
+  EXPECT_EQ(served.excluded, live.excluded);
+}
 
 void ExpectSameSelection(const SelectionResult& served, const SelectionResult& live) {
   EXPECT_EQ(served.series, live.series);
@@ -540,57 +578,260 @@ TEST(ServeMaintenance, SlowDriftSkipsScapeRekeys) {
 }
 
 // ---------------------------------------------------------------------------
-// Quality predicates are not snapshot-servable (DESIGN.md §12).
+// Quality predicates are served from the epoch's frozen scores (DESIGN.md
+// §12).
 // ---------------------------------------------------------------------------
 
-TEST(Serving, QualityPredicateBouncesToLiveEngine) {
+TEST(Serving, QualityPredicateServedFromEpoch) {
   const ts::Dataset ds = TestData();
   auto stream = StreamingAffinity::Create(ds.matrix.names(), StreamOptions());
   ASSERT_TRUE(stream.ok());
-  FeedStream(&*stream, ds, 0, 120);
+  FeedGappy(&*stream, ds, 0, 120);
   ASSERT_TRUE(stream->ready());
   auto snap = stream->serving();
   ASSERT_NE(snap, nullptr);
+  ASSERT_TRUE(snap->caps.has_quality);
+  EXPECT_EQ(snap->quality, stream->quality_scores());
+  const double threshold = MidThreshold(snap->quality);
+  const auto& engine = stream->framework()->engine();
 
-  // The quality surface is live state, not snapshot state: every snapshot
-  // entry point declines min_quality > 0 with kUnavailable.
+  // Every entry point answers min_quality from the epoch, bitwise the live
+  // engine: answers, exclusion counts and stamps.
+  MetRequest met{Measure::kCorrelation, 0.5, true};
+  met.min_quality = threshold;
+  MerRequest mer{Measure::kCorrelation, 0.2, 0.9};
+  mer.min_quality = threshold;
+  std::size_t excluded = 0;
+  for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kNaive, QueryMethod::kAffine,
+                             QueryMethod::kScape}) {
+    SCOPED_TRACE(std::string("method=") + std::string(core::QueryMethodName(method)));
+    auto live_met = engine.Met(met, method);
+    auto served_met = serve::SnapshotMet(*snap, met, method);
+    ASSERT_TRUE(live_met.ok());
+    ASSERT_TRUE(served_met.ok());
+    ExpectSameSelection(*served_met, *live_met);
+    ExpectSameQuality(served_met->quality, live_met->quality);
+    excluded += served_met->quality.excluded;
+
+    auto live_mer = engine.Mer(mer, method);
+    auto served_mer = serve::SnapshotMer(*snap, mer, method);
+    ASSERT_TRUE(live_mer.ok());
+    ASSERT_TRUE(served_mer.ok());
+    ExpectSameSelection(*served_mer, *live_mer);
+    ExpectSameQuality(served_mer->quality, live_mer->quality);
+
+    // Correlation plans the WA pass, covariance the TA (bypassed to the
+    // sweep under the predicate); both directions.
+    for (TopKRequest topk : {TopKRequest{Measure::kCorrelation, 5, true},
+                             TopKRequest{Measure::kCovariance, 4, false},
+                             TopKRequest{Measure::kMean, 3, true}}) {
+      topk.min_quality = threshold;
+      auto live = engine.TopK(topk, method);
+      auto served = serve::SnapshotTopK(*snap, topk, method);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(served.ok());
+      ExpectSameTopK(*served, *live);
+      ExpectSameQuality(served->quality, live->quality);
+      EXPECT_GT(served->quality.excluded, 0u);
+      for (const auto& e : served->entries) {
+        if (e.has_series()) {
+          EXPECT_GE(snap->quality[e.series], threshold);
+        } else {
+          EXPECT_GE(snap->quality[e.pair.u], threshold);
+          EXPECT_GE(snap->quality[e.pair.v], threshold);
+        }
+      }
+    }
+  }
+  EXPECT_GT(excluded, 0u);
+
+  // MEC: an eligible id set answers with the live stamp; a distrusted id
+  // fails FailedPrecondition on both paths.
+  ts::SeriesId good = 0, bad = 0;
+  for (std::size_t j = 0; j < snap->quality.size(); ++j) {
+    if (snap->quality[j] >= threshold) good = static_cast<ts::SeriesId>(j);
+    if (snap->quality[j] < threshold) bad = static_cast<ts::SeriesId>(j);
+  }
+  MecRequest mec{Measure::kCorrelation, {good}};
+  mec.min_quality = threshold;
+  auto live_mec = engine.Mec(mec);
+  auto served_mec = serve::SnapshotMec(*snap, mec);
+  ASSERT_TRUE(live_mec.ok());
+  ASSERT_TRUE(served_mec.ok());
+  ExpectSameMec(*served_mec, *live_mec);
+  ExpectSameQuality(served_mec->quality, live_mec->quality);
+  mec.ids = {good, bad};
+  EXPECT_EQ(serve::SnapshotMec(*snap, mec).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Mec(mec).status().code(), StatusCode::kFailedPrecondition);
+
+  // The facade serves all four from the epoch: no live fallback.
+  const std::size_t fallbacks_before = stream->maintenance().serve_fallbacks;
+  TopKRequest topk{Measure::kCorrelation, 5, true};
+  topk.min_quality = threshold;
+  mec.ids = {good};
+  ASSERT_TRUE(stream->Met(met).ok());
+  ASSERT_TRUE(stream->Mer(mer).ok());
+  auto facade_topk = stream->TopK(topk);
+  ASSERT_TRUE(facade_topk.ok());
+  ASSERT_TRUE(stream->Mec(mec).ok());
+  EXPECT_EQ(stream->maintenance().serve_fallbacks, fallbacks_before);
+  EXPECT_NE(facade_topk->plan.rationale.find("served from read-optimized snapshot"),
+            std::string::npos);
+}
+
+TEST(Serving, PinnedEpochKeepsItsQualityStamp) {
+  const ts::Dataset ds = TestData();
+  StreamingOptions options = StreamOptions();
+  options.serving_history = 4;
+  auto stream = StreamingAffinity::Create(ds.matrix.names(), options);
+  ASSERT_TRUE(stream.ok());
+  FeedGappy(&*stream, ds, 0, 60);
+  auto first = stream->serving();
+  ASSERT_NE(first, nullptr);
+  const std::uint64_t generation = first->generation;
+  const std::vector<double> frozen = first->quality;
+  const MetRequest met{Measure::kCorrelation, -2.0, true};  // every pair
+  auto before = serve::SnapshotMet(*first, met);
+  ASSERT_TRUE(before.ok());
+  ASSERT_TRUE(before->quality.populated);
+  first.reset();
+
+  // Series 0 gets much dirtier: later publications lower its score.
+  FeedGappy(&*stream, ds, 60, 120, /*dirtier=*/true);
+  auto current = stream->serving();
+  ASSERT_NE(current, nullptr);
+  ASSERT_GT(current->generation, generation);
+  auto now = serve::SnapshotMet(*current, met);
+  ASSERT_TRUE(now.ok());
+  EXPECT_LT(now->quality.min_score, before->quality.min_score);
+
+  // The ring-pinned epoch still answers with the scores it was published
+  // with.
+  auto pinned = stream->serving_epoch(generation);
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->quality, frozen);
+  auto after = serve::SnapshotMet(*pinned, met);
+  ASSERT_TRUE(after.ok());
+  ExpectSameSelection(*after, *before);
+  ExpectSameQuality(after->quality, before->quality);
+}
+
+TEST(Serving, EpochWithoutQualitySurfaceRejectsThePredicate) {
+  // A batch Affinity attaches no quality surface: its epoch answers
+  // min_quality > 0 with FailedPrecondition, exactly as the engine does,
+  // and stamps nothing otherwise.
+  const ts::Dataset ds = TestData();
+  auto fw = core::Affinity::Build(ds.matrix);
+  ASSERT_TRUE(fw.ok());
+  const auto& engine = fw->engine();
+  ASSERT_EQ(engine.quality(), nullptr);
+  auto snap = serve::SnapshotBuilder::Build(fw->model(), fw->scape(), engine.Capabilities(),
+                                            engine.quality(), 1, ds.matrix.m());
+  ASSERT_FALSE(snap->caps.has_quality);
   MetRequest met{Measure::kCorrelation, 0.5, true};
   met.min_quality = 0.5;
-  EXPECT_EQ(serve::SnapshotMet(*snap, met, QueryMethod::kAuto).status().code(),
-            StatusCode::kUnavailable);
   MerRequest mer{Measure::kCorrelation, 0.2, 0.9};
   mer.min_quality = 0.5;
-  EXPECT_EQ(serve::SnapshotMer(*snap, mer, QueryMethod::kAuto).status().code(),
-            StatusCode::kUnavailable);
   TopKRequest topk{Measure::kCorrelation, 3, true};
   topk.min_quality = 0.5;
-  EXPECT_EQ(serve::SnapshotTopK(*snap, topk, QueryMethod::kAuto).status().code(),
-            StatusCode::kUnavailable);
-  MecRequest mec;
-  mec.measure = Measure::kCorrelation;
-  mec.ids = {0, 1};
+  MecRequest mec{Measure::kCorrelation, {0, 1}};
   mec.min_quality = 0.5;
-  EXPECT_EQ(serve::SnapshotMec(*snap, mec, QueryMethod::kAuto).status().code(),
-            StatusCode::kUnavailable);
+  EXPECT_EQ(serve::SnapshotMet(*snap, met).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Met(met).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(serve::SnapshotMer(*snap, mer).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Mer(mer).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(serve::SnapshotTopK(*snap, topk).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.TopK(topk).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(serve::SnapshotMec(*snap, mec).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(engine.Mec(mec).status().code(), StatusCode::kFailedPrecondition);
 
-  // The streaming facade counts the bounce as a serve fallback and still
-  // answers from the live engine (a dense stream scores 1.0 everywhere, so
-  // the predicate excludes nothing).
-  const std::size_t fallbacks_before = stream->maintenance().serve_fallbacks;
-  auto live = stream->Met(met);
-  ASSERT_TRUE(live.ok());
-  EXPECT_GT(stream->maintenance().serve_fallbacks, fallbacks_before);
-  EXPECT_TRUE(live->quality.populated);
-  EXPECT_EQ(live->quality.min_score, 1.0);
-  EXPECT_EQ(live->quality.excluded, 0u);
-
-  // Without the predicate, the snapshot still serves the same request.
-  met.min_quality = 0.0;
-  auto served = serve::SnapshotMet(*snap, met, QueryMethod::kAuto);
+  topk.min_quality = 0.0;
+  auto served = serve::SnapshotTopK(*snap, topk);
+  auto live = engine.TopK(topk);
   ASSERT_TRUE(served.ok());
-  auto unfiltered = stream->Met(met);
-  ASSERT_TRUE(unfiltered.ok());
-  ExpectSameSelection(*served, *unfiltered);
+  ASSERT_TRUE(live.ok());
+  ExpectSameTopK(*served, *live);
+  EXPECT_FALSE(served->quality.populated);
+  EXPECT_FALSE(live->quality.populated);
+}
+
+TEST(RouterServe, QualityPredicatesMatchLiveRouter) {
+  const ts::Dataset ds = TestData(16);
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedOptions options = ShardOptions(shards);
+    options.cross_cache.budget = 8;
+    auto service = ShardedAffinity::Create(Names(16), options);
+    ASSERT_TRUE(service.ok());
+    FeedGappy(&*service, ds, 0, 100);
+    ASSERT_TRUE(service->ready());
+    auto snap = service->serving();
+    ASSERT_NE(snap, nullptr);
+    std::vector<double> scores(16);
+    for (std::size_t id = 0; id < 16; ++id) {
+      scores[id] = snap->shards[snap->shard_of[id]]->quality[snap->local_of[id]];
+    }
+    const double threshold = MidThreshold(scores);
+
+    MetRequest met{Measure::kCorrelation, 0.3, true};
+    met.min_quality = threshold;
+    auto live_met = service->Met(met);
+    auto served_met = RouterMet(*snap, met);
+    ASSERT_TRUE(live_met.ok());
+    ASSERT_TRUE(served_met.ok());
+    ExpectSameSelection(*served_met, live_met->result);
+    ExpectSameQuality(served_met->quality, live_met->result.quality);
+    EXPECT_GT(served_met->quality.excluded, 0u);
+
+    MerRequest mer{Measure::kCovariance, -0.5, 0.8};
+    mer.min_quality = threshold;
+    auto live_mer = service->Mer(mer);
+    auto served_mer = RouterMer(*snap, mer);
+    ASSERT_TRUE(live_mer.ok());
+    ASSERT_TRUE(served_mer.ok());
+    ExpectSameSelection(*served_mer, live_mer->result);
+    ExpectSameQuality(served_mer->quality, live_mer->result.quality);
+
+    for (TopKRequest topk : {TopKRequest{Measure::kCorrelation, 6, true},
+                             TopKRequest{Measure::kCovariance, 5, false}}) {
+      topk.min_quality = threshold;
+      auto live = service->TopK(topk);
+      auto served = RouterTopK(*snap, topk);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(served.ok());
+      ExpectSameTopK(*served, live->result);
+      ExpectSameQuality(served->quality, live->result.quality);
+      EXPECT_GT(served->quality.excluded, 0u);
+      for (const auto& e : served->entries) {
+        EXPECT_GE(scores[e.pair.u], threshold);
+        EXPECT_GE(scores[e.pair.v], threshold);
+      }
+    }
+
+    ts::SeriesId good_a = 16, good_b = 16, bad = 16;
+    for (ts::SeriesId id = 0; id < 16; ++id) {
+      if (scores[id] < threshold) {
+        bad = id;
+      } else if (good_a == 16) {
+        good_a = id;
+      } else {
+        good_b = id;
+      }
+    }
+    ASSERT_LT(bad, 16u);
+    ASSERT_LT(good_b, 16u);
+    MecRequest mec{Measure::kCovariance, {good_a, good_b}};
+    mec.min_quality = threshold;
+    auto live_mec = service->Mec(mec);
+    auto served_mec = RouterMec(*snap, mec);
+    ASSERT_TRUE(live_mec.ok());
+    ASSERT_TRUE(served_mec.ok());
+    ExpectSameMec(*served_mec, live_mec->response);
+    ExpectSameQuality(served_mec->quality, live_mec->response.quality);
+    mec.ids.push_back(bad);
+    EXPECT_EQ(RouterMec(*snap, mec).status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(service->Mec(mec).status().code(), StatusCode::kFailedPrecondition);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,21 @@
 // Tests for the top-k extension: ScapeIndex::TopK and QueryEngine::TopK.
 // The index-side threshold algorithm must agree exactly with the WA
-// strategy's evaluate-all-and-sort answer.
+// strategy's evaluate-all-and-sort answer, and every sweep-style top-k
+// (engine WN/WA, the epoch's pass) shares one k-bounded selection whose
+// tie order is defined and thread-count invariant.
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "core/framework.h"
+#include "serve/serve_query.h"
+#include "serve/serving_snapshot.h"
 #include "ts/generators.h"
 
 namespace affinity::core {
@@ -235,6 +243,243 @@ TEST_F(TopKTest, TopPairsAreMutuallyDistinct) {
   for (const auto& entry : result->entries) pairs.push_back(entry.pair);
   std::sort(pairs.begin(), pairs.end());
   EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()), pairs.end());
+}
+
+// ---------------------------------------------------------------------------
+// The shared selection: TopKSelector under TopKBefore.
+// ---------------------------------------------------------------------------
+
+ScapeTopKEntry PairEntry(ts::SeriesId u, ts::SeriesId v, double value) {
+  return ScapeTopKEntry{ts::SequencePair(u, v), kNoSeries, value};
+}
+
+std::vector<ScapeTopKEntry> Select(const std::vector<ScapeTopKEntry>& offers, std::size_t k,
+                                   bool largest) {
+  TopKSelector best(k, largest);
+  for (const ScapeTopKEntry& e : offers) best.Offer(e);
+  return std::move(best).Finish();
+}
+
+void ExpectSameEntries(const std::vector<ScapeTopKEntry>& got,
+                       const std::vector<ScapeTopKEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].pair, want[i].pair) << "entry " << i;
+    EXPECT_EQ(got[i].series, want[i].series) << "entry " << i;
+    EXPECT_EQ(got[i].value, want[i].value) << "entry " << i;
+  }
+}
+
+TEST(TopKSelectorFn, TiesAcrossTheKthValueBreakByPairInAnyOfferOrder) {
+  // Three entries tie at 3.0 across the k = 3 boundary: the two smallest
+  // pairs win, whatever order the pass offers them in.
+  std::vector<ScapeTopKEntry> offers = {PairEntry(2, 3, 3.0), PairEntry(0, 1, 5.0),
+                                        PairEntry(1, 2, 3.0), PairEntry(3, 4, 1.0),
+                                        PairEntry(0, 4, 3.0)};
+  const std::vector<ScapeTopKEntry> want = {PairEntry(0, 1, 5.0), PairEntry(0, 4, 3.0),
+                                            PairEntry(1, 2, 3.0)};
+  std::vector<std::size_t> order(offers.size());
+  std::iota(order.begin(), order.end(), 0);
+  do {
+    std::vector<ScapeTopKEntry> permuted;
+    for (const std::size_t i : order) permuted.push_back(offers[i]);
+    ExpectSameEntries(Select(permuted, 3, /*largest=*/true), want);
+  } while (std::next_permutation(order.begin(), order.end()));
+  // Smallest-first: the tie at 3.0 again breaks by pair.
+  ExpectSameEntries(Select(offers, 2, /*largest=*/false),
+                    {PairEntry(3, 4, 1.0), PairEntry(0, 4, 3.0)});
+  // Series entries tie by series id.
+  const std::vector<ScapeTopKEntry> series = {
+      ScapeTopKEntry{ts::SequencePair{}, 7, 2.0}, ScapeTopKEntry{ts::SequencePair{}, 3, 2.0},
+      ScapeTopKEntry{ts::SequencePair{}, 5, 2.0}};
+  const std::vector<ScapeTopKEntry> best = Select(series, 2, /*largest=*/true);
+  ASSERT_EQ(best.size(), 2u);
+  EXPECT_EQ(best[0].series, 3u);
+  EXPECT_EQ(best[1].series, 5u);
+}
+
+TEST(TopKSelectorFn, KZeroKAboveTheOffersAndChunkMerges) {
+  const std::vector<ScapeTopKEntry> offers = {PairEntry(0, 1, 0.5), PairEntry(0, 2, -1.0),
+                                              PairEntry(1, 2, 2.0)};
+  EXPECT_TRUE(Select(offers, 0, true).empty());
+  ExpectSameEntries(Select(offers, 10, true),
+                    {PairEntry(1, 2, 2.0), PairEntry(0, 1, 0.5), PairEntry(0, 2, -1.0)});
+  // Chunked passes joined with Merge equal one sequential pass.
+  TopKSelector a(2, true), b(2, true), joined(2, true);
+  a.Offer(offers[0]);
+  b.Offer(offers[1]);
+  b.Offer(offers[2]);
+  joined.Merge(b);
+  joined.Merge(a);
+  ExpectSameEntries(std::move(joined).Finish(), Select(offers, 2, true));
+}
+
+// ---------------------------------------------------------------------------
+// Engine and epoch sweeps over data with bitwise value ties.
+// ---------------------------------------------------------------------------
+
+/// 12 base series, each stored twice: WN evaluates pairs of identical
+/// columns with identical arithmetic, so every cross value appears in a
+/// group of four bitwise-equal pairs and ties straddle most k.
+class TopKTieTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    ts::DatasetSpec spec;
+    spec.num_series = 12;
+    spec.num_samples = 64;
+    spec.num_clusters = 3;
+    spec.noise_level = 0.05;
+    spec.seed = 91;
+    const ts::Dataset base = ts::MakeSensorData(spec);
+    la::Matrix values(base.matrix.m(), 2 * base.matrix.n());
+    for (std::size_t j = 0; j < base.matrix.n(); ++j) {
+      for (std::size_t i = 0; i < base.matrix.m(); ++i) {
+        values(i, 2 * j) = base.matrix.matrix()(i, j);
+        values(i, 2 * j + 1) = base.matrix.matrix()(i, j);
+      }
+    }
+    auto fw = Affinity::Build(ts::DataMatrix(std::move(values)));
+    ASSERT_TRUE(fw.ok());
+    framework_ = new Affinity(std::move(fw).value());
+    // Every third series is distrusted.
+    scores_ = new std::vector<double>(framework_->data().n(), 0.9);
+    for (std::size_t v = 0; v < scores_->size(); v += 3) (*scores_)[v] = 0.2;
+  }
+  static void TearDownTestSuite() {
+    delete framework_;
+    delete scores_;
+    framework_ = nullptr;
+    scores_ = nullptr;
+  }
+
+  /// An engine with every structure and the quality surface attached.
+  static QueryEngine Engine(const ExecContext& exec = {}) {
+    QueryEngine engine(&framework_->data());
+    engine.AttachModel(&framework_->model());
+    engine.AttachScape(framework_->scape());
+    engine.AttachQuality(scores_);
+    engine.SetExec(exec);
+    return engine;
+  }
+
+  static std::shared_ptr<const serve::ServingSnapshot> Epoch() {
+    const QueryEngine engine = Engine();
+    return serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
+                                         engine.Capabilities(), engine.quality(), 1,
+                                         framework_->data().m());
+  }
+
+  static Affinity* framework_;
+  static std::vector<double>* scores_;
+};
+
+Affinity* TopKTieTest::framework_ = nullptr;
+std::vector<double>* TopKTieTest::scores_ = nullptr;
+
+TEST_F(TopKTieTest, TiesAcrossTheKthValueFollowTheRankOrder) {
+  const QueryEngine engine = Engine();
+  TopKRequest all{Measure::kCorrelation, 100000, true};
+  auto full = engine.TopK(all, QueryMethod::kNaive);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->entries.size(), ts::SequencePairCount(framework_->data().n()));
+  for (std::size_t i = 1; i < full->entries.size(); ++i) {
+    EXPECT_TRUE(TopKBefore(full->entries[i - 1], full->entries[i], true)) << i;
+  }
+  // A k whose boundary cuts through a run of equal values.
+  std::size_t k = 0;
+  for (std::size_t i = 8; i + 1 < full->entries.size() && k == 0; ++i) {
+    if (full->entries[i].value == full->entries[i + 1].value) k = i + 1;
+  }
+  ASSERT_GT(k, 0u);
+  TopKRequest cut{Measure::kCorrelation, k, true};
+  auto bounded = engine.TopK(cut, QueryMethod::kNaive);
+  ASSERT_TRUE(bounded.ok());
+  ExpectSameEntries(bounded->entries,
+                    std::vector<ScapeTopKEntry>(full->entries.begin(),
+                                                full->entries.begin() + static_cast<long>(k)));
+  auto served = serve::SnapshotTopK(*Epoch(), cut, QueryMethod::kNaive);
+  ASSERT_TRUE(served.ok());
+  ExpectSameEntries(served->entries, bounded->entries);
+}
+
+TEST_F(TopKTieTest, KZeroKAboveEligibleAndNobodyEligible) {
+  const QueryEngine engine = Engine();
+  const auto epoch = Epoch();
+  const std::size_t n = framework_->data().n();
+  std::size_t eligible = 0;
+  for (const double s : *scores_) eligible += s >= 0.5 ? 1 : 0;
+  for (QueryMethod method : {QueryMethod::kNaive, QueryMethod::kAffine, QueryMethod::kAuto}) {
+    SCOPED_TRACE(std::string(QueryMethodName(method)));
+    for (Measure measure : {Measure::kCorrelation, Measure::kCovariance, Measure::kMean}) {
+      SCOPED_TRACE(std::string(MeasureName(measure)));
+      const std::size_t entities = IsLocation(measure) ? n : ts::SequencePairCount(n);
+      const std::size_t eligible_entities =
+          IsLocation(measure) ? eligible : ts::SequencePairCount(eligible);
+      // k = 0: nothing selected, the pass still reports what it covered.
+      TopKRequest zero{measure, 0, true};
+      auto live = engine.TopK(zero, method);
+      auto served = serve::SnapshotTopK(*epoch, zero, method);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(served.ok());
+      EXPECT_TRUE(live->entries.empty());
+      EXPECT_TRUE(served->entries.empty());
+      // k above the eligible count: every eligible entity, best-first.
+      TopKRequest wide{measure, entities + 5, false};
+      wide.min_quality = 0.5;
+      live = engine.TopK(wide, method);
+      served = serve::SnapshotTopK(*epoch, wide, method);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(served.ok());
+      EXPECT_EQ(live->entries.size(), eligible_entities);
+      EXPECT_EQ(live->quality.excluded, entities - eligible_entities);
+      ExpectSameEntries(served->entries, live->entries);
+      EXPECT_EQ(served->quality.excluded, live->quality.excluded);
+      EXPECT_EQ(served->quality.min_score, live->quality.min_score);
+      // Every series below the predicate: an empty, fully excluded answer.
+      TopKRequest none{measure, 5, true};
+      none.min_quality = 0.95;
+      live = engine.TopK(none, method);
+      served = serve::SnapshotTopK(*epoch, none, method);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(served.ok());
+      EXPECT_TRUE(live->entries.empty());
+      EXPECT_TRUE(served->entries.empty());
+      EXPECT_EQ(live->quality.excluded, entities);
+      EXPECT_EQ(served->quality.excluded, entities);
+      EXPECT_TRUE(served->quality.populated);
+      EXPECT_EQ(served->quality.min_score, 1.0);
+    }
+  }
+}
+
+TEST_F(TopKTieTest, BitwiseAcrossThreadCountsAndTheEpoch) {
+  const auto epoch = Epoch();
+  const QueryEngine sequential = Engine();
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ThreadPool pool(threads);
+    const QueryEngine engine = Engine(ExecContext{threads > 1 ? &pool : nullptr});
+    for (QueryMethod method : {QueryMethod::kNaive, QueryMethod::kAffine, QueryMethod::kAuto}) {
+      SCOPED_TRACE(std::string(QueryMethodName(method)));
+      for (const double min_quality : {0.0, 0.5}) {
+        for (TopKRequest req : {TopKRequest{Measure::kCorrelation, 37, true},
+                                TopKRequest{Measure::kCosine, 21, false},
+                                TopKRequest{Measure::kCovariance, 9, true}}) {
+          req.min_quality = min_quality;
+          auto got = engine.TopK(req, method);
+          auto want = sequential.TopK(req, method);
+          auto served = serve::SnapshotTopK(*epoch, req, method);
+          ASSERT_TRUE(got.ok());
+          ASSERT_TRUE(want.ok());
+          ASSERT_TRUE(served.ok());
+          ExpectSameEntries(got->entries, want->entries);
+          ExpectSameEntries(served->entries, want->entries);
+          EXPECT_EQ(got->plan.method, want->plan.method);
+          EXPECT_EQ(served->plan.method, want->plan.method);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
