@@ -7,12 +7,14 @@
 // (what `ScapeIndex::Build` produces) — the paper's point that one
 // structure serves all measures.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
-#include "btree/bplus_tree.h"
 #include "core/scape.h"
 #include "core/symex.h"
 
@@ -21,11 +23,26 @@ using namespace affinity::bench;
 
 namespace {
 
+/// One key per relationship, filed under its pivot and sorted once — the
+/// sorted-run construction `ScapeIndex::Build` performs per (pivot,
+/// family), isolated to a single measure family.
+template <typename KeyFn>
+double BuildSortedRuns(const core::AffinityModel& model, const KeyFn& key_of) {
+  Stopwatch watch;
+  std::unordered_map<std::uint64_t, std::size_t> slot_of;
+  std::vector<std::vector<std::pair<double, ts::SequencePair>>> runs;
+  model.ForEachRelationship([&](const ts::SequencePair& e, const core::AffineRecord& rec) {
+    const auto [it, inserted] = slot_of.try_emplace(rec.pivot.Key(), runs.size());
+    if (inserted) runs.emplace_back();
+    runs[it->second].emplace_back(key_of(rec), e);
+  });
+  for (auto& run : runs) std::sort(run.begin(), run.end());
+  return watch.ElapsedSeconds();
+}
+
 /// Covariance-only pair-level index build (Table 2 covariance row).
 double BuildCovarianceOnly(const core::AffinityModel& model) {
-  Stopwatch watch;
-  std::unordered_map<std::uint64_t, btree::BPlusTree<ts::SequencePair>> trees;
-  model.ForEachRelationship([&](const ts::SequencePair& e, const core::AffineRecord& rec) {
+  return BuildSortedRuns(model, [&](const core::AffineRecord& rec) {
     const core::PairMatrixMeasures* pm = model.FindPivotMeasures(rec.pivot);
     double alpha[3];
     if (rec.pivot.series_first) {
@@ -40,32 +57,23 @@ double BuildCovarianceOnly(const core::AffinityModel& model) {
         std::sqrt(alpha[0] * alpha[0] + alpha[1] * alpha[1] + alpha[2] * alpha[2]);
     double beta[3];
     rec.Beta(beta);
-    const double xi =
-        norm > 0 ? (alpha[0] * beta[0] + alpha[1] * beta[1] + alpha[2] * beta[2]) / norm : 0.0;
-    auto [it, inserted] = trees.try_emplace(rec.pivot.Key());
-    it->second.Insert(xi, e);
+    return norm > 0 ? (alpha[0] * beta[0] + alpha[1] * beta[1] + alpha[2] * beta[2]) / norm : 0.0;
   });
-  return watch.ElapsedSeconds();
 }
 
 /// Mean-only pair-level index build (Table 2 location row: the L-measure of
 /// the free series keyed per relationship, as the paper's Fig. 14 scales
 /// the "mean" curve with the relationship count).
 double BuildMeanOnly(const core::AffinityModel& model) {
-  Stopwatch watch;
-  std::unordered_map<std::uint64_t, btree::BPlusTree<ts::SequencePair>> trees;
-  model.ForEachRelationship([&](const ts::SequencePair& e, const core::AffineRecord& rec) {
+  return BuildSortedRuns(model, [&](const core::AffineRecord& rec) {
     const core::PairMatrixMeasures* pm = model.FindPivotMeasures(rec.pivot);
     const double alpha[3] = {pm->mean[0], pm->mean[1], 1.0};
     const double norm =
         std::sqrt(alpha[0] * alpha[0] + alpha[1] * alpha[1] + alpha[2] * alpha[2]);
     double beta[3];
     rec.Beta(beta);
-    const double xi = (alpha[0] * beta[0] + alpha[1] * beta[1] + alpha[2] * beta[2]) / norm;
-    auto [it, inserted] = trees.try_emplace(rec.pivot.Key());
-    it->second.Insert(xi, e);
+    return (alpha[0] * beta[0] + alpha[1] * beta[1] + alpha[2] * beta[2]) / norm;
   });
-  return watch.ElapsedSeconds();
 }
 
 }  // namespace

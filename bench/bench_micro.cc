@@ -7,7 +7,6 @@
 //    per pair);
 //  * histogram mode vs the O(m²) naive density mode (why the paper's mode
 //    speedups are enormous);
-//  * B+-tree fanout sweep (SCAPE's sorted-container constant);
 //  * FFT sizes used by the WF comparator (720 and 1950 are not powers of
 //    two → Bluestein);
 //  * parallel scaling: MET/MER WN/WA sweeps and Affinity::Build at 1, 2,
@@ -32,7 +31,6 @@
 #include <utility>
 #include <vector>
 
-#include "btree/bplus_tree.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -499,34 +497,6 @@ void BM_NaiveDensityMode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NaiveDensityMode)->Arg(720)->Arg(1950);
-
-// --- B+-tree ------------------------------------------------------------------
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  const auto fanout = static_cast<std::size_t>(state.range(0));
-  Xoshiro256 rng(10);
-  std::vector<double> keys(100000);
-  for (auto& k : keys) k = rng.NextDouble();
-  for (auto _ : state) {
-    btree::BPlusTree<int> tree(fanout);
-    for (std::size_t i = 0; i < keys.size(); ++i) tree.Insert(keys[i], static_cast<int>(i));
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 100000);
-}
-BENCHMARK(BM_BPlusTreeInsert)->Arg(8)->Arg(16)->Arg(64)->Arg(256);
-
-void BM_BPlusTreeThresholdScan(benchmark::State& state) {
-  btree::BPlusTree<int> tree(64);
-  Xoshiro256 rng(11);
-  for (int i = 0; i < 100000; ++i) tree.Insert(rng.NextDouble(), i);
-  for (auto _ : state) {
-    std::size_t count = 0;
-    tree.ScanGreaterThan(0.99, [&](double, const int&) { ++count; });
-    benchmark::DoNotOptimize(count);
-  }
-}
-BENCHMARK(BM_BPlusTreeThresholdScan);
 
 // --- FFT (WF comparator substrate) ---------------------------------------------
 

@@ -69,8 +69,7 @@ StatusOr<Affinity> Affinity::FromModelWith(AffinityModel model, const AffinityOp
 
   if (options.build_scape) {
     Stopwatch watch;
-    AFFINITY_ASSIGN_OR_RETURN(ScapeIndex index,
-                              ScapeIndex::Build(*fw.model_, options.scape, exec));
+    AFFINITY_ASSIGN_OR_RETURN(ScapeIndex index, ScapeIndex::Build(*fw.model_, exec));
     fw.scape_ = std::make_unique<ScapeIndex>(std::move(index));
     fw.profile_.scape_seconds = watch.ElapsedSeconds();
   }

@@ -38,7 +38,6 @@ class StreamingAffinity;
 struct AffinityOptions {
   AfclstOptions afclst;     ///< clustering (k, γ_max, δ_min)
   SymexOptions symex;       ///< SYMEX+ by default
-  ScapeOptions scape;       ///< B-tree fanout
   bool build_scape = true;  ///< build the SCAPE index
   bool build_dft = true;    ///< build the WF comparator sketches
   std::size_t dft_coefficients = dft::kDefaultCoefficients;

@@ -458,11 +458,9 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
   std::size_t refits = 0;
   AFFINITY_RETURN_IF_ERROR(SolveRelationships(refresh_index, exec, &refits,
                                               cache != nullptr ? &refit_spans : nullptr));
-  std::size_t rekeys = 0;
-  std::size_t rekeys_skipped = 0;
+  ScapeRefreshStats rekeyed;
   if (scape_ != nullptr) {
-    AFFINITY_ASSIGN_OR_RETURN(rekeys,
-                              scape_->Refresh(*model_, exec, &rekeys_skipped, scape_delta_log_));
+    AFFINITY_ASSIGN_OR_RETURN(rekeyed, scape_->Refresh(*model_, exec));
   }
 
   // ---- Drift monitor: escalate when the population residual level left
@@ -478,10 +476,10 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
   profile_.last_relationships_refit = refits;
   profile_.relationships_updated += slots_.size() - refits;
   profile_.last_relationships_updated = slots_.size() - refits;
-  profile_.tree_rekeys += rekeys;
-  profile_.last_tree_rekeys = rekeys;
-  profile_.scape_rekeys_skipped += rekeys_skipped;
-  profile_.last_scape_rekeys_skipped = rekeys_skipped;
+  profile_.tree_rekeys += rekeyed.entries_moved;
+  profile_.last_tree_rekeys = rekeyed.entries_moved;
+  profile_.scape_rekeys_skipped += rekeyed.entries_unchanged;
+  profile_.last_scape_rekeys_skipped = rekeyed.entries_unchanged;
   kernels::BlockSpanStats spans = refit_spans;
   if (cache != nullptr) spans.Add(cache->last);
   profile_.last_recompute_blocks_touched = spans.touched;

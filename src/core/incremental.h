@@ -25,7 +25,7 @@
 ///    a per-pair residual monitor triggers full-precision refits (which
 ///    reproduce a from-scratch fit bit for bit), and a round-robin exact
 ///    refit cadence bounds accumulated round-off for the rest;
-///  * the SCAPE index re-keys in place (`ScapeIndex::Refresh`).
+///  * the SCAPE index re-keys its sorted runs (`ScapeIndex::Refresh`).
 ///
 /// A model-level drift monitor — the population mean relative fit residual,
 /// the quantity `core/quality` samples — escalates to a full rebuild when
@@ -85,8 +85,8 @@ struct MaintenanceProfile {
   std::size_t rows_absorbed = 0;           ///< rows slid into the window
   std::size_t relationships_updated = 0;   ///< delta-updated re-solves
   std::size_t relationships_refit = 0;     ///< full-precision refits
-  std::size_t tree_rekeys = 0;             ///< SCAPE index move operations
-  std::size_t scape_rekeys_skipped = 0;    ///< SCAPE moves skipped (ξ and U bitwise-unchanged)
+  std::size_t tree_rekeys = 0;             ///< SCAPE entries whose ξ or U moved
+  std::size_t scape_rekeys_skipped = 0;    ///< SCAPE entries left bitwise unchanged
   std::size_t escalations = 0;             ///< drift-monitor trips
   /// Retained block-partial accounting (DESIGN.md §10): grid blocks
   /// recomputed vs served from the cache across every exact chain
@@ -118,10 +118,10 @@ struct MaintenanceProfile {
   /// after the refresh's accounting is absorbed.
   std::size_t serve_fallbacks = 0;          ///< kUnavailable → live-engine answers
   std::size_t epochs_published = 0;         ///< serving snapshots published
-  std::size_t epochs_delta = 0;             ///< ... of which via the delta path
+  std::size_t epochs_delta = 0;             ///< ... of which via BuildDelta (COW window)
   std::size_t window_segments_reused = 0;   ///< COW window segments shared with prior epoch
-  std::size_t scape_runs_shared = 0;        ///< flat trees shared wholesale with prior epoch
-  std::size_t scape_runs_spliced = 0;       ///< flat trees rebuilt by dirty-range splice
+  std::size_t scape_runs_shared = 0;        ///< SCAPE runs shared with the prior epoch
+  std::size_t scape_runs_spliced = 0;       ///< SCAPE runs the prior epoch did not hold
   std::size_t snapshot_bytes_copied = 0;    ///< bytes materialized across publishes
   double publish_seconds = 0.0;             ///< cumulative publication wall time
   double last_publish_seconds = 0.0;        ///< publication wall time, last epoch
@@ -199,12 +199,6 @@ class IncrementalMaintainer {
   /// The analysis window length (rows).
   std::size_t window() const { return window_; }
 
-  /// Directs the SCAPE refresh inside each Advance to record its dirty
-  /// ξ-ranges into `log` (see ScapeIndex::Refresh) — the contract the
-  /// delta snapshot builder needs. Pass nullptr to stop recording. The
-  /// log must outlive the maintainer or be reset before destruction.
-  void set_scape_delta_log(ScapeDeltaLog* log) { scape_delta_log_ = log; }
-
   /// Fault injection for recovery tests: the next `count` Advance calls
   /// fail with Internal before touching any state, exercising the
   /// caller's escalation path (streaming re-freezes the whole stack from
@@ -263,7 +257,6 @@ class IncrementalMaintainer {
 
   AffinityModel* model_ = nullptr;
   ScapeIndex* scape_ = nullptr;
-  ScapeDeltaLog* scape_delta_log_ = nullptr;
   IncrementalOptions options_;
   std::size_t window_ = 0;
   std::size_t n_ = 0;

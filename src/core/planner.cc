@@ -16,7 +16,7 @@ double EntityCount(Measure measure, std::size_t n) {
 }
 
 constexpr double kLookupCost = 24.0;  ///< hash probe + propagation flops (WA)
-constexpr double kTreeStep = 8.0;     ///< B-tree descent/emit per entry (SCAPE)
+constexpr double kTreeStep = 8.0;     ///< run seek/emit per entry (SCAPE)
 /// One sift through a heap of stream heads or kept candidates (~log2
 /// levels of compare-and-move) — the top-k threshold algorithm pays two
 /// per entry it examines (planner.h).
@@ -152,7 +152,7 @@ PlanChoice QueryPlanner::PlanSelection(Measure measure, double selectivity, bool
                       measure);
     }
     return Shardify(PlanChoice{QueryMethod::kScape, ta_cost,
-                               "SCAPE: threshold-algorithm top-k over pivot trees"},
+                               "SCAPE: threshold-algorithm top-k over pivot runs"},
                     measure);
   }
   if (caps_.has_model) {

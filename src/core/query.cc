@@ -14,12 +14,6 @@ namespace affinity::core {
 
 namespace {
 
-/// Number of pairs (u', v') with u' < u, in the lexicographic (u, v) order
-/// used by every sweep: f(u) = u·(2n − u − 1)/2.
-std::size_t PairsBeforeRow(std::size_t u, std::size_t n) {
-  return u * (2 * n - u - 1) / 2;
-}
-
 /// The idx-th sequence pair in lexicographic order over n series — O(1)
 /// (plus a fix-up loop for floating-point slack), so parallel chunks can
 /// seek into the middle of the O(n²) sweep.
@@ -30,9 +24,9 @@ ts::SequencePair PairFromIndex(std::size_t idx, std::size_t n) {
   if (guess < 0.0) guess = 0.0;
   std::size_t u = static_cast<std::size_t>(guess);
   if (u > n - 2) u = n - 2;
-  while (u > 0 && PairsBeforeRow(u, n) > idx) --u;
-  while (PairsBeforeRow(u + 1, n) <= idx) ++u;
-  const std::size_t v = u + 1 + (idx - PairsBeforeRow(u, n));
+  while (u > 0 && ts::PairsBeforeRow(u, n) > idx) --u;
+  while (ts::PairsBeforeRow(u + 1, n) <= idx) ++u;
+  const std::size_t v = u + 1 + (idx - ts::PairsBeforeRow(u, n));
   return ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
 }
 
@@ -475,7 +469,7 @@ StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMetho
       if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
       AFFINITY_ASSIGN_OR_RETURN(
           ScapeQueryResult r,
-          scape_->MeasureThreshold(request.measure, request.tau, request.greater));
+          ScapeMeasureThreshold(scape_->runs(), request.measure, request.tau, request.greater));
       SelectionResult out;
       out.series = std::move(r.series);
       out.pairs = std::move(r.pairs);
@@ -504,8 +498,9 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
     }
     if (method == QueryMethod::kScape) {
       if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
-      AFFINITY_ASSIGN_OR_RETURN(ScapeQueryResult r,
-                                scape_->MeasureRange(request.measure, request.lo, request.hi));
+      AFFINITY_ASSIGN_OR_RETURN(
+          ScapeQueryResult r,
+          ScapeMeasureRange(scape_->runs(), request.measure, request.lo, request.hi));
       SelectionResult out;
       out.series = std::move(r.series);
       out.pairs = std::move(r.pairs);
@@ -530,8 +525,9 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
   method = plan.method;
   if (method == QueryMethod::kScape) {
     if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
-    AFFINITY_ASSIGN_OR_RETURN(ScapeTopKResult r,
-                              scape_->TopK(request.measure, request.k, request.largest));
+    AFFINITY_ASSIGN_OR_RETURN(
+        ScapeTopKResult r,
+        ScapeTopK(scape_->runs(), request.measure, request.k, request.largest));
     TopKResult out;
     static_cast<ScapeTopKResult&>(out) = std::move(r);
     out.plan = std::move(plan);

@@ -1,11 +1,15 @@
 #include "core/scape.h"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/stopwatch.h"
 
 namespace affinity::core {
@@ -48,9 +52,63 @@ double Dot3(const double a[3], const double b[3]) {
   return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
 }
 
+constexpr Measure kLocationMeasures[3] = {Measure::kMean, Measure::kMedian, Measure::kMode};
+
+/// Bitwise equality: a key that only flips a zero's sign still moves, so a
+/// kept run is always bit-identical to a rewrite of it.
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// The run order over member indices: by ξ, ties by member index.
+/// Members are kept in ascending entity order, so a tie falls back to the
+/// pair (or series) order — the order a from-scratch sort produces.
+bool RunBefore(const std::vector<double>& xi, std::uint32_t a, std::uint32_t b) {
+  return xi[a] < xi[b] || (!(xi[b] < xi[a]) && a < b);
+}
+
+/// Restores run order after a re-key in one insertion pass: O(size +
+/// inversions), and a slide moves few entries past their neighbours.
+void InsertionPass(const std::vector<double>& xi, std::vector<std::uint32_t>* order) {
+  std::uint32_t* o = order->data();
+  for (std::size_t j = 1; j < order->size(); ++j) {
+    const std::uint32_t member = o[j];
+    std::size_t h = j;
+    while (h > 0 && RunBefore(xi, member, o[h - 1])) {
+      o[h] = o[h - 1];
+      --h;
+    }
+    o[h] = member;
+  }
+}
+
+/// A buffer for a run rewrite: the spare, with its capacity, when the
+/// index holds its only reference (no epoch shares it any more), else a
+/// fresh one. Callers overwrite every field.
+template <typename Run>
+std::shared_ptr<Run> Recycle(std::shared_ptr<const Run>* spare) {
+  std::shared_ptr<const Run> old = std::move(*spare);
+  if (old != nullptr && old.use_count() == 1) {
+    // use_count() is a relaxed load: the acquire fence orders every access
+    // of the last other owner (before its releasing drop) before the
+    // rewrite. Taking and dropping one more reference states the same
+    // edge as an acquire-release update of the count, which thread
+    // sanitizers model and a standalone fence they do not.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    std::shared_ptr<const Run>(old).reset();
+    return std::const_pointer_cast<Run>(std::move(old));
+  }
+  return std::make_shared<Run>();
+}
+
+void AddStats(ScapeRefreshStats* into, const ScapeRefreshStats& from) {
+  into->entries_moved += from.entries_moved;
+  into->entries_unchanged += from.entries_unchanged;
+}
+
 }  // namespace
 
-int ScapeIndex::PairFamilyIndex(Measure m) {
+int PairFamilyOf(Measure m) {
   switch (m) {
     case Measure::kCovariance:
     case Measure::kCorrelation:
@@ -63,7 +121,7 @@ int ScapeIndex::PairFamilyIndex(Measure m) {
   }
 }
 
-int ScapeIndex::LocationFamilyIndex(Measure m) {
+int LocationFamilyOf(Measure m) {
   switch (m) {
     case Measure::kMean:
       return 0;
@@ -76,473 +134,459 @@ int ScapeIndex::LocationFamilyIndex(Measure m) {
   }
 }
 
-StatusOr<ScapeIndex> ScapeIndex::Build(const AffinityModel& model, const ScapeOptions& options,
-                                       const ExecContext& exec) {
+// ---------------------------------------------------------------------------
+// Build and refresh.
+// ---------------------------------------------------------------------------
+
+StatusOr<ScapeIndex> ScapeIndex::Build(const AffinityModel& model, const ExecContext& exec) {
   Stopwatch watch;
   ScapeIndex index;
-
-  // ---- Pair-level pivot nodes (T/D-measures). -----------------------------
-  // Phase 1 (sequential): discover pivots, fix their αq keys, and group
-  // the relationships per pivot. The per-pivot group order is the model's
-  // iteration order — independent of the execution context.
+  // Pivot slots in first-appearance order over the ascending relationship
+  // walk, so each pivot's members come in ascending pair order — the tie
+  // order of its runs. Independent of the execution context.
   std::unordered_map<std::uint64_t, std::size_t> pivot_slot;
   pivot_slot.reserve(model.pivot_count());
-  index.pair_pivots_.reserve(model.pivot_count());
-  std::vector<std::vector<std::pair<ts::SequencePair, const AffineRecord*>>> grouped;
-  grouped.reserve(model.pivot_count());
-
+  index.pair_state_.reserve(model.pivot_count());
   model.ForEachRelationship([&](const ts::SequencePair& e, const AffineRecord& rec) {
-    const auto [it, inserted] = pivot_slot.try_emplace(rec.pivot.Key(), index.pair_pivots_.size());
+    const auto [it, inserted] = pivot_slot.try_emplace(rec.pivot.Key(), index.pair_state_.size());
     if (inserted) {
-      index.pair_pivots_.emplace_back(options.btree_fanout);
-      grouped.emplace_back();
-      PairPivotNode& node = index.pair_pivots_.back();
-      node.pivot = rec.pivot;
-      const PairMatrixMeasures* pm = model.FindPivotMeasures(rec.pivot);
-      AFFINITY_CHECK(pm != nullptr);
-      CovarianceAlpha(*pm, rec.pivot.series_first, node.trees[0].alpha);
-      DotProductAlpha(*pm, rec.pivot.series_first, node.trees[1].alpha);
-      node.trees[0].norm = Norm3(node.trees[0].alpha);
-      node.trees[1].norm = Norm3(node.trees[1].alpha);
+      index.pair_state_.emplace_back();
+      index.pair_state_.back().pivot = rec.pivot;
     }
-    grouped[it->second].emplace_back(e, &rec);
-    index.pair_pivots_[it->second].members.push_back(e);
-    index.pair_pivots_[it->second].member_recs.push_back(&rec);
+    PairPivotState& node = index.pair_state_[it->second];
+    node.members.push_back(e);
+    node.recs.push_back(&rec);
     ++index.pair_entries_;
   });
-
-  // Phase 2 (parallel over pivots): every pivot's trees are private to
-  // its chunk item, so construction fans out with no synchronization and
-  // a fixed per-tree insertion order.
-  const std::size_t pivot_count = index.pair_pivots_.size();
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, pivot_count, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-    for (std::size_t slot = lo; slot < hi; ++slot) {
-      PairPivotNode& node = index.pair_pivots_[slot];
-      for (const auto& [e, rec] : grouped[slot]) {
-        double beta[3];
-        rec->Beta(beta);
-        const Measure kNormalizerOf[2] = {Measure::kCorrelation, Measure::kCosine};
-        for (int family = 0; family < 2; ++family) {
-          PairTree& pt = node.trees[static_cast<std::size_t>(family)];
-          auto u_or = model.PairNormalizer(kNormalizerOf[family], e);
-          if (!u_or.ok()) return u_or.status();
-          const double u = *u_or;
-          const double xi = pt.norm > 0.0 ? Dot3(pt.alpha, beta) / pt.norm : 0.0;
-          SeqEntry entry{e, u, xi};
-          const bool in_tree = pt.norm > 0.0 && u > 0.0;
-          if (in_tree) {
-            // Regular entry: keyed in the B-tree; contributes normalizer bounds.
-            pt.u_min = std::min(pt.u_min, u);
-            pt.u_max = std::max(pt.u_max, u);
-            pt.tree.Insert(xi, entry);
-          } else {
-            // Degenerate pivot (‖α‖ = 0 → T-value ≡ 0) or zero normalizer
-            // (constant series → D-value ≡ 0): evaluated from the side list.
-            pt.degenerate.push_back(entry);
-          }
-          pt.member_keys.push_back(xi);
-          pt.member_u.push_back(u);
-          pt.member_in_tree.push_back(in_tree ? 1 : 0);
-        }
-      }
-    }
-    return Status::OK();
-  }));
-
-  // ---- Per-cluster pivot nodes (L-measures). -------------------------------
-  const std::size_t k = model.clustering().k();
   const std::size_t n = model.data().n();
-  index.loc_pivots_.reserve(k);
-  std::vector<std::vector<ts::SeriesId>> members(k);
-  for (std::size_t l = 0; l < k; ++l) {
-    index.loc_pivots_.emplace_back(options.btree_fanout);
-    LocPivotNode& node = index.loc_pivots_.back();
-    const Measure kLoc[3] = {Measure::kMean, Measure::kMedian, Measure::kMode};
-    for (int f = 0; f < 3; ++f) {
-      AFFINITY_ASSIGN_OR_RETURN(double center_value,
-                                model.CenterLocation(kLoc[f], static_cast<int>(l)));
-      node.trees[f].alpha[0] = center_value;
-      node.trees[f].alpha[1] = 1.0;
-      node.trees[f].norm =
-          std::sqrt(center_value * center_value + 1.0);  // ≥ 1, never degenerate
-    }
-  }
+  index.loc_state_.resize(model.clustering().k());
   for (std::size_t v = 0; v < n; ++v) {
-    members[static_cast<std::size_t>(model.clustering().assignment[v])].push_back(
-        static_cast<ts::SeriesId>(v));
+    index.loc_state_[static_cast<std::size_t>(model.clustering().assignment[v])]
+        .members.push_back(static_cast<ts::SeriesId>(v));
     ++index.series_entries_;
   }
-  ParallelChunks(exec, k, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-    for (std::size_t l = lo; l < hi; ++l) {
-      LocPivotNode& node = index.loc_pivots_[l];
-      node.members = members[l];
-      for (const ts::SeriesId v : node.members) {
-        const SeriesAffine& sa = model.series_affine(v);
-        for (int f = 0; f < 3; ++f) {
-          LocTree& lt = node.trees[f];
-          const double xi = (lt.alpha[0] * sa.gain + lt.alpha[1] * sa.offset) / lt.norm;
-          lt.tree.Insert(xi, v);
-          lt.member_keys.push_back(xi);
-        }
-      }
-    }
-  });
-
+  index.runs_.pair.resize(index.pair_state_.size());
+  index.runs_.loc.resize(index.loc_state_.size());
+  AFFINITY_RETURN_IF_ERROR(index.RekeyAll(model, /*cold=*/true, exec).status());
   index.build_seconds_ = watch.ElapsedSeconds();
   return index;
 }
 
-StatusOr<std::size_t> ScapeIndex::Refresh(const AffinityModel& model, const ExecContext& exec,
-                                          std::size_t* rekeys_skipped, ScapeDeltaLog* delta) {
-  if (delta != nullptr) delta->Reset(pair_pivots_.size(), loc_pivots_.size());
-  // ---- Pair-level pivot nodes. ---------------------------------------------
-  // Per-pivot work is private to its chunk item (including its rows of the
-  // delta log); move and skip counts merge in chunk-index order so the
-  // totals are thread-count invariant.
-  std::vector<std::size_t> moves(ExecNumChunks(pair_pivots_.size()), 0);
-  std::vector<std::size_t> skips(ExecNumChunks(pair_pivots_.size()), 0);
+StatusOr<ScapeRefreshStats> ScapeIndex::Refresh(const AffinityModel& model,
+                                                const ExecContext& exec) {
+  return RekeyAll(model, /*cold=*/false, exec);
+}
+
+StatusOr<ScapeRefreshStats> ScapeIndex::RekeyAll(const AffinityModel& model, bool cold,
+                                                 const ExecContext& exec) {
+  // A pivot's state and run handles are private to the chunk item that
+  // owns it; counts merge in chunk-index order, so the totals (like the
+  // runs) are thread-count invariant.
+  std::vector<ScapeRefreshStats> pair_stats(ExecNumChunks(pair_state_.size()));
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, pair_pivots_.size(),
-      [&](std::size_t chunk, std::size_t lo, std::size_t hi) -> Status {
-        std::size_t ops = 0;
-        std::size_t skipped = 0;
+      exec, pair_state_.size(), [&](std::size_t chunk, std::size_t lo, std::size_t hi) -> Status {
+        std::array<std::vector<std::uint32_t>, 2> entered;
         for (std::size_t slot = lo; slot < hi; ++slot) {
-          PairPivotNode& node = pair_pivots_[slot];
-          const PairMatrixMeasures* pm = model.FindPivotMeasures(node.pivot);
-          if (pm == nullptr) {
-            return Status::FailedPrecondition(
-                "SCAPE refresh: pivot structure changed since build");
-          }
-          CovarianceAlpha(*pm, node.pivot.series_first, node.trees[0].alpha);
-          DotProductAlpha(*pm, node.pivot.series_first, node.trees[1].alpha);
-          node.trees[0].norm = Norm3(node.trees[0].alpha);
-          node.trees[1].norm = Norm3(node.trees[1].alpha);
-          for (int family = 0; family < 2; ++family) {
-            PairTree& pt = node.trees[static_cast<std::size_t>(family)];
-            pt.u_min = std::numeric_limits<double>::infinity();
-            pt.u_max = 0.0;
-            // The side list regenerates in member order (its scan order is
-            // part of the query-result order contract).
-            pt.degenerate.clear();
-          }
-          for (std::size_t i = 0; i < node.members.size(); ++i) {
-            const ts::SequencePair e = node.members[i];
-            const AffineRecord* rec = node.member_recs[i];
-            double beta[3];
-            rec->Beta(beta);
-            // Per-family normalizers, inlined from PairNormalizer (same
-            // expressions, so the refreshed keys match a rebuilt index
-            // bit for bit): correlation for the covariance family, cosine
-            // for the dot-product family.
-            const SeriesStats& su = model.series_stats(e.u);
-            const SeriesStats& sv = model.series_stats(e.v);
-            const double normalizer[2] = {std::sqrt(su.variance * sv.variance),
-                                          std::sqrt(su.sumsq * sv.sumsq)};
-            for (int family = 0; family < 2; ++family) {
-              PairTree& pt = node.trees[static_cast<std::size_t>(family)];
-              ScapeDeltaRange* dirty =
-                  delta != nullptr ? &delta->pair[slot][static_cast<std::size_t>(family)]
-                                   : nullptr;
-              const double u = normalizer[family];
-              const double xi = pt.norm > 0.0 ? Dot3(pt.alpha, beta) / pt.norm : 0.0;
-              const bool in_tree = pt.norm > 0.0 && u > 0.0;
-              const bool was_in_tree = pt.member_in_tree[i] != 0;
-              const double old_key = pt.member_keys[i];
-              const auto same_pair = [&](const SeqEntry& s) { return s.e == e; };
-              if (in_tree) {
-                pt.u_min = std::min(pt.u_min, u);
-                pt.u_max = std::max(pt.u_max, u);
-                if (was_in_tree && xi == old_key && u == pt.member_u[i]) {
-                  // Sparse-movement fast path: key and cached normalizer are
-                  // bitwise-unchanged, so the stored entry is already exact —
-                  // skip the erase + insert entirely.
-                  ++skipped;
-                } else if (was_in_tree) {
-                  if (!pt.tree.ReKey(old_key, xi, same_pair, [&](SeqEntry& s) {
-                        s.u = u;
-                        s.xi = xi;
-                      })) {
-                    return Status::Internal("SCAPE refresh: entry missing from tree");
-                  }
-                  ++ops;
-                  if (dirty != nullptr) dirty->Touch(old_key, xi);
-                } else {
-                  pt.tree.Insert(xi, SeqEntry{e, u, xi});
-                  ++ops;
-                  if (dirty != nullptr) dirty->Touch(xi, xi);
-                }
-              } else {
-                if (was_in_tree) {
-                  if (!pt.tree.Erase(old_key, same_pair)) {
-                    return Status::Internal("SCAPE refresh: entry missing from tree");
-                  }
-                  ++ops;
-                  if (dirty != nullptr) dirty->Touch(old_key, old_key);
-                }
-                pt.degenerate.push_back(SeqEntry{e, u, xi});
-              }
-              pt.member_keys[i] = xi;
-              pt.member_u[i] = u;
-              pt.member_in_tree[i] = in_tree ? 1 : 0;
-            }
-          }
+          AFFINITY_RETURN_IF_ERROR(
+              RekeyPairPivot(model, slot, cold, entered.data(), &pair_stats[chunk]));
         }
-        moves[chunk] = ops;
-        skips[chunk] = skipped;
         return Status::OK();
       }));
-
-  // ---- Per-cluster pivot nodes (L-measures). -------------------------------
-  std::vector<std::size_t> loc_moves(ExecNumChunks(loc_pivots_.size()), 0);
-  std::vector<std::size_t> loc_skips(ExecNumChunks(loc_pivots_.size()), 0);
+  std::vector<ScapeRefreshStats> loc_stats(ExecNumChunks(loc_state_.size()));
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, loc_pivots_.size(),
-      [&](std::size_t chunk, std::size_t lo, std::size_t hi) -> Status {
-        std::size_t ops = 0;
-        std::size_t skipped = 0;
-        for (std::size_t l = lo; l < hi; ++l) {
-          LocPivotNode& node = loc_pivots_[l];
-          const Measure kLoc[3] = {Measure::kMean, Measure::kMedian, Measure::kMode};
-          for (int f = 0; f < 3; ++f) {
-            auto center_or = model.CenterLocation(kLoc[f], static_cast<int>(l));
-            if (!center_or.ok()) return center_or.status();
-            LocTree& lt = node.trees[f];
-            lt.alpha[0] = *center_or;
-            lt.alpha[1] = 1.0;
-            lt.norm = std::sqrt(*center_or * *center_or + 1.0);
-          }
-          for (std::size_t i = 0; i < node.members.size(); ++i) {
-            const ts::SeriesId v = node.members[i];
-            const SeriesAffine& sa = model.series_affine(v);
-            for (int f = 0; f < 3; ++f) {
-              LocTree& lt = node.trees[f];
-              const double xi = (lt.alpha[0] * sa.gain + lt.alpha[1] * sa.offset) / lt.norm;
-              if (xi == lt.member_keys[i]) {
-                // Sparse-movement fast path (see the pair loop above).
-                ++skipped;
-                continue;
-              }
-              if (!lt.tree.ReKey(lt.member_keys[i], xi,
-                                 [&](const ts::SeriesId& s) { return s == v; })) {
-                return Status::Internal("SCAPE refresh: series entry missing from tree");
-              }
-              if (delta != nullptr) {
-                delta->loc[l][static_cast<std::size_t>(f)].Touch(lt.member_keys[i], xi);
-              }
-              lt.member_keys[i] = xi;
-              ++ops;
-            }
-          }
+      exec, loc_state_.size(), [&](std::size_t chunk, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t slot = lo; slot < hi; ++slot) {
+          AFFINITY_RETURN_IF_ERROR(RekeyLocPivot(model, slot, cold, &loc_stats[chunk]));
         }
-        loc_moves[chunk] = ops;
-        loc_skips[chunk] = skipped;
         return Status::OK();
       }));
-
-  std::size_t total = 0;
-  for (std::size_t c : moves) total += c;
-  for (std::size_t c : loc_moves) total += c;
-  if (rekeys_skipped != nullptr) {
-    std::size_t skipped_total = 0;
-    for (std::size_t c : skips) skipped_total += c;
-    for (std::size_t c : loc_skips) skipped_total += c;
-    *rekeys_skipped = skipped_total;
-  }
+  ScapeRefreshStats total;
+  for (const ScapeRefreshStats& s : pair_stats) AddStats(&total, s);
+  for (const ScapeRefreshStats& s : loc_stats) AddStats(&total, s);
   return total;
 }
 
-StatusOr<ScapeQueryResult> ScapeIndex::MeasureThreshold(Measure measure, double tau,
-                                                        bool greater) const {
-  const int loc = LocationFamilyIndex(measure);
-  if (loc >= 0) return LocationThreshold(loc, tau, greater);
-  if (PairFamilyIndex(measure) >= 0) return PairThreshold(measure, tau, greater);
-  return Status::Unimplemented(std::string(MeasureName(measure)) +
-                               " is not SCAPE-indexable (no separable normalizer)");
-}
-
-StatusOr<ScapeQueryResult> ScapeIndex::MeasureRange(Measure measure, double lo, double hi) const {
-  if (lo > hi) return Status::InvalidArgument("MER requires lo <= hi");
-  const int loc = LocationFamilyIndex(measure);
-  if (loc >= 0) return LocationRange(loc, lo, hi);
-  if (PairFamilyIndex(measure) >= 0) return PairRange(measure, lo, hi);
-  return Status::Unimplemented(std::string(MeasureName(measure)) +
-                               " is not SCAPE-indexable (no separable normalizer)");
-}
-
-StatusOr<ScapeQueryResult> ScapeIndex::LocationThreshold(int family, double tau,
-                                                         bool greater) const {
-  ScapeQueryResult out;
-  for (const LocPivotNode& node : loc_pivots_) {
-    const LocTree& lt = node.trees[static_cast<std::size_t>(family)];
-    const double tau_prime = tau / lt.norm;
-    if (greater) {
-      lt.tree.ScanGreaterThan(tau_prime, [&](double, const ts::SeriesId& v) {
-        out.series.push_back(v);
-        ++out.prune.accepted_unverified;
-      });
+Status ScapeIndex::RekeyPairPivot(const AffinityModel& model, std::size_t slot, bool cold,
+                                  std::vector<std::uint32_t>* entered,
+                                  ScapeRefreshStats* stats) {
+  PairPivotState& node = pair_state_[slot];
+  const PairMatrixMeasures* pm = model.FindPivotMeasures(node.pivot);
+  if (pm == nullptr) {
+    return Status::FailedPrecondition("SCAPE: pivot structure changed since build");
+  }
+  double alpha[2][3];
+  CovarianceAlpha(*pm, node.pivot.series_first, alpha[0]);
+  DotProductAlpha(*pm, node.pivot.series_first, alpha[1]);
+  const double norm[2] = {Norm3(alpha[0]), Norm3(alpha[1])};
+  std::array<std::shared_ptr<const PairRun>, 2>& handles = runs_.pair[slot];
+  const std::size_t size = node.members.size();
+  double old_norm[2] = {0.0, 0.0};
+  bool moved[2] = {cold, cold};
+  bool migrated[2] = {false, false};  // an entry crossed between run and side list
+  for (std::size_t f = 0; f < 2; ++f) {
+    entered[f].clear();
+    if (cold) {
+      node.families[f].xi.resize(size);
+      node.families[f].u.resize(size);
     } else {
-      lt.tree.ScanLessThan(tau_prime, [&](double, const ts::SeriesId& v) {
-        out.series.push_back(v);
-        ++out.prune.accepted_unverified;
-      });
+      old_norm[f] = handles[f]->norm;
+      moved[f] = !SameBits(norm[f], old_norm[f]);
+    }
+  }
+  for (std::size_t i = 0; i < size; ++i) {
+    const ts::SequencePair e = node.members[i];
+    double beta[3];
+    node.recs[i]->Beta(beta);
+    // The separable normalizers, same expressions as PairNormalizer:
+    // correlation-U for the covariance family, cosine-U for the dot one.
+    const SeriesStats& su = model.series_stats(e.u);
+    const SeriesStats& sv = model.series_stats(e.v);
+    const double normalizer[2] = {std::sqrt(su.variance * sv.variance),
+                                  std::sqrt(su.sumsq * sv.sumsq)};
+    for (std::size_t f = 0; f < 2; ++f) {
+      RunState<PairRun>& st = node.families[f];
+      const double xi = norm[f] > 0.0 ? Dot3(alpha[f], beta) / norm[f] : 0.0;
+      const double u = normalizer[f];
+      if (!cold) {
+        const bool was_in = old_norm[f] > 0.0 && st.u[i] > 0.0;
+        const bool is_in = norm[f] > 0.0 && u > 0.0;
+        if (SameBits(xi, st.xi[i]) && SameBits(u, st.u[i]) && was_in == is_in) {
+          ++stats->entries_unchanged;
+          continue;
+        }
+        ++stats->entries_moved;
+        moved[f] = true;
+        if (was_in != is_in) migrated[f] = true;
+        if (is_in && !was_in) entered[f].push_back(static_cast<std::uint32_t>(i));
+      }
+      st.xi[i] = xi;
+      st.u[i] = u;
+    }
+  }
+
+  for (std::size_t f = 0; f < 2; ++f) {
+    if (!moved[f]) continue;
+    RunState<PairRun>& st = node.families[f];
+    // Degenerate pivot (‖α‖ = 0 → T-value ≡ 0) or zero normalizer
+    // (constant series → D-value ≡ 0): the entry lives in the side list.
+    const auto in_run = [&](std::size_t i) { return norm[f] > 0.0 && st.u[i] > 0.0; };
+    if (cold) {
+      st.order.clear();
+      for (std::size_t i = 0; i < size; ++i) {
+        if (in_run(i)) st.order.push_back(static_cast<std::uint32_t>(i));
+      }
+      std::sort(st.order.begin(), st.order.end(),
+                [&](std::uint32_t a, std::uint32_t b) { return RunBefore(st.xi, a, b); });
+    } else {
+      // The prior run order with leavers dropped and entrants appended is
+      // nearly sorted; one insertion pass restores (ξ, pair) order.
+      if (migrated[f]) {
+        std::erase_if(st.order, [&](std::uint32_t i) { return !in_run(i); });
+        st.order.insert(st.order.end(), entered[f].begin(), entered[f].end());
+      }
+      InsertionPass(st.xi, &st.order);
+    }
+    std::shared_ptr<PairRun> run = Recycle(&st.spare);
+    run->norm = norm[f];
+    run->u_min = std::numeric_limits<double>::infinity();
+    run->u_max = 0.0;
+    const std::size_t count = st.order.size();
+    run->keys.resize(count);
+    run->pairs.resize(count);
+    run->us.resize(count);
+    for (std::size_t j = 0; j < count; ++j) {
+      const std::uint32_t i = st.order[j];
+      run->keys[j] = st.xi[i];
+      run->pairs[j] = node.members[i];
+      run->us[j] = st.u[i];
+      run->u_min = std::min(run->u_min, st.u[i]);
+      run->u_max = std::max(run->u_max, st.u[i]);
+    }
+    run->side.clear();
+    if (count < size) {
+      for (std::size_t i = 0; i < size; ++i) {
+        if (!in_run(i)) run->side.push_back(ScapeSideEntry{node.members[i], st.u[i], st.xi[i]});
+      }
+    }
+    st.spare = std::move(handles[f]);
+    handles[f] = std::move(run);
+  }
+  return Status::OK();
+}
+
+Status ScapeIndex::RekeyLocPivot(const AffinityModel& model, std::size_t slot, bool cold,
+                                 ScapeRefreshStats* stats) {
+  LocPivotState& node = loc_state_[slot];
+  const std::size_t size = node.members.size();
+  for (std::size_t f = 0; f < 3; ++f) {
+    AFFINITY_ASSIGN_OR_RETURN(const double center,
+                              model.CenterLocation(kLocationMeasures[f], static_cast<int>(slot)));
+    // α = (centre L-value, 1): ‖α‖ ≥ 1, never degenerate.
+    const double norm = std::sqrt(center * center + 1.0);
+    RunState<LocRun>& st = node.families[f];
+    std::shared_ptr<const LocRun>& handle = runs_.loc[slot][f];
+    bool moved = cold || !SameBits(norm, handle->norm);
+    if (cold) st.xi.resize(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      const SeriesAffine& sa = model.series_affine(node.members[i]);
+      const double xi = (center * sa.gain + sa.offset) / norm;
+      if (!cold) {
+        if (SameBits(xi, st.xi[i])) {
+          ++stats->entries_unchanged;
+          continue;
+        }
+        ++stats->entries_moved;
+        moved = true;
+      }
+      st.xi[i] = xi;
+    }
+    if (!moved) continue;
+    if (cold) {
+      st.order.resize(size);
+      for (std::size_t i = 0; i < size; ++i) st.order[i] = static_cast<std::uint32_t>(i);
+      std::sort(st.order.begin(), st.order.end(),
+                [&](std::uint32_t a, std::uint32_t b) { return RunBefore(st.xi, a, b); });
+    } else {
+      InsertionPass(st.xi, &st.order);
+    }
+    std::shared_ptr<LocRun> run = Recycle(&st.spare);
+    run->norm = norm;
+    run->keys.resize(size);
+    run->series.resize(size);
+    for (std::size_t j = 0; j < size; ++j) {
+      run->keys[j] = st.xi[st.order[j]];
+      run->series[j] = node.members[st.order[j]];
+    }
+    st.spare = std::move(handle);
+    handle = std::move(run);
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// MET / MER over sorted runs: binary-search bounds, then linear walks over
+// contiguous key spans. Results come pivot by pivot, each in key order.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// First index whose key is >= `key`.
+std::size_t LowerBound(const std::vector<double>& keys, double key) {
+  return static_cast<std::size_t>(std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
+}
+
+/// First index whose key is > `key`.
+std::size_t UpperBound(const std::vector<double>& keys, double key) {
+  return static_cast<std::size_t>(std::upper_bound(keys.begin(), keys.end(), key) - keys.begin());
+}
+
+/// Bulk-accepts the pre-seeked span `src[begin, end)` — one contiguous
+/// append instead of a per-entry push, counting the whole span as
+/// accepted-unverified. No-op when the span is empty or inverted.
+template <typename T>
+void AcceptSpan(const std::vector<T>& src, std::size_t begin, std::size_t end,
+                std::vector<T>* out, PruneStats* prune) {
+  if (begin >= end) return;
+  out->insert(out->end(), src.begin() + static_cast<std::ptrdiff_t>(begin),
+              src.begin() + static_cast<std::ptrdiff_t>(end));
+  prune->accepted_unverified += end - begin;
+}
+
+/// The D-measure value of run entry `i`: ‖α‖·ξ / U.
+double DerivedValue(const PairRun& run, std::size_t i) {
+  return run.norm * run.keys[i] / run.us[i];
+}
+
+/// Pivot `p`'s run of `family` — and, since consecutive runs are separate
+/// allocations rather than one array, a prefetch of the runs a scan reads
+/// next: the header two pivots ahead and the leading keys and pairs one
+/// pivot ahead (whose header the previous call prefetched).
+const PairRun& RunAt(const ScapeRuns& runs, std::size_t p, std::size_t family) {
+  const std::size_t count = runs.pair.size();
+  if (p + 2 < count) {
+    const char* header = reinterpret_cast<const char*>(runs.pair[p + 2][family].get());
+    __builtin_prefetch(header);
+    __builtin_prefetch(header + 64);
+  }
+  if (p + 1 < count) {
+    const PairRun& next = *runs.pair[p + 1][family];
+    __builtin_prefetch(next.keys.data());
+    __builtin_prefetch(next.pairs.data());
+  }
+  return *runs.pair[p][family];
+}
+
+ScapeQueryResult LocationThreshold(const ScapeRuns& runs, int family, double tau, bool greater) {
+  ScapeQueryResult out;
+  for (const auto& node : runs.loc) {
+    const LocRun& run = *node[static_cast<std::size_t>(family)];
+    const double tau_prime = tau / run.norm;
+    if (greater) {
+      AcceptSpan(run.series, UpperBound(run.keys, tau_prime), run.keys.size(), &out.series,
+                 &out.prune);
+    } else {
+      AcceptSpan(run.series, 0, LowerBound(run.keys, tau_prime), &out.series, &out.prune);
     }
   }
   return out;
 }
 
-StatusOr<ScapeQueryResult> ScapeIndex::LocationRange(int family, double lo, double hi) const {
+ScapeQueryResult LocationRange(const ScapeRuns& runs, int family, double lo, double hi) {
   ScapeQueryResult out;
-  for (const LocPivotNode& node : loc_pivots_) {
-    const LocTree& lt = node.trees[static_cast<std::size_t>(family)];
-    lt.tree.ScanOpenRange(lo / lt.norm, hi / lt.norm, [&](double, const ts::SeriesId& v) {
-      out.series.push_back(v);
-      ++out.prune.accepted_unverified;
-    });
+  for (const auto& node : runs.loc) {
+    const LocRun& run = *node[static_cast<std::size_t>(family)];
+    // [ub(lo'), lb(hi')) is exactly the strict (lo', hi') band; AcceptSpan
+    // no-ops on an inverted span.
+    AcceptSpan(run.series, UpperBound(run.keys, lo / run.norm), LowerBound(run.keys, hi / run.norm),
+               &out.series, &out.prune);
   }
   return out;
 }
 
-StatusOr<ScapeQueryResult> ScapeIndex::PairThreshold(Measure measure, double tau,
-                                                     bool greater) const {
-  const int family = PairFamilyIndex(measure);
+ScapeQueryResult PairThreshold(const ScapeRuns& runs, Measure measure, double tau, bool greater) {
+  const auto family = static_cast<std::size_t>(PairFamilyOf(measure));
   const bool derived = IsDerived(measure);
   ScapeQueryResult out;
-
-  for (const PairPivotNode& node : pair_pivots_) {
-    const PairTree& pt = node.trees[static_cast<std::size_t>(family)];
-
+  // Side-list entries: D-value defined 0; T-value ‖α‖·ξ from the kept ξ.
+  const bool zero_in = greater ? 0.0 > tau : 0.0 < tau;
+  for (std::size_t p = 0; p < runs.pair.size(); ++p) {
+    const PairRun& run = RunAt(runs, p, family);
     if (!derived) {
-      // T-measure: value = ‖α‖·ξ — one threshold conversion, one scan.
-      if (pt.norm > 0.0) {
-        const double tau_prime = tau / pt.norm;
+      // T-measure: value = ‖α‖·ξ — one threshold conversion, one span.
+      if (run.norm > 0.0) {
+        const double tau_prime = tau / run.norm;
         if (greater) {
-          pt.tree.ScanGreaterThan(tau_prime, [&](double, const SeqEntry& s) {
-            out.pairs.push_back(s.e);
-            ++out.prune.accepted_unverified;
-          });
+          AcceptSpan(run.pairs, UpperBound(run.keys, tau_prime), run.keys.size(), &out.pairs,
+                     &out.prune);
         } else {
-          pt.tree.ScanLessThan(tau_prime, [&](double, const SeqEntry& s) {
-            out.pairs.push_back(s.e);
-            ++out.prune.accepted_unverified;
-          });
+          AcceptSpan(run.pairs, 0, LowerBound(run.keys, tau_prime), &out.pairs, &out.prune);
         }
-      } else {
-        // Degenerate pivot: every entry of this pivot has value 0 and sits
-        // in the side list (the tree is empty).
-        const bool zero_in = greater ? 0.0 > tau : 0.0 < tau;
-        if (zero_in) {
-          for (const SeqEntry& s : pt.degenerate) out.pairs.push_back(s.e);
+        for (const ScapeSideEntry& s : run.side) {
+          const double value = run.norm * s.xi;
+          if (greater ? value > tau : value < tau) out.pairs.push_back(s.pair);
         }
-        out.prune.scanned_degenerate += pt.degenerate.size();
-        continue;
+      } else if (zero_in) {
+        // Degenerate pivot: every entry has value 0 and sits in the side list.
+        for (const ScapeSideEntry& s : run.side) out.pairs.push_back(s.pair);
       }
-      // Zero-normalizer entries still have a T-value ‖α‖·ξ (their ξ is
-      // stored); evaluate them directly.
-      for (const SeqEntry& s : pt.degenerate) {
-        const double value = pt.norm * s.xi;
-        if (greater ? value > tau : value < tau) out.pairs.push_back(s.e);
-      }
-      out.prune.scanned_degenerate += pt.degenerate.size();
+      out.prune.scanned_degenerate += run.side.size();
       continue;
     }
-
-    // D-measure: value = ‖α‖·ξ / U, U ∈ [u_min, u_max] per pivot (§5.3).
-    if (pt.norm > 0.0 && pt.tree.size() > 0) {
-      const double b1 = tau * pt.u_min;
-      const double b2 = tau * pt.u_max;
-      const double lo_key = std::min(b1, b2) / pt.norm;
-      const double hi_key = std::max(b1, b2) / pt.norm;
+    // D-measure: value = ‖α‖·ξ / U, U ∈ [u_min, u_max] per run (§5.3).
+    if (run.norm > 0.0 && !run.keys.empty()) {
+      const double b1 = tau * run.u_min;
+      const double b2 = tau * run.u_max;
+      const double lo_key = std::min(b1, b2) / run.norm;
+      const double hi_key = std::max(b1, b2) / run.norm;
+      // Keys in [lo_key, hi_key] form the verify band; keys above hi_key
+      // (below lo_key) the unconditional-accept band — contiguous, so the
+      // accept side is one bulk span. Ascending order is kept: for
+      // `greater` the verify band precedes the accepted tail, for `lesser`
+      // the accepted head precedes the verify band.
       if (greater) {
-        // Accept ξ > hi_key; verify lo_key <= ξ <= hi_key; reject below lo_key.
-        for (auto it = pt.tree.LowerBound(lo_key); it != pt.tree.end(); ++it) {
-          const SeqEntry& s = it.value();
-          if (it.key() > hi_key) {
-            out.pairs.push_back(s.e);
-            ++out.prune.accepted_unverified;
-          } else {
-            const double value = pt.norm * it.key() / s.u;
-            ++out.prune.verified;
-            if (value > tau) out.pairs.push_back(s.e);
-          }
+        const std::size_t vend = UpperBound(run.keys, hi_key);
+        for (std::size_t i = LowerBound(run.keys, lo_key); i < vend; ++i) {
+          ++out.prune.verified;
+          if (DerivedValue(run, i) > tau) out.pairs.push_back(run.pairs[i]);
         }
+        AcceptSpan(run.pairs, vend, run.keys.size(), &out.pairs, &out.prune);
       } else {
-        // Accept ξ < lo_key; verify lo_key <= ξ <= hi_key; reject above hi_key.
-        for (auto it = pt.tree.begin(); it != pt.tree.end() && it.key() <= hi_key; ++it) {
-          const SeqEntry& s = it.value();
-          if (it.key() < lo_key) {
-            out.pairs.push_back(s.e);
-            ++out.prune.accepted_unverified;
-          } else {
-            const double value = pt.norm * it.key() / s.u;
-            ++out.prune.verified;
-            if (value < tau) out.pairs.push_back(s.e);
-          }
+        const std::size_t vbegin = LowerBound(run.keys, lo_key);
+        AcceptSpan(run.pairs, 0, vbegin, &out.pairs, &out.prune);
+        const std::size_t vend = UpperBound(run.keys, hi_key);
+        for (std::size_t i = vbegin; i < vend; ++i) {
+          ++out.prune.verified;
+          if (DerivedValue(run, i) < tau) out.pairs.push_back(run.pairs[i]);
         }
       }
     }
-    // Entries with U == 0 (or a degenerate pivot): D-value is defined as 0.
-    const bool zero_in = greater ? 0.0 > tau : 0.0 < tau;
     if (zero_in) {
-      for (const SeqEntry& s : pt.degenerate) out.pairs.push_back(s.e);
+      for (const ScapeSideEntry& s : run.side) out.pairs.push_back(s.pair);
     }
-    out.prune.scanned_degenerate += pt.degenerate.size();
+    out.prune.scanned_degenerate += run.side.size();
   }
   return out;
 }
 
-StatusOr<ScapeQueryResult> ScapeIndex::PairRange(Measure measure, double lo, double hi) const {
-  const int family = PairFamilyIndex(measure);
+ScapeQueryResult PairRange(const ScapeRuns& runs, Measure measure, double lo, double hi) {
+  const auto family = static_cast<std::size_t>(PairFamilyOf(measure));
   const bool derived = IsDerived(measure);
+  const bool zero_in = lo < 0.0 && 0.0 < hi;
   ScapeQueryResult out;
-
-  for (const PairPivotNode& node : pair_pivots_) {
-    const PairTree& pt = node.trees[static_cast<std::size_t>(family)];
-
+  for (std::size_t p = 0; p < runs.pair.size(); ++p) {
+    const PairRun& run = RunAt(runs, p, family);
     if (!derived) {
-      if (pt.norm > 0.0) {
-        pt.tree.ScanOpenRange(lo / pt.norm, hi / pt.norm, [&](double, const SeqEntry& s) {
-          out.pairs.push_back(s.e);
-          ++out.prune.accepted_unverified;
-        });
-        for (const SeqEntry& s : pt.degenerate) {
-          const double value = pt.norm * s.xi;
-          if (lo < value && value < hi) out.pairs.push_back(s.e);
+      if (run.norm > 0.0) {
+        AcceptSpan(run.pairs, UpperBound(run.keys, lo / run.norm),
+                   LowerBound(run.keys, hi / run.norm), &out.pairs, &out.prune);
+        for (const ScapeSideEntry& s : run.side) {
+          const double value = run.norm * s.xi;
+          if (lo < value && value < hi) out.pairs.push_back(s.pair);
         }
-      } else if (lo < 0.0 && 0.0 < hi) {
-        for (const SeqEntry& s : pt.degenerate) out.pairs.push_back(s.e);
+      } else if (zero_in) {
+        for (const ScapeSideEntry& s : run.side) out.pairs.push_back(s.pair);
       }
-      out.prune.scanned_degenerate += pt.degenerate.size();
+      out.prune.scanned_degenerate += run.side.size();
       continue;
     }
-
     // D-measure MER with the four modified thresholds of §5.3.
-    if (pt.norm > 0.0 && pt.tree.size() > 0) {
-      const double l1 = lo * pt.u_min, l2 = lo * pt.u_max;
-      const double h1 = hi * pt.u_min, h2 = hi * pt.u_max;
-      const double reject_below = std::min(l1, l2) / pt.norm;   // ξ ≤ this → out
-      const double accept_lo = std::max(l1, l2) / pt.norm;      // case-I accept band
-      const double accept_hi = std::min(h1, h2) / pt.norm;
-      const double reject_above = std::max(h1, h2) / pt.norm;   // ξ ≥ this → out
-      for (auto it = pt.tree.UpperBound(reject_below);
-           it != pt.tree.end() && it.key() < reject_above; ++it) {
-        const SeqEntry& s = it.value();
-        if (it.key() > accept_lo && it.key() < accept_hi) {
-          out.pairs.push_back(s.e);
-          ++out.prune.accepted_unverified;
-        } else {
-          const double value = pt.norm * it.key() / s.u;
-          ++out.prune.verified;
-          if (lo < value && value < hi) out.pairs.push_back(s.e);
-        }
+    if (run.norm > 0.0 && !run.keys.empty()) {
+      const double l1 = lo * run.u_min, l2 = lo * run.u_max;
+      const double h1 = hi * run.u_min, h2 = hi * run.u_max;
+      const double reject_below = std::min(l1, l2) / run.norm;  // ξ ≤ this → out
+      const double accept_lo = std::max(l1, l2) / run.norm;     // case-I accept band
+      const double accept_hi = std::min(h1, h2) / run.norm;
+      const double reject_above = std::max(h1, h2) / run.norm;  // ξ ≥ this → out
+      // The walk splits into verify / bulk-accept / verify segments: within
+      // [begin, end) the strict (accept_lo, accept_hi) band is the span
+      // [ub(accept_lo), lb(accept_hi)), clamped so an empty or out-of-walk
+      // band degenerates to verify-everything.
+      const std::size_t begin = UpperBound(run.keys, reject_below);
+      const std::size_t end = std::max(begin, LowerBound(run.keys, reject_above));
+      const std::size_t a = std::clamp(UpperBound(run.keys, accept_lo), begin, end);
+      const std::size_t b = std::clamp(std::max(a, LowerBound(run.keys, accept_hi)), a, end);
+      for (std::size_t i = begin; i < a; ++i) {
+        ++out.prune.verified;
+        const double value = DerivedValue(run, i);
+        if (lo < value && value < hi) out.pairs.push_back(run.pairs[i]);
+      }
+      AcceptSpan(run.pairs, a, b, &out.pairs, &out.prune);
+      for (std::size_t i = b; i < end; ++i) {
+        ++out.prune.verified;
+        const double value = DerivedValue(run, i);
+        if (lo < value && value < hi) out.pairs.push_back(run.pairs[i]);
       }
     }
-    if (lo < 0.0 && 0.0 < hi) {
-      for (const SeqEntry& s : pt.degenerate) out.pairs.push_back(s.e);
+    if (zero_in) {
+      for (const ScapeSideEntry& s : run.side) out.pairs.push_back(s.pair);
     }
-    out.prune.scanned_degenerate += pt.degenerate.size();
+    out.prune.scanned_degenerate += run.side.size();
   }
   return out;
+}
+
+Status NotIndexable(Measure measure) {
+  return Status::Unimplemented(std::string(MeasureName(measure)) +
+                               " is not SCAPE-indexable (no separable normalizer)");
+}
+
+}  // namespace
+
+StatusOr<ScapeQueryResult> ScapeMeasureThreshold(const ScapeRuns& runs, Measure measure,
+                                                 double tau, bool greater) {
+  const int loc = LocationFamilyOf(measure);
+  if (loc >= 0) return LocationThreshold(runs, loc, tau, greater);
+  if (PairFamilyOf(measure) >= 0) return PairThreshold(runs, measure, tau, greater);
+  return NotIndexable(measure);
+}
+
+StatusOr<ScapeQueryResult> ScapeMeasureRange(const ScapeRuns& runs, Measure measure, double lo,
+                                             double hi) {
+  if (lo > hi) return Status::InvalidArgument("MER requires lo <= hi");
+  const int loc = LocationFamilyOf(measure);
+  if (loc >= 0) return LocationRange(runs, loc, lo, hi);
+  if (PairFamilyOf(measure) >= 0) return PairRange(runs, measure, lo, hi);
+  return NotIndexable(measure);
 }
 
 }  // namespace affinity::core

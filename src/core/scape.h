@@ -10,19 +10,25 @@
 ///    (c = the non-common column), and
 ///  * αq comes *only* from the pivot's pre-computed measures (Table 2).
 ///
-/// Ordering the scalar projections ξqd = αqᵀβqd / ‖αq‖ in a B-tree per
-/// pivot turns a measure-threshold (MET) query into a key-range scan after
-/// the threshold conversion τ' = τ/‖αq‖, and a measure-range (MER) query
-/// into an open-interval scan (§5.2). D-measures (value = ‖αq‖ξ / U) are
-/// served from their base T-measure's tree with the §5.3 pruning: per-pivot
-/// normalizer bounds [Umin, Umax] split each tree scan into an
+/// Ordering the scalar projections ξqd = αqᵀβqd / ‖αq‖ per pivot turns a
+/// measure-threshold (MET) query into a key-range scan after the threshold
+/// conversion τ' = τ/‖αq‖, and a measure-range (MER) query into an
+/// open-interval scan (§5.2). D-measures (value = ‖αq‖ξ / U) are served
+/// from their base T-measure's keys with the §5.3 pruning: per-pivot
+/// normalizer bounds [Umin, Umax] split each scan into an
 /// accept-without-verification region, a reject region, and a (typically
 /// narrow) verify band where the exact stored normalizer is consulted.
 ///
-/// Where the paper is loose (a single key ordering cannot literally serve
-/// α's pointing in different directions), we keep one sorted container per
-/// (pivot, measure family) — see DESIGN.md §2. The β-decoupling and every
-/// complexity claim are preserved.
+/// The paper keeps the keys in a B-tree per pivot. Here one sorted run per
+/// (pivot, measure family) holds them — a structure-of-arrays of keys,
+/// pairs and normalizers ordered by (ξ, pair); see DESIGN.md §2. Seeks are
+/// binary searches, so keys, bounds and search complexity are unchanged.
+/// A run is immutable once published and held by shared handle:
+/// `ScapeIndex::Refresh` writes a new run where keys moved (into recycled
+/// buffers) and keeps an unchanged run's handle, so a published epoch
+/// shares the index's runs by handle (DESIGN.md §8, §11). One MET, one MER and
+/// one top-k implementation run over a `ScapeRuns` set, for the batch
+/// engine and every served epoch alike.
 ///
 /// Boundary semantics: the index stores ξ = αᵀβ/‖α‖ and queries compare
 /// against τ/‖α‖, so an entity whose measure value equals the threshold to
@@ -39,27 +45,16 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
-#include "btree/bplus_tree.h"
 #include "common/exec_context.h"
 #include "common/status.h"
 #include "core/measures.h"
 #include "core/symex.h"
 #include "ts/data_matrix.h"
 
-namespace affinity::serve {
-class SnapshotBuilder;  // flattens the index into an immutable serving replica
-}  // namespace affinity::serve
-
 namespace affinity::core {
-
-/// SCAPE construction options.
-struct ScapeOptions {
-  /// B-tree node fanout (entries per node before a split).
-  std::size_t btree_fanout = 64;
-};
 
 /// Pruning effectiveness counters for one query (§5.3 evaluation).
 struct PruneStats {
@@ -123,12 +118,12 @@ inline bool TopKBefore(const ScapeTopKEntry& a, const ScapeTopKEntry& b, bool la
 }
 
 /// One k-bounded selection pass under `TopKBefore`, shared by every
-/// sweep-style top-k (engine WN/WA, epoch pass, freshness blend, the
-/// routers' cross-shard runs). A heap holds the best k entries offered
-/// so far with the worst on top, so an offer costs at most one pop and
-/// one push and memory stays O(k). Offers from parallel chunks may go to
-/// per-chunk selectors joined with `Merge`: the total order makes the
-/// result identical to one sequential pass.
+/// top-k (engine WN/WA, epoch pass, freshness blend, the routers'
+/// cross-shard runs, the SCAPE threshold algorithm). A heap holds the best
+/// k entries offered so far with the worst on top, so an offer costs at
+/// most one pop and one push and memory stays O(k). Offers from parallel
+/// chunks may go to per-chunk selectors joined with `Merge`: the total
+/// order makes the result identical to one sequential pass.
 class TopKSelector {
  public:
   TopKSelector(std::size_t k, bool largest) : k_(k), largest_(largest) {}
@@ -141,6 +136,17 @@ class TopKSelector {
     if (k_ == 0) return false;
     const double worst = heap_.front().value;
     return largest_ ? value >= worst : value <= worst;
+  }
+
+  /// True when no entry valued `value` or worse can enter, whatever its
+  /// tie key: k entries are kept and the worst of them has a value
+  /// strictly better than `value` in the query direction. The threshold
+  /// algorithm stops on this test against its frontier bound.
+  bool Excludes(double value) const {
+    if (k_ == 0) return true;
+    if (heap_.size() < k_) return false;
+    const double worst = heap_.front().value;
+    return largest_ ? worst > value : worst < value;
   }
 
   void Offer(const ScapeTopKEntry& entry) {
@@ -181,44 +187,6 @@ class TopKSelector {
   std::vector<ScapeTopKEntry> heap_;
 };
 
-/// Dirty ξ-interval of one (pivot, measure-family) tree across one
-/// `ScapeIndex::Refresh`, for the serving layer's delta flatten
-/// (DESIGN.md §11). The contract: every entry whose key ξ, cached
-/// normalizer U, or tree membership changed during the refresh has both
-/// its old and its new key inside [lo, hi]. Entries strictly outside the
-/// interval were left untouched (the sparse-movement fast path), so their
-/// sorted (key, entry) subsequence is identical to the previous epoch and
-/// a flattened replica may splice it wholesale. `moved == 0` means the
-/// tree is bit-identical to the previous epoch.
-struct ScapeDeltaRange {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  std::size_t moved = 0;  ///< move operations recorded (0 = tree clean)
-
-  /// Folds one move whose old key was `a` and new key is `b`.
-  void Touch(double a, double b) {
-    lo = std::min(lo, std::min(a, b));
-    hi = std::max(hi, std::max(a, b));
-    ++moved;
-  }
-};
-
-/// Per-refresh dirty-range log, indexed like the index's pivot structures:
-/// `pair[pivot][family]` (family 0 = covariance, 1 = dot product) and
-/// `loc[cluster][family]` (0 = mean, 1 = median, 2 = mode). Valid only for
-/// the refresh that filled it — consumers must use it against the prior
-/// epoch's flatten of the same structure and discard it after any rebuild,
-/// restore, or escalation.
-struct ScapeDeltaLog {
-  std::vector<std::array<ScapeDeltaRange, 2>> pair;
-  std::vector<std::array<ScapeDeltaRange, 3>> loc;
-
-  void Reset(std::size_t pair_pivots, std::size_t loc_pivots) {
-    pair.assign(pair_pivots, {});
-    loc.assign(loc_pivots, {});
-  }
-};
-
 /// K-way heap merge of best-first top-k runs (the gather half of a
 /// scatter-gather top-k, DESIGN.md §9): each run must already be ordered
 /// best-first under `largest`; the merged result is the global best `k`
@@ -227,78 +195,134 @@ struct ScapeDeltaLog {
 /// counts are summed.
 ScapeTopKResult MergeTopK(const std::vector<ScapeTopKResult>& runs, std::size_t k, bool largest);
 
+/// One side-list entry of a pair run: a zero normalizer (U == 0, the
+/// D-value is defined 0) or a degenerate pivot (‖α‖ = 0, the T-value is
+/// 0). Keeps ξ so T-measure queries can still evaluate value = ‖α‖·ξ.
+struct ScapeSideEntry {
+  ts::SequencePair pair;
+  double u = 0.0;
+  double xi = 0.0;
+};
+
+/// The sorted run of one (pivot, T-measure family): every entry with
+/// ‖α‖ > 0 and U > 0, ordered by (ξ, pair), as parallel arrays — an
+/// accepted span is appended straight from `pairs` at 8 bytes/entry of
+/// read traffic, and only the D-measure verify band touches `us`.
+struct PairRun {
+  /// ‖α‖; 0 marks a degenerate pivot (value ≡ 0).
+  double norm = 0.0;
+  /// Bounds [Umin, Umax] on the normalizers of the run's entries.
+  double u_min = std::numeric_limits<double>::infinity();
+  double u_max = 0.0;
+  std::vector<double> keys;             ///< ξ ascending, ties in pair order
+  std::vector<ts::SequencePair> pairs;  ///< aligned with keys
+  std::vector<double> us;               ///< exact normalizers, aligned with keys
+  std::vector<ScapeSideEntry> side;     ///< the remaining entries, in pair order
+};
+
+/// The sorted run of one per-cluster L-measure family: the cluster's
+/// series ordered by (ξ, series).
+struct LocRun {
+  double norm = 1.0;  ///< ‖α‖ = √(centre² + 1) ≥ 1, never degenerate
+  std::vector<double> keys;
+  std::vector<ts::SeriesId> series;  ///< aligned with keys
+};
+
+/// The pair-run family serving `m`: 0 = covariance (covariance,
+/// correlation), 1 = dot product (dot product, cosine), −1 otherwise.
+int PairFamilyOf(Measure m);
+
+/// The L-measure family of `m` (0 = mean, 1 = median, 2 = mode), or −1 —
+/// the slot of its per-cluster run and of its WA location table.
+int LocationFamilyOf(Measure m);
+
+/// The run handles of one index state, indexed by pivot slot:
+/// `pair[pivot][family]` (0 = covariance, 1 = dot product) and
+/// `loc[cluster][family]` (0 = mean, 1 = median, 2 = mode). Every handle
+/// is non-null once built. Copying the set shares the runs.
+struct ScapeRuns {
+  std::vector<std::array<std::shared_ptr<const PairRun>, 2>> pair;
+  std::vector<std::array<std::shared_ptr<const LocRun>, 3>> loc;
+};
+
+/// MET query (Query 2) over `runs`: entities whose `measure` is greater
+/// (or lesser) than `tau`. Pair entities come pivot by pivot, each
+/// pivot's in key order. Unimplemented for Jaccard/Dice (no separable
+/// normalizer — the engine falls back to WA compute-then-filter).
+StatusOr<ScapeQueryResult> ScapeMeasureThreshold(const ScapeRuns& runs, Measure measure,
+                                                 double tau, bool greater);
+
+/// MER query (Query 3) over `runs`: entities whose `measure` lies strictly
+/// inside (lo, hi). InvalidArgument when lo > hi.
+StatusOr<ScapeQueryResult> ScapeMeasureRange(const ScapeRuns& runs, Measure measure, double lo,
+                                             double hi);
+
+/// Top-k query (extension) over `runs`: the k entities with the largest
+/// (or smallest) value of `measure`, best-first, value ties in (series,
+/// pair) order — Fagin's threshold algorithm. Each run is a stream walked
+/// best key first whose frontier bounds everything it has not produced
+/// (exactly for T/L-measures; through [Umin, Umax] for D-measures), and
+/// the scan stops once the k-th selected entry ranks strictly before every
+/// frontier bound. Unimplemented for Jaccard/Dice.
+StatusOr<ScapeTopKResult> ScapeTopK(const ScapeRuns& runs, Measure measure, std::size_t k,
+                                    bool largest);
+
+/// Accounting of one `ScapeIndex::Refresh`.
+struct ScapeRefreshStats {
+  std::size_t entries_moved = 0;      ///< entries whose ξ, U or side-list membership changed
+  std::size_t entries_unchanged = 0;  ///< entries left bitwise unchanged
+};
+
 /// The SCAPE index. Built once from an AffinityModel snapshot; queries are
 /// read-only and lock-free.
 class ScapeIndex {
  public:
-  /// Builds the index over every affine relationship in `model`.
-  /// Indexes covariance & dot-product trees per pair pivot (serving
-  /// covariance, dot product, correlation, cosine) and mean/median/mode
-  /// trees per cluster (serving the L-measures). Per-pivot tree
-  /// construction fans out over `exec`; the built index is identical at
-  /// any thread count (per-tree insertion order is fixed).
-  static StatusOr<ScapeIndex> Build(const AffinityModel& model, const ScapeOptions& options = {},
-                                    const ExecContext& exec = {});
+  /// Builds the index over every affine relationship in `model`: a
+  /// covariance and a dot-product run per pair pivot (serving covariance,
+  /// dot product, correlation, cosine) and mean/median/mode runs per
+  /// cluster (serving the L-measures), each sorted once. Per-pivot work
+  /// fans out over `exec`; the built index is identical at any thread
+  /// count.
+  static StatusOr<ScapeIndex> Build(const AffinityModel& model, const ExecContext& exec = {});
 
-  /// MET query (Query 2): entities whose `measure` is greater (or lesser)
-  /// than `tau`. Unimplemented for Jaccard/Dice (no separable normalizer —
-  /// the engine falls back to WA compute-then-filter).
   StatusOr<ScapeQueryResult> MeasureThreshold(Measure measure, double tau,
-                                              bool greater = true) const;
+                                              bool greater = true) const {
+    return ScapeMeasureThreshold(runs_, measure, tau, greater);
+  }
 
-  /// MER query (Query 3): entities whose `measure` lies strictly inside
-  /// (lo, hi). InvalidArgument when lo > hi.
-  StatusOr<ScapeQueryResult> MeasureRange(Measure measure, double lo, double hi) const;
+  StatusOr<ScapeQueryResult> MeasureRange(Measure measure, double lo, double hi) const {
+    return ScapeMeasureRange(runs_, measure, lo, hi);
+  }
 
-  /// Re-keys the index in place against a maintained model whose derived
-  /// state (pivot measures, per-series stats, series-level relationships,
+  StatusOr<ScapeTopKResult> TopK(Measure measure, std::size_t k, bool largest = true) const {
+    return ScapeTopK(runs_, measure, k, largest);
+  }
+
+  /// Re-keys the index against a maintained model whose derived state
+  /// (pivot measures, per-series stats, series-level relationships,
   /// centre L-measures, transforms) has been refreshed for a new window —
   /// the incremental alternative to rebuilding the index (DESIGN.md §8).
   ///
   /// The relationship/pivot *structure* must be unchanged since Build (the
-  /// incremental path freezes clustering and marching); only keys and
-  /// cached normalizers move. Every entry's scalar projection ξ and
-  /// normalizer U are recomputed from the model exactly as Build computes
-  /// them, then moved inside its per-(pivot, family) tree by an erase +
-  /// insert; entries migrate between a tree and its degenerate side list
-  /// when a pivot or normalizer degenerates (or recovers). Per-pivot work
-  /// fans out over `exec`; the refreshed index is identical — same entry
-  /// sets, same equal-key order — to a from-scratch Build over the same
-  /// model, at any thread count.
-  ///
-  /// Returns the number of index move operations (re-keys + migrations).
-  ///
-  /// Sparse-movement fast path: an in-tree entry whose recomputed key ξ and
-  /// cached normalizer U are both bitwise-unchanged is left in place (no
-  /// erase + insert). When `rekeys_skipped` is non-null it receives the
-  /// number of such skipped moves (merged in chunk order, so the count is
-  /// thread-count invariant). Note one measure-zero caveat: if a *different*
-  /// entry of the same pivot re-keys onto exactly the skipped entry's key,
-  /// the equal-key order can differ from a from-scratch rebuild (the rebuild
-  /// files them in member order; the skip leaves the stale placement). Keys,
-  /// entry sets, and query answers are unaffected.
-  ///
-  /// When `delta` is non-null it is reset to this index's pivot shape and
-  /// receives the refresh's dirty ξ-ranges per (pivot, family) — the
-  /// ScapeDeltaRange contract above. Each pivot is recorded by the one
-  /// chunk that owns it, so the log is identical at any thread count.
-  StatusOr<std::size_t> Refresh(const AffinityModel& model, const ExecContext& exec = {},
-                                std::size_t* rekeys_skipped = nullptr,
-                                ScapeDeltaLog* delta = nullptr);
+  /// incremental path freezes clustering and marching) and `model` must
+  /// be the instance the index was built from. Every entry's ξ and U are
+  /// recomputed exactly as Build computes them. A run none of whose
+  /// entries moved bitwise (and whose ‖α‖ held) keeps its handle; any
+  /// other run is written as a new run — in its prior order, then one
+  /// insertion pass restores (ξ, pair) order — never into the old one,
+  /// which lives on in the epochs that hold it. The new run reuses the
+  /// buffers of the run it replaced two refreshes ago once no epoch holds
+  /// that one, so steady-state re-keys allocate nothing. Entries migrate
+  /// between a run and its side list when a pivot or normalizer
+  /// degenerates (or recovers). The refreshed runs equal a from-scratch
+  /// Build over the same model, at any thread count.
+  StatusOr<ScapeRefreshStats> Refresh(const AffinityModel& model, const ExecContext& exec = {});
 
-  /// Top-k query (extension): the k entities with the largest (or smallest)
-  /// value of `measure`, best-first.
-  ///
-  /// T- and L-measures stream each pivot tree in key order and k-way-merge
-  /// (exact, no recomputation). D-measures use a Fagin-style threshold
-  /// algorithm: per pivot, the frontier key ξ and the normalizer bounds
-  /// [Umin, Umax] yield an upper bound on every remaining value, so the
-  /// scan stops as soon as k verified values dominate all bounds.
-  /// Unimplemented for Jaccard/Dice (as with MET/MER).
-  StatusOr<ScapeTopKResult> TopK(Measure measure, std::size_t k, bool largest = true) const;
+  /// The current run handles (what a published epoch shares).
+  const ScapeRuns& runs() const { return runs_; }
 
   /// Number of pair-level pivot nodes.
-  std::size_t pair_pivot_count() const { return pair_pivots_.size(); }
+  std::size_t pair_pivot_count() const { return runs_.pair.size(); }
 
   /// Number of indexed sequence-pair entries (per measure family).
   std::size_t pair_entry_count() const { return pair_entries_; }
@@ -310,77 +334,54 @@ class ScapeIndex {
   double build_seconds() const { return build_seconds_; }
 
  private:
-  /// One sequence-pair entry: the pair, its exact D-measure normalizer
-  /// (correlation-U in the covariance tree, cosine-U in the dot tree), and
-  /// its scalar-projection key ξ (kept so zero-normalizer entries parked in
-  /// the side list can still answer T-measure queries).
-  struct SeqEntry {
-    ts::SequencePair e;
-    double u = 0.0;
-    double xi = 0.0;
+  /// Maintenance state of one run: the current ξ (and U, pair runs only)
+  /// of every member, member-aligned; the member index of each run entry
+  /// in run order; and the run the last rewrite replaced, whose buffers
+  /// the next rewrite reuses once no epoch holds it.
+  template <typename Run>
+  struct RunState {
+    std::vector<double> xi;
+    std::vector<double> u;
+    std::vector<std::uint32_t> order;
+    std::shared_ptr<const Run> spare;
   };
 
-  /// Sorted container + key metadata for one (pivot, T-measure family).
-  /// `member_keys` / `member_in_tree` shadow the owning node's `members`
-  /// list with each entry's current location, so Refresh can erase by the
-  /// key an entry was last filed under.
-  struct PairTree {
-    explicit PairTree(std::size_t fanout) : tree(fanout) {}
-    double alpha[3] = {0, 0, 0};
-    double norm = 0.0;  ///< ‖α‖; 0 marks a degenerate pivot (value ≡ 0)
-    double u_min = std::numeric_limits<double>::infinity();
-    double u_max = 0.0;
-    btree::BPlusTree<SeqEntry> tree;        ///< keyed by ξ, entries with U > 0
-    std::vector<SeqEntry> degenerate;       ///< U == 0 entries (D-value ≡ 0)
-    std::vector<double> member_keys;        ///< current ξ, aligned with members
-    std::vector<double> member_u;           ///< current normalizer U, aligned with members
-    std::vector<std::uint8_t> member_in_tree;  ///< 1 = in tree, 0 = side list
-  };
-
-  /// Pivot node: trees for the two T-measure families (Fig. 7), plus the
-  /// build-order member list the maintenance path walks (the order fixes
-  /// equal-key placement, keeping refreshed and rebuilt indexes identical).
-  struct PairPivotNode {
-    explicit PairPivotNode(std::size_t fanout) : trees{PairTree(fanout), PairTree(fanout)} {}
+  /// One pair pivot: its members in ascending pair order, their records
+  /// (hash nodes are stable; Refresh requires the model the index was
+  /// built from), and the state of its two family runs.
+  struct PairPivotState {
     PivotPair pivot;
-    std::array<PairTree, 2> trees;  ///< 0 = covariance, 1 = dot product
-    std::vector<ts::SequencePair> members;  ///< grouped relationship order
-    /// The members' affine records, cached at build time (hash nodes are
-    /// stable; Refresh requires the same model instance it was built from).
-    std::vector<const AffineRecord*> member_recs;
+    std::vector<ts::SequencePair> members;
+    std::vector<const AffineRecord*> recs;
+    std::array<RunState<PairRun>, 2> families;
   };
 
-  /// Per-cluster pivot node for the L-measures.
-  struct LocTree {
-    explicit LocTree(std::size_t fanout) : tree(fanout) {}
-    double alpha[2] = {0, 0};
-    double norm = 1.0;
-    btree::BPlusTree<ts::SeriesId> tree;  ///< keyed by ξ over series
-    std::vector<double> member_keys;      ///< current ξ, aligned with members
-  };
-  struct LocPivotNode {
-    explicit LocPivotNode(std::size_t fanout)
-        : trees{LocTree(fanout), LocTree(fanout), LocTree(fanout)} {}
-    std::array<LocTree, 3> trees;  ///< 0 = mean, 1 = median, 2 = mode
-    std::vector<ts::SeriesId> members;    ///< cluster members, series order
+  /// One cluster: its member series in ascending order and the state of
+  /// its three L-measure runs.
+  struct LocPivotState {
+    std::vector<ts::SeriesId> members;
+    std::array<RunState<LocRun>, 3> families;
   };
 
   ScapeIndex() = default;
 
-  /// The serving layer flattens the private pivot structures into sorted
-  /// contiguous arrays (src/serve); queries never mutate through this seam.
-  friend class affinity::serve::SnapshotBuilder;
+  /// Recomputes the keys of pair pivot `slot` (or cluster `slot`) and
+  /// rewrites each family run that moved — every run when `cold` (Build).
+  /// `entered` points at two scratch vectors, one per family, reused
+  /// across pivots; counts go to `stats`.
+  Status RekeyPairPivot(const AffinityModel& model, std::size_t slot, bool cold,
+                        std::vector<std::uint32_t>* entered, ScapeRefreshStats* stats);
+  Status RekeyLocPivot(const AffinityModel& model, std::size_t slot, bool cold,
+                       ScapeRefreshStats* stats);
 
-  static int PairFamilyIndex(Measure m);      // 0 cov, 1 dot, -1 otherwise
-  static int LocationFamilyIndex(Measure m);  // 0..2, -1 otherwise
+  /// Fans the per-pivot rekey out over `exec`, merging counts in chunk
+  /// order.
+  StatusOr<ScapeRefreshStats> RekeyAll(const AffinityModel& model, bool cold,
+                                       const ExecContext& exec);
 
-  StatusOr<ScapeQueryResult> LocationThreshold(int family, double tau, bool greater) const;
-  StatusOr<ScapeQueryResult> LocationRange(int family, double lo, double hi) const;
-  StatusOr<ScapeQueryResult> PairThreshold(Measure measure, double tau, bool greater) const;
-  StatusOr<ScapeQueryResult> PairRange(Measure measure, double lo, double hi) const;
-
-  std::vector<PairPivotNode> pair_pivots_;
-  std::vector<LocPivotNode> loc_pivots_;  ///< one per cluster
+  std::vector<PairPivotState> pair_state_;
+  std::vector<LocPivotState> loc_state_;
+  ScapeRuns runs_;
   std::size_t pair_entries_ = 0;
   std::size_t series_entries_ = 0;
   double build_seconds_ = 0.0;

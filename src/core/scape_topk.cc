@@ -1,23 +1,24 @@
-// Top-k queries over the SCAPE index (declaration in scape.h).
+// Top-k over SCAPE runs (declaration in scape.h).
 //
-// The key observation mirrors §5: within one pivot tree the entries are
-// sorted by the scalar projection ξ, and
+// Within one run the entries are sorted by the scalar projection ξ, and
 //
-//   * T-measures:  value = ‖α‖·ξ           → tree order IS value order;
-//   * D-measures:  value = ‖α‖·ξ / U_e     → tree order bounds value order,
+//   * T/L-measures:  value = ‖α‖·ξ           → run order IS value order;
+//   * D-measures:    value = ‖α‖·ξ / U_e     → run order bounds value order,
 //     because U_e ∈ [Umin, Umax]:  for ξ ≥ 0, value ≤ ‖α‖·ξ/Umin; for
 //     ξ < 0, value ≤ ‖α‖·ξ/Umax (and symmetrically for lower bounds).
 //
-// So each (pivot, tree) is a stream whose frontier carries an upper bound
-// on everything it has not yet produced — exactly the setting of Fagin's
-// threshold algorithm. We pop the stream with the best bound, verify its
-// frontier entry with the stored exact normalizer, and stop when the k-th
-// best verified value dominates every remaining bound.
+// So each run is a stream whose frontier carries a bound on everything it
+// has not yet produced — exactly the setting of Fagin's threshold
+// algorithm. We pop the stream with the best bound, evaluate its frontier
+// entry exactly, select through `TopKSelector`, and stop once the k-th
+// selected entry ranks strictly before every remaining bound. Strictly:
+// an unseen entry valued exactly at the bound could still outrank the
+// k-th selection on its (series, pair) tie key.
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <queue>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/scape.h"
@@ -26,221 +27,120 @@ namespace affinity::core {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// A candidate kept in the working heap (value already exact).
-struct Candidate {
-  double value;
-  ScapeTopKEntry entry;
-};
-
-/// Orders the working heap so the *worst* kept candidate is on top
-/// (min-heap in the transformed "bigger is better" space).
-struct WorseCandidate {
-  bool operator()(const Candidate& a, const Candidate& b) const { return a.value > b.value; }
-};
-
-/// A stream over one pivot tree (plus its degenerate side list).
-///
-/// All values are transformed so that "larger is better" regardless of the
-/// query direction: for `largest` queries the transform is the identity and
-/// streams walk trees in descending ξ; for `smallest` queries values are
-/// negated and streams walk ascending ξ.
-class Stream {
- public:
-  virtual ~Stream() = default;
-  /// Upper bound (in transformed space) on every entry this stream has not
-  /// yet produced; -inf when exhausted.
-  virtual double Bound() const = 0;
-  /// Produces the frontier entry (exact transformed value) and advances.
-  virtual Candidate Take() = 0;
-  virtual bool Exhausted() const = 0;
-};
-
-/// Orders the stream heap so the best bound is popped first.
-struct WorseBound {
-  bool operator()(const Stream* a, const Stream* b) const { return a->Bound() < b->Bound(); }
+/// One threshold-algorithm input: a run walked best key first (descending
+/// ξ for `largest`, ascending otherwise), or a span of the side-list
+/// buffer, pre-evaluated and sorted best-first.
+struct Stream {
+  const double* keys = nullptr;  ///< run streams; nullptr for a side span
+  const ts::SequencePair* pairs = nullptr;
+  const double* us = nullptr;
+  const ts::SeriesId* series = nullptr;  ///< L-measure runs
+  double norm = 0.0;
+  double u_min = 0.0;
+  double u_max = 0.0;
+  std::size_t begin = 0;  ///< side span: offset into the side buffer
+  std::size_t size = 0;
+  std::size_t taken = 0;
 };
 
 }  // namespace
 
-StatusOr<ScapeTopKResult> ScapeIndex::TopK(Measure measure, std::size_t k, bool largest) const {
+StatusOr<ScapeTopKResult> ScapeTopK(const ScapeRuns& runs, Measure measure, std::size_t k,
+                                    bool largest) {
   if (k == 0) return ScapeTopKResult{};
-  const int loc_family = LocationFamilyIndex(measure);
-  const int pair_family = PairFamilyIndex(measure);
+  const int loc_family = LocationFamilyOf(measure);
+  const int pair_family = PairFamilyOf(measure);
   if (loc_family < 0 && pair_family < 0) {
     return Status::Unimplemented(std::string(MeasureName(measure)) +
                                  " is not SCAPE-indexable (no separable normalizer)");
   }
   const bool derived = IsDerived(measure);
+  // Bounds compare in a transformed space where larger is better.
   const double sign = largest ? 1.0 : -1.0;
 
-  // --- Stream implementations (local classes capture the query context). --
-
-  /// Pair-tree stream: walks the B-tree best-key-first.
-  class PairTreeStream final : public Stream {
-   public:
-    PairTreeStream(const PairTree* pt, bool largest, bool derived, double sign)
-        : pt_(pt), largest_(largest), derived_(derived), sign_(sign) {
-      if (largest_) {
-        rit_ = pt_->tree.rbegin();
-      } else {
-        fit_ = pt_->tree.begin();
-      }
-    }
-
-    bool Exhausted() const override {
-      return largest_ ? rit_ == pt_->tree.rend() : fit_ == pt_->tree.end();
-    }
-
-    double Bound() const override {
-      if (Exhausted()) return -kInf;
-      const double xi = largest_ ? rit_.key() : fit_.key();
-      if (!derived_) return sign_ * pt_->norm * xi;
-      // Best possible transformed value of any remaining entry.
-      const double scaled = sign_ * pt_->norm * xi;
-      return scaled >= 0 ? scaled / pt_->u_min : scaled / pt_->u_max;
-    }
-
-    Candidate Take() override {
-      const SeqEntry& s = largest_ ? rit_.value() : fit_.value();
-      const double xi = largest_ ? rit_.key() : fit_.key();
-      Candidate c;
-      c.entry.pair = s.e;
-      const double raw = derived_ ? pt_->norm * xi / s.u : pt_->norm * xi;
-      c.entry.value = raw;
-      c.value = sign_ * raw;
-      if (largest_) {
-        ++rit_;
-      } else {
-        ++fit_;
-      }
-      return c;
-    }
-
-   private:
-    const PairTree* pt_;
-    bool largest_;
-    bool derived_;
-    double sign_;
-    btree::BPlusTree<SeqEntry>::ConstReverseIterator rit_;
-    btree::BPlusTree<SeqEntry>::ConstIterator fit_;
-  };
-
-  /// Degenerate side-list stream: values pre-computed and sorted.
-  class VectorStream final : public Stream {
-   public:
-    VectorStream(std::vector<Candidate> sorted_desc) : items_(std::move(sorted_desc)) {}
-    bool Exhausted() const override { return idx_ >= items_.size(); }
-    double Bound() const override { return Exhausted() ? -kInf : items_[idx_].value; }
-    Candidate Take() override { return items_[idx_++]; }
-
-   private:
-    std::vector<Candidate> items_;
-    std::size_t idx_ = 0;
-  };
-
-  /// Location-tree stream (always exact).
-  class LocTreeStream final : public Stream {
-   public:
-    LocTreeStream(const LocTree* lt, bool largest, double sign)
-        : lt_(lt), largest_(largest), sign_(sign) {
-      if (largest_) {
-        rit_ = lt_->tree.rbegin();
-      } else {
-        fit_ = lt_->tree.begin();
-      }
-    }
-    bool Exhausted() const override {
-      return largest_ ? rit_ == lt_->tree.rend() : fit_ == lt_->tree.end();
-    }
-    double Bound() const override {
-      if (Exhausted()) return -kInf;
-      return sign_ * lt_->norm * (largest_ ? rit_.key() : fit_.key());
-    }
-    Candidate Take() override {
-      Candidate c;
-      c.entry.series = largest_ ? rit_.value() : fit_.value();
-      const double raw = lt_->norm * (largest_ ? rit_.key() : fit_.key());
-      c.entry.value = raw;
-      c.value = sign_ * raw;
-      if (largest_) {
-        ++rit_;
-      } else {
-        ++fit_;
-      }
-      return c;
-    }
-
-   private:
-    const LocTree* lt_;
-    bool largest_;
-    double sign_;
-    btree::BPlusTree<ts::SeriesId>::ConstReverseIterator rit_;
-    btree::BPlusTree<ts::SeriesId>::ConstIterator fit_;
-  };
-
-  // --- Assemble the streams. ------------------------------------------------
-
-  std::vector<std::unique_ptr<Stream>> streams;
+  std::vector<Stream> streams;
+  std::vector<ScapeTopKEntry> side;
   if (loc_family >= 0) {
-    for (const LocPivotNode& node : loc_pivots_) {
-      const LocTree& lt = node.trees[static_cast<std::size_t>(loc_family)];
-      if (lt.tree.size() > 0) {
-        streams.push_back(std::make_unique<LocTreeStream>(&lt, largest, sign));
-      }
+    for (const auto& node : runs.loc) {
+      const LocRun& run = *node[static_cast<std::size_t>(loc_family)];
+      if (run.keys.empty()) continue;
+      Stream s;
+      s.keys = run.keys.data();
+      s.series = run.series.data();
+      s.norm = run.norm;
+      s.size = run.keys.size();
+      streams.push_back(s);
     }
   } else {
-    for (const PairPivotNode& node : pair_pivots_) {
-      const PairTree& pt = node.trees[static_cast<std::size_t>(pair_family)];
-      if (pt.norm > 0.0 && pt.tree.size() > 0) {
-        streams.push_back(std::make_unique<PairTreeStream>(&pt, largest, derived, sign));
+    for (const auto& node : runs.pair) {
+      const PairRun& run = *node[static_cast<std::size_t>(pair_family)];
+      if (run.norm > 0.0 && !run.keys.empty()) {
+        Stream s;
+        s.keys = run.keys.data();
+        s.pairs = run.pairs.data();
+        s.us = run.us.data();
+        s.norm = run.norm;
+        s.u_min = run.u_min;
+        s.u_max = run.u_max;
+        s.size = run.keys.size();
+        streams.push_back(s);
       }
-      if (!pt.degenerate.empty()) {
-        std::vector<Candidate> items;
-        items.reserve(pt.degenerate.size());
-        for (const SeqEntry& s : pt.degenerate) {
-          // Degenerate pivot (norm 0) or zero normalizer: T-value ‖α‖ξ,
+      if (!run.side.empty()) {
+        Stream s;
+        s.begin = side.size();
+        s.size = run.side.size();
+        for (const ScapeSideEntry& e : run.side) {
+          // Degenerate pivot (‖α‖ = 0) or zero normalizer: T-value ‖α‖ξ,
           // D-value defined 0.
-          const double raw = derived ? 0.0 : pt.norm * s.xi;
-          Candidate c;
-          c.entry.pair = s.e;
-          c.entry.value = raw;
-          c.value = sign * raw;
-          items.push_back(c);
+          side.push_back(ScapeTopKEntry{e.pair, kNoSeries, derived ? 0.0 : run.norm * e.xi});
         }
-        std::sort(items.begin(), items.end(),
-                  [](const Candidate& a, const Candidate& b) { return a.value > b.value; });
-        streams.push_back(std::make_unique<VectorStream>(std::move(items)));
+        std::sort(side.begin() + static_cast<std::ptrdiff_t>(s.begin), side.end(),
+                  [largest](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+                    return TopKBefore(a, b, largest);
+                  });
+        streams.push_back(s);
       }
     }
   }
 
-  // --- Threshold-algorithm main loop. ---------------------------------------
+  // The transformed bound on every entry `s` has not yet produced.
+  const auto bound = [&](const Stream& s) {
+    if (s.keys == nullptr) return sign * side[s.begin + s.taken].value;
+    const double xi = s.keys[largest ? s.size - 1 - s.taken : s.taken];
+    const double scaled = sign * s.norm * xi;
+    if (!derived) return scaled;
+    return scaled >= 0 ? scaled / s.u_min : scaled / s.u_max;
+  };
+  // The frontier entry of `s`, evaluated exactly; advances the stream.
+  const auto take = [&](Stream& s) {
+    if (s.keys == nullptr) return side[s.begin + s.taken++];
+    const std::size_t pos = largest ? s.size - 1 - s.taken : s.taken;
+    ++s.taken;
+    ScapeTopKEntry e;
+    if (s.series != nullptr) {
+      e.series = s.series[pos];
+    } else {
+      e.pair = s.pairs[pos];
+    }
+    e.value = derived ? s.norm * s.keys[pos] / s.us[pos] : s.norm * s.keys[pos];
+    return e;
+  };
 
-  std::priority_queue<Stream*, std::vector<Stream*>, WorseBound> frontier;
-  for (const auto& s : streams) {
-    if (!s->Exhausted()) frontier.push(s.get());
-  }
-
-  std::priority_queue<Candidate, std::vector<Candidate>, WorseCandidate> best;  // worst on top
+  // Max-heap of (bound, stream): the stream with the best bound on top.
+  std::priority_queue<std::pair<double, std::size_t>> frontier;
+  for (std::size_t i = 0; i < streams.size(); ++i) frontier.emplace(bound(streams[i]), i);
+  TopKSelector best(k, largest);
   ScapeTopKResult result;
   while (!frontier.empty()) {
-    Stream* s = frontier.top();
-    const double bound = s->Bound();
-    if (best.size() == k && best.top().value >= bound) break;  // TA stop condition
+    const auto [top_bound, i] = frontier.top();
+    // sign·bound is the top bound as a value in the query direction.
+    if (best.Excludes(sign * top_bound)) break;
     frontier.pop();
-    best.push(s->Take());
+    best.Offer(take(streams[i]));
     ++result.examined;
-    if (best.size() > k) best.pop();
-    if (!s->Exhausted()) frontier.push(s);
+    if (streams[i].taken < streams[i].size) frontier.emplace(bound(streams[i]), i);
   }
-
-  result.entries.resize(best.size());
-  for (std::size_t i = best.size(); i-- > 0;) {
-    result.entries[i] = best.top().entry;
-    best.pop();
-  }
+  result.entries = std::move(best).Finish();
   return result;
 }
 

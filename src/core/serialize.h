@@ -13,7 +13,7 @@
 ///   centre L-measures | build stats
 ///
 /// The SCAPE index is *not* serialized: rebuilding it from a loaded model
-/// is linear and fast (Fig. 14), and that keeps the format free of B-tree
+/// is linear and fast (Fig. 14), and that keeps the format free of index
 /// layout details. Byte order is native (documented non-goal: moving model
 /// files between endiannesses).
 ///

@@ -173,7 +173,6 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
                                       stream.framework_->mutable_scape(), options.incremental,
                                       exec));
     stream.maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
-    stream.maintainer_->set_scape_delta_log(stream.scape_delta_log_.get());
     stream.maintenance_.mean_relative_residual =
         stream.maintainer_->profile().mean_relative_residual;
     stream.maintenance_.baseline_mean_residual =
@@ -271,11 +270,6 @@ AppendResult StreamingAffinity::Refresh() {
   AppendResult out;
   if (options_.mode == UpdateMode::kIncremental && maintainer_ != nullptr) {
     out.mode = UpdateMode::kIncremental;
-    // The delta publication path may run only when the published epoch
-    // still equals the pre-Advance structures — capture that before the
-    // maintainer mutates them (and invalidates the equality).
-    const bool try_delta = delta_publish_valid_;
-    delta_publish_valid_ = false;
     auto escalate = maintainer_->Advance(pending_, pending_used_, exec_);
     pending_used_ = 0;
     if (!escalate.ok()) {
@@ -309,7 +303,7 @@ AppendResult StreamingAffinity::Refresh() {
     if (out.refreshed) {
       // The quality surface advances with the snapshot it describes.
       RefreshQualityScores();
-      PublishServingSnapshot(try_delta);
+      PublishServingSnapshot();
     }
     return out;
   }
@@ -320,9 +314,6 @@ AppendResult StreamingAffinity::Refresh() {
 }
 
 Status StreamingAffinity::Rebuild() {
-  // A rebuild replaces the whole stack: whatever the delta log covered is
-  // history the new trees do not share.
-  delta_publish_valid_ = false;
   if (rows_ < options_.window) {
     return Status::FailedPrecondition("need " + std::to_string(options_.window) +
                                       " rows before the first rebuild (have " +
@@ -348,7 +339,6 @@ Status StreamingAffinity::Rebuild() {
         IncrementalMaintainer::Create(framework_->mutable_model(), framework_->mutable_scape(),
                                       options_.incremental, exec_));
     maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
-    maintainer_->set_scape_delta_log(scape_delta_log_.get());
     maintenance_.mean_relative_residual = maintainer_->profile().mean_relative_residual;
     maintenance_.baseline_mean_residual = maintainer_->profile().baseline_mean_residual;
   }
@@ -360,7 +350,7 @@ Status StreamingAffinity::Rebuild() {
   return Status::OK();
 }
 
-void StreamingAffinity::PublishServingSnapshot(bool try_delta) {
+void StreamingAffinity::PublishServingSnapshot() {
   if (framework_ == nullptr) return;
   if (publisher_ == nullptr) {
     publisher_ = std::make_unique<serve::EpochPublisher<serve::ServingSnapshot>>(
@@ -369,44 +359,50 @@ void StreamingAffinity::PublishServingSnapshot(bool try_delta) {
   ++serving_generation_;
   Stopwatch watch;
   serve::PublishStats stats;
+  const QueryEngine& engine = framework_->engine();
   std::shared_ptr<const serve::ServingSnapshot> next;
-  if (try_delta && maintainer_ != nullptr) {
-    // Incremental epoch: COW window segments, shared/spliced SCAPE runs.
-    // BuildDelta declines (nullptr) when any precondition fails — shape
-    // drift, missing prior, compacted window — and the full flatten below
-    // takes over; either path publishes identical bits.
-    if (auto prior = publisher_->Acquire(); prior != nullptr) {
-      next = serve::SnapshotBuilder::BuildDelta(
-          framework_->model(), framework_->scape(), *scape_delta_log_, table_, *prior,
-          framework_->engine().Capabilities(), framework_->engine().quality(),
-          serving_generation_, rows_, exec_, &stats, std::move(serving_scratch_));
-      serving_scratch_.reset();
-    }
+  {
+    // COW window segments, the index's run handles, bulk WA refill.
+    // BuildDelta declines (nullptr) only when the table cannot cover the
+    // window at the model's anchor — a checkpoint restored with an anchor
+    // the fresh table does not share — and the full copy below takes
+    // over; both publish identical bits. The prior epoch is released
+    // before Publish so a retired epoch can be recycled.
+    const auto prior = publisher_->Acquire();
+    next = serve::SnapshotBuilder::BuildDelta(
+        framework_->model(), framework_->scape(), table_, prior.get(), engine.Capabilities(),
+        engine.quality(), serving_generation_, rows_, exec_, &stats, std::move(serving_scratch_));
+    serving_scratch_.reset();
   }
   if (next == nullptr) {
     next = serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
-                                         framework_->engine().Capabilities(),
-                                         framework_->engine().quality(), serving_generation_,
-                                         rows_, &stats);
+                                         engine.Capabilities(), engine.quality(),
+                                         serving_generation_, rows_, &stats);
   }
-  // Recycle the retired epoch (no surviving readers) into the next delta
-  // build: its tables are rewritten in place, so steady-state publication
+  // Recycle the retired epoch (no surviving readers) into the next build:
+  // its tables are rewritten in place, so steady-state publication
   // neither frees nor allocates the replica's memory.
   if (auto retired = publisher_->Publish(std::move(next));
       retired != nullptr && retired.use_count() == 1) {
     // use_count() is a relaxed load: the acquire fence orders every
     // access of the last reader (before its releasing reference drop)
-    // before the in-place rewrite.
+    // before the in-place rewrite. Taking and dropping one more reference
+    // states the same edge as an acquire-release update of the count,
+    // which thread sanitizers model and a standalone fence they do not.
     std::atomic_thread_fence(std::memory_order_acquire);
+    std::shared_ptr<const serve::ServingSnapshot>(retired).reset();
     serving_scratch_ = std::const_pointer_cast<serve::ServingSnapshot>(std::move(retired));
+    // Its run handles go now, not at the next build: the runs they pin
+    // are the buffers the index's next Refresh recycles.
+    serving_scratch_->scape.pair.clear();
+    serving_scratch_->scape.loc.clear();
   }
-  delta_publish_valid_ = true;
   const double seconds = watch.ElapsedSeconds();
   ++maintenance_.epochs_published;
   if (stats.delta) ++maintenance_.epochs_delta;
   maintenance_.window_segments_reused += stats.window_segments_reused;
-  maintenance_.scape_runs_shared += stats.trees_shared;
-  maintenance_.scape_runs_spliced += stats.trees_spliced;
+  maintenance_.scape_runs_shared += stats.runs_shared;
+  maintenance_.scape_runs_spliced += stats.runs_rewritten;
   maintenance_.snapshot_bytes_copied += stats.bytes_copied;
   maintenance_.publish_seconds += seconds;
   maintenance_.last_publish_seconds = seconds;
@@ -414,10 +410,18 @@ void StreamingAffinity::PublishServingSnapshot(bool try_delta) {
 
 std::shared_ptr<const serve::ServingSnapshot> StreamingAffinity::BuildColdSnapshot() const {
   if (framework_ == nullptr) return nullptr;
-  return serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
-                                       framework_->engine().Capabilities(),
-                                       framework_->engine().quality(), serving_generation_,
-                                       snapshot_row_);
+  const QueryEngine& engine = framework_->engine();
+  const auto build = [&](const ScapeIndex* scape) {
+    return serve::SnapshotBuilder::Build(framework_->model(), scape, engine.Capabilities(),
+                                         engine.quality(), serving_generation_, snapshot_row_);
+  };
+  if (framework_->scape() == nullptr) return build(nullptr);
+  // Runs from a fresh sort of the maintained model, not the live index:
+  // against the published epoch this checks every Refresh (re-key plus
+  // insertion pass) against a cold build.
+  auto cold = ScapeIndex::Build(framework_->model(), exec_);
+  if (!cold.ok()) return nullptr;
+  return build(&*cold);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@
 ///    every layer in place through `core/incremental` (DESIGN.md §8):
 ///    O(interval) ring-buffer accumulator updates per relationship instead
 ///    of O(window) refits, exact recomputation of all per-series /
-///    per-pivot state, and in-place SCAPE re-keying. A drift monitor
+///    per-pivot state, and SCAPE run re-keying. A drift monitor
 ///    escalates back to a full rebuild when the frozen clustering stops
 ///    describing the data.
 ///
@@ -316,10 +316,12 @@ class StreamingAffinity {
     return publisher_ != nullptr ? publisher_->AcquireEpoch(generation) : nullptr;
   }
 
-  /// Flattens the live stack from scratch into a snapshot stamped with the
-  /// *current* generation and snapshot row — the oracle the delta
-  /// publication path must match bitwise (tested per epoch). nullptr
-  /// before the first build. Not published; purely an inspection surface.
+  /// A from-scratch snapshot of the current state, stamped with the
+  /// *current* generation and snapshot row: the window and WA surface
+  /// copied from the maintained model, and SCAPE runs from a fresh
+  /// `ScapeIndex::Build` of it — the oracle every published epoch must
+  /// match bitwise (tested per epoch). nullptr before the first build.
+  /// Not published; purely an inspection surface.
   std::shared_ptr<const serve::ServingSnapshot> BuildColdSnapshot() const;
 
  private:
@@ -365,17 +367,15 @@ class StreamingAffinity {
   /// The ExecutedPlan stamped on blended answers.
   ExecutedPlan BlendPlan() const;
 
-  /// Flattens the just-refreshed stack into a new serving epoch and
-  /// publishes it (lock-free swap). Called at every publication point —
-  /// incremental refresh success, full rebuild, restore — i.e. exactly
-  /// when the live structures change, so a published snapshot always
-  /// equals the live structures until the next publication. With
-  /// `try_delta` (and a maintainer-recorded dirty-range log that covers
-  /// exactly the moves since the prior epoch) the flatten goes through
-  /// SnapshotBuilder::BuildDelta — COW window, shared/spliced SCAPE runs —
-  /// and falls back to the full Build when any precondition fails; the
-  /// published bits are identical either way.
-  void PublishServingSnapshot(bool try_delta = false);
+  /// Publishes the just-refreshed stack as a new serving epoch (lock-free
+  /// swap). Called at every publication point — incremental refresh
+  /// success, full rebuild, restore — i.e. exactly when the live
+  /// structures change, so a published snapshot always equals the live
+  /// structures until the next publication. Goes through
+  /// SnapshotBuilder::BuildDelta — COW window, the index's run handles —
+  /// and falls back to the full Build when the table cannot cover the
+  /// window; the published bits are identical either way.
+  void PublishServingSnapshot();
 
   // Declared first so it outlives the framework snapshot whose engine
   // holds an ExecContext pointing at it (members destroy in reverse).
@@ -419,25 +419,11 @@ class StreamingAffinity {
   std::unique_ptr<serve::EpochPublisher<serve::ServingSnapshot>> publisher_;
   std::uint64_t serving_generation_ = 0;
   /// The last *retired* epoch with no surviving readers, held for memory
-  /// recycling: the next delta build rewrites its tables in place instead
-  /// of freeing them and allocating fresh ones (the dominant fixed cost of
+  /// recycling: the next build rewrites its tables in place instead of
+  /// freeing them and allocating fresh ones (the dominant fixed cost of
   /// an interval-1 publication). Never reachable by readers — recycled
   /// only when the publisher confirmed this was the final reference.
   std::shared_ptr<serve::ServingSnapshot> serving_scratch_;
-  /// Dirty ξ-range log the maintainer's SCAPE refresh writes and the delta
-  /// publication path consumes (one refresh of provenance at a time).
-  /// Heap-held: the maintainer keeps a pointer to it, and the stream is
-  /// moved out of its factory functions.
-  std::unique_ptr<ScapeDeltaLog> scape_delta_log_ = std::make_unique<ScapeDeltaLog>();
-  /// True while the currently published epoch equals the live structures
-  /// (set by every successful publish, cleared the moment maintenance
-  /// mutates them). The next refresh may publish via the delta path only
-  /// when this held *before* its Advance — then `scape_delta_log_`
-  /// describes exactly the moves between the published epoch and the live
-  /// trees. An unpublished refresh (RefreshWf failure) leaves it false, so
-  /// the following epoch falls back to a full flatten instead of splicing
-  /// against a stale prior.
-  bool delta_publish_valid_ = false;
   /// kUnavailable live-engine fallbacks taken by concurrent snapshot
   /// readers; heap-held so the stream stays movable despite the atomic.
   std::unique_ptr<std::atomic<std::size_t>> serve_fallbacks_ =

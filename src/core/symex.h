@@ -220,8 +220,8 @@ class AffinityModel {
 
   /// As PairMeasures6 with the relationship already in hand — the scatter
   /// form behind the serving layer's bulk WA fill: iterating the
-  /// relationship hash once (`ForEachRelationship`) and calling this per
-  /// record skips the per-pair hash lookup entirely. `rec` must be `e`'s
+  /// relationship hash once (`ForEachRelationshipUnordered`) and calling
+  /// this per record skips the per-pair hash lookup entirely. `rec` must be `e`'s
   /// record (as returned by FindRelationship); the six values are bitwise
   /// identical to the lookup form.
   void PairMeasures6From(const AffineRecord& rec, const ts::SequencePair& e,
@@ -235,7 +235,7 @@ class AffinityModel {
 
   /// Iterates all relationships in ascending pair-key order:
   /// fn(const ts::SequencePair&, const AffineRecord&). The sort makes the
-  /// visit order canonical — SCAPE index layout and snapshot flattening
+  /// visit order canonical — SCAPE index layout and the model file
   /// inherit it, so they cannot drift with the hash implementation.
   template <typename Fn>
   void ForEachRelationship(Fn&& fn) const {
@@ -248,6 +248,20 @@ class AffinityModel {
       const ts::SequencePair e{static_cast<ts::SeriesId>(key >> 32),
                                static_cast<ts::SeriesId>(key & 0xffffffffULL)};
       fn(e, *rec);
+    }
+  }
+
+  /// Iterates all relationships in the hash's own, unspecified order —
+  /// for consumers whose result cannot depend on visit order (each visit
+  /// writes only a slot addressed by its pair), where the sort of
+  /// `ForEachRelationship` is pure cost: the per-epoch WA refill.
+  template <typename Fn>
+  void ForEachRelationshipUnordered(Fn&& fn) const {
+    // affinity-lint: allow(unordered-iter): order-insensitive by contract — callers scatter by key
+    for (const auto& [key, rec] : aff_hash_) {
+      fn(ts::SequencePair{static_cast<ts::SeriesId>(key >> 32),
+                          static_cast<ts::SeriesId>(key & 0xffffffffULL)},
+         rec);
     }
   }
 

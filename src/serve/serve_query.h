@@ -6,12 +6,12 @@
 ///
 /// Each function mirrors the corresponding `QueryEngine` path — same
 /// dispatch order, same error texts, same arithmetic, same result order —
-/// but reads only the snapshot's flat arrays: SCAPE scans run as
-/// `std::lower_bound`/`std::upper_bound` seeks over sorted contiguous
-/// keys instead of B+-tree descents, WA values come from the frozen
-/// tables, and WN sweeps run over the snapshot's window copy. Answers are
-/// bitwise identical to the live engine over the structures the snapshot
-/// was flattened from.
+/// but reads only the snapshot: SCAPE queries run the engine's own run
+/// scans (`core::ScapeMeasureThreshold`/`ScapeMeasureRange`/`ScapeTopK`)
+/// over the runs the epoch shares with the index, WA values come from the
+/// frozen tables, and WN sweeps run over the snapshot's window copy.
+/// Answers are bitwise identical to the live engine at the epoch's
+/// publication point.
 ///
 /// Everything here is const over the snapshot and allocation-local, so
 /// any number of threads may serve queries from the same snapshot

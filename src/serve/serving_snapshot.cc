@@ -112,6 +112,7 @@ std::size_t CowWindow::SharedSegmentsWith(const CowWindow& prior) const {
 
 namespace {
 
+using core::AffineRecord;
 using core::Measure;
 
 /// Copies the engine's quality scores into the epoch — assigned in place,
@@ -220,9 +221,11 @@ void FillPairTablesBulk(const core::AffinityModel& model, const ExecContext& exe
     });
     double* tables[6];
     for (int t = 0; t < 6; ++t) tables[t] = out->pair_values[static_cast<std::size_t>(t)].data();
-    model.ForEachRelationship([&](const ts::SequencePair& e, const core::AffineRecord& rec) {
-      const std::size_t u = e.u;
-      const std::size_t p = u * n - u * (u + 1) / 2 + (e.v - u - 1);
+    // Each record scatters to its own lexicographic slot, so the visit
+    // order cannot reach the tables: walk the hash as it lies instead of
+    // sorting every relationship per publication.
+    model.ForEachRelationshipUnordered([&](const ts::SequencePair& e, const AffineRecord& rec) {
+      const std::size_t p = ts::LexPairIndex(e.u, e.v, n);
       const std::uint64_t pk = rec.pivot.Key();
       std::size_t s = slot_of(pk);
       while (pivots[s].second != nullptr && pivots[s].first != pk) s = (s + 1) & (cap - 1);
@@ -267,122 +270,26 @@ void FillPairTablesBulk(const core::AffinityModel& model, const ExecContext& exe
   }
 }
 
-// ---------------------------------------------------------------------------
-// Flat-run construction. Templated on the private ScapeIndex tree types
-// (reached through auto/deduction; SnapshotBuilder is the friend seam).
-
-/// Reclaims a retired epoch's run buffers for in-place rewrite: when the
-/// old slot holds the only reference (not shared into a live epoch, no
-/// pinned reader), the vectors — with their full capacity — are recycled;
-/// otherwise a fresh allocation is returned. Callers overwrite the
-/// contents wholesale, so reuse never changes the produced bits.
-std::shared_ptr<FlatPairRuns> ReclaimPairRuns(std::shared_ptr<const FlatPairRuns>&& old) {
-  if (old != nullptr && old.use_count() == 1) {
-    return std::const_pointer_cast<FlatPairRuns>(std::move(old));
+/// Copies the per-series statistics into the epoch (in place, keeping a
+/// recycled epoch's capacity).
+void FreezeStats(const core::AffinityModel& model, ServingSnapshot* out) {
+  const std::size_t n = model.data().n();
+  out->stats.clear();
+  out->stats.reserve(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    out->stats.push_back(model.series_stats(static_cast<ts::SeriesId>(v)));
   }
-  return std::make_shared<FlatPairRuns>();
-}
-
-std::shared_ptr<FlatLocRuns> ReclaimLocRuns(std::shared_ptr<const FlatLocRuns>&& old) {
-  if (old != nullptr && old.use_count() == 1) {
-    return std::const_pointer_cast<FlatLocRuns>(std::move(old));
-  }
-  return std::make_shared<FlatLocRuns>();
-}
-
-template <typename PairTreeT>
-std::shared_ptr<const FlatPairRuns> WalkPairRuns(const PairTreeT& pt,
-                                                 std::shared_ptr<FlatPairRuns> into = nullptr) {
-  auto runs = into != nullptr ? std::move(into) : std::make_shared<FlatPairRuns>();
-  runs->keys.clear();
-  runs->pairs.clear();
-  runs->us.clear();
-  runs->keys.reserve(pt.tree.size());
-  runs->pairs.reserve(pt.tree.size());
-  runs->us.reserve(pt.tree.size());
-  for (auto it = pt.tree.begin(); it != pt.tree.end(); ++it) {
-    runs->keys.push_back(it.key());
-    runs->pairs.push_back(it.value().e);
-    runs->us.push_back(it.value().u);
-  }
-  return runs;
-}
-
-template <typename LocTreeT>
-std::shared_ptr<const FlatLocRuns> WalkLocRuns(const LocTreeT& lt,
-                                               std::shared_ptr<FlatLocRuns> into = nullptr) {
-  auto runs = into != nullptr ? std::move(into) : std::make_shared<FlatLocRuns>();
-  runs->keys.clear();
-  runs->series.clear();
-  runs->keys.reserve(lt.tree.size());
-  runs->series.reserve(lt.tree.size());
-  for (auto it = lt.tree.begin(); it != lt.tree.end(); ++it) {
-    runs->keys.push_back(it.key());
-    runs->series.push_back(it.value());
-  }
-  return runs;
 }
 
 constexpr std::size_t kPairEntryBytes =
     sizeof(double) + sizeof(ts::SequencePair) + sizeof(double);
 
-/// Splices one dirty pair tree: the prior epoch's runs outside the dirty
-/// ξ-interval are untouched sorted subsequences (the ScapeDeltaRange
-/// contract), so only the [lo, hi] middle is re-walked from the live
-/// tree. Falls back to a full walk when the clean spans are too small to
-/// be worth the seek, or when the spliced length disagrees with the tree
-/// (defensive: a log/prior mismatch must never ship a wrong snapshot).
-template <typename PairTreeT>
-std::shared_ptr<const FlatPairRuns> SplicePairRuns(const PairTreeT& pt,
-                                                   const core::ScapeDeltaRange& dirty,
-                                                   const FlatPairRuns& prior,
-                                                   PublishStats* stats,
-                                                   std::shared_ptr<FlatPairRuns> into = nullptr) {
-  const std::size_t size = pt.tree.size();
-  const auto prefix_end = static_cast<std::size_t>(
-      std::lower_bound(prior.keys.begin(), prior.keys.end(), dirty.lo) - prior.keys.begin());
-  const auto suffix_begin = static_cast<std::size_t>(
-      std::upper_bound(prior.keys.begin(), prior.keys.end(), dirty.hi) - prior.keys.begin());
-  const std::size_t clean = prefix_end + (prior.keys.size() - suffix_begin);
-  if (clean < size / 4) {
-    ++stats->trees_rebuilt;
-    stats->bytes_copied += size * kPairEntryBytes;
-    return WalkPairRuns(pt, std::move(into));
-  }
-  auto runs = into != nullptr ? std::move(into) : std::make_shared<FlatPairRuns>();
-  runs->keys.reserve(size);
-  runs->pairs.reserve(size);
-  runs->us.reserve(size);
-  runs->keys.assign(prior.keys.begin(), prior.keys.begin() + static_cast<long>(prefix_end));
-  runs->pairs.assign(prior.pairs.begin(), prior.pairs.begin() + static_cast<long>(prefix_end));
-  runs->us.assign(prior.us.begin(), prior.us.begin() + static_cast<long>(prefix_end));
-  for (auto it = pt.tree.LowerBound(dirty.lo); it != pt.tree.end() && it.key() <= dirty.hi;
-       ++it) {
-    runs->keys.push_back(it.key());
-    runs->pairs.push_back(it.value().e);
-    runs->us.push_back(it.value().u);
-  }
-  runs->keys.insert(runs->keys.end(), prior.keys.begin() + static_cast<long>(suffix_begin),
-                    prior.keys.end());
-  runs->pairs.insert(runs->pairs.end(), prior.pairs.begin() + static_cast<long>(suffix_begin),
-                     prior.pairs.end());
-  runs->us.insert(runs->us.end(), prior.us.begin() + static_cast<long>(suffix_begin),
-                  prior.us.end());
-  if (runs->keys.size() != size) {
-    ++stats->trees_rebuilt;
-    stats->bytes_copied += size * kPairEntryBytes;
-    return WalkPairRuns(pt, std::move(runs));
-  }
-  ++stats->trees_spliced;
-  stats->bytes_copied += size * kPairEntryBytes;
-  return runs;
+std::size_t RunBytes(const core::PairRun& run) {
+  return run.keys.size() * kPairEntryBytes + run.side.size() * sizeof(core::ScapeSideEntry);
 }
 
-void AddStats(PublishStats* into, const PublishStats& from) {
-  into->bytes_copied += from.bytes_copied;
-  into->trees_shared += from.trees_shared;
-  into->trees_spliced += from.trees_spliced;
-  into->trees_rebuilt += from.trees_rebuilt;
+std::size_t RunBytes(const core::LocRun& run) {
+  return run.keys.size() * (sizeof(double) + sizeof(ts::SeriesId));
 }
 
 }  // namespace
@@ -403,58 +310,33 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
   FreezeQuality(quality, out.get());
 
   PublishStats local;
-  local.delta = false;
   local.bytes_copied += model.data().m() * model.data().n() * sizeof(double);
-
-  const std::size_t n = model.data().n();
-  out->stats.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    out->stats.push_back(model.series_stats(static_cast<ts::SeriesId>(v)));
-  }
-  local.bytes_copied += n * sizeof(core::SeriesStats) + out->quality.size() * sizeof(double);
+  FreezeStats(model, out.get());
+  local.bytes_copied +=
+      out->stats.size() * sizeof(core::SeriesStats) + out->quality.size() * sizeof(double);
   FillLocationTables(model, out.get());
   FillPairTables(model, out.get());
   for (const auto& table : out->location) local.bytes_copied += table.size() * sizeof(double);
   for (const auto& table : out->pair_values) local.bytes_copied += table.size() * sizeof(double);
 
   if (scape != nullptr) {
+    // Every run copied into epoch-owned storage: nothing is shared with
+    // the index, so this epoch is an independent oracle.
     out->has_scape = true;
-    // Flatten every (pivot, family) B+-tree by in-order walk: ascending ξ
-    // with equal-key runs in tree order, so flat binary-search bounds land
-    // exactly where the tree's LowerBound/UpperBound descend.
-    out->pair_pivots.reserve(scape->pair_pivots_.size());
-    for (const auto& node : scape->pair_pivots_) {
-      FlatPairPivot flat;
-      for (int family = 0; family < 2; ++family) {
-        const auto& pt = node.trees[static_cast<std::size_t>(family)];
-        FlatPairTree& ft = flat.trees[static_cast<std::size_t>(family)];
-        ft.norm = pt.norm;
-        ft.u_min = pt.u_min;
-        ft.u_max = pt.u_max;
-        ft.runs = WalkPairRuns(pt);
-        ++local.trees_rebuilt;
-        local.bytes_copied += ft.runs->keys.size() * kPairEntryBytes;
-        ft.degenerate.reserve(pt.degenerate.size());
-        for (const auto& s : pt.degenerate) {
-          ft.degenerate.push_back(FlatDegenerateEntry{s.e, s.u, s.xi});
-        }
-        local.bytes_copied += ft.degenerate.size() * sizeof(FlatDegenerateEntry);
+    const core::ScapeRuns& runs = scape->runs();
+    out->scape.pair.resize(runs.pair.size());
+    for (std::size_t p = 0; p < runs.pair.size(); ++p) {
+      for (std::size_t f = 0; f < 2; ++f) {
+        out->scape.pair[p][f] = std::make_shared<const core::PairRun>(*runs.pair[p][f]);
+        local.bytes_copied += RunBytes(*runs.pair[p][f]);
       }
-      out->pair_pivots.push_back(std::move(flat));
     }
-    out->loc_pivots.reserve(scape->loc_pivots_.size());
-    for (const auto& node : scape->loc_pivots_) {
-      FlatLocPivot flat;
-      for (int family = 0; family < 3; ++family) {
-        const auto& lt = node.trees[static_cast<std::size_t>(family)];
-        FlatLocTree& ft = flat.trees[static_cast<std::size_t>(family)];
-        ft.norm = lt.norm;
-        ft.runs = WalkLocRuns(lt);
-        ++local.trees_rebuilt;
-        local.bytes_copied +=
-            ft.runs->keys.size() * (sizeof(double) + sizeof(ts::SeriesId));
+    out->scape.loc.resize(runs.loc.size());
+    for (std::size_t l = 0; l < runs.loc.size(); ++l) {
+      for (std::size_t f = 0; f < 3; ++f) {
+        out->scape.loc[l][f] = std::make_shared<const core::LocRun>(*runs.loc[l][f]);
+        local.bytes_copied += RunBytes(*runs.loc[l][f]);
       }
-      out->loc_pivots.push_back(std::move(flat));
     }
   }
   if (stats != nullptr) *stats = local;
@@ -463,26 +345,14 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
 
 std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
     const core::AffinityModel& model, const core::ScapeIndex* scape,
-    const core::ScapeDeltaLog& delta, const storage::DataMatrixTable& table,
-    const ServingSnapshot& prior, const core::QueryPlanner::Capabilities& caps,
-    const std::vector<double>* quality, std::uint64_t generation, std::size_t snapshot_row,
-    const ExecContext& exec, PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
+    const storage::DataMatrixTable& table, const ServingSnapshot* prior,
+    const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
+    std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec,
+    PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
   const std::size_t n = model.data().n();
   const std::size_t m = model.data().m();
-  // Preconditions: `prior` must be the flatten of these same structures
-  // one refresh ago, `delta` must match the index shape, and the table
-  // must still retain (and agree with) the whole window. Any mismatch
-  // falls back to a full Build at the call site — never a wrong snapshot.
-  if (scape != nullptr) {
-    if (!prior.has_scape || prior.pair_pivots.size() != scape->pair_pivots_.size() ||
-        prior.loc_pivots.size() != scape->loc_pivots_.size() ||
-        delta.pair.size() != scape->pair_pivots_.size() ||
-        delta.loc.size() != scape->loc_pivots_.size()) {
-      return nullptr;
-    }
-  } else if (prior.has_scape) {
-    return nullptr;
-  }
+  // The table must still retain (and agree with) the whole window; any
+  // mismatch falls back to a full Build at the call site.
   if (table.series_count() != n || snapshot_row < m) return nullptr;
   const std::size_t first_row = snapshot_row - m;
   if (model.data().anchor_row() != first_row) return nullptr;
@@ -490,117 +360,48 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
   // A recycled retired epoch keeps all its vector capacities: in steady
   // state every table below is rewritten in place and nothing allocates.
   auto out = scratch != nullptr ? std::move(scratch) : std::make_shared<ServingSnapshot>();
+  if (!CowWindow::FromTable(table, first_row, m, model.data().names(), &out->data)) {
+    return nullptr;
+  }
   out->generation = generation;
   out->snapshot_row = snapshot_row;
   out->caps = caps;
   FreezeQuality(quality, out.get());
-  if (!CowWindow::FromTable(table, first_row, m, model.data().names(), &out->data)) {
-    return nullptr;
-  }
   PublishStats total;
   total.delta = true;
   total.window_segments_total = out->data.segment_count();
-  total.window_segments_reused = out->data.SharedSegmentsWith(prior.data);
+  if (prior != nullptr) total.window_segments_reused = out->data.SharedSegmentsWith(prior->data);
 
-  out->stats.clear();
-  out->stats.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    out->stats.push_back(model.series_stats(static_cast<ts::SeriesId>(v)));
-  }
+  FreezeStats(model, out.get());
   total.bytes_copied += n * sizeof(core::SeriesStats) + out->quality.size() * sizeof(double);
   // The WA surface is value-level state: at interval-1 slides every value
-  // moves, so it is refilled — but through the bulk accessor and in
-  // parallel, not one hash lookup per (measure, pair).
+  // moves, so it is refilled — but through the bulk accessor, not one
+  // hash lookup per (measure, pair).
   FillLocationTables(model, out.get());
   FillPairTablesBulk(model, exec, out.get());
   for (const auto& tbl : out->location) total.bytes_copied += tbl.size() * sizeof(double);
   for (const auto& tbl : out->pair_values) total.bytes_copied += tbl.size() * sizeof(double);
 
+  out->has_scape = scape != nullptr;
   if (scape != nullptr) {
-    out->has_scape = true;
-    out->pair_pivots.resize(scape->pair_pivots_.size());
-    std::vector<PublishStats> chunk_stats(ExecNumChunks(scape->pair_pivots_.size()));
-    ParallelChunks(exec, scape->pair_pivots_.size(),
-                   [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-                     PublishStats& cs = chunk_stats[chunk];
-                     for (std::size_t slot = lo; slot < hi; ++slot) {
-                       const auto& node = scape->pair_pivots_[slot];
-                       FlatPairPivot& flat = out->pair_pivots[slot];
-                       for (int family = 0; family < 2; ++family) {
-                         const auto& pt = node.trees[static_cast<std::size_t>(family)];
-                         FlatPairTree& ft = flat.trees[static_cast<std::size_t>(family)];
-                         ft.norm = pt.norm;
-                         ft.u_min = pt.u_min;
-                         ft.u_max = pt.u_max;
-                         ft.degenerate.clear();
-                         ft.degenerate.reserve(pt.degenerate.size());
-                         for (const auto& s : pt.degenerate) {
-                           ft.degenerate.push_back(FlatDegenerateEntry{s.e, s.u, s.xi});
-                         }
-                         cs.bytes_copied += ft.degenerate.size() * sizeof(FlatDegenerateEntry);
-                         const core::ScapeDeltaRange& dirty =
-                             delta.pair[slot][static_cast<std::size_t>(family)];
-                         const FlatPairTree& prior_ft =
-                             prior.pair_pivots[slot].trees[static_cast<std::size_t>(family)];
-                         // The scratch slot's outgoing runs become the
-                         // rewrite buffer unless a live epoch still shares
-                         // them (slot-local, so safe under the fan-out).
-                         auto old_runs = std::move(ft.runs);
-                         if (dirty.moved == 0 && prior_ft.runs != nullptr &&
-                             prior_ft.runs->keys.size() == pt.tree.size()) {
-                           ft.runs = prior_ft.runs;
-                           ++cs.trees_shared;
-                         } else if (prior_ft.runs != nullptr) {
-                           ft.runs = SplicePairRuns(pt, dirty, *prior_ft.runs, &cs,
-                                                    ReclaimPairRuns(std::move(old_runs)));
-                         } else {
-                           ft.runs = WalkPairRuns(pt, ReclaimPairRuns(std::move(old_runs)));
-                           ++cs.trees_rebuilt;
-                           cs.bytes_copied += ft.runs->keys.size() * kPairEntryBytes;
-                         }
-                       }
-                     }
-                   });
-    out->loc_pivots.resize(scape->loc_pivots_.size());
-    std::vector<PublishStats> loc_stats(ExecNumChunks(scape->loc_pivots_.size()));
-    ParallelChunks(exec, scape->loc_pivots_.size(),
-                   [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
-                     PublishStats& cs = loc_stats[chunk];
-                     for (std::size_t slot = lo; slot < hi; ++slot) {
-                       const auto& node = scape->loc_pivots_[slot];
-                       FlatLocPivot& flat = out->loc_pivots[slot];
-                       for (int family = 0; family < 3; ++family) {
-                         const auto& lt = node.trees[static_cast<std::size_t>(family)];
-                         FlatLocTree& ft = flat.trees[static_cast<std::size_t>(family)];
-                         ft.norm = lt.norm;
-                         const core::ScapeDeltaRange& dirty =
-                             delta.loc[slot][static_cast<std::size_t>(family)];
-                         const FlatLocTree& prior_ft =
-                             prior.loc_pivots[slot].trees[static_cast<std::size_t>(family)];
-                         // Location trees are O(cluster) small: share when
-                         // clean, otherwise a full walk is already cheap.
-                         auto old_runs = std::move(ft.runs);
-                         if (dirty.moved == 0 && prior_ft.runs != nullptr &&
-                             prior_ft.runs->keys.size() == lt.tree.size()) {
-                           ft.runs = prior_ft.runs;
-                           ++cs.trees_shared;
-                         } else {
-                           ft.runs = WalkLocRuns(lt, ReclaimLocRuns(std::move(old_runs)));
-                           ++cs.trees_rebuilt;
-                           cs.bytes_copied += ft.runs->keys.size() *
-                                              (sizeof(double) + sizeof(ts::SeriesId));
-                         }
-                       }
-                     }
-                   });
-    for (const PublishStats& cs : chunk_stats) AddStats(&total, cs);
-    for (const PublishStats& cs : loc_stats) AddStats(&total, cs);
+    // The epoch shares the index's immutable runs: a handle copy each.
+    out->scape = scape->runs();
+    const core::ScapeRuns none;
+    const core::ScapeRuns& was = prior != nullptr && prior->has_scape ? prior->scape : none;
+    const auto count_shared = [&](const auto& now, const auto& before) {
+      for (std::size_t p = 0; p < now.size(); ++p) {
+        for (std::size_t f = 0; f < now[p].size(); ++f) {
+          const bool shared = before.size() == now.size() && before[p][f] == now[p][f];
+          ++(shared ? total.runs_shared : total.runs_rewritten);
+        }
+      }
+    };
+    count_shared(out->scape.pair, was.pair);
+    count_shared(out->scape.loc, was.loc);
   } else {
-    // Defensive against a recycled scratch that once carried a SCAPE
-    // surface: a no-scape snapshot must not expose stale pivots.
-    out->has_scape = false;
-    out->pair_pivots.clear();
-    out->loc_pivots.clear();
+    // A recycled scratch that once carried a SCAPE surface must not
+    // expose stale runs.
+    out->scape = {};
   }
   if (stats != nullptr) *stats = total;
   return out;

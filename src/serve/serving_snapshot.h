@@ -5,31 +5,27 @@
 /// Lock-free snapshot serving (DESIGN.md §11): immutable, read-optimized
 /// replicas of one AFFINITY instance, published per refresh.
 ///
-/// The live structures (SYMEX+ hash, SCAPE B+-trees) are mutated in place
-/// by the incremental maintenance path, so serving queries from them while
-/// a slide is absorbing would require locks. Instead, each successful
-/// refresh *flattens* the maintained stack into a `ServingSnapshot`:
+/// The live structures (the SYMEX+ hash, the window, the quality scores)
+/// are mutated in place by the incremental maintenance path, so serving
+/// queries from them while a slide is absorbing would require locks.
+/// Instead, each successful refresh publishes a `ServingSnapshot`:
 ///
-///  * every SCAPE (pivot, family) B+-tree becomes a pair of sorted
-///    contiguous arrays (keys + payloads, in exact tree order) so index
-///    scans become branch-free `std::lower_bound` / `std::upper_bound`
-///    seeks plus linear array walks — cache-dense where the tree chased
-///    node pointers;
+///  * the SCAPE index's sorted runs, shared by handle (`core::ScapeRuns`):
+///    a run is immutable once written, and a refresh that moves its keys
+///    writes a new one, so the epoch holds the runs of its own
+///    publication point without copying them;
 ///  * the WA surface (per-series stats, L-measure values, the six pair
-///    measure tables in lexicographic pair order) is frozen into flat
+///    measure tables in lexicographic pair order) frozen into flat
 ///    arrays, so snapshot WA queries never touch the live hash;
-///  * the window is a `CowWindow`: refcounted immutable column segments
+///  * the window as a `CowWindow`: refcounted immutable column segments
 ///    shared with the storage table (and with the previous epoch), with
 ///    the dense form materialized lazily on the first WN sweep.
 ///
-/// Publication is *incremental* between consecutive epochs. A slide's
-/// refresh records which ξ-ranges each (pivot, family) tree dirtied
-/// (`core::ScapeDeltaLog`); `SnapshotBuilder::BuildDelta` splices the
-/// untouched sorted runs from the prior epoch's arrays (shared wholesale
-/// when a tree didn't move at all), re-emits only dirty runs from the live
-/// tree, and re-captures the window as segment references — zero sample
-/// copies. The result is bitwise identical to a from-scratch `Build` at
-/// every epoch; `Build` remains the simple single-pass oracle.
+/// `SnapshotBuilder::BuildDelta` publishes that way — COW window, shared
+/// runs, bulk WA refill — with zero sample or run copies.
+/// `SnapshotBuilder::Build` is the from-scratch oracle: it copies
+/// everything it is given (the window densely, every run) into the new
+/// epoch, and it is the fallback when the table cannot cover the window.
 ///
 /// Snapshots are published through an `EpochPublisher` — an atomic
 /// shared_ptr swap, optionally backed by a ring that pins the last N
@@ -42,8 +38,8 @@
 ///
 /// The serving contract is *bitwise identity*: every answer computed from
 /// a snapshot equals the live engine's answer over the same structures
-/// (serve_query.h mirrors each execution path exactly; the flattened scan
-/// semantics, including equal-key order, replicate the B+-tree's).
+/// (serve_query.h runs the engine's own SCAPE run scans and mirrors its
+/// WA/WN paths exactly).
 
 #include <array>
 #include <atomic>
@@ -133,62 +129,10 @@ class CowWindow {
   std::shared_ptr<Lazy> lazy_;
 };
 
-/// One side-list (degenerate) entry: U == 0 or a degenerate pivot. Keeps
-/// ξ so T-measure queries can still evaluate value = ‖α‖·ξ directly.
-struct FlatDegenerateEntry {
-  ts::SequencePair pair;
-  double u = 0.0;
-  double xi = 0.0;
-};
-
-/// The sorted SoA runs of one flattened (pivot, family) tree: the
-/// B+-tree's entries in exact key order (equal-key runs preserved).
-/// Structure-of-arrays deliberately: an accepted run is appended straight
-/// from `pairs` at 8 bytes/entry of read traffic, and only the D-measure
-/// verify band touches `us` — where the interleaved live tree drags every
-/// leaf's full entry through cache on any walk. Held behind a shared_ptr
-/// so consecutive epochs share unchanged trees without copying.
-struct FlatPairRuns {
-  std::vector<double> keys;             ///< ξ ascending, tree iteration order
-  std::vector<ts::SequencePair> pairs;  ///< aligned with keys
-  std::vector<double> us;               ///< stored normalizers, aligned with keys
-};
-
-/// A flattened (pivot, T-measure family) SCAPE tree.
-struct FlatPairTree {
-  double norm = 0.0;  ///< ‖α‖; 0 marks a degenerate pivot
-  double u_min = 0.0;
-  double u_max = 0.0;
-  std::shared_ptr<const FlatPairRuns> runs;     ///< never null once built
-  std::vector<FlatDegenerateEntry> degenerate;  ///< side list, member order
-};
-
-/// Flattened pair-level pivot node (family 0 = covariance, 1 = dot).
-struct FlatPairPivot {
-  std::array<FlatPairTree, 2> trees;
-};
-
-/// Sorted runs of a flattened per-cluster location tree (series by ξ).
-struct FlatLocRuns {
-  std::vector<double> keys;
-  std::vector<ts::SeriesId> series;  ///< aligned with keys
-};
-
-/// A flattened per-cluster location tree.
-struct FlatLocTree {
-  double norm = 1.0;
-  std::shared_ptr<const FlatLocRuns> runs;  ///< never null once built
-};
-
-/// Flattened location pivot node (0 = mean, 1 = median, 2 = mode).
-struct FlatLocPivot {
-  std::array<FlatLocTree, 3> trees;
-};
-
 /// An immutable read-optimized replica of one AFFINITY instance at one
 /// refresh epoch. Everything a MET/MER/MEC/top-k needs is embedded; no
 /// pointer into the live stack survives in here (shared segment buffers
-/// and flat runs are jointly owned, never aliased mutably).
+/// and SCAPE runs are jointly owned and immutable).
 struct ServingSnapshot {
   /// Publication epoch (monotone per publisher; 0 never published).
   std::uint64_t generation = 0;
@@ -203,10 +147,10 @@ struct ServingSnapshot {
   /// same kAuto planning as the live engine.
   core::QueryPlanner::Capabilities caps;
 
-  /// True when SCAPE pivot arrays below were flattened from a live index.
+  /// True when the engine had a SCAPE index; `scape` then holds its runs
+  /// as of this publication.
   bool has_scape = false;
-  std::vector<FlatPairPivot> pair_pivots;
-  std::vector<FlatLocPivot> loc_pivots;
+  core::ScapeRuns scape;
 
   // --- WA surface ----------------------------------------------------------
   /// Exact per-series statistics (diagonal MEC semantics).
@@ -240,18 +184,16 @@ struct PublishStats {
   std::size_t bytes_copied = 0;           ///< bytes written into the new epoch
   std::size_t window_segments_total = 0;  ///< segment refs captured (0 = dense copy)
   std::size_t window_segments_reused = 0; ///< of those, shared with the prior epoch
-  std::size_t trees_shared = 0;           ///< flat trees reused wholesale
-  std::size_t trees_spliced = 0;          ///< flat trees partially spliced
-  std::size_t trees_rebuilt = 0;          ///< flat trees fully re-walked
+  std::size_t runs_shared = 0;            ///< SCAPE runs whose handle the prior epoch held
+  std::size_t runs_rewritten = 0;         ///< SCAPE runs the prior epoch did not hold
 };
 
-/// Flattens live structures into `ServingSnapshot`s. Friend of
-/// `core::ScapeIndex` — the only seam that reads the private pivot trees.
+/// Builds `ServingSnapshot`s from the live structures.
 class SnapshotBuilder {
  public:
   /// Builds a replica of (`model`, `scape`) stamped with `generation` and
-  /// `snapshot_row`, copying the window densely and walking every tree —
-  /// the from-scratch oracle every delta build must match bit for bit.
+  /// `snapshot_row`, copying the window densely and every SCAPE run — the
+  /// from-scratch oracle every published epoch must match bit for bit.
   /// `scape` may be null (no SCAPE surface). `caps` must be the serving
   /// engine's capabilities so kAuto plans match, and `quality` its
   /// attached quality surface (`QueryEngine::quality()`; null when none,
@@ -263,22 +205,19 @@ class SnapshotBuilder {
       const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
       std::uint64_t generation, std::size_t snapshot_row, PublishStats* stats = nullptr);
 
-  /// Incremental publication (DESIGN.md §11): builds the same snapshot
-  /// `Build` would, but
+  /// Per-refresh publication (DESIGN.md §11): builds the snapshot `Build`
+  /// would, but
   ///  * captures the window as refcounted segment references into `table`
-  ///    (zero sample copies; segments shared with `prior`),
-  ///  * shares each flat tree's runs with `prior` when its ScapeDeltaLog
-  ///    range is clean, splices the untouched prefix/suffix runs around a
-  ///    dirty range (re-walking only the dirty middle), and falls back to
-  ///    a full walk when the dirty range covers most of the tree,
+  ///    (zero sample copies; segments shared with the previous epoch),
+  ///  * takes the index's run handles instead of copying the runs,
   ///  * refills the WA surface in parallel over `exec` through the bulk
   ///    `PairMeasures6` accessor (bitwise equal to the per-measure path).
   ///
-  /// Valid only when `prior` was flattened from the *same* live structures
-  /// at the previous epoch and `delta` records exactly the one Refresh
-  /// between the two — the streaming layer guarantees this and resets to
-  /// `Build` after any rebuild, restore, or escalation. Returns nullptr
-  /// when a precondition does not hold (caller falls back to `Build`).
+  /// `model` must be the data the table's trailing rows hold: returns
+  /// nullptr when the table's retained rows cannot cover the window
+  /// ending at `snapshot_row` at the model's anchor (the caller falls back
+  /// to `Build`). `prior`, when non-null, is the previous epoch, read only
+  /// for the reuse accounting in `stats`.
   ///
   /// `scratch` may pass back a *retired* epoch (one `EpochPublisher::
   /// Publish` returned, with no surviving readers): its vectors are
@@ -289,11 +228,10 @@ class SnapshotBuilder {
   /// produced bits.
   static std::shared_ptr<const ServingSnapshot> BuildDelta(
       const core::AffinityModel& model, const core::ScapeIndex* scape,
-      const core::ScapeDeltaLog& delta, const storage::DataMatrixTable& table,
-      const ServingSnapshot& prior, const core::QueryPlanner::Capabilities& caps,
-      const std::vector<double>* quality, std::uint64_t generation, std::size_t snapshot_row,
-      const ExecContext& exec = {}, PublishStats* stats = nullptr,
-      std::shared_ptr<ServingSnapshot> scratch = nullptr);
+      const storage::DataMatrixTable& table, const ServingSnapshot* prior,
+      const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
+      std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec = {},
+      PublishStats* stats = nullptr, std::shared_ptr<ServingSnapshot> scratch = nullptr);
 };
 
 /// Epoch-based publication point: writers atomically swap in a fresh

@@ -1,7 +1,6 @@
 #include "shard/shard_serve.h"
 
 #include <algorithm>
-#include <queue>
 #include <string>
 #include <utility>
 
@@ -18,35 +17,6 @@ using core::QueryMethod;
 using core::QueryPlanner;
 using core::ScapeTopKEntry;
 using core::ScapeTopKResult;
-
-/// K-way heap merge of sorted runs — the same gather step the live router
-/// runs (sharded.cc keeps its own file-local copy; the shapes must stay
-/// identical for the bitwise-identity contract).
-template <typename T, typename Less>
-std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less less) {
-  struct Head {
-    std::size_t run;
-    std::size_t pos;
-  };
-  const auto head_greater = [&](const Head& a, const Head& b) {
-    return less(runs[b.run][b.pos], runs[a.run][a.pos]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> frontier(head_greater);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    total += runs[r].size();
-    if (!runs[r].empty()) frontier.push(Head{r, 0});
-  }
-  std::vector<T> out;
-  out.reserve(total);
-  while (!frontier.empty()) {
-    const Head head = frontier.top();
-    frontier.pop();
-    out.push_back(runs[head.run][head.pos]);
-    if (head.pos + 1 < runs[head.run].size()) frontier.push(Head{head.run, head.pos + 1});
-  }
-  return out;
-}
 
 /// The snapshot column of global series `id` (shard snapshots hold the
 /// window copies; local order matches the live shard's DataMatrix).

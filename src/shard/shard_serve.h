@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "common/status.h"
@@ -152,6 +153,36 @@ core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
   run.entries = std::move(best).Finish();
   run.examined = cross.size();
   return run;
+}
+
+/// K-way heap merge of runs, each sorted ascending under `less`, into one
+/// sorted vector — the gather step of a scatter-gather MET/MER (per-shard
+/// answers plus the cross-shard run), shared by the live router and the
+/// Router* serving paths so both merge identically.
+template <typename T, typename Less>
+std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less less) {
+  struct Head {
+    std::size_t run;
+    std::size_t pos;
+  };
+  const auto head_greater = [&](const Head& a, const Head& b) {
+    return less(runs[b.run][b.pos], runs[a.run][a.pos]);
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> frontier(head_greater);
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    total += runs[r].size();
+    if (!runs[r].empty()) frontier.push(Head{r, 0});
+  }
+  std::vector<T> out;
+  out.reserve(total);
+  while (!frontier.empty()) {
+    const Head head = frontier.top();
+    frontier.pop();
+    out.push_back(runs[head.run][head.pos]);
+    if (head.pos + 1 < runs[head.run].size()) frontier.push(Head{head.run, head.pos + 1});
+  }
+  return out;
 }
 
 /// Query 1 against a router snapshot. Mirrors `ShardedAffinity::Mec`

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
-#include <queue>
 #include <utility>
 
 #include "core/serialize.h"
@@ -25,43 +24,16 @@ using core::QueryPlanner;
 using core::ScapeTopKEntry;
 using core::ScapeTopKResult;
 
-/// K-way heap merge of sorted runs into one sorted vector — the gather
-/// step for selection results (runs: per-shard answers + the cross-shard
-/// sweep, each sorted ascending under `less`).
-template <typename T, typename Less>
-std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less less) {
-  struct Head {
-    std::size_t run;
-    std::size_t pos;
-  };
-  const auto head_greater = [&](const Head& a, const Head& b) {
-    return less(runs[b.run][b.pos], runs[a.run][a.pos]);
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> frontier(head_greater);
-  std::size_t total = 0;
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    total += runs[r].size();
-    if (!runs[r].empty()) frontier.push(Head{r, 0});
-  }
-  std::vector<T> out;
-  out.reserve(total);
-  while (!frontier.empty()) {
-    const Head head = frontier.top();
-    frontier.pop();
-    out.push_back(runs[head.run][head.pos]);
-    if (head.pos + 1 < runs[head.run].size()) frontier.push(Head{head.run, head.pos + 1});
-  }
-  return out;
-}
-
 // --- Manifest framing (composes with serialize.h model payloads) ----------
 
 constexpr char kManifestMagic[4] = {'A', 'F', 'F', 'S'};
 // v2 added the cross co-moment cache tuning (budget, exact_resync_period)
 // so a restored router keeps its watch-list instead of silently reverting
-// to a disabled cache (part of the ISSUE 5 restore-ordering audit). v1
-// manifests still load with the cache defaults they were written under.
-constexpr std::uint32_t kManifestVersion = 2;
+// to a disabled cache. v1 manifests still load with the cache defaults
+// they were written under. v3 dropped the SCAPE B-tree fanout field (the
+// index keeps sorted runs, which have no fanout); v1/v2 manifests still
+// load, skipping it.
+constexpr std::uint32_t kManifestVersion = 3;
 constexpr std::uint32_t kMinManifestVersion = 1;
 
 void WriteU32(std::ostream& out, std::uint32_t v) {
@@ -862,7 +834,6 @@ Status ShardedAffinity::Save(const std::string& path) const {
   WriteU64(out, options_.streaming.build.afclst.seed);
   WriteU32(out, options_.streaming.build.symex.cache_pseudo_inverse ? 1 : 0);
   WriteU64(out, options_.streaming.build.symex.max_relationships);
-  WriteU64(out, options_.streaming.build.scape.btree_fanout);
   WriteU32(out, options_.streaming.build.build_scape ? 1 : 0);
   WriteU32(out, options_.streaming.build.build_dft ? 1 : 0);
   WriteU64(out, options_.streaming.build.dft_coefficients);
@@ -928,15 +899,15 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
   std::uint64_t afclst_seed = 0;
   std::uint32_t cache_pinv = 0;
   std::uint64_t max_relationships = 0;
-  std::uint64_t btree_fanout = 0;
   std::uint32_t build_scape = 0;
   std::uint32_t build_dft = 0;
   std::uint64_t dft_coefficients = 0;
   std::uint64_t refit_period = 0;
+  std::uint64_t unused_fanout = 0;  // v1/v2 only
   core::IncrementalOptions incremental;
   if (!ReadU64(in, &k) || !ReadU32(in, &max_iterations) || !ReadU32(in, &min_changes) ||
       !ReadU64(in, &afclst_seed) || !ReadU32(in, &cache_pinv) ||
-      !ReadU64(in, &max_relationships) || !ReadU64(in, &btree_fanout) ||
+      !ReadU64(in, &max_relationships) || (version < 3 && !ReadU64(in, &unused_fanout)) ||
       !ReadU32(in, &build_scape) || !ReadU32(in, &build_dft) ||
       !ReadU64(in, &dft_coefficients) || !ReadF64(in, &incremental.refit_drift_threshold) ||
       !ReadU64(in, &refit_period) || !ReadF64(in, &incremental.escalation_factor) ||
@@ -950,7 +921,6 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
   options.streaming.build.afclst.seed = afclst_seed;
   options.streaming.build.symex.cache_pseudo_inverse = cache_pinv == 1;
   options.streaming.build.symex.max_relationships = static_cast<std::size_t>(max_relationships);
-  options.streaming.build.scape.btree_fanout = static_cast<std::size_t>(btree_fanout);
   options.streaming.build.build_scape = build_scape == 1;
   options.streaming.build.build_dft = build_dft == 1;
   options.streaming.build.dft_coefficients = static_cast<std::size_t>(dft_coefficients);

@@ -55,6 +55,16 @@ struct SequencePairHash {
 /// Number of sequence pairs for n series: n(n-1)/2.
 inline std::size_t SequencePairCount(std::size_t n) { return n * (n - 1) / 2; }
 
+/// Number of pairs (u', v') with u' < u in the lexicographic (u, v) order
+/// over n series — the order every sweep walks: u·(2n − u − 1)/2.
+inline std::size_t PairsBeforeRow(std::size_t u, std::size_t n) { return u * (2 * n - u - 1) / 2; }
+
+/// Position of pair (u, v), u < v, in that lexicographic order — the slot
+/// of a pair in every lexicographic pair table.
+inline std::size_t LexPairIndex(std::size_t u, std::size_t v, std::size_t n) {
+  return PairsBeforeRow(u, n) + (v - u - 1);
+}
+
 /// Enumerates the full sequence-pair set P for n series, ordered by (u, v).
 std::vector<SequencePair> AllSequencePairs(std::size_t n);
 

@@ -93,7 +93,7 @@ StatusOr<std::unique_ptr<Comparator>> BuildComparator(const Affinity& fw,
   clustering.projection_errors = fw.model().clustering().projection_errors;
   AFFINITY_ASSIGN_OR_RETURN(AffinityModel model,
                             RunSymex(fw.data(), std::move(clustering), SymexOptions{}, exec));
-  AFFINITY_ASSIGN_OR_RETURN(ScapeIndex index, ScapeIndex::Build(model, ScapeOptions{}, exec));
+  AFFINITY_ASSIGN_OR_RETURN(ScapeIndex index, ScapeIndex::Build(model, exec));
   auto comparator = std::make_unique<Comparator>(std::move(model), std::move(index));
   comparator->engine.SetExec(exec);
   return comparator;

@@ -69,15 +69,6 @@ TEST(ScapeBuild, CountsMatchModel) {
   EXPECT_GE(index->build_seconds(), 0.0);
 }
 
-TEST(ScapeBuild, RespectsFanoutOption) {
-  const AffinityModel model = BuildModel();
-  ScapeOptions opt;
-  opt.btree_fanout = 8;
-  auto index = ScapeIndex::Build(model, opt);
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->pair_entry_count(), model.relationship_count());
-}
-
 TEST(ScapeQuery, RejectsNonIndexableMeasures) {
   const AffinityModel model = BuildModel();
   auto index = ScapeIndex::Build(model);

@@ -1,9 +1,11 @@
-// Tests for incremental epoch publication (DESIGN.md §11): the delta
-// path (COW window segments, shared/spliced SCAPE runs, bulk WA refill)
-// must publish snapshots bitwise identical to a from-scratch
-// SnapshotBuilder flatten at every epoch — across refresh intervals,
-// thread counts, escalations, manual rebuilds, and restores — and the
-// epoch ring must keep superseded generations queryable and bit-stable.
+// Tests for per-refresh epoch publication (DESIGN.md §11): every
+// published epoch (COW window segments, the index's shared SCAPE runs,
+// bulk WA refill) must be bitwise identical to a cold build of the same
+// state — SnapshotBuilder::Build with SCAPE runs from a fresh
+// ScapeIndex::Build, so each refreshed run is checked against a cold sort
+// — across refresh intervals, thread counts, escalations, manual
+// rebuilds, and restores; and the epoch ring must keep superseded
+// generations queryable and bit-stable.
 
 #include "serve/serving_snapshot.h"
 
@@ -73,20 +75,18 @@ void ExpectSameWindow(const CowWindow& a, const CowWindow& b) {
   }
 }
 
-void ExpectSamePairTree(const FlatPairTree& a, const FlatPairTree& b, const char* what) {
+void ExpectSamePairRun(const core::PairRun& a, const core::PairRun& b, const char* what) {
   EXPECT_EQ(a.norm, b.norm) << what;
   EXPECT_EQ(a.u_min, b.u_min) << what;
   EXPECT_EQ(a.u_max, b.u_max) << what;
-  ASSERT_NE(a.runs, nullptr) << what;
-  ASSERT_NE(b.runs, nullptr) << what;
-  EXPECT_EQ(a.runs->keys, b.runs->keys) << what;
-  EXPECT_EQ(a.runs->pairs, b.runs->pairs) << what;
-  EXPECT_EQ(a.runs->us, b.runs->us) << what;
-  ASSERT_EQ(a.degenerate.size(), b.degenerate.size()) << what;
-  for (std::size_t i = 0; i < a.degenerate.size(); ++i) {
-    EXPECT_EQ(a.degenerate[i].pair, b.degenerate[i].pair) << what;
-    EXPECT_EQ(a.degenerate[i].u, b.degenerate[i].u) << what;
-    EXPECT_EQ(a.degenerate[i].xi, b.degenerate[i].xi) << what;
+  EXPECT_EQ(a.keys, b.keys) << what;
+  EXPECT_EQ(a.pairs, b.pairs) << what;
+  EXPECT_EQ(a.us, b.us) << what;
+  ASSERT_EQ(a.side.size(), b.side.size()) << what;
+  for (std::size_t i = 0; i < a.side.size(); ++i) {
+    EXPECT_EQ(a.side[i].pair, b.side[i].pair) << what;
+    EXPECT_EQ(a.side[i].u, b.side[i].u) << what;
+    EXPECT_EQ(a.side[i].xi, b.side[i].xi) << what;
   }
 }
 
@@ -112,29 +112,31 @@ void ExpectSameSnapshot(const ServingSnapshot& got, const ServingSnapshot& want)
   EXPECT_EQ(got.caps.has_quality, want.caps.has_quality);
   EXPECT_EQ(got.quality, want.quality);
   ASSERT_EQ(got.has_scape, want.has_scape);
-  ASSERT_EQ(got.pair_pivots.size(), want.pair_pivots.size());
-  for (std::size_t p = 0; p < want.pair_pivots.size(); ++p) {
-    for (int f = 0; f < 2; ++f) {
+  ASSERT_EQ(got.scape.pair.size(), want.scape.pair.size());
+  for (std::size_t p = 0; p < want.scape.pair.size(); ++p) {
+    for (std::size_t f = 0; f < 2; ++f) {
       const std::string what = "pair pivot " + std::to_string(p) + " family " + std::to_string(f);
-      ExpectSamePairTree(got.pair_pivots[p].trees[f], want.pair_pivots[p].trees[f], what.c_str());
+      ASSERT_NE(got.scape.pair[p][f], nullptr) << what;
+      ASSERT_NE(want.scape.pair[p][f], nullptr) << what;
+      ExpectSamePairRun(*got.scape.pair[p][f], *want.scape.pair[p][f], what.c_str());
     }
   }
-  ASSERT_EQ(got.loc_pivots.size(), want.loc_pivots.size());
-  for (std::size_t p = 0; p < want.loc_pivots.size(); ++p) {
-    for (int f = 0; f < 3; ++f) {
-      const FlatLocTree& a = got.loc_pivots[p].trees[f];
-      const FlatLocTree& b = want.loc_pivots[p].trees[f];
+  ASSERT_EQ(got.scape.loc.size(), want.scape.loc.size());
+  for (std::size_t p = 0; p < want.scape.loc.size(); ++p) {
+    for (std::size_t f = 0; f < 3; ++f) {
+      ASSERT_NE(got.scape.loc[p][f], nullptr);
+      ASSERT_NE(want.scape.loc[p][f], nullptr);
+      const core::LocRun& a = *got.scape.loc[p][f];
+      const core::LocRun& b = *want.scape.loc[p][f];
       EXPECT_EQ(a.norm, b.norm) << "loc pivot " << p << " family " << f;
-      ASSERT_NE(a.runs, nullptr);
-      ASSERT_NE(b.runs, nullptr);
-      EXPECT_EQ(a.runs->keys, b.runs->keys) << "loc pivot " << p << " family " << f;
-      EXPECT_EQ(a.runs->series, b.runs->series) << "loc pivot " << p << " family " << f;
+      EXPECT_EQ(a.keys, b.keys) << "loc pivot " << p << " family " << f;
+      EXPECT_EQ(a.series, b.series) << "loc pivot " << p << " family " << f;
     }
   }
 }
 
 /// Slides `slides` rows through a fresh stream and checks every published
-/// epoch bitwise against a from-scratch flatten of the same live state.
+/// epoch bitwise against a cold build of the same state.
 void RunIdentitySweep(std::size_t interval, std::size_t threads) {
   const ts::Dataset ds = TestData();
   auto stream = StreamingAffinity::Create(Names(ds.matrix.n()), StreamOptions(interval, threads));

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -538,10 +540,29 @@ TEST(CrossCacheHeat, PromotionsSurfaceThroughShardedService) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse-movement SCAPE refresh fast path (ISSUE 7 satellite): a
-// slow-drift window where most ξ keys land unchanged must skip their
-// B+-tree re-insertions, and the skip accounting must surface.
+// Sparse-movement SCAPE refresh fast path: a slow-drift window where most
+// ξ keys land unchanged must skip their re-keys, the skip accounting must
+// surface, and a run none of whose entries moved must keep its handle.
 // ---------------------------------------------------------------------------
+
+/// Bitwise equality of two runs' contents.
+bool SameRunBits(const core::PairRun& a, const core::PairRun& b) {
+  const auto same_doubles = [](const std::vector<double>& x, const std::vector<double>& y) {
+    return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  if (std::memcmp(&a.norm, &b.norm, sizeof a.norm) != 0 || !same_doubles(a.keys, b.keys) ||
+      !same_doubles(a.us, b.us) || a.pairs != b.pairs || a.side.size() != b.side.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.side.size(); ++i) {
+    if (a.side[i].pair != b.side[i].pair ||
+        std::memcmp(&a.side[i].u, &b.side[i].u, sizeof(double)) != 0 ||
+        std::memcmp(&a.side[i].xi, &b.side[i].xi, sizeof(double)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
 
 TEST(ServeMaintenance, SlowDriftSkipsScapeRekeys) {
   // Cyclic stream with period == window == interval: after each refresh
@@ -555,16 +576,39 @@ TEST(ServeMaintenance, SlowDriftSkipsScapeRekeys) {
   ASSERT_TRUE(stream.ok());
   const ts::Dataset ds = TestData();
   std::vector<double> row(10);
+  std::shared_ptr<const serve::ServingSnapshot> at_80;
   for (std::size_t i = 0; i < 120; ++i) {
     const std::size_t src = i % 40;
     for (std::size_t j = 0; j < 10; ++j) row[j] = ds.matrix.matrix()(src, j);
     ASSERT_TRUE(stream->Append(row).ok());
+    if (i + 1 == 80) at_80 = stream->serving();
   }
   // Refreshes ran at rows 80 and 120 over identical window content.
   ASSERT_GE(stream->refresh_count(), 2u);
   const core::MaintenanceProfile& profile = stream->maintenance();
   EXPECT_GT(profile.scape_rekeys_skipped, 0u)
       << "identical window content must skip unmoved ξ re-insertions";
+  // Across the row-120 refresh, a pair run whose contents are bitwise
+  // unchanged is the same handle (the row-80 epoch pins the old runs, so
+  // a rewrite could not reuse their addresses).
+  const auto at_120 = stream->serving();
+  ASSERT_NE(at_80, nullptr);
+  ASSERT_NE(at_120, nullptr);
+  ASSERT_EQ(at_80->scape.pair.size(), at_120->scape.pair.size());
+  std::size_t kept = 0;
+  for (std::size_t p = 0; p < at_120->scape.pair.size(); ++p) {
+    for (std::size_t f = 0; f < 2; ++f) {
+      const auto& before = at_80->scape.pair[p][f];
+      const auto& after = at_120->scape.pair[p][f];
+      if (before == after) {
+        ++kept;
+      } else {
+        EXPECT_FALSE(SameRunBits(*before, *after)) << "unchanged run rewritten: pivot " << p;
+      }
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(profile.scape_runs_shared, 0u);
   // The fast path must not corrupt the index: SCAPE answers still match
   // the naive sweep exactly.
   const auto& engine = stream->framework()->engine();

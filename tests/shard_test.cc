@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -536,6 +538,69 @@ TEST(Sharded, ManifestRoundTripPreservesAnswers) {
     refreshed |= result.refreshed;
   }
   EXPECT_TRUE(refreshed);
+}
+
+// v2 manifests carried a SCAPE B-tree fanout the sorted-run index no longer
+// has; they still load, and answer exactly as the v3 file they are made
+// from. The v2 bytes are a v3 file with the u64 field spliced back in.
+TEST(Sharded, V2ManifestLoadsLikeV3) {
+  const ts::Dataset ds = TestData();
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 100);
+  const std::string v3_path = TempPath("sharded_v3.affs");
+  ASSERT_TRUE(service->Save(v3_path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(v3_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const auto u32_at = [&](std::size_t pos) {
+    std::uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + pos, sizeof v);
+    return v;
+  };
+  ASSERT_EQ(u32_at(4), 3u);
+  // Walk the v3 layout to where v2 kept the fanout: magic(4) version(4)
+  // shards(8) n(8) scheme(4), one u32 shard id per series, then
+  // window(8) interval(8) mode(4) segment_capacity(8) k(8)
+  // max_iterations(4) min_changes(4) seed(8) cache_pinv(4)
+  // max_relationships(8). The build_scape and build_dft flags follow.
+  const std::size_t off = 28 + 4 * ds.matrix.n() + 28 + 36;
+  ASSERT_EQ(u32_at(off), 1u);      // build_scape
+  ASSERT_EQ(u32_at(off + 4), 0u);  // build_dft
+  const std::uint64_t fanout = 64;
+  bytes.insert(off, reinterpret_cast<const char*>(&fanout), sizeof fanout);
+  const std::uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 4, &v2, sizeof v2);
+  const std::string v2_path = TempPath("sharded_v2.affs");
+  std::ofstream(v2_path, std::ios::binary) << bytes;
+
+  auto v3 = ShardedAffinity::Load(v3_path);
+  auto v2_loaded = ShardedAffinity::Load(v2_path);
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.status().ToString();
+  EXPECT_EQ(v2_loaded->options().streaming.build.build_scape, true);
+  EXPECT_EQ(v2_loaded->options().streaming.build.afclst.k, 2u);
+  EXPECT_EQ(v2_loaded->options().streaming.rebuild_interval, 20u);
+  for (const QueryMethod method : {QueryMethod::kScape, QueryMethod::kAuto}) {
+    const MetRequest met{Measure::kCorrelation, 0.5, true};
+    auto met_a = v3->Met(met, {method});
+    auto met_b = v2_loaded->Met(met, {method});
+    ASSERT_TRUE(met_a.ok());
+    ASSERT_TRUE(met_b.ok());
+    EXPECT_EQ(met_a->result.pairs, met_b->result.pairs);
+    const TopKRequest topk{Measure::kCovariance, 7, true};
+    auto topk_a = v3->TopK(topk, {method});
+    auto topk_b = v2_loaded->TopK(topk, {method});
+    ASSERT_TRUE(topk_a.ok());
+    ASSERT_TRUE(topk_b.ok());
+    ASSERT_EQ(topk_a->result.entries.size(), topk_b->result.entries.size());
+    for (std::size_t i = 0; i < topk_a->result.entries.size(); ++i) {
+      EXPECT_EQ(topk_a->result.entries[i].pair, topk_b->result.entries[i].pair);
+      EXPECT_EQ(topk_a->result.entries[i].value, topk_b->result.entries[i].value);
+    }
+  }
 }
 
 // Restore-ordering audit (ISSUE 5): the cross co-moment cache uses

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -400,6 +401,53 @@ TEST_F(TopKTieTest, TiesAcrossTheKthValueFollowTheRankOrder) {
   auto served = serve::SnapshotTopK(*Epoch(), cut, QueryMethod::kNaive);
   ASSERT_TRUE(served.ok());
   ExpectSameEntries(served->entries, bounded->entries);
+}
+
+TEST_F(TopKTieTest, ScapePrefixesFollowTheRankOrder) {
+  // The threshold algorithm selects under the same total order as every
+  // sweep: each k-prefix is the first k of the full SCAPE list ranked by
+  // TopKBefore, live and served, even where equal values straddle k.
+  const QueryEngine engine = Engine();
+  const auto epoch = Epoch();
+  const std::size_t n = framework_->data().n();
+  const auto same = [](const std::vector<ScapeTopKEntry>& a, const std::vector<ScapeTopKEntry>& b,
+                       std::size_t count) {
+    if (a.size() != count || b.size() < count) return false;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (a[i].pair != b[i].pair || a[i].series != b[i].series || a[i].value != b[i].value) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (Measure measure : {Measure::kCovariance, Measure::kDotProduct, Measure::kMean}) {
+    for (const bool largest : {true, false}) {
+      SCOPED_TRACE(std::string(MeasureName(measure)) + (largest ? " largest" : " smallest"));
+      const std::size_t entities = IsLocation(measure) ? n : ts::SequencePairCount(n);
+      auto full = engine.TopK(TopKRequest{measure, entities, largest}, QueryMethod::kScape);
+      ASSERT_TRUE(full.ok());
+      ASSERT_EQ(full->entries.size(), entities);
+      std::vector<ScapeTopKEntry> ranked = full->entries;
+      std::sort(ranked.begin(), ranked.end(),
+                [largest](const ScapeTopKEntry& a, const ScapeTopKEntry& b) {
+                  return TopKBefore(a, b, largest);
+                });
+      std::vector<std::size_t> wrong;
+      for (std::size_t k = 1; k <= entities; ++k) {
+        const TopKRequest request{measure, k, largest};
+        auto live = engine.TopK(request, QueryMethod::kScape);
+        auto served = serve::SnapshotTopK(*epoch, request, QueryMethod::kScape);
+        ASSERT_TRUE(live.ok());
+        ASSERT_TRUE(served.ok());
+        if (!same(live->entries, ranked, k) || !same(served->entries, ranked, k)) {
+          wrong.push_back(k);
+        }
+      }
+      EXPECT_TRUE(wrong.empty()) << wrong.size() << " of " << entities
+                                 << " k disagree with the rank order, first k = "
+                                 << (wrong.empty() ? 0 : wrong.front());
+    }
+  }
 }
 
 TEST_F(TopKTieTest, KZeroKAboveEligibleAndNobodyEligible) {
