@@ -23,6 +23,7 @@
 #include <cmath>
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -45,6 +46,7 @@
 #include "serve/serve_query.h"
 #include "shard/sharded.h"
 #include "ts/generators.h"
+#include "ts/ingest.h"
 #include "ts/stats.h"
 
 // ---------------------------------------------------------------------------
@@ -728,17 +730,99 @@ BENCHMARK(BM_AffinityBuild)->Apply(ThreadArgs);
 
 // --- Append hot-path allocation accounting (DESIGN.md §9) ------------------
 
-/// Steady-state streaming append: rolling-moment updates plus the
-/// preallocated pending-row pool. `allocs_per_append` counts non-refresh
-/// appends only; the residue is segment-granular storage growth
-/// (~n/segment_capacity per append), not per-row buffers.
-void BM_StreamingAppendAllocs(benchmark::State& state) {
+/// A gapped feed over `clean`: per series, stretches of 1–9 cells, each
+/// dirty with probability `dirt` — half outages (gaps), half
+/// forward-fills (valid and filled). Dirty cells carry the series' last
+/// observed value, as the aligner emits them.
+struct GappedFeed {
+  std::vector<std::vector<double>> values;
+  std::vector<std::vector<std::uint8_t>> valid;
+  std::vector<std::vector<std::uint8_t>> filled;
+};
+
+GappedFeed MakeGappedFeed(const la::Matrix& clean, double dirt, std::uint64_t seed) {
+  const std::size_t m = clean.rows();
+  const std::size_t n = clean.cols();
+  Xoshiro256 rng(seed);
+  GappedFeed feed;
+  feed.values.assign(m, std::vector<double>(n));
+  feed.valid.assign(m, std::vector<std::uint8_t>(n, 1));
+  feed.filled.assign(m, std::vector<std::uint8_t>(n, 0));
+  for (std::size_t j = 0; j < n; ++j) {
+    double last = 0.0;
+    std::size_t i = 0;
+    while (i < m) {
+      const bool dirty = rng.Uniform(0.0, 1.0) < dirt;
+      const std::size_t len = 1 + rng.NextBounded(9);
+      const bool gap = dirty && rng.NextBounded(2) == 0;
+      for (std::size_t r = 0; r < len && i < m; ++r, ++i) {
+        if (dirty) {
+          feed.values[i][j] = last;
+          feed.valid[i][j] = gap ? 0 : 1;
+          feed.filled[i][j] = gap ? 0 : 1;
+        } else {
+          last = clean(i, j);
+          feed.values[i][j] = last;
+        }
+      }
+    }
+  }
+  return feed;
+}
+
+/// QualityTracker::Push in steady state (window full, every push evicts)
+/// at n = 256, window 1024: clean rows (null masks) and ~20%-dirty rows
+/// (gaps, fills, carried-value plateaus). Time per iteration is time per
+/// row; `allocs_per_push` must read 0.
+void BM_QualityTrackerPush(benchmark::State& state, bool dirty) {
+  constexpr std::size_t kN = 256;
+  constexpr std::size_t kWindow = 1024;
+  ts::DatasetSpec spec;
+  spec.num_series = kN;
+  spec.num_samples = 4 * kWindow;
+  spec.num_clusters = 8;
+  spec.seed = 5;
+  const ts::Dataset data = ts::MakeSensorData(spec);
+  const GappedFeed feed = MakeGappedFeed(data.matrix.matrix(), dirty ? 0.2 : 0.0, 17);
+  ts::QualityTracker tracker(kN, kWindow);
+  const std::size_t rows = feed.values.size();
+  const auto push = [&](std::size_t i) {
+    const std::size_t r = i % rows;
+    tracker.Push(feed.values[r].data(), dirty ? feed.valid[r].data() : nullptr,
+                 dirty ? feed.filled[r].data() : nullptr);
+  };
+  std::size_t next = 0;
+  for (; next < 2 * kWindow; ++next) push(next);
+  std::size_t allocs = 0;
+  std::size_t pushes = 0;
+  for (auto _ : state) {
+    const std::size_t before = AllocCount();
+    push(next++);
+    allocs += AllocCount() - before;
+    ++pushes;
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(tracker.Scores().data());
+  state.counters["allocs_per_push"] =
+      pushes == 0 ? 0.0 : static_cast<double>(allocs) / static_cast<double>(pushes);
+}
+BENCHMARK_CAPTURE(BM_QualityTrackerPush, clean, false);
+BENCHMARK_CAPTURE(BM_QualityTrackerPush, dirty, true);
+
+/// Steady-state streaming append: rolling-moment updates, the quality
+/// tracker and the preallocated pending-row pool. `allocs_per_append`
+/// counts non-refresh appends only; the residue is segment-granular
+/// storage growth (~n/segment_capacity per append), not per-row buffers.
+/// The masked variant feeds a ~20%-gapped stream through AppendMasked and
+/// must not allocate more than the clean one.
+void BM_StreamingAppendAllocs(benchmark::State& state, bool masked) {
   ts::DatasetSpec spec;
   spec.num_series = 32;
   spec.num_samples = 512;
   spec.num_clusters = 4;
   spec.seed = 11;
-  const ts::Dataset feed = ts::MakeStockData(spec);
+  const ts::Dataset data = ts::MakeStockData(spec);
+  const GappedFeed feed = MakeGappedFeed(data.matrix.matrix(), masked ? 0.2 : 0.0, 23);
   core::StreamingOptions options;
   options.window = 256;
   options.rebuild_interval = 64;
@@ -746,31 +830,22 @@ void BM_StreamingAppendAllocs(benchmark::State& state) {
   options.build.afclst.k = 4;
   options.build.build_dft = false;
   options.segment_capacity = 1024;
-  auto stream = core::StreamingAffinity::Create(feed.matrix.names(), options);
+  auto stream = core::StreamingAffinity::Create(data.matrix.names(), options);
   AFFINITY_CHECK(stream.ok());
-  std::vector<double> row(feed.matrix.n());
   std::size_t next = 0;
-  const auto fill = [&]() {
-    for (std::size_t j = 0; j < feed.matrix.n(); ++j) {
-      row[j] = feed.matrix.matrix()(next % feed.matrix.m(), j);
-    }
-    ++next;
+  const auto append = [&]() {
+    const std::size_t r = next++ % feed.values.size();
+    return masked ? stream->AppendMasked(feed.values[r], feed.valid[r], feed.filled[r])
+                  : stream->Append(feed.values[r]);
   };
-  while (!stream->ready()) {
-    fill();
-    AFFINITY_CHECK(stream->Append(row).ok());
-  }
+  while (!stream->ready()) AFFINITY_CHECK(append().ok());
   // One full interval warms the pending pool to its steady-state capacity.
-  for (std::size_t i = 0; i < options.rebuild_interval; ++i) {
-    fill();
-    AFFINITY_CHECK(stream->Append(row).ok());
-  }
+  for (std::size_t i = 0; i < options.rebuild_interval; ++i) AFFINITY_CHECK(append().ok());
   std::size_t appends = 0;
   std::size_t allocs = 0;
   for (auto _ : state) {
-    fill();
     const std::size_t before = AllocCount();
-    const auto result = stream->Append(row);
+    const auto result = append();
     const std::size_t after = AllocCount();
     AFFINITY_CHECK(result.ok());
     if (!result.refreshed) {
@@ -782,7 +857,10 @@ void BM_StreamingAppendAllocs(benchmark::State& state) {
   state.counters["allocs_per_append"] =
       appends == 0 ? 0.0 : static_cast<double>(allocs) / static_cast<double>(appends);
 }
-BENCHMARK(BM_StreamingAppendAllocs);
+// Equal iteration counts give both variants the same append schedule, so
+// segment growth lands on the same appends.
+BENCHMARK_CAPTURE(BM_StreamingAppendAllocs, clean, false)->Iterations(8192);
+BENCHMARK_CAPTURE(BM_StreamingAppendAllocs, masked, true)->Iterations(8192);
 
 /// Router scatter: the per-shard row buffers are preallocated once, so a
 /// scatter is pure copying — `allocs_per_scatter` must be 0.

@@ -136,6 +136,7 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
   for (auto& [key, rec] : model->aff_hash_) rel_items.emplace_back(key, &rec);
   std::sort(rel_items.begin(), rel_items.end());
   mt.slots_.reserve(model->aff_hash_.size());
+  mt.by_key_.reserve(model->aff_hash_.size());
   for (const auto& [key, rec] : rel_items) {
     PairSlot s;
     s.e = ts::SequencePair(static_cast<ts::SeriesId>(key >> 32),
@@ -147,6 +148,7 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
     }
     s.pivot_slot = it->second;
     mt.slots_.push_back(s);
+    mt.by_key_.push_back(RelationshipRef{rec, &mt.pivot_slots_[it->second].entry->measures});
   }
 
   // Materialize every accumulator exactly and capture the drift-monitor

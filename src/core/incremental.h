@@ -199,6 +199,11 @@ class IncrementalMaintainer {
   /// The analysis window length (rows).
   std::size_t window() const { return window_; }
 
+  /// The model's relationships in ascending pair-key order, each with its
+  /// pivot's matrix measures — fixed for the maintainer's life, like the
+  /// structure it maintains. Publication fills the WA tables from it.
+  const std::vector<RelationshipRef>& relationships_by_key() const { return by_key_; }
+
   /// Fault injection for recovery tests: the next `count` Advance calls
   /// fail with Internal before touching any state, exercising the
   /// caller's escalation path (streaming re-freezes the whole stack from
@@ -283,6 +288,7 @@ class IncrementalMaintainer {
 
   std::vector<PivotSlot> pivot_slots_;
   std::vector<PairSlot> slots_;
+  std::vector<RelationshipRef> by_key_;  ///< slots_' records and pivot measures
   MaintenanceProfile profile_;
   std::size_t inject_failures_ = 0;  ///< InjectFailuresForTesting countdown
 };

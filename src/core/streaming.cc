@@ -148,7 +148,7 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
   }
   StreamingAffinity stream(std::move(table), options, nullptr, exec);
   stream.InitBuffers(n);
-  // Replay the window through the rolling moments (and the quality ring,
+  // Replay the window through the rolling moments (and the quality tracker,
   // as fully observed rows — a checkpoint stores no masks) so the live
   // marginals match the restored snapshot exactly.
   for (std::size_t i = 0; i < m; ++i) {
@@ -241,7 +241,7 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
   // O(1)-per-sample window moments (ts/rolling): the live marginals behind
   // the freshness blend, current even while the snapshot ages.
   for (std::size_t j = 0; j < values.size(); ++j) rolling_[j].Push(values[j]);
-  // The quality ring mirrors the window's masks; a plain append is a fully
+  // The quality surface takes the row's masks; a plain append is a fully
   // observed row (null masks).
   quality_->Push(values.data(), valid, filled);
   if (options_.mode == UpdateMode::kIncremental && framework_ != nullptr) {
@@ -259,6 +259,13 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
     table_.CompactBefore(rows_ - options_.window);
   }
   return out;
+}
+
+StatusOr<ts::SeriesQuality> StreamingAffinity::series_quality(ts::SeriesId v) const {
+  if (v >= quality_->n()) {
+    return Status::OutOfRange("series id " + std::to_string(v) + " out of range");
+  }
+  return quality_->Quality(v);
 }
 
 void StreamingAffinity::RefreshQualityScores() {
@@ -370,8 +377,10 @@ void StreamingAffinity::PublishServingSnapshot() {
     // before Publish so a retired epoch can be recycled.
     const auto prior = publisher_->Acquire();
     next = serve::SnapshotBuilder::BuildDelta(
-        framework_->model(), framework_->scape(), table_, prior.get(), engine.Capabilities(),
-        engine.quality(), serving_generation_, rows_, exec_, &stats, std::move(serving_scratch_));
+        framework_->model(), framework_->scape(),
+        maintainer_ != nullptr ? &maintainer_->relationships_by_key() : nullptr, table_,
+        prior.get(), engine.Capabilities(), engine.quality(), serving_generation_, rows_, exec_,
+        &stats, std::move(serving_scratch_));
     serving_scratch_.reset();
   }
   if (next == nullptr) {

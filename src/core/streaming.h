@@ -232,13 +232,14 @@ class StreamingAffinity {
   /// `model().series_stats()`.
   const std::vector<ts::RollingStats>& rolling_stats() const { return rolling_; }
 
-  /// The live per-series data-quality tracker (DESIGN.md §12): a ring
-  /// mirror of the window's validity/fill masks, updated every append
-  /// (plain appends count as fully observed rows).
+  /// The live per-series data-quality tracker (DESIGN.md §12): counts and
+  /// run maxima over the window's validity/fill flags, kept by push/evict
+  /// on every append (plain appends count as fully observed rows).
   const ts::QualityTracker& quality() const { return *quality_; }
 
-  /// Quality of one series over the current window.
-  ts::SeriesQuality series_quality(ts::SeriesId v) const { return quality_->Quality(v); }
+  /// Quality of one series over the current window. OutOfRange for an
+  /// unknown id.
+  StatusOr<ts::SeriesQuality> series_quality(ts::SeriesId v) const;
 
   /// The composite quality scores the live engine answers `min_quality`
   /// predicates against — refreshed at every publication point and
@@ -387,8 +388,8 @@ class StreamingAffinity {
   std::unique_ptr<IncrementalMaintainer> maintainer_;
   MaintenanceProfile maintenance_;
   std::vector<ts::RollingStats> rolling_;
-  /// Ring mirror of the window's validity/fill masks (DESIGN.md §12);
-  /// heap-held so the stream stays movable with a stable tracker address.
+  /// Per-series quality over the window (DESIGN.md §12); heap-held so
+  /// the stream stays movable with a stable tracker address.
   std::unique_ptr<ts::QualityTracker> quality_;
   /// Composite scores attached to the live engine (AttachQuality):
   /// refreshed at publication points; heap-held so the attached address

@@ -604,15 +604,10 @@ Status AffinityModel::PairMeasures6(const ts::SequencePair& e, double out[6]) co
     return Status::NotFound("no affine relationship for pair (" + std::to_string(e.u) + "," +
                             std::to_string(e.v) + ")");
   }
-  PairMeasures6From(*rec, e, out);
-  return Status::OK();
-}
-
-void AffinityModel::PairMeasures6From(const AffineRecord& rec, const ts::SequencePair& e,
-                                      double out[6]) const {
-  const PairMatrixMeasures* pm = FindPivotMeasures(rec.pivot);
+  const PairMatrixMeasures* pm = FindPivotMeasures(rec->pivot);
   AFFINITY_CHECK(pm != nullptr);
-  PairMeasures6From(rec, e, *pm, out);
+  PairMeasures6From(*rec, e, *pm, out);
+  return Status::OK();
 }
 
 void AffinityModel::PairMeasures6From(const AffineRecord& rec, const ts::SequencePair& e,

@@ -124,6 +124,15 @@ struct PivotHashEntry {
   PairMatrixMeasures measures;
 };
 
+/// One relationship with its pivot's measures resolved: an entry of a
+/// key-ordered walk over a model's relationships
+/// (`IncrementalMaintainer::relationships_by_key`), the form the bulk WA
+/// fill reads instead of hashing per pair.
+struct RelationshipRef {
+  const AffineRecord* rec = nullptr;
+  const PairMatrixMeasures* pivot = nullptr;
+};
+
 /// Retained block partials of RecomputeDerived's O(window) chains — the
 /// per-model slice of the BlockPartialCache (DESIGN.md §10): per-column
 /// {Σx, Σx²} marginal chains, per-pivot Σc1·c2 (the dot12 cross term),
@@ -218,18 +227,12 @@ class AffinityModel {
   /// NotFound when the (truncated) model lacks the relationship.
   Status PairMeasures6(const ts::SequencePair& e, double out[6]) const;
 
-  /// As PairMeasures6 with the relationship already in hand — the scatter
-  /// form behind the serving layer's bulk WA fill: iterating the
-  /// relationship hash once (`ForEachRelationshipUnordered`) and calling
-  /// this per record skips the per-pair hash lookup entirely. `rec` must be `e`'s
-  /// record (as returned by FindRelationship); the six values are bitwise
-  /// identical to the lookup form.
-  void PairMeasures6From(const AffineRecord& rec, const ts::SequencePair& e,
-                         double out[6]) const;
-
-  /// Same, with the pivot's matrix measures already resolved — the bulk
-  /// fill resolves each of the ~k² pivots once instead of hashing per
-  /// pair. Identical bits either way.
+  /// As PairMeasures6 with the relationship and its pivot's matrix
+  /// measures already in hand — the serving layer's bulk WA fill walks a
+  /// key-ordered list of both (`RelationshipRef`) instead of hashing per
+  /// pair. `rec` must be `e`'s record (as returned by FindRelationship)
+  /// and `pm` its pivot's measures; the six values are bitwise identical
+  /// to the lookup form.
   void PairMeasures6From(const AffineRecord& rec, const ts::SequencePair& e,
                          const PairMatrixMeasures& pm, double out[6]) const;
 
@@ -248,20 +251,6 @@ class AffinityModel {
       const ts::SequencePair e{static_cast<ts::SeriesId>(key >> 32),
                                static_cast<ts::SeriesId>(key & 0xffffffffULL)};
       fn(e, *rec);
-    }
-  }
-
-  /// Iterates all relationships in the hash's own, unspecified order —
-  /// for consumers whose result cannot depend on visit order (each visit
-  /// writes only a slot addressed by its pair), where the sort of
-  /// `ForEachRelationship` is pure cost: the per-epoch WA refill.
-  template <typename Fn>
-  void ForEachRelationshipUnordered(Fn&& fn) const {
-    // affinity-lint: allow(unordered-iter): order-insensitive by contract — callers scatter by key
-    for (const auto& [key, rec] : aff_hash_) {
-      fn(ts::SequencePair{static_cast<ts::SeriesId>(key >> 32),
-                          static_cast<ts::SeriesId>(key & 0xffffffffULL)},
-         rec);
     }
   }
 

@@ -23,38 +23,40 @@ CowWindow CowWindow::FromDense(ts::DataMatrix dense) {
 }
 
 bool CowWindow::FromTable(const storage::DataMatrixTable& table, std::size_t first_row,
-                          std::size_t rows, std::vector<std::string> names, CowWindow* out) {
+                          std::size_t rows, const std::vector<std::string>& names,
+                          CowWindow* out) {
   if (rows == 0 || table.series_count() == 0) return false;
   if (first_row < table.first_retained_row()) return false;
   if (first_row + rows > table.row_count()) return false;
   if (names.size() != table.series_count()) return false;
-  CowWindow w;
-  w.m_ = rows;
-  w.n_ = table.series_count();
-  w.anchor_ = first_row;
-  w.names_ = std::move(names);
-  w.lazy_ = std::make_shared<Lazy>();
-  w.cols_.resize(w.n_);
+  out->m_ = rows;
+  out->n_ = table.series_count();
+  out->anchor_ = first_row;
+  out->names_ = names;
+  out->lazy_ = std::make_shared<Lazy>();
+  // Each column's span list is rewritten in place: a recycled window keeps
+  // its capacity, so steady-state captures allocate no span storage.
+  out->cols_.resize(out->n_);
   const std::size_t end_row = first_row + rows;
-  for (std::size_t j = 0; j < w.n_; ++j) {
-    auto segments = table.ColumnSegments(static_cast<ts::SeriesId>(j));
-    if (!segments.ok()) return false;
+  for (std::size_t j = 0; j < out->n_; ++j) {
+    std::vector<Span>& col = out->cols_[j];
+    col.clear();
     std::size_t covered = 0;
-    for (auto& ref : *segments) {
-      const std::size_t seg_end = ref.first_row + ref.rows;
-      if (seg_end <= first_row || ref.first_row >= end_row) continue;
-      const std::size_t lo = std::max(ref.first_row, first_row);
-      const std::size_t hi = std::min(seg_end, end_row);
-      Span span;
-      span.data = ref.values->data() + (lo - ref.first_row);
-      span.owner = std::move(ref.values);
-      span.rows = hi - lo;
-      covered += span.rows;
-      w.cols_[j].push_back(std::move(span));
-    }
+    table.ForEachColumnSegment(static_cast<ts::SeriesId>(j),
+                               [&](const storage::ColumnSegment& segment, std::size_t seg_row) {
+                                 const std::size_t seg_end = seg_row + segment.size();
+                                 if (seg_end <= first_row || seg_row >= end_row) return;
+                                 const std::size_t lo = std::max(seg_row, first_row);
+                                 const std::size_t hi = std::min(seg_end, end_row);
+                                 Span span;
+                                 span.owner = segment.shared_values();
+                                 span.data = span.owner->data() + (lo - seg_row);
+                                 span.rows = hi - lo;
+                                 covered += span.rows;
+                                 col.push_back(std::move(span));
+                               });
     if (covered != rows) return false;
   }
-  *out = std::move(w);
   return true;
 }
 
@@ -112,7 +114,6 @@ std::size_t CowWindow::SharedSegmentsWith(const CowWindow& prior) const {
 
 namespace {
 
-using core::AffineRecord;
 using core::Measure;
 
 /// Copies the engine's quality scores into the epoch — assigned in place,
@@ -178,88 +179,50 @@ void FillPairTables(const core::AffinityModel& model, ServingSnapshot* out) {
   }
 }
 
-/// The delta path's bulk variant: one relationship lookup per pair
-/// (`PairMeasures6`) filling all six tables, fanned out over `exec`.
-/// Each value is bitwise what FillPairTables stores; a missing
-/// relationship anywhere marks all six tables absent — the same final
-/// state FillPairTables reaches, because its only failure mode (NotFound)
-/// is measure-independent.
-void FillPairTablesBulk(const core::AffinityModel& model, const ExecContext& exec,
-                        ServingSnapshot* out) {
+/// The delta path's bulk variant: all six tables per pair, fanned out
+/// over `exec`. With `by_key` covering every lexicographic pair (a
+/// complete model, keys ascending — so slot p is pair p), each pair reads
+/// its record and pivot measures from the list; otherwise it is looked up
+/// (`PairMeasures6`). Each value is bitwise what FillPairTables stores; a
+/// missing relationship anywhere marks all six tables absent — the same
+/// final state FillPairTables reaches, because its only failure mode
+/// (NotFound) is measure-independent.
+void FillPairTablesBulk(const core::AffinityModel& model,
+                        const std::vector<core::RelationshipRef>* by_key,
+                        const ExecContext& exec, ServingSnapshot* out) {
   const std::size_t n = model.data().n();
   if (n < 2) {
     for (auto& flag : out->pair_ok) flag = true;
     return;
   }
   const std::size_t pairs = ts::SequencePairCount(n);
-  // A complete model (every lex pair has its relationship — the only case
-  // where the tables can be present at all) is filled by *iterating* the
-  // relationship hash once and scattering each record's six measures to
-  // its lexicographic slot: zero per-pair hash lookups, which dominate
-  // the bulk fill on the per-pair path below. Each value goes through
-  // PairMeasures6From — bitwise what the lookup form stores.
-  if (model.relationship_count() == pairs) {
-    for (auto& table : out->pair_values) table.resize(pairs);
-    // The ~k² pivot matrix measures, resolved once into a small 4×
-    // oversized linear-probe table (multiply-shift hash): per-pair
-    // resolution is one predictable probe into a handful of cache lines,
-    // where both std::unordered_map::find (prime modulo) and a binary
-    // search (log k mispredicted branches) measurably drag the fill.
-    std::size_t cap = 16;
-    while (cap < model.pivot_count() * 4) cap <<= 1;
-    int shift = 64;
-    for (std::size_t c = cap; c > 1; c >>= 1) --shift;
-    std::vector<std::pair<std::uint64_t, const core::PairMatrixMeasures*>> pivots(
-        cap, {0, nullptr});
-    const auto slot_of = [shift](std::uint64_t key) {
-      return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> shift);
-    };
-    model.ForEachPivot([&](const core::PivotPair& p, const core::PairMatrixMeasures& pm) {
-      std::size_t s = slot_of(p.Key());
-      while (pivots[s].second != nullptr) s = (s + 1) & (cap - 1);
-      pivots[s] = {p.Key(), &pm};
-    });
-    double* tables[6];
-    for (int t = 0; t < 6; ++t) tables[t] = out->pair_values[static_cast<std::size_t>(t)].data();
-    // Each record scatters to its own lexicographic slot, so the visit
-    // order cannot reach the tables: walk the hash as it lies instead of
-    // sorting every relationship per publication.
-    model.ForEachRelationshipUnordered([&](const ts::SequencePair& e, const AffineRecord& rec) {
-      const std::size_t p = ts::LexPairIndex(e.u, e.v, n);
-      const std::uint64_t pk = rec.pivot.Key();
-      std::size_t s = slot_of(pk);
-      while (pivots[s].second != nullptr && pivots[s].first != pk) s = (s + 1) & (cap - 1);
-      double values[6];
-      if (pivots[s].second != nullptr) {
-        model.PairMeasures6From(rec, e, *pivots[s].second, values);
-      } else {
-        model.PairMeasures6From(rec, e, values);
-      }
-      for (int t = 0; t < 6; ++t) tables[t][p] = values[t];
-    });
-    for (auto& flag : out->pair_ok) flag = true;
-    return;
-  }
+  if (by_key != nullptr && by_key->size() != pairs) by_key = nullptr;
   for (auto& table : out->pair_values) table.resize(pairs);
-  // Lexicographic index → (u, v): row u covers [offset[u], offset[u + 1]).
-  std::vector<std::size_t> offset(n + 1, 0);
-  for (std::size_t u = 0; u < n; ++u) offset[u + 1] = offset[u] + (n - 1 - u);
+  double* tables[6];
+  for (int t = 0; t < 6; ++t) tables[t] = out->pair_values[static_cast<std::size_t>(t)].data();
   std::atomic<bool> missing{false};
   ParallelChunks(exec, pairs, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-    std::size_t u =
-        static_cast<std::size_t>(std::upper_bound(offset.begin(), offset.end(), lo) -
-                                 offset.begin()) -
-        1;
-    for (std::size_t p = lo; p < hi; ++p) {
-      while (p >= offset[u + 1]) ++u;
-      const auto v = static_cast<ts::SeriesId>(u + 1 + (p - offset[u]));
+    // Lexicographic index → (u, v): row u covers [PairsBeforeRow(u), PairsBeforeRow(u + 1)).
+    std::size_t u = 0;
+    while (ts::PairsBeforeRow(u + 1, n) <= lo) ++u;
+    std::size_t row_end = ts::PairsBeforeRow(u + 1, n);
+    auto v = static_cast<ts::SeriesId>(u + 1 + (lo - ts::PairsBeforeRow(u, n)));
+    for (std::size_t p = lo; p < hi; ++p, ++v) {
+      if (p == row_end) {
+        ++u;
+        row_end = ts::PairsBeforeRow(u + 1, n);
+        v = static_cast<ts::SeriesId>(u + 1);
+      }
+      const ts::SequencePair e(static_cast<ts::SeriesId>(u), v);
       double values[6];
-      if (!model.PairMeasures6(ts::SequencePair(static_cast<ts::SeriesId>(u), v), values)
-               .ok()) {
+      if (by_key != nullptr) {
+        const core::RelationshipRef& ref = (*by_key)[p];
+        model.PairMeasures6From(*ref.rec, e, *ref.pivot, values);
+      } else if (!model.PairMeasures6(e, values).ok()) {
         missing.store(true, std::memory_order_relaxed);
         return;
       }
-      for (int t = 0; t < 6; ++t) out->pair_values[static_cast<std::size_t>(t)][p] = values[t];
+      for (int t = 0; t < 6; ++t) tables[t][p] = values[t];
     }
   });
   if (missing.load(std::memory_order_relaxed)) {
@@ -345,7 +308,8 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
 
 std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
     const core::AffinityModel& model, const core::ScapeIndex* scape,
-    const storage::DataMatrixTable& table, const ServingSnapshot* prior,
+    const std::vector<core::RelationshipRef>* by_key, const storage::DataMatrixTable& table,
+    const ServingSnapshot* prior,
     const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
     std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec,
     PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
@@ -375,10 +339,10 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
   FreezeStats(model, out.get());
   total.bytes_copied += n * sizeof(core::SeriesStats) + out->quality.size() * sizeof(double);
   // The WA surface is value-level state: at interval-1 slides every value
-  // moves, so it is refilled — but through the bulk accessor, not one
-  // hash lookup per (measure, pair).
+  // moves, so it is refilled — six measures per pair, in pair order, from
+  // the key-ordered relationship list when there is one.
   FillLocationTables(model, out.get());
-  FillPairTablesBulk(model, exec, out.get());
+  FillPairTablesBulk(model, by_key, exec, out.get());
   for (const auto& tbl : out->location) total.bytes_copied += tbl.size() * sizeof(double);
   for (const auto& tbl : out->pair_values) total.bytes_copied += tbl.size() * sizeof(double);
 

@@ -81,12 +81,15 @@ class CowWindow {
   /// Wraps an already-materialized window (the full-build path).
   static CowWindow FromDense(ts::DataMatrix dense);
 
-  /// Captures refcounted segment handles covering the `rows` rows ending
-  /// at the table's append point, starting at absolute row `first_row`
-  /// (which becomes the window's block-grid anchor). Zero sample copies.
-  /// Returns false when the table's retained rows cannot cover the span.
+  /// Rewrites `*out` in place to hold refcounted segment handles covering
+  /// `rows` rows from absolute row `first_row` (which becomes the
+  /// window's block-grid anchor). Zero sample copies; a recycled `*out`
+  /// keeps its span storage, so steady-state captures allocate only the
+  /// fresh lazy-materialization slot. Returns false — leaving `*out` to
+  /// be discarded — when the table's retained rows cannot cover the span.
   static bool FromTable(const storage::DataMatrixTable& table, std::size_t first_row,
-                        std::size_t rows, std::vector<std::string> names, CowWindow* out);
+                        std::size_t rows, const std::vector<std::string>& names,
+                        CowWindow* out);
 
   std::size_t m() const { return m_; }
   std::size_t n() const { return n_; }
@@ -210,8 +213,12 @@ class SnapshotBuilder {
   ///  * captures the window as refcounted segment references into `table`
   ///    (zero sample copies; segments shared with the previous epoch),
   ///  * takes the index's run handles instead of copying the runs,
-  ///  * refills the WA surface in parallel over `exec` through the bulk
-  ///    `PairMeasures6` accessor (bitwise equal to the per-measure path).
+  ///  * refills the WA surface in parallel over `exec`, six measures per
+  ///    pair (bitwise equal to the per-measure path) — read from
+  ///    `by_key` when non-null: `model`'s relationships in ascending
+  ///    pair-key order with their pivots' measures
+  ///    (`IncrementalMaintainer::relationships_by_key`); looked up per
+  ///    pair otherwise.
   ///
   /// `model` must be the data the table's trailing rows hold: returns
   /// nullptr when the table's retained rows cannot cover the window
@@ -228,7 +235,8 @@ class SnapshotBuilder {
   /// produced bits.
   static std::shared_ptr<const ServingSnapshot> BuildDelta(
       const core::AffinityModel& model, const core::ScapeIndex* scape,
-      const storage::DataMatrixTable& table, const ServingSnapshot* prior,
+      const std::vector<core::RelationshipRef>* by_key, const storage::DataMatrixTable& table,
+      const ServingSnapshot* prior,
       const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
       std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec = {},
       PublishStats* stats = nullptr, std::shared_ptr<ServingSnapshot> scratch = nullptr);

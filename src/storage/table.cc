@@ -143,22 +143,6 @@ StatusOr<ts::DataMatrix> DataMatrixTable::Snapshot() const {
   return out;
 }
 
-StatusOr<std::vector<DataMatrixTable::SegmentRef>> DataMatrixTable::ColumnSegments(
-    ts::SeriesId id) const {
-  if (id >= columns_.size()) return Status::OutOfRange("series id out of range");
-  std::vector<SegmentRef> out;
-  out.reserve(columns_[id].size());
-  std::size_t row = first_retained_;
-  for (const auto& seg : columns_[id]) {
-    // The captured `rows` freezes how much of the (possibly still-growing)
-    // tail segment this handle covers; the buffer pointer is stable
-    // because segments reserve their full capacity up front.
-    out.push_back(SegmentRef{seg.shared_values(), row, seg.size()});
-    row += seg.size();
-  }
-  return out;
-}
-
 StatusOr<DataMatrixTable> DataMatrixTable::FromDataMatrix(const ts::DataMatrix& data,
                                                           const std::string& source,
                                                           double interval_seconds) {

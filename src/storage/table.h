@@ -102,22 +102,24 @@ class DataMatrixTable {
   /// Samples per column segment.
   std::size_t segment_capacity() const { return segment_capacity_; }
 
-  /// Refcounted view of one resident column segment — the copy-on-write
-  /// publication seam (DESIGN.md §11). `values` keeps the buffer alive
-  /// past `CompactBefore`; `first_row` is the absolute logical row of
-  /// `values->front()`; `rows` is how many samples were resident when the
-  /// handle was captured (the tail segment may grow afterwards, but only
-  /// past `rows`, so captured handles read a frozen prefix).
-  struct SegmentRef {
-    std::shared_ptr<const std::vector<double>> values;
-    std::size_t first_row = 0;
-    std::size_t rows = 0;
-  };
-
-  /// Shared handles on every resident segment of column `id`, in row
-  /// order. OutOfRange for an unknown id. O(#segments), zero sample
-  /// copies.
-  StatusOr<std::vector<SegmentRef>> ColumnSegments(ts::SeriesId id) const;
+  /// Visits every resident segment of column `id` in row order as
+  /// fn(const ColumnSegment& segment, std::size_t first_row) — the
+  /// copy-on-write publication seam (DESIGN.md §11). `first_row` is the
+  /// absolute logical row of the segment's first sample;
+  /// `segment.shared_values()` keeps the buffer alive past
+  /// `CompactBefore`, and `segment.size()` is how many samples are
+  /// resident now (the tail segment may grow afterwards, but only past
+  /// that count, so a capture reads a frozen prefix). O(#segments), no
+  /// allocation. `id` must be < series_count() (checked).
+  template <typename Fn>
+  void ForEachColumnSegment(ts::SeriesId id, Fn&& fn) const {
+    AFFINITY_CHECK_LT(id, columns_.size());
+    std::size_t row = first_retained_;
+    for (const ColumnSegment& segment : columns_[id]) {
+      fn(segment, row);
+      row += segment.size();
+    }
+  }
 
   /// Bulk-loads an existing DataMatrix into a fresh table.
   static StatusOr<DataMatrixTable> FromDataMatrix(const ts::DataMatrix& data,

@@ -22,9 +22,8 @@
 ///    the validity mask flags it invalid and masked kernels exclude it.
 ///
 /// The emitted (values, valid, filled) triple feeds
-/// `StreamingAffinity::AppendMasked`, which maintains the per-series
-/// `SeriesQuality` surface through a `QualityTracker` ring mirror of the
-/// window.
+/// `StreamingAffinity::AppendMasked`, whose `QualityTracker` keeps the
+/// per-series `SeriesQuality` surface by push/evict.
 
 #include <cstddef>
 #include <cstdint>
@@ -147,21 +146,30 @@ struct SeriesQuality {
 /// clamped to [0, 1]; an empty window scores 1 (nothing wrong yet).
 double CompositeQualityScore(const SeriesQuality& q);
 
-/// Maintains the quality surface incrementally: a ring mirror of the last
-/// `window` rows (values + validity + fill flags) updated O(n) per append,
-/// with run-length stats (longest gap / plateau) recomputed lazily per
-/// ring scan and cached until the next append.
+/// Maintains the quality surface by push/evict (DESIGN.md §12): O(n) per
+/// row, O(1) per `Quality` and O(n) per `All`/`Scores`. Per series it
+/// keeps integer counts of observed, observed-zero, filled and gap cells,
+/// and the two run maxima (gap runs; plateaus, two or more equal values
+/// in a row) as sliding maxima over run lengths. Each window cell is one
+/// flags byte — its kind and whether its value differs from the previous
+/// one — in a row-major ring, so a push writes, and an eviction reads, n
+/// contiguous bytes. No values are mirrored: a plateau continues while a
+/// value `==` the series' last one (transitive on finite doubles, ±0.0
+/// included). Memory: n·window bytes plus O(n·√window).
 class QualityTracker {
  public:
   QualityTracker(std::size_t n, std::size_t window);
 
-  /// Appends one aligned row. Null `valid` / `filled` mean fully observed.
+  /// Appends one aligned row, evicting the oldest once `window` rows are
+  /// held. Null `valid` / `filled` mean fully observed; a non-zero byte
+  /// is set, and `filled` counts only on valid cells. Allocation-free.
   void Push(const double* values, const std::uint8_t* valid, const std::uint8_t* filled);
 
-  /// Quality of one series over the current ring contents.
+  /// Quality of one series over the current window, O(1). `series` must
+  /// be < n() (checked).
   SeriesQuality Quality(SeriesId series) const;
 
-  /// Quality of every series (cached; recomputed after a Push).
+  /// Quality of every series (O(n) after a Push, cached until the next).
   const std::vector<SeriesQuality>& All() const;
 
   /// Composite scores only, aligned with series ids (cached like All()).
@@ -172,15 +180,81 @@ class QualityTracker {
   std::size_t size() const { return size_; }
 
  private:
+  /// Sliding maximum of one kind of run for every series. A series' state
+  /// changes only at run boundaries: a run opens, the open run (the one
+  /// holding the newest cell) closes, or a run's last cell leaves the
+  /// window. Per series it keeps the runs with a cell in the window, the
+  /// push index the open run began at, and a ring of completed runs —
+  /// each known by its last ring row and its length — holding only those
+  /// no later run is at least as long. Their lengths strictly decrease
+  /// and all but the first lie wholly in the window, so the ring holds
+  /// at most m runs with m(m+1)/2 < window. Only the oldest run in the
+  /// window is cut short by eviction; if it is in the ring it is the first
+  /// entry, and its length in the window follows from its last row.
+  class RunWindow {
+   public:
+    RunWindow(std::size_t n, std::size_t window);
+
+    /// A run of series `j` opens at push `index`.
+    void Open(std::size_t j, std::uint64_t index);
+    /// The open run of series `j` closes before push `index`; its last
+    /// cell is at ring row `end`.
+    void Close(std::size_t j, std::uint64_t index, std::size_t end);
+    /// The last window cell of a run of series `j`, at ring row `row`,
+    /// left the window.
+    void Drop(std::size_t j, std::size_t row);
+
+    std::uint32_t runs(std::size_t j) const { return state_[j].runs; }
+    std::uint64_t open_index(std::size_t j) const { return state_[j].open; }
+    /// Longest run of series `j` in a window of `size` cells whose oldest
+    /// is at ring row `oldest`; `open` = cells of the open run (0: none).
+    std::uint32_t longest(std::size_t j, std::size_t oldest, std::size_t size,
+                          std::uint64_t open) const;
+
+   private:
+    struct State {
+      std::uint64_t open = 0;   ///< push index the open run began at
+      std::uint32_t runs = 0;   ///< runs with a cell in the window
+      std::uint32_t head = 0;   ///< completed-run ring: first slot
+      std::uint32_t count = 0;  ///< completed-run ring: entries
+    };
+    struct Done {
+      std::uint32_t end = 0;  ///< ring row of the run's last cell
+      std::uint32_t len = 0;  ///< its length, capped at the window
+    };
+
+    std::size_t window_;
+    std::size_t cap_;  ///< completed-run ring capacity per series
+    std::vector<State> state_;
+    std::vector<Done> done_;  ///< series j's ring at [j * cap_, (j + 1) * cap_)
+  };
+
+  /// What a series' pending count byte reads as unchanged: a push moves
+  /// it by at most one, so it stays in [0, 255] for kPendingZero - 1
+  /// pushes, after which the counts fold it in.
+  static constexpr std::int32_t kPendingZero = 128;
+
+  /// Series `j`'s change in cells of kind `kind` since the last fold.
+  std::int32_t PendingCount(std::uint8_t kind, std::size_t j) const;
+
   std::size_t n_;
   std::size_t window_;
-  std::size_t size_ = 0;  ///< rows currently in the ring (≤ window)
-  std::size_t head_ = 0;  ///< next ring slot to write
-  /// Ring storage, series-major: series j's row i lives at
-  /// [j * window_ + (start + i) % window_].
-  std::vector<double> values_;
-  std::vector<std::uint8_t> valid_;
-  std::vector<std::uint8_t> filled_;
+  std::size_t size_ = 0;      ///< rows currently held (≤ window)
+  std::size_t head_ = 0;      ///< ring row the next push writes
+  std::uint64_t pushes_ = 0;  ///< rows pushed since construction
+  /// One flags byte per cell, row-major: row r, series j at [r * n_ + j].
+  std::vector<std::uint8_t> flags_;
+  std::vector<std::uint8_t> fresh_;  ///< a push's new cells, staged
+  std::vector<double> last_;         ///< each series' last pushed value
+  /// Window cells per kind and series, [kind * n + j], as of the last fold.
+  std::vector<std::uint32_t> counts_;
+  /// Their changes since: byte j % 8 of word [kind * ⌈n/8⌉ + j / 8] is
+  /// series j's change plus kPendingZero, so a push moves eight series a
+  /// word.
+  std::vector<std::uint64_t> pending_;
+  std::size_t pending_pushes_ = 0;  ///< pushes since the last fold
+  RunWindow gap_runs_;
+  RunWindow plateaus_;
   mutable bool cache_fresh_ = false;
   mutable std::vector<SeriesQuality> cache_;
   mutable std::vector<double> scores_;

@@ -129,7 +129,9 @@ TEST_P(DirtyStreamAcceptance, BuildsSlidesAndAnswersWithFiniteValues) {
     min_score = std::min(min_score, s);
   }
   EXPECT_LT(min_score, 1.0);
-  const ts::SeriesQuality q0 = stream->series_quality(0);
+  const StatusOr<ts::SeriesQuality> quality0 = stream->series_quality(0);
+  ASSERT_TRUE(quality0.ok());
+  const ts::SeriesQuality& q0 = *quality0;
   EXPECT_EQ(q0.length, 64u);
   // The published surface is as-of the last refresh (row 256 here); the
   // live tracker has absorbed the rows since. Both agree with their own
