@@ -21,7 +21,6 @@ constexpr double kTreeStep = 8.0;     ///< run seek/emit per entry (SCAPE)
 /// levels of compare-and-move) — the top-k threshold algorithm pays two
 /// per entry it examines (planner.h).
 constexpr double kHeapOp = 12.0;
-constexpr double kMomentEvalCost = 12.0;  ///< PairMeasureFromMoments on warm co-moments
 
 }  // namespace
 
@@ -84,23 +83,11 @@ PlanChoice QueryPlanner::Shardify(PlanChoice choice, Measure measure) const {
   if (topology_.shards <= 1 || IsLocation(measure)) return choice;
   // Pairs spanning two shards are outside every per-shard model/index; the
   // router computes them from scratch over the aligned shard snapshots,
-  // then k-way-merges the per-shard and cross-shard runs. Pairs on the
-  // router's warm co-moment watch-list skip the raw sweep entirely — they
-  // cost one O(1) moment evaluation instead of a fused column pass.
-  const std::size_t cached = topology_.cached_cross_pairs < topology_.cross_pairs
-                                 ? topology_.cached_cross_pairs
-                                 : topology_.cross_pairs;
-  const std::size_t swept = topology_.cross_pairs - cached;
-  const double cross = static_cast<double>(swept) * NaiveUnitCost(measure) +
-                       static_cast<double>(cached) * kMomentEvalCost;
-  choice.estimated_cost += cross;
+  // then k-way-merges the per-shard and cross-shard runs.
+  choice.estimated_cost += static_cast<double>(topology_.cross_pairs) * NaiveUnitCost(measure);
   choice.rationale += "; scatter-gather over " + std::to_string(topology_.shards) +
                       " shards (+" + std::to_string(topology_.cross_pairs) +
                       " cross-shard pairs via WN, k-way merge)";
-  if (cached > 0) {
-    choice.rationale +=
-        "; " + std::to_string(cached) + " cross pairs served from warm co-moments";
-  }
   return choice;
 }
 

@@ -88,9 +88,6 @@ class QueryPlanner {
   struct Topology {
     std::size_t shards = 1;       ///< independent model instances
     std::size_t cross_pairs = 0;  ///< sequence pairs spanning two shards
-    /// Cross pairs currently served from the router's warm co-moment
-    /// cache (O(1) per query instead of a raw column sweep); ≤ cross_pairs.
-    std::size_t cached_cross_pairs = 0;
   };
 
   QueryPlanner(std::size_t n, std::size_t m, Capabilities caps) : n_(n), m_(m), caps_(caps) {}

@@ -43,7 +43,6 @@ void NextPair(std::size_t n, std::size_t* u, std::size_t* v) {
 StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
                                                  const std::vector<CrossPair>& pairs,
                                                  std::size_t m, const ExecContext& exec,
-                                                 std::vector<PairMoments>* moments,
                                                  CrossSweepStats* stats, std::size_t anchor) {
   if (IsLocation(measure)) {
     return Status::InvalidArgument("cross-shard evaluation covers pair measures only");
@@ -70,7 +69,6 @@ StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
     stats->columns_hoisted += columns.size();
   }
   std::vector<double> values(pairs.size());
-  if (moments != nullptr) moments->resize(pairs.size());
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       exec, pairs.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t i = lo; i < hi; ++i) {
@@ -82,12 +80,11 @@ StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
           }
           const kernels::Marginals& mu = marginals[column_index.at(pairs[i].u)];
           const kernels::Marginals& mv = marginals[column_index.at(pairs[i].v)];
-          const PairMoments pm = PairMomentsFromMarginals(
-              mu, mv, kernels::BlockedDot(pairs[i].u, pairs[i].v, m, anchor), m);
-          auto value = PairMeasureFromMoments(measure, pm);
+          auto value = PairMeasureFromMoments(
+              measure, PairMomentsFromMarginals(
+                           mu, mv, kernels::BlockedDot(pairs[i].u, pairs[i].v, m, anchor), m));
           if (!value.ok()) return value.status();
           values[i] = *value;
-          if (moments != nullptr) (*moments)[i] = pm;
         }
         return Status::OK();
       }));

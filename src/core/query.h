@@ -222,9 +222,8 @@ struct CrossPair {
   const double* v = nullptr;
 };
 
-/// Raw-scan accounting of one cross-pair sweep — the counters behind the
-/// shard router's co-moment-cache hit ratio (a warm cache must report
-/// zero pair scans; bench_streaming surfaces them).
+/// Raw-scan accounting of cross-pair sweeps (the shard router's
+/// `cross_sweep_stats()`; perfbench's traced run reports them per query).
 struct CrossSweepStats {
   std::size_t pairs_scanned = 0;    ///< pairs whose columns were read (one fused dot each)
   std::size_t columns_hoisted = 0;  ///< distinct columns whose marginals were computed
@@ -238,16 +237,14 @@ struct CrossSweepStats {
 /// deterministic chunked parallel loop over `exec`: marginals of every
 /// distinct column hoisted once, then exactly one fused blocked dot per
 /// pair (DESIGN.md §10) — bitwise equal to `NaivePairMeasure` over the
-/// same columns. Values are returned index-aligned with `pairs`; when
-/// `moments` is non-null it receives each pair's co-moments (the shard
-/// router's cross co-moment cache fills from them), and `stats`
-/// accumulates raw-scan counters. `anchor` is the columns' block-grid
-/// anchor (the shard snapshots' `anchor_row()`, identical across a
-/// lockstep deployment). InvalidArgument for L-measures.
+/// same columns. Values are returned index-aligned with `pairs`, and
+/// `stats` (when non-null) accumulates raw-scan counters. `anchor` is the
+/// columns' block-grid anchor (the shard snapshots' `anchor_row()`,
+/// identical across a lockstep deployment). InvalidArgument for
+/// L-measures.
 StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
                                                  const std::vector<CrossPair>& pairs,
                                                  std::size_t m, const ExecContext& exec = {},
-                                                 std::vector<PairMoments>* moments = nullptr,
                                                  CrossSweepStats* stats = nullptr,
                                                  std::size_t anchor = 0);
 

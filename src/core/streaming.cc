@@ -163,7 +163,7 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
                             Affinity::FromModelWith(std::move(model), options.build, exec));
   stream.framework_ = std::make_unique<Affinity>(std::move(fw));
   stream.framework_->mutable_engine()->AttachQuality(stream.quality_scores_.get());
-  stream.rows_ = m;
+  stream.shared_->rows.store(m, std::memory_order_relaxed);
   stream.snapshot_row_ = m;
   stream.rebuilds_ = 1;
   if (options.mode == UpdateMode::kIncremental) {
@@ -236,7 +236,7 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
   }
   out.status = table_.AppendRow(values);
   if (!out.status.ok()) return out;
-  ++rows_;
+  const std::size_t rows = shared_->rows.fetch_add(1, std::memory_order_relaxed) + 1;
   ++rows_since_refresh_;
   // O(1)-per-sample window moments (ts/rolling): the live marginals behind
   // the freshness blend, current even while the snapshot ages.
@@ -249,14 +249,14 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
     pending_[pending_used_].assign(values.begin(), values.end());
     ++pending_used_;
   }
-  if (rows_ >= options_.window &&
+  if (rows >= options_.window &&
       (framework_ == nullptr || rows_since_refresh_ >= options_.rebuild_interval)) {
     out = Refresh();
   }
   // Absorbed rows are reclaimed at segment granularity so resident storage
   // stays O(window) on unbounded streams.
-  if (rows_ > options_.window) {
-    table_.CompactBefore(rows_ - options_.window);
+  if (rows > options_.window) {
+    table_.CompactBefore(rows - options_.window);
   }
   return out;
 }
@@ -293,7 +293,7 @@ AppendResult StreamingAffinity::Refresh() {
     // (escalation re-freezes the structure and resets the maintainer).
     maintenance_.AbsorbRefresh(maintainer_->profile());
     ++refreshes_;
-    snapshot_row_ = rows_;
+    snapshot_row_ = rows_ingested();
     rows_since_refresh_ = 0;
     if (*escalate) {
       ++maintenance_.escalations;
@@ -321,10 +321,10 @@ AppendResult StreamingAffinity::Refresh() {
 }
 
 Status StreamingAffinity::Rebuild() {
-  if (rows_ < options_.window) {
+  if (rows_ingested() < options_.window) {
     return Status::FailedPrecondition("need " + std::to_string(options_.window) +
                                       " rows before the first rebuild (have " +
-                                      std::to_string(rows_) + ")");
+                                      std::to_string(rows_ingested()) + ")");
   }
   AFFINITY_ASSIGN_OR_RETURN(ts::DataMatrix snapshot, table_.Snapshot());
   AFFINITY_ASSIGN_OR_RETURN(ts::DataMatrix window, ts::TailWindow(snapshot, options_.window));
@@ -350,7 +350,7 @@ Status StreamingAffinity::Rebuild() {
     maintenance_.baseline_mean_residual = maintainer_->profile().baseline_mean_residual;
   }
   pending_used_ = 0;
-  snapshot_row_ = rows_;
+  snapshot_row_ = rows_ingested();
   rows_since_refresh_ = 0;
   ++rebuilds_;
   PublishServingSnapshot();
@@ -379,14 +379,14 @@ void StreamingAffinity::PublishServingSnapshot() {
     next = serve::SnapshotBuilder::BuildDelta(
         framework_->model(), framework_->scape(),
         maintainer_ != nullptr ? &maintainer_->relationships_by_key() : nullptr, table_,
-        prior.get(), engine.Capabilities(), engine.quality(), serving_generation_, rows_, exec_,
-        &stats, std::move(serving_scratch_));
+        prior.get(), engine.Capabilities(), engine.quality(), serving_generation_,
+        rows_ingested(), exec_, &stats, std::move(serving_scratch_));
     serving_scratch_.reset();
   }
   if (next == nullptr) {
     next = serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
                                          engine.Capabilities(), engine.quality(),
-                                         serving_generation_, rows_, &stats);
+                                         serving_generation_, rows_ingested(), &stats);
   }
   // Recycle the retired epoch (no surviving readers) into the next build:
   // its tables are rewritten in place, so steady-state publication
@@ -437,11 +437,10 @@ std::shared_ptr<const serve::ServingSnapshot> StreamingAffinity::BuildColdSnapsh
 // Freshness-bounded queries (DESIGN.md §9).
 // ---------------------------------------------------------------------------
 
-ExecutedPlan StreamingAffinity::BlendPlan() const {
+ExecutedPlan StreamingAffinity::BlendPlan(std::size_t age) {
   ExecutedPlan plan;
   plan.method = QueryMethod::kAffine;
-  plan.rationale = "freshness blend: snapshot structure (age " +
-                   std::to_string(snapshot_age()) +
+  plan.rationale = "freshness blend: snapshot structure (age " + std::to_string(age) +
                    " rows) rescaled by live rolling marginals";
   return plan;
 }
@@ -614,93 +613,98 @@ StatusOr<MecResponse> StreamingAffinity::BlendedMec(const MecRequest& request) c
   return out;
 }
 
-StatusOr<bool> StreamingAffinity::PrepareFreshness(const FreshnessOptions& options,
-                                                   FreshnessReport* report) const {
+StatusOr<FreshnessReport> StreamingAffinity::PrepareFreshness(
+    const serve::ServingSnapshot* snap, const FreshnessOptions& options,
+    FreshnessReport* report) const {
   // Zero the report unconditionally first: every exit of every freshness
   // query path — the readiness error included — leaves the caller's
   // report in a defined state instead of whatever it last held.
   if (report != nullptr) *report = FreshnessReport{};
-  if (!ready()) return Status::FailedPrecondition("no snapshot yet (need window rows)");
-  const bool blend = NeedsBlend(options);
-  if (report != nullptr) *report = FreshnessReport{snapshot_age(), blend};
-  return blend;
+  if (snap == nullptr) return Status::FailedPrecondition("no snapshot yet (need window rows)");
+  // The count is read after the epoch was acquired, so it covers every row
+  // that epoch absorbed.
+  FreshnessReport freshness;
+  freshness.snapshot_age = rows_ingested() - snap->snapshot_row;
+  freshness.blended = options.max_staleness > 0 && freshness.snapshot_age > options.max_staleness;
+  if (report != nullptr) *report = freshness;
+  return freshness;
 }
 
 StatusOr<MecResponse> StreamingAffinity::Mec(const MecRequest& request,
                                              const FreshnessOptions& options,
                                              FreshnessReport* report) const {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, PrepareFreshness(options, report));
-  if (!blend) {
-    // Serve from the published replica when one exists (the live
-    // structures only change at publication points, so the snapshot is
-    // the live state — answers are bitwise identical). kUnavailable is
-    // the snapshot's "cannot serve this" verdict; everything else is the
-    // final answer, success or error.
-    if (auto snap = serving(); snap != nullptr) {
-      auto served = serve::SnapshotMec(*snap, request, options.method);
-      if (served.status().code() != StatusCode::kUnavailable) return served;
-      serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
-    }
+  const auto snap = serving();
+  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
+                            PrepareFreshness(snap.get(), options, report));
+  if (!freshness.blended) {
+    // Serve from the published replica (the live structures only change
+    // at publication points, so the snapshot is the live state — answers
+    // are bitwise identical). kUnavailable is the snapshot's "cannot
+    // serve this" verdict; everything else is the final answer, success
+    // or error.
+    auto served = serve::SnapshotMec(*snap, request, options.method);
+    if (served.status().code() != StatusCode::kUnavailable) return served;
+    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return framework_->engine().Mec(request, options.method);
   }
   AFFINITY_ASSIGN_OR_RETURN(MecResponse out, BlendedMec(request));
-  out.plan = BlendPlan();
+  out.plan = BlendPlan(freshness.snapshot_age);
   return out;
 }
 
 StatusOr<SelectionResult> StreamingAffinity::Met(const MetRequest& request,
                                                  const FreshnessOptions& options,
                                                  FreshnessReport* report) const {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, PrepareFreshness(options, report));
-  if (!blend) {
-    if (auto snap = serving(); snap != nullptr) {
-      auto served = serve::SnapshotMet(*snap, request, options.method);
-      if (served.status().code() != StatusCode::kUnavailable) return served;
-      serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
-    }
+  const auto snap = serving();
+  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
+                            PrepareFreshness(snap.get(), options, report));
+  if (!freshness.blended) {
+    auto served = serve::SnapshotMet(*snap, request, options.method);
+    if (served.status().code() != StatusCode::kUnavailable) return served;
+    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return framework_->engine().Met(request, options.method);
   }
   AFFINITY_ASSIGN_OR_RETURN(
       SelectionResult out,
       BlendedSelect(request.measure, request.greater ? KeepGreater : KeepLesser, request.tau,
                     0.0));
-  out.plan = BlendPlan();
+  out.plan = BlendPlan(freshness.snapshot_age);
   return out;
 }
 
 StatusOr<SelectionResult> StreamingAffinity::Mer(const MerRequest& request,
                                                  const FreshnessOptions& options,
                                                  FreshnessReport* report) const {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, PrepareFreshness(options, report));
+  const auto snap = serving();
+  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
+                            PrepareFreshness(snap.get(), options, report));
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  if (!blend) {
-    if (auto snap = serving(); snap != nullptr) {
-      auto served = serve::SnapshotMer(*snap, request, options.method);
-      if (served.status().code() != StatusCode::kUnavailable) return served;
-      serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
-    }
+  if (!freshness.blended) {
+    auto served = serve::SnapshotMer(*snap, request, options.method);
+    if (served.status().code() != StatusCode::kUnavailable) return served;
+    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return framework_->engine().Mer(request, options.method);
   }
   AFFINITY_ASSIGN_OR_RETURN(SelectionResult out,
                             BlendedSelect(request.measure, KeepInside, request.lo, request.hi));
-  out.plan = BlendPlan();
+  out.plan = BlendPlan(freshness.snapshot_age);
   return out;
 }
 
 StatusOr<TopKResult> StreamingAffinity::TopK(const TopKRequest& request,
                                              const FreshnessOptions& options,
                                              FreshnessReport* report) const {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, PrepareFreshness(options, report));
-  if (!blend) {
-    if (auto snap = serving(); snap != nullptr) {
-      auto served = serve::SnapshotTopK(*snap, request, options.method);
-      if (served.status().code() != StatusCode::kUnavailable) return served;
-      serve_fallbacks_->fetch_add(1, std::memory_order_relaxed);
-    }
+  const auto snap = serving();
+  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
+                            PrepareFreshness(snap.get(), options, report));
+  if (!freshness.blended) {
+    auto served = serve::SnapshotTopK(*snap, request, options.method);
+    if (served.status().code() != StatusCode::kUnavailable) return served;
+    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
     return framework_->engine().TopK(request, options.method);
   }
   AFFINITY_ASSIGN_OR_RETURN(TopKResult out, BlendedTopK(request));
-  out.plan = BlendPlan();
+  out.plan = BlendPlan(freshness.snapshot_age);
   return out;
 }
 

@@ -201,11 +201,17 @@ class StreamingAffinity {
   /// The current framework snapshot (nullptr before the first build).
   const Affinity* framework() const { return framework_.get(); }
 
-  /// Rows ingested in total.
-  std::size_t rows_ingested() const { return rows_; }
+  /// Rows ingested in total (safe on any thread).
+  std::size_t rows_ingested() const { return shared_->rows.load(std::memory_order_relaxed); }
 
-  /// Rows appended since the current snapshot was refreshed (freshness).
-  std::size_t snapshot_age() const { return ready() ? rows_ - snapshot_row_ : 0; }
+  /// Rows appended since the serving snapshot was published (freshness;
+  /// safe on any thread). 0 before the first build.
+  std::size_t snapshot_age() const {
+    const auto snap = serving();
+    // The count is read after the epoch was acquired, so it covers every
+    // row that epoch absorbed.
+    return snap != nullptr ? rows_ingested() - snap->snapshot_row : 0;
+  }
 
   /// Number of full from-scratch builds performed (including the first
   /// build and incremental escalations).
@@ -220,8 +226,8 @@ class StreamingAffinity {
   /// maintained by concurrent readers and folded in at call time.
   MaintenanceProfile maintenance() const {
     MaintenanceProfile p = maintenance_;
-    if (serve_fallbacks_ != nullptr) {
-      p.serve_fallbacks += serve_fallbacks_->load(std::memory_order_relaxed);
+    if (shared_ != nullptr) {
+      p.serve_fallbacks += shared_->serve_fallbacks.load(std::memory_order_relaxed);
     }
     return p;
   }
@@ -261,11 +267,14 @@ class StreamingAffinity {
 
   // --- Freshness-bounded queries (DESIGN.md §9) ---------------------------
   //
-  // Each forwards to the snapshot engine when the snapshot satisfies the
-  // staleness bound, and otherwise answers with the live-marginal blend
-  // (a full sweep — the SCAPE index orders snapshot values, not blended
+  // Each answers from the published epoch (`serving()`) when it satisfies
+  // the staleness bound, and otherwise with the live-marginal blend (a
+  // full sweep — the SCAPE index orders snapshot values, not blended
   // ones). All are FailedPrecondition before the first build. `report`,
-  // when non-null, receives the snapshot age and whether blending ran.
+  // when non-null, receives the epoch's age and whether blending ran.
+  // Served answers are safe on any thread; the blend and the live
+  // fallback after a kUnavailable decline read the live stack and belong
+  // on the writer thread (DESIGN.md §13).
 
   StatusOr<MecResponse> Mec(const MecRequest& request, const FreshnessOptions& options = {},
                             FreshnessReport* report = nullptr) const;
@@ -346,18 +355,16 @@ class StreamingAffinity {
   /// Append when the interval elapses.
   AppendResult Refresh();
 
-  /// True when `options` demands fresher answers than the snapshot offers.
-  bool NeedsBlend(const FreshnessOptions& options) const {
-    return options.max_staleness > 0 && snapshot_age() > options.max_staleness;
-  }
-
-  /// Shared prologue of the four freshness query paths: checks readiness
-  /// and *always* writes `report` (zeroed on the readiness error, the
-  /// age/blend verdict otherwise) before any per-kind logic can return —
-  /// no exit leaves the caller's report stale. Returns whether the
+  /// Shared prologue of the four freshness query paths: dates `snap`, the
+  /// epoch the answer comes from (null before the first build:
+  /// FailedPrecondition), against the row count, and *always* writes
+  /// `report` (zeroed on the readiness error, the age/blend verdict
+  /// otherwise) before any per-kind logic can return — no exit leaves the
+  /// caller's report stale. The verdict's `blended` says whether the
   /// staleness bound forces the blended sweep.
-  StatusOr<bool> PrepareFreshness(const FreshnessOptions& options,
-                                  FreshnessReport* report) const;
+  StatusOr<FreshnessReport> PrepareFreshness(const serve::ServingSnapshot* snap,
+                                             const FreshnessOptions& options,
+                                             FreshnessReport* report) const;
 
   /// Blended full-sweep selection / top-k / MEC (see file docs).
   StatusOr<SelectionResult> BlendedSelect(Measure measure, bool (*keep)(double, double, double),
@@ -365,8 +372,9 @@ class StreamingAffinity {
   StatusOr<TopKResult> BlendedTopK(const TopKRequest& request) const;
   StatusOr<MecResponse> BlendedMec(const MecRequest& request) const;
 
-  /// The ExecutedPlan stamped on blended answers.
-  ExecutedPlan BlendPlan() const;
+  /// The ExecutedPlan stamped on answers blended over a snapshot `age`
+  /// rows old.
+  static ExecutedPlan BlendPlan(std::size_t age);
 
   /// Publishes the just-refreshed stack as a new serving epoch (lock-free
   /// swap). Called at every publication point — incremental refresh
@@ -401,7 +409,6 @@ class StreamingAffinity {
   /// never shrinks, so steady-state appends allocate nothing.
   std::vector<std::vector<double>> pending_;
   std::size_t pending_used_ = 0;
-  std::size_t rows_ = 0;
   std::size_t snapshot_row_ = 0;
   std::size_t rows_since_refresh_ = 0;
   std::size_t rebuilds_ = 0;
@@ -414,9 +421,9 @@ class StreamingAffinity {
   /// Concurrency contract (DESIGN.md §13): StreamingAffinity is
   /// single-writer — AppendRow/Rebuild/Load run on one thread. The only
   /// state shared with concurrent readers is this publisher (internally
-  /// synchronized; see serve/serving_snapshot.h) and `serve_fallbacks_`
-  /// below (an atomic counter). Every other member, including
-  /// `serving_scratch_` and `serving_generation_`, is writer-private.
+  /// synchronized; see serve/serving_snapshot.h) and `shared_` below
+  /// (atomic counters). Every other member, including `serving_scratch_`
+  /// and `serving_generation_`, is writer-private.
   std::unique_ptr<serve::EpochPublisher<serve::ServingSnapshot>> publisher_;
   std::uint64_t serving_generation_ = 0;
   /// The last *retired* epoch with no surviving readers, held for memory
@@ -425,10 +432,13 @@ class StreamingAffinity {
   /// an interval-1 publication). Never reachable by readers — recycled
   /// only when the publisher confirmed this was the final reference.
   std::shared_ptr<serve::ServingSnapshot> serving_scratch_;
-  /// kUnavailable live-engine fallbacks taken by concurrent snapshot
-  /// readers; heap-held so the stream stays movable despite the atomic.
-  std::unique_ptr<std::atomic<std::size_t>> serve_fallbacks_ =
-      std::make_unique<std::atomic<std::size_t>>(0);
+  /// State concurrent queries share with the writer besides the
+  /// publisher: relaxed atomics, heap-held so the stream stays movable.
+  struct ReaderShared {
+    std::atomic<std::size_t> rows{0};             ///< rows ingested
+    std::atomic<std::size_t> serve_fallbacks{0};  ///< kUnavailable live fallbacks
+  };
+  std::unique_ptr<ReaderShared> shared_ = std::make_unique<ReaderShared>();
 };
 
 }  // namespace affinity::core

@@ -1,10 +1,10 @@
 #include "shard/shard_serve.h"
 
 #include <algorithm>
+#include <queue>
 #include <string>
 #include <utility>
 
-#include "common/exec_context.h"
 #include "core/planner.h"
 
 namespace affinity::shard {
@@ -12,31 +12,152 @@ namespace affinity::shard {
 namespace {
 
 using core::ExecutedPlan;
+using core::FreshnessOptions;
 using core::Measure;
 using core::QueryMethod;
 using core::QueryPlanner;
 using core::ScapeTopKEntry;
 using core::ScapeTopKResult;
 
-/// The snapshot column of global series `id` (shard snapshots hold the
-/// window copies; local order matches the live shard's DataMatrix).
+// Cross-shard gather rules. No shard model covers a pair spanning two
+// shards, so its quality predicate runs at the gather, against each
+// endpoint's shard surface: `score(id)` returns the composite score of
+// global series `id` as its shard's epoch froze it.
+
+/// Folds per-shard answer stamps: populated only when there is at least
+/// one part and every part was stamped; worst score; exclusions summed.
+core::AnswerQuality MergeShardQuality(const std::vector<core::AnswerQuality>& parts) {
+  core::AnswerQuality merged;
+  merged.populated = !parts.empty();
+  for (const core::AnswerQuality& q : parts) {
+    merged.populated = merged.populated && q.populated;
+    merged.min_score = std::min(merged.min_score, q.min_score);
+    merged.excluded += q.excluded;
+  }
+  return merged;
+}
+
+/// The cross pairs a MET/MER gather keeps, in `cross` (lex) order: those
+/// with `keep(values[i], a, b)` whose endpoints, under `min_quality > 0`,
+/// both score at least `min_quality`. Pairs the predicate drops count
+/// into `merged->excluded`; when `merged->populated`, kept pairs fold
+/// their worst endpoint score into `merged->min_score`.
+template <typename ScoreFn>
+std::vector<ts::SequencePair> KeepCrossPairs(const std::vector<ts::SequencePair>& cross,
+                                             const std::vector<double>& values,
+                                             bool (*keep)(double, double, double), double a,
+                                             double b, double min_quality, const ScoreFn& score,
+                                             core::AnswerQuality* merged) {
+  std::vector<ts::SequencePair> kept;
+  for (std::size_t i = 0; i < cross.size(); ++i) {
+    if (!keep(values[i], a, b)) continue;
+    const double su = score(cross[i].u);
+    const double sv = score(cross[i].v);
+    if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
+      ++merged->excluded;
+      continue;
+    }
+    if (merged->populated) merged->min_score = std::min(merged->min_score, std::min(su, sv));
+    kept.push_back(cross[i]);
+  }
+  return kept;
+}
+
+/// The cross-shard run of a top-k gather: one `core::TopKSelector` pass
+/// over the cross pairs whose endpoints both score at least
+/// `request.min_quality` (the rest count into `*excluded`); `examined`
+/// counts every cross pair.
+template <typename ScoreFn>
+core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
+                                   const std::vector<double>& values,
+                                   const core::TopKRequest& request, const ScoreFn& score,
+                                   std::size_t* excluded) {
+  core::TopKSelector best(request.k, request.largest);
+  for (std::size_t i = 0; i < cross.size(); ++i) {
+    if (request.min_quality > 0.0 &&
+        (score(cross[i].u) < request.min_quality || score(cross[i].v) < request.min_quality)) {
+      ++*excluded;
+      continue;
+    }
+    best.Offer(core::ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
+  }
+  core::ScapeTopKResult run;
+  run.entries = std::move(best).Finish();
+  run.examined = cross.size();
+  return run;
+}
+
+/// K-way heap merge of runs, each sorted ascending under `less`, into one
+/// sorted vector — the gather step of a scatter-gather MET/MER (per-shard
+/// answers plus the cross-shard run).
+template <typename T, typename Less>
+std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less less) {
+  struct Head {
+    std::size_t run;
+    std::size_t pos;
+  };
+  const auto head_greater = [&](const Head& a, const Head& b) {
+    return less(runs[b.run][b.pos], runs[a.run][a.pos]);
+  };
+  std::priority_queue<Head, std::vector<Head>, decltype(head_greater)> frontier(head_greater);
+  std::size_t total = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    total += runs[r].size();
+    if (!runs[r].empty()) frontier.push(Head{r, 0});
+  }
+  std::vector<T> out;
+  out.reserve(total);
+  while (!frontier.empty()) {
+    const Head head = frontier.top();
+    frontier.pop();
+    out.push_back(runs[head.run][head.pos]);
+    if (head.pos + 1 < runs[head.run].size()) frontier.push(Head{head.run, head.pos + 1});
+  }
+  return out;
+}
+
+/// The epoch column of global series `id` (shard snapshots hold the
+/// window; local order matches the shard's DataMatrix).
 const double* ColumnOf(const RouterSnapshot& snap, ts::SeriesId id) {
   return snap.shards[snap.shard_of[id]]->data.ColumnData(snap.local_of[id]);
 }
 
 /// Composite quality score of global series `id` as its shard's epoch
-/// froze it — the served twin of ShardedAffinity::GlobalQualityScore.
+/// froze it.
 double QualityOf(const RouterSnapshot& snap, ts::SeriesId id) {
   return snap.shards[snap.shard_of[id]]->quality_surface().Score(snap.local_of[id]);
 }
 
-/// Mirrors ShardedAffinity::ResolveShardPlan for the unblended path. A
-/// RouterSnapshot only exists once the deployment is ready, so there is
-/// no FailedPrecondition arm; blending is live-only (the facade handles
-/// it before ever consulting a snapshot).
+/// Whether the gather answers with the live-marginal blend: the oldest
+/// shard snapshot exceeds the staleness bound, so no single stale shard
+/// can leak raw epoch values into an answer stamped as blended.
+StatusOr<bool> Blends(const GatherContext& gather) {
+  const bool blend = std::any_of(gather.ages.begin(), gather.ages.end(),
+                                 [](const ShardFreshness& f) { return f.blended; });
+  if (blend && gather.live == nullptr) {
+    return Status::FailedPrecondition("a blended answer needs the live shards");
+  }
+  return blend;
+}
+
+/// The plan of one gather: the freshness blend when the bound trips (it
+/// trumps strategy choice), an explicitly requested method per shard, or
+/// the shard-aware planner over the epoch's capabilities, which charges
+/// every candidate the cross-pair surcharge.
 template <typename PlanFn>
-ExecutedPlan ResolveRouterPlan(const RouterSnapshot& snap, QueryMethod method,
-                               const PlanFn& plan) {
+ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather, bool blend,
+                         const PlanFn& plan) {
+  if (blend) {
+    std::size_t max_age = 0;
+    for (const ShardFreshness& f : gather.ages) max_age = std::max(max_age, f.snapshot_age);
+    ExecutedPlan blended;
+    blended.method = QueryMethod::kAffine;
+    blended.rationale = "freshness blend over " + std::to_string(snap.shards.size()) +
+                        " shards: snapshot structure (age " + std::to_string(max_age) +
+                        " rows) rescaled by live rolling marginals";
+    return blended;
+  }
+  const QueryMethod method = gather.freshness.method;
   if (method != QueryMethod::kAuto) {
     ExecutedPlan explicit_plan;
     explicit_plan.method = method;
@@ -46,84 +167,130 @@ ExecutedPlan ResolveRouterPlan(const RouterSnapshot& snap, QueryMethod method,
                               std::to_string(snap.shards.size()) + " shards";
     return explicit_plan;
   }
-  const QueryPlanner::Topology topology{
-      snap.shards.size(), snap.cross.size(),
-      snap.cross_view != nullptr ? snap.cross_view->stamped_count : 0};
+  const QueryPlanner::Topology topology{snap.shards.size(), snap.cross.size()};
   const QueryPlanner planner(snap.max_n, snap.window, snap.caps, topology);
   return plan(planner);
 }
 
-/// Mirrors ShardedAffinity::CrossPairValues (unblended): stamped pairs
-/// answer O(1) from the frozen co-moments — the exact moments the live
-/// cache serves at this generation — and the rest sweep the shard
-/// snapshots' window copies with the canonical blocked kernels, which is
-/// bitwise the live miss path over the same columns.
-StatusOr<std::vector<double>> RouterCrossValues(const RouterSnapshot& snap, Measure measure) {
-  std::vector<double> values(snap.cross.size());
-  std::vector<std::size_t> swept;
-  swept.reserve(snap.cross.size());
-  const RouterSnapshot::CrossMomentView* view = snap.cross_view.get();
-  for (std::size_t i = 0; i < snap.cross.size(); ++i) {
-    if (view != nullptr && i < view->stamped.size() && view->stamped[i] != 0) {
-      auto value = core::PairMeasureFromMoments(measure, view->moments[i]);
-      if (!value.ok()) return value.status();
-      values[i] = *value;
-    } else {
-      swept.push_back(i);
+/// Shard s's answer: from its epoch snapshot, unless the gather blends or
+/// the snapshot declines with kUnavailable and the live shards are at
+/// hand — then from that shard's facade, which blends or answers live.
+/// `*live_answer` records which.
+template <typename Served, typename Live>
+auto ShardAnswer(const RouterSnapshot& snap, const GatherContext& gather, bool blend,
+                 std::size_t s, QueryMethod method, const Served& served, const Live& live,
+                 char* live_answer) -> decltype(served(*snap.shards[s], method)) {
+  *live_answer = 0;
+  if (!blend) {
+    auto answer = served(*snap.shards[s], method);
+    if (answer.status().code() != StatusCode::kUnavailable || gather.live == nullptr) {
+      return answer;
     }
   }
-  if (!swept.empty()) {
-    std::vector<core::CrossPair> resolved(swept.size());
-    for (std::size_t j = 0; j < swept.size(); ++j) {
-      const ts::SequencePair e = snap.cross[swept[j]];
-      resolved[j] = core::CrossPair{e, ColumnOf(snap, e.u), ColumnOf(snap, e.v)};
-    }
-    AFFINITY_ASSIGN_OR_RETURN(
-        const std::vector<double> swept_values,
-        core::EvaluateCrossPairs(measure, resolved, snap.window, ExecContext{}, nullptr,
-                                 nullptr, snap.anchor));
-    for (std::size_t j = 0; j < swept.size(); ++j) values[swept[j]] = swept_values[j];
+  *live_answer = 1;
+  FreshnessOptions options = gather.freshness;
+  options.method = method;
+  return live((*gather.live)[s], options);
+}
+
+/// Values of the cross-shard `pairs`: one WN sweep of the epoch's shard
+/// windows and, when blending, the shard facades' rescaling — the epoch's
+/// correlation keeps the structure, the live rolling windows supply the
+/// marginals.
+StatusOr<std::vector<double>> CrossValues(const RouterSnapshot& snap, Measure measure,
+                                          const std::vector<ts::SequencePair>& pairs,
+                                          const GatherContext& gather, bool blend) {
+  // Each series' column is looked up once, not once per pair it is in.
+  std::vector<const double*> columns(snap.n, nullptr);
+  const auto column = [&](ts::SeriesId id) {
+    if (columns[id] == nullptr) columns[id] = ColumnOf(snap, id);
+    return columns[id];
+  };
+  std::vector<core::CrossPair> resolved(pairs.size());
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    resolved[i] = core::CrossPair{pairs[i], column(pairs[i].u), column(pairs[i].v)};
   }
+  core::CrossSweepStats sweep;
+  AFFINITY_ASSIGN_OR_RETURN(std::vector<double> values,
+                            core::EvaluateCrossPairs(measure, resolved, snap.window, gather.exec,
+                                                     &sweep, snap.anchor));
+  if (blend && measure != Measure::kCorrelation) {
+    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> rhos,
+                              core::EvaluateCrossPairs(Measure::kCorrelation, resolved,
+                                                       snap.window, gather.exec, &sweep,
+                                                       snap.anchor));
+    const auto rolling = [&](ts::SeriesId id) -> const ts::RollingStats& {
+      return (*gather.live)[snap.shard_of[id]].rolling_stats()[snap.local_of[id]];
+    };
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      values[i] = core::BlendPairMeasure(measure, rhos[i], values[i], rolling(pairs[i].u),
+                                         rolling(pairs[i].v));
+    }
+  }
+  if (gather.sweeps != nullptr) gather.sweeps->Add(sweep);
   return values;
 }
 
-/// The shared MET/MER gather, mirroring SelectAcrossShards: per-shard
-/// snapshot selections, local→global rewrite + sort, the cross-shard
-/// sweep under `keep`, then the k-way merge.
-template <typename PlanFn, typename ShardQuery>
+/// Marks `plan` as served from `snap` unless a shard answered live.
+void AnnotateServed(const RouterSnapshot& snap, const std::vector<char>& live_answers,
+                    ExecutedPlan* plan) {
+  if (std::find(live_answers.begin(), live_answers.end(), 1) == live_answers.end()) {
+    core::AnnotateSnapshotServed(plan, snap.generation);
+  }
+}
+
+/// The shared MET/MER gather: per-shard selections, local→global rewrite
+/// and sort, the cross-shard sweep under `keep` and `min_quality`, then
+/// the k-way merge.
+template <typename PlanFn, typename Served, typename Live>
 StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure measure,
                                              bool (*keep)(double, double, double), double a,
-                                             double b, double min_quality, QueryMethod method,
-                                             const PlanFn& plan, const ShardQuery& shard_query) {
-  ExecutedPlan resolved = ResolveRouterPlan(snap, method, plan);
-  const QueryMethod per_shard = method == QueryMethod::kAuto ? resolved.method : method;
+                                             double b, double min_quality,
+                                             const GatherContext& gather, const PlanFn& plan,
+                                             const Served& served, const Live& live) {
+  AFFINITY_ASSIGN_OR_RETURN(const bool blend, Blends(gather));
+  ExecutedPlan resolved = ResolvePlan(snap, gather, blend, plan);
+  const QueryMethod method =
+      gather.freshness.method == QueryMethod::kAuto ? resolved.method : gather.freshness.method;
 
-  core::SelectionResult out;
   const bool location = core::IsLocation(measure);
   const std::size_t n_shards = snap.shards.size();
+  // One chunk per shard: per-shard scans run concurrently on the pool;
+  // every write below is shard-disjoint.
   std::vector<std::vector<ts::SeriesId>> series_runs(n_shards);
   std::vector<std::vector<ts::SequencePair>> pair_runs(n_shards);
+  std::vector<core::PruneStats> prunes(n_shards);
   std::vector<core::AnswerQuality> qualities(n_shards);
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r, shard_query(*snap.shards[s], per_shard));
-    out.prune += r.prune;
-    qualities[s] = r.quality;
-    if (location) {
-      for (ts::SeriesId& v : r.series) v = snap.groups[s][v];
-      std::sort(r.series.begin(), r.series.end());
-      series_runs[s] = std::move(r.series);
-    } else {
-      for (ts::SequencePair& e : r.pairs) {
-        e = ts::SequencePair(snap.groups[s][e.u], snap.groups[s][e.v]);
-      }
-      std::sort(r.pairs.begin(), r.pairs.end());
-      pair_runs[s] = std::move(r.pairs);
-    }
-  }
+  std::vector<char> live_answers(n_shards, 0);
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      gather.exec, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t s = lo; s < hi; ++s) {
+          AFFINITY_ASSIGN_OR_RETURN(
+              core::SelectionResult r,
+              ShardAnswer(snap, gather, blend, s, method, served, live, &live_answers[s]));
+          prunes[s] = r.prune;
+          qualities[s] = r.quality;
+          if (location) {
+            for (ts::SeriesId& v : r.series) v = snap.groups[s][v];
+            std::sort(r.series.begin(), r.series.end());
+            series_runs[s] = std::move(r.series);
+          } else {
+            for (ts::SequencePair& e : r.pairs) {
+              e = ts::SequencePair(snap.groups[s][e.u], snap.groups[s][e.v]);
+            }
+            std::sort(r.pairs.begin(), r.pairs.end());
+            pair_runs[s] = std::move(r.pairs);
+          }
+        }
+        return Status::OK();
+      }));
+  core::SelectionResult out;
+  for (const core::PruneStats& p : prunes) out.prune += p;
+  // Cross-pair exclusions add to the shards'.
   core::AnswerQuality merged = MergeShardQuality(qualities);
   if (!location && n_shards > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              RouterCrossValues(snap, measure));
+                              CrossValues(snap, measure, snap.cross, gather, blend));
     pair_runs.push_back(KeepCrossPairs(
         snap.cross, values, keep, a, b, min_quality,
         [&](ts::SeriesId id) { return QualityOf(snap, id); }, &merged));  // already lex-sorted
@@ -135,84 +302,121 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   }
   out.quality = merged;
   if (min_quality > 0.0) core::AnnotateQualityFiltered(&resolved, min_quality, merged.excluded);
-  core::AnnotateSnapshotServed(&resolved, snap.generation);
+  AnnotateServed(snap, live_answers, &resolved);
   out.plan = std::move(resolved);
   return out;
 }
 
 }  // namespace
 
+std::vector<ShardFreshness> SnapshotFreshness(const RouterSnapshot& snap, std::size_t rows,
+                                              std::size_t max_staleness) {
+  std::vector<ShardFreshness> out(snap.shards.size());
+  for (std::size_t s = 0; s < snap.shards.size(); ++s) {
+    out[s].snapshot_age = rows - snap.shards[s]->snapshot_row;
+    out[s].blended = max_staleness > 0 && out[s].snapshot_age > max_staleness;
+  }
+  return out;
+}
+
 StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
                                           const core::MetRequest& request,
-                                          QueryMethod method) {
+                                          const GatherContext& gather) {
   return RouterSelect(
       snap, request.measure, request.greater ? core::KeepGreater : core::KeepLesser,
-      request.tau, 0.0, request.min_quality, method,
+      request.tau, 0.0, request.min_quality, gather,
       [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
       [&](const serve::ServingSnapshot& shard, QueryMethod m) {
         return serve::SnapshotMet(shard, request, m);
+      },
+      [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
+        return shard.Met(request, options);
       });
 }
 
 StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
                                           const core::MerRequest& request,
-                                          QueryMethod method) {
+                                          const GatherContext& gather) {
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
   return RouterSelect(
       snap, request.measure, core::KeepInside, request.lo, request.hi, request.min_quality,
-      method,
-      [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
+      gather, [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
       [&](const serve::ServingSnapshot& shard, QueryMethod m) {
         return serve::SnapshotMer(shard, request, m);
+      },
+      [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
+        return shard.Mer(request, options);
       });
 }
 
 StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
-                                      const core::TopKRequest& request, QueryMethod method) {
-  ExecutedPlan plan = ResolveRouterPlan(snap, method, [&](const QueryPlanner& planner) {
+                                      const core::TopKRequest& request,
+                                      const GatherContext& gather) {
+  AFFINITY_ASSIGN_OR_RETURN(const bool blend, Blends(gather));
+  ExecutedPlan plan = ResolvePlan(snap, gather, blend, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
-  const QueryMethod per_shard = method == QueryMethod::kAuto ? plan.method : method;
+  const QueryMethod method =
+      gather.freshness.method == QueryMethod::kAuto ? plan.method : gather.freshness.method;
 
-  std::vector<ScapeTopKResult> runs(snap.shards.size());
-  std::vector<core::AnswerQuality> qualities(snap.shards.size());
-  for (std::size_t s = 0; s < snap.shards.size(); ++s) {
-    AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r,
-                              serve::SnapshotTopK(*snap.shards[s], request, per_shard));
-    qualities[s] = r.quality;
-    for (ScapeTopKEntry& entry : r.entries) {
-      if (entry.has_series()) {
-        entry.series = snap.groups[s][entry.series];
-      } else {
-        entry.pair = ts::SequencePair(snap.groups[s][entry.pair.u], snap.groups[s][entry.pair.v]);
-      }
-    }
-    runs[s] = std::move(r);
-  }
+  const std::size_t n_shards = snap.shards.size();
+  std::vector<ScapeTopKResult> runs(n_shards);
+  std::vector<core::AnswerQuality> qualities(n_shards);
+  std::vector<char> live_answers(n_shards, 0);
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      gather.exec, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t s = lo; s < hi; ++s) {
+          AFFINITY_ASSIGN_OR_RETURN(
+              core::TopKResult r,
+              ShardAnswer(
+                  snap, gather, blend, s, method,
+                  [&](const serve::ServingSnapshot& shard, QueryMethod m) {
+                    return serve::SnapshotTopK(shard, request, m);
+                  },
+                  [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
+                    return shard.TopK(request, options);
+                  },
+                  &live_answers[s]));
+          qualities[s] = r.quality;
+          for (ScapeTopKEntry& entry : r.entries) {
+            if (entry.has_series()) {
+              entry.series = snap.groups[s][entry.series];
+            } else {
+              entry.pair =
+                  ts::SequencePair(snap.groups[s][entry.pair.u], snap.groups[s][entry.pair.v]);
+            }
+          }
+          runs[s] = std::move(r);
+        }
+        return Status::OK();
+      }));
+  // Per-shard answers already restricted their own competition; cross
+  // pairs compete only when both endpoints are eligible.
   core::AnswerQuality merged = MergeShardQuality(qualities);
   const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
-  if (!core::IsLocation(request.measure) && snap.shards.size() > 1) {
+  if (!core::IsLocation(request.measure) && n_shards > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              RouterCrossValues(snap, request.measure));
+                              CrossValues(snap, request.measure, snap.cross, gather, blend));
     runs.push_back(CrossTopKRun(snap.cross, values, request, score, &merged.excluded));
   }
   core::TopKResult out;
   static_cast<ScapeTopKResult&>(out) = core::MergeTopK(runs, request.k, request.largest);
   // The stamp covers the entries that survived the merge, not the shard
-  // minima (as the live router).
+  // minima.
   merged.min_score = merged.populated ? core::WorstEntryScore(out.entries, score) : 1.0;
   out.quality = merged;
   if (request.min_quality > 0.0) {
     core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
   }
-  core::AnnotateSnapshotServed(&plan, snap.generation);
+  AnnotateServed(snap, live_answers, &plan);
   out.plan = std::move(plan);
   return out;
 }
 
 StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
-                                      QueryMethod method) {
-  ExecutedPlan plan = ResolveRouterPlan(snap, method, [&](const QueryPlanner& planner) {
+                                      const GatherContext& gather) {
+  AFFINITY_ASSIGN_OR_RETURN(const bool blend, Blends(gather));
+  ExecutedPlan plan = ResolvePlan(snap, gather, blend, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
   if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
@@ -222,11 +426,13 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
                                 std::to_string(snap.n) + ")");
     }
   }
-  const QueryMethod per_shard = method == QueryMethod::kAuto ? plan.method : method;
+  const QueryMethod method =
+      gather.freshness.method == QueryMethod::kAuto ? plan.method : gather.freshness.method;
 
   // Slice the request per shard, remembering each id's request position.
-  std::vector<std::vector<std::size_t>> positions(snap.shards.size());
-  std::vector<core::MecRequest> slices(snap.shards.size());
+  const std::size_t n_shards = snap.shards.size();
+  std::vector<std::vector<std::size_t>> positions(n_shards);
+  std::vector<core::MecRequest> slices(n_shards);
   for (std::size_t i = 0; i < request.ids.size(); ++i) {
     const std::size_t s = snap.shard_of[request.ids[i]];
     positions[s].push_back(i);
@@ -243,81 +449,69 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
   } else {
     out.pair_values = la::Matrix(count, count);
   }
-  // Stamps of the shards the request touched (each slice enforced the
-  // FailedPrecondition contract for its ids).
-  std::vector<core::AnswerQuality> qualities;
-  for (std::size_t s = 0; s < snap.shards.size(); ++s) {
-    if (slices[s].ids.empty()) continue;
-    AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r,
-                              serve::SnapshotMec(*snap.shards[s], slices[s], per_shard));
-    qualities.push_back(r.quality);
-    if (location) {
-      for (std::size_t t = 0; t < positions[s].size(); ++t) {
-        out.location[positions[s][t]] = r.location[t];
-      }
-    } else {
-      for (std::size_t a = 0; a < positions[s].size(); ++a) {
-        for (std::size_t b = 0; b < positions[s].size(); ++b) {
-          out.pair_values(positions[s][a], positions[s][b]) = r.pair_values(a, b);
+  // One chunk per shard (writes are shard-disjoint request positions).
+  std::vector<core::AnswerQuality> qualities(n_shards);
+  std::vector<char> live_answers(n_shards, 0);
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      gather.exec, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t s = lo; s < hi; ++s) {
+          if (slices[s].ids.empty()) continue;
+          AFFINITY_ASSIGN_OR_RETURN(
+              core::MecResponse r,
+              ShardAnswer(
+                  snap, gather, blend, s, method,
+                  [&](const serve::ServingSnapshot& shard, QueryMethod m) {
+                    return serve::SnapshotMec(shard, slices[s], m);
+                  },
+                  [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
+                    return shard.Mec(slices[s], options);
+                  },
+                  &live_answers[s]));
+          qualities[s] = r.quality;
+          if (location) {
+            for (std::size_t t = 0; t < positions[s].size(); ++t) {
+              out.location[positions[s][t]] = r.location[t];
+            }
+          } else {
+            for (std::size_t a = 0; a < positions[s].size(); ++a) {
+              for (std::size_t b = 0; b < positions[s].size(); ++b) {
+                out.pair_values(positions[s][a], positions[s][b]) = r.pair_values(a, b);
+              }
+            }
+          }
         }
-      }
-    }
-  }
+        return Status::OK();
+      }));
   if (!location) {
-    // Cross-shard cells, mirroring the live router: each requested (i, j)
-    // spanning two shards resolves its cross index by binary search into
-    // the lex cross list; stamped pairs answer from the frozen co-moments,
-    // the rest sweep the snapshot columns.
-    std::vector<core::CrossPair> resolved;
+    // Cross-shard cells: every requested (i, j) spanning two shards.
+    std::vector<ts::SequencePair> pairs;
     std::vector<std::pair<std::size_t, std::size_t>> cells;
-    const RouterSnapshot::CrossMomentView* view = snap.cross_view.get();
     for (std::size_t i = 0; i < count; ++i) {
       for (std::size_t j = i + 1; j < count; ++j) {
         if (snap.shard_of[request.ids[i]] == snap.shard_of[request.ids[j]]) continue;
-        const ts::SeriesId u = request.ids[i];
-        const ts::SeriesId v = request.ids[j];
-        const ts::SequencePair e(u, v);
-        const auto it = std::lower_bound(snap.cross.begin(), snap.cross.end(), e);
-        const std::size_t cross_index = static_cast<std::size_t>(it - snap.cross.begin());
-        if (view != nullptr && cross_index < view->stamped.size() &&
-            view->stamped[cross_index] != 0) {
-          AFFINITY_ASSIGN_OR_RETURN(
-              const double value,
-              core::PairMeasureFromMoments(request.measure, view->moments[cross_index]));
-          out.pair_values(i, j) = value;
-          out.pair_values(j, i) = value;
-          continue;
-        }
-        resolved.push_back(core::CrossPair{e, ColumnOf(snap, u), ColumnOf(snap, v)});
+        pairs.emplace_back(request.ids[i], request.ids[j]);
         cells.emplace_back(i, j);
       }
     }
-    if (!resolved.empty()) {
-      AFFINITY_ASSIGN_OR_RETURN(
-          const std::vector<double> values,
-          core::EvaluateCrossPairs(request.measure, resolved, snap.window, ExecContext{},
-                                   nullptr, nullptr, snap.anchor));
+    if (!pairs.empty()) {
+      AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
+                                CrossValues(snap, request.measure, pairs, gather, blend));
       for (std::size_t idx = 0; idx < cells.size(); ++idx) {
         out.pair_values(cells[idx].first, cells[idx].second) = values[idx];
         out.pair_values(cells[idx].second, cells[idx].first) = values[idx];
       }
     }
   }
-  out.quality = MergeShardQuality(qualities);
-  core::AnnotateSnapshotServed(&plan, snap.generation);
+  // Stamps of the shards the request touched (each slice enforced the
+  // FailedPrecondition contract for its ids).
+  std::vector<core::AnswerQuality> touched;
+  for (std::size_t s = 0; s < n_shards; ++s) {
+    if (!slices[s].ids.empty()) touched.push_back(qualities[s]);
+  }
+  out.quality = MergeShardQuality(touched);
+  AnnotateServed(snap, live_answers, &plan);
   out.plan = std::move(plan);
   return out;
-}
-
-core::AnswerQuality MergeShardQuality(const std::vector<core::AnswerQuality>& parts) {
-  core::AnswerQuality merged;
-  merged.populated = !parts.empty();
-  for (const core::AnswerQuality& q : parts) {
-    merged.populated = merged.populated && q.populated;
-    merged.min_score = std::min(merged.min_score, q.min_score);
-    merged.excluded += q.excluded;
-  }
-  return merged;
 }
 
 }  // namespace affinity::shard

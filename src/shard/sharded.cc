@@ -14,26 +14,17 @@ namespace affinity::shard {
 namespace {
 
 using core::AppendResult;
-using core::CrossPair;
-using core::ExecutedPlan;
 using core::FreshnessOptions;
-using core::FreshnessReport;
-using core::Measure;
-using core::QueryMethod;
-using core::QueryPlanner;
-using core::ScapeTopKEntry;
-using core::ScapeTopKResult;
 
 // --- Manifest framing (composes with serialize.h model payloads) ----------
 
 constexpr char kManifestMagic[4] = {'A', 'F', 'F', 'S'};
-// v2 added the cross co-moment cache tuning (budget, exact_resync_period)
-// so a restored router keeps its watch-list instead of silently reverting
-// to a disabled cache. v1 manifests still load with the cache defaults
-// they were written under. v3 dropped the SCAPE B-tree fanout field (the
-// index keeps sorted runs, which have no fanout); v1/v2 manifests still
-// load, skipping it.
-constexpr std::uint32_t kManifestVersion = 3;
+// v2 added two cross co-moment cache fields (budget, exact_resync_period)
+// after the build tuning; v3 dropped the SCAPE B-tree fanout field (the
+// index keeps sorted runs, which have no fanout); v4 dropped the cache
+// fields with the cache. Older manifests still load: v1/v2 skip the
+// fanout, v2/v3 read the cache fields and discard them.
+constexpr std::uint32_t kManifestVersion = 4;
 constexpr std::uint32_t kMinManifestVersion = 1;
 
 void WriteU32(std::ostream& out, std::uint32_t v) {
@@ -140,8 +131,6 @@ Status ShardedAffinity::InitShards(const std::vector<std::string>& names) {
     shards_.push_back(std::move(stream));
   }
   append_results_.resize(shards_.size());
-  cross_cache_ =
-      CrossMomentCache(router_.cross_pairs(), options_.streaming.window, options_.cross_cache);
   return Status::OK();
 }
 
@@ -154,11 +143,7 @@ AppendResult ShardedAffinity::Append(const std::vector<double>& row) {
     return out;
   }
   const std::vector<std::vector<double>>& scattered = router_.Scatter(row);
-  ++rows_;
-  // Roll the cross watch-list before the shard appends: a refresh below
-  // absorbs this row, so the rolled live window must already include it
-  // when the post-refresh Stamp freezes it as the snapshot moments.
-  cross_cache_.Observe(row);
+  shared_->rows.fetch_add(1, std::memory_order_relaxed);
   // One chunk per shard: appends (and any due refreshes) run concurrently
   // on the shared pool, each shard's own maintenance sequential within its
   // worker.
@@ -198,8 +183,7 @@ AppendResult ShardedAffinity::AppendMasked(const std::vector<double>& values,
       filled_s[s][i] = filled[group[i]];
     }
   }
-  ++rows_;
-  cross_cache_.Observe(values);
+  shared_->rows.fetch_add(1, std::memory_order_relaxed);
   ParallelChunks(exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo,
                                             std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
@@ -226,19 +210,11 @@ AppendResult ShardedAffinity::FinishAppend() {
     out.escalated = out.escalated || r.escalated;
   }
   if (out.refreshed) {
-    ++cross_generation_;
-    if (out.escalated || !out.status.ok()) {
-      // Conservative: a rebuild (or a half-failed lockstep refresh)
-      // re-froze shard state; drop the stamps and let the next sweep
-      // re-fill exactly.
-      cross_cache_.Invalidate();
-    } else {
-      cross_cache_.Stamp(cross_generation_, SnapshotAnchor());
-    }
+    ++generation_;
     // Every shard republished its serving snapshot during this lockstep
-    // refresh; bundle them (plus the just-stamped co-moment view) into a
-    // fresh router epoch. A half-failed refresh keeps the previous epoch
-    // (its shard snapshots are still the last coherent lockstep set).
+    // refresh; bundle them into a fresh router epoch. A half-failed
+    // refresh keeps the previous epoch (its shard snapshots are still the
+    // last coherent lockstep set).
     if (out.status.ok()) PublishRouterSnapshot();
   }
   return out;
@@ -247,7 +223,7 @@ AppendResult ShardedAffinity::FinishAppend() {
 void ShardedAffinity::PublishRouterSnapshot() {
   if (!ready()) return;
   auto snap = std::make_shared<RouterSnapshot>();
-  snap->generation = cross_generation_;
+  snap->generation = generation_;
   snap->window = options_.streaming.window;
   snap->n = router_.partitioner().n();
   snap->shards.reserve(shards_.size());
@@ -281,40 +257,11 @@ void ShardedAffinity::PublishRouterSnapshot() {
     snap->groups.push_back(partitioner.group(s));
   }
   snap->cross = router_.cross_pairs();
-  // Re-freeze the cross co-moment view only when the cache's exportable
-  // state actually changed since the last publish (its mutation version
-  // moved). Otherwise the prior epoch's immutable view is shared — with
-  // the cache disabled (version pinned at 0) every epoch after the first
-  // shares one all-unstamped view forever.
-  if (last_cross_view_ == nullptr || cross_cache_.version() != last_cross_view_version_) {
-    auto view = std::make_shared<RouterSnapshot::CrossMomentView>();
-    cross_cache_.ExportStamped(cross_generation_, &view->stamped, &view->moments);
-    // A disabled cache exports empty vectors; pad to the cross list so the
-    // serve path treats every pair as unstamped (raw sweep), like the live
-    // path with the cache off.
-    view->stamped.resize(snap->cross.size(), 0);
-    view->moments.resize(snap->cross.size());
-    std::size_t stamped = 0;
-    for (const std::uint8_t flag : view->stamped) stamped += flag;
-    view->stamped_count = stamped;
-    last_cross_view_ = std::move(view);
-    last_cross_view_version_ = cross_cache_.version();
-  }
-  snap->cross_view = last_cross_view_;
   if (publisher_ == nullptr) {
     publisher_ = std::make_unique<serve::EpochPublisher<RouterSnapshot>>(
         options_.streaming.serving_history);
   }
   publisher_->Publish(std::move(snap));
-}
-
-std::size_t ShardedAffinity::SnapshotAnchor() const {
-  // Lockstep refreshes keep every shard snapshot on the same trailing
-  // window, hence on the same absolute block grid; shard 0 speaks for
-  // all (callers only run on a ready deployment).
-  return shards_.empty() || !shards_[0].ready()
-             ? 0
-             : shards_[0].framework()->data().anchor_row();
 }
 
 bool ShardedAffinity::ready() const {
@@ -339,10 +286,8 @@ std::vector<std::size_t> ShardedAffinity::snapshot_ages() const {
 }
 
 Status ShardedAffinity::Rebuild() {
-  // A manual rebuild re-snapshots every shard mid-interval; the cached
-  // generation no longer describes the snapshots, so drop it.
-  ++cross_generation_;
-  cross_cache_.Invalidate();
+  // A manual rebuild re-snapshots every shard mid-interval: a new epoch.
+  ++generation_;
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t s = lo; s < hi; ++s) {
@@ -358,446 +303,57 @@ Status ShardedAffinity::Rebuild() {
 // Scatter-gather queries.
 // ---------------------------------------------------------------------------
 
-std::vector<ShardFreshness> ShardedAffinity::Freshness(const FreshnessOptions& options) const {
-  std::vector<ShardFreshness> out(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    out[s].snapshot_age = shards_[s].snapshot_age();
-    out[s].blended =
-        options.max_staleness > 0 && out[s].snapshot_age > options.max_staleness;
-  }
-  return out;
-}
-
-bool ShardedAffinity::NeedsBlend(const FreshnessOptions& options) const {
-  if (options.max_staleness == 0) return false;
-  for (const core::StreamingAffinity& shard : shards_) {
-    if (shard.snapshot_age() > options.max_staleness) return true;
-  }
-  return false;
-}
-
-StatusOr<ExecutedPlan> ShardedAffinity::ResolveShardPlan(
-    const std::function<core::PlanChoice(const QueryPlanner&)>& plan,
+StatusOr<ShardedAffinity::Query> ShardedAffinity::BeginQuery(
     const FreshnessOptions& options) const {
-  if (!ready()) {
+  Query query;
+  query.epoch = serving();
+  if (query.epoch == nullptr) {
     return Status::FailedPrecondition("no shard snapshots yet (need window rows)");
   }
-  // Blend trumps strategy choice: a stale deployment answers with the
-  // live-marginal blend sweep whatever is attached.
-  if (NeedsBlend(options)) {
-    std::size_t max_age = 0;
-    for (const core::StreamingAffinity& shard : shards_) {
-      max_age = std::max(max_age, shard.snapshot_age());
-    }
-    ExecutedPlan blended;
-    blended.method = QueryMethod::kAffine;
-    blended.rationale = "freshness blend over " + std::to_string(shards_.size()) +
-                        " shards: snapshot structure (age " + std::to_string(max_age) +
-                        " rows) rescaled by live rolling marginals";
-    return blended;
-  }
-  if (options.method != QueryMethod::kAuto) {
-    ExecutedPlan explicit_plan;
-    explicit_plan.method = options.method;
-    explicit_plan.rationale = "explicitly requested " +
-                              std::string(core::QueryMethodName(options.method)) +
-                              " per shard; scatter-gather over " +
-                              std::to_string(shards_.size()) + " shards";
-    return explicit_plan;
-  }
-  // Shard-aware auto dispatch: capabilities every shard can serve, per-
-  // shard dimensions, and the cross-pair surcharge via the Topology.
-  QueryPlanner::Capabilities caps{true, true, true};
-  std::size_t max_n = 0;
-  for (const core::StreamingAffinity& shard : shards_) {
-    const QueryPlanner::Capabilities c = shard.framework()->engine().Capabilities();
-    caps.has_model = caps.has_model && c.has_model;
-    caps.has_scape = caps.has_scape && c.has_scape;
-    caps.has_dft = caps.has_dft && c.has_dft;
-    max_n = std::max(max_n, shard.framework()->data().n());
-  }
-  const QueryPlanner::Topology topology{shards_.size(),
-                                        router_.partitioner().cross_pair_count(),
-                                        cross_cache_.StampedCount(cross_generation_)};
-  const QueryPlanner planner(max_n, options_.streaming.window, caps, topology);
-  return plan(planner);
-}
-
-StatusOr<std::vector<double>> ShardedAffinity::CrossPairValues(Measure measure,
-                                                               bool blend) const {
-  const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  const std::size_t window = options_.streaming.window;
-  const auto resolve = [&](const ts::SequencePair e) {
-    const core::StreamingAffinity& su = shards_[partitioner.shard_of(e.u)];
-    const core::StreamingAffinity& sv = shards_[partitioner.shard_of(e.v)];
-    return CrossPair{e, su.framework()->data().ColumnData(partitioner.local_id(e.u)),
-                     sv.framework()->data().ColumnData(partitioner.local_id(e.v))};
-  };
-
-  // Warm watched pairs answer from their stamped co-moments — zero raw
-  // column scans; everything else goes through the marginal-hoisted sweep,
-  // whose per-pair moments re-fill the cache. The freshness blend bypasses
-  // the cache (it sweeps twice over the same snapshot anyway).
-  std::vector<double> values(cross.size());
-  const bool use_cache = !blend && cross_cache_.enabled();
-  std::vector<std::size_t> swept;  // cross indices needing the raw sweep
-  if (use_cache) {
-    swept.reserve(cross.size());
-    for (std::size_t i = 0; i < cross.size(); ++i) {
-      core::PairMoments pm;
-      if (cross_cache_.Lookup(i, cross_generation_, &pm)) {
-        auto value = core::PairMeasureFromMoments(measure, pm);
-        if (!value.ok()) return value.status();
-        values[i] = *value;
-      } else {
-        swept.push_back(i);
-      }
-    }
-  } else {
-    swept.resize(cross.size());
-    for (std::size_t i = 0; i < cross.size(); ++i) swept[i] = i;
-  }
-
-  std::vector<CrossPair> resolved(swept.size());
-  for (std::size_t j = 0; j < swept.size(); ++j) resolved[j] = resolve(cross[swept[j]]);
-  if (!resolved.empty()) {
-    std::vector<core::PairMoments> moments;
-    AFFINITY_ASSIGN_OR_RETURN(
-        const std::vector<double> swept_values,
-        core::EvaluateCrossPairs(measure, resolved, window, exec_,
-                                 use_cache ? &moments : nullptr, &cross_sweep_stats_,
-                                 SnapshotAnchor()));
-    for (std::size_t j = 0; j < swept.size(); ++j) {
-      values[swept[j]] = swept_values[j];
-      if (use_cache) cross_cache_.Store(swept[j], cross_generation_, moments[j]);
-    }
-  }
-  if (!blend || measure == Measure::kCorrelation) return values;
-  // Blend: snapshot correlation carries the structure, live rolling
-  // moments the marginals (same semantics as the per-shard blend). In
-  // blend mode `resolved` covers every cross pair, index-aligned.
-  AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> rhos,
-                            core::EvaluateCrossPairs(Measure::kCorrelation, resolved, window,
-                                                     exec_, nullptr, &cross_sweep_stats_,
-                                                     SnapshotAnchor()));
-  for (std::size_t i = 0; i < cross.size(); ++i) {
-    const ts::SequencePair e = cross[i];
-    const ts::RollingStats& ru =
-        shards_[partitioner.shard_of(e.u)].rolling_stats()[partitioner.local_id(e.u)];
-    const ts::RollingStats& rv =
-        shards_[partitioner.shard_of(e.v)].rolling_stats()[partitioner.local_id(e.v)];
-    values[i] = core::BlendPairMeasure(measure, rhos[i], values[i], ru, rv);
-  }
-  return values;
-}
-
-double ShardedAffinity::GlobalQualityScore(ts::SeriesId global) const {
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  const std::vector<double>& scores = shards_[partitioner.shard_of(global)].quality_scores();
-  const ts::SeriesId local = partitioner.local_id(global);
-  return local < scores.size() ? scores[local] : 1.0;
-}
-
-StatusOr<ShardedSelection> ShardedAffinity::SelectAcrossShards(
-    Measure measure, bool (*keep)(double, double, double), double a, double b,
-    double min_quality, const std::function<core::PlanChoice(const QueryPlanner&)>& plan,
-    const std::function<StatusOr<core::SelectionResult>(
-        const core::StreamingAffinity&, const FreshnessOptions&, FreshnessReport*)>& shard_query,
-    const FreshnessOptions& options) const {
-  AFFINITY_ASSIGN_OR_RETURN(ExecutedPlan resolved, ResolveShardPlan(plan, options));
-  ShardedSelection out;
-  out.shards = Freshness(options);
-  FreshnessOptions per_shard = options;
-  if (options.method == QueryMethod::kAuto) per_shard.method = resolved.method;
-
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  const bool location = core::IsLocation(measure);
-  const std::size_t n_shards = shards_.size();
-  // One chunk per shard, like Append: per-shard index scans run
-  // concurrently on the pool; every write below is shard-disjoint.
-  std::vector<std::vector<ts::SeriesId>> series_runs(n_shards);
-  std::vector<std::vector<ts::SequencePair>> pair_runs(n_shards);
-  std::vector<core::PruneStats> prunes(n_shards);
-  std::vector<core::AnswerQuality> qualities(n_shards);
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t s = lo; s < hi; ++s) {
-          FreshnessReport report;
-          AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r,
-                                    shard_query(shards_[s], per_shard, &report));
-          out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
-          prunes[s] = r.prune;
-          qualities[s] = r.quality;
-          if (location) {
-            for (ts::SeriesId& v : r.series) v = partitioner.global_id(s, v);
-            std::sort(r.series.begin(), r.series.end());
-            series_runs[s] = std::move(r.series);
-          } else {
-            for (ts::SequencePair& e : r.pairs) {
-              e = ts::SequencePair(partitioner.global_id(s, e.u), partitioner.global_id(s, e.v));
-            }
-            std::sort(r.pairs.begin(), r.pairs.end());
-            pair_runs[s] = std::move(r.pairs);
-          }
-        }
-        return Status::OK();
-      }));
-  for (const core::PruneStats& p : prunes) out.result.prune += p;
-  // Cross-pair exclusions add to the shards' (shard_serve.h gather rules).
-  core::AnswerQuality merged = MergeShardQuality(qualities);
-  if (!location && n_shards > 1) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossPairValues(measure, NeedsBlend(options)));
-    pair_runs.push_back(KeepCrossPairs(
-        router_.cross_pairs(), values, keep, a, b, min_quality,
-        [&](ts::SeriesId id) { return GlobalQualityScore(id); }, &merged));  // lex-sorted
-  }
-  if (location) {
-    out.result.series = MergeSortedRuns(series_runs, std::less<ts::SeriesId>{});
-  } else {
-    out.result.pairs = MergeSortedRuns(pair_runs, std::less<ts::SequencePair>{});
-  }
-  out.result.quality = merged;
-  if (min_quality > 0.0) {
-    core::AnnotateQualityFiltered(&resolved, min_quality, merged.excluded);
-  }
-  out.result.plan = std::move(resolved);
-  return out;
+  // The row count is read after the epoch was acquired, so it covers
+  // every row that epoch absorbed: ages never underflow.
+  query.gather.freshness = options;
+  query.gather.ages =
+      SnapshotFreshness(*query.epoch, rows_ingested(), options.max_staleness);
+  query.gather.exec = exec_;
+  query.gather.sweeps = &shared_->sweeps;
+  query.gather.live = &shards_;
+  return query;
 }
 
 StatusOr<ShardedSelection> ShardedAffinity::Met(const core::MetRequest& request,
                                                 const FreshnessOptions& options) const {
-  return SelectAcrossShards(
-      request.measure, request.greater ? core::KeepGreater : core::KeepLesser, request.tau, 0.0,
-      request.min_quality,
-      [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
-      [&](const core::StreamingAffinity& shard, const FreshnessOptions& per_shard,
-          FreshnessReport* report) { return shard.Met(request, per_shard, report); },
-      options);
+  AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
+  ShardedSelection out;
+  AFFINITY_ASSIGN_OR_RETURN(out.result, RouterMet(*query.epoch, request, query.gather));
+  out.shards = query.gather.ages;
+  return out;
 }
 
 StatusOr<ShardedSelection> ShardedAffinity::Mer(const core::MerRequest& request,
                                                 const FreshnessOptions& options) const {
-  if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  return SelectAcrossShards(
-      request.measure, core::KeepInside, request.lo, request.hi, request.min_quality,
-      [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
-      [&](const core::StreamingAffinity& shard, const FreshnessOptions& per_shard,
-          FreshnessReport* report) { return shard.Mer(request, per_shard, report); },
-      options);
+  AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
+  ShardedSelection out;
+  AFFINITY_ASSIGN_OR_RETURN(out.result, RouterMer(*query.epoch, request, query.gather));
+  out.shards = query.gather.ages;
+  return out;
 }
 
 StatusOr<ShardedTopK> ShardedAffinity::TopK(const core::TopKRequest& request,
                                             const FreshnessOptions& options) const {
-  AFFINITY_ASSIGN_OR_RETURN(
-      ExecutedPlan plan,
-      ResolveShardPlan(
-          [&](const QueryPlanner& planner) {
-            return planner.PlanTopK(request.measure, request.k);
-          },
-          options));
+  AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
   ShardedTopK out;
-  out.shards = Freshness(options);
-  FreshnessOptions per_shard = options;
-  if (options.method == QueryMethod::kAuto) per_shard.method = plan.method;
-
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  std::vector<ScapeTopKResult> runs(shards_.size());
-  std::vector<core::AnswerQuality> qualities(shards_.size());
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t s = lo; s < hi; ++s) {
-          FreshnessReport report;
-          AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r,
-                                    shards_[s].TopK(request, per_shard, &report));
-          out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
-          qualities[s] = r.quality;
-          for (ScapeTopKEntry& entry : r.entries) {
-            if (entry.has_series()) {
-              entry.series = partitioner.global_id(s, entry.series);
-            } else {
-              entry.pair = ts::SequencePair(partitioner.global_id(s, entry.pair.u),
-                                            partitioner.global_id(s, entry.pair.v));
-            }
-          }
-          runs[s] = std::move(r);
-        }
-        return Status::OK();
-      }));
-  // Per-shard answers already restricted their own competition; cross
-  // pairs compete only when both endpoints are eligible.
-  core::AnswerQuality merged = MergeShardQuality(qualities);
-  const auto score = [&](ts::SeriesId id) { return GlobalQualityScore(id); };
-  if (!core::IsLocation(request.measure) && shards_.size() > 1) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossPairValues(request.measure, NeedsBlend(options)));
-    runs.push_back(
-        CrossTopKRun(router_.cross_pairs(), values, request, score, &merged.excluded));
-  }
-  static_cast<ScapeTopKResult&>(out.result) = core::MergeTopK(runs, request.k, request.largest);
-  // The stamp covers the entries that survived the merge, not the shard
-  // minima.
-  merged.min_score = merged.populated ? core::WorstEntryScore(out.result.entries, score) : 1.0;
-  out.result.quality = merged;
-  if (request.min_quality > 0.0) {
-    core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
-  }
-  out.result.plan = std::move(plan);
+  AFFINITY_ASSIGN_OR_RETURN(out.result, RouterTopK(*query.epoch, request, query.gather));
+  out.shards = query.gather.ages;
   return out;
 }
 
 StatusOr<ShardedMec> ShardedAffinity::Mec(const core::MecRequest& request,
                                           const FreshnessOptions& options) const {
-  AFFINITY_ASSIGN_OR_RETURN(
-      ExecutedPlan plan,
-      ResolveShardPlan(
-          [&](const QueryPlanner& planner) {
-            return planner.PlanMec(request.measure, request.ids.size());
-          },
-          options));
-  if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  for (const ts::SeriesId id : request.ids) {
-    if (id >= partitioner.n()) {
-      return Status::OutOfRange("series id " + std::to_string(id) + " out of range (n=" +
-                                std::to_string(partitioner.n()) + ")");
-    }
-  }
+  AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
   ShardedMec out;
-  out.shards = Freshness(options);
-  FreshnessOptions per_shard = options;
-  if (options.method == QueryMethod::kAuto) per_shard.method = plan.method;
-
-  // Slice the request per shard, remembering each id's request position.
-  std::vector<std::vector<std::size_t>> positions(shards_.size());
-  std::vector<core::MecRequest> slices(shards_.size());
-  for (std::size_t i = 0; i < request.ids.size(); ++i) {
-    const std::size_t s = partitioner.shard_of(request.ids[i]);
-    positions[s].push_back(i);
-    slices[s].measure = request.measure;
-    slices[s].min_quality = request.min_quality;
-    slices[s].ids.push_back(partitioner.local_id(request.ids[i]));
-  }
-
-  const std::size_t count = request.ids.size();
-  const bool location = core::IsLocation(request.measure);
-  if (location) {
-    out.response.location = la::Vector(count);
-  } else {
-    out.response.pair_values = la::Matrix(count, count);
-  }
-  // One chunk per shard (writes are shard-disjoint request positions).
-  std::vector<core::AnswerQuality> qualities(shards_.size());
-  std::vector<char> sliced(shards_.size(), 0);
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, shards_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t s = lo; s < hi; ++s) {
-          if (slices[s].ids.empty()) continue;
-          FreshnessReport report;
-          AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r,
-                                    shards_[s].Mec(slices[s], per_shard, &report));
-          out.shards[s] = ShardFreshness{report.snapshot_age, report.blended};
-          qualities[s] = r.quality;
-          sliced[s] = 1;
-          if (location) {
-            for (std::size_t t = 0; t < positions[s].size(); ++t) {
-              out.response.location[positions[s][t]] = r.location[t];
-            }
-          } else {
-            for (std::size_t a = 0; a < positions[s].size(); ++a) {
-              for (std::size_t b = 0; b < positions[s].size(); ++b) {
-                out.response.pair_values(positions[s][a], positions[s][b]) = r.pair_values(a, b);
-              }
-            }
-          }
-        }
-        return Status::OK();
-      }));
-  if (!location) {
-    // Cross-shard cells: resolve each requested (i, j) spanning two shards
-    // against the aligned snapshots and evaluate naively (blended when the
-    // staleness bound trips). Warm watched pairs answer from their cached
-    // co-moments instead — the router's cross list is lex-sorted, so each
-    // cell's cross index resolves by binary search.
-    const bool blend = NeedsBlend(options);
-    const bool use_cache = !blend && cross_cache_.enabled();
-    const std::vector<ts::SequencePair>& cross = router_.cross_pairs();
-    std::vector<CrossPair> resolved;
-    std::vector<std::pair<std::size_t, std::size_t>> cells;
-    std::vector<std::size_t> cell_cross_index;  // aligned with cells; for Store
-    for (std::size_t i = 0; i < count; ++i) {
-      for (std::size_t j = i + 1; j < count; ++j) {
-        if (partitioner.shard_of(request.ids[i]) == partitioner.shard_of(request.ids[j])) {
-          continue;
-        }
-        const ts::SeriesId u = request.ids[i];
-        const ts::SeriesId v = request.ids[j];
-        const ts::SequencePair e(u, v);
-        const auto it = std::lower_bound(cross.begin(), cross.end(), e);
-        const std::size_t cross_index = static_cast<std::size_t>(it - cross.begin());
-        if (use_cache) {
-          core::PairMoments pm;
-          if (cross_cache_.Lookup(cross_index, cross_generation_, &pm)) {
-            AFFINITY_ASSIGN_OR_RETURN(const double value,
-                                      core::PairMeasureFromMoments(request.measure, pm));
-            out.response.pair_values(i, j) = value;
-            out.response.pair_values(j, i) = value;
-            continue;
-          }
-        }
-        const core::StreamingAffinity& su = shards_[partitioner.shard_of(u)];
-        const core::StreamingAffinity& sv = shards_[partitioner.shard_of(v)];
-        resolved.push_back(
-            CrossPair{e, su.framework()->data().ColumnData(partitioner.local_id(u)),
-                      sv.framework()->data().ColumnData(partitioner.local_id(v))});
-        cells.emplace_back(i, j);
-        cell_cross_index.push_back(cross_index);
-      }
-    }
-    if (!resolved.empty()) {
-      const std::size_t window = options_.streaming.window;
-      std::vector<core::PairMoments> moments;
-      AFFINITY_ASSIGN_OR_RETURN(
-          std::vector<double> values,
-          core::EvaluateCrossPairs(request.measure, resolved, window, exec_,
-                                   use_cache ? &moments : nullptr, &cross_sweep_stats_,
-                                   SnapshotAnchor()));
-      if (use_cache) {
-        for (std::size_t idx = 0; idx < resolved.size(); ++idx) {
-          cross_cache_.Store(cell_cross_index[idx], cross_generation_, moments[idx]);
-        }
-      }
-      if (blend && request.measure != Measure::kCorrelation) {
-        AFFINITY_ASSIGN_OR_RETURN(
-            const std::vector<double> rhos,
-            core::EvaluateCrossPairs(Measure::kCorrelation, resolved, window, exec_, nullptr,
-                                     &cross_sweep_stats_, SnapshotAnchor()));
-        for (std::size_t idx = 0; idx < resolved.size(); ++idx) {
-          const ts::SeriesId u = request.ids[cells[idx].first];
-          const ts::SeriesId v = request.ids[cells[idx].second];
-          const ts::RollingStats& ru =
-              shards_[partitioner.shard_of(u)].rolling_stats()[partitioner.local_id(u)];
-          const ts::RollingStats& rv =
-              shards_[partitioner.shard_of(v)].rolling_stats()[partitioner.local_id(v)];
-          values[idx] = core::BlendPairMeasure(request.measure, rhos[idx], values[idx], ru, rv);
-        }
-      }
-      for (std::size_t idx = 0; idx < cells.size(); ++idx) {
-        out.response.pair_values(cells[idx].first, cells[idx].second) = values[idx];
-        out.response.pair_values(cells[idx].second, cells[idx].first) = values[idx];
-      }
-    }
-  }
-  // Merged stamp over the shards the request actually touched (every id
-  // lands in exactly one slice, and each slice already enforced the
-  // FailedPrecondition contract for its ids).
-  std::vector<core::AnswerQuality> touched;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (sliced[s]) touched.push_back(qualities[s]);
-  }
-  out.response.quality = MergeShardQuality(touched);
-  out.response.plan = std::move(plan);
+  AFFINITY_ASSIGN_OR_RETURN(out.response, RouterMec(*query.epoch, request, query.gather));
+  out.shards = query.gather.ages;
   return out;
 }
 
@@ -841,8 +397,6 @@ Status ShardedAffinity::Save(const std::string& path) const {
   WriteU64(out, options_.streaming.incremental.exact_refit_period);
   WriteF64(out, options_.streaming.incremental.escalation_factor);
   WriteF64(out, options_.streaming.incremental.escalation_slack);
-  WriteU64(out, options_.cross_cache.budget);
-  WriteU64(out, options_.cross_cache.exact_resync_period);
   // One model payload per shard (serialize.h framing).
   for (const core::StreamingAffinity& shard : shards_) {
     AFFINITY_RETURN_IF_ERROR(core::WriteModelStream(shard.framework()->model(), out));
@@ -926,15 +480,14 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
   options.streaming.build.dft_coefficients = static_cast<std::size_t>(dft_coefficients);
   incremental.exact_refit_period = static_cast<std::size_t>(refit_period);
   options.streaming.incremental = incremental;
-  if (version >= 2) {
-    std::uint64_t cache_budget = 0;
-    std::uint64_t cache_resync = 0;
-    if (!ReadU64(in, &cache_budget) || !ReadU64(in, &cache_resync) || cache_resync == 0) {
+  if (version == 2 || version == 3) {
+    std::uint64_t unused_cache_budget = 0;
+    std::uint64_t unused_cache_resync = 0;
+    if (!ReadU64(in, &unused_cache_budget) || !ReadU64(in, &unused_cache_resync) ||
+        unused_cache_resync == 0) {
       return Status::InvalidArgument("'" + path + "': corrupt cross-cache section");
     }
-    options.cross_cache.budget = static_cast<std::size_t>(cache_budget);
-    options.cross_cache.exact_resync_period = static_cast<std::size_t>(cache_resync);
-  }  // v1: pre-cache manifests keep the CrossCacheOptions defaults.
+  }
   options.streaming.build.threads = threads;
 
   AFFINITY_ASSIGN_OR_RETURN(
@@ -962,25 +515,12 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
     service.shards_.push_back(std::move(stream));
   }
   service.append_results_.resize(options.shards);
-  // The co-moment cache restores cold (the manifest carries no rings):
-  // its stamps stay invalid until a full window of appends has been
-  // observed and a lockstep refresh stamps it.
-  service.cross_cache_ = CrossMomentCache(service.router_.cross_pairs(),
-                                          options.streaming.window, options.cross_cache);
-  // Restore-ordering audit (ISSUE 5): the restored snapshots form a real
-  // generation, so the router's counter must not sit at the cache's
-  // never-stamped sentinel 0 — a Lookup/Store at 0 would alias every
-  // Invalidate()d entry (now also CHECKed inside the cache). Starting at
-  // 1 makes post-restore sweeps legal miss-fills: the first query misses
-  // (nothing is stamped), re-fills at generation 1, and repeats serve
-  // warm until the next lockstep refresh advances the generation.
-  service.cross_generation_ = 1;
-  // Logical row numbering restarts at `window` (each restored shard's
-  // resident window is its whole history).
-  service.rows_ = options.streaming.window;
-  // First router epoch: the restored shard snapshots form generation 1
-  // (every restored shard published in Restore), with an all-cold cross
-  // view — serve sweeps fill in until the first lockstep refresh.
+  // The restored shard snapshots form a real epoch (every restored shard
+  // published in Restore): generation 1, as a fresh router's first
+  // lockstep refresh. Logical row numbering restarts at `window` (each
+  // restored shard's resident window is its whole history).
+  service.generation_ = 1;
+  service.shared_->rows.store(options.streaming.window, std::memory_order_relaxed);
   service.PublishRouterSnapshot();
   return service;
 }

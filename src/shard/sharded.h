@@ -13,15 +13,17 @@
 /// aligned rows), so all shard snapshots always cover the same logical
 /// trailing window.
 ///
-/// **Queries.** MET/MER/MEC/top-k run scatter-gather: the shard-aware
-/// planner (`QueryPlanner::Topology`) resolves one strategy, every shard
-/// answers over its own model/index (`StreamingAffinity` freshness
-/// queries), and the router adds the pairs no shard can see — pairs
-/// spanning two shards — by evaluating them naively over the aligned
-/// shard snapshots (`core::EvaluateCrossPairs`). Results merge by k-way
-/// heap merge (`core::MergeTopK` for top-k; sorted-run merges for
-/// selections), making the merged answer identical to an unsharded
-/// instance over the same data (asserted in tests at 1/2/8 shards).
+/// **Queries.** MET/MER/MEC/top-k acquire the current router epoch
+/// (`serving()`) and run the router's gather over it (shard_serve.h):
+/// the shard-aware planner (`QueryPlanner::Topology`) resolves one
+/// strategy, every shard answers from its snapshot in that epoch, and the
+/// gather adds the pairs no shard can see — pairs spanning two shards —
+/// by evaluating them naively over the epoch's shard windows
+/// (`core::EvaluateCrossPairs`). Results merge by k-way heap merge
+/// (`core::MergeTopK` for top-k; sorted-run merges for selections), so
+/// the merged answer matches an unsharded instance over the same data:
+/// the same entities, values to within the WA approximation (DESIGN.md
+/// §9; asserted in tests at 1/2/8 shards).
 ///
 /// **Freshness.** `FreshnessOptions::max_staleness` bounds the snapshot
 /// age an answer may reflect; shards older than the bound blend live
@@ -31,6 +33,7 @@
 /// The single-instance deployment is exactly the N = 1 case: one shard,
 /// no cross pairs, every query a pure pass-through.
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +44,6 @@
 #include "core/streaming.h"
 #include "serve/serving_snapshot.h"
 #include "ts/ingest.h"
-#include "shard/cross_cache.h"
 #include "shard/partitioner.h"
 #include "shard/shard_serve.h"
 
@@ -57,19 +59,6 @@ struct ShardedOptions {
   /// the single router-owned pool all shards share (1 = sequential, 0 =
   /// one per hardware thread).
   core::StreamingOptions streaming;
-  /// Cross-shard co-moment watch-list (cross_cache.h): rolling co-moments
-  /// for the first `cross_cache.budget` cross pairs, so repeated warm
-  /// MET/MER/top-k queries skip their raw cross sweep entirely. Off by
-  /// default (budget 0): cached values are rolled accumulators, identical
-  /// to the raw sweep only to the documented round-off tolerance
-  /// (DESIGN.md §10), so enabling is an explicit opt-in.
-  CrossCacheOptions cross_cache;
-};
-
-/// Per-shard freshness attached to every scatter-gather answer.
-struct ShardFreshness {
-  std::size_t snapshot_age = 0;  ///< rows appended since that shard's refresh
-  bool blended = false;          ///< that shard answered with the live blend
 };
 
 /// A MET/MER answer in global ids, plus per-shard freshness.
@@ -118,13 +107,15 @@ class ShardRouter {
 /// The sharded ingest-and-query service. Movable, not copyable.
 ///
 /// Concurrency contract (DESIGN.md §13): single-writer, multi-reader.
-/// Append/Rebuild/Load and the lockstep refresh they drive — including
-/// every CrossMomentCache access — run on one writer thread; shard
-/// fan-out inside a refresh goes through the internally synchronized
-/// ThreadPool and joins before the call returns. Queries service from
-/// the last published RouterSnapshot via the internally synchronized
-/// EpochPublisher; no query ever reads the live shards, so the writer
-/// needs no lock of its own.
+/// Append/Rebuild/Load and the lockstep refresh they drive run on one
+/// writer thread; shard fan-out inside a refresh goes through the
+/// internally synchronized ThreadPool and joins before the call returns.
+/// Met/Mer/TopK/Mec may run on any thread: they answer from the router
+/// epoch they acquire (the internally synchronized EpochPublisher) and
+/// date it against an atomic row count. Two answers read the live shards
+/// and so belong on the writer thread: blended answers (a staleness bound
+/// the epoch exceeds) and the fallback when a shard snapshot declines
+/// with kUnavailable (e.g. an explicit WF method).
 class ShardedAffinity {
  public:
   /// Creates N shards over the named series. Status errors (never crashes)
@@ -159,7 +150,7 @@ class ShardedAffinity {
   bool ready() const;
 
   /// Rows ingested (global rows; every shard saw each of them).
-  std::size_t rows_ingested() const { return rows_; }
+  std::size_t rows_ingested() const { return shared_->rows.load(std::memory_order_relaxed); }
 
   std::size_t shard_count() const { return shards_.size(); }
 
@@ -173,21 +164,17 @@ class ShardedAffinity {
   /// concurrently; residual levels averaged).
   core::MaintenanceProfile maintenance() const;
 
-  /// Co-moment cache accounting (zeros when the cache is disabled).
-  const CrossCacheStats& cross_cache_stats() const { return cross_cache_.stats(); }
-
-  /// Raw-scan accounting of every cross-pair sweep this service ran —
-  /// on a warm cache, repeated MET/MER/top-k queries add zero pair scans
-  /// for watched pairs (the bench_streaming acceptance counter).
-  const core::CrossSweepStats& cross_sweep_stats() const { return cross_sweep_stats_; }
+  /// Raw-scan accounting of every cross-pair sweep this service's queries
+  /// ran (summed over concurrent queries).
+  core::CrossSweepStats cross_sweep_stats() const { return shared_->sweeps.Read(); }
 
   /// The current router serving snapshot (DESIGN.md §11): an immutable
-  /// epoch bundling every shard's serving replica plus the frozen cross
-  /// co-moment view, republished on every lockstep refresh, rebuild, and
-  /// restore. Safe to read from any thread concurrently with Append —
-  /// the returned shared_ptr keeps the whole epoch alive for the
-  /// caller's query (RouterMet/RouterMer/RouterMec/RouterTopK). nullptr
-  /// before the first refresh.
+  /// epoch bundling every shard's serving replica and the routing tables,
+  /// republished on every lockstep refresh, rebuild, and restore. Safe to
+  /// read from any thread concurrently with Append — the returned
+  /// shared_ptr keeps the whole epoch alive for the caller's query
+  /// (RouterMet/RouterMer/RouterMec/RouterTopK, which the facade queries
+  /// also run). nullptr before the first refresh.
   std::shared_ptr<const RouterSnapshot> serving() const {
     return publisher_ != nullptr ? publisher_->Acquire() : nullptr;
   }
@@ -200,13 +187,16 @@ class ShardedAffinity {
     return publisher_ != nullptr ? publisher_->AcquireEpoch(generation) : nullptr;
   }
 
-  /// Every shard's snapshot age, indexed by shard.
+  /// Every shard's snapshot age, indexed by shard (safe on any thread).
   std::vector<std::size_t> snapshot_ages() const;
 
   /// Forces a full rebuild of every shard (concurrently).
   Status Rebuild();
 
   // --- Scatter-gather queries (global ids) --------------------------------
+  //
+  // Each runs the router's gather (shard_serve.h) over the current epoch.
+  // FailedPrecondition before the first refresh.
 
   StatusOr<ShardedMec> Mec(const core::MecRequest& request,
                            const core::FreshnessOptions& options = {}) const;
@@ -248,60 +238,24 @@ class ShardedAffinity {
   /// Builds the per-shard streams (used by Create and Load).
   Status InitShards(const std::vector<std::string>& names);
 
-  /// The globally resolved plan for a sharded query: per-shard strategy
-  /// from the shard-aware planner (Topology carries shard count and cross
-  /// pairs). FailedPrecondition before the first refresh.
-  StatusOr<core::ExecutedPlan> ResolveShardPlan(
-      const std::function<core::PlanChoice(const core::QueryPlanner&)>& plan,
-      const core::FreshnessOptions& options) const;
+  /// A facade query's view: the current router epoch, and the gather
+  /// inputs that date its shard snapshots against the live row count and
+  /// hand the gather the pool, the sweep counters and the live shards.
+  struct Query {
+    std::shared_ptr<const RouterSnapshot> epoch;
+    GatherContext gather;
+  };
+  /// FailedPrecondition before the first epoch.
+  StatusOr<Query> BeginQuery(const core::FreshnessOptions& options) const;
 
-  /// True when the staleness bound demands blending: the *oldest* shard
-  /// snapshot exceeds it. The single gate shared by plan resolution and
-  /// the cross-shard sweep, so a lone stale shard can never leak raw
-  /// snapshot values into an answer stamped as blended.
-  bool NeedsBlend(const core::FreshnessOptions& options) const;
-
-  /// The shared MET/MER gather: per-shard selections run concurrently on
-  /// the pool (`shard_query` invokes one shard's Met/Mer), local ids are
-  /// rewritten to global, the cross-shard sweep applies `keep(value, a,
-  /// b)` plus the `min_quality` predicate (each endpoint's score read from
-  /// its shard's live quality surface), and the sorted runs k-way merge.
-  StatusOr<ShardedSelection> SelectAcrossShards(
-      core::Measure measure, bool (*keep)(double, double, double), double a, double b,
-      double min_quality,
-      const std::function<core::PlanChoice(const core::QueryPlanner&)>& plan,
-      const std::function<StatusOr<core::SelectionResult>(
-          const core::StreamingAffinity&, const core::FreshnessOptions&,
-          core::FreshnessReport*)>& shard_query,
-      const core::FreshnessOptions& options) const;
-
-  /// Composite quality score of one global series id, read from its
-  /// shard's live surface (DESIGN.md §12) — the router-side lookup behind
-  /// cross-pair quality filtering and answer stamping.
-  double GlobalQualityScore(ts::SeriesId global) const;
-
-  /// Shared tail of Append/AppendMasked: aggregates `append_results_`,
-  /// rolls the cross epoch and republishes the router snapshot when a
-  /// lockstep refresh ran.
+  /// Shared tail of Append/AppendMasked: aggregates `append_results_`
+  /// and republishes the router snapshot when a lockstep refresh ran.
   core::AppendResult FinishAppend();
 
-  /// Values of every cross-shard pair (index-aligned with
-  /// router_.cross_pairs()): naive over the aligned shard snapshots, or
-  /// the live-marginal blend when `blend` is set.
-  StatusOr<std::vector<double>> CrossPairValues(core::Measure measure, bool blend) const;
-
-  /// Collects per-shard freshness for a response.
-  std::vector<ShardFreshness> Freshness(const core::FreshnessOptions& options) const;
-
-  /// The shard snapshots' shared block-grid anchor (lockstep refreshes
-  /// keep every shard on the same trailing window); 0 before readiness.
-  std::size_t SnapshotAnchor() const;
-
   /// Assembles and atomically publishes a fresh RouterSnapshot from the
-  /// shards' serving snapshots, the partitioner's routing tables, and the
-  /// cross cache's stamped co-moments. Called after every successful
-  /// lockstep refresh (Append), Rebuild, and Load; no-op before
-  /// readiness.
+  /// shards' serving snapshots and the partitioner's routing tables.
+  /// Called after every successful lockstep refresh (Append), Rebuild,
+  /// and Load; no-op before readiness.
   void PublishRouterSnapshot();
 
   // Pool first: shards hold ExecContexts pointing at it (destroy last).
@@ -312,27 +266,18 @@ class ShardedAffinity {
   std::vector<core::StreamingAffinity> shards_;
   /// Reused per-append result buffer (allocation-free hot path).
   std::vector<core::AppendResult> append_results_;
-  std::size_t rows_ = 0;
-  /// Cross-pair co-moment watch-list, rolled on every append, stamped on
-  /// every lockstep refresh, invalidated on escalation/rebuild/restore.
-  /// Mutable: queries fill misses and count hits (single-threaded at the
-  /// router surface, like the rest of the query path).
-  mutable CrossMomentCache cross_cache_;
-  /// Current snapshot generation (bumped per lockstep refresh). 0 = "no
-  /// snapshots yet", which is also the cache's never-stamped sentinel —
-  /// queries are gated on ready(), so the cache is never consulted at 0
-  /// (CHECKed in CrossMomentCache), and Load starts restored routers at 1.
-  std::uint64_t cross_generation_ = 0;
-  mutable core::CrossSweepStats cross_sweep_stats_;
+  /// Router generation (bumped per lockstep refresh and rebuild; Load
+  /// starts restored routers at 1).
+  std::uint64_t generation_ = 0;
+  /// State concurrent queries share with the writer besides the publisher:
+  /// relaxed atomics, heap-held so the service stays movable.
+  struct ReaderShared {
+    std::atomic<std::size_t> rows{0};  ///< global rows ingested
+    CrossSweepCounters sweeps;
+  };
+  std::unique_ptr<ReaderShared> shared_ = std::make_unique<ReaderShared>();
   /// Epoch publication point for lock-free router serving (serving()).
   std::unique_ptr<serve::EpochPublisher<RouterSnapshot>> publisher_;
-  /// The cross co-moment view frozen at the last publish, shared with the
-  /// next epoch whenever the cache's mutation version has not moved —
-  /// then re-freezing would copy identical bytes (satellite fix: a
-  /// disabled or quiescent cache shares one immutable view across
-  /// epochs).
-  std::shared_ptr<const RouterSnapshot::CrossMomentView> last_cross_view_;
-  std::uint64_t last_cross_view_version_ = 0;
 };
 
 }  // namespace affinity::shard

@@ -1,9 +1,8 @@
 // Tests for the blocked summation kernel layer (core/kernels.h,
 // DESIGN.md §10): property tests of every kernel against sequential
 // scalar oracles, the bitwise chain-equality contract that marginal
-// hoisting relies on, thread-count invariance of the rewritten naive
-// sweeps, and the cross-shard co-moment cache's hit/miss/invalidation
-// behaviour.
+// hoisting relies on, and thread-count invariance of the rewritten naive
+// sweeps.
 
 #include "core/kernels.h"
 
@@ -19,7 +18,6 @@
 #include "core/fit_kernels.h"
 #include "core/measures.h"
 #include "core/query.h"
-#include "shard/sharded.h"
 #include "ts/generators.h"
 #include "ts/rolling.h"
 
@@ -278,164 +276,3 @@ TEST_F(HoistedSweeps, SweepValuesEqualNaivePairMeasureBitwise) {
 
 }  // namespace
 }  // namespace affinity::core
-
-// ---------------------------------------------------------------------------
-// Cross-shard co-moment cache behaviour (shard/cross_cache.h).
-// ---------------------------------------------------------------------------
-
-namespace affinity::shard {
-namespace {
-
-using core::Measure;
-using core::MetRequest;
-
-ShardedOptions CachedOptions(std::size_t budget) {
-  ShardedOptions options;
-  options.shards = 2;
-  options.streaming.window = 32;
-  options.streaming.rebuild_interval = 8;
-  options.streaming.mode = core::UpdateMode::kIncremental;
-  options.streaming.build.afclst.k = 2;
-  options.streaming.build.build_dft = false;
-  options.cross_cache.budget = budget;
-  return options;
-}
-
-struct Feed {
-  ts::Dataset dataset;
-  std::size_t next = 0;
-
-  explicit Feed(std::uint64_t seed) : dataset([&] {
-    ts::DatasetSpec spec;
-    spec.num_series = 10;
-    spec.num_samples = 400;
-    spec.num_clusters = 2;
-    spec.seed = seed;
-    return ts::MakeStockData(spec);
-  }()) {}
-
-  std::vector<double> Row() {
-    std::vector<double> row(dataset.matrix.n());
-    for (std::size_t j = 0; j < row.size(); ++j) {
-      row[j] = dataset.matrix.matrix()(next % dataset.matrix.m(), j);
-    }
-    ++next;
-    return row;
-  }
-};
-
-void FeedUntilReady(ShardedAffinity* service, Feed* feed) {
-  while (!service->ready()) ASSERT_TRUE(service->Append(feed->Row()).ok());
-}
-
-TEST(CrossMomentCache, WarmQueriesSkipRawScansAndMatchUncached) {
-  Feed feed_a(3), feed_b(3);
-  auto cached = ShardedAffinity::Create(feed_a.dataset.matrix.names(), CachedOptions(1000));
-  auto plain = ShardedAffinity::Create(feed_b.dataset.matrix.names(), CachedOptions(0));
-  ASSERT_TRUE(cached.ok());
-  ASSERT_TRUE(plain.ok());
-  FeedUntilReady(&*cached, &feed_a);
-  FeedUntilReady(&*plain, &feed_b);
-
-  // Every cross pair is watched, and the first stamp (at the lockstep
-  // refresh that made the service ready) is exact — so warm answers are
-  // bitwise identical to the cache-less sweep and cost zero raw scans.
-  const std::size_t watched = cached->router().cross_pairs().size();
-  ASSERT_GT(watched, 0u);
-  EXPECT_EQ(cached->cross_cache_stats().stamps, 1u);
-  EXPECT_EQ(cached->cross_cache_stats().exact_stamps, 1u);
-
-  MetRequest met{Measure::kCovariance, 0.0, true};
-  const core::CrossSweepStats before = cached->cross_sweep_stats();
-  auto cached_met = cached->Met(met, {core::QueryMethod::kNaive});
-  auto plain_met = plain->Met(met, {core::QueryMethod::kNaive});
-  ASSERT_TRUE(cached_met.ok());
-  ASSERT_TRUE(plain_met.ok());
-  EXPECT_EQ(cached_met->result.pairs, plain_met->result.pairs);
-  const core::CrossSweepStats after = cached->cross_sweep_stats();
-  EXPECT_EQ(after.pairs_scanned, before.pairs_scanned);  // zero raw pair scans
-  EXPECT_EQ(after.columns_hoisted, before.columns_hoisted);
-  EXPECT_EQ(cached->cross_cache_stats().hits, watched);
-  EXPECT_EQ(cached->cross_cache_stats().misses, 0u);
-}
-
-TEST(CrossMomentCache, InvalidationMissesOnceThenRewarms) {
-  Feed feed(5);
-  auto service = ShardedAffinity::Create(feed.dataset.matrix.names(), CachedOptions(1000));
-  ASSERT_TRUE(service.ok());
-  FeedUntilReady(&*service, &feed);
-  const std::size_t watched = service->router().cross_pairs().size();
-
-  // A manual rebuild drops every stamp.
-  ASSERT_TRUE(service->Rebuild().ok());
-  EXPECT_EQ(service->cross_cache_stats().invalidations, 1u);
-
-  MetRequest met{Measure::kCorrelation, 0.5, true};
-  ASSERT_TRUE(service->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(service->cross_cache_stats().misses, watched);
-  const core::CrossSweepStats swept = service->cross_sweep_stats();
-  EXPECT_EQ(swept.pairs_scanned, watched);  // the miss fill re-scanned
-
-  // The miss fill stored sweep moments: the repeat is all hits, no scans.
-  ASSERT_TRUE(service->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(service->cross_cache_stats().hits, watched);
-  EXPECT_EQ(service->cross_sweep_stats().pairs_scanned, swept.pairs_scanned);
-}
-
-TEST(CrossMomentCache, RolledStampsStayWithinToleranceAcrossRefreshes) {
-  Feed feed_a(7), feed_b(7);
-  auto cached = ShardedAffinity::Create(feed_a.dataset.matrix.names(), CachedOptions(1000));
-  auto plain = ShardedAffinity::Create(feed_b.dataset.matrix.names(), CachedOptions(0));
-  ASSERT_TRUE(cached.ok());
-  ASSERT_TRUE(plain.ok());
-  FeedUntilReady(&*cached, &feed_a);
-  FeedUntilReady(&*plain, &feed_b);
-  // Several more refresh intervals: stamps 2..N are rolled add/evict.
-  for (int i = 0; i < 3 * 8; ++i) {
-    ASSERT_TRUE(cached->Append(feed_a.Row()).ok());
-    ASSERT_TRUE(plain->Append(feed_b.Row()).ok());
-  }
-  ASSERT_GT(cached->cross_cache_stats().stamps, 1u);
-  auto a = cached->TopK({Measure::kCosine, 12, true}, {core::QueryMethod::kNaive});
-  auto b = plain->TopK({Measure::kCosine, 12, true}, {core::QueryMethod::kNaive});
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ASSERT_EQ(a->result.entries.size(), b->result.entries.size());
-  for (std::size_t i = 0; i < a->result.entries.size(); ++i) {
-    EXPECT_EQ(a->result.entries[i].pair, b->result.entries[i].pair) << "rank " << i;
-    EXPECT_NEAR(a->result.entries[i].value, b->result.entries[i].value,
-                1e-9 * (1.0 + std::fabs(b->result.entries[i].value)));
-  }
-}
-
-TEST(CrossMomentCache, MecCrossCellsServeFromWarmCache) {
-  Feed feed(11);
-  auto service = ShardedAffinity::Create(feed.dataset.matrix.names(), CachedOptions(1000));
-  ASSERT_TRUE(service.ok());
-  FeedUntilReady(&*service, &feed);
-  // ids 0 and 9 land on different range shards, so the (0, 9) cell is a
-  // cross pair — warm, it must come from the cache with zero raw scans.
-  core::MecRequest mec;
-  mec.measure = Measure::kCovariance;
-  mec.ids = {0, 9};
-  const core::CrossSweepStats before = service->cross_sweep_stats();
-  auto response = service->Mec(mec, {core::QueryMethod::kNaive});
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(service->cross_sweep_stats().pairs_scanned, before.pairs_scanned);
-  EXPECT_GT(service->cross_cache_stats().hits, 0u);
-  EXPECT_EQ(response->response.pair_values(0, 1), response->response.pair_values(1, 0));
-}
-
-TEST(CrossMomentCache, PlannerReportsWarmCoMoments) {
-  Feed feed(9);
-  auto service = ShardedAffinity::Create(feed.dataset.matrix.names(), CachedOptions(1000));
-  ASSERT_TRUE(service.ok());
-  FeedUntilReady(&*service, &feed);
-  auto met = service->Met({Measure::kCovariance, 0.0, true});
-  ASSERT_TRUE(met.ok());
-  EXPECT_NE(met->result.plan.rationale.find("served from warm co-moments"), std::string::npos)
-      << met->result.plan.rationale;
-}
-
-}  // namespace
-}  // namespace affinity::shard

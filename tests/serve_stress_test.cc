@@ -1,10 +1,11 @@
 // Concurrency stress for lock-free snapshot serving (DESIGN.md §11):
 // reader threads continuously acquire serving epochs and run all four
-// query kinds while the owner thread slides the window at interval 1
-// (a refresh per append — the worst-case maintenance rate). Run under
-// the TSan CI leg, this is the data-race proof of the epoch-publication
-// contract: readers touch only acquired snapshots and const serve
-// functions, writers only publish.
+// query kinds — directly, or through the sharded facade — while the owner
+// thread slides the window at interval 1 (a refresh per append — the
+// worst-case maintenance rate). Run under the TSan CI leg, this is the
+// data-race proof of the epoch-publication contract: readers touch only
+// acquired snapshots, const serve functions and atomic counters, writers
+// only publish.
 
 #include <atomic>
 #include <cstddef>
@@ -189,7 +190,6 @@ TEST(ServeStress, ShardedRoutersServeDuringContinuousSlides) {
   options.streaming.mode = core::UpdateMode::kIncremental;
   options.streaming.build.afclst.k = 2;
   options.streaming.build.build_dft = false;
-  options.cross_cache.budget = 8;
   auto service = ShardedAffinity::Create(Names(16), options);
   ASSERT_TRUE(service.ok());
   const ts::Dataset ds = TestData(16);
@@ -234,6 +234,62 @@ TEST(ServeStress, ShardedRoutersServeDuringContinuousSlides) {
   auto last = service->serving();
   ASSERT_NE(last, nullptr);
   EXPECT_GE(last->generation, kSlides);
+}
+
+// Reader threads query the sharded facade itself (no staleness bound)
+// while the writer appends through lockstep refreshes and a Rebuild. The
+// facade answers from the router epoch it acquires and dates it against
+// an atomic row count, so under TSan this proves it shares nothing
+// unsynchronized with the writer (DESIGN.md §13).
+TEST(ServeStress, ShardedFacadeReadersDuringSlidesAndRebuild) {
+  ShardedOptions options;
+  options.shards = 4;
+  options.streaming.window = 40;
+  options.streaming.rebuild_interval = 1;
+  options.streaming.mode = core::UpdateMode::kIncremental;
+  options.streaming.build.afclst.k = 2;
+  options.streaming.build.build_dft = false;
+  auto service = ShardedAffinity::Create(Names(16), options);
+  ASSERT_TRUE(service.ok());
+  const ts::Dataset ds = TestData(16);
+  std::vector<double> row(16);
+  const auto append = [&](std::size_t src) {
+    for (std::size_t j = 0; j < 16; ++j) row[j] = ds.matrix.matrix()(src, j);
+    return service->Append(row).ok();
+  };
+  for (std::size_t i = 0; i < options.streaming.window; ++i) ASSERT_TRUE(append(i));
+  ASSERT_TRUE(service->ready());
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> failures{0};
+  std::atomic<std::size_t> queries{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&service, &stop, &failures, &queries] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        auto met = service->Met({Measure::kCorrelation, 0.9, true});
+        auto topk = service->TopK({Measure::kCorrelation, 5, true});
+        auto mec = service->Mec({Measure::kCovariance, {0, 5, 9, 15}});
+        if (!met.ok() || !topk.ok() || !mec.ok()) failures.fetch_add(1);
+        if (met.ok() && met->shards.size() != 4) failures.fetch_add(1);
+        if (mec.ok() && mec->response.pair_values.rows() != 4) failures.fetch_add(1);
+        queries.fetch_add(3, std::memory_order_relaxed);
+      }
+    });
+  }
+  // No ASSERT while readers run: a failed write is counted, the readers
+  // are always joined.
+  std::size_t write_failures = 0;
+  for (std::size_t i = 0; i < kSlides; ++i) {
+    if (!append(options.streaming.window + i)) ++write_failures;
+    if (i == kSlides / 2 && !service->Rebuild().ok()) ++write_failures;
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(write_failures, 0u);
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_GT(queries.load(), 0u);
+  EXPECT_GT(service->cross_sweep_stats().pairs_scanned, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the sharded streaming service (src/shard): partitioner
 // invariants, scatter-gather equivalence with the unsharded baseline at
-// 1/2/8 shards × 1/2/8 threads, freshness-bounded (blended) answers, and
-// the shard-manifest round-trip.
+// 1/2/8 shards × 1/2/8 threads (at every publication of a dirty feed, in
+// the differential oracle), freshness-bounded (blended) answers, and the
+// shard-manifest round-trip across format versions.
 
 #include "shard/sharded.h"
 
@@ -10,7 +11,9 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -357,6 +360,208 @@ TEST(Sharded, ResultsAreIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
+// Differential oracle: the sharded facade against one unsharded stream at
+// every publication of a dirty feed, through a Rebuild and a checkpoint.
+// ---------------------------------------------------------------------------
+
+/// Aligned rows of a 16-series feed whose series drop 5%..35% of their
+/// samples (series j drops 5 + 2j percent); a one-tick fill horizon turns
+/// two missed ticks in a row into an explicit gap.
+std::vector<ts::AlignedRow> DirtyRows(const ts::Dataset& ds, std::size_t rows,
+                                      std::uint64_t seed) {
+  const std::size_t n = ds.matrix.n();
+  ts::IngestOptions iopts;
+  iopts.max_fill = 1;
+  ts::StreamAligner aligner(n, iopts);
+  Xoshiro256 rng(seed);
+  std::vector<ts::AlignedRow> out;
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.Uniform(0.0, 1.0) < 0.05 + 0.02 * static_cast<double>(j)) continue;
+      EXPECT_TRUE(aligner.Push(j, static_cast<double>(i), ds.matrix.matrix()(i, j)).ok());
+    }
+    aligner.EmitUpTo(static_cast<double>(i + 1), &out);
+  }
+  return out;
+}
+
+/// How far a sharded value may sit from the unsharded one, relative to
+/// 1 + |value|. One shard runs the unsharded stream's code on its data:
+/// bitwise. With more, the WA values of each incrementally maintained
+/// model come from relationships fitted against its own frozen
+/// clustering, so they approximate WN differently (DESIGN.md §8, §9), and
+/// a cross pair is WN on the sharded side but WA on the unsharded one; on
+/// this feed the two sides differ by up to 3e-9. A gather fault — a wrong
+/// column, a dropped run, a misrouted cell — moves a value by orders of
+/// magnitude more.
+double RelativeTolerance(std::size_t shards) { return shards == 1 ? 0.0 : 1e-7; }
+
+/// Same entity set and, rank by rank, values within `rel`·(1 + |value|).
+void ExpectSameTopK(const core::TopKResult& sharded, const core::TopKResult& base, double rel) {
+  ASSERT_EQ(sharded.entries.size(), base.entries.size());
+  std::vector<ts::SequencePair> s_pairs;
+  std::vector<ts::SequencePair> b_pairs;
+  std::vector<ts::SeriesId> s_series;
+  std::vector<ts::SeriesId> b_series;
+  for (std::size_t i = 0; i < base.entries.size(); ++i) {
+    s_pairs.push_back(sharded.entries[i].pair);
+    b_pairs.push_back(base.entries[i].pair);
+    s_series.push_back(sharded.entries[i].series);
+    b_series.push_back(base.entries[i].series);
+    EXPECT_NEAR(sharded.entries[i].value, base.entries[i].value,
+                rel * (1.0 + std::abs(base.entries[i].value)))
+        << "rank " << i;
+  }
+  EXPECT_EQ(Sorted(s_pairs), Sorted(b_pairs));
+  EXPECT_EQ(Sorted(s_series), Sorted(b_series));
+}
+
+void ExpectSameMec(const core::MecResponse& sharded, const core::MecResponse& base, double rel) {
+  ASSERT_EQ(sharded.location.size(), base.location.size());
+  for (std::size_t i = 0; i < base.location.size(); ++i) {
+    EXPECT_NEAR(sharded.location[i], base.location[i], rel * (1.0 + std::abs(base.location[i])))
+        << "location " << i;
+  }
+  ASSERT_EQ(sharded.pair_values.rows(), base.pair_values.rows());
+  for (std::size_t i = 0; i < base.pair_values.rows(); ++i) {
+    for (std::size_t j = 0; j < base.pair_values.cols(); ++j) {
+      EXPECT_NEAR(sharded.pair_values(i, j), base.pair_values(i, j),
+                  rel * (1.0 + std::abs(base.pair_values(i, j))))
+          << "cell " << i << "," << j;
+    }
+  }
+}
+
+/// Every query kind through the sharded facade against the unsharded
+/// stream, with and without a `min_quality` halfway between the worst and
+/// best series score. Adds the filtered MET's exclusions to `*excluded`.
+void ExpectMatchesBaseline(const ShardedAffinity& service,
+                           const core::StreamingAffinity& baseline, std::size_t* excluded) {
+  const double rel = RelativeTolerance(service.shard_count());
+  const std::vector<double>& scores = baseline.quality_scores();
+  const auto [lo, hi] = std::minmax_element(scores.begin(), scores.end());
+  for (const double min_quality : {0.0, 0.5 * (*lo + *hi)}) {
+    SCOPED_TRACE("min_quality=" + std::to_string(min_quality));
+    MetRequest met{Measure::kCorrelation, 0.5, true};
+    met.min_quality = min_quality;
+    auto s_met = service.Met(met);
+    auto b_met = baseline.Met(met);
+    ASSERT_TRUE(s_met.ok()) << s_met.status().ToString();
+    ASSERT_TRUE(b_met.ok());
+    EXPECT_EQ(Sorted(s_met->result.pairs), Sorted(b_met->pairs));
+    EXPECT_EQ(s_met->result.quality.excluded, b_met->quality.excluded);
+    *excluded += s_met->result.quality.excluded;
+
+    MetRequest met_mean{Measure::kMean, 0.0, true};
+    met_mean.min_quality = min_quality;
+    auto s_met_mean = service.Met(met_mean);
+    auto b_met_mean = baseline.Met(met_mean);
+    ASSERT_TRUE(s_met_mean.ok());
+    ASSERT_TRUE(b_met_mean.ok());
+    EXPECT_EQ(Sorted(s_met_mean->result.series), Sorted(b_met_mean->series));
+
+    MerRequest mer{Measure::kCovariance, -0.2, 0.2};
+    mer.min_quality = min_quality;
+    auto s_mer = service.Mer(mer);
+    auto b_mer = baseline.Mer(mer);
+    ASSERT_TRUE(s_mer.ok());
+    ASSERT_TRUE(b_mer.ok());
+    EXPECT_EQ(Sorted(s_mer->result.pairs), Sorted(b_mer->pairs));
+
+    for (TopKRequest topk :
+         {TopKRequest{Measure::kCorrelation, 5, true}, TopKRequest{Measure::kCovariance, 7, false},
+          TopKRequest{Measure::kMean, 3, true}}) {
+      topk.min_quality = min_quality;
+      auto s_topk = service.TopK(topk);
+      auto b_topk = baseline.TopK(topk);
+      ASSERT_TRUE(s_topk.ok());
+      ASSERT_TRUE(b_topk.ok());
+      ExpectSameTopK(s_topk->result, *b_topk, rel);
+    }
+
+    for (MecRequest mec : {MecRequest{Measure::kCovariance, {0, 3, 7, 9, 12, 15}},
+                           MecRequest{Measure::kMean, {1, 8, 14}}}) {
+      mec.min_quality = min_quality;
+      auto s_mec = service.Mec(mec);
+      auto b_mec = baseline.Mec(mec);
+      ASSERT_EQ(s_mec.status().code(), b_mec.status().code());
+      if (b_mec.ok()) ExpectSameMec(s_mec->response, *b_mec, rel);
+    }
+  }
+}
+
+TEST(Sharded, DirtyFeedMatchesUnshardedAtEveryPublication) {
+  const ts::Dataset ds = TestData(16, 31);
+  const std::vector<ts::AlignedRow> rows = DirtyRows(ds, 200, 77);
+  ASSERT_GT(rows.size(), 150u);
+  constexpr std::size_t kRebuildAt = 95;
+  constexpr std::size_t kCheckpointAt = 130;
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
+      ShardedOptions options = SmallOptions(shards, threads);
+      options.streaming.rebuild_interval = 10;
+      options.streaming.build.build_dft = true;  // WF answers only live
+      auto created = ShardedAffinity::Create(ds.matrix.names(), options);
+      ASSERT_TRUE(created.ok());
+      auto service = std::make_unique<ShardedAffinity>(std::move(*created));
+      auto base_created = core::StreamingAffinity::Create(ds.matrix.names(), options.streaming);
+      ASSERT_TRUE(base_created.ok());
+      auto baseline = std::make_unique<core::StreamingAffinity>(std::move(*base_created));
+
+      std::size_t publications = 0;
+      std::size_t excluded = 0;
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        SCOPED_TRACE("row " + std::to_string(i));
+        const core::AppendResult s_append = service->AppendMasked(rows[i]);
+        const core::AppendResult b_append = baseline->AppendMasked(rows[i]);
+        ASSERT_TRUE(s_append.ok());
+        ASSERT_TRUE(b_append.ok());
+        ASSERT_EQ(s_append.refreshed, b_append.refreshed);
+        if (i == kRebuildAt) {
+          ASSERT_TRUE(service->Rebuild().ok());
+          ASSERT_TRUE(baseline->Rebuild().ok());
+        } else if (i == kCheckpointAt) {
+          // The manifest keeps each shard's snapshot window; the baseline
+          // restores from its own snapshot model the same way.
+          const std::string path = TempPath("oracle.affs");
+          ASSERT_TRUE(service->Save(path).ok());
+          auto loaded = ShardedAffinity::Load(path, threads);
+          ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+          service = std::make_unique<ShardedAffinity>(std::move(*loaded));
+          std::stringstream checkpoint;
+          ASSERT_TRUE(core::WriteModelStream(baseline->framework()->model(), checkpoint).ok());
+          auto model = core::ReadModelStream(checkpoint);
+          ASSERT_TRUE(model.ok());
+          auto restored =
+              core::StreamingAffinity::Restore(std::move(*model), options.streaming, {});
+          ASSERT_TRUE(restored.ok());
+          baseline = std::make_unique<core::StreamingAffinity>(std::move(*restored));
+        } else if (!s_append.refreshed) {
+          continue;
+        }
+        ++publications;
+        ExpectMatchesBaseline(*service, *baseline, &excluded);
+      }
+      EXPECT_GE(publications, 15u);
+      EXPECT_GT(excluded, 0u);  // the quality predicate did filter
+
+      // An explicit WF method: every shard snapshot declines with
+      // kUnavailable and the shard facades answer live.
+      const std::size_t fallbacks = service->maintenance().serve_fallbacks;
+      FreshnessOptions wf;
+      wf.method = QueryMethod::kDft;
+      auto wf_met = service->Met(MetRequest{Measure::kCorrelation, 0.5, true}, wf);
+      ASSERT_TRUE(wf_met.ok()) << wf_met.status().ToString();
+      EXPECT_EQ(wf_met->result.plan.method, QueryMethod::kDft);
+      EXPECT_EQ(service->maintenance().serve_fallbacks, fallbacks + shards);
+      EXPECT_EQ(wf_met->result.plan.rationale.find("served from read-optimized snapshot"),
+                std::string::npos);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Freshness-bounded answers.
 // ---------------------------------------------------------------------------
 
@@ -427,6 +632,38 @@ TEST(Sharded, FreshnessReportsAgeAndBlends) {
   ASSERT_TRUE(unblended.ok());
   for (const ShardFreshness& f : unblended->shards) EXPECT_FALSE(f.blended);
   EXPECT_DOUBLE_EQ(unblended->response.pair_values(0, 1), stale->response.pair_values(0, 1));
+}
+
+// A blended gather takes each shard's answer from that shard's facade,
+// which blends it, and rescales only the cross values itself.
+TEST(Sharded, BlendedShardCellsComeFromTheShardFacade) {
+  const ts::Dataset ds = TestData();
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 40);
+  std::vector<double> row(ds.matrix.n());
+  for (std::size_t i = 40; i < 45; ++i) {
+    for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = 3.0 * ds.matrix.matrix()(i, j);
+    ASSERT_TRUE(service->Append(row).ok());
+  }
+  FreshnessOptions bounded;
+  bounded.max_staleness = 2;
+  MecRequest mec;
+  mec.measure = Measure::kCovariance;
+  mec.ids = {0, 1};  // both on shard 0 at a 2-way range partition
+  const SeriesPartitioner& partitioner = service->router().partitioner();
+  ASSERT_EQ(partitioner.shard_of(0), partitioner.shard_of(1));
+  MecRequest local = mec;
+  local.ids = {partitioner.local_id(0), partitioner.local_id(1)};
+  auto sharded = service->Mec(mec, bounded);
+  auto facade = service->shard(partitioner.shard_of(0)).Mec(local, bounded);
+  auto stale = service->Mec(mec);
+  ASSERT_TRUE(sharded.ok());
+  ASSERT_TRUE(facade.ok());
+  ASSERT_TRUE(stale.ok());
+  EXPECT_EQ(sharded->response.pair_values(0, 1), facade->pair_values(0, 1));
+  EXPECT_NE(sharded->response.pair_values(0, 1), stale->response.pair_values(0, 1));
+  EXPECT_NE(sharded->response.plan.rationale.find("freshness blend"), std::string::npos);
 }
 
 TEST(Streaming, FreshnessBlendOnSingleInstance) {
@@ -540,59 +777,70 @@ TEST(Sharded, ManifestRoundTripPreservesAnswers) {
   EXPECT_TRUE(refreshed);
 }
 
-// v2 manifests carried a SCAPE B-tree fanout the sorted-run index no longer
-// has; they still load, and answer exactly as the v3 file they are made
-// from. The v2 bytes are a v3 file with the u64 field spliced back in.
-TEST(Sharded, V2ManifestLoadsLikeV3) {
-  const ts::Dataset ds = TestData();
-  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
-  ASSERT_TRUE(service.ok());
-  Feed(&*service, ds, 0, 100);
-  const std::string v3_path = TempPath("sharded_v3.affs");
-  ASSERT_TRUE(service->Save(v3_path).ok());
-  std::string bytes;
-  {
-    std::ifstream in(v3_path, std::ios::binary);
-    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
+/// The bytes of a saved (v4) manifest rewritten as an older version. The
+/// v4 layout: magic(4) version(4) shards(8) n(8) scheme(4), one u32 shard
+/// id per series, then window(8) interval(8) mode(4) segment_capacity(8)
+/// k(8) max_iterations(4) min_changes(4) seed(8) cache_pinv(4)
+/// max_relationships(8) — where v1/v2 kept a u64 SCAPE B-tree fanout —
+/// then build_scape(4) build_dft(4) dft_coefficients(8) drift(8)
+/// refit_period(8) escalation_factor(8) escalation_slack(8) — after which
+/// v2/v3 kept two u64 cross-cache fields (budget, resync period) — and
+/// the shard payloads.
+std::string OlderManifest(std::string bytes, std::size_t n, std::uint32_t version) {
   const auto u32_at = [&](std::size_t pos) {
     std::uint32_t v = 0;
     std::memcpy(&v, bytes.data() + pos, sizeof v);
     return v;
   };
-  ASSERT_EQ(u32_at(4), 3u);
-  // Walk the v3 layout to where v2 kept the fanout: magic(4) version(4)
-  // shards(8) n(8) scheme(4), one u32 shard id per series, then
-  // window(8) interval(8) mode(4) segment_capacity(8) k(8)
-  // max_iterations(4) min_changes(4) seed(8) cache_pinv(4)
-  // max_relationships(8). The build_scape and build_dft flags follow.
-  const std::size_t off = 28 + 4 * ds.matrix.n() + 28 + 36;
-  ASSERT_EQ(u32_at(off), 1u);      // build_scape
-  ASSERT_EQ(u32_at(off + 4), 0u);  // build_dft
-  const std::uint64_t fanout = 64;
-  bytes.insert(off, reinterpret_cast<const char*>(&fanout), sizeof fanout);
-  const std::uint32_t v2 = 2;
-  std::memcpy(bytes.data() + 4, &v2, sizeof v2);
-  const std::string v2_path = TempPath("sharded_v2.affs");
-  std::ofstream(v2_path, std::ios::binary) << bytes;
+  EXPECT_EQ(u32_at(4), 4u);
+  const std::size_t fanout_at = 28 + 4 * n + 28 + 36;
+  const std::size_t cache_at = fanout_at + 48;
+  EXPECT_EQ(u32_at(fanout_at), 1u);      // build_scape
+  EXPECT_EQ(u32_at(fanout_at + 4), 0u);  // build_dft
+  if (version == 2 || version == 3) {
+    const std::uint64_t cache[2] = {24576, 64};
+    bytes.insert(cache_at, reinterpret_cast<const char*>(cache), sizeof cache);
+  }
+  if (version <= 2) {
+    const std::uint64_t fanout = 64;
+    bytes.insert(fanout_at, reinterpret_cast<const char*>(&fanout), sizeof fanout);
+  }
+  std::memcpy(bytes.data() + 4, &version, sizeof version);
+  return bytes;
+}
 
-  auto v3 = ShardedAffinity::Load(v3_path);
-  auto v2_loaded = ShardedAffinity::Load(v2_path);
-  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
-  ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.status().ToString();
-  EXPECT_EQ(v2_loaded->options().streaming.build.build_scape, true);
-  EXPECT_EQ(v2_loaded->options().streaming.build.afclst.k, 2u);
-  EXPECT_EQ(v2_loaded->options().streaming.rebuild_interval, 20u);
+/// Saves `service`, rewrites the file as manifest `version`, loads both
+/// and checks the older file restores the same tuning and answers
+/// bitwise as the v4 file it was made from.
+void ExpectOlderManifestLoadsLikeV4(const ShardedAffinity& service, std::size_t n,
+                                    std::uint32_t version) {
+  const std::string v4_path = TempPath("sharded_v4.affs");
+  ASSERT_TRUE(service.Save(v4_path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(v4_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::string old_path = TempPath("sharded_v" + std::to_string(version) + ".affs");
+  std::ofstream(old_path, std::ios::binary) << OlderManifest(bytes, n, version);
+
+  auto v4 = ShardedAffinity::Load(v4_path);
+  auto old = ShardedAffinity::Load(old_path);
+  ASSERT_TRUE(v4.ok()) << v4.status().ToString();
+  ASSERT_TRUE(old.ok()) << old.status().ToString();
+  EXPECT_EQ(old->options().streaming.build.build_scape, true);
+  EXPECT_EQ(old->options().streaming.build.afclst.k, 2u);
+  EXPECT_EQ(old->options().streaming.rebuild_interval, 20u);
   for (const QueryMethod method : {QueryMethod::kScape, QueryMethod::kAuto}) {
     const MetRequest met{Measure::kCorrelation, 0.5, true};
-    auto met_a = v3->Met(met, {method});
-    auto met_b = v2_loaded->Met(met, {method});
+    auto met_a = v4->Met(met, {method});
+    auto met_b = old->Met(met, {method});
     ASSERT_TRUE(met_a.ok());
     ASSERT_TRUE(met_b.ok());
     EXPECT_EQ(met_a->result.pairs, met_b->result.pairs);
     const TopKRequest topk{Measure::kCovariance, 7, true};
-    auto topk_a = v3->TopK(topk, {method});
-    auto topk_b = v2_loaded->TopK(topk, {method});
+    auto topk_a = v4->TopK(topk, {method});
+    auto topk_b = old->TopK(topk, {method});
     ASSERT_TRUE(topk_a.ok());
     ASSERT_TRUE(topk_b.ok());
     ASSERT_EQ(topk_a->result.entries.size(), topk_b->result.entries.size());
@@ -603,17 +851,43 @@ TEST(Sharded, V2ManifestLoadsLikeV3) {
   }
 }
 
-// Restore-ordering audit (ISSUE 5): the cross co-moment cache uses
-// stamped_generation == 0 as its never-stamped/invalidated sentinel, and
-// a freshly restored router must never Stamp/Lookup at that sentinel —
-// Load starts the router's generation at 1, so post-restore queries are
-// ordinary miss-fills (never false hits against dropped stamps) and the
-// next lockstep refresh advances to a fresh generation.
+// v1 manifests predate the cross-cache fields but carry the SCAPE B-tree
+// fanout; they load, skipping it, and answer exactly as the v4 file.
+TEST(Sharded, V1ManifestLoadsLikeV4) {
+  const ts::Dataset ds = TestData();
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 100);
+  ExpectOlderManifestLoadsLikeV4(*service, ds.matrix.n(), 1);
+}
+
+// v2 manifests carried a SCAPE B-tree fanout the sorted-run index no longer
+// has, and the cross-cache fields v4 dropped; they still load, skipping
+// both, and answer exactly as the v4 file they are made from.
+TEST(Sharded, V2ManifestLoadsLikeV4) {
+  const ts::Dataset ds = TestData();
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 100);
+  ExpectOlderManifestLoadsLikeV4(*service, ds.matrix.n(), 2);
+}
+
+// v3 manifests still carry the two cross-cache fields; they load, discard
+// them, and answer exactly as the v4 file they are made from.
+TEST(Sharded, V3ManifestLoadsLikeV4) {
+  const ts::Dataset ds = TestData();
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 100);
+  ExpectOlderManifestLoadsLikeV4(*service, ds.matrix.n(), 3);
+}
+
+// A restored router starts at generation 1 — its restored shard snapshots
+// form a real epoch — and its first lockstep refresh publishes generation
+// 2; no epoch is ever published at 0.
 TEST(Sharded, RestoredRouterNeverTouchesGenerationZero) {
   const ts::Dataset ds = TestData();
-  ShardedOptions options = SmallOptions(2);
-  options.cross_cache.budget = static_cast<std::size_t>(-1);  // watch everything
-  auto service = ShardedAffinity::Create(ds.matrix.names(), options);
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
   ASSERT_TRUE(service.ok());
   Feed(&*service, ds, 0, 60);
   ASSERT_TRUE(service->ready());
@@ -623,36 +897,18 @@ TEST(Sharded, RestoredRouterNeverTouchesGenerationZero) {
   auto loaded = ShardedAffinity::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   ASSERT_TRUE(loaded->ready());
-  const std::size_t watched = loaded->router().cross_pairs().size();
-  ASSERT_GT(watched, 0u);
-
-  // First query after restore: nothing is stamped (the manifest carries
-  // no rings), so every watched pair misses and re-fills from the sweep —
-  // a CHECK inside the cache would abort here if the router consulted it
-  // at the sentinel generation.
+  ASSERT_NE(loaded->serving(), nullptr);
+  EXPECT_EQ(loaded->serving()->generation, 1u);
   const MetRequest met{Measure::kCovariance, 0.0, true};
   ASSERT_TRUE(loaded->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(loaded->cross_cache_stats().hits, 0u);
-  EXPECT_EQ(loaded->cross_cache_stats().misses, watched);
 
-  // The miss fill stored at the restored generation: the repeat is warm
-  // with zero additional raw pair scans.
-  const core::CrossSweepStats swept = loaded->cross_sweep_stats();
-  ASSERT_TRUE(loaded->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(loaded->cross_cache_stats().hits, watched);
-  EXPECT_EQ(loaded->cross_sweep_stats().pairs_scanned, swept.pairs_scanned);
-
-  // After a full window of appends the lockstep refresh stamps a *new*
-  // generation; warm answers keep flowing (no sentinel aliasing).
   std::vector<double> row(ds.matrix.n());
-  for (std::size_t i = 60; i < 60 + 40 + 20; ++i) {
+  for (std::size_t i = 60; i < 60 + 20; ++i) {
     for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = ds.matrix.matrix()(i, j);
     ASSERT_TRUE(loaded->Append(row).ok());
   }
-  EXPECT_GT(loaded->cross_cache_stats().stamps, 0u);
-  const std::size_t hits_before = loaded->cross_cache_stats().hits;
+  EXPECT_EQ(loaded->serving()->generation, 2u);
   ASSERT_TRUE(loaded->Met(met, {core::QueryMethod::kNaive}).ok());
-  EXPECT_EQ(loaded->cross_cache_stats().hits, hits_before + watched);
 }
 
 TEST(Sharded, LoadRejectsCorruptManifests) {
