@@ -187,8 +187,9 @@ BENCHMARK(BM_ScratchCovariance)->Arg(720)->Arg(1950);
 // Named BM_Kernel* so CI can carve them into BENCH_kernels.json with
 // --benchmark_filter=Kernel. Throughput kernels report bytes/second
 // (GB/s in the JSON); the sweep pair reports pairs/second — the fused,
-// marginal-hoisted sweep must be ≥ 2× the seed's multi-pass loop on
-// derived measures at window ≥ 1024.
+// marginal-hoisted sweep's design target is ≥ 2× the seed's multi-pass
+// loop on derived measures at window ≥ 1024. The rows are reported, not
+// enforced: bench_micro exits 0 whatever they read.
 
 void BM_KernelScalarDot(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
@@ -239,16 +240,17 @@ void BM_KernelFusedPairMoments(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelFusedPairMoments)->Arg(1024)->Arg(65536);
 
-// --- SIMD backend rows (ISSUE 6) ---------------------------------------------
+// --- SIMD backend rows (DESIGN.md §10) ---------------------------------------
 //
 // Named BM_Simd* so CI carves them into BENCH_simd.json with
 // --benchmark_filter=Simd. One GB/s row per (chain kernel, backend):
 // range(0) selects forced scalar (0) vs the dispatched best backend (1),
 // range(1) is the window; the row label records which backend actually
-// ran, so artifacts stay comparable across runner generations. Gate: the
-// dispatched BlockedDot and FusedPairMoments rows must be ≥ 2× their
-// scalar rows at window 4096 on SIMD hardware. The prefetch sweep tunes
-// kDefaultPrefetchDistance at memory-resident sizes.
+// ran, so artifacts stay comparable across runner generations. The design
+// target is dispatched BlockedDot and FusedPairMoments rows ≥ 2× their
+// scalar rows at window 4096 on SIMD hardware; the rows are reported, not
+// enforced. The prefetch sweep tunes kDefaultPrefetchDistance at
+// memory-resident sizes.
 
 /// Selects the row's backend, runs the loop, restores the entry backend.
 template <class Fn>
@@ -809,8 +811,8 @@ void BM_QualityTrackerPush(benchmark::State& state, bool dirty) {
 BENCHMARK_CAPTURE(BM_QualityTrackerPush, clean, false);
 BENCHMARK_CAPTURE(BM_QualityTrackerPush, dirty, true);
 
-/// Steady-state streaming append: rolling-moment updates, the quality
-/// tracker and the preallocated pending-row pool. `allocs_per_append`
+/// Steady-state streaming append: the table append, the quality tracker
+/// and the preallocated pending-row pool. `allocs_per_append`
 /// counts non-refresh appends only; the residue is segment-granular
 /// storage growth (~n/segment_capacity per append), not per-row buffers.
 /// The masked variant feeds a ~20%-gapped stream through AppendMasked and

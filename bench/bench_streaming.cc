@@ -744,7 +744,7 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
   bool gate_ok = true;
 
   // Steady-state publication: the publish-side profile isolates its cost
-  // from the rest of the slide (absorb, rolling, compaction). Slides and
+  // from the rest of the slide (absorb, quality, compaction). Slides and
   // from-scratch builds alternate in *blocks* — blocks keep the
   // within-phase cache behaviour of real steady state (a serving stream
   // never builds from scratch between slides), while the alternation

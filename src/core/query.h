@@ -206,9 +206,9 @@ TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
                            std::vector<ScapeTopKEntry> selected, ExecutedPlan plan);
 
 /// The selection predicates — keep(value, a, b) — shared by the engine's
-/// MET/MER sweeps, the streaming freshness-blend path, and the shard
-/// router's cross-shard sweep, so bound semantics (strict comparisons,
-/// open ranges) are defined exactly once.
+/// MET/MER sweeps, the served epoch sweeps, and the shard router's
+/// cross-shard sweep, so bound semantics (strict comparisons, open
+/// ranges) are defined exactly once.
 inline bool KeepGreater(double value, double tau, double /*unused*/) { return value > tau; }
 inline bool KeepLesser(double value, double tau, double /*unused*/) { return value < tau; }
 inline bool KeepInside(double value, double lo, double hi) { return lo < value && value < hi; }

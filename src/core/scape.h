@@ -118,12 +118,12 @@ inline bool TopKBefore(const ScapeTopKEntry& a, const ScapeTopKEntry& b, bool la
 }
 
 /// One k-bounded selection pass under `TopKBefore`, shared by every
-/// top-k (engine WN/WA, epoch pass, freshness blend, the routers'
-/// cross-shard runs, the SCAPE threshold algorithm). A heap holds the best
-/// k entries offered so far with the worst on top, so an offer costs at
-/// most one pop and one push and memory stays O(k). Offers from parallel
-/// chunks may go to per-chunk selectors joined with `Merge`: the total
-/// order makes the result identical to one sequential pass.
+/// top-k (engine WN/WA, epoch pass, the routers' cross-shard runs, the
+/// SCAPE threshold algorithm). A heap holds the best k entries offered so
+/// far with the worst on top, so an offer costs at most one pop and one
+/// push and memory stays O(k). Offers from parallel chunks may go to
+/// per-chunk selectors joined with `Merge`: the total order makes the
+/// result identical to one sequential pass.
 class TopKSelector {
  public:
   TopKSelector(std::size_t k, bool largest) : k_(k), largest_(largest) {}

@@ -5,6 +5,7 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_annotations.h"
+#include "ts/rolling.h"
 
 namespace affinity::core {
 
@@ -48,45 +49,6 @@ Status ValidateStreamingOptions(const StreamingOptions& options, std::size_t ser
     return Status::InvalidArgument("streaming requires escalation_factor > 0");
   }
   return Status::OK();
-}
-
-double BlendPairMeasure(Measure measure, double snapshot_corr, double snapshot_value,
-                        const ts::RollingStats& u, const ts::RollingStats& v) {
-  const double m = static_cast<double>(u.count());
-  if (m == 0.0) return snapshot_value;
-  const double var_u = u.Variance();
-  const double var_v = v.Variance();
-  // The blended covariance: snapshot correlation × live scales. A live
-  // constant series has zero covariance with anything, exactly.
-  const double cov = (var_u > 0.0 && var_v > 0.0)
-                         ? snapshot_corr * std::sqrt(var_u * var_v)
-                         : 0.0;
-  // Population identity Σuv = m·(cov + mean_u·mean_v) lifts the blend to
-  // the dot product, and the live energies normalize the rest.
-  const double dot = m * (cov + u.Mean() * v.Mean());
-  switch (measure) {
-    case Measure::kCovariance:
-      return cov;
-    case Measure::kCorrelation:
-      // Scale-free: the live marginals carry no cross information.
-      return snapshot_corr;
-    case Measure::kDotProduct:
-      return dot;
-    case Measure::kCosine: {
-      const double denom = std::sqrt(u.SumSquares() * v.SumSquares());
-      return denom > 0.0 ? dot / denom : snapshot_value;
-    }
-    case Measure::kJaccard: {
-      const double denom = u.SumSquares() + v.SumSquares() - dot;
-      return denom != 0.0 ? dot / denom : snapshot_value;
-    }
-    case Measure::kDice: {
-      const double denom = u.SumSquares() + v.SumSquares();
-      return denom > 0.0 ? 2.0 * dot / denom : snapshot_value;
-    }
-    default:
-      return snapshot_value;  // L-measures are not pair measures
-  }
 }
 
 StatusOr<StreamingAffinity> StreamingAffinity::Create(const std::vector<std::string>& names,
@@ -148,14 +110,10 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
   }
   StreamingAffinity stream(std::move(table), options, nullptr, exec);
   stream.InitBuffers(n);
-  // Replay the window through the rolling moments (and the quality tracker,
-  // as fully observed rows — a checkpoint stores no masks) so the live
-  // marginals match the restored snapshot exactly.
+  // Replay the window through the quality tracker as fully observed rows
+  // (a checkpoint stores no masks).
   for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = model.data().matrix()(i, j);
-      stream.rolling_[j].Push(row[j]);
-    }
+    for (std::size_t j = 0; j < n; ++j) row[j] = model.data().matrix()(i, j);
     stream.quality_->Push(row.data(), nullptr, nullptr);
   }
   stream.RefreshQualityScores();
@@ -185,10 +143,6 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
 }
 
 void StreamingAffinity::InitBuffers(std::size_t series_count) {
-  rolling_.reserve(series_count);
-  for (std::size_t j = 0; j < series_count; ++j) {
-    rolling_.emplace_back(options_.window);
-  }
   quality_ = std::make_unique<ts::QualityTracker>(series_count, options_.window);
   quality_scores_->assign(series_count, 1.0);
   if (options_.mode == UpdateMode::kIncremental) {
@@ -222,8 +176,8 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
                                                        const std::uint8_t* filled) {
   AppendResult out;
   // Reject non-finite input before any state mutates: one NaN reaching the
-  // rolling moments (or the window) would poison every downstream sum, and
-  // a partially applied row would desynchronize table/rolling/quality.
+  // window would poison every downstream sum, and a partially applied row
+  // would desynchronize table and quality.
   // Dirty streams pre-repair through ts::StreamAligner, which emits dense
   // finite rows plus the masks.
   for (std::size_t j = 0; j < values.size(); ++j) {
@@ -238,9 +192,6 @@ AFFINITY_HOT AppendResult StreamingAffinity::AppendRow(const std::vector<double>
   if (!out.status.ok()) return out;
   const std::size_t rows = shared_->rows.fetch_add(1, std::memory_order_relaxed) + 1;
   ++rows_since_refresh_;
-  // O(1)-per-sample window moments (ts/rolling): the live marginals behind
-  // the freshness blend, current even while the snapshot ages.
-  for (std::size_t j = 0; j < values.size(); ++j) rolling_[j].Push(values[j]);
   // The quality surface takes the row's masks; a plain append is a fully
   // observed row (null masks).
   quality_->Push(values.data(), valid, filled);
@@ -434,278 +385,69 @@ std::shared_ptr<const serve::ServingSnapshot> StreamingAffinity::BuildColdSnapsh
 }
 
 // ---------------------------------------------------------------------------
-// Freshness-bounded queries (DESIGN.md §9).
+// Queries (DESIGN.md §9).
 // ---------------------------------------------------------------------------
 
-ExecutedPlan StreamingAffinity::BlendPlan(std::size_t age) {
-  ExecutedPlan plan;
-  plan.method = QueryMethod::kAffine;
-  plan.rationale = "freshness blend: snapshot structure (age " + std::to_string(age) +
-                   " rows) rescaled by live rolling marginals";
-  return plan;
-}
-
-StatusOr<double> StreamingAffinity::BlendedSeriesValue(Measure measure, ts::SeriesId v) const {
-  if (!ready()) return Status::FailedPrecondition("no snapshot yet");
-  if (v >= rolling_.size()) {
-    return Status::OutOfRange("series id " + std::to_string(v) + " out of range");
-  }
-  switch (measure) {
-    case Measure::kMean:
-      // The rolling window serves the live mean exactly.
-      return rolling_[v].Mean();
-    case Measure::kMedian:
-    case Measure::kMode:
-      // No O(1) live form — the snapshot value stands (documented).
-      return framework_->model().SeriesMeasure(measure, v);
-    default:
-      return Status::InvalidArgument("not an L-measure");
-  }
-}
-
-StatusOr<double> StreamingAffinity::BlendedPairValue(Measure measure, ts::SeriesId u,
-                                                     ts::SeriesId v) const {
-  if (!ready()) return Status::FailedPrecondition("no snapshot yet");
-  const std::size_t n = rolling_.size();
-  if (u >= n || v >= n) return Status::OutOfRange("series id out of range");
-  if (u == v) return Status::InvalidArgument("blended pair values require u != v");
-  const AffinityModel& model = framework_->model();
-  const ts::SequencePair e(u, v);
-  // Structure from the snapshot: the WA correlation when the relationship
-  // exists, the naive snapshot correlation otherwise (truncated models).
-  double rho;
-  if (auto wa = model.PairMeasure(Measure::kCorrelation, e); wa.ok()) {
-    rho = *wa;
-  } else {
-    const ts::DataMatrix& snap = framework_->data();
-    AFFINITY_ASSIGN_OR_RETURN(rho, NaivePairMeasure(Measure::kCorrelation, snap.ColumnData(e.u),
-                                                    snap.ColumnData(e.v), snap.m(),
-                                                    snap.anchor_row()));
-  }
-  double fallback;
-  if (auto wa = model.PairMeasure(measure, e); wa.ok()) {
-    fallback = *wa;
-  } else {
-    const ts::DataMatrix& snap = framework_->data();
-    AFFINITY_ASSIGN_OR_RETURN(fallback, NaivePairMeasure(measure, snap.ColumnData(e.u),
-                                                         snap.ColumnData(e.v), snap.m(),
-                                                         snap.anchor_row()));
-  }
-  return BlendPairMeasure(measure, rho, fallback, rolling_[e.u], rolling_[e.v]);
-}
-
-StatusOr<SelectionResult> StreamingAffinity::BlendedSelect(Measure measure,
-                                                           bool (*keep)(double, double, double),
-                                                           double a, double b) const {
-  SelectionResult out;
-  const std::size_t n = rolling_.size();
-  if (IsLocation(measure)) {
-    for (std::size_t v = 0; v < n; ++v) {
-      AFFINITY_ASSIGN_OR_RETURN(const double value,
-                                BlendedSeriesValue(measure, static_cast<ts::SeriesId>(v)));
-      if (keep(value, a, b)) out.series.push_back(static_cast<ts::SeriesId>(v));
-    }
-    return out;
-  }
-  if (n < 2) return out;
-  const std::vector<ts::SequencePair> pairs = ts::AllSequencePairs(n);
-  std::vector<std::vector<ts::SequencePair>> parts(ExecNumChunks(pairs.size()));
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec_, pairs.size(), [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t i = lo; i < hi; ++i) {
-          auto value = BlendedPairValue(measure, pairs[i].u, pairs[i].v);
-          if (!value.ok()) return value.status();
-          if (keep(*value, a, b)) parts[c].push_back(pairs[i]);
-        }
-        return Status::OK();
-      }));
-  for (std::vector<ts::SequencePair>& part : parts) {
-    out.pairs.insert(out.pairs.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-StatusOr<TopKResult> StreamingAffinity::BlendedTopK(const TopKRequest& request) const {
-  const std::size_t n = rolling_.size();
-  const std::size_t total =
-      IsLocation(request.measure) ? n : ts::SequencePairCount(n);
-  TopKSelector best(request.k, request.largest);
-  if (IsLocation(request.measure)) {
-    for (std::size_t v = 0; v < n; ++v) {
-      AFFINITY_ASSIGN_OR_RETURN(const double value,
-                                BlendedSeriesValue(request.measure, static_cast<ts::SeriesId>(v)));
-      best.Offer(ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), value});
-    }
-  } else {
-    const std::vector<ts::SequencePair> pairs = ts::AllSequencePairs(n);
-    std::vector<TopKSelector> parts(ExecNumChunks(pairs.size()),
-                                    TopKSelector(request.k, request.largest));
-    AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-        exec_, pairs.size(), [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
-          for (std::size_t i = lo; i < hi; ++i) {
-            auto value = BlendedPairValue(request.measure, pairs[i].u, pairs[i].v);
-            if (!value.ok()) return value.status();
-            parts[c].Offer(ScapeTopKEntry{pairs[i], kNoSeries, *value});
-          }
-          return Status::OK();
-        }));
-    for (const TopKSelector& part : parts) best.Merge(part);
-  }
-  TopKResult out;
-  out.entries = std::move(best).Finish();
-  out.examined = total;
-  return out;
-}
-
-StatusOr<MecResponse> StreamingAffinity::BlendedMec(const MecRequest& request) const {
-  if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
-  const std::size_t n = rolling_.size();
-  for (const ts::SeriesId id : request.ids) {
-    if (id >= n) {
-      return Status::OutOfRange("series id " + std::to_string(id) + " out of range (n=" +
-                                std::to_string(n) + ")");
-    }
-  }
-  MecResponse out;
-  const std::size_t count = request.ids.size();
-  if (IsLocation(request.measure)) {
-    out.location = la::Vector(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      AFFINITY_ASSIGN_OR_RETURN(out.location[i],
-                                BlendedSeriesValue(request.measure, request.ids[i]));
-    }
-    return out;
-  }
-  out.pair_values = la::Matrix(count, count);
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t j = i; j < count; ++j) {
-      double value;
-      if (request.ids[i] == request.ids[j]) {
-        // Diagonal: live per-series moments (the engine's diagonal
-        // semantics, served from the rolling window).
-        const ts::RollingStats& rs = rolling_[request.ids[i]];
-        switch (request.measure) {
-          case Measure::kCovariance:
-            value = rs.Variance();
-            break;
-          case Measure::kDotProduct:
-            value = rs.SumSquares();
-            break;
-          case Measure::kCorrelation:
-            value = rs.Variance() > 0.0 ? 1.0 : 0.0;
-            break;
-          case Measure::kCosine:
-          case Measure::kJaccard:
-          case Measure::kDice:
-            value = rs.SumSquares() > 0.0 ? 1.0 : 0.0;
-            break;
-          default:
-            return Status::InvalidArgument("not a pair measure");
-        }
-      } else {
-        AFFINITY_ASSIGN_OR_RETURN(
-            value, BlendedPairValue(request.measure, request.ids[i], request.ids[j]));
-      }
-      out.pair_values(i, j) = value;
-      out.pair_values(j, i) = value;
-    }
-  }
-  return out;
-}
-
-StatusOr<FreshnessReport> StreamingAffinity::PrepareFreshness(
-    const serve::ServingSnapshot* snap, const FreshnessOptions& options,
-    FreshnessReport* report) const {
-  // Zero the report unconditionally first: every exit of every freshness
-  // query path — the readiness error included — leaves the caller's
-  // report in a defined state instead of whatever it last held.
+Status StreamingAffinity::PrepareFreshness(const serve::ServingSnapshot* snap,
+                                           FreshnessReport* report) const {
+  // Zero the report unconditionally first: every exit of every query path
+  // — the readiness error included — leaves the caller's report in a
+  // defined state instead of whatever it last held.
   if (report != nullptr) *report = FreshnessReport{};
   if (snap == nullptr) return Status::FailedPrecondition("no snapshot yet (need window rows)");
   // The count is read after the epoch was acquired, so it covers every row
   // that epoch absorbed.
-  FreshnessReport freshness;
-  freshness.snapshot_age = rows_ingested() - snap->snapshot_row;
-  freshness.blended = options.max_staleness > 0 && freshness.snapshot_age > options.max_staleness;
-  if (report != nullptr) *report = freshness;
-  return freshness;
+  if (report != nullptr) report->snapshot_age = rows_ingested() - snap->snapshot_row;
+  return Status::OK();
 }
 
 StatusOr<MecResponse> StreamingAffinity::Mec(const MecRequest& request,
                                              const FreshnessOptions& options,
                                              FreshnessReport* report) const {
   const auto snap = serving();
-  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
-                            PrepareFreshness(snap.get(), options, report));
-  if (!freshness.blended) {
-    // Serve from the published replica (the live structures only change
-    // at publication points, so the snapshot is the live state — answers
-    // are bitwise identical). kUnavailable is the snapshot's "cannot
-    // serve this" verdict; everything else is the final answer, success
-    // or error.
-    auto served = serve::SnapshotMec(*snap, request, options.method);
-    if (served.status().code() != StatusCode::kUnavailable) return served;
-    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    return framework_->engine().Mec(request, options.method);
-  }
-  AFFINITY_ASSIGN_OR_RETURN(MecResponse out, BlendedMec(request));
-  out.plan = BlendPlan(freshness.snapshot_age);
-  return out;
+  AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
+  // Serve from the published replica (the live structures only change at
+  // publication points, so the snapshot is the live state — answers are
+  // bitwise identical). kUnavailable is the snapshot's "cannot serve this"
+  // verdict; everything else is the final answer, success or error.
+  auto served = serve::SnapshotMec(*snap, request, options.method);
+  if (served.status().code() != StatusCode::kUnavailable) return served;
+  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  return framework_->engine().Mec(request, options.method);
 }
 
 StatusOr<SelectionResult> StreamingAffinity::Met(const MetRequest& request,
                                                  const FreshnessOptions& options,
                                                  FreshnessReport* report) const {
   const auto snap = serving();
-  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
-                            PrepareFreshness(snap.get(), options, report));
-  if (!freshness.blended) {
-    auto served = serve::SnapshotMet(*snap, request, options.method);
-    if (served.status().code() != StatusCode::kUnavailable) return served;
-    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    return framework_->engine().Met(request, options.method);
-  }
-  AFFINITY_ASSIGN_OR_RETURN(
-      SelectionResult out,
-      BlendedSelect(request.measure, request.greater ? KeepGreater : KeepLesser, request.tau,
-                    0.0));
-  out.plan = BlendPlan(freshness.snapshot_age);
-  return out;
+  AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
+  auto served = serve::SnapshotMet(*snap, request, options.method);
+  if (served.status().code() != StatusCode::kUnavailable) return served;
+  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  return framework_->engine().Met(request, options.method);
 }
 
 StatusOr<SelectionResult> StreamingAffinity::Mer(const MerRequest& request,
                                                  const FreshnessOptions& options,
                                                  FreshnessReport* report) const {
   const auto snap = serving();
-  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
-                            PrepareFreshness(snap.get(), options, report));
+  AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  if (!freshness.blended) {
-    auto served = serve::SnapshotMer(*snap, request, options.method);
-    if (served.status().code() != StatusCode::kUnavailable) return served;
-    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    return framework_->engine().Mer(request, options.method);
-  }
-  AFFINITY_ASSIGN_OR_RETURN(SelectionResult out,
-                            BlendedSelect(request.measure, KeepInside, request.lo, request.hi));
-  out.plan = BlendPlan(freshness.snapshot_age);
-  return out;
+  auto served = serve::SnapshotMer(*snap, request, options.method);
+  if (served.status().code() != StatusCode::kUnavailable) return served;
+  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  return framework_->engine().Mer(request, options.method);
 }
 
 StatusOr<TopKResult> StreamingAffinity::TopK(const TopKRequest& request,
                                              const FreshnessOptions& options,
                                              FreshnessReport* report) const {
   const auto snap = serving();
-  AFFINITY_ASSIGN_OR_RETURN(const FreshnessReport freshness,
-                            PrepareFreshness(snap.get(), options, report));
-  if (!freshness.blended) {
-    auto served = serve::SnapshotTopK(*snap, request, options.method);
-    if (served.status().code() != StatusCode::kUnavailable) return served;
-    shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-    return framework_->engine().TopK(request, options.method);
-  }
-  AFFINITY_ASSIGN_OR_RETURN(TopKResult out, BlendedTopK(request));
-  out.plan = BlendPlan(freshness.snapshot_age);
-  return out;
+  AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
+  auto served = serve::SnapshotTopK(*snap, request, options.method);
+  if (served.status().code() != StatusCode::kUnavailable) return served;
+  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  return framework_->engine().TopK(request, options.method);
 }
 
 }  // namespace affinity::core

@@ -20,13 +20,11 @@
 ///    escalates back to a full rebuild when the frozen clustering stops
 ///    describing the data.
 ///
-/// Between refreshes, queries answer against the last snapshot — the
-/// standard freshness/cost trade-off, made explicit by `snapshot_age()`
-/// and bounded on demand by `FreshnessOptions::max_staleness`: when the
-/// snapshot is older than the bound, answers are *blended* — the snapshot
-/// supplies the scale-free pair structure (its correlations), the live
-/// per-series rolling moments (maintained O(1) per append) supply the
-/// current marginals (DESIGN.md §9).
+/// Between refreshes, queries answer against the last published epoch —
+/// the standard freshness/cost trade-off: an epoch ages by up to
+/// `rebuild_interval − 1` rows, every answer reports its age
+/// (`FreshnessReport`, `snapshot_age()`), and a shorter interval is the
+/// freshness control (DESIGN.md §9).
 ///
 /// A `StreamingAffinity` is one model instance over one series group. The
 /// sharded service (src/shard) runs N of them over disjoint groups behind
@@ -37,8 +35,8 @@
 ///
 /// Resident storage stays O(window): absorbed rows are reclaimed from the
 /// table at segment granularity (`DataMatrixTable::CompactBefore`). The
-/// append hot path is allocation-free in steady state: rolling moments
-/// update in place and pending rows are copied into a preallocated pool
+/// append hot path is allocation-free in steady state: the quality tracker
+/// updates in place and pending rows are copied into a preallocated pool
 /// whose capacity never shrinks (verified by a bench_micro counter).
 
 #include <atomic>
@@ -56,7 +54,6 @@
 #include "serve/serving_snapshot.h"
 #include "storage/table.h"
 #include "ts/ingest.h"
-#include "ts/rolling.h"
 
 namespace affinity::core {
 
@@ -112,36 +109,17 @@ struct AppendResult {
   bool ok() const { return status.ok(); }
 };
 
-/// Freshness-bounded query options (DESIGN.md §9).
+/// Query options of the streaming facades (DESIGN.md §9).
 struct FreshnessOptions {
   /// Strategy per shard/instance; kAuto consults the planner.
   QueryMethod method = QueryMethod::kAuto;
-  /// Maximum acceptable snapshot age, in appended rows; 0 = no bound
-  /// (always serve the snapshot). When the snapshot is older, answers are
-  /// blended: pair measures keep the snapshot's scale-free structure (its
-  /// correlation) and take scale from the live rolling moments; means are
-  /// served live. Median/mode have no O(1) live form and stay
-  /// snapshot-aged even under a bound (documented limitation).
-  std::size_t max_staleness = 0;
 };
 
-/// Freshness report attached to a streaming answer: how old the snapshot
-/// that structured the answer is, and whether the staleness bound forced
-/// the live-marginal blend.
+/// Freshness report attached to a streaming answer: how many rows were
+/// appended since the epoch that answered was published.
 struct FreshnessReport {
   std::size_t snapshot_age = 0;
-  bool blended = false;
 };
-
-/// Live-marginal blend of one pair measure (DESIGN.md §9): the snapshot
-/// supplies the scale-free structure `snapshot_corr`, the rolling windows
-/// of the two series supply the current marginals (mean, variance, energy,
-/// count). `snapshot_value` of the requested measure is the fallback when
-/// the blend degenerates (zero live energy). Correlation itself is
-/// scale-free, so its blend is the snapshot value. The windows must be
-/// aligned (same count).
-double BlendPairMeasure(Measure measure, double snapshot_corr, double snapshot_value,
-                        const ts::RollingStats& u, const ts::RollingStats& v);
 
 /// Ingest-and-query wrapper: append aligned rows, query the latest
 /// framework snapshot.
@@ -164,7 +142,7 @@ class StreamingAffinity {
   /// Restores a ready stream from a checkpointed model (serialize.h): the
   /// model's data matrix becomes the resident window (its m() must equal
   /// `options.window`), the framework is reassembled around it
-  /// (`Affinity::FromModelWith`), rolling moments are replayed, and — in
+  /// (`Affinity::FromModelWith`), the quality tracker is replayed, and — in
   /// kIncremental mode — a fresh maintainer is frozen from the restored
   /// stack. Logical row numbering restarts at `window`.
   static StatusOr<StreamingAffinity> Restore(AffinityModel model, const StreamingOptions& options,
@@ -232,12 +210,6 @@ class StreamingAffinity {
     return p;
   }
 
-  /// Per-series rolling moments over the trailing window, maintained in
-  /// O(1) per append (`ts/rolling`) — the live marginals the freshness
-  /// blend draws on, and a drift signal against the snapshot's
-  /// `model().series_stats()`.
-  const std::vector<ts::RollingStats>& rolling_stats() const { return rolling_; }
-
   /// The live per-series data-quality tracker (DESIGN.md §12): counts and
   /// run maxima over the window's validity/fill flags, kept by push/evict
   /// on every append (plain appends count as fully observed rows).
@@ -265,16 +237,14 @@ class StreamingAffinity {
     return Status::OK();
   }
 
-  // --- Freshness-bounded queries (DESIGN.md §9) ---------------------------
+  // --- Queries (DESIGN.md §9) ---------------------------------------------
   //
-  // Each answers from the published epoch (`serving()`) when it satisfies
-  // the staleness bound, and otherwise with the live-marginal blend (a
-  // full sweep — the SCAPE index orders snapshot values, not blended
-  // ones). All are FailedPrecondition before the first build. `report`,
-  // when non-null, receives the epoch's age and whether blending ran.
-  // Served answers are safe on any thread; the blend and the live
-  // fallback after a kUnavailable decline read the live stack and belong
-  // on the writer thread (DESIGN.md §13).
+  // Each answers from the published epoch (`serving()`) and is safe on any
+  // thread. The one exception is a snapshot that declines with
+  // kUnavailable (e.g. an explicit WF method): the live engine answers
+  // instead, which belongs on the writer thread (DESIGN.md §13). All are
+  // FailedPrecondition before the first build. `report`, when non-null,
+  // receives the epoch's age.
 
   StatusOr<MecResponse> Mec(const MecRequest& request, const FreshnessOptions& options = {},
                             FreshnessReport* report = nullptr) const;
@@ -284,11 +254,6 @@ class StreamingAffinity {
                                 FreshnessReport* report = nullptr) const;
   StatusOr<TopKResult> TopK(const TopKRequest& request, const FreshnessOptions& options = {},
                             FreshnessReport* report = nullptr) const;
-
-  /// The blended value of one pair (u ≠ v) or series measure — the unit
-  /// the blended sweeps and the shard router's gather are built from.
-  StatusOr<double> BlendedPairValue(Measure measure, ts::SeriesId u, ts::SeriesId v) const;
-  StatusOr<double> BlendedSeriesValue(Measure measure, ts::SeriesId v) const;
 
   /// Forces a full rebuild now (FailedPrecondition before `window` rows
   /// exist). In kIncremental mode this also re-freezes the maintenance
@@ -312,8 +277,7 @@ class StreamingAffinity {
   /// while this stream keeps appending and refreshing — readers never
   /// block on maintenance, and an epoch is reclaimed when the last handle
   /// drops. Answers — quality predicates and stamps included — are
-  /// bitwise identical to the facade's non-blended queries at the same
-  /// epoch.
+  /// bitwise identical to the facade's queries at the same epoch.
   std::shared_ptr<const serve::ServingSnapshot> serving() const {
     return publisher_ != nullptr ? publisher_->Acquire() : nullptr;
   }
@@ -339,8 +303,8 @@ class StreamingAffinity {
                     std::unique_ptr<ThreadPool> pool, ExecContext exec)
       : pool_(std::move(pool)), exec_(exec), table_(std::move(table)), options_(options) {}
 
-  /// Shared tail of every construction path: rolling windows, the quality
-  /// tracker, and the preallocated pending-row pool.
+  /// Shared tail of every construction path: the quality tracker and the
+  /// preallocated pending-row pool.
   void InitBuffers(std::size_t series_count);
 
   /// Common body of Append/AppendMasked; null masks mean fully observed.
@@ -355,26 +319,12 @@ class StreamingAffinity {
   /// Append when the interval elapses.
   AppendResult Refresh();
 
-  /// Shared prologue of the four freshness query paths: dates `snap`, the
-  /// epoch the answer comes from (null before the first build:
-  /// FailedPrecondition), against the row count, and *always* writes
-  /// `report` (zeroed on the readiness error, the age/blend verdict
-  /// otherwise) before any per-kind logic can return — no exit leaves the
-  /// caller's report stale. The verdict's `blended` says whether the
-  /// staleness bound forces the blended sweep.
-  StatusOr<FreshnessReport> PrepareFreshness(const serve::ServingSnapshot* snap,
-                                             const FreshnessOptions& options,
-                                             FreshnessReport* report) const;
-
-  /// Blended full-sweep selection / top-k / MEC (see file docs).
-  StatusOr<SelectionResult> BlendedSelect(Measure measure, bool (*keep)(double, double, double),
-                                          double a, double b) const;
-  StatusOr<TopKResult> BlendedTopK(const TopKRequest& request) const;
-  StatusOr<MecResponse> BlendedMec(const MecRequest& request) const;
-
-  /// The ExecutedPlan stamped on answers blended over a snapshot `age`
-  /// rows old.
-  static ExecutedPlan BlendPlan(std::size_t age);
+  /// Shared prologue of the four query paths: dates `snap`, the epoch the
+  /// answer comes from (null before the first build: FailedPrecondition),
+  /// against the row count, and *always* writes `report` (zeroed on the
+  /// readiness error, the age otherwise) before any per-kind logic can
+  /// return — no exit leaves the caller's report stale.
+  Status PrepareFreshness(const serve::ServingSnapshot* snap, FreshnessReport* report) const;
 
   /// Publishes the just-refreshed stack as a new serving epoch (lock-free
   /// swap). Called at every publication point — incremental refresh
@@ -395,7 +345,6 @@ class StreamingAffinity {
   std::unique_ptr<Affinity> framework_;
   std::unique_ptr<IncrementalMaintainer> maintainer_;
   MaintenanceProfile maintenance_;
-  std::vector<ts::RollingStats> rolling_;
   /// Per-series quality over the window (DESIGN.md §12); heap-held so
   /// the stream stays movable with a stable tracker address.
   std::unique_ptr<ts::QualityTracker> quality_;

@@ -128,36 +128,13 @@ double QualityOf(const RouterSnapshot& snap, ts::SeriesId id) {
   return snap.shards[snap.shard_of[id]]->quality_surface().Score(snap.local_of[id]);
 }
 
-/// Whether the gather answers with the live-marginal blend: the oldest
-/// shard snapshot exceeds the staleness bound, so no single stale shard
-/// can leak raw epoch values into an answer stamped as blended.
-StatusOr<bool> Blends(const GatherContext& gather) {
-  const bool blend = std::any_of(gather.ages.begin(), gather.ages.end(),
-                                 [](const ShardFreshness& f) { return f.blended; });
-  if (blend && gather.live == nullptr) {
-    return Status::FailedPrecondition("a blended answer needs the live shards");
-  }
-  return blend;
-}
-
-/// The plan of one gather: the freshness blend when the bound trips (it
-/// trumps strategy choice), an explicitly requested method per shard, or
+/// The plan of one gather: an explicitly requested method per shard, or
 /// the shard-aware planner over the epoch's capabilities, which charges
 /// every candidate the cross-pair surcharge.
 template <typename PlanFn>
-ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather, bool blend,
+ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather,
                          const PlanFn& plan) {
-  if (blend) {
-    std::size_t max_age = 0;
-    for (const ShardFreshness& f : gather.ages) max_age = std::max(max_age, f.snapshot_age);
-    ExecutedPlan blended;
-    blended.method = QueryMethod::kAffine;
-    blended.rationale = "freshness blend over " + std::to_string(snap.shards.size()) +
-                        " shards: snapshot structure (age " + std::to_string(max_age) +
-                        " rows) rescaled by live rolling marginals";
-    return blended;
-  }
-  const QueryMethod method = gather.freshness.method;
+  const QueryMethod method = gather.method;
   if (method != QueryMethod::kAuto) {
     ExecutedPlan explicit_plan;
     explicit_plan.method = method;
@@ -172,34 +149,26 @@ ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather
   return plan(planner);
 }
 
-/// Shard s's answer: from its epoch snapshot, unless the gather blends or
-/// the snapshot declines with kUnavailable and the live shards are at
-/// hand — then from that shard's facade, which blends or answers live.
-/// `*live_answer` records which.
+/// Shard s's answer: from its epoch snapshot, unless the snapshot declines
+/// with kUnavailable and the live shards are at hand — then from that
+/// shard's facade, which answers live. `*live_answer` records which.
 template <typename Served, typename Live>
-auto ShardAnswer(const RouterSnapshot& snap, const GatherContext& gather, bool blend,
-                 std::size_t s, QueryMethod method, const Served& served, const Live& live,
-                 char* live_answer) -> decltype(served(*snap.shards[s], method)) {
+auto ShardAnswer(const RouterSnapshot& snap, const GatherContext& gather, std::size_t s,
+                 QueryMethod method, const Served& served, const Live& live, char* live_answer) {
   *live_answer = 0;
-  if (!blend) {
-    auto answer = served(*snap.shards[s], method);
-    if (answer.status().code() != StatusCode::kUnavailable || gather.live == nullptr) {
-      return answer;
-    }
+  auto answer = served(*snap.shards[s], method);
+  if (answer.status().code() != StatusCode::kUnavailable || gather.live == nullptr) {
+    return answer;
   }
   *live_answer = 1;
-  FreshnessOptions options = gather.freshness;
-  options.method = method;
-  return live((*gather.live)[s], options);
+  return live((*gather.live)[s], FreshnessOptions{method});
 }
 
 /// Values of the cross-shard `pairs`: one WN sweep of the epoch's shard
-/// windows and, when blending, the shard facades' rescaling — the epoch's
-/// correlation keeps the structure, the live rolling windows supply the
-/// marginals.
+/// windows.
 StatusOr<std::vector<double>> CrossValues(const RouterSnapshot& snap, Measure measure,
                                           const std::vector<ts::SequencePair>& pairs,
-                                          const GatherContext& gather, bool blend) {
+                                          const GatherContext& gather) {
   // Each series' column is looked up once, not once per pair it is in.
   std::vector<const double*> columns(snap.n, nullptr);
   const auto column = [&](ts::SeriesId id) {
@@ -214,19 +183,6 @@ StatusOr<std::vector<double>> CrossValues(const RouterSnapshot& snap, Measure me
   AFFINITY_ASSIGN_OR_RETURN(std::vector<double> values,
                             core::EvaluateCrossPairs(measure, resolved, snap.window, gather.exec,
                                                      &sweep, snap.anchor));
-  if (blend && measure != Measure::kCorrelation) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> rhos,
-                              core::EvaluateCrossPairs(Measure::kCorrelation, resolved,
-                                                       snap.window, gather.exec, &sweep,
-                                                       snap.anchor));
-    const auto rolling = [&](ts::SeriesId id) -> const ts::RollingStats& {
-      return (*gather.live)[snap.shard_of[id]].rolling_stats()[snap.local_of[id]];
-    };
-    for (std::size_t i = 0; i < pairs.size(); ++i) {
-      values[i] = core::BlendPairMeasure(measure, rhos[i], values[i], rolling(pairs[i].u),
-                                         rolling(pairs[i].v));
-    }
-  }
   if (gather.sweeps != nullptr) gather.sweeps->Add(sweep);
   return values;
 }
@@ -248,10 +204,8 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
                                              double b, double min_quality,
                                              const GatherContext& gather, const PlanFn& plan,
                                              const Served& served, const Live& live) {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, Blends(gather));
-  ExecutedPlan resolved = ResolvePlan(snap, gather, blend, plan);
-  const QueryMethod method =
-      gather.freshness.method == QueryMethod::kAuto ? resolved.method : gather.freshness.method;
+  ExecutedPlan resolved = ResolvePlan(snap, gather, plan);
+  const QueryMethod method = gather.method == QueryMethod::kAuto ? resolved.method : gather.method;
 
   const bool location = core::IsLocation(measure);
   const std::size_t n_shards = snap.shards.size();
@@ -267,7 +221,7 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
         for (std::size_t s = lo; s < hi; ++s) {
           AFFINITY_ASSIGN_OR_RETURN(
               core::SelectionResult r,
-              ShardAnswer(snap, gather, blend, s, method, served, live, &live_answers[s]));
+              ShardAnswer(snap, gather, s, method, served, live, &live_answers[s]));
           prunes[s] = r.prune;
           qualities[s] = r.quality;
           if (location) {
@@ -290,7 +244,7 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   core::AnswerQuality merged = MergeShardQuality(qualities);
   if (!location && n_shards > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossValues(snap, measure, snap.cross, gather, blend));
+                              CrossValues(snap, measure, snap.cross, gather));
     pair_runs.push_back(KeepCrossPairs(
         snap.cross, values, keep, a, b, min_quality,
         [&](ts::SeriesId id) { return QualityOf(snap, id); }, &merged));  // already lex-sorted
@@ -308,16 +262,6 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
 }
 
 }  // namespace
-
-std::vector<ShardFreshness> SnapshotFreshness(const RouterSnapshot& snap, std::size_t rows,
-                                              std::size_t max_staleness) {
-  std::vector<ShardFreshness> out(snap.shards.size());
-  for (std::size_t s = 0; s < snap.shards.size(); ++s) {
-    out[s].snapshot_age = rows - snap.shards[s]->snapshot_row;
-    out[s].blended = max_staleness > 0 && out[s].snapshot_age > max_staleness;
-  }
-  return out;
-}
 
 StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
                                           const core::MetRequest& request,
@@ -352,12 +296,10 @@ StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
 StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
                                       const core::TopKRequest& request,
                                       const GatherContext& gather) {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, Blends(gather));
-  ExecutedPlan plan = ResolvePlan(snap, gather, blend, [&](const QueryPlanner& planner) {
+  ExecutedPlan plan = ResolvePlan(snap, gather, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
-  const QueryMethod method =
-      gather.freshness.method == QueryMethod::kAuto ? plan.method : gather.freshness.method;
+  const QueryMethod method = gather.method == QueryMethod::kAuto ? plan.method : gather.method;
 
   const std::size_t n_shards = snap.shards.size();
   std::vector<ScapeTopKResult> runs(n_shards);
@@ -369,7 +311,7 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
           AFFINITY_ASSIGN_OR_RETURN(
               core::TopKResult r,
               ShardAnswer(
-                  snap, gather, blend, s, method,
+                  snap, gather, s, method,
                   [&](const serve::ServingSnapshot& shard, QueryMethod m) {
                     return serve::SnapshotTopK(shard, request, m);
                   },
@@ -396,7 +338,7 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
   const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
   if (!core::IsLocation(request.measure) && n_shards > 1) {
     AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossValues(snap, request.measure, snap.cross, gather, blend));
+                              CrossValues(snap, request.measure, snap.cross, gather));
     runs.push_back(CrossTopKRun(snap.cross, values, request, score, &merged.excluded));
   }
   core::TopKResult out;
@@ -415,8 +357,7 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
 
 StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
                                       const GatherContext& gather) {
-  AFFINITY_ASSIGN_OR_RETURN(const bool blend, Blends(gather));
-  ExecutedPlan plan = ResolvePlan(snap, gather, blend, [&](const QueryPlanner& planner) {
+  ExecutedPlan plan = ResolvePlan(snap, gather, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
   if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
@@ -426,8 +367,7 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
                                 std::to_string(snap.n) + ")");
     }
   }
-  const QueryMethod method =
-      gather.freshness.method == QueryMethod::kAuto ? plan.method : gather.freshness.method;
+  const QueryMethod method = gather.method == QueryMethod::kAuto ? plan.method : gather.method;
 
   // Slice the request per shard, remembering each id's request position.
   const std::size_t n_shards = snap.shards.size();
@@ -459,7 +399,7 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
           AFFINITY_ASSIGN_OR_RETURN(
               core::MecResponse r,
               ShardAnswer(
-                  snap, gather, blend, s, method,
+                  snap, gather, s, method,
                   [&](const serve::ServingSnapshot& shard, QueryMethod m) {
                     return serve::SnapshotMec(shard, slices[s], m);
                   },
@@ -495,7 +435,7 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
     }
     if (!pairs.empty()) {
       AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                                CrossValues(snap, request.measure, pairs, gather, blend));
+                                CrossValues(snap, request.measure, pairs, gather));
       for (std::size_t idx = 0; idx < cells.size(); ++idx) {
         out.pair_values(cells[idx].first, cells[idx].second) = values[idx];
         out.pair_values(cells[idx].second, cells[idx].first) = values[idx];

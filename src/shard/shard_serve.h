@@ -12,16 +12,13 @@
 /// `ShardedAffinity`'s queries run it over the epoch they acquire.
 ///
 /// Each shard's answer and the cross-pair values are the gather's inputs.
-/// With default `GatherContext` both come from the epoch — shard answers
-/// from its shard snapshots, cross values from one WN sweep of its shard
-/// windows with the canonical blocked kernels — so a gather takes no lock
-/// and may run on any thread. The live shards are read in two cases only,
-/// and only when the caller hands them over (`GatherContext::live`, the
-/// facade on its writer thread): a shard snapshot declines with
-/// `StatusCode::kUnavailable` (e.g. WF), and that shard's facade answers
-/// instead; or the staleness bound trips, the shard facades answer with
-/// the live-marginal blend, and the cross values are rescaled by the live
-/// rolling marginals.
+/// Both come from the epoch — shard answers from its shard snapshots,
+/// cross values from one WN sweep of its shard windows with the canonical
+/// blocked kernels — so a gather takes no lock and may run on any thread.
+/// The live shards are read in one case only, and only when the caller
+/// hands them over (`GatherContext::live`, the facade on its writer
+/// thread): a shard snapshot declines with `StatusCode::kUnavailable`
+/// (e.g. WF), and that shard's facade answers instead.
 
 #include <atomic>
 #include <cstdint>
@@ -68,18 +65,6 @@ struct RouterSnapshot {
   std::size_t max_n = 0;
 };
 
-/// Per-shard freshness attached to every facade answer.
-struct ShardFreshness {
-  std::size_t snapshot_age = 0;  ///< rows appended since that shard's refresh
-  bool blended = false;          ///< that shard answered with the live blend
-};
-
-/// Every shard snapshot's freshness in `snap` once the deployment has
-/// ingested `rows` rows: its age, and whether it is older than
-/// `max_staleness` (0 = no bound; nothing blends).
-std::vector<ShardFreshness> SnapshotFreshness(const RouterSnapshot& snap, std::size_t rows,
-                                              std::size_t max_staleness);
-
 /// Cross-sweep accounting that concurrent gathers add to: relaxed atomic
 /// counters, read back as one `core::CrossSweepStats`.
 class CrossSweepCounters {
@@ -99,14 +84,10 @@ class CrossSweepCounters {
 };
 
 /// What a gather reads besides its epoch. Default-constructed: the epoch
-/// alone, sequentially, uncounted, never blended.
+/// alone, planned by kAuto, sequentially, uncounted.
 struct GatherContext {
-  /// Per-shard strategy (kAuto: the shard-aware planner) and the staleness
-  /// bound the live shard facades answer under.
-  core::FreshnessOptions freshness;
-  /// Each epoch shard's freshness (`SnapshotFreshness`); empty = undated.
-  /// One blended shard makes the whole gather blend, which needs `live`.
-  std::vector<ShardFreshness> ages;
+  /// Per-shard strategy; kAuto: the shard-aware planner.
+  core::QueryMethod method = core::QueryMethod::kAuto;
   /// Pool for the per-shard answers and the cross sweep.
   ExecContext exec;
   /// Where the cross sweeps are counted, or null.

@@ -312,9 +312,12 @@ StatusOr<ShardedAffinity::Query> ShardedAffinity::BeginQuery(
   }
   // The row count is read after the epoch was acquired, so it covers
   // every row that epoch absorbed: ages never underflow.
-  query.gather.freshness = options;
-  query.gather.ages =
-      SnapshotFreshness(*query.epoch, rows_ingested(), options.max_staleness);
+  const std::size_t rows = rows_ingested();
+  query.ages.resize(query.epoch->shards.size());
+  for (std::size_t s = 0; s < query.ages.size(); ++s) {
+    query.ages[s].snapshot_age = rows - query.epoch->shards[s]->snapshot_row;
+  }
+  query.gather.method = options.method;
   query.gather.exec = exec_;
   query.gather.sweeps = &shared_->sweeps;
   query.gather.live = &shards_;
@@ -326,7 +329,7 @@ StatusOr<ShardedSelection> ShardedAffinity::Met(const core::MetRequest& request,
   AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
   ShardedSelection out;
   AFFINITY_ASSIGN_OR_RETURN(out.result, RouterMet(*query.epoch, request, query.gather));
-  out.shards = query.gather.ages;
+  out.shards = query.ages;
   return out;
 }
 
@@ -335,7 +338,7 @@ StatusOr<ShardedSelection> ShardedAffinity::Mer(const core::MerRequest& request,
   AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
   ShardedSelection out;
   AFFINITY_ASSIGN_OR_RETURN(out.result, RouterMer(*query.epoch, request, query.gather));
-  out.shards = query.gather.ages;
+  out.shards = query.ages;
   return out;
 }
 
@@ -344,7 +347,7 @@ StatusOr<ShardedTopK> ShardedAffinity::TopK(const core::TopKRequest& request,
   AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
   ShardedTopK out;
   AFFINITY_ASSIGN_OR_RETURN(out.result, RouterTopK(*query.epoch, request, query.gather));
-  out.shards = query.gather.ages;
+  out.shards = query.ages;
   return out;
 }
 
@@ -353,7 +356,7 @@ StatusOr<ShardedMec> ShardedAffinity::Mec(const core::MecRequest& request,
   AFFINITY_ASSIGN_OR_RETURN(const Query query, BeginQuery(options));
   ShardedMec out;
   AFFINITY_ASSIGN_OR_RETURN(out.response, RouterMec(*query.epoch, request, query.gather));
-  out.shards = query.gather.ages;
+  out.shards = query.ages;
   return out;
 }
 

@@ -25,10 +25,10 @@
 /// the same entities, values to within the WA approximation (DESIGN.md
 /// §9; asserted in tests at 1/2/8 shards).
 ///
-/// **Freshness.** `FreshnessOptions::max_staleness` bounds the snapshot
-/// age an answer may reflect; shards older than the bound blend live
-/// rolling marginals into their answers (streaming.h), and the response
-/// reports every shard's actual snapshot age.
+/// **Freshness.** Every answer comes from the router epoch it acquired,
+/// and the response reports every shard's snapshot age. Shards refresh in
+/// lockstep every `rebuild_interval` rows; a shorter interval is the
+/// freshness control (DESIGN.md §9).
 ///
 /// The single-instance deployment is exactly the N = 1 case: one shard,
 /// no cross pairs, every query a pure pass-through.
@@ -59,6 +59,11 @@ struct ShardedOptions {
   /// the single router-owned pool all shards share (1 = sequential, 0 =
   /// one per hardware thread).
   core::StreamingOptions streaming;
+};
+
+/// Per-shard freshness attached to every facade answer.
+struct ShardFreshness {
+  std::size_t snapshot_age = 0;  ///< rows appended since that shard's refresh
 };
 
 /// A MET/MER answer in global ids, plus per-shard freshness.
@@ -112,10 +117,9 @@ class ShardRouter {
 /// internally synchronized ThreadPool and joins before the call returns.
 /// Met/Mer/TopK/Mec may run on any thread: they answer from the router
 /// epoch they acquire (the internally synchronized EpochPublisher) and
-/// date it against an atomic row count. Two answers read the live shards
-/// and so belong on the writer thread: blended answers (a staleness bound
-/// the epoch exceeds) and the fallback when a shard snapshot declines
-/// with kUnavailable (e.g. an explicit WF method).
+/// date it against an atomic row count. One answer reads the live shards
+/// and so belongs on the writer thread: the fallback when a shard
+/// snapshot declines with kUnavailable (e.g. an explicit WF method).
 class ShardedAffinity {
  public:
   /// Creates N shards over the named series. Status errors (never crashes)
@@ -154,7 +158,7 @@ class ShardedAffinity {
 
   std::size_t shard_count() const { return shards_.size(); }
 
-  /// Shard s (its framework, rolling stats, maintenance accounting).
+  /// Shard s (its framework, quality tracker, maintenance accounting).
   const core::StreamingAffinity& shard(std::size_t s) const { return shards_[s]; }
 
   const ShardRouter& router() const { return router_; }
@@ -238,11 +242,12 @@ class ShardedAffinity {
   /// Builds the per-shard streams (used by Create and Load).
   Status InitShards(const std::vector<std::string>& names);
 
-  /// A facade query's view: the current router epoch, and the gather
-  /// inputs that date its shard snapshots against the live row count and
-  /// hand the gather the pool, the sweep counters and the live shards.
+  /// A facade query's view: the current router epoch, each shard
+  /// snapshot's age against the live row count, and the gather inputs
+  /// (the method, the pool, the sweep counters and the live shards).
   struct Query {
     std::shared_ptr<const RouterSnapshot> epoch;
+    std::vector<ShardFreshness> ages;
     GatherContext gather;
   };
   /// FailedPrecondition before the first epoch.

@@ -1,67 +1,8 @@
 #include "ts/rolling.h"
 
-#include <cmath>
-
-#include "common/check.h"
+#include <string>
 
 namespace affinity::ts {
-
-RollingStats::RollingStats(std::size_t window) : buffer_(window, 0.0) {
-  AFFINITY_CHECK_GE(window, 1u);
-}
-
-AFFINITY_HOT void RollingStats::Push(double x) {
-  if (count_ == buffer_.size()) {
-    const double evicted = buffer_[head_];
-    sum_ -= evicted;
-    sumsq_ -= evicted * evicted;
-  } else {
-    ++count_;
-  }
-  buffer_[head_] = x;
-  head_ = (head_ + 1) % buffer_.size();
-  sum_ += x;
-  sumsq_ += x * x;
-}
-
-double RollingStats::Mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
-double RollingStats::Variance() const {
-  if (count_ == 0) return 0.0;
-  const double mu = Mean();
-  const double var = sumsq_ / static_cast<double>(count_) - mu * mu;
-  return var > 0.0 ? var : 0.0;  // clamp negative roundoff
-}
-
-RollingCovariance::RollingCovariance(std::size_t window)
-    : x_(window), y_(window), xy_(window, 0.0) {}
-
-AFFINITY_HOT void RollingCovariance::Push(double x, double y) {
-  if (count_ == xy_.size()) {
-    sum_xy_ -= xy_[head_];
-  } else {
-    ++count_;
-  }
-  xy_[head_] = x * y;
-  head_ = (head_ + 1) % xy_.size();
-  sum_xy_ += x * y;
-  x_.Push(x);
-  y_.Push(y);
-}
-
-double RollingCovariance::Covariance() const {
-  if (count_ == 0) return 0.0;
-  const double inv = 1.0 / static_cast<double>(count_);
-  return sum_xy_ * inv - x_.Mean() * y_.Mean();
-}
-
-double RollingCovariance::Correlation() const {
-  const double denom = std::sqrt(x_.Variance() * y_.Variance());
-  if (denom == 0.0) return 0.0;
-  return Covariance() / denom;
-}
 
 StatusOr<DataMatrix> TailWindow(const DataMatrix& data, std::size_t window) {
   if (window == 0) return Status::InvalidArgument("TailWindow requires window >= 1");

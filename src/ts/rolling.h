@@ -2,22 +2,21 @@
 #define AFFINITY_TS_ROLLING_H_
 
 /// \file rolling.h
-/// Sliding-window statistics for streaming ingestion.
+/// Sliding-window helpers for streaming ingestion.
 ///
-/// The paper frames AFFINITY for "real-time and archival settings"; this
-/// substrate maintains the per-series and per-pair moments a windowed
-/// deployment needs (the same quantities the model's normalizers and the
-/// WN kernels consume) in O(1) per sample. Rebuilding the affine model on a
-/// refreshed window is then a snapshot + `Affinity::Build` away (see the
-/// `sensor_monitor` example and `TailWindow`).
+/// The paper frames AFFINITY for "real-time and archival settings"; a
+/// windowed deployment rebuilds or delta-updates the model over the
+/// trailing window. This header holds the two pieces of that below core:
+/// `RollingCrossSums`, the add/evict right-hand-side accumulator of the
+/// incremental refit (DESIGN.md §8), and `TailWindow`, the snapshot a full
+/// rebuild starts from (see the `sensor_monitor` example).
 ///
-/// Implementation: ring buffer plus running sums with subtract-on-evict.
-/// This is numerically adequate for the well-scaled inputs of this library;
-/// long-running deployments with adversarial scales should periodically
-/// re-materialize (documented trade-off, tested against exact recomputation).
+/// Subtract-on-evict is numerically adequate for the well-scaled inputs of
+/// this library; the incremental path bounds its round-off by periodic
+/// exact re-materialization (`RollingCrossSums::Reset`, tested against
+/// exact recomputation).
 
 #include <cstddef>
-#include <vector>
 
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -27,84 +26,12 @@
 
 namespace affinity::ts {
 
-/// O(1)-per-sample rolling moments of one series over a fixed window.
-class RollingStats {
- public:
-  /// \param window number of most recent samples retained (≥ 1; checked).
-  explicit RollingStats(std::size_t window);
-
-  /// Appends a sample, evicting the oldest when the window is full.
-  void Push(double x);
-
-  /// Number of samples currently in the window (≤ window()).
-  std::size_t count() const { return count_; }
-
-  /// The configured window length.
-  std::size_t window() const { return buffer_.size(); }
-
-  /// True when the window holds `window()` samples.
-  bool full() const { return count_ == buffer_.size(); }
-
-  /// Sum of the windowed samples.
-  double Sum() const { return sum_; }
-
-  /// Sum of squares of the windowed samples.
-  double SumSquares() const { return sumsq_; }
-
-  /// Mean of the windowed samples (0 when empty).
-  double Mean() const;
-
-  /// Population variance of the windowed samples (0 when empty).
-  double Variance() const;
-
- private:
-  std::vector<double> buffer_;
-  std::size_t head_ = 0;  // next write position
-  std::size_t count_ = 0;
-  double sum_ = 0;
-  double sumsq_ = 0;
-};
-
-/// O(1)-per-sample rolling co-moments of an aligned pair of series.
-class RollingCovariance {
- public:
-  explicit RollingCovariance(std::size_t window);
-
-  /// Appends one aligned sample pair.
-  void Push(double x, double y);
-
-  std::size_t count() const { return x_.count(); }
-  bool full() const { return x_.full(); }
-
-  /// Population covariance over the window (0 when empty).
-  double Covariance() const;
-
-  /// Pearson correlation over the window (0 when a variance vanishes).
-  double Correlation() const;
-
-  /// Windowed dot product Σ xᵢyᵢ.
-  double DotProduct() const { return sum_xy_; }
-
-  /// The per-series rolling stats.
-  const RollingStats& x() const { return x_; }
-  const RollingStats& y() const { return y_; }
-
- private:
-  RollingStats x_;
-  RollingStats y_;
-  std::vector<double> xy_;  // ring of x*y products
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  double sum_xy_ = 0;
-};
-
 /// Windowed add/evict accumulator of the right-hand-side sums
 /// (Σ c1·t, Σ c2·t, Σ t) a normal-equation refit over [c1, c2, 1m] needs.
-/// Unlike RollingStats it keeps no ring of its own: the caller owns one
-/// shared ring of window rows (the sliding data matrix) and supplies the
-/// evicted values — the layout that lets the incremental maintenance path
-/// (DESIGN.md §8) keep O(pairs) accumulators without O(pairs · window)
-/// memory.
+/// It keeps no ring of its own: the caller owns one shared ring of window
+/// rows (the sliding data matrix) and supplies the evicted values — the
+/// layout that lets the incremental maintenance path (DESIGN.md §8) keep
+/// O(pairs) accumulators without O(pairs · window) memory.
 struct RollingCrossSums {
   double c1t = 0.0;  ///< Σ c1ᵢ·tᵢ over the window
   double c2t = 0.0;  ///< Σ c2ᵢ·tᵢ

@@ -1,105 +1,17 @@
-// Tests for the sliding-window statistics substrate (ts/rolling.h),
-// including differential tests against exact recomputation.
+// Tests for the sliding-window helpers (ts/rolling.h): TailWindow, and
+// the RollingCrossSums accumulator against exact recomputation.
 
 #include "ts/rolling.h"
 
-#include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "ts/generators.h"
-#include "ts/stats.h"
 
 namespace affinity::ts {
 namespace {
-
-TEST(RollingStats, EmptyWindow) {
-  RollingStats r(4);
-  EXPECT_EQ(r.count(), 0u);
-  EXPECT_FALSE(r.full());
-  EXPECT_DOUBLE_EQ(r.Mean(), 0.0);
-  EXPECT_DOUBLE_EQ(r.Variance(), 0.0);
-}
-
-TEST(RollingStats, PartialWindowUsesAvailableSamples) {
-  RollingStats r(10);
-  r.Push(2.0);
-  r.Push(4.0);
-  EXPECT_EQ(r.count(), 2u);
-  EXPECT_DOUBLE_EQ(r.Mean(), 3.0);
-  EXPECT_DOUBLE_EQ(r.Variance(), 1.0);
-}
-
-TEST(RollingStats, EvictsOldestWhenFull) {
-  RollingStats r(3);
-  for (double x : {1.0, 2.0, 3.0, 4.0}) r.Push(x);  // window is {2,3,4}
-  EXPECT_TRUE(r.full());
-  EXPECT_EQ(r.count(), 3u);
-  EXPECT_DOUBLE_EQ(r.Mean(), 3.0);
-  EXPECT_DOUBLE_EQ(r.Sum(), 9.0);
-}
-
-TEST(RollingStats, MatchesExactRecomputation) {
-  const std::size_t window = 16;
-  RollingStats r(window);
-  Xoshiro256 rng(3);
-  std::vector<double> history;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.Gaussian(5.0, 2.0);
-    history.push_back(x);
-    r.Push(x);
-    const std::size_t count = std::min(history.size(), window);
-    const double* tail = history.data() + history.size() - count;
-    EXPECT_NEAR(r.Mean(), stats::Mean(tail, count), 1e-9);
-    EXPECT_NEAR(r.Variance(), stats::Variance(tail, count), 1e-8);
-  }
-}
-
-TEST(RollingStats, WindowOfOne) {
-  RollingStats r(1);
-  r.Push(7.0);
-  r.Push(-3.0);
-  EXPECT_DOUBLE_EQ(r.Mean(), -3.0);
-  EXPECT_DOUBLE_EQ(r.Variance(), 0.0);
-}
-
-TEST(RollingStatsDeath, ZeroWindowAborts) { EXPECT_DEATH({ RollingStats r(0); }, "CHECK"); }
-
-TEST(RollingCovariance, MatchesExactRecomputation) {
-  const std::size_t window = 12;
-  RollingCovariance rc(window);
-  Xoshiro256 rng(4);
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 300; ++i) {
-    const double x = rng.Gaussian();
-    const double y = 0.5 * x + rng.Gaussian(0.0, 0.3);
-    xs.push_back(x);
-    ys.push_back(y);
-    rc.Push(x, y);
-    const std::size_t count = std::min(xs.size(), window);
-    const double* tx = xs.data() + xs.size() - count;
-    const double* ty = ys.data() + ys.size() - count;
-    EXPECT_NEAR(rc.Covariance(), stats::Covariance(tx, ty, count), 1e-9);
-    EXPECT_NEAR(rc.DotProduct(), stats::DotProduct(tx, ty, count), 1e-8);
-    EXPECT_NEAR(rc.Correlation(), stats::Correlation(tx, ty, count), 1e-8);
-  }
-}
-
-TEST(RollingCovariance, ConstantSeriesCorrelationIsZero) {
-  RollingCovariance rc(5);
-  for (int i = 0; i < 5; ++i) rc.Push(3.0, static_cast<double>(i));
-  EXPECT_DOUBLE_EQ(rc.Correlation(), 0.0);
-}
-
-TEST(RollingCovariance, PerSeriesAccessors) {
-  RollingCovariance rc(4);
-  rc.Push(1.0, 10.0);
-  rc.Push(3.0, 30.0);
-  EXPECT_DOUBLE_EQ(rc.x().Mean(), 2.0);
-  EXPECT_DOUBLE_EQ(rc.y().Mean(), 20.0);
-}
 
 TEST(TailWindowFn, ExtractsLastRows) {
   la::Matrix values = la::Matrix::FromRows({{1, 10}, {2, 20}, {3, 30}, {4, 40}});

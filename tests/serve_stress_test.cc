@@ -1,11 +1,11 @@
 // Concurrency stress for lock-free snapshot serving (DESIGN.md §11):
 // reader threads continuously acquire serving epochs and run all four
-// query kinds — directly, or through the sharded facade — while the owner
-// thread slides the window at interval 1 (a refresh per append — the
-// worst-case maintenance rate). Run under the TSan CI leg, this is the
-// data-race proof of the epoch-publication contract: readers touch only
-// acquired snapshots, const serve functions and atomic counters, writers
-// only publish.
+// query kinds — directly, or through the single-stream and sharded
+// facades — while the owner thread slides the window at interval 1 (a
+// refresh per append — the worst-case maintenance rate). Run under the
+// TSan CI leg, this is the data-race proof of the epoch-publication
+// contract: readers touch only acquired snapshots, const serve functions
+// and atomic counters, writers only publish.
 
 #include <atomic>
 #include <cstddef>
@@ -23,6 +23,8 @@
 namespace affinity::shard {
 namespace {
 
+using core::ExecutedPlan;
+using core::FreshnessReport;
 using core::Measure;
 using core::StreamingAffinity;
 using core::StreamingOptions;
@@ -46,6 +48,13 @@ ts::Dataset TestData(std::size_t n) {
 constexpr std::size_t kReaders = 4;
 constexpr std::size_t kSlides = 160;  // appends after readiness, one refresh each
 
+bool ServedFromSnapshot(const ExecutedPlan& plan) {
+  return plan.rationale.find("served from read-optimized snapshot") != std::string::npos;
+}
+
+// Readers query each acquired epoch directly and through the stream's
+// facade, which answers from the epoch it acquires and dates it against
+// an atomic row count (DESIGN.md §13).
 TEST(ServeStress, SingleInstanceReadersNeverBlockOnSlides) {
   StreamingOptions options;
   options.window = 40;
@@ -84,7 +93,18 @@ TEST(ServeStress, SingleInstanceReadersNeverBlockOnSlides) {
         // The pinned epoch must be internally coherent while slides
         // publish newer ones underneath.
         if (snap->generation != generation) failures.fetch_add(1);
-        queries.fetch_add(4, std::memory_order_relaxed);
+        FreshnessReport met_age;
+        FreshnessReport topk_age;
+        FreshnessReport mec_age;
+        auto facade_met = stream->Met({Measure::kCorrelation, 0.9, true, 0.5}, {}, &met_age);
+        auto facade_topk = stream->TopK({Measure::kCovariance, 3, true}, {}, &topk_age);
+        auto facade_mec = stream->Mec({Measure::kCovariance, {0, 3, 7}}, {}, &mec_age);
+        if (!facade_met.ok() || !facade_topk.ok() || !facade_mec.ok() ||
+            !ServedFromSnapshot(facade_met->plan) || !ServedFromSnapshot(facade_topk->plan) ||
+            !ServedFromSnapshot(facade_mec->plan)) {
+          failures.fetch_add(1);
+        }
+        queries.fetch_add(7, std::memory_order_relaxed);
       }
     });
   }

@@ -235,15 +235,6 @@ TEST(ServeSnapshot, FacadeServesFromSnapshotAndMarksThePlan) {
   auto live = stream->framework()->engine().Met({Measure::kCorrelation, 0.9, true});
   ASSERT_TRUE(live.ok());
   ExpectSameSelection(*result, *live);
-  // A blended answer (staleness bound exceeded) is live by construction
-  // and must NOT carry the snapshot annotation.
-  FeedStream(&*stream, ds, 60, 65);  // age 5 without a refresh
-  FreshnessOptions tight;
-  tight.max_staleness = 2;
-  auto blended = stream->Met({Measure::kCorrelation, 0.9, true}, tight);
-  ASSERT_TRUE(blended.ok());
-  EXPECT_EQ(blended->plan.rationale.find("served from read-optimized snapshot"),
-            std::string::npos);
 }
 
 TEST(ServeSnapshot, EpochPinnedAcrossRefresh) {

@@ -1,7 +1,7 @@
 // Tests for the sharded streaming service (src/shard): partitioner
 // invariants, scatter-gather equivalence with the unsharded baseline at
 // 1/2/8 shards × 1/2/8 threads (at every publication of a dirty feed, in
-// the differential oracle), freshness-bounded (blended) answers, and the
+// the differential oracle), per-shard freshness reports, and the
 // shard-manifest round-trip across format versions.
 
 #include "shard/sharded.h"
@@ -565,15 +565,17 @@ TEST(Sharded, DirtyFeedMatchesUnshardedAtEveryPublication) {
 // Freshness-bounded answers.
 // ---------------------------------------------------------------------------
 
-TEST(Sharded, FreshnessReportsAgeAndBlends) {
+// Between refreshes every answer reports each shard's age and still comes
+// from the epoch the query acquired.
+TEST(Sharded, FreshnessReportsEveryShardsAge) {
   const ts::Dataset ds = TestData();
   auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
   ASSERT_TRUE(service.ok());
   Feed(&*service, ds, 0, 40);  // first snapshot at row 40
   ASSERT_TRUE(service->ready());
 
-  // Age the snapshot by 5 rows with a ×3 amplitude regime so the live
-  // marginals clearly disagree with the snapshot.
+  // Age the snapshot by 5 rows with a ×3 amplitude regime, so an answer
+  // that read the live rows would differ from the epoch's.
   std::vector<double> row(ds.matrix.n());
   for (std::size_t i = 40; i < 45; ++i) {
     for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = 3.0 * ds.matrix.matrix()(i, j);
@@ -583,126 +585,36 @@ TEST(Sharded, FreshnessReportsAgeAndBlends) {
   MecRequest mec;
   mec.measure = Measure::kCovariance;
   mec.ids = {0, 15};  // different shards at 2-way range partition
+  const MetRequest met{Measure::kCorrelation, 0.5, true};
+  const TopKRequest topk{Measure::kCovariance, 5, true};
 
-  // Unbounded: snapshot answer, age reported, no blending.
-  auto stale = service->Mec(mec);
-  ASSERT_TRUE(stale.ok());
-  for (const ShardFreshness& f : stale->shards) {
-    EXPECT_EQ(f.snapshot_age, 5u);
-    EXPECT_FALSE(f.blended);
+  auto aged_mec = service->Mec(mec);
+  auto aged_met = service->Met(met);
+  auto aged_topk = service->TopK(topk);
+  ASSERT_TRUE(aged_mec.ok());
+  ASSERT_TRUE(aged_met.ok());
+  ASSERT_TRUE(aged_topk.ok());
+  for (const auto* shards : {&aged_mec->shards, &aged_met->shards, &aged_topk->shards}) {
+    ASSERT_EQ(shards->size(), 2u);
+    for (const ShardFreshness& f : *shards) EXPECT_EQ(f.snapshot_age, 5u);
   }
 
-  // Bounded tighter than the age: blended answer, flagged per shard.
-  FreshnessOptions bounded;
-  bounded.max_staleness = 2;
-  auto fresh = service->Mec(mec, bounded);
-  ASSERT_TRUE(fresh.ok());
-  for (const ShardFreshness& f : fresh->shards) {
-    EXPECT_EQ(f.snapshot_age, 5u);
-    EXPECT_TRUE(f.blended);
+  // The aged answers are the epoch's.
+  const auto epoch = service->serving();
+  ASSERT_NE(epoch, nullptr);
+  auto epoch_mec = RouterMec(*epoch, mec);
+  auto epoch_met = RouterMet(*epoch, met);
+  auto epoch_topk = RouterTopK(*epoch, topk);
+  ASSERT_TRUE(epoch_mec.ok());
+  ASSERT_TRUE(epoch_met.ok());
+  ASSERT_TRUE(epoch_topk.ok());
+  EXPECT_EQ(aged_mec->response.pair_values(0, 1), epoch_mec->pair_values(0, 1));
+  EXPECT_EQ(aged_met->result.pairs, epoch_met->pairs);
+  ASSERT_EQ(aged_topk->result.entries.size(), epoch_topk->entries.size());
+  for (std::size_t i = 0; i < epoch_topk->entries.size(); ++i) {
+    EXPECT_EQ(aged_topk->result.entries[i].pair, epoch_topk->entries[i].pair);
+    EXPECT_EQ(aged_topk->result.entries[i].value, epoch_topk->entries[i].value);
   }
-
-  // The blend tracks the live scale: snapshot correlation × live σuσv.
-  MecRequest corr = mec;
-  corr.measure = Measure::kCorrelation;
-  auto rho = service->Mec(corr);
-  ASSERT_TRUE(rho.ok());
-  const auto& su = service->shard(service->router().partitioner().shard_of(0));
-  const auto& sv = service->shard(service->router().partitioner().shard_of(15));
-  const ts::RollingStats& ru =
-      su.rolling_stats()[service->router().partitioner().local_id(0)];
-  const ts::RollingStats& rv =
-      sv.rolling_stats()[service->router().partitioner().local_id(15)];
-  const double expected =
-      rho->response.pair_values(0, 1) * std::sqrt(ru.Variance() * rv.Variance());
-  EXPECT_NEAR(fresh->response.pair_values(0, 1), expected, 1e-9);
-  // And it moved away from the stale snapshot answer (the ×3 regime).
-  EXPECT_GT(std::abs(fresh->response.pair_values(0, 1)),
-            1.5 * std::abs(stale->response.pair_values(0, 1)));
-
-  // Blended correlation is the snapshot correlation (scale-free).
-  auto fresh_corr = service->Mec(corr, bounded);
-  ASSERT_TRUE(fresh_corr.ok());
-  EXPECT_DOUBLE_EQ(fresh_corr->response.pair_values(0, 1), rho->response.pair_values(0, 1));
-
-  // A fresh-enough snapshot is never blended.
-  FreshnessOptions loose;
-  loose.max_staleness = 10;
-  auto unblended = service->Mec(mec, loose);
-  ASSERT_TRUE(unblended.ok());
-  for (const ShardFreshness& f : unblended->shards) EXPECT_FALSE(f.blended);
-  EXPECT_DOUBLE_EQ(unblended->response.pair_values(0, 1), stale->response.pair_values(0, 1));
-}
-
-// A blended gather takes each shard's answer from that shard's facade,
-// which blends it, and rescales only the cross values itself.
-TEST(Sharded, BlendedShardCellsComeFromTheShardFacade) {
-  const ts::Dataset ds = TestData();
-  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
-  ASSERT_TRUE(service.ok());
-  Feed(&*service, ds, 0, 40);
-  std::vector<double> row(ds.matrix.n());
-  for (std::size_t i = 40; i < 45; ++i) {
-    for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = 3.0 * ds.matrix.matrix()(i, j);
-    ASSERT_TRUE(service->Append(row).ok());
-  }
-  FreshnessOptions bounded;
-  bounded.max_staleness = 2;
-  MecRequest mec;
-  mec.measure = Measure::kCovariance;
-  mec.ids = {0, 1};  // both on shard 0 at a 2-way range partition
-  const SeriesPartitioner& partitioner = service->router().partitioner();
-  ASSERT_EQ(partitioner.shard_of(0), partitioner.shard_of(1));
-  MecRequest local = mec;
-  local.ids = {partitioner.local_id(0), partitioner.local_id(1)};
-  auto sharded = service->Mec(mec, bounded);
-  auto facade = service->shard(partitioner.shard_of(0)).Mec(local, bounded);
-  auto stale = service->Mec(mec);
-  ASSERT_TRUE(sharded.ok());
-  ASSERT_TRUE(facade.ok());
-  ASSERT_TRUE(stale.ok());
-  EXPECT_EQ(sharded->response.pair_values(0, 1), facade->pair_values(0, 1));
-  EXPECT_NE(sharded->response.pair_values(0, 1), stale->response.pair_values(0, 1));
-  EXPECT_NE(sharded->response.plan.rationale.find("freshness blend"), std::string::npos);
-}
-
-TEST(Streaming, FreshnessBlendOnSingleInstance) {
-  const ts::Dataset ds = TestData(10);
-  core::StreamingOptions options;
-  options.window = 40;
-  options.rebuild_interval = 20;
-  options.build.afclst.k = 2;
-  options.build.build_dft = false;
-  auto stream = core::StreamingAffinity::Create(ds.matrix.names(), options);
-  ASSERT_TRUE(stream.ok());
-  FeedStream(&*stream, ds, 0, 40);
-  ASSERT_TRUE(stream->ready());
-  std::vector<double> row(ds.matrix.n());
-  for (std::size_t i = 40; i < 44; ++i) {
-    for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = 2.0 * ds.matrix.matrix()(i, j);
-    ASSERT_TRUE(stream->Append(row).ok());
-  }
-  EXPECT_EQ(stream->snapshot_age(), 4u);
-
-  // Blended mean equals the live rolling mean exactly.
-  FreshnessOptions bounded;
-  bounded.max_staleness = 1;
-  core::FreshnessReport report;
-  MecRequest mec;
-  mec.measure = Measure::kMean;
-  mec.ids = {2};
-  auto blended = stream->Mec(mec, bounded, &report);
-  ASSERT_TRUE(blended.ok());
-  EXPECT_TRUE(report.blended);
-  EXPECT_EQ(report.snapshot_age, 4u);
-  EXPECT_DOUBLE_EQ(blended->location[0], stream->rolling_stats()[2].Mean());
-
-  // Blended top-k runs the sweep (plan documents the blend).
-  auto topk = stream->TopK(TopKRequest{Measure::kCovariance, 3, true}, bounded, &report);
-  ASSERT_TRUE(topk.ok());
-  EXPECT_TRUE(report.blended);
-  EXPECT_EQ(topk->entries.size(), 3u);
-  EXPECT_NE(topk->plan.rationale.find("freshness blend"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -236,22 +236,6 @@ TEST(Streaming, IncrementalEscalatesOnRegimeChange) {
   EXPECT_GT(stream->rebuild_count(), 1u);
 }
 
-TEST(Streaming, RollingStatsTrackTheLiveWindow) {
-  StreamingOptions options = SmallOptions();
-  auto stream = StreamingAffinity::Create(Names(10), options);
-  ASSERT_TRUE(stream.ok());
-  const ts::Dataset ds = TestData();
-  ASSERT_TRUE(Feed(&*stream, ds, 0, 55).ok());
-  // The rolling stats cover rows 15..54 (window 40) even though the
-  // snapshot was built at row 40 — the live freshness signal.
-  ASSERT_EQ(stream->rolling_stats().size(), 10u);
-  const ts::RollingStats& rs = stream->rolling_stats()[2];
-  ASSERT_TRUE(rs.full());
-  double expect = 0;
-  for (std::size_t i = 15; i < 55; ++i) expect += ds.matrix.matrix()(i, 2);
-  EXPECT_NEAR(rs.Sum(), expect, 1e-9);
-}
-
 TEST(Streaming, ForcedRebuildResetsAge) {
   auto stream = StreamingAffinity::Create(Names(10), SmallOptions());
   ASSERT_TRUE(stream.ok());
@@ -269,19 +253,17 @@ TEST(Streaming, ForcedRebuildResetsAge) {
 TEST(Streaming, FreshnessReportWrittenOnErrorBranches) {
   auto stream = StreamingAffinity::Create(Names(10), SmallOptions());
   ASSERT_TRUE(stream.ok());
-  const FreshnessReport garbage{123456, true};
+  const FreshnessReport garbage{123456};
 
   // Not ready: every query kind fails but still zeroes the report.
   FreshnessReport report = garbage;
   EXPECT_EQ(stream->Met({Measure::kCorrelation, 0.5, true}, {}, &report).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(report.snapshot_age, 0u);
-  EXPECT_FALSE(report.blended);
   report = garbage;
   EXPECT_EQ(stream->Mer({Measure::kCorrelation, 0.1, 0.9}, {}, &report).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(report.snapshot_age, 0u);
-  EXPECT_FALSE(report.blended);
   report = garbage;
   EXPECT_EQ(stream->TopK({Measure::kCorrelation, 3, true}, {}, &report).status().code(),
             StatusCode::kFailedPrecondition);
@@ -299,15 +281,11 @@ TEST(Streaming, FreshnessReportWrittenOnErrorBranches) {
   EXPECT_EQ(stream->Mer({Measure::kCorrelation, 0.9, 0.1}, {}, &report).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(report.snapshot_age, 5u);
-  EXPECT_FALSE(report.blended);
 
-  // And the success path reports the same age plus the blend verdict.
+  // And the success path reports the same age.
   report = garbage;
-  FreshnessOptions tight;
-  tight.max_staleness = 2;
-  ASSERT_TRUE(stream->Met({Measure::kCorrelation, 0.5, true}, tight, &report).ok());
+  ASSERT_TRUE(stream->Met({Measure::kCorrelation, 0.5, true}, {}, &report).ok());
   EXPECT_EQ(report.snapshot_age, 5u);
-  EXPECT_TRUE(report.blended);
 }
 
 }  // namespace
