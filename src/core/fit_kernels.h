@@ -11,8 +11,9 @@
 /// reproduces a from-scratch fit *bit for bit*, which requires both paths
 /// to run the same accumulation order and the same singularity policy.
 /// All sums run in the canonical blocked order of core/kernels, so they
-/// also match the hoisted column marginals of RecomputeDerived and a
-/// RollingCrossSums::Reset over the same columns (DESIGN.md §10).
+/// also match the hoisted column marginals and per-series cross terms of
+/// RecomputeDerived and a maintained co-moment's exact refit over the
+/// same columns (DESIGN.md §10).
 
 #include <cmath>
 #include <cstddef>
@@ -80,9 +81,10 @@ inline bool InvertGram(const Gram3& gm, Mat3* out) {
   return true;
 }
 
-/// Right-hand side of the free-column fit: ([c1,c2,1]ᵀ t). The same
-/// blocked kernel RollingCrossSums::Reset runs, so a re-materialized
-/// incremental accumulator matches this bit for bit.
+/// Right-hand side of the free-column fit: ([c1,c2,1]ᵀ t). Each entry is
+/// its own blocked chain, so the incremental path assembles it bit for bit
+/// from BlockedDot(s_u, s_v) and the target series' Σ r·s and Σ s
+/// (DESIGN.md §8).
 inline void ComputeRhs(const double* c1, const double* c2, const double* t, std::size_t m,
                        double rhs[3], std::size_t anchor = 0) {
   kernels::FusedCross3(c1, c2, t, m, rhs, anchor);
@@ -116,13 +118,13 @@ inline void SolveRankDeficient(double s11, double h1, double r0, double r2, std:
 
 /// Degenerate fallback when the Gram is singular (pivot columns collinear):
 /// fit t ≈ x0·c1 + x2·1 only. Sums run as the same blocked chains the
-/// incremental path feeds SolveRankDeficient from (pivot measures + a
-/// Reset rhs), keeping the two routes bit-identical.
+/// incremental path feeds SolveRankDeficient from (pivot measures, the
+/// co-moment and the target's Σ s), keeping the two routes bit-identical.
 inline void FitRankDeficient(const double* c1, const double* t, std::size_t m, double x[3],
                              std::size_t anchor = 0) {
   const kernels::Marginals mc = kernels::ColumnMarginals(c1, m, anchor);
-  // Σc1·t / Σt as the same chains FusedCross3 feeds the incremental
-  // accumulators (r0 = chain of BlockedDot(c1, t), r2 = BlockedSum(t)).
+  // Σc1·t / Σt as the same chains ComputeRhs runs (r0 = chain of
+  // BlockedDot(c1, t), r2 = BlockedSum(t)).
   const double r0 = kernels::BlockedDot(c1, t, m, anchor);
   const double r2 = kernels::BlockedSum(t, m, anchor);
   SolveRankDeficient(mc.sumsq, mc.sum, r0, r2, m, x);

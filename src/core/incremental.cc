@@ -151,28 +151,22 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
     mt.by_key_.push_back(RelationshipRef{rec, &mt.pivot_slots_[it->second].entry->measures});
   }
 
-  // Materialize every accumulator exactly and capture the drift-monitor
+  // The series-side right-hand-side entries: Σ r·s by the chain
+  // RecomputeDerived runs (a restored model does not carry it).
+  model->series_center_dot_.resize(mt.n_);
+  for (std::size_t v = 0; v < mt.n_; ++v) {
+    model->series_center_dot_[v] = kernels::BlockedDot(
+        clustering.centers.ColData(static_cast<std::size_t>(clustering.assignment[v])),
+        data.ColumnData(static_cast<ts::SeriesId>(v)), m, data.anchor_row());
+  }
+
+  // Materialize every co-moment exactly and capture the drift-monitor
   // baseline. Re-solving here reproduces the SYMEX+ fits bit for bit
   // (shared kernels, identical accumulation order).
   std::size_t refits = 0;
   AFFINITY_RETURN_IF_ERROR(mt.SolveRelationships(kRefitAll, exec, &refits));
   mt.profile_.baseline_mean_residual = mt.profile_.mean_relative_residual;
   return mt;
-}
-
-void IncrementalMaintainer::SlotColumns(const PairSlot& s, const double** c1, const double** c2,
-                                        const double** t) const {
-  const PivotPair& pivot = s.rec->pivot;
-  const double* center = model_->clustering_.centers.ColData(pivot.cluster);
-  if (pivot.series_first) {
-    *c1 = model_->data_.ColumnData(s.e.u);
-    *c2 = center;
-    *t = model_->data_.ColumnData(s.e.v);
-  } else {
-    *c1 = center;
-    *c2 = model_->data_.ColumnData(s.e.v);
-    *t = model_->data_.ColumnData(s.e.u);
-  }
 }
 
 bool IncrementalMaintainer::WillRefit(std::size_t slot_index, std::size_t refresh_index,
@@ -219,41 +213,40 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
       const PivotPair& pivot = s.rec->pivot;
       const bool refit = WillRefit(i, refresh_index, s);
       if (refit) {
-        const double* c1;
-        const double* c2;
-        const double* t;
-        SlotColumns(s, &c1, &c2, &t);
+        const double* su = model_->data_.ColumnData(s.e.u);
+        const double* sv = model_->data_.ColumnData(s.e.v);
         if (options_.retain_block_partials) {
           // Exact re-materialization from retained partials: bitwise
-          // equal to Reset ≡ ComputeRhs by construction, paying only the
-          // blocks the window moved over since this chain last slid.
-          double sums[3];
+          // equal to BlockedDot by construction, paying only the blocks
+          // the window moved over since this chain last slid.
           s.rhs_chain.SlideTo(
-              anchor, m,
-              [c1, c2, t](std::size_t r, double* v) {
-                v[0] = c1[r] * t[r];
-                v[1] = c2[r] * t[r];
-                v[2] = t[r];
-              },
-              sums, span_stats != nullptr ? &chunk_spans[chunk] : nullptr);
-          s.rhs.Install(sums);
+              anchor, m, [su, sv](std::size_t r, double* v) { v[0] = su[r] * sv[r]; },
+              &s.co_moment, span_stats != nullptr ? &chunk_spans[chunk] : nullptr);
         } else {
-          s.rhs.Reset(c1, c2, t, m, anchor);
+          s.co_moment = kernels::BlockedDot(su, sv, m, anchor);
         }
         ++local_refits;
       }
-      const double rhs[3] = {s.rhs.c1t, s.rhs.c2t, s.rhs.t};
+      // ComputeRhs's three chains: the co-moment is the pair's; the centre
+      // cross term and the sum are the target series' exact chains, since
+      // every pivot takes its target series' cluster (SolveInsert). A
+      // product does not depend on operand order, so the co-moment chain
+      // is the same for both pivot orientations.
+      const ts::SeriesId t_series = pivot.series_first ? s.e.v : s.e.u;
+      const double center_dot = model_->series_center_dot_[t_series];
+      const SeriesStats& st = model_->series_stats_[t_series];
+      const double rhs[3] = {pivot.series_first ? s.co_moment : center_dot,
+                             pivot.series_first ? center_dot : s.co_moment, st.sum};
       double x[3];
       if (!ps.invertible) {
         // Rank-deficient fallback (pivot columns collinear), from the same
-        // maintained sums: series-side moments are in the exact pivot
-        // measures, the pair sums in the accumulators — O(1), and after a
-        // Reset bit-identical to the build path's FitRankDeficient.
+        // sums: the pivot series' moments are in the exact pivot measures,
+        // the pair sum is the co-moment — O(1), and after an exact refit
+        // bit-identical to the build path's FitRankDeficient.
         const PairMatrixMeasures& pm = ps.entry->measures;
         const double s11 = pivot.series_first ? pm.dot11 : pm.dot22;
         const double sh1 = pivot.series_first ? pm.h1 : pm.h2;
-        const double r0 = pivot.series_first ? rhs[0] : rhs[1];
-        fit::SolveRankDeficient(s11, sh1, r0, rhs[2], m, x);
+        fit::SolveRankDeficient(s11, sh1, s.co_moment, st.sum, m, x);
         // Back to design-column order (the dropped coordinate is the
         // centre column, which sits first when the series is second).
         if (!pivot.series_first) std::swap(x[0], x[1]);
@@ -266,8 +259,6 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
       // core/quality uses). O(1) per relationship; x is in design-column
       // coordinates, so it holds for the restricted fit too (a zero sits
       // in the dropped coordinate).
-      const ts::SeriesId t_series = pivot.series_first ? s.e.v : s.e.u;
-      const SeriesStats& st = model_->series_stats_[t_series];
       const double resid2 =
           std::max(0.0, st.sumsq - (x[0] * rhs[0] + x[1] * rhs[1] + x[2] * rhs[2]));
       s.rel_residual = std::sqrt(resid2) /
@@ -350,27 +341,20 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
     }
   });
 
-  // ---- Delta-update the per-pair accumulators: evict the leaving rows
-  // (read from the old matrices), add the entering ones. Slots scheduled
-  // for an exact refit skip the delta — their accumulators re-materialize
-  // in the solve pass.
+  // ---- Roll the per-pair co-moments: evict the leaving rows (read from
+  // the old matrix), add the entering ones. Slots scheduled for an exact
+  // refit skip the delta — their co-moments re-materialize in the solve
+  // pass.
   ParallelChunks(exec, slots_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       PairSlot& s = slots_[i];
       if (WillRefit(i, refresh_index, s)) continue;
-      const PivotPair& pivot = s.rec->pivot;
-      const double* c1;
-      const double* c2;
-      const double* t;
-      SlotColumns(s, &c1, &c2, &t);  // still the old matrices here
-      for (std::size_t r = 0; r < tail; ++r) s.rhs.Evict(c1[r], c2[r], t[r]);
-      const ts::SeriesId t_series = pivot.series_first ? s.e.v : s.e.u;
-      const double* center_tail = center_tails.ColData(pivot.cluster);
+      const double* su = model_->data_.ColumnData(s.e.u);  // still the old matrix here
+      const double* sv = model_->data_.ColumnData(s.e.v);
+      for (std::size_t r = 0; r < tail; ++r) s.co_moment -= su[r] * sv[r];
       for (std::size_t r = 0; r < tail; ++r) {
         const std::vector<double>& row = rows[skip + r];
-        const double c1v = pivot.series_first ? row[s.e.u] : center_tail[r];
-        const double c2v = pivot.series_first ? center_tail[r] : row[s.e.v];
-        s.rhs.Add(c1v, c2v, row[t_series]);
+        s.co_moment += row[s.e.u] * row[s.e.v];
       }
     }
   });

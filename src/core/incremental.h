@@ -19,12 +19,15 @@
 ///    (`AffinityModel::RecomputeDerived`, O(n·window)) — published moments
 ///    and measures stay bit-identical to a from-scratch build over the
 ///    same window and clustering;
-///  * the O(n²) per-pair right-hand sides are maintained by ring-buffer
-///    add/evict updates (`ts::RollingCrossSums`, O(interval) per pair) and
-///    re-solved against the pivots' refreshed 3×3 normal-equation factors;
-///    a per-pair residual monitor triggers full-precision refits (which
-///    reproduce a from-scratch fit bit for bit), and a round-robin exact
-///    refit cadence bounds accumulated round-off for the rest;
+///  * the O(n²) per-pair right-hand sides are re-solved against the
+///    pivots' refreshed 3×3 normal-equation factors. Only one entry of a
+///    right-hand side is pair-specific, the co-moment Σ s_u·s_v, rolled by
+///    subtract-on-evict / add-on-insert (O(interval) per pair); the other
+///    two are the target series' exact Σ r·s and Σ s from
+///    `RecomputeDerived`. A per-pair residual monitor triggers
+///    full-precision refits (which reproduce a from-scratch fit bit for
+///    bit), and a round-robin exact refit cadence bounds accumulated
+///    round-off for the rest;
 ///  * the SCAPE index re-keys its sorted runs (`ScapeIndex::Refresh`).
 ///
 /// A model-level drift monitor — the population mean relative fit residual,
@@ -43,7 +46,6 @@
 #include "core/fit_kernels.h"
 #include "core/scape.h"
 #include "core/symex.h"
-#include "ts/rolling.h"
 
 namespace affinity::core {
 
@@ -213,18 +215,18 @@ class IncrementalMaintainer {
 
  private:
   /// One maintained relationship: the hash slot it publishes into plus its
-  /// windowed right-hand-side accumulators and monitor state.
+  /// windowed co-moment and monitor state.
   struct PairSlot {
     ts::SequencePair e;
     AffineRecord* rec = nullptr;     ///< stable pointer into affHash
     std::size_t pivot_slot = 0;      ///< index into pivot_slots_
-    ts::RollingCrossSums rhs;        ///< (Σc1·t, Σc2·t, Σt) over the window
-    /// Retained block partials of the three rhs chains: an exact refit
+    double co_moment = 0.0;          ///< Σ s_u·s_v over the window
+    /// Retained block partials of the co-moment chain: an exact refit
     /// then re-materializes from O(interval + kBlockElems) of fresh data
     /// instead of re-reading the whole window, bitwise equal to
-    /// RollingCrossSums::Reset (gated by
+    /// BlockedDot(s_u, s_v) (gated by
     /// IncrementalOptions::retain_block_partials).
-    kernels::BlockChain<3> rhs_chain;
+    kernels::BlockChain<1> rhs_chain;
     double rel_residual = 0.0;       ///< monitor value from the last refresh
     double residual_at_refit = 0.0;  ///< level when last exactly refit
   };
@@ -249,10 +251,6 @@ class IncrementalMaintainer {
   Status SolveRelationships(std::size_t refresh_index, const ExecContext& exec,
                             std::size_t* refit_count,
                             kernels::BlockSpanStats* span_stats = nullptr);
-
-  /// The design columns of slot `s` in the *current* model matrices.
-  void SlotColumns(const PairSlot& s, const double** c1, const double** c2,
-                   const double** t) const;
 
   /// The (deterministic) exact-refit schedule: round-robin cadence plus
   /// the residual-drift trigger. Shared by the delta pass and the solve

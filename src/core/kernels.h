@@ -60,13 +60,13 @@
 /// marginals are value-equal across backends (a ±0.0 tie may resolve to
 /// the other sign bit); all sum chains are bit-equal.
 ///
-/// The primitive layer is header-only on purpose: `ts/stats` and
-/// `ts/rolling` sit *below* core in the link order but must share the
-/// canonical accumulation order (DotProduct, RollingCrossSums::Reset);
-/// inline definitions give them that without a link cycle. Batch helpers
-/// that need `ExecContext` live in kernels.cc; backend resolution and the
-/// vector kernels live in kernels_dispatch.cc / kernels_simd_*.cc
-/// (the `affinity_kernels` library, linked beneath `affinity_ts`).
+/// The primitive layer is header-only on purpose: `ts/stats` sits *below*
+/// core in the link order but must share the canonical accumulation order
+/// (DotProduct); inline definitions give it that without a link cycle.
+/// Batch helpers that need `ExecContext` live in kernels.cc; backend
+/// resolution and the vector kernels live in kernels_dispatch.cc /
+/// kernels_simd_*.cc (the `affinity_kernels` library, linked beneath
+/// `affinity_ts`).
 
 #include <cstddef>
 #include <cstdint>
@@ -276,9 +276,9 @@ inline void FusedDot3(const double* x, const double* y, std::size_t m, double* d
 }
 
 /// The normal-equation right-hand side (Σc1·t, Σc2·t, Σt) in one fused
-/// pass — shared by the SYMEX+ build fit (fit_kernels.h) and the
-/// incremental accumulator re-materialization (RollingCrossSums::Reset),
-/// which must agree bitwise (DESIGN.md §8).
+/// pass — the SYMEX+ build fit's (fit_kernels.h). Each chain equals its
+/// standalone kernel, which is how the incremental path rebuilds it
+/// bitwise from separately kept sums (DESIGN.md §8).
 inline void FusedCross3(const double* c1, const double* c2, const double* t, std::size_t m,
                         double out[3], std::size_t anchor = 0) {
   detail::Accumulate<3>(

@@ -293,7 +293,21 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
   if (!r.ok() || assign_count != model.data_.n()) {
     return Status::InvalidArgument("corrupt clustering section");
   }
+  const std::size_t n = model.data_.n();
+  const std::size_t k = model.clustering_.centers.cols();
+  if (model.clustering_.centers.rows() != model.data_.m()) {
+    return Status::InvalidArgument("cluster centres differ from the window length");
+  }
+  for (const int a : model.clustering_.assignment) {
+    if (a < 0 || static_cast<std::size_t>(a) >= k) {
+      return Status::InvalidArgument("cluster assignment out of range");
+    }
+  }
 
+  // Every id below is used as an index downstream, and the incremental
+  // solve relies on each pivot taking its target series' cluster (SYMEX's
+  // SolveInsert: (u, ω(v)) series-first, (ω(u), v) otherwise), so a
+  // payload that breaks either is rejected as it is read.
   const std::size_t rel_count = r.Size(1u << 30);
   model.aff_hash_.reserve(rel_count);
   for (std::size_t i = 0; i < rel_count && r.ok(); ++i) {
@@ -306,6 +320,16 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
     rec.transform.a22 = r.F64();
     rec.transform.b1 = r.F64();
     rec.transform.b2 = r.F64();
+    if (!r.ok()) break;
+    const std::uint64_t u = key >> 32;
+    const std::uint64_t v = key & 0xffffffffULL;
+    if (u >= v || v >= n) return Status::InvalidArgument("relationship key out of range");
+    const std::uint64_t series = rec.pivot.series_first ? u : v;
+    const std::uint64_t target = rec.pivot.series_first ? v : u;
+    const int cluster = model.clustering_.assignment[target];
+    if (rec.pivot.series != series || rec.pivot.cluster != static_cast<std::uint32_t>(cluster)) {
+      return Status::InvalidArgument("relationship pivot disagrees with the clustering");
+    }
     model.aff_hash_.emplace(key, rec);
   }
 
@@ -316,6 +340,13 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
     PivotHashEntry entry;
     entry.pivot = ReadPivot(&r);
     entry.measures = ReadMeasures(&r);
+    if (!r.ok()) break;
+    if (key != entry.pivot.Key()) {
+      return Status::InvalidArgument("pivot-hash key disagrees with its entry");
+    }
+    if (entry.pivot.series >= n || entry.pivot.cluster >= k) {
+      return Status::InvalidArgument("pivot-hash entry out of range");
+    }
     model.pivot_hash_.emplace(key, entry);
   }
 
@@ -357,6 +388,18 @@ StatusOr<AffinityModel> ReadModelStream(std::istream& in) {
   if (model.stats_.relationships != model.aff_hash_.size() ||
       model.stats_.pivots != model.pivot_hash_.size()) {
     return Status::InvalidArgument("inconsistent section counts");
+  }
+  // affinity-lint: allow(unordered-iter): any hit rejects the payload with one message
+  for (const auto& [key, rec] : model.aff_hash_) {
+    if (model.pivot_hash_.count(rec.pivot.Key()) == 0) {
+      return Status::InvalidArgument("relationship names a missing pivot");
+    }
+  }
+  if (model.center_loc_.size() != 3) {
+    return Status::InvalidArgument("centre L-measures are not 3 x k");
+  }
+  for (const auto& row : model.center_loc_) {
+    if (row.size() != k) return Status::InvalidArgument("centre L-measures are not 3 x k");
   }
   return model;
 }

@@ -43,7 +43,9 @@ Status SaveModel(const AffinityModel& model, const std::string& path);
 
 /// Reads a model previously written by SaveModel.
 /// IoError when unreadable; InvalidArgument on bad magic, unsupported
-/// version, or a truncated/corrupt payload.
+/// version, or a truncated/corrupt payload — including any series,
+/// cluster or pivot id out of range, and any relationship whose pivot does
+/// not take its target series' cluster.
 StatusOr<AffinityModel> LoadModel(const std::string& path);
 
 /// Writes one framed model payload (magic + version + body) to an open

@@ -465,6 +465,7 @@ void AffinityModel::RecomputeDerived(const ExecContext& exec, const la::Matrix* 
 
   series_stats_.resize(n);
   series_affine_.resize(n);
+  series_center_dot_.resize(n);
   fold_stats(n);
   ParallelChunks(exec, n, [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
     for (std::size_t j = lo; j < hi; ++j) {
@@ -481,7 +482,7 @@ void AffinityModel::RecomputeDerived(const ExecContext& exec, const la::Matrix* 
       // Series-level fit s ≈ gain·r + offset (normal equations on [r, 1]).
       const int cluster = clustering_.assignment[j];
       const double* r = clustering_.centers.ColData(static_cast<std::size_t>(cluster));
-      double rs;
+      double& rs = series_center_dot_[j];
       if (partials != nullptr) {
         partials->series[j].SlideTo(
             anchor, m, [r, s](std::size_t i, double* v) { v[0] = r[i] * s[i]; }, &rs,

@@ -309,6 +309,10 @@ class AffinityModel {
   std::unordered_map<std::uint64_t, PivotHashEntry> pivot_hash_;   // key: PivotPair::Key()
   std::vector<SeriesStats> series_stats_;                          // size n
   std::vector<SeriesAffine> series_affine_;                        // size n
+  // Σ r_ω(v)·s_v per series: the series-level fit's cross term, and the
+  // series-side entry of every relationship right-hand side whose target
+  // is v (IncrementalMaintainer reads it). Not serialized.
+  std::vector<double> series_center_dot_;                          // size n
   // L-measure values of the k centres: [measure][cluster];
   // rows: 0 = mean, 1 = median, 2 = mode.
   std::vector<std::vector<double>> center_loc_;

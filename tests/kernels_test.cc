@@ -6,8 +6,10 @@
 
 #include "core/kernels.h"
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -19,7 +21,6 @@
 #include "core/measures.h"
 #include "core/query.h"
 #include "ts/generators.h"
-#include "ts/rolling.h"
 
 namespace affinity::core {
 namespace {
@@ -145,21 +146,39 @@ TEST(BlockedKernels, FusedChainsAreBitwiseEqualToStandaloneKernels) {
   }
 }
 
-// RollingCrossSums::Reset and the SYMEX+ build rhs must agree bitwise —
-// the DESIGN.md §8 equivalence contract, now routed through one kernel.
-TEST(BlockedKernels, RollingResetMatchesFitRhsBitwise) {
-  for (const std::size_t m : kLengths) {
-    const Column c = MakeColumns(m)[0];
-    std::vector<double> t(m);
-    Xoshiro256 rng(m + 5);
-    for (auto& v : t) v = rng.Gaussian(1.0, 4.0);
-    ts::RollingCrossSums sums;
-    sums.Reset(c.x.data(), c.y.data(), t.data(), m);
-    double rhs[3];
-    fit::ComputeRhs(c.x.data(), c.y.data(), t.data(), m, rhs);
-    EXPECT_EQ(sums.c1t, rhs[0]) << "m=" << m;
-    EXPECT_EQ(sums.c2t, rhs[1]) << "m=" << m;
-    EXPECT_EQ(sums.t, rhs[2]) << "m=" << m;
+// The incremental solve assembles each right-hand side from three chains
+// kept apart: the pair's co-moment BlockedDot(s_u, s_v) and the target
+// series' Σ r·t and Σ t (DESIGN.md §8). Placed as the solve places them,
+// they must equal the SYMEX+ build rhs bitwise, for both pivot
+// orientations and at off-grid anchors.
+TEST(BlockedKernels, SeparateChainsAssembleFitRhsBitwise) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t anchor : {std::size_t{0}, std::size_t{1}, std::size_t{1000}}) {
+    for (const std::size_t m : kLengths) {
+      const Column c = MakeColumns(m)[0];
+      const double* su = c.x.data();
+      const double* sv = c.y.data();
+      std::vector<double> center(m);
+      Xoshiro256 rng(m + 5);
+      for (auto& v : center) v = rng.Gaussian(1.0, 4.0);
+      const double* r = center.data();
+      const double co_moment = kernels::BlockedDot(su, sv, m, anchor);
+      for (const bool series_first : {true, false}) {
+        // Series first: design [s_u, r], target s_v; else [r, s_v], target s_u.
+        const double* t = series_first ? sv : su;
+        const double center_dot = kernels::BlockedDot(r, t, m, anchor);
+        const double assembled[3] = {series_first ? co_moment : center_dot,
+                                     series_first ? center_dot : co_moment,
+                                     kernels::BlockedSum(t, m, anchor)};
+        double rhs[3];
+        fit::ComputeRhs(series_first ? su : r, series_first ? r : sv, t, m, rhs, anchor);
+        for (int i = 0; i < 3; ++i) {
+          EXPECT_EQ(bits(assembled[i]), bits(rhs[i]))
+              << "entry " << i << " series_first=" << series_first << " m=" << m
+              << " anchor=" << anchor;
+        }
+      }
+    }
   }
 }
 

@@ -7,12 +7,14 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "core/framework.h"
 #include "core/scape.h"
 #include "core/streaming.h"
+#include "model_payload.h"
 #include "ts/generators.h"
 
 namespace affinity::core {
@@ -269,6 +271,104 @@ TEST(Serialize, UnsupportedVersionRejected) {
   auto loaded = LoadModel(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("version"), std::string::npos);
+}
+
+/// Expects the payload to be rejected as InvalidArgument by the check
+/// whose message contains `what`.
+void ExpectRejected(const std::string& bytes, const std::string& what) {
+  std::istringstream in(bytes);
+  const auto loaded = ReadModelStream(in);
+  ASSERT_FALSE(loaded.ok()) << what;
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << what;
+  EXPECT_NE(loaded.status().message().find(what), std::string::npos)
+      << "expected '" << what << "', got " << loaded.status().ToString();
+}
+
+// Hostile payloads: each mutation breaks one structural invariant that
+// downstream code indexes by (or, for the pivots, that the incremental
+// solve relies on) while keeping the byte stream well formed, so only the
+// matching check can reject it.
+TEST(Serialize, OutOfRangeIdsAreRejected) {
+  using testing_payload::kPivotRecordBytes;
+  using testing_payload::ModelPayloadLayout;
+  using testing_payload::PutAt;
+  using testing_payload::U32At;
+  using testing_payload::U64At;
+  using testing_payload::WalkModelPayload;
+  const AffinityModel model = BuildModel();
+  std::ostringstream out;
+  ASSERT_TRUE(WriteModelStream(model, out).ok());
+  const std::string saved = out.str();
+  const ModelPayloadLayout l = WalkModelPayload(saved);
+  ASSERT_EQ(l.k, 3u);
+  ASSERT_EQ(l.window, model.data().m());
+  ASSERT_EQ(U64At(saved, l.build_stats), model.relationship_count());
+  {
+    std::istringstream in(saved);
+    ASSERT_TRUE(ReadModelStream(in).ok());
+  }
+  const std::size_t rel_cluster = l.relationships + 12;  // after the key and the series
+  const std::size_t pivot = l.pivots + 8;                // the first pivot-hash record
+  const std::uint32_t pivot_series = U32At(saved, pivot + 8);
+  const std::uint32_t pivot_cluster = U32At(saved, pivot + 12);
+  const bool pivot_series_first = saved[pivot + 16] != 0;
+
+  std::string b = saved;
+  PutAt<std::uint32_t>(&b, l.assignment, 1000);
+  ExpectRejected(b, "cluster assignment out of range");
+
+  // Each centre column loses its last row; the stream stays aligned.
+  b = saved;
+  for (std::size_t j = l.k; j-- > 0;) {
+    b.erase(l.center_data + ((j + 1) * l.window - 1) * sizeof(double), sizeof(double));
+  }
+  PutAt<std::uint64_t>(&b, l.center_rows, l.window - 1);
+  ExpectRejected(b, "cluster centres differ from the window length");
+
+  b = saved;
+  PutAt<std::uint64_t>(&b, l.relationships, 5000);  // (0, 5000)
+  ExpectRejected(b, "relationship key out of range");
+
+  b = saved;  // (v, u): the first key read backwards
+  const std::uint64_t key = U64At(saved, l.relationships);
+  PutAt<std::uint64_t>(&b, l.relationships, (key << 32) | (key >> 32));
+  ExpectRejected(b, "relationship key out of range");
+
+  b = saved;
+  PutAt<std::uint32_t>(&b, rel_cluster, (U32At(saved, rel_cluster) + 1) % 3);
+  ExpectRejected(b, "relationship pivot disagrees with the clustering");
+
+  // Dropping a pivot-hash record leaves some relationship without its
+  // pivot; both pivot counts follow so the section counts still agree.
+  b = saved;
+  b.erase(pivot, kPivotRecordBytes);
+  PutAt<std::uint64_t>(&b, l.pivots, U64At(saved, l.pivots) - 1);
+  const std::size_t stats_pivots = l.build_stats - kPivotRecordBytes + 8;
+  PutAt<std::uint64_t>(&b, stats_pivots, U64At(b, stats_pivots) - 1);
+  ExpectRejected(b, "relationship names a missing pivot");
+
+  // Out-of-range pivots, each re-keyed so the key check passes.
+  PivotPair bad_series{static_cast<ts::SeriesId>(model.data().n()), pivot_cluster,
+                       pivot_series_first};
+  b = saved;
+  PutAt<std::uint64_t>(&b, pivot, bad_series.Key());
+  PutAt<std::uint32_t>(&b, pivot + 8, bad_series.series);
+  ExpectRejected(b, "pivot-hash entry out of range");
+  PivotPair bad_cluster{pivot_series, 3, pivot_series_first};
+  b = saved;
+  PutAt<std::uint64_t>(&b, pivot, bad_cluster.Key());
+  PutAt<std::uint32_t>(&b, pivot + 12, bad_cluster.cluster);
+  ExpectRejected(b, "pivot-hash entry out of range");
+
+  b = saved;
+  PutAt<std::uint64_t>(&b, pivot, ~std::uint64_t{0});
+  ExpectRejected(b, "pivot-hash key disagrees with its entry");
+
+  // The first row of centre L-measures loses its last centre.
+  b = saved;
+  b.erase(l.center_loc + 16 + (l.k - 1) * sizeof(double), sizeof(double));
+  PutAt<std::uint64_t>(&b, l.center_loc + 8, l.k - 1);
+  ExpectRejected(b, "centre L-measures are not 3 x k");
 }
 
 TEST(Serialize, SaveToUnwritablePathFails) {

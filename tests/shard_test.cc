@@ -21,6 +21,7 @@
 
 #include "common/random.h"
 #include "core/serialize.h"
+#include "model_payload.h"
 #include "ts/generators.h"
 #include "ts/ingest.h"
 
@@ -832,6 +833,33 @@ TEST(Sharded, LoadRejectsCorruptManifests) {
     out << "not a manifest at all";
   }
   EXPECT_EQ(ShardedAffinity::Load(path).status().code(), StatusCode::kInvalidArgument);
+
+  // A shard payload whose cluster assignment names a centre the model
+  // does not have: the manifest reads each shard through the model
+  // loader, which rejects it before anything indexes by it.
+  const ts::Dataset ds = TestData();
+  auto service = ShardedAffinity::Create(ds.matrix.names(), SmallOptions(2));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 60);
+  ASSERT_TRUE(service->ready());
+  const std::string good_path = TempPath("good.affs");
+  ASSERT_TRUE(service->Save(good_path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(good_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::size_t shard0 = bytes.find("AFFM");
+  ASSERT_NE(shard0, std::string::npos);
+  testing_payload::PutAt<std::uint32_t>(
+      &bytes, testing_payload::WalkModelPayload(bytes, shard0).assignment, 1000);
+  const std::string bad_path = TempPath("bad_assignment.affs");
+  std::ofstream(bad_path, std::ios::binary) << bytes;
+  const auto bad = ShardedAffinity::Load(bad_path);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("cluster assignment out of range"), std::string::npos)
+      << bad.status().ToString();
 }
 
 // ---------------------------------------------------------------------------
