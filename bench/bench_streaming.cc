@@ -14,8 +14,9 @@
 // `ShardedAffinity` at each shard count over one shared pool, timing the
 // steady-state interval (scatter appends + concurrent per-shard
 // incremental refreshes), and reports each shard count's speedup over the
-// first listed one plus the cross-shard pairs a warm MET scans. It
-// enforces no bound; it exits non-zero only on errors.
+// first listed one plus the cross-shard pairs one epoch sweeps (its first
+// cross reader fills the epoch's cross co-moments; later queries only read
+// them). It enforces no bound; it exits non-zero only on errors.
 //
 // Output: human-readable rows on stdout, plus google-benchmark-compatible
 // JSON with --benchmark_format=json [--benchmark_out=FILE] so CI can
@@ -107,7 +108,7 @@ struct ShardResult {
   double min_seconds = 0;
   std::size_t rekeys = 0;
   std::size_t refits = 0;
-  double pairs_scanned_per_met = 0;  ///< raw cross-pair scans per warm MET
+  std::size_t pairs_swept_per_epoch = 0;  ///< cross pairs swept while 8 METs read one epoch
 };
 
 ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
@@ -166,9 +167,9 @@ ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
   out.refits = service->maintenance().relationships_refit;
 
   // Warm probe: repeated MET on the freshly published epoch, counting the
-  // cross-shard pairs each one sweeps.
+  // cross-shard pairs swept for all of them (the epoch's one fill).
   constexpr int kProbes = 8;
-  const core::CrossSweepStats before = service->cross_sweep_stats();
+  const shard::CrossSweepStats before = service->cross_sweep_stats();
   for (int q = 0; q < kProbes; ++q) {
     auto met = service->Met({core::Measure::kCorrelation, 0.5, true});
     if (!met.ok()) {
@@ -176,9 +177,7 @@ ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
       std::exit(1);
     }
   }
-  const core::CrossSweepStats after = service->cross_sweep_stats();
-  out.pairs_scanned_per_met =
-      static_cast<double>(after.pairs_scanned - before.pairs_scanned) / kProbes;
+  out.pairs_swept_per_epoch = service->cross_sweep_stats().pairs_scanned - before.pairs_scanned;
   return out;
 }
 
@@ -203,14 +202,14 @@ int RunShardSweep(const std::vector<std::size_t>& shard_counts, bool quick, bool
   std::printf("# bench_streaming --shards — steady-state sharded refresh latency, "
               "stock generator (n=%zu, threads=%zu)\n", spec.num_series, threads);
   std::printf(
-      "shards,threads,window,interval,refreshes,mean_us,min_us,pairs_scanned_per_met\n");
+      "shards,threads,window,interval,refreshes,mean_us,min_us,pairs_swept_per_epoch\n");
   std::vector<ShardResult> results;
   for (const ShardConfig& config : configs) {
     ShardResult r = RunShardConfig(config, feed, measured);
     results.push_back(r);
-    std::printf("%zu,%zu,%zu,%zu,%zu,%.1f,%.1f,%.1f\n", config.shards, config.threads,
+    std::printf("%zu,%zu,%zu,%zu,%zu,%.1f,%.1f,%zu\n", config.shards, config.threads,
                 config.window, config.interval, r.refreshes, r.mean_seconds * 1e6,
-                r.min_seconds * 1e6, r.pairs_scanned_per_met);
+                r.min_seconds * 1e6, r.pairs_swept_per_epoch);
   }
 
   // Scaling headline: each shard count vs the first listed (typically 1).
@@ -241,10 +240,10 @@ int RunShardSweep(const std::vector<std::size_t>& shard_counts, bool quick, bool
                    "    {\"name\": \"shard_refresh/shards:%zu/threads:%zu/window:%zu/"
                    "interval:%zu\", \"run_type\": \"iteration\", \"iterations\": %zu, "
                    "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"us\", "
-                   "\"rekeys\": %zu, \"refits\": %zu, \"pairs_scanned_per_met\": %.1f}%s\n",
+                   "\"rekeys\": %zu, \"refits\": %zu, \"pairs_swept_per_epoch\": %zu}%s\n",
                    r.config.shards, r.config.threads, r.config.window, r.config.interval,
                    r.refreshes, r.mean_seconds * 1e6, r.mean_seconds * 1e6, r.rekeys, r.refits,
-                   r.pairs_scanned_per_met, i + 1 < results.size() ? "," : "");
+                   r.pairs_swept_per_epoch, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
     if (!out_path.empty()) std::fclose(out);

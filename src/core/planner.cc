@@ -82,8 +82,9 @@ double QueryPlanner::NaiveUnitCost(Measure measure) const {
 PlanChoice QueryPlanner::Shardify(PlanChoice choice, Measure measure) const {
   if (topology_.shards <= 1 || IsLocation(measure)) return choice;
   // Pairs spanning two shards are outside every per-shard model/index; the
-  // router computes them from scratch over the aligned shard snapshots,
-  // then k-way-merges the per-shard and cross-shard runs.
+  // router evaluates them by the WN definition over the aligned shard
+  // snapshots (one exact sweep per epoch, shared by its queries), then
+  // k-way-merges the per-shard and cross-shard runs.
   choice.estimated_cost += static_cast<double>(topology_.cross_pairs) * NaiveUnitCost(measure);
   choice.rationale += "; scatter-gather over " + std::to_string(topology_.shards) +
                       " shards (+" + std::to_string(topology_.cross_pairs) +

@@ -83,8 +83,9 @@ class QueryPlanner {
   /// plans the *per-shard* strategy (n then means series per shard) and
   /// charges every candidate the scatter-gather surcharge: pairs spanning
   /// two shards are invisible to every per-shard structure, so the router
-  /// evaluates them naively over the aligned shard snapshots (query.h's
-  /// `EvaluateCrossPairs`) whatever strategy the shards run.
+  /// evaluates them by the WN definition from its epoch's cross co-moments
+  /// (shard_serve.h's `CrossMoments`, one exact sweep of the aligned shard
+  /// snapshots per epoch) whatever strategy the shards run.
   struct Topology {
     std::size_t shards = 1;       ///< independent model instances
     std::size_t cross_pairs = 0;  ///< sequence pairs spanning two shards

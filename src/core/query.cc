@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,57 +38,6 @@ void NextPair(std::size_t n, std::size_t* u, std::size_t* v) {
 }
 
 }  // namespace
-
-StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
-                                                 const std::vector<CrossPair>& pairs,
-                                                 std::size_t m, const ExecContext& exec,
-                                                 CrossSweepStats* stats, std::size_t anchor) {
-  if (IsLocation(measure)) {
-    return Status::InvalidArgument("cross-shard evaluation covers pair measures only");
-  }
-  // Hoist the marginals of every *distinct* column once (a column from one
-  // shard pairs with every column of every other shard, so the dedup is
-  // what turns the sweep from O(pairs·m·passes) into O(columns·m +
-  // pairs·m) with exactly one fused pass per pair).
-  std::unordered_map<const double*, std::size_t> column_index;
-  std::vector<const double*> columns;
-  column_index.reserve(2 * pairs.size());
-  for (const CrossPair& pair : pairs) {
-    if (pair.u == nullptr || pair.v == nullptr) {
-      return Status::InvalidArgument("cross-shard pair with unresolved columns");
-    }
-    for (const double* col : {pair.u, pair.v}) {
-      if (column_index.try_emplace(col, columns.size()).second) columns.push_back(col);
-    }
-  }
-  const std::vector<kernels::Marginals> marginals =
-      kernels::HoistMarginals(columns, m, exec, anchor);
-  if (stats != nullptr) {
-    stats->pairs_scanned += pairs.size();
-    stats->columns_hoisted += columns.size();
-  }
-  std::vector<double> values(pairs.size());
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, pairs.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (i + 1 < hi) {
-            // The next pair's columns are a strided jump away; touch
-            // their heads while this pair's dot pass runs.
-            __builtin_prefetch(pairs[i + 1].u);
-            __builtin_prefetch(pairs[i + 1].v);
-          }
-          const kernels::Marginals& mu = marginals[column_index.at(pairs[i].u)];
-          const kernels::Marginals& mv = marginals[column_index.at(pairs[i].v)];
-          auto value = PairMeasureFromMoments(
-              measure, PairMomentsFromMarginals(
-                           mu, mv, kernels::BlockedDot(pairs[i].u, pairs[i].v, m, anchor), m));
-          if (!value.ok()) return value.status();
-          values[i] = *value;
-        }
-        return Status::OK();
-      }));
-  return values;
-}
 
 QueryEngine::QueryEngine(const ts::DataMatrix* data) : data_(data) {
   AFFINITY_CHECK(data != nullptr);

@@ -207,46 +207,11 @@ TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
 
 /// The selection predicates — keep(value, a, b) — shared by the engine's
 /// MET/MER sweeps, the served epoch sweeps, and the shard router's
-/// cross-shard sweep, so bound semantics (strict comparisons, open
+/// cross-pair filter, so bound semantics (strict comparisons, open
 /// ranges) are defined exactly once.
 inline bool KeepGreater(double value, double tau, double /*unused*/) { return value > tau; }
 inline bool KeepLesser(double value, double tau, double /*unused*/) { return value < tau; }
 inline bool KeepInside(double value, double lo, double hi) { return lo < value && value < hi; }
-
-/// One cross-shard pair scheduled for naive evaluation: the global
-/// sequence pair plus its two aligned column spans, each resolved by the
-/// caller from (possibly different) shard snapshots.
-struct CrossPair {
-  ts::SequencePair pair;
-  const double* u = nullptr;
-  const double* v = nullptr;
-};
-
-/// Raw-scan accounting of cross-pair sweeps (the shard router's
-/// `cross_sweep_stats()`; perfbench's traced run reports them per query).
-struct CrossSweepStats {
-  std::size_t pairs_scanned = 0;    ///< pairs whose columns were read (one fused dot each)
-  std::size_t columns_hoisted = 0;  ///< distinct columns whose marginals were computed
-};
-
-/// Evaluates `measure` for every cross-shard pair from scratch (WN) over
-/// its aligned length-`m` column spans — the cross-shard half of a
-/// scatter-gather MET/MER/MEC/top-k (DESIGN.md §9). No per-shard model or
-/// index covers a pair spanning two shards, so the router resolves each
-/// pair's columns against the shard snapshots and sweeps them here as a
-/// deterministic chunked parallel loop over `exec`: marginals of every
-/// distinct column hoisted once, then exactly one fused blocked dot per
-/// pair (DESIGN.md §10) — bitwise equal to `NaivePairMeasure` over the
-/// same columns. Values are returned index-aligned with `pairs`, and
-/// `stats` (when non-null) accumulates raw-scan counters. `anchor` is the
-/// columns' block-grid anchor (the shard snapshots' `anchor_row()`,
-/// identical across a lockstep deployment). InvalidArgument for
-/// L-measures.
-StatusOr<std::vector<double>> EvaluateCrossPairs(Measure measure,
-                                                 const std::vector<CrossPair>& pairs,
-                                                 std::size_t m, const ExecContext& exec = {},
-                                                 CrossSweepStats* stats = nullptr,
-                                                 std::size_t anchor = 0);
 
 /// Strategy-dispatching query processor.
 ///

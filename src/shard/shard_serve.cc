@@ -38,19 +38,19 @@ core::AnswerQuality MergeShardQuality(const std::vector<core::AnswerQuality>& pa
 }
 
 /// The cross pairs a MET/MER gather keeps, in `cross` (lex) order: those
-/// with `keep(values[i], a, b)` whose endpoints, under `min_quality > 0`,
+/// with `keep(value(i), a, b)` whose endpoints, under `min_quality > 0`,
 /// both score at least `min_quality`. Pairs the predicate drops count
 /// into `merged->excluded`; when `merged->populated`, kept pairs fold
 /// their worst endpoint score into `merged->min_score`.
-template <typename ScoreFn>
+template <typename ValueFn, typename ScoreFn>
 std::vector<ts::SequencePair> KeepCrossPairs(const std::vector<ts::SequencePair>& cross,
-                                             const std::vector<double>& values,
+                                             const ValueFn& value,
                                              bool (*keep)(double, double, double), double a,
                                              double b, double min_quality, const ScoreFn& score,
                                              core::AnswerQuality* merged) {
   std::vector<ts::SequencePair> kept;
   for (std::size_t i = 0; i < cross.size(); ++i) {
-    if (!keep(values[i], a, b)) continue;
+    if (!keep(value(i), a, b)) continue;
     const double su = score(cross[i].u);
     const double sv = score(cross[i].v);
     if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
@@ -67,11 +67,10 @@ std::vector<ts::SequencePair> KeepCrossPairs(const std::vector<ts::SequencePair>
 /// over the cross pairs whose endpoints both score at least
 /// `request.min_quality` (the rest count into `*excluded`); `examined`
 /// counts every cross pair.
-template <typename ScoreFn>
+template <typename ValueFn, typename ScoreFn>
 core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
-                                   const std::vector<double>& values,
-                                   const core::TopKRequest& request, const ScoreFn& score,
-                                   std::size_t* excluded) {
+                                   const ValueFn& value, const core::TopKRequest& request,
+                                   const ScoreFn& score, std::size_t* excluded) {
   core::TopKSelector best(request.k, request.largest);
   for (std::size_t i = 0; i < cross.size(); ++i) {
     if (request.min_quality > 0.0 &&
@@ -79,7 +78,7 @@ core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
       ++*excluded;
       continue;
     }
-    best.Offer(core::ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
+    best.Offer(core::ScapeTopKEntry{cross[i], core::kNoSeries, value(i)});
   }
   core::ScapeTopKResult run;
   run.entries = std::move(best).Finish();
@@ -119,13 +118,14 @@ std::vector<T> MergeSortedRuns(const std::vector<std::vector<T>>& runs, Less les
 /// The epoch column of global series `id` (shard snapshots hold the
 /// window; local order matches the shard's DataMatrix).
 const double* ColumnOf(const RouterSnapshot& snap, ts::SeriesId id) {
-  return snap.shards[snap.shard_of[id]]->data.ColumnData(snap.local_of[id]);
+  return snap.shards[snap.routing->shard_of[id]]->data.ColumnData(snap.routing->local_of[id]);
 }
 
 /// Composite quality score of global series `id` as its shard's epoch
 /// froze it.
 double QualityOf(const RouterSnapshot& snap, ts::SeriesId id) {
-  return snap.shards[snap.shard_of[id]]->quality_surface().Score(snap.local_of[id]);
+  return snap.shards[snap.routing->shard_of[id]]->quality_surface().Score(
+      snap.routing->local_of[id]);
 }
 
 /// The plan of one gather: an explicitly requested method per shard, or
@@ -144,7 +144,7 @@ ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather
                               std::to_string(snap.shards.size()) + " shards";
     return explicit_plan;
   }
-  const QueryPlanner::Topology topology{snap.shards.size(), snap.cross.size()};
+  const QueryPlanner::Topology topology{snap.shards.size(), snap.routing->cross.size()};
   const QueryPlanner planner(snap.max_n, snap.window, snap.caps, topology);
   return plan(planner);
 }
@@ -164,27 +164,47 @@ auto ShardAnswer(const RouterSnapshot& snap, const GatherContext& gather, std::s
   return live((*gather.live)[s], FreshnessOptions{method});
 }
 
-/// Values of the cross-shard `pairs`: one WN sweep of the epoch's shard
-/// windows.
-StatusOr<std::vector<double>> CrossValues(const RouterSnapshot& snap, Measure measure,
-                                          const std::vector<ts::SequencePair>& pairs,
-                                          const GatherContext& gather) {
-  // Each series' column is looked up once, not once per pair it is in.
-  std::vector<const double*> columns(snap.n, nullptr);
-  const auto column = [&](ts::SeriesId id) {
-    if (columns[id] == nullptr) columns[id] = ColumnOf(snap, id);
-    return columns[id];
-  };
-  std::vector<core::CrossPair> resolved(pairs.size());
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    resolved[i] = core::CrossPair{pairs[i], column(pairs[i].u), column(pairs[i].v)};
-  }
-  core::CrossSweepStats sweep;
-  AFFINITY_ASSIGN_OR_RETURN(std::vector<double> values,
-                            core::EvaluateCrossPairs(measure, resolved, snap.window, gather.exec,
-                                                     &sweep, snap.anchor));
-  if (gather.sweeps != nullptr) gather.sweeps->Add(sweep);
-  return values;
+/// The epoch's cross co-moments, filled by the first caller: marginals of
+/// every series' shard column, then one blocked dot per cross pair, each
+/// pair whole in one chunk of `gather.exec` — the same bits at any thread
+/// count.
+const CrossMoments& FilledCrossMoments(const RouterSnapshot& snap, const GatherContext& gather) {
+  CrossMoments& table = *snap.cross_moments;
+  std::call_once(table.once, [&] {
+    const std::vector<ts::SequencePair>& cross = snap.routing->cross;
+    std::vector<const double*> columns(snap.n);
+    for (std::size_t id = 0; id < snap.n; ++id) {
+      columns[id] = ColumnOf(snap, static_cast<ts::SeriesId>(id));
+    }
+    table.marginals = core::kernels::HoistMarginals(columns, snap.window, gather.exec, snap.anchor);
+    table.dots.resize(cross.size());
+    ParallelChunks(gather.exec, cross.size(), [&](std::size_t /*chunk*/, std::size_t lo,
+                                                  std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (i + 1 < hi) {
+          // The next pair's columns are a strided jump away; touch their
+          // heads while this pair's dot pass runs.
+          __builtin_prefetch(columns[cross[i + 1].u]);
+          __builtin_prefetch(columns[cross[i + 1].v]);
+        }
+        table.dots[i] = core::kernels::BlockedDot(columns[cross[i].u], columns[cross[i].v],
+                                                  snap.window, snap.anchor);
+      }
+    });
+    if (gather.sweeps != nullptr) gather.sweeps->Add({cross.size(), snap.n});
+  });
+  return table;
+}
+
+/// Cross pair `i`'s value under the pair measure `measure`, from the
+/// filled co-moments — bitwise `NaivePairMeasure` over the two shard
+/// columns.
+double CrossValue(const RouterSnapshot& snap, const CrossMoments& moments, Measure measure,
+                  std::size_t i) {
+  const ts::SequencePair pair = snap.routing->cross[i];
+  const core::PairMoments pair_moments = core::PairMomentsFromMarginals(
+      moments.marginals[pair.u], moments.marginals[pair.v], moments.dots[i], snap.window);
+  return *core::PairMeasureFromMoments(measure, pair_moments);
 }
 
 /// Marks `plan` as served from `snap` unless a shard answered live.
@@ -196,8 +216,8 @@ void AnnotateServed(const RouterSnapshot& snap, const std::vector<char>& live_an
 }
 
 /// The shared MET/MER gather: per-shard selections, local→global rewrite
-/// and sort, the cross-shard sweep under `keep` and `min_quality`, then
-/// the k-way merge.
+/// and sort, the cross pairs under `keep` and `min_quality`, then the
+/// k-way merge.
 template <typename PlanFn, typename Served, typename Live>
 StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure measure,
                                              bool (*keep)(double, double, double), double a,
@@ -225,13 +245,12 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
           prunes[s] = r.prune;
           qualities[s] = r.quality;
           if (location) {
-            for (ts::SeriesId& v : r.series) v = snap.groups[s][v];
+            for (ts::SeriesId& v : r.series) v = snap.routing->groups[s][v];
             std::sort(r.series.begin(), r.series.end());
             series_runs[s] = std::move(r.series);
           } else {
-            for (ts::SequencePair& e : r.pairs) {
-              e = ts::SequencePair(snap.groups[s][e.u], snap.groups[s][e.v]);
-            }
+            const std::vector<ts::SeriesId>& group = snap.routing->groups[s];
+            for (ts::SequencePair& e : r.pairs) e = ts::SequencePair(group[e.u], group[e.v]);
             std::sort(r.pairs.begin(), r.pairs.end());
             pair_runs[s] = std::move(r.pairs);
           }
@@ -243,11 +262,11 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   // Cross-pair exclusions add to the shards'.
   core::AnswerQuality merged = MergeShardQuality(qualities);
   if (!location && n_shards > 1) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossValues(snap, measure, snap.cross, gather));
-    pair_runs.push_back(KeepCrossPairs(
-        snap.cross, values, keep, a, b, min_quality,
-        [&](ts::SeriesId id) { return QualityOf(snap, id); }, &merged));  // already lex-sorted
+    const CrossMoments& moments = FilledCrossMoments(snap, gather);
+    const auto value = [&](std::size_t i) { return CrossValue(snap, moments, measure, i); };
+    const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
+    pair_runs.push_back(KeepCrossPairs(snap.routing->cross, value, keep, a, b, min_quality, score,
+                                       &merged));  // already lex-sorted
   }
   if (location) {
     out.series = MergeSortedRuns(series_runs, std::less<ts::SeriesId>{});
@@ -320,12 +339,12 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
                   },
                   &live_answers[s]));
           qualities[s] = r.quality;
+          const std::vector<ts::SeriesId>& group = snap.routing->groups[s];
           for (ScapeTopKEntry& entry : r.entries) {
             if (entry.has_series()) {
-              entry.series = snap.groups[s][entry.series];
+              entry.series = group[entry.series];
             } else {
-              entry.pair =
-                  ts::SequencePair(snap.groups[s][entry.pair.u], snap.groups[s][entry.pair.v]);
+              entry.pair = ts::SequencePair(group[entry.pair.u], group[entry.pair.v]);
             }
           }
           runs[s] = std::move(r);
@@ -337,9 +356,9 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
   core::AnswerQuality merged = MergeShardQuality(qualities);
   const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
   if (!core::IsLocation(request.measure) && n_shards > 1) {
-    AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                              CrossValues(snap, request.measure, snap.cross, gather));
-    runs.push_back(CrossTopKRun(snap.cross, values, request, score, &merged.excluded));
+    const CrossMoments& moments = FilledCrossMoments(snap, gather);
+    const auto value = [&](std::size_t i) { return CrossValue(snap, moments, request.measure, i); };
+    runs.push_back(CrossTopKRun(snap.routing->cross, value, request, score, &merged.excluded));
   }
   core::TopKResult out;
   static_cast<ScapeTopKResult&>(out) = core::MergeTopK(runs, request.k, request.largest);
@@ -373,12 +392,13 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
   const std::size_t n_shards = snap.shards.size();
   std::vector<std::vector<std::size_t>> positions(n_shards);
   std::vector<core::MecRequest> slices(n_shards);
+  const RoutingTables& routing = *snap.routing;
   for (std::size_t i = 0; i < request.ids.size(); ++i) {
-    const std::size_t s = snap.shard_of[request.ids[i]];
+    const std::size_t s = routing.shard_of[request.ids[i]];
     positions[s].push_back(i);
     slices[s].measure = request.measure;
     slices[s].min_quality = request.min_quality;
-    slices[s].ids.push_back(snap.local_of[request.ids[i]]);
+    slices[s].ids.push_back(routing.local_of[request.ids[i]]);
   }
 
   const std::size_t count = request.ids.size();
@@ -423,22 +443,19 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
         return Status::OK();
       }));
   if (!location) {
-    // Cross-shard cells: every requested (i, j) spanning two shards.
-    std::vector<ts::SequencePair> pairs;
-    std::vector<std::pair<std::size_t, std::size_t>> cells;
+    // Cross-shard cells: every requested (i, j) spanning two shards, found
+    // in the lex `cross` list.
+    const CrossMoments* moments = nullptr;
     for (std::size_t i = 0; i < count; ++i) {
       for (std::size_t j = i + 1; j < count; ++j) {
-        if (snap.shard_of[request.ids[i]] == snap.shard_of[request.ids[j]]) continue;
-        pairs.emplace_back(request.ids[i], request.ids[j]);
-        cells.emplace_back(i, j);
-      }
-    }
-    if (!pairs.empty()) {
-      AFFINITY_ASSIGN_OR_RETURN(const std::vector<double> values,
-                                CrossValues(snap, request.measure, pairs, gather));
-      for (std::size_t idx = 0; idx < cells.size(); ++idx) {
-        out.pair_values(cells[idx].first, cells[idx].second) = values[idx];
-        out.pair_values(cells[idx].second, cells[idx].first) = values[idx];
+        if (routing.shard_of[request.ids[i]] == routing.shard_of[request.ids[j]]) continue;
+        if (moments == nullptr) moments = &FilledCrossMoments(snap, gather);
+        const auto at = std::lower_bound(routing.cross.begin(), routing.cross.end(),
+                                         ts::SequencePair(request.ids[i], request.ids[j]));
+        const double value = CrossValue(snap, *moments, request.measure,
+                                        static_cast<std::size_t>(at - routing.cross.begin()));
+        out.pair_values(i, j) = value;
+        out.pair_values(j, i) = value;
       }
     }
   }

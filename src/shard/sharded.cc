@@ -61,18 +61,30 @@ ShardRouter::ShardRouter(SeriesPartitioner partitioner) : partitioner_(std::move
   for (std::size_t s = 0; s < partitioner_.shards(); ++s) {
     scatter_[s].resize(partitioner_.group(s).size());
   }
-  // Cross-shard pairs, (u, v)-lex in global ids, fixed for the router's
-  // lifetime: the complement of the per-shard pair sets.
+  // The routing tables are fixed for the router's lifetime. Cross-shard
+  // pairs, (u, v)-lex in global ids, are the complement of the per-shard
+  // pair sets.
+  auto routing = std::make_shared<RoutingTables>();
   const std::size_t n = partitioner_.n();
-  cross_pairs_.reserve(partitioner_.cross_pair_count());
+  routing->shard_of.resize(n);
+  routing->local_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<ts::SeriesId>(i);
+    routing->shard_of[i] = partitioner_.shard_of(id);
+    routing->local_of[i] = partitioner_.local_id(id);
+  }
+  for (std::size_t s = 0; s < partitioner_.shards(); ++s) {
+    routing->groups.push_back(partitioner_.group(s));
+  }
+  routing->cross.reserve(partitioner_.cross_pair_count());
   for (std::size_t u = 0; u + 1 < n; ++u) {
     for (std::size_t v = u + 1; v < n; ++v) {
-      if (partitioner_.shard_of(static_cast<ts::SeriesId>(u)) !=
-          partitioner_.shard_of(static_cast<ts::SeriesId>(v))) {
-        cross_pairs_.emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
+      if (routing->shard_of[u] != routing->shard_of[v]) {
+        routing->cross.emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
       }
     }
   }
+  routing_ = std::move(routing);
 }
 
 const std::vector<std::vector<double>>& ShardRouter::Scatter(const std::vector<double>& row) {
@@ -244,19 +256,7 @@ void ShardedAffinity::PublishRouterSnapshot() {
   snap->anchor = snap->shards[0]->data.anchor_row();
   snap->caps = caps;
   snap->max_n = max_n;
-  const SeriesPartitioner& partitioner = router_.partitioner();
-  snap->shard_of.resize(partitioner.n());
-  snap->local_of.resize(partitioner.n());
-  for (std::size_t i = 0; i < partitioner.n(); ++i) {
-    const auto id = static_cast<ts::SeriesId>(i);
-    snap->shard_of[i] = partitioner.shard_of(id);
-    snap->local_of[i] = partitioner.local_id(id);
-  }
-  snap->groups.reserve(partitioner.shards());
-  for (std::size_t s = 0; s < partitioner.shards(); ++s) {
-    snap->groups.push_back(partitioner.group(s));
-  }
-  snap->cross = router_.cross_pairs();
+  snap->routing = router_.routing();
   if (publisher_ == nullptr) {
     publisher_ = std::make_unique<serve::EpochPublisher<RouterSnapshot>>(
         options_.streaming.serving_history);

@@ -18,12 +18,13 @@
 /// the shard-aware planner (`QueryPlanner::Topology`) resolves one
 /// strategy, every shard answers from its snapshot in that epoch, and the
 /// gather adds the pairs no shard can see — pairs spanning two shards —
-/// by evaluating them naively over the epoch's shard windows
-/// (`core::EvaluateCrossPairs`). Results merge by k-way heap merge
-/// (`core::MergeTopK` for top-k; sorted-run merges for selections), so
-/// the merged answer matches an unsharded instance over the same data:
-/// the same entities, values to within the WA approximation (DESIGN.md
-/// §9; asserted in tests at 1/2/8 shards).
+/// from the epoch's cross co-moment table, which the epoch's first cross
+/// reader fills with one exact sweep of its shard windows (`CrossMoments`).
+/// Results merge by k-way heap merge (`core::MergeTopK` for top-k;
+/// sorted-run merges for selections), so the merged answer matches an
+/// unsharded instance over the same data: the same entities, values to
+/// within the WA approximation (DESIGN.md §9; asserted in tests at 1/2/8
+/// shards).
 ///
 /// **Freshness.** Every answer comes from the router epoch it acquired,
 /// and the response reports every shard's snapshot age. Shards refresh in
@@ -86,8 +87,8 @@ struct ShardedTopK {
 };
 
 /// Owns the partition and the scatter/gather id plumbing: reusable
-/// per-shard row buffers for ingest and the precomputed cross-shard pair
-/// list for queries.
+/// per-shard row buffers for ingest and the routing tables every epoch
+/// shares for queries.
 class ShardRouter {
  public:
   explicit ShardRouter(SeriesPartitioner partitioner);
@@ -99,14 +100,14 @@ class ShardRouter {
   /// Scatter (the allocation-free append hot path).
   const std::vector<std::vector<double>>& Scatter(const std::vector<double>& row);
 
-  /// Every sequence pair spanning two shards, (u, v)-lex order in global
-  /// ids; precomputed once at construction.
-  const std::vector<ts::SequencePair>& cross_pairs() const { return cross_pairs_; }
+  /// The partition's routing tables, cross-pair list included; built once
+  /// at construction and referenced by every router epoch.
+  const std::shared_ptr<const RoutingTables>& routing() const { return routing_; }
 
  private:
   SeriesPartitioner partitioner_;
   std::vector<std::vector<double>> scatter_;
-  std::vector<ts::SequencePair> cross_pairs_;
+  std::shared_ptr<const RoutingTables> routing_;
 };
 
 /// The sharded ingest-and-query service. Movable, not copyable.
@@ -168,9 +169,9 @@ class ShardedAffinity {
   /// concurrently; residual levels averaged).
   core::MaintenanceProfile maintenance() const;
 
-  /// Raw-scan accounting of every cross-pair sweep this service's queries
-  /// ran (summed over concurrent queries).
-  core::CrossSweepStats cross_sweep_stats() const { return shared_->sweeps.Read(); }
+  /// Raw-scan accounting of the cross co-moment fills this service's
+  /// queries ran: at most one per router epoch, by its first cross reader.
+  CrossSweepStats cross_sweep_stats() const { return shared_->sweeps.Read(); }
 
   /// The current router serving snapshot (DESIGN.md §11): an immutable
   /// epoch bundling every shard's serving replica and the routing tables,
@@ -258,7 +259,7 @@ class ShardedAffinity {
   core::AppendResult FinishAppend();
 
   /// Assembles and atomically publishes a fresh RouterSnapshot from the
-  /// shards' serving snapshots and the partitioner's routing tables.
+  /// shards' serving snapshots and the router's shared routing tables.
   /// Called after every successful lockstep refresh (Append), Rebuild,
   /// and Load; no-op before readiness.
   void PublishRouterSnapshot();

@@ -275,37 +275,5 @@ TEST(QueryMethodNameFn, Names) {
   EXPECT_EQ(QueryMethodName(QueryMethod::kScape), "SCAPE");
 }
 
-TEST(EvaluateCrossPairsFn, MatchesNaivePairMeasure) {
-  ts::DatasetSpec spec;
-  spec.num_series = 6;
-  spec.num_samples = 30;
-  spec.num_clusters = 2;
-  spec.seed = 5;
-  const ts::Dataset ds = ts::MakeSensorData(spec);
-  // Columns resolved from "different snapshots" (here: the same matrix —
-  // the function only sees pointers, exactly like the shard router).
-  std::vector<CrossPair> pairs;
-  for (const ts::SequencePair e : {ts::SequencePair(0, 3), ts::SequencePair(1, 5)}) {
-    pairs.push_back(CrossPair{e, ds.matrix.ColumnData(e.u), ds.matrix.ColumnData(e.v)});
-  }
-  for (const Measure m : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
-                          Measure::kCosine}) {
-    auto values = EvaluateCrossPairs(m, pairs, ds.matrix.m());
-    ASSERT_TRUE(values.ok());
-    ASSERT_EQ(values->size(), 2u);
-    for (std::size_t i = 0; i < 2; ++i) {
-      auto expect = NaivePairMeasure(m, pairs[i].u, pairs[i].v, ds.matrix.m());
-      ASSERT_TRUE(expect.ok());
-      EXPECT_DOUBLE_EQ((*values)[i], *expect);
-    }
-  }
-  // L-measures are rejected; unresolved columns are rejected.
-  EXPECT_EQ(EvaluateCrossPairs(Measure::kMean, pairs, ds.matrix.m()).status().code(),
-            StatusCode::kInvalidArgument);
-  pairs[1].v = nullptr;
-  EXPECT_EQ(EvaluateCrossPairs(Measure::kCovariance, pairs, ds.matrix.m()).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace affinity::core

@@ -310,6 +310,11 @@ TEST(ServeStress, ShardedFacadeReadersDuringSlidesAndRebuild) {
   EXPECT_EQ(failures.load(), 0u);
   EXPECT_GT(queries.load(), 0u);
   EXPECT_GT(service->cross_sweep_stats().pairs_scanned, 0u);
+  // Concurrent readers fill each epoch's cross co-moments at most once:
+  // whole fills of the 96 cross pairs, no more than one per generation.
+  const std::size_t scanned = service->cross_sweep_stats().pairs_scanned;
+  EXPECT_EQ(scanned % 96, 0u);
+  EXPECT_LE(scanned, 96 * service->serving()->generation);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/measures.h"
 #include "core/streaming.h"
 #include "shard/sharded.h"
 #include "ts/generators.h"
@@ -587,7 +588,7 @@ TEST(RouterServe, QualityPredicatesFilterWithEpochScores) {
     ASSERT_NE(snap, nullptr);
     std::vector<double> scores(16);
     for (std::size_t id = 0; id < 16; ++id) {
-      scores[id] = snap->shards[snap->shard_of[id]]->quality[snap->local_of[id]];
+      scores[id] = snap->shards[snap->routing->shard_of[id]]->quality[snap->routing->local_of[id]];
     }
     const double threshold = MidThreshold(scores);
     const auto expect_eligible = [&](const std::vector<ts::SequencePair>& pairs) {
@@ -646,6 +647,102 @@ TEST(RouterServe, QualityPredicatesFilterWithEpochScores) {
     EXPECT_EQ(RouterMec(*snap, mec).status().code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(service->Mec(mec).status().code(), StatusCode::kFailedPrecondition);
   }
+}
+
+// Every cross value comes from the epoch's cross co-moments: each cross
+// cell of an all-ids MEC is bitwise NaivePairMeasure over the two epoch
+// shard columns at the epoch's anchor, and the cross entries of a MET and
+// a top-k agree with those cells.
+TEST(RouterServe, CrossValuesAreNaiveOverEpochColumns) {
+  auto service = ShardedAffinity::Create(Names(16), ShardOptions(4));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, TestData(16), 0, 70);
+  auto snap = service->serving();
+  ASSERT_NE(snap, nullptr);
+  const RoutingTables& routing = *snap->routing;
+  ASSERT_EQ(routing.cross.size(), 96u);
+  const auto column = [&](ts::SeriesId id) {
+    return snap->shards[routing.shard_of[id]]->data.ColumnData(routing.local_of[id]);
+  };
+  MecRequest mec;
+  for (ts::SeriesId id = 0; id < 16; ++id) mec.ids.push_back(id);
+  for (const Measure m : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
+                          Measure::kCosine, Measure::kJaccard, Measure::kDice}) {
+    SCOPED_TRACE(std::string(core::MeasureName(m)));
+    mec.measure = m;
+    auto cells = RouterMec(*snap, mec);
+    ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+    std::vector<double> cross_values;
+    for (const ts::SequencePair& p : routing.cross) {
+      auto want = core::NaivePairMeasure(m, column(p.u), column(p.v), snap->window, snap->anchor);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(cells->pair_values(p.u, p.v), *want) << p.u << "," << p.v;
+      EXPECT_EQ(cells->pair_values(p.v, p.u), *want) << p.v << "," << p.u;
+      cross_values.push_back(*want);
+    }
+
+    // A MET at the median cross value keeps exactly the cross pairs above it.
+    std::vector<double> sorted = cross_values;
+    std::sort(sorted.begin(), sorted.end());
+    const double tau = sorted[sorted.size() / 2];
+    auto met = RouterMet(*snap, {m, tau, true});
+    ASSERT_TRUE(met.ok()) << met.status().ToString();
+    std::vector<ts::SequencePair> kept_cross;
+    for (const ts::SequencePair& p : met->pairs) {
+      if (routing.shard_of[p.u] != routing.shard_of[p.v]) kept_cross.push_back(p);
+    }
+    std::vector<ts::SequencePair> want_cross;
+    for (std::size_t i = 0; i < routing.cross.size(); ++i) {
+      if (cross_values[i] > tau) want_cross.push_back(routing.cross[i]);
+    }
+    EXPECT_EQ(kept_cross, want_cross);
+
+    auto topk = RouterTopK(*snap, {m, 30, true});
+    ASSERT_TRUE(topk.ok()) << topk.status().ToString();
+    std::size_t cross_entries = 0;
+    for (const auto& e : topk->entries) {
+      if (routing.shard_of[e.pair.u] == routing.shard_of[e.pair.v]) continue;
+      ++cross_entries;
+      EXPECT_EQ(e.value, cells->pair_values(e.pair.u, e.pair.v)) << e.pair.u << "," << e.pair.v;
+    }
+    EXPECT_GT(cross_entries, 0u);
+  }
+}
+
+// One epoch fills its cross co-moments once, whatever reads them: MET,
+// MER, top-k and MEC on one epoch sweep |cross| pairs and n columns
+// together, the next lockstep epoch sweeps them once more, and a 1-shard
+// service sweeps nothing.
+TEST(RouterServe, EachEpochFillsItsCrossMomentsOnce) {
+  const ts::Dataset ds = TestData(16);
+  const auto run_queries = [](const ShardedAffinity& service) {
+    EXPECT_TRUE(service.Met({Measure::kCorrelation, 0.5, true}).ok());
+    EXPECT_TRUE(service.Mer({Measure::kCovariance, -0.5, 0.5}).ok());
+    EXPECT_TRUE(service.TopK({Measure::kCosine, 5, true}).ok());
+    EXPECT_TRUE(service.Mec({Measure::kCovariance, {0, 5, 9, 15}}).ok());
+  };
+  auto service = ShardedAffinity::Create(Names(16), ShardOptions(4));
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, ds, 0, 60);
+  const std::uint64_t generation = service->serving()->generation;
+  run_queries(*service);
+  EXPECT_EQ(service->cross_sweep_stats().pairs_scanned, 96u);
+  EXPECT_EQ(service->cross_sweep_stats().columns_hoisted, 16u);
+  run_queries(*service);
+  EXPECT_EQ(service->cross_sweep_stats().pairs_scanned, 96u);
+
+  Feed(&*service, ds, 60, 80);  // the next lockstep publication
+  ASSERT_EQ(service->serving()->generation, generation + 1);
+  run_queries(*service);
+  EXPECT_EQ(service->cross_sweep_stats().pairs_scanned, 2 * 96u);
+  EXPECT_EQ(service->cross_sweep_stats().columns_hoisted, 2 * 16u);
+
+  auto single = ShardedAffinity::Create(Names(16), ShardOptions(1));
+  ASSERT_TRUE(single.ok());
+  Feed(&*single, ds, 0, 60);
+  run_queries(*single);
+  EXPECT_EQ(single->cross_sweep_stats().pairs_scanned, 0u);
+  EXPECT_EQ(single->cross_sweep_stats().columns_hoisted, 0u);
 }
 
 }  // namespace
