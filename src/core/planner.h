@@ -115,9 +115,10 @@ class QueryPlanner {
   /// loose. A WA pass reads every entity once at one lookup each and is
   /// chosen whenever it is cheaper: correlation and cosine plan WA
   /// whenever a model exists, while covariance, dot product and the
-  /// L-measures keep SCAPE unless k covers nearly every entity. A plan
-  /// must match on the live engine and on an epoch, so the rule follows
-  /// the live costs, where the TA wins for T-measures.
+  /// L-measures keep SCAPE unless k covers nearly every entity. The live
+  /// engine and an epoch plan in the same `QueryEngine` over the same
+  /// inputs, so a plan matches on both by construction; the one rule
+  /// follows the live costs, where the TA wins for T-measures.
   ///
   /// Measured (bench_micro `BM_TopK`, sensor data n = 256, window 1024,
   /// largest top-10; medians of 3 on a 4-core Intel Xeon, AVX2 backend;

@@ -1,7 +1,6 @@
 #include "core/query.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,27 +12,61 @@ namespace affinity::core {
 
 namespace {
 
-/// The idx-th sequence pair in lexicographic order over n series — O(1)
-/// (plus a fix-up loop for floating-point slack), so parallel chunks can
-/// seek into the middle of the O(n²) sweep.
-ts::SequencePair PairFromIndex(std::size_t idx, std::size_t n) {
-  const double nd = static_cast<double>(n);
-  const double disc = (2.0 * nd - 1.0) * (2.0 * nd - 1.0) - 8.0 * static_cast<double>(idx);
-  double guess = (2.0 * nd - 1.0 - std::sqrt(disc > 0.0 ? disc : 0.0)) / 2.0;
-  if (guess < 0.0) guess = 0.0;
-  std::size_t u = static_cast<std::size_t>(guess);
-  if (u > n - 2) u = n - 2;
-  while (u > 0 && ts::PairsBeforeRow(u, n) > idx) --u;
-  while (ts::PairsBeforeRow(u + 1, n) <= idx) ++u;
-  const std::size_t v = u + 1 + (idx - ts::PairsBeforeRow(u, n));
-  return ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
+/// Quality predicate on a top-k planned as SCAPE: the threshold
+/// algorithm pops a fixed k entries with no notion of eligibility, so
+/// restricting the competition to eligible series needs the sweep
+/// (WA when a model is attached, else WN). Rewrites `plan` accordingly;
+/// identity otherwise.
+void RouteQualityTopK(double min_quality, bool has_model, ExecutedPlan* plan) {
+  if (min_quality <= 0.0 || plan->method != QueryMethod::kScape) return;
+  plan->method = has_model ? QueryMethod::kAffine : QueryMethod::kNaive;
+  plan->rationale += "; quality filter: SCAPE bypassed, " +
+                     std::string(QueryMethodName(plan->method)) +
+                     " sweep over eligible entities";
 }
 
-/// Advances (u, v) to the next pair in lexicographic order.
-void NextPair(std::size_t n, std::size_t* u, std::size_t* v) {
-  if (++*v >= n) {
-    ++*u;
-    *v = *u + 1;
+/// The tail of every sweep-style top-k (WN, WA from a model or a frozen
+/// table): `selected` must hold the best k eligible entities best-first
+/// (a `TopKSelector` result); this fills `examined` (every entity of the
+/// sweep), the quality exclusion count and plan note when
+/// `min_quality > 0`, and the stamp.
+TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
+                           const QualitySurface& quality,
+                           std::vector<ScapeTopKEntry> selected, ExecutedPlan plan) {
+  const bool location = IsLocation(request.measure);
+  TopKResult out;
+  out.entries = std::move(selected);
+  out.examined = location ? n : ts::SequencePairCount(n);
+  out.plan = std::move(plan);
+  if (request.min_quality > 0.0) {
+    std::size_t eligible = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      eligible += quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality) ? 1 : 0;
+    }
+    out.quality.excluded =
+        out.examined - (location ? eligible : ts::SequencePairCount(eligible));
+    AnnotateQualityFiltered(&out.plan, request.min_quality, out.quality.excluded);
+  }
+  quality.StampTopK(&out);
+  return out;
+}
+
+/// A pair measure's WA value on the diagonal (u, u), from the exact
+/// per-series statistics.
+StatusOr<double> DiagonalValue(Measure measure, const SeriesStats& st) {
+  switch (measure) {
+    case Measure::kCovariance:
+      return st.variance;
+    case Measure::kDotProduct:
+      return st.sumsq;
+    case Measure::kCorrelation:
+      return st.variance > 0.0 ? 1.0 : 0.0;
+    case Measure::kCosine:
+    case Measure::kJaccard:
+    case Measure::kDice:
+      return st.sumsq > 0.0 ? 1.0 : 0.0;
+    default:
+      return Status::InvalidArgument("not a pair measure");
   }
 }
 
@@ -43,7 +76,11 @@ QueryEngine::QueryEngine(const ts::DataMatrix* data) : data_(data) {
   AFFINITY_CHECK(data != nullptr);
 }
 
+QueryEngine::QueryEngine(EpochView epoch)
+    : scape_(epoch.scape), quality_(epoch.quality), epoch_(std::move(epoch)) {}
+
 QueryPlanner::Capabilities QueryEngine::Capabilities() const {
+  if (epoch_) return epoch_->caps;
   QueryPlanner::Capabilities caps;
   caps.has_model = model_ != nullptr;
   caps.has_scape = scape_ != nullptr;
@@ -60,7 +97,29 @@ ExecutedPlan QueryEngine::ResolvePlan(
     explicit_plan.rationale = "explicitly requested " + std::string(QueryMethodName(method));
     return explicit_plan;
   }
-  return plan(QueryPlanner(data_->n(), data_->m(), Capabilities()));
+  return plan(QueryPlanner(n(), m(), Capabilities()));
+}
+
+void QueryEngine::NoteEpoch(ExecutedPlan* plan) const {
+  if (epoch_) AnnotateSnapshotServed(plan, epoch_->generation);
+}
+
+const double* QueryEngine::FrozenTable(Measure measure) const {
+  const auto slot = static_cast<std::size_t>(measure);
+  if (!epoch_ || epoch_->stats == nullptr || slot >= epoch_->wa_tables.size()) return nullptr;
+  const std::vector<double>* table = epoch_->wa_tables[slot];
+  return table != nullptr ? table->data() : nullptr;
+}
+
+Status QueryEngine::FrozenTableError(Measure measure) const {
+  if (!has_wa()) return Status::FailedPrecondition("WA strategy not attached");
+  // Only a value outside the enum has no table, and IsLocation counts it
+  // as an L-measure, so it arrives from the L-measure paths.
+  if (static_cast<std::size_t>(measure) >= epoch_->wa_tables.size()) {
+    return Status::InvalidArgument("not an L-measure");
+  }
+  return Status::Unavailable("snapshot lacks the WA table for " +
+                             std::string(MeasureName(measure)));
 }
 
 Status QualitySurface::CheckPredicate(double min_quality) const {
@@ -134,41 +193,12 @@ Status QualitySurface::StampMec(const MecRequest& request, AnswerQuality* out) c
   return Status::OK();
 }
 
-void RouteQualityTopK(double min_quality, bool has_model, ExecutedPlan* plan) {
-  if (min_quality <= 0.0 || plan->method != QueryMethod::kScape) return;
-  plan->method = has_model ? QueryMethod::kAffine : QueryMethod::kNaive;
-  plan->rationale += "; quality filter: SCAPE bypassed, " +
-                     std::string(QueryMethodName(plan->method)) +
-                     " sweep over eligible entities";
-}
-
-TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
-                           const QualitySurface& quality,
-                           std::vector<ScapeTopKEntry> selected, ExecutedPlan plan) {
-  const bool location = IsLocation(request.measure);
-  TopKResult out;
-  out.entries = std::move(selected);
-  out.examined = location ? n : ts::SequencePairCount(n);
-  out.plan = std::move(plan);
-  if (request.min_quality > 0.0) {
-    std::size_t eligible = 0;
-    for (std::size_t v = 0; v < n; ++v) {
-      eligible += quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality) ? 1 : 0;
-    }
-    out.quality.excluded =
-        out.examined - (location ? eligible : ts::SequencePairCount(eligible));
-    AnnotateQualityFiltered(&out.plan, request.min_quality, out.quality.excluded);
-  }
-  quality.StampTopK(&out);
-  return out;
-}
-
-Status QueryEngine::CheckIds(const std::vector<ts::SeriesId>& ids) const {
+Status CheckMecIds(const std::vector<ts::SeriesId>& ids, std::size_t n) {
   if (ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
   for (const ts::SeriesId id : ids) {
-    if (id >= data_->n()) {
+    if (id >= n) {
       return Status::OutOfRange("series id " + std::to_string(id) + " out of range (n=" +
-                                std::to_string(data_->n()) + ")");
+                                std::to_string(n) + ")");
     }
   }
   return Status::OK();
@@ -178,10 +208,12 @@ StatusOr<double> QueryEngine::SeriesValue(Measure measure, ts::SeriesId v,
                                           QueryMethod method) const {
   switch (method) {
     case QueryMethod::kNaive:
-      return NaiveLocationMeasure(measure, data_->ColumnData(v), data_->m());
-    case QueryMethod::kAffine:
-      if (model_ == nullptr) return Status::FailedPrecondition("WA strategy not attached");
-      return model_->SeriesMeasure(measure, v);
+      return NaiveLocationMeasure(measure, dense().ColumnData(v), m());
+    case QueryMethod::kAffine: {
+      if (model_ != nullptr) return model_->SeriesMeasure(measure, v);
+      if (const double* table = FrozenTable(measure)) return table[v];
+      return FrozenTableError(measure);
+    }
     default:
       return Status::InvalidArgument("L-measures support WN and WA only");
   }
@@ -190,31 +222,25 @@ StatusOr<double> QueryEngine::SeriesValue(Measure measure, ts::SeriesId v,
 StatusOr<double> QueryEngine::Value(Measure measure, ts::SeriesId u, ts::SeriesId v,
                                     QueryMethod method) const {
   switch (method) {
-    case QueryMethod::kNaive:
-      return NaivePairMeasure(measure, data_->ColumnData(u), data_->ColumnData(v), data_->m(),
-                              data_->anchor_row());
+    case QueryMethod::kNaive: {
+      const ts::DataMatrix& window = dense();
+      return NaivePairMeasure(measure, window.ColumnData(u), window.ColumnData(v), window.m(),
+                              window.anchor_row());
+    }
     case QueryMethod::kAffine: {
-      if (model_ == nullptr) return Status::FailedPrecondition("WA strategy not attached");
+      if (!has_wa()) return Status::FailedPrecondition("WA strategy not attached");
+      // Diagonal entries come from the exact per-series statistics.
       if (u == v) {
-        // Diagonal entries come from the exact per-series statistics.
-        const SeriesStats& st = model_->series_stats(u);
-        switch (measure) {
-          case Measure::kCovariance:
-            return st.variance;
-          case Measure::kDotProduct:
-            return st.sumsq;
-          case Measure::kCorrelation:
-            return st.variance > 0.0 ? 1.0 : 0.0;
-          case Measure::kCosine:
-          case Measure::kJaccard:
-            return st.sumsq > 0.0 ? 1.0 : 0.0;
-          case Measure::kDice:
-            return st.sumsq > 0.0 ? 1.0 : 0.0;
-          default:
-            return Status::InvalidArgument("not a pair measure");
-        }
+        const SeriesStats& st =
+            model_ != nullptr ? model_->series_stats(u) : (*epoch_->stats)[u];
+        return DiagonalValue(measure, st);
       }
-      return model_->PairMeasure(measure, ts::SequencePair(u, v));
+      const ts::SequencePair e(u, v);
+      if (model_ != nullptr) return model_->PairMeasure(measure, e);
+      if (const double* table = FrozenTable(measure)) {
+        return table[ts::LexPairIndex(e.u, e.v, epoch_->n)];
+      }
+      return FrozenTableError(measure);
     }
     case QueryMethod::kDft:
       return Status::Internal("WF values are computed batch-wise (see Mec/Met/Mer)");
@@ -227,7 +253,7 @@ StatusOr<double> QueryEngine::Value(Measure measure, ts::SeriesId u, ts::SeriesI
 }
 
 StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod method) const {
-  AFFINITY_RETURN_IF_ERROR(CheckIds(request.ids));
+  AFFINITY_RETURN_IF_ERROR(CheckMecIds(request.ids, n()));
   const QualitySurface quality = quality_surface();
   AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   AnswerQuality answer_quality;
@@ -236,6 +262,7 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
     return planner.PlanMec(request.measure, request.ids.size());
   });
   method = plan.method;
+  NoteEpoch(&plan);
 
   MecResponse out;
   out.plan = std::move(plan);
@@ -256,7 +283,8 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
   }
   if (method == QueryMethod::kDft) {
     // WF computes its sketches from scratch per query (paper §6 cost model)
-    // over just the requested series.
+    // over just the requested series — nothing frozen can serve it.
+    if (epoch_) return Status::Unavailable("WF queries are not snapshot-servable");
     if (wf_coefficients_ == 0) return Status::FailedPrecondition("WF strategy not enabled");
     if (request.measure != Measure::kCorrelation) {
       return Status::InvalidArgument("the WF method only supports the correlation coefficient");
@@ -274,12 +302,13 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
   // WN: hoist each requested column's marginals once — O(count·m) — then
   // exactly one fused blocked dot per cell; the diagonal reuses the
   // hoisted Σx² chain (bit-equal to BlockedDot(x, x)) with no extra scan.
+  const ts::DataMatrix* window = method == QueryMethod::kNaive ? &dense() : nullptr;
   std::vector<kernels::Marginals> marginals;
   std::vector<const double*> cols;
-  if (method == QueryMethod::kNaive) {
+  if (window != nullptr) {
     cols.resize(count);
-    for (std::size_t i = 0; i < count; ++i) cols[i] = data_->ColumnData(request.ids[i]);
-    marginals = kernels::HoistMarginals(cols, data_->m(), exec_, data_->anchor_row());
+    for (std::size_t i = 0; i < count; ++i) cols[i] = window->ColumnData(request.ids[i]);
+    marginals = kernels::HoistMarginals(cols, window->m(), exec_, window->anchor_row());
   }
   // Row i fills cells (i, j) and (j, i) for j ≥ i — rows write disjoint
   // cell sets, so the chunked fill needs no synchronization.
@@ -288,15 +317,15 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
         for (std::size_t i = lo; i < hi; ++i) {
           for (std::size_t j = i; j < count; ++j) {
             StatusOr<double> value = [&]() -> StatusOr<double> {
-              if (method != QueryMethod::kNaive) {
+              if (window == nullptr) {
                 return Value(request.measure, request.ids[i], request.ids[j], method);
               }
               const double dot = i == j ? marginals[i].sumsq
-                                        : kernels::BlockedDot(cols[i], cols[j], data_->m(),
-                                                              data_->anchor_row());
+                                        : kernels::BlockedDot(cols[i], cols[j], window->m(),
+                                                              window->anchor_row());
               return PairMeasureFromMoments(
                   request.measure,
-                  PairMomentsFromMarginals(marginals[i], marginals[j], dot, data_->m()));
+                  PairMomentsFromMarginals(marginals[i], marginals[j], dot, window->m()));
             }();
             if (!value.ok()) return value.status();
             out.pair_values(i, j) = *value;
@@ -311,6 +340,7 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
 StatusOr<SelectionResult> QueryEngine::SelectByPredicateDft(Measure measure,
                                                             bool (*keep)(double, double, double),
                                                             double a, double b) const {
+  if (epoch_) return Status::Unavailable("WF queries are not snapshot-servable");
   if (wf_coefficients_ == 0) return Status::FailedPrecondition("WF strategy not enabled");
   if (measure != Measure::kCorrelation) {
     return Status::InvalidArgument("the WF method only supports the correlation coefficient");
@@ -324,13 +354,13 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicateDft(Measure measure,
   const std::size_t total = ts::SequencePairCount(n);
   std::vector<std::vector<ts::SequencePair>> parts(ExecNumChunks(total));
   ParallelChunks(exec_, total, [&](std::size_t c, std::size_t lo, std::size_t hi) {
-    ts::SequencePair p = PairFromIndex(lo, n);
+    ts::SequencePair p = ts::PairFromIndex(lo, n);
     std::size_t u = p.u, v = p.v;
     for (std::size_t i = lo; i < hi; ++i) {
       if (keep(wf.Estimate(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)), a, b)) {
         parts[c].emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
       }
-      NextPair(n, &u, &v);
+      ts::NextPair(n, &u, &v);
     }
   });
   for (std::vector<ts::SequencePair>& part : parts) {
@@ -343,7 +373,7 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
                                                          bool (*keep)(double, double, double),
                                                          double a, double b) const {
   SelectionResult out;
-  const std::size_t n = data_->n();
+  const std::size_t n = this->n();
   if (IsLocation(measure)) {
     std::vector<std::vector<ts::SeriesId>> parts(ExecNumChunks(n));
     AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
@@ -363,25 +393,30 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
   if (n < 2) return out;
   // WN sweeps hoist every column's marginals once per query (O(n·m)),
   // then pay exactly one fused blocked dot per pair — the marginal
-  // hoisting of DESIGN.md §10. Each pair's value is computed whole by one
-  // chunk, so results stay bitwise identical at any thread count.
+  // hoisting of DESIGN.md §10. WA over an epoch likewise resolves its
+  // frozen table once and reads one value per pair. Each pair's value is
+  // computed whole by one chunk, so results stay bitwise identical at any
+  // thread count.
+  const ts::DataMatrix* window = method == QueryMethod::kNaive ? &dense() : nullptr;
   std::vector<kernels::Marginals> marginals;
-  if (method == QueryMethod::kNaive) marginals = kernels::HoistMarginals(*data_, exec_);
+  if (window != nullptr) marginals = kernels::HoistMarginals(*window, exec_);
+  const double* frozen = method == QueryMethod::kAffine ? FrozenTable(measure) : nullptr;
   const auto pair_value = [&](std::size_t u, std::size_t v) -> StatusOr<double> {
-    if (method != QueryMethod::kNaive) {
+    if (frozen != nullptr) return frozen[ts::LexPairIndex(u, v, n)];
+    if (window == nullptr) {
       return Value(measure, static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v), method);
     }
-    const double dot = kernels::BlockedDot(data_->ColumnData(static_cast<ts::SeriesId>(u)),
-                                           data_->ColumnData(static_cast<ts::SeriesId>(v)),
-                                           data_->m(), data_->anchor_row());
+    const double dot = kernels::BlockedDot(window->ColumnData(static_cast<ts::SeriesId>(u)),
+                                           window->ColumnData(static_cast<ts::SeriesId>(v)),
+                                           window->m(), window->anchor_row());
     return PairMeasureFromMoments(
-        measure, PairMomentsFromMarginals(marginals[u], marginals[v], dot, data_->m()));
+        measure, PairMomentsFromMarginals(marginals[u], marginals[v], dot, window->m()));
   };
   const std::size_t total = ts::SequencePairCount(n);
   std::vector<std::vector<ts::SequencePair>> parts(ExecNumChunks(total));
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       exec_, total, [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
-        ts::SequencePair p = PairFromIndex(lo, n);
+        ts::SequencePair p = ts::PairFromIndex(lo, n);
         std::size_t u = p.u, v = p.v;
         for (std::size_t i = lo; i < hi; ++i) {
           auto value = pair_value(u, v);
@@ -389,7 +424,7 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
           if (keep(*value, a, b)) {
             parts[c].emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
           }
-          NextPair(n, &u, &v);
+          ts::NextPair(n, &u, &v);
         }
         return Status::OK();
       }));
@@ -405,6 +440,7 @@ StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMetho
   ExecutedPlan plan = ResolvePlan(
       method, [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); });
   method = plan.method;
+  NoteEpoch(&plan);
   StatusOr<SelectionResult> result = [&]() -> StatusOr<SelectionResult> {
     if (method == QueryMethod::kDft) {
       return SelectByPredicateDft(request.measure, request.greater ? KeepGreater : KeepLesser,
@@ -414,7 +450,7 @@ StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMetho
       if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
       AFFINITY_ASSIGN_OR_RETURN(
           ScapeQueryResult r,
-          ScapeMeasureThreshold(scape_->runs(), request.measure, request.tau, request.greater));
+          ScapeMeasureThreshold(*scape_, request.measure, request.tau, request.greater));
       SelectionResult out;
       out.series = std::move(r.series);
       out.pairs = std::move(r.pairs);
@@ -437,6 +473,7 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
   ExecutedPlan plan = ResolvePlan(
       method, [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); });
   method = plan.method;
+  NoteEpoch(&plan);
   StatusOr<SelectionResult> result = [&]() -> StatusOr<SelectionResult> {
     if (method == QueryMethod::kDft) {
       return SelectByPredicateDft(request.measure, KeepInside, request.lo, request.hi);
@@ -445,7 +482,7 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
       if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
       AFFINITY_ASSIGN_OR_RETURN(
           ScapeQueryResult r,
-          ScapeMeasureRange(scape_->runs(), request.measure, request.lo, request.hi));
+          ScapeMeasureRange(*scape_, request.measure, request.lo, request.hi));
       SelectionResult out;
       out.series = std::move(r.series);
       out.pairs = std::move(r.pairs);
@@ -460,19 +497,58 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
   return result;
 }
 
+StatusOr<std::vector<ScapeTopKEntry>> QueryEngine::FrozenTopK(const TopKRequest& request,
+                                                              const QualitySurface& quality) const {
+  const std::size_t n = this->n();
+  const bool location = IsLocation(request.measure);
+  std::vector<char> eligible(n);
+  std::size_t eligible_count = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    eligible[v] = quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality) ? 1 : 0;
+    eligible_count += static_cast<std::size_t>(eligible[v]);
+  }
+  TopKSelector best(request.k, request.largest);
+  // Like the chunked sweep, a pass with nothing to evaluate cannot fail.
+  if (eligible_count < (location ? 1u : 2u)) return std::move(best).Finish();
+  const double* values = FrozenTable(request.measure);
+  if (values == nullptr) return FrozenTableError(request.measure);
+  if (location) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (eligible[v] != 0) {
+        best.Offer(ScapeTopKEntry{ts::SequencePair{}, static_cast<ts::SeriesId>(v), values[v]});
+      }
+    }
+    return std::move(best).Finish();
+  }
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    if (eligible[u] == 0) continue;
+    // Row u of the table — pairs (u, u + 1 + j) — beside the eligibility
+    // of its partners, so the inner loop carries one index.
+    const double* row = values + ts::PairsBeforeRow(u, n);
+    const char* partner = eligible.data() + u + 1;
+    for (std::size_t j = 0; j < n - u - 1; ++j) {
+      if (partner[j] == 0 || !best.Admits(row[j])) continue;
+      best.Offer(ScapeTopKEntry{ts::SequencePair(static_cast<ts::SeriesId>(u),
+                                                 static_cast<ts::SeriesId>(u + 1 + j)),
+                                kNoSeries, row[j]});
+    }
+  }
+  return std::move(best).Finish();
+}
+
 StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod method) const {
   const QualitySurface quality = quality_surface();
   AFFINITY_RETURN_IF_ERROR(quality.CheckPredicate(request.min_quality));
   ExecutedPlan plan = ResolvePlan(method, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
-  RouteQualityTopK(request.min_quality, model_ != nullptr, &plan);
+  RouteQualityTopK(request.min_quality, Capabilities().has_model, &plan);
   method = plan.method;
+  NoteEpoch(&plan);
   if (method == QueryMethod::kScape) {
     if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
-    AFFINITY_ASSIGN_OR_RETURN(
-        ScapeTopKResult r,
-        ScapeTopK(scape_->runs(), request.measure, request.k, request.largest));
+    AFFINITY_ASSIGN_OR_RETURN(ScapeTopKResult r,
+                              ScapeTopK(*scape_, request.measure, request.k, request.largest));
     TopKResult out;
     static_cast<ScapeTopKResult&>(out) = std::move(r);
     out.plan = std::move(plan);
@@ -482,11 +558,15 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
   if (method == QueryMethod::kDft) {
     return Status::InvalidArgument("top-k supports WN, WA, and SCAPE");
   }
-  // WN/WA: every chunk runs its own k-bounded selection over the eligible
-  // entities it evaluates, and the chunk selections merge under the one
-  // total rank order — the same answer as a sequential pass at any
-  // thread count.
-  const std::size_t n = data_->n();
+  const std::size_t n = this->n();
+  if (method == QueryMethod::kAffine && model_ == nullptr) {
+    AFFINITY_ASSIGN_OR_RETURN(std::vector<ScapeTopKEntry> selected, FrozenTopK(request, quality));
+    return FinishSweepTopK(request, n, quality, std::move(selected), std::move(plan));
+  }
+  // WN, or WA from the model: every chunk runs its own k-bounded
+  // selection over the eligible entities it evaluates, and the chunk
+  // selections merge under the one total rank order — the same answer as
+  // a sequential pass at any thread count.
   const std::size_t total = IsLocation(request.measure) ? n : ts::SequencePairCount(n);
   const auto eligible = [&](std::size_t v) {
     return quality.Eligible(static_cast<ts::SeriesId>(v), request.min_quality);
@@ -507,26 +587,27 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
         }));
   } else {
     // Marginal-hoisted WN sweep, exactly as SelectByPredicate.
+    const ts::DataMatrix* window = method == QueryMethod::kNaive ? &dense() : nullptr;
     std::vector<kernels::Marginals> marginals;
-    if (method == QueryMethod::kNaive) marginals = kernels::HoistMarginals(*data_, exec_);
+    if (window != nullptr) marginals = kernels::HoistMarginals(*window, exec_);
     AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
         exec_, total, [&](std::size_t c, std::size_t lo, std::size_t hi) -> Status {
-          ts::SequencePair p = PairFromIndex(lo, n);
+          ts::SequencePair p = ts::PairFromIndex(lo, n);
           std::size_t u = p.u, v = p.v;
-          for (std::size_t i = lo; i < hi; ++i, NextPair(n, &u, &v)) {
+          for (std::size_t i = lo; i < hi; ++i, ts::NextPair(n, &u, &v)) {
             if (!eligible(u) || !eligible(v)) continue;
             StatusOr<double> value = [&]() -> StatusOr<double> {
-              if (method != QueryMethod::kNaive) {
+              if (window == nullptr) {
                 return Value(request.measure, static_cast<ts::SeriesId>(u),
                              static_cast<ts::SeriesId>(v), method);
               }
               const double dot =
-                  kernels::BlockedDot(data_->ColumnData(static_cast<ts::SeriesId>(u)),
-                                      data_->ColumnData(static_cast<ts::SeriesId>(v)),
-                                      data_->m(), data_->anchor_row());
+                  kernels::BlockedDot(window->ColumnData(static_cast<ts::SeriesId>(u)),
+                                      window->ColumnData(static_cast<ts::SeriesId>(v)),
+                                      window->m(), window->anchor_row());
               return PairMeasureFromMoments(
                   request.measure,
-                  PairMomentsFromMarginals(marginals[u], marginals[v], dot, data_->m()));
+                  PairMomentsFromMarginals(marginals[u], marginals[v], dot, window->m()));
             }();
             if (!value.ok()) return value.status();
             parts[c].Offer(ScapeTopKEntry{

@@ -21,12 +21,19 @@
 /// the engine's `ExecContext` — results are identical at any thread
 /// count (DESIGN.md §7).
 ///
-/// The engine is the measurement surface of every benchmark: Figs. 9–12
-/// time MEC under WN/WA; Figs. 15–16 and Table 4 time MET/MER under all
-/// four strategies.
+/// The engine is the one implementation of every query. It answers over
+/// a batch model — the data matrix and whatever is attached — or over a
+/// published serving epoch (`EpochView`, DESIGN.md §11), whose WA values
+/// come from frozen tables instead of the model. Batch, it is the
+/// measurement surface of every benchmark: Figs. 9–12 time MEC under
+/// WN/WA; Figs. 15–16 and Table 4 time MET/MER under all four
+/// strategies.
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -142,9 +149,9 @@ double WorstEntryScore(const std::vector<ScapeTopKEntry>& entries, const ScoreFn
 
 /// A per-series quality surface as one answering path sees it (DESIGN.md
 /// §12): the live engine's attached scores, an epoch's frozen copy of
-/// them, or none. The engine and the snapshot paths check, filter and
-/// stamp through this one implementation, so a served answer carries the
-/// live engine's quality semantics bit for bit.
+/// them, or none. The engine checks, filters and stamps through it over
+/// either, so a served answer carries the live engine's quality
+/// semantics bit for bit.
 class QualitySurface {
  public:
   /// `scores` (nullptr = no surface) must outlive the view; `n` is the
@@ -189,29 +196,42 @@ class QualitySurface {
   std::size_t n_;
 };
 
-/// Quality predicate on a top-k planned as SCAPE: the threshold
-/// algorithm pops a fixed k entries with no notion of eligibility, so
-/// restricting the competition to eligible series needs the sweep
-/// (WA when a model is attached, else WN). Rewrites `plan` accordingly;
-/// identity otherwise.
-void RouteQualityTopK(double min_quality, bool has_model, ExecutedPlan* plan);
-
-/// The tail of every sweep-style top-k (engine WN/WA, an epoch's pass
-/// over its frozen table): `selected` must hold the best k eligible
-/// entities best-first (a `TopKSelector` result); this fills `examined`
-/// (every entity of the sweep), the quality exclusion count and plan
-/// note when `min_quality > 0`, and the stamp.
-TopKResult FinishSweepTopK(const TopKRequest& request, std::size_t n,
-                           const QualitySurface& quality,
-                           std::vector<ScapeTopKEntry> selected, ExecutedPlan plan);
+/// MEC's id check over n series: InvalidArgument for an empty set,
+/// OutOfRange for the first id ≥ n. The engine and the shard router's
+/// MEC gather both run it, so codes and texts agree.
+Status CheckMecIds(const std::vector<ts::SeriesId>& ids, std::size_t n);
 
 /// The selection predicates — keep(value, a, b) — shared by the engine's
-/// MET/MER sweeps, the served epoch sweeps, and the shard router's
-/// cross-pair filter, so bound semantics (strict comparisons, open
-/// ranges) are defined exactly once.
+/// MET/MER sweeps and the shard router's cross-pair filter, so bound
+/// semantics (strict comparisons, open ranges) are defined exactly once.
 inline bool KeepGreater(double value, double tau, double /*unused*/) { return value > tau; }
 inline bool KeepLesser(double value, double tau, double /*unused*/) { return value < tau; }
 inline bool KeepInside(double value, double lo, double hi) { return lo < value && value < hi; }
+
+/// A published serving epoch as the engine reads it
+/// (serve/serve_query.h binds one per query). Everything was frozen at
+/// the epoch's publication point and must outlive the engine.
+struct EpochView {
+  std::uint64_t generation = 0;  ///< noted on every plan
+  std::size_t n = 0;             ///< series in the window
+  std::size_t m = 0;             ///< samples per series
+  /// The dense window. Only the WN branches call it, so an epoch
+  /// materializes its copy-on-write window for WN queries only.
+  std::function<const ts::DataMatrix&()> dense;
+  /// The live engine's capabilities at publication: kAuto plans exactly
+  /// as the live engine planned then.
+  QueryPlanner::Capabilities caps;
+  const ScapeRuns* scape = nullptr;  ///< null: no SCAPE index
+  /// The frozen WA surface: the exact per-series statistics (the MEC
+  /// diagonal; null when the epoch has no WA at all) and, indexed by
+  /// `Measure`, each measure's values — one per series for an
+  /// L-measure, one per pair in lexicographic order for a pair measure.
+  /// A null table is absent — the model that published the epoch lacked
+  /// those values — and a query that needs it declines with kUnavailable.
+  const std::vector<SeriesStats>* stats = nullptr;
+  std::array<const std::vector<double>*, kNumMeasures> wa_tables{};
+  const std::vector<double>* quality = nullptr;  ///< null: no quality surface
+};
 
 /// Strategy-dispatching query processor.
 ///
@@ -222,6 +242,14 @@ class QueryEngine {
  public:
   /// An engine that can only answer with WN, sequentially.
   explicit QueryEngine(const ts::DataMatrix* data);
+
+  /// An engine over a published epoch: it plans with the epoch's frozen
+  /// capabilities, reads WA values from its frozen tables and SCAPE runs
+  /// from its handles, notes the generation on every plan, and runs
+  /// sequentially. It declines with kUnavailable what nothing frozen can
+  /// answer: WF MEC/MET/MER (sketches are built per query) and WA
+  /// queries whose table is absent.
+  explicit QueryEngine(EpochView epoch);
 
   /// Enables the WA strategy.
   void AttachModel(const AffinityModel* model) { model_ = model; }
@@ -236,7 +264,9 @@ class QueryEngine {
   }
 
   /// Enables the SCAPE strategy (MET/MER).
-  void AttachScape(const ScapeIndex* scape) { scape_ = scape; }
+  void AttachScape(const ScapeIndex* scape) {
+    scape_ = scape != nullptr ? &scape->runs() : nullptr;
+  }
 
   /// Attaches the per-series quality surface (DESIGN.md §12): composite
   /// scores in [0, 1], one per series id. Enables the `min_quality`
@@ -256,8 +286,9 @@ class QueryEngine {
   /// The engine's execution context.
   const ExecContext& exec() const { return exec_; }
 
-  /// The planner capabilities implied by what is attached — the basis of
-  /// every `kAuto` dispatch.
+  /// The planner capabilities implied by what is attached (over an
+  /// epoch: its frozen capabilities) — the basis of every `kAuto`
+  /// dispatch.
   QueryPlanner::Capabilities Capabilities() const;
 
   /// Query 1. FailedPrecondition when the strategy is not attached;
@@ -288,7 +319,32 @@ class QueryEngine {
   ExecutedPlan ResolvePlan(QueryMethod method,
                            const std::function<PlanChoice(const QueryPlanner&)>& plan) const;
 
-  Status CheckIds(const std::vector<ts::SeriesId>& ids) const;
+  /// Notes the epoch's generation on `plan` (no-op for a batch engine).
+  void NoteEpoch(ExecutedPlan* plan) const;
+
+  std::size_t n() const { return epoch_ ? epoch_->n : data_->n(); }
+  std::size_t m() const { return epoch_ ? epoch_->m : data_->m(); }
+
+  /// The dense window — read by the WN and WF branches only.
+  const ts::DataMatrix& dense() const { return epoch_ ? epoch_->dense() : *data_; }
+
+  /// True when WA is attached: a model, or an epoch's frozen tables.
+  bool has_wa() const { return model_ != nullptr || (epoch_ && epoch_->stats != nullptr); }
+
+  /// The epoch's frozen WA values of `measure`; nullptr when there are
+  /// none, and then `FrozenTableError` is the status of a query that
+  /// needs them.
+  const double* FrozenTable(Measure measure) const;
+
+  /// FailedPrecondition without WA, kUnavailable when the epoch lacks
+  /// the table of `measure`.
+  Status FrozenTableError(Measure measure) const;
+
+  /// WA top-k over the frozen table: one k-bounded walk in lexicographic
+  /// order, eligible entities only — no per-entity StatusOr, no window.
+  StatusOr<std::vector<ScapeTopKEntry>> FrozenTopK(const TopKRequest& request,
+                                                   const QualitySurface& quality) const;
+
   StatusOr<double> Value(Measure measure, ts::SeriesId u, ts::SeriesId v,
                          QueryMethod method) const;
   StatusOr<double> SeriesValue(Measure measure, ts::SeriesId v, QueryMethod method) const;
@@ -300,14 +356,15 @@ class QueryEngine {
                                                  double b) const;
 
   /// The attached quality surface over this engine's n series.
-  QualitySurface quality_surface() const { return QualitySurface(quality_, data_->n()); }
+  QualitySurface quality_surface() const { return QualitySurface(quality_, n()); }
 
-  const ts::DataMatrix* data_;
+  const ts::DataMatrix* data_ = nullptr;  ///< the batch window; null over an epoch
   const AffinityModel* model_ = nullptr;
   std::size_t wf_coefficients_ = 0;  ///< 0 = WF disabled
-  const ScapeIndex* scape_ = nullptr;
+  const ScapeRuns* scape_ = nullptr;
   const std::vector<double>* quality_ = nullptr;
   ExecContext exec_;
+  std::optional<EpochView> epoch_;  ///< set when answering over an epoch
 };
 
 }  // namespace affinity::core

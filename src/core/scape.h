@@ -126,17 +126,15 @@ inline bool TopKBefore(const ScapeTopKEntry& a, const ScapeTopKEntry& b, bool la
 /// result identical to one sequential pass.
 class TopKSelector {
  public:
-  TopKSelector(std::size_t k, bool largest) : k_(k), largest_(largest) {}
+  /// With k = 0 the bar starts at the far end, past every finite value.
+  TopKSelector(std::size_t k, bool largest)
+      : k_(k), largest_(largest), bar_(k == 0 ? -Open(largest) : Open(largest)) {}
 
   /// False when an entry valued `value` cannot enter (k entries are kept
   /// and `value` ranks strictly after the worst of them) — a branch-light
-  /// pre-check for hot passes; `Offer` decides every other case.
-  bool Admits(double value) const {
-    if (heap_.size() < k_) return true;
-    if (k_ == 0) return false;
-    const double worst = heap_.front().value;
-    return largest_ ? value >= worst : value <= worst;
-  }
+  /// pre-check for hot passes: one comparison with the cached bar.
+  /// `Offer` decides every other case (a NaN always reaches it).
+  bool Admits(double value) const { return largest_ ? !(value < bar_) : !(value > bar_); }
 
   /// True when no entry valued `value` or worse can enter, whatever its
   /// tie key: k entries are kept and the worst of them has a value
@@ -158,7 +156,10 @@ class TopKSelector {
       std::pop_heap(heap_.begin(), heap_.end(), before);
       heap_.back() = entry;
       std::push_heap(heap_.begin(), heap_.end(), before);
+    } else {
+      return;
     }
+    if (heap_.size() == k_) bar_ = heap_.front().value;
   }
 
   /// Offers every entry `other` kept.
@@ -182,8 +183,17 @@ class TopKSelector {
     }
   };
 
+  /// The bar of a selection with room left: every value clears it.
+  static double Open(bool largest) {
+    return largest ? -std::numeric_limits<double>::infinity()
+                   : std::numeric_limits<double>::infinity();
+  }
+
   std::size_t k_;
   bool largest_;
+  /// The value an entry must reach to be admitted: the worst kept value
+  /// once k entries are kept, `Open` before.
+  double bar_;
   std::vector<ScapeTopKEntry> heap_;
 };
 

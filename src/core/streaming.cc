@@ -311,8 +311,7 @@ Status StreamingAffinity::Rebuild() {
 void StreamingAffinity::PublishServingSnapshot() {
   if (framework_ == nullptr) return;
   if (publisher_ == nullptr) {
-    publisher_ = std::make_unique<serve::EpochPublisher<serve::ServingSnapshot>>(
-        options_.serving_history);
+    publisher_ = std::make_unique<serve::EpochPublisher<serve::ServingSnapshot>>();
   }
   ++serving_generation_;
   Stopwatch watch;
@@ -432,7 +431,6 @@ StatusOr<SelectionResult> StreamingAffinity::Mer(const MerRequest& request,
                                                  FreshnessReport* report) const {
   const auto snap = serving();
   AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
-  if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
   auto served = serve::SnapshotMer(*snap, request, options.method);
   if (served.status().code() != StatusCode::kUnavailable) return served;
   shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);

@@ -78,11 +78,6 @@ struct StreamingOptions {
   /// Storage segment capacity; 0 derives one from the window so resident
   /// rows stay O(window) after compaction.
   std::size_t segment_capacity = 0;
-  /// Historical serving epochs the publisher pins beyond the current one
-  /// (DESIGN.md §11): `serving_epoch(generation)` can recover any of the
-  /// last `serving_history` superseded epochs without copying. 0 keeps
-  /// only the current epoch (previous behaviour).
-  std::size_t serving_history = 0;
 };
 
 /// Validates a streaming configuration for `series_count` series — the
@@ -277,17 +272,10 @@ class StreamingAffinity {
   /// while this stream keeps appending and refreshing — readers never
   /// block on maintenance, and an epoch is reclaimed when the last handle
   /// drops. Answers — quality predicates and stamps included — are
-  /// bitwise identical to the facade's queries at the same epoch.
+  /// bitwise identical to the facade's queries at the same epoch, and a
+  /// held epoch keeps answering them unchanged after newer publications.
   std::shared_ptr<const serve::ServingSnapshot> serving() const {
     return publisher_ != nullptr ? publisher_->Acquire() : nullptr;
-  }
-
-  /// A specific epoch by generation: the current one, or any superseded
-  /// epoch still pinned by the publisher's history ring
-  /// (`StreamingOptions::serving_history`). nullptr when that generation
-  /// was never published or has been evicted.
-  std::shared_ptr<const serve::ServingSnapshot> serving_epoch(std::uint64_t generation) const {
-    return publisher_ != nullptr ? publisher_->AcquireEpoch(generation) : nullptr;
   }
 
   /// A from-scratch snapshot of the current state, stamped with the

@@ -4,14 +4,12 @@
 /// \file serve_query.h
 /// Query execution against a published `ServingSnapshot` (DESIGN.md §11).
 ///
-/// Each function mirrors the corresponding `QueryEngine` path — same
-/// dispatch order, same error texts, same arithmetic, same result order —
-/// but reads only the snapshot: SCAPE queries run the engine's own run
-/// scans (`core::ScapeMeasureThreshold`/`ScapeMeasureRange`/`ScapeTopK`)
-/// over the runs the epoch shares with the index, WA values come from the
-/// frozen tables, and WN sweeps run over the snapshot's window copy.
-/// Answers are bitwise identical to the live engine at the epoch's
-/// publication point.
+/// Each function binds the epoch to `core::QueryEngine` (`EpochView`)
+/// and asks it: the engine plans with the epoch's frozen capabilities,
+/// runs SCAPE queries over the runs the epoch shares with the index,
+/// reads WA values from the frozen tables and runs WN sweeps over the
+/// epoch's window. There is no second implementation, so answers are
+/// bitwise the live engine's at the epoch's publication point.
 ///
 /// Everything here is const over the snapshot and allocation-local, so
 /// any number of threads may serve queries from the same snapshot
@@ -29,22 +27,22 @@
 
 namespace affinity::serve {
 
-/// Query 1 against the snapshot. Mirrors `QueryEngine::Mec`.
+/// Query 1 against the snapshot (`QueryEngine::Mec`).
 StatusOr<core::MecResponse> SnapshotMec(const ServingSnapshot& snap,
                                         const core::MecRequest& request,
                                         core::QueryMethod method = core::QueryMethod::kAuto);
 
-/// Query 2 against the snapshot. Mirrors `QueryEngine::Met`.
+/// Query 2 against the snapshot (`QueryEngine::Met`).
 StatusOr<core::SelectionResult> SnapshotMet(const ServingSnapshot& snap,
                                             const core::MetRequest& request,
                                             core::QueryMethod method = core::QueryMethod::kAuto);
 
-/// Query 3 against the snapshot. Mirrors `QueryEngine::Mer`.
+/// Query 3 against the snapshot (`QueryEngine::Mer`).
 StatusOr<core::SelectionResult> SnapshotMer(const ServingSnapshot& snap,
                                             const core::MerRequest& request,
                                             core::QueryMethod method = core::QueryMethod::kAuto);
 
-/// Top-k against the snapshot. Mirrors `QueryEngine::TopK`.
+/// Top-k against the snapshot (`QueryEngine::TopK`).
 StatusOr<core::TopKResult> SnapshotTopK(const ServingSnapshot& snap,
                                         const core::TopKRequest& request,
                                         core::QueryMethod method = core::QueryMethod::kAuto);

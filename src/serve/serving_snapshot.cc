@@ -202,18 +202,10 @@ void FillPairTablesBulk(const core::AffinityModel& model,
   for (int t = 0; t < 6; ++t) tables[t] = out->pair_values[static_cast<std::size_t>(t)].data();
   std::atomic<bool> missing{false};
   ParallelChunks(exec, pairs, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-    // Lexicographic index → (u, v): row u covers [PairsBeforeRow(u), PairsBeforeRow(u + 1)).
-    std::size_t u = 0;
-    while (ts::PairsBeforeRow(u + 1, n) <= lo) ++u;
-    std::size_t row_end = ts::PairsBeforeRow(u + 1, n);
-    auto v = static_cast<ts::SeriesId>(u + 1 + (lo - ts::PairsBeforeRow(u, n)));
-    for (std::size_t p = lo; p < hi; ++p, ++v) {
-      if (p == row_end) {
-        ++u;
-        row_end = ts::PairsBeforeRow(u + 1, n);
-        v = static_cast<ts::SeriesId>(u + 1);
-      }
-      const ts::SequencePair e(static_cast<ts::SeriesId>(u), v);
+    const ts::SequencePair first = ts::PairFromIndex(lo, n);
+    std::size_t u = first.u, v = first.v;
+    for (std::size_t p = lo; p < hi; ++p, ts::NextPair(n, &u, &v)) {
+      const ts::SequencePair e(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
       double values[6];
       if (by_key != nullptr) {
         const core::RelationshipRef& ref = (*by_key)[p];

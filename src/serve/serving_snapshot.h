@@ -28,31 +28,28 @@
 /// epoch, and it is the fallback when the table cannot cover the window.
 ///
 /// Snapshots are published through an `EpochPublisher` — an atomic
-/// shared_ptr swap, optionally backed by a ring that pins the last N
-/// epochs for diagnostics / branch-diff queries. Readers `Acquire()` a
-/// snapshot (or `AcquireEpoch(g)` a pinned one) and keep it alive for the
-/// duration of a query; writers publish a fresh replica and never touch
-/// an old one, so queries never wait on maintenance and maintenance never
-/// waits on queries. Memory lifetime is reference-counted: an old epoch
-/// is reclaimed when the ring drops it and its last in-flight query ends.
+/// shared_ptr swap. Readers `Acquire()` a snapshot and keep it alive for
+/// the duration of a query (or longer: a held epoch stays queryable and
+/// bit-stable while newer ones publish); writers publish a fresh replica
+/// and never touch an old one, so queries never wait on maintenance and
+/// maintenance never waits on queries. Memory lifetime is
+/// reference-counted: an old epoch is reclaimed when its last handle
+/// drops.
 ///
 /// The serving contract is *bitwise identity*: every answer computed from
-/// a snapshot equals the live engine's answer over the same structures
-/// (serve_query.h runs the engine's own SCAPE run scans and mirrors its
-/// WA/WN paths exactly).
+/// a snapshot equals the live engine's answer over the same structures,
+/// because both are `QueryEngine` answers (serve_query.h binds the epoch
+/// to the engine).
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/exec_context.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "core/planner.h"
 #include "core/query.h"
 #include "core/scape.h"
@@ -146,8 +143,8 @@ struct ServingSnapshot {
   /// surface.
   CowWindow data;
 
-  /// The live engine's capabilities at publication — drives the exact
-  /// same kAuto planning as the live engine.
+  /// The live engine's capabilities at publication — the engine plans
+  /// kAuto over an epoch with these, exactly as the live engine planned.
   core::QueryPlanner::Capabilities caps;
 
   /// True when the engine had a SCAPE index; `scape` then holds its runs
@@ -245,49 +242,21 @@ class SnapshotBuilder {
 /// Epoch-based publication point: writers atomically swap in a fresh
 /// immutable snapshot; readers acquire the current one with shared
 /// ownership. The atomic<shared_ptr> swap is the only synchronization on
-/// the serving fast path — queries never block on maintenance.
-///
-/// With `history > 0` the publisher additionally pins the last `history`
-/// superseded epochs in a ring, retrievable by generation through
-/// `AcquireEpoch` — diagnostics and branch-diff readers can hold an old
-/// epoch (bit-stable, still queryable) while newer epochs publish, at the
-/// cost of one mutex hop off the fast path. `T` must expose a
-/// `generation` field. Publish must stay single-writer (the maintenance
-/// thread), as before.
+/// the serving fast path — queries never block on maintenance. Publish
+/// must stay single-writer (the maintenance thread).
 template <typename T>
 class EpochPublisher {
  public:
-  EpochPublisher() = default;
-  explicit EpochPublisher(std::size_t history) : history_(history) {}
-
   /// Publishes `snapshot` as the current epoch (release ordering: all the
-  /// builder's writes happen-before any reader that acquires it). The
-  /// outgoing epoch moves into the pinned ring *before* the swap, so no
-  /// generation is ever unreachable in between.
+  /// builder's writes happen-before any reader that acquires it).
   ///
-  /// Returns the epoch this publish *retired* — the one evicted from the
-  /// ring (or, with no ring, the replaced current) — so the caller can
-  /// recycle its memory into the next build instead of freeing ~the whole
-  /// replica on the publish critical path. nullptr when nothing retired.
-  /// A retired epoch may still be pinned by in-flight readers; recycle it
-  /// only when its use_count() is 1.
-  std::shared_ptr<const T> Publish(std::shared_ptr<const T> snapshot) EXCLUDES(mu_) {
-    std::shared_ptr<const T> retired;
-    if (history_ > 0) {
-      auto prev = current_.load(std::memory_order_acquire);
-      if (prev != nullptr) {
-        MutexLock lock(mu_);
-        ring_.push_back(std::move(prev));
-        while (ring_.size() > history_) {
-          retired = std::move(ring_.front());
-          ring_.pop_front();
-        }
-      }
-      current_.store(std::move(snapshot), std::memory_order_release);
-    } else {
-      retired = current_.exchange(std::move(snapshot), std::memory_order_acq_rel);
-    }
-    return retired;
+  /// Returns the epoch this publish *retired* — the replaced current — so
+  /// the caller can recycle its memory into the next build instead of
+  /// freeing ~the whole replica on the publish critical path. nullptr
+  /// when nothing retired. A retired epoch may still be pinned by
+  /// in-flight readers; recycle it only when its use_count() is 1.
+  std::shared_ptr<const T> Publish(std::shared_ptr<const T> snapshot) {
+    return current_.exchange(std::move(snapshot), std::memory_order_acq_rel);
   }
 
   /// The current epoch's snapshot (nullptr before the first Publish).
@@ -296,28 +265,8 @@ class EpochPublisher {
     return current_.load(std::memory_order_acquire);
   }
 
-  /// The epoch with exactly `generation`: the current one when it
-  /// matches, else a ring-pinned one, else nullptr (never published, or
-  /// already evicted by newer publishes).
-  std::shared_ptr<const T> AcquireEpoch(std::uint64_t generation) const EXCLUDES(mu_) {
-    auto current = Acquire();
-    if (current != nullptr && current->generation == generation) return current;
-    MutexLock lock(mu_);
-    for (auto it = ring_.rbegin(); it != ring_.rend(); ++it) {
-      if ((*it)->generation == generation) return *it;
-    }
-    return nullptr;
-  }
-
-  /// Number of superseded epochs the ring pins.
-  std::size_t history() const { return history_; }
-
  private:
-  std::size_t history_ = 0;  ///< immutable after construction
-  /// The serving fast path: swap/load only, never under mu_.
   std::atomic<std::shared_ptr<const T>> current_;
-  mutable Mutex mu_;
-  std::deque<std::shared_ptr<const T>> ring_ GUARDED_BY(mu_);  ///< oldest first
 };
 
 }  // namespace affinity::serve

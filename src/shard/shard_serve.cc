@@ -379,13 +379,7 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
   ExecutedPlan plan = ResolvePlan(snap, gather, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
-  if (request.ids.empty()) return Status::InvalidArgument("MEC requires a non-empty id set");
-  for (const ts::SeriesId id : request.ids) {
-    if (id >= snap.n) {
-      return Status::OutOfRange("series id " + std::to_string(id) + " out of range (n=" +
-                                std::to_string(snap.n) + ")");
-    }
-  }
+  AFFINITY_RETURN_IF_ERROR(core::CheckMecIds(request.ids, snap.n));
   const QueryMethod method = gather.method == QueryMethod::kAuto ? plan.method : gather.method;
 
   // Slice the request per shard, remembering each id's request position.

@@ -258,8 +258,7 @@ void ShardedAffinity::PublishRouterSnapshot() {
   snap->max_n = max_n;
   snap->routing = router_.routing();
   if (publisher_ == nullptr) {
-    publisher_ = std::make_unique<serve::EpochPublisher<RouterSnapshot>>(
-        options_.streaming.serving_history);
+    publisher_ = std::make_unique<serve::EpochPublisher<RouterSnapshot>>();
   }
   publisher_->Publish(std::move(snap));
 }

@@ -184,14 +184,6 @@ class ShardedAffinity {
     return publisher_ != nullptr ? publisher_->Acquire() : nullptr;
   }
 
-  /// A specific router epoch by generation: the current one, or any
-  /// superseded epoch still pinned by the publisher's history ring
-  /// (`StreamingOptions::serving_history`). nullptr when that generation
-  /// was never published or has been evicted.
-  std::shared_ptr<const RouterSnapshot> serving_epoch(std::uint64_t generation) const {
-    return publisher_ != nullptr ? publisher_->AcquireEpoch(generation) : nullptr;
-  }
-
   /// Every shard's snapshot age, indexed by shard (safe on any thread).
   std::vector<std::size_t> snapshot_ages() const;
 

@@ -1,8 +1,25 @@
 #include "ts/data_matrix.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace affinity::ts {
+
+SequencePair PairFromIndex(std::size_t idx, std::size_t n) {
+  // Guess the row from the quadratic PairsBeforeRow(u) = idx, then walk
+  // off the floating-point slack exactly.
+  const double nd = static_cast<double>(n);
+  const double disc = (2.0 * nd - 1.0) * (2.0 * nd - 1.0) - 8.0 * static_cast<double>(idx);
+  double guess = (2.0 * nd - 1.0 - std::sqrt(disc > 0.0 ? disc : 0.0)) / 2.0;
+  if (guess < 0.0) guess = 0.0;
+  std::size_t u = static_cast<std::size_t>(guess);
+  if (u > n - 2) u = n - 2;
+  while (u > 0 && PairsBeforeRow(u, n) > idx) --u;
+  while (PairsBeforeRow(u + 1, n) <= idx) ++u;
+  const std::size_t v = u + 1 + (idx - PairsBeforeRow(u, n));
+  return SequencePair(static_cast<SeriesId>(u), static_cast<SeriesId>(v));
+}
 
 std::vector<SequencePair> AllSequencePairs(std::size_t n) {
   std::vector<SequencePair> out;

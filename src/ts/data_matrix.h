@@ -65,6 +65,19 @@ inline std::size_t LexPairIndex(std::size_t u, std::size_t v, std::size_t n) {
   return PairsBeforeRow(u, n) + (v - u - 1);
 }
 
+/// The inverse: the idx-th pair in that order over n ≥ 2 series — O(1)
+/// plus an exact fix-up, so a parallel chunk can seek into the middle of
+/// an O(n²) sweep.
+SequencePair PairFromIndex(std::size_t idx, std::size_t n);
+
+/// Advances (u, v) to the next pair in that order.
+inline void NextPair(std::size_t n, std::size_t* u, std::size_t* v) {
+  if (++*v >= n) {
+    ++*u;
+    *v = *u + 1;
+  }
+}
+
 /// Enumerates the full sequence-pair set P for n series, ordered by (u, v).
 std::vector<SequencePair> AllSequencePairs(std::size_t n);
 

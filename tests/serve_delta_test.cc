@@ -4,8 +4,8 @@
 // state — SnapshotBuilder::Build with SCAPE runs from a fresh
 // ScapeIndex::Build, so each refreshed run is checked against a cold sort
 // — across refresh intervals, thread counts, escalations, manual
-// rebuilds, and restores; and the epoch ring must keep superseded
-// generations queryable and bit-stable.
+// rebuilds, and restores; and a held epoch must stay queryable and
+// bit-stable while newer ones publish.
 
 #include "serve/serving_snapshot.h"
 
@@ -238,7 +238,7 @@ TEST(ServeDelta, EscalationRebuildAndRestoreInvalidateTheDeltaPath) {
 
 TEST(ServeDelta, RecycledEpochsFreezeEachPublicationsQualityScores) {
   // A gappy stream moves the quality scores between publications; every
-  // delta epoch (built into a recycled retired epoch, no ring) must carry
+  // delta epoch (built into a recycled retired epoch) must carry
   // exactly the scores the live engine held when it was published.
   const ts::Dataset ds = TestData();
   const std::size_t n = ds.matrix.n();
@@ -269,11 +269,9 @@ TEST(ServeDelta, RecycledEpochsFreezeEachPublicationsQualityScores) {
   EXPECT_GT(stream->maintenance().epochs_delta, 0u);
 }
 
-TEST(ServeDelta, EpochRingPinsOldGenerationsWithoutCopying) {
+TEST(ServeDelta, HeldEpochAnswersUnchangedAfterNewerPublications) {
   const ts::Dataset ds = TestData();
-  StreamingOptions options = StreamOptions(1, 2);
-  options.serving_history = 4;
-  auto stream = StreamingAffinity::Create(Names(ds.matrix.n()), options);
+  auto stream = StreamingAffinity::Create(Names(ds.matrix.n()), StreamOptions(1, 2));
   ASSERT_TRUE(stream.ok());
   std::vector<double> row(ds.matrix.n());
   auto feed = [&](std::size_t begin, std::size_t end) {
@@ -290,36 +288,29 @@ TEST(ServeDelta, EpochRingPinsOldGenerationsWithoutCopying) {
   auto before = SnapshotMet(*pinned, req);
   ASSERT_TRUE(before.ok());
 
-  // Publish 4 newer epochs: the pinned one must stay reachable by
-  // generation, share identity with our handle (no copy), and answer
-  // bit-identically to before.
+  // Publish 4 newer epochs: the held one must answer bit-identically to
+  // before.
   feed(kWindow + 10, kWindow + 14);
   auto current = stream->serving();
   ASSERT_NE(current, nullptr);
   EXPECT_EQ(current->generation, pinned_generation + 4);
-  auto ringed = stream->serving_epoch(pinned_generation);
-  ASSERT_NE(ringed, nullptr);
-  EXPECT_EQ(ringed.get(), pinned.get());
-  auto after = SnapshotMet(*ringed, req);
+  auto after = SnapshotMet(*pinned, req);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->series, before->series);
   EXPECT_EQ(after->pairs, before->pairs);
 
-  // One more epoch pushes the pinned generation past the 4-deep ring.
+  // And after one more.
   feed(kWindow + 14, kWindow + 15);
-  EXPECT_EQ(stream->serving_epoch(pinned_generation), nullptr);
-  // Our own handle still pins the epoch alive regardless of eviction.
   auto again = SnapshotMet(*pinned, req);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->pairs, before->pairs);
 }
 
-TEST(ServeDelta, ShardedRingServesOldRouterEpochs) {
+TEST(ServeDelta, HeldRouterEpochAnswersUnchangedAfterNewerPublications) {
   const ts::Dataset ds = TestData(16);
   shard::ShardedOptions options;
   options.shards = 2;
   options.streaming = StreamOptions(1, 2);
-  options.streaming.serving_history = 4;
   auto service = shard::ShardedAffinity::Create(Names(16), options);
   ASSERT_TRUE(service.ok()) << service.status().message();
   std::vector<double> row(16);
@@ -337,16 +328,10 @@ TEST(ServeDelta, ShardedRingServesOldRouterEpochs) {
   ASSERT_TRUE(before.ok());
 
   feed(kWindow + 8, kWindow + 11);
-  auto ringed = service->serving_epoch(pinned->generation);
-  ASSERT_NE(ringed, nullptr);
-  EXPECT_EQ(ringed.get(), pinned.get());
-  auto after = shard::RouterMet(*ringed, req);
+  auto after = shard::RouterMet(*pinned, req);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->series, before->series);
   EXPECT_EQ(after->pairs, before->pairs);
-
-  feed(kWindow + 11, kWindow + 13);
-  EXPECT_EQ(service->serving_epoch(pinned->generation), nullptr);
 }
 
 TEST(ServeDelta, DeltaReusesWindowSegmentsAndScapeRuns) {

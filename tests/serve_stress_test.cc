@@ -125,14 +125,13 @@ TEST(ServeStress, SingleInstanceReadersNeverBlockOnSlides) {
   EXPECT_GE(last->generation, kSlides);
 }
 
-TEST(ServeStress, RingReadersPinOldEpochsDuringContinuousSlides) {
+TEST(ServeStress, HeldEpochReadersDuringContinuousSlides) {
   StreamingOptions options;
   options.window = 40;
   options.rebuild_interval = 1;  // refresh on every append
   options.mode = core::UpdateMode::kIncremental;
   options.build.afclst.k = 2;
   options.build.build_dft = false;
-  options.serving_history = 8;  // publisher pins the last 8 superseded epochs
   auto stream = StreamingAffinity::Create(Names(8), options);
   ASSERT_TRUE(stream.ok());
   const ts::Dataset ds = TestData(8);
@@ -145,14 +144,13 @@ TEST(ServeStress, RingReadersPinOldEpochsDuringContinuousSlides) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> failures{0};
-  std::atomic<std::size_t> ring_hits{0};
+  std::atomic<std::size_t> outlived{0};
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&stream, &stop, &failures, &ring_hits] {
+    readers.emplace_back([&stream, &stop, &failures, &outlived] {
       while (!stop.load(std::memory_order_relaxed)) {
-        // Pin whatever is current, let the writer publish past it, then
-        // re-acquire the same generation through the ring and check the
-        // pinned epoch stayed bit-stable.
+        // Hold whatever is current, let the writer publish past it, then
+        // query the held epoch again: it must have stayed bit-stable.
         auto pinned = stream->serving();
         if (pinned == nullptr) {
           failures.fetch_add(1);
@@ -163,21 +161,12 @@ TEST(ServeStress, RingReadersPinOldEpochsDuringContinuousSlides) {
           failures.fetch_add(1);
           continue;
         }
-        auto ringed = stream->serving_epoch(pinned->generation);
-        if (ringed != nullptr) {
-          // The ring must hand back the very same epoch object (no copy),
-          // and it must answer identically to the handle we already hold.
-          if (ringed.get() != pinned.get()) failures.fetch_add(1);
-          auto after = serve::SnapshotMet(*ringed, {Measure::kCorrelation, 0.9, true});
-          if (!after.ok() || after->series != before->series || after->pairs != before->pairs) {
-            failures.fetch_add(1);
-          }
-          ring_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        // else: ≥ 9 epochs published between acquire and lookup — eviction
-        // is legitimate under load; the pinned handle itself stays valid.
+        const bool superseded = stream->serving()->generation > pinned->generation;
         auto again = serve::SnapshotMet(*pinned, {Measure::kCorrelation, 0.9, true});
-        if (!again.ok() || again->pairs != before->pairs) failures.fetch_add(1);
+        if (!again.ok() || again->series != before->series || again->pairs != before->pairs) {
+          failures.fetch_add(1);
+        }
+        if (superseded) outlived.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
@@ -191,15 +180,8 @@ TEST(ServeStress, RingReadersPinOldEpochsDuringContinuousSlides) {
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(failures.load(), 0u);
-  EXPECT_GT(ring_hits.load(), 0u);
-  // With history 8, the previous 8 generations stay acquirable after the
-  // writer goes quiet.
-  auto last = stream->serving();
-  ASSERT_NE(last, nullptr);
-  for (std::uint64_t g = last->generation - options.serving_history; g <= last->generation; ++g) {
-    EXPECT_NE(stream->serving_epoch(g), nullptr) << "generation " << g;
-  }
-  EXPECT_EQ(stream->serving_epoch(last->generation - options.serving_history - 1), nullptr);
+  // Some held epoch was re-queried after a newer one had published.
+  EXPECT_GT(outlived.load(), 0u);
 }
 
 TEST(ServeStress, ShardedRoutersServeDuringContinuousSlides) {

@@ -220,6 +220,30 @@ TEST(ServeSnapshot, MirrorsLiveEngineBitwise) {
       ASSERT_TRUE(served.ok());
       ExpectSameMec(*served, *live);
     }
+
+    // Failing requests: the same code and message from both.
+    const auto expect_same_error = [](const Status& served, const Status& live) {
+      EXPECT_FALSE(live.ok());
+      EXPECT_EQ(served.code(), live.code());
+      EXPECT_EQ(served.message(), live.message());
+    };
+    for (const MecRequest& req :
+         {MecRequest{Measure::kCovariance, {}}, MecRequest{Measure::kMean, {0, 10}}}) {
+      expect_same_error(serve::SnapshotMec(*snap, req).status(), engine.Mec(req).status());
+    }
+    for (const MecRequest& req :
+         {MecRequest{Measure::kCovariance, {0, 1}}, MecRequest{Measure::kMean, {0, 1}}}) {
+      expect_same_error(serve::SnapshotMec(*snap, req, QueryMethod::kScape).status(),
+                        engine.Mec(req, QueryMethod::kScape).status());
+    }
+    const MerRequest inverted{Measure::kCorrelation, 0.9, 0.2};
+    expect_same_error(serve::SnapshotMer(*snap, inverted).status(), engine.Mer(inverted).status());
+    const TopKRequest wf_topk{Measure::kCorrelation, 5, true};
+    expect_same_error(serve::SnapshotTopK(*snap, wf_topk, QueryMethod::kDft).status(),
+                      engine.TopK(wf_topk, QueryMethod::kDft).status());
+    const TopKRequest jaccard{Measure::kJaccard, 5, true};
+    expect_same_error(serve::SnapshotTopK(*snap, jaccard, QueryMethod::kScape).status(),
+                      engine.TopK(jaccard, QueryMethod::kScape).status());
   }
 }
 
@@ -499,9 +523,7 @@ TEST(Serving, QualityPredicateServedFromEpoch) {
 
 TEST(Serving, PinnedEpochKeepsItsQualityStamp) {
   const ts::Dataset ds = TestData();
-  StreamingOptions options = StreamOptions();
-  options.serving_history = 4;
-  auto stream = StreamingAffinity::Create(ds.matrix.names(), options);
+  auto stream = StreamingAffinity::Create(ds.matrix.names(), StreamOptions());
   ASSERT_TRUE(stream.ok());
   FeedGappy(&*stream, ds, 0, 60);
   auto first = stream->serving();
@@ -512,7 +534,6 @@ TEST(Serving, PinnedEpochKeepsItsQualityStamp) {
   auto before = serve::SnapshotMet(*first, met);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(before->quality.populated);
-  first.reset();
 
   // Series 0 gets much dirtier: later publications lower its score.
   FeedGappy(&*stream, ds, 60, 120, /*dirtier=*/true);
@@ -523,12 +544,9 @@ TEST(Serving, PinnedEpochKeepsItsQualityStamp) {
   ASSERT_TRUE(now.ok());
   EXPECT_LT(now->quality.min_score, before->quality.min_score);
 
-  // The ring-pinned epoch still answers with the scores it was published
-  // with.
-  auto pinned = stream->serving_epoch(generation);
-  ASSERT_NE(pinned, nullptr);
-  EXPECT_EQ(pinned->quality, frozen);
-  auto after = serve::SnapshotMet(*pinned, met);
+  // The held epoch still answers with the scores it was published with.
+  EXPECT_EQ(first->quality, frozen);
+  auto after = serve::SnapshotMet(*first, met);
   ASSERT_TRUE(after.ok());
   ExpectSameSelection(*after, *before);
   ExpectSameQuality(after->quality, before->quality);

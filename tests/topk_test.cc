@@ -312,6 +312,17 @@ TEST(TopKSelectorFn, KZeroKAboveTheOffersAndChunkMerges) {
   b.Offer(offers[2]);
   joined.Merge(b);
   joined.Merge(a);
+  // The pre-check: with room left every value passes; once k are kept,
+  // the k-th value itself passes (its tie key may still win) and any
+  // worse value does not; k = 0 passes no finite value.
+  EXPECT_TRUE(a.Admits(-1e300));
+  EXPECT_TRUE(joined.Admits(0.5));
+  EXPECT_FALSE(joined.Admits(0.25));
+  EXPECT_FALSE(TopKSelector(0, true).Admits(1e300));
+  TopKSelector smallest(1, false);
+  smallest.Offer(offers[0]);
+  EXPECT_TRUE(smallest.Admits(0.5));
+  EXPECT_FALSE(smallest.Admits(0.75));
   ExpectSameEntries(std::move(joined).Finish(), Select(offers, 2, true));
 }
 
