@@ -679,9 +679,8 @@ const TopKFixture& TopKData() {
     auto built = core::Affinity::Build(ts::MakeSensorData(spec).matrix, options);
     AFFINITY_CHECK(built.ok());
     auto* f = new TopKFixture{std::move(built).value(), nullptr};
-    f->epoch = serve::SnapshotBuilder::Build(f->fw.model(), f->fw.scape(),
-                                             f->fw.engine().Capabilities(),
-                                             f->fw.engine().quality(), 1, spec.num_samples);
+    f->epoch = serve::SnapshotBuilder::Build(f->fw.model(), f->fw.scape(), f->fw.engine(), 1,
+                                             spec.num_samples);
     return f;
   }();
   return *fixture;

@@ -39,7 +39,8 @@ void SortedReplace(double* col, std::size_t m, double evicted, double added) {
 StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* model,
                                                               ScapeIndex* scape,
                                                               const IncrementalOptions& options,
-                                                              const ExecContext& exec) {
+                                                              const ExecContext& exec,
+                                                              MaintenanceProfile* profile) {
   if (model == nullptr) {
     return Status::InvalidArgument("incremental maintenance requires a model");
   }
@@ -165,7 +166,9 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
   // (shared kernels, identical accumulation order).
   std::size_t refits = 0;
   AFFINITY_RETURN_IF_ERROR(mt.SolveRelationships(kRefitAll, exec, &refits));
-  mt.profile_.baseline_mean_residual = mt.profile_.mean_relative_residual;
+  mt.baseline_residual_ = mt.mean_residual_;
+  profile->mean_relative_residual = mt.baseline_residual_;
+  profile->baseline_mean_residual = mt.baseline_residual_;
   return mt;
 }
 
@@ -284,18 +287,13 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
     for (const kernels::BlockSpanStats& cs : chunk_spans) span_stats->Add(cs);
   }
   *refit_count = total_refits;
-  profile_.mean_relative_residual =
-      slots_.empty() ? 0.0 : sum / static_cast<double>(slots_.size());
+  mean_residual_ = slots_.empty() ? 0.0 : sum / static_cast<double>(slots_.size());
   return Status::OK();
 }
 
 StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<double>>& rows,
-                                              const ExecContext& exec) {
-  return Advance(rows, rows.size(), exec);
-}
-
-StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<double>>& rows,
-                                              std::size_t count, const ExecContext& exec) {
+                                              std::size_t count, const ExecContext& exec,
+                                              MaintenanceProfile* profile) {
   Stopwatch watch;
   if (inject_failures_ > 0) {
     --inject_failures_;
@@ -320,7 +318,7 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
   // A slide covering the whole window replaces every sample: an exact
   // refit costs the same as the delta would and keeps the model
   // bit-identical to a from-scratch fit.
-  const std::size_t refresh_index = tail == w ? kRefitAll : profile_.refreshes;
+  const std::size_t refresh_index = tail == w ? kRefitAll : refreshes_;
   const std::size_t k = model_->clustering_.k();
 
   // ---- Extended centre values for the entering rows (computed before
@@ -451,33 +449,24 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
 
   // ---- Drift monitor: escalate when the population residual level left
   // the band the baseline established at the last full build.
-  const bool escalate =
-      profile_.mean_relative_residual >
-      options_.escalation_factor * profile_.baseline_mean_residual + options_.escalation_slack;
+  const bool escalate = mean_residual_ > options_.escalation_factor * baseline_residual_ +
+                                             options_.escalation_slack;
 
-  ++profile_.refreshes;
-  profile_.rows_absorbed += d;
-  profile_.last_rows_absorbed = d;
-  profile_.relationships_refit += refits;
-  profile_.last_relationships_refit = refits;
-  profile_.relationships_updated += slots_.size() - refits;
-  profile_.last_relationships_updated = slots_.size() - refits;
-  profile_.tree_rekeys += rekeyed.entries_moved;
-  profile_.last_tree_rekeys = rekeyed.entries_moved;
-  profile_.scape_rekeys_skipped += rekeyed.entries_unchanged;
-  profile_.last_scape_rekeys_skipped = rekeyed.entries_unchanged;
+  ++refreshes_;
+  ++profile->refreshes;
+  profile->rows_absorbed += d;
+  profile->relationships_refit += refits;
+  profile->relationships_updated += slots_.size() - refits;
+  profile->tree_rekeys += rekeyed.entries_moved;
+  profile->scape_rekeys_skipped += rekeyed.entries_unchanged;
   kernels::BlockSpanStats spans = refit_spans;
   if (cache != nullptr) spans.Add(cache->last);
-  profile_.last_recompute_blocks_touched = spans.touched;
-  profile_.last_recompute_blocks_reused = spans.reused;
-  profile_.last_recompute_prefix_resumes = spans.prefix_resumes;
-  profile_.recompute_blocks_touched += spans.touched;
-  profile_.recompute_blocks_reused += spans.reused;
-  profile_.recompute_prefix_resumes += spans.prefix_resumes;
-  profile_.last_recompute_seconds = recompute_seconds;
-  profile_.recompute_seconds += recompute_seconds;
-  if (escalate) ++profile_.escalations;
-  profile_.last_refresh_seconds = watch.ElapsedSeconds();
+  profile->recompute_blocks_touched += spans.touched;
+  profile->recompute_blocks_reused += spans.reused;
+  profile->recompute_prefix_resumes += spans.prefix_resumes;
+  profile->recompute_seconds += recompute_seconds;
+  profile->mean_relative_residual = mean_residual_;
+  profile->last_refresh_seconds = watch.ElapsedSeconds();
   return escalate;
 }
 
@@ -498,17 +487,6 @@ MaintenanceProfile AggregateShardProfiles(const std::vector<MaintenanceProfile>&
     out.recompute_blocks_reused += p.recompute_blocks_reused;
     out.recompute_prefix_resumes += p.recompute_prefix_resumes;
     out.recompute_seconds += p.recompute_seconds;
-    out.last_rows_absorbed += p.last_rows_absorbed;
-    out.last_relationships_updated += p.last_relationships_updated;
-    out.last_relationships_refit += p.last_relationships_refit;
-    out.last_tree_rekeys += p.last_tree_rekeys;
-    out.last_scape_rekeys_skipped += p.last_scape_rekeys_skipped;
-    out.last_recompute_blocks_touched += p.last_recompute_blocks_touched;
-    out.last_recompute_blocks_reused += p.last_recompute_blocks_reused;
-    out.last_recompute_prefix_resumes += p.last_recompute_prefix_resumes;
-    // Shards recompute concurrently, so the slowest one is what the
-    // append paid — same rule as last_refresh_seconds.
-    out.last_recompute_seconds = std::max(out.last_recompute_seconds, p.last_recompute_seconds);
     // Shards refresh concurrently: the slowest one is the latency the
     // router's append actually paid.
     out.last_refresh_seconds = std::max(out.last_refresh_seconds, p.last_refresh_seconds);

@@ -36,6 +36,8 @@
 ///
 /// All loops fan out over the caller's ExecContext with the §7 determinism
 /// guarantee: the maintained model is identical at any thread count.
+/// Each refresh adds its accounting straight to the `MaintenanceProfile`
+/// the stream owns; the maintainer keeps only its refit-schedule counter.
 
 #include <cstddef>
 #include <memory>
@@ -81,7 +83,10 @@ struct IncrementalOptions {
   bool retain_block_partials = true;
 };
 
-/// Per-refresh and cumulative accounting of the maintenance path.
+/// Cumulative accounting of one stream's maintenance path. Each count is
+/// held once: the maintainer adds every refresh straight into the profile
+/// its stream owns (`IncrementalMaintainer::Advance`), and the stream adds
+/// its escalations and publications.
 struct MaintenanceProfile {
   std::size_t refreshes = 0;               ///< incremental refreshes run
   std::size_t rows_absorbed = 0;           ///< rows slid into the window
@@ -89,7 +94,7 @@ struct MaintenanceProfile {
   std::size_t relationships_refit = 0;     ///< full-precision refits
   std::size_t tree_rekeys = 0;             ///< SCAPE entries whose ξ or U moved
   std::size_t scape_rekeys_skipped = 0;    ///< SCAPE entries left bitwise unchanged
-  std::size_t escalations = 0;             ///< drift-monitor trips
+  std::size_t escalations = 0;             ///< refreshes escalated to a full rebuild
   /// Retained block-partial accounting (DESIGN.md §10): grid blocks
   /// recomputed vs served from the cache across every exact chain
   /// (RecomputeDerived + accumulator re-materializations).
@@ -99,26 +104,18 @@ struct MaintenanceProfile {
   /// (an O(kPrefixStride) resume) instead of a full block re-walk.
   std::size_t recompute_prefix_resumes = 0;
   double recompute_seconds = 0.0;          ///< cumulative RecomputeDerived wall time
-  double last_refresh_seconds = 0.0;
-  std::size_t last_rows_absorbed = 0;
-  std::size_t last_relationships_updated = 0;
-  std::size_t last_relationships_refit = 0;
-  std::size_t last_tree_rekeys = 0;
-  std::size_t last_scape_rekeys_skipped = 0;
-  std::size_t last_recompute_blocks_touched = 0;
-  std::size_t last_recompute_blocks_reused = 0;
-  std::size_t last_recompute_prefix_resumes = 0;
-  double last_recompute_seconds = 0.0;     ///< RecomputeDerived wall time, last refresh
+  double last_refresh_seconds = 0.0;       ///< maintainer wall time, last refresh
   /// Population mean relative fit residual after the last refresh (the
   /// drift-monitor signal) and its baseline at the last full build.
   double mean_relative_residual = 0.0;
   double baseline_mean_residual = 0.0;
 
-  /// Serve-path publication accounting. These are filled by the epoch
-  /// publisher (streaming / shard router), NOT by the maintainer, so
-  /// AbsorbRefresh deliberately leaves them alone — the publish happens
-  /// after the refresh's accounting is absorbed.
-  std::size_t serve_fallbacks = 0;          ///< kUnavailable → live-engine answers
+  /// Serve-path publication accounting, filled by the epoch publisher
+  /// (streaming / shard router), not by the maintainer.
+  /// `serve_fallbacks` is never incremented — facade queries answer only
+  /// from published epochs — and stays because perfbench exports it as
+  /// `publish.serve_fallbacks`.
+  std::size_t serve_fallbacks = 0;
   std::size_t epochs_published = 0;         ///< serving snapshots published
   std::size_t epochs_delta = 0;             ///< ... of which via BuildDelta (COW window)
   std::size_t window_segments_reused = 0;   ///< COW window segments shared with prior epoch
@@ -127,38 +124,6 @@ struct MaintenanceProfile {
   std::size_t snapshot_bytes_copied = 0;    ///< bytes materialized across publishes
   double publish_seconds = 0.0;             ///< cumulative publication wall time
   double last_publish_seconds = 0.0;        ///< publication wall time, last epoch
-
-  /// Folds one refresh's accounting (a maintainer's `last_*` readings plus
-  /// its residual levels) into this cumulative record — used by the stream
-  /// to accumulate across maintainer generations and by the shard router
-  /// to aggregate across shards. Cumulative counters add; `last_*` and the
-  /// residual levels copy (callers aggregating shards combine them with
-  /// AggregateShardProfiles instead, which maxes latency and averages
-  /// residuals).
-  void AbsorbRefresh(const MaintenanceProfile& refresh) {
-    ++refreshes;
-    rows_absorbed += refresh.last_rows_absorbed;
-    relationships_updated += refresh.last_relationships_updated;
-    relationships_refit += refresh.last_relationships_refit;
-    tree_rekeys += refresh.last_tree_rekeys;
-    scape_rekeys_skipped += refresh.last_scape_rekeys_skipped;
-    recompute_blocks_touched += refresh.last_recompute_blocks_touched;
-    recompute_blocks_reused += refresh.last_recompute_blocks_reused;
-    recompute_prefix_resumes += refresh.last_recompute_prefix_resumes;
-    recompute_seconds += refresh.last_recompute_seconds;
-    last_refresh_seconds = refresh.last_refresh_seconds;
-    last_rows_absorbed = refresh.last_rows_absorbed;
-    last_relationships_updated = refresh.last_relationships_updated;
-    last_relationships_refit = refresh.last_relationships_refit;
-    last_tree_rekeys = refresh.last_tree_rekeys;
-    last_scape_rekeys_skipped = refresh.last_scape_rekeys_skipped;
-    last_recompute_blocks_touched = refresh.last_recompute_blocks_touched;
-    last_recompute_blocks_reused = refresh.last_recompute_blocks_reused;
-    last_recompute_prefix_resumes = refresh.last_recompute_prefix_resumes;
-    last_recompute_seconds = refresh.last_recompute_seconds;
-    mean_relative_residual = refresh.mean_relative_residual;
-    baseline_mean_residual = refresh.baseline_mean_residual;
-  }
 };
 
 /// Cross-shard aggregation of per-shard maintenance accounting: counters
@@ -176,27 +141,24 @@ class IncrementalMaintainer {
   /// Captures maintenance state from a freshly built model (and its SCAPE
   /// index, which may be null when the deployment does not build one).
   /// O(pairs · window): materializes every per-pair accumulator exactly and
-  /// records the drift-monitor baseline.
+  /// records the drift-monitor baseline, which it also writes into
+  /// `*profile` as both residual levels.
   static StatusOr<IncrementalMaintainer> Create(AffinityModel* model, ScapeIndex* scape,
                                                 const IncrementalOptions& options,
-                                                const ExecContext& exec = {});
+                                                const ExecContext& exec,
+                                                MaintenanceProfile* profile);
 
-  /// Slides the window by `rows` (each one aligned sample per series, in
-  /// arrival order) and refreshes every layer. Returns true when the drift
-  /// monitor requests escalation to a full rebuild (the refresh itself is
-  /// still completed, so the snapshot stays coherent either way).
-  StatusOr<bool> Advance(const std::vector<std::vector<double>>& rows,
-                         const ExecContext& exec = {});
-
-  /// As above, consuming only the first `count` entries of `rows` — the
-  /// shape that lets the streaming layer hand over a preallocated row pool
-  /// whose capacity never shrinks, keeping the append hot path
-  /// allocation-free (DESIGN.md §9). `count` must be ≤ rows.size().
+  /// Slides the window by the first `count` entries of `rows` (each one
+  /// aligned sample per series, in arrival order) and refreshes every
+  /// layer. Taking a count lets the streaming layer hand over a
+  /// preallocated row pool whose capacity never shrinks, keeping the
+  /// append hot path allocation-free (DESIGN.md §9); `count` must be ≤
+  /// rows.size(). A completed refresh adds its accounting to `*profile`.
+  /// Returns true when the drift monitor requests escalation to a full
+  /// rebuild (the refresh itself is still completed, so the snapshot stays
+  /// coherent either way); the caller counts the escalation.
   StatusOr<bool> Advance(const std::vector<std::vector<double>>& rows, std::size_t count,
-                         const ExecContext& exec);
-
-  /// Maintenance accounting.
-  const MaintenanceProfile& profile() const { return profile_; }
+                         const ExecContext& exec, MaintenanceProfile* profile);
 
   /// The analysis window length (rows).
   std::size_t window() const { return window_; }
@@ -287,7 +249,11 @@ class IncrementalMaintainer {
   std::vector<PivotSlot> pivot_slots_;
   std::vector<PairSlot> slots_;
   std::vector<RelationshipRef> by_key_;  ///< slots_' records and pivot measures
-  MaintenanceProfile profile_;
+  /// This maintainer's completed refreshes: the round-robin refit
+  /// schedule's counter, restarted by every re-freeze.
+  std::size_t refreshes_ = 0;
+  double mean_residual_ = 0.0;      ///< drift-monitor signal after the last solve
+  double baseline_residual_ = 0.0;  ///< its level at Create
   std::size_t inject_failures_ = 0;  ///< InjectFailuresForTesting countdown
 };
 

@@ -38,21 +38,4 @@ std::vector<Marginals> HoistMarginals(const std::vector<const double*>& columns,
   return out;
 }
 
-std::vector<MaskedMarginals> HoistMaskedMarginals(const std::vector<const double*>& columns,
-                                                  const std::vector<const std::uint8_t*>& masks,
-                                                  std::size_t m, const ExecContext& exec,
-                                                  std::size_t anchor) {
-  AFFINITY_CHECK(masks.empty() || masks.size() == columns.size());
-  std::vector<MaskedMarginals> out(columns.size());
-  MaskedMarginals* __restrict res = out.data();
-  ParallelChunks(exec, columns.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-    for (std::size_t j = lo; j < hi; ++j) {
-      if (j + 1 < hi) __builtin_prefetch(columns[j + 1]);
-      const std::uint8_t* mask = masks.empty() ? nullptr : masks[j];
-      res[j] = MaskedColumnMarginals(columns[j], mask, m, anchor);
-    }
-  });
-  return out;
-}
-
 }  // namespace affinity::core::kernels

@@ -69,8 +69,6 @@
 /// `affinity_ts`).
 
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "common/check.h"
@@ -429,133 +427,6 @@ inline void FusedPairMoments(const double* x, const double* y, std::size_t m, do
   ActiveOps().fused_pair_moments(x, y, m, out, anchor);
 }
 
-// --- Masked (pairwise-complete) kernels (DESIGN.md §12) --------------------
-//
-// Dirty-stream variants of the marginal / pair-moment kernels: a validity
-// mask (one byte per row, 0 = invalid) excludes gap rows from the sums and
-// reports how many rows actually contributed. Two contracts hold:
-//
-//  * **Dense fast path**: a full mask (every byte non-zero, or a null
-//    pointer) routes to the dispatched dense kernel, so fully-valid
-//    windows pay one O(m) byte scan and are *bitwise identical* to the
-//    dense result — the PR 4–6 bit-identity web is untouched.
-//  * **Canonical masked order**: a partial mask runs the same anchored
-//    blocked accumulation with invalid rows contributing exactly 0.0 to
-//    every chain. The reduction order is still a function of
-//    (anchor mod kBlockElems, m) alone, so masked sweeps are thread-count
-//    invariant and two kernels sharing a chain agree bitwise.
-//
-// Pairwise-complete semantics: a row contributes to a pair only when both
-// series are valid at that row, and the reported `valid` count is the
-// divisor for moment-based measures (core::PairMeasureFromMoments).
-
-/// True when every row of `mask[0..m)` is valid. A null mask means fully
-/// valid (the dense calling convention). memchr keeps the scan at libc
-/// SIMD speed — the fast-path probe must stay cheap next to the dense
-/// kernel it guards.
-inline bool MaskAllValid(const std::uint8_t* mask, std::size_t m) {
-  return mask == nullptr || std::memchr(mask, 0, m) == nullptr;
-}
-
-/// Caller-side hoist of the fast-path probe: a fully-valid mask collapses
-/// to nullptr, so per-pair kernel calls over the same column pay O(1)
-/// instead of re-scanning O(m) bytes each time. Sweeps that touch every
-/// pair should normalize each column's mask once and pass the result.
-inline const std::uint8_t* NormalizeMask(const std::uint8_t* mask, std::size_t m) {
-  return MaskAllValid(mask, m) ? nullptr : mask;
-}
-
-/// Rows of `mask[0..m)` that are invalid (0 for a null mask).
-inline std::size_t MaskInvalidCount(const std::uint8_t* mask, std::size_t m) {
-  if (mask == nullptr) return 0;
-  std::size_t invalid = 0;
-  for (std::size_t i = 0; i < m; ++i) invalid += mask[i] == 0 ? 1 : 0;
-  return invalid;
-}
-
-/// Marginals over the valid rows of one column, plus the count of rows
-/// that contributed. `valid == 0` reports all-zero marginals.
-struct MaskedMarginals {
-  Marginals marginals;
-  std::size_t valid = 0;
-};
-
-/// ColumnMarginals over the valid rows of x. Full mask → the dispatched
-/// dense kernel, bit for bit; partial mask → canonical masked order
-/// (sum/sumsq chains bitwise equal to any other masked kernel sharing
-/// them; min/max taken over valid rows only).
-inline MaskedMarginals MaskedColumnMarginals(const double* x, const std::uint8_t* mask,
-                                             std::size_t m, std::size_t anchor = 0) {
-  if (MaskAllValid(mask, m)) return {ColumnMarginals(x, m, anchor), m};
-  MaskedMarginals out;
-  bool seen = false;
-  double lo = 0.0, hi = 0.0;
-  std::size_t valid = 0;
-  double sums[2];
-  detail::Accumulate<2>(
-      m,
-      [x, mask, &seen, &lo, &hi, &valid](std::size_t i, double* v) {
-        if (mask[i] == 0) {
-          v[0] = 0.0;
-          v[1] = 0.0;
-          return;
-        }
-        const double xi = x[i];
-        v[0] = xi;
-        v[1] = xi * xi;
-        // min/max/count are order-independent; they ride the term callback
-        // without perturbing the sum chains.
-        if (!seen) {
-          lo = hi = xi;
-          seen = true;
-        } else {
-          lo = xi < lo ? xi : lo;
-          hi = xi > hi ? xi : hi;
-        }
-        ++valid;
-      },
-      sums, anchor);
-  out.marginals.sum = sums[0];
-  out.marginals.sumsq = sums[1];
-  out.marginals.min = lo;
-  out.marginals.max = hi;
-  out.valid = valid;
-  return out;
-}
-
-/// FusedPairMoments over the pairwise-complete rows of (x, y): a row
-/// contributes only when both masks are valid there (either mask may be
-/// null = fully valid). Writes Σx, Σx², Σy, Σy², Σxy over those rows to
-/// `out[5]` and the contributing-row count to `*valid`. Both masks full →
-/// the dispatched dense kernel, bit for bit.
-inline void MaskedFusedPairMoments(const double* x, const double* y,
-                                   const std::uint8_t* mask_x, const std::uint8_t* mask_y,
-                                   std::size_t m, double out[5], std::size_t* valid,
-                                   std::size_t anchor = 0) {
-  if (MaskAllValid(mask_x, m) && MaskAllValid(mask_y, m)) {
-    FusedPairMoments(x, y, m, out, anchor);
-    if (valid != nullptr) *valid = m;
-    return;
-  }
-  std::size_t count = 0;
-  detail::Accumulate<5>(
-      m,
-      [x, y, mask_x, mask_y, &count](std::size_t i, double* v) {
-        if ((mask_x != nullptr && mask_x[i] == 0) || (mask_y != nullptr && mask_y[i] == 0)) {
-          for (int c = 0; c < 5; ++c) v[c] = 0.0;
-          return;
-        }
-        v[0] = x[i];
-        v[1] = x[i] * x[i];
-        v[2] = y[i];
-        v[3] = y[i] * y[i];
-        v[4] = x[i] * y[i];
-        ++count;
-      },
-      out, anchor);
-  if (valid != nullptr) *valid = count;
-}
-
 // --- Retained block partials (DESIGN.md §10) -------------------------------
 
 /// Per-refresh accounting of a retained-partial update: how many grid
@@ -861,15 +732,6 @@ std::vector<Marginals> HoistMarginals(const ts::DataMatrix& data, const ExecCont
 /// cross-pair columns), all of length `m` anchored at `anchor`.
 std::vector<Marginals> HoistMarginals(const std::vector<const double*>& columns, std::size_t m,
                                       const ExecContext& exec, std::size_t anchor = 0);
-
-/// Masked marginals of an explicit column list. `masks` is either empty
-/// (all columns fully valid) or one mask pointer per column, where a null
-/// entry means that column is fully valid. Deterministic chunked parallel
-/// loop — one chain per column, thread-count invariant.
-std::vector<MaskedMarginals> HoistMaskedMarginals(const std::vector<const double*>& columns,
-                                                  const std::vector<const std::uint8_t*>& masks,
-                                                  std::size_t m, const ExecContext& exec,
-                                                  std::size_t anchor = 0);
 
 }  // namespace affinity::core::kernels
 

@@ -149,24 +149,6 @@ StatusOr<double> NaivePairMeasure(Measure m, const double* x, const double* y, s
   return PairMeasureFromMoments(m, ComputePairMoments(x, y, len, anchor));
 }
 
-PairMoments ComputePairMomentsMasked(const double* x, const double* y,
-                                     const std::uint8_t* mask_x, const std::uint8_t* mask_y,
-                                     std::size_t len, std::size_t anchor) {
-  double sums[5];
-  std::size_t valid = 0;
-  kernels::MaskedFusedPairMoments(x, y, mask_x, mask_y, len, sums, &valid, anchor);
-  return PairMoments{valid, sums[0], sums[1], sums[2], sums[3], sums[4]};
-}
-
-StatusOr<double> NaivePairMeasureMasked(Measure m, const double* x, const double* y,
-                                        const std::uint8_t* mask_x, const std::uint8_t* mask_y,
-                                        std::size_t len, std::size_t anchor) {
-  if (IsLocation(m)) {
-    return Status::InvalidArgument(std::string(MeasureName(m)) + " is not a pair measure");
-  }
-  return PairMeasureFromMoments(m, ComputePairMomentsMasked(x, y, mask_x, mask_y, len, anchor));
-}
-
 StatusOr<double> NaivePairMeasureScalar(Measure m, const double* x, const double* y,
                                         std::size_t len) {
   switch (m) {

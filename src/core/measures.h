@@ -121,22 +121,6 @@ StatusOr<double> PairMeasureFromMoments(Measure m, const PairMoments& pm);
 StatusOr<double> NaivePairMeasure(Measure m, const double* x, const double* y, std::size_t len,
                                   std::size_t anchor = 0);
 
-/// Pairwise-complete co-moments of a dirty pair (DESIGN.md §12): a row
-/// contributes only where both validity masks are non-zero (either mask
-/// may be null = fully valid), and `m` is set to the contributing-row
-/// count so moment-based measures divide by the pairwise-complete sample
-/// size. Full masks route through the dense fused kernel, bit for bit.
-PairMoments ComputePairMomentsMasked(const double* x, const double* y,
-                                     const std::uint8_t* mask_x, const std::uint8_t* mask_y,
-                                     std::size_t len, std::size_t anchor = 0);
-
-/// T- or D-measure of a dirty pair from its pairwise-complete moments.
-/// Zero complete rows degenerate to 0 (the DESIGN.md §6 convention for
-/// vanishing normalizers). InvalidArgument for L-measures.
-StatusOr<double> NaivePairMeasureMasked(Measure m, const double* x, const double* y,
-                                        const std::uint8_t* mask_x, const std::uint8_t* mask_y,
-                                        std::size_t len, std::size_t anchor = 0);
-
 /// The seed's sequential multi-scan evaluation (centered covariance, one
 /// full scan per dot product) — kept as the numeric test oracle the
 /// blocked kernels are verified against (tests/kernels_test.cc;

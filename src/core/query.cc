@@ -77,7 +77,10 @@ QueryEngine::QueryEngine(const ts::DataMatrix* data) : data_(data) {
 }
 
 QueryEngine::QueryEngine(EpochView epoch)
-    : scape_(epoch.scape), quality_(epoch.quality), epoch_(std::move(epoch)) {}
+    : wf_coefficients_(epoch.wf_coefficients),
+      scape_(epoch.scape),
+      quality_(epoch.quality),
+      epoch_(std::move(epoch)) {}
 
 QueryPlanner::Capabilities QueryEngine::Capabilities() const {
   if (epoch_) return epoch_->caps;
@@ -107,19 +110,14 @@ void QueryEngine::NoteEpoch(ExecutedPlan* plan) const {
 const double* QueryEngine::FrozenTable(Measure measure) const {
   const auto slot = static_cast<std::size_t>(measure);
   if (!epoch_ || epoch_->stats == nullptr || slot >= epoch_->wa_tables.size()) return nullptr;
-  const std::vector<double>* table = epoch_->wa_tables[slot];
-  return table != nullptr ? table->data() : nullptr;
+  return epoch_->wa_tables[slot]->data();
 }
 
-Status QueryEngine::FrozenTableError(Measure measure) const {
+Status QueryEngine::FrozenTableError() const {
   if (!has_wa()) return Status::FailedPrecondition("WA strategy not attached");
   // Only a value outside the enum has no table, and IsLocation counts it
   // as an L-measure, so it arrives from the L-measure paths.
-  if (static_cast<std::size_t>(measure) >= epoch_->wa_tables.size()) {
-    return Status::InvalidArgument("not an L-measure");
-  }
-  return Status::Unavailable("snapshot lacks the WA table for " +
-                             std::string(MeasureName(measure)));
+  return Status::InvalidArgument("not an L-measure");
 }
 
 Status QualitySurface::CheckPredicate(double min_quality) const {
@@ -212,7 +210,7 @@ StatusOr<double> QueryEngine::SeriesValue(Measure measure, ts::SeriesId v,
     case QueryMethod::kAffine: {
       if (model_ != nullptr) return model_->SeriesMeasure(measure, v);
       if (const double* table = FrozenTable(measure)) return table[v];
-      return FrozenTableError(measure);
+      return FrozenTableError();
     }
     default:
       return Status::InvalidArgument("L-measures support WN and WA only");
@@ -240,7 +238,7 @@ StatusOr<double> QueryEngine::Value(Measure measure, ts::SeriesId u, ts::SeriesI
       if (const double* table = FrozenTable(measure)) {
         return table[ts::LexPairIndex(e.u, e.v, epoch_->n)];
       }
-      return FrozenTableError(measure);
+      return FrozenTableError();
     }
     case QueryMethod::kDft:
       return Status::Internal("WF values are computed batch-wise (see Mec/Met/Mer)");
@@ -283,14 +281,14 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
   }
   if (method == QueryMethod::kDft) {
     // WF computes its sketches from scratch per query (paper §6 cost model)
-    // over just the requested series — nothing frozen can serve it.
-    if (epoch_) return Status::Unavailable("WF queries are not snapshot-servable");
+    // over just the requested series.
     if (wf_coefficients_ == 0) return Status::FailedPrecondition("WF strategy not enabled");
     if (request.measure != Measure::kCorrelation) {
       return Status::InvalidArgument("the WF method only supports the correlation coefficient");
     }
-    la::Matrix subset(data_->m(), count);
-    for (std::size_t i = 0; i < count; ++i) subset.SetCol(i, data_->Column(request.ids[i]));
+    const ts::DataMatrix& window = dense();
+    la::Matrix subset(window.m(), count);
+    for (std::size_t i = 0; i < count; ++i) subset.SetCol(i, window.Column(request.ids[i]));
     AFFINITY_ASSIGN_OR_RETURN(
         dft::DftCorrelationEstimator wf,
         dft::DftCorrelationEstimator::Build(ts::DataMatrix(std::move(subset)), wf_coefficients_,
@@ -340,16 +338,15 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
 StatusOr<SelectionResult> QueryEngine::SelectByPredicateDft(Measure measure,
                                                             bool (*keep)(double, double, double),
                                                             double a, double b) const {
-  if (epoch_) return Status::Unavailable("WF queries are not snapshot-servable");
   if (wf_coefficients_ == 0) return Status::FailedPrecondition("WF strategy not enabled");
   if (measure != Measure::kCorrelation) {
     return Status::InvalidArgument("the WF method only supports the correlation coefficient");
   }
   // Per-query sketch construction, then the O(c)-per-pair estimate.
   AFFINITY_ASSIGN_OR_RETURN(dft::DftCorrelationEstimator wf,
-                            dft::DftCorrelationEstimator::Build(*data_, wf_coefficients_, exec_));
+                            dft::DftCorrelationEstimator::Build(dense(), wf_coefficients_, exec_));
   SelectionResult out;
-  const std::size_t n = data_->n();
+  const std::size_t n = this->n();
   if (n < 2) return out;
   const std::size_t total = ts::SequencePairCount(n);
   std::vector<std::vector<ts::SequencePair>> parts(ExecNumChunks(total));
@@ -511,7 +508,7 @@ StatusOr<std::vector<ScapeTopKEntry>> QueryEngine::FrozenTopK(const TopKRequest&
   // Like the chunked sweep, a pass with nothing to evaluate cannot fail.
   if (eligible_count < (location ? 1u : 2u)) return std::move(best).Finish();
   const double* values = FrozenTable(request.measure);
-  if (values == nullptr) return FrozenTableError(request.measure);
+  if (values == nullptr) return FrozenTableError();
   if (location) {
     for (std::size_t v = 0; v < n; ++v) {
       if (eligible[v] != 0) {
@@ -527,10 +524,13 @@ StatusOr<std::vector<ScapeTopKEntry>> QueryEngine::FrozenTopK(const TopKRequest&
     const double* row = values + ts::PairsBeforeRow(u, n);
     const char* partner = eligible.data() + u + 1;
     for (std::size_t j = 0; j < n - u - 1; ++j) {
-      if (partner[j] == 0 || !best.Admits(row[j])) continue;
-      best.Offer(ScapeTopKEntry{ts::SequencePair(static_cast<ts::SeriesId>(u),
-                                                 static_cast<ts::SeriesId>(u + 1 + j)),
-                                kNoSeries, row[j]});
+      // Once k entries are kept, few offers enter: the rare branch is laid
+      // out of line, so the scan stays one short block of code.
+      if (partner[j] != 0 && best.Admits(row[j])) [[unlikely]] {
+        best.Offer(ScapeTopKEntry{ts::SequencePair(static_cast<ts::SeriesId>(u),
+                                                   static_cast<ts::SeriesId>(u + 1 + j)),
+                                  kNoSeries, row[j]});
+      }
     }
   }
   return std::move(best).Finish();

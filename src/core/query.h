@@ -215,19 +215,22 @@ struct EpochView {
   std::uint64_t generation = 0;  ///< noted on every plan
   std::size_t n = 0;             ///< series in the window
   std::size_t m = 0;             ///< samples per series
-  /// The dense window. Only the WN branches call it, so an epoch
-  /// materializes its copy-on-write window for WN queries only.
+  /// The dense window. Only the WN and WF branches call it, so an epoch
+  /// materializes its copy-on-write window for those queries only.
   std::function<const ts::DataMatrix&()> dense;
-  /// The live engine's capabilities at publication: kAuto plans exactly
-  /// as the live engine planned then.
+  /// The live engine's capabilities and WF coefficient count at
+  /// publication: kAuto plans, and WF sketches its window, exactly as
+  /// the live engine did then.
   QueryPlanner::Capabilities caps;
+  std::size_t wf_coefficients = 0;   ///< 0: WF not enabled
   const ScapeRuns* scape = nullptr;  ///< null: no SCAPE index
   /// The frozen WA surface: the exact per-series statistics (the MEC
   /// diagonal; null when the epoch has no WA at all) and, indexed by
   /// `Measure`, each measure's values — one per series for an
   /// L-measure, one per pair in lexicographic order for a pair measure.
-  /// A null table is absent — the model that published the epoch lacked
-  /// those values — and a query that needs it declines with kUnavailable.
+  /// With `stats` set every table is present: streams refuse incomplete
+  /// relationship sets, so the model that published the epoch held
+  /// every value.
   const std::vector<SeriesStats>* stats = nullptr;
   std::array<const std::vector<double>*, kNumMeasures> wa_tables{};
   const std::vector<double>* quality = nullptr;  ///< null: no quality surface
@@ -245,10 +248,8 @@ class QueryEngine {
 
   /// An engine over a published epoch: it plans with the epoch's frozen
   /// capabilities, reads WA values from its frozen tables and SCAPE runs
-  /// from its handles, notes the generation on every plan, and runs
-  /// sequentially. It declines with kUnavailable what nothing frozen can
-  /// answer: WF MEC/MET/MER (sketches are built per query) and WA
-  /// queries whose table is absent.
+  /// from its handles, sketches WF over its window, notes the generation
+  /// on every plan, and runs sequentially.
   explicit QueryEngine(EpochView epoch);
 
   /// Enables the WA strategy.
@@ -278,6 +279,9 @@ class QueryEngine {
 
   /// The attached quality surface (nullptr when none).
   const std::vector<double>* quality() const { return quality_; }
+
+  /// The WF coefficient count (0 when WF is not enabled).
+  std::size_t wf_coefficients() const { return wf_coefficients_; }
 
   /// Sets the execution context used by full-sweep queries. The pool (if
   /// any) must outlive the engine; default is sequential.
@@ -336,9 +340,9 @@ class QueryEngine {
   /// needs them.
   const double* FrozenTable(Measure measure) const;
 
-  /// FailedPrecondition without WA, kUnavailable when the epoch lacks
-  /// the table of `measure`.
-  Status FrozenTableError(Measure measure) const;
+  /// FailedPrecondition without WA, InvalidArgument for a value outside
+  /// the `Measure` enum (the only one without a table).
+  Status FrozenTableError() const;
 
   /// WA top-k over the frozen table: one k-bounded walk in lexicographic
   /// order, eligible entities only — no per-entity StatusOr, no window.

@@ -48,6 +48,13 @@ Status ValidateStreamingOptions(const StreamingOptions& options, std::size_t ser
   if (options.incremental.escalation_factor <= 0.0) {
     return Status::InvalidArgument("streaming requires escalation_factor > 0");
   }
+  const std::size_t pairs = ts::SequencePairCount(series_count);
+  if (options.build.symex.max_relationships < pairs) {
+    return Status::InvalidArgument(
+        "streaming requires every relationship: max_relationships " +
+        std::to_string(options.build.symex.max_relationships) + " is below the " +
+        std::to_string(pairs) + " pairs of " + std::to_string(series_count) + " series");
+  }
   return Status::OK();
 }
 
@@ -96,6 +103,13 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
                                    " rows but options.window is " +
                                    std::to_string(options.window));
   }
+  if (model.relationship_count() != ts::SequencePairCount(n)) {
+    return Status::InvalidArgument("checkpointed model holds " +
+                                   std::to_string(model.relationship_count()) + " of the " +
+                                   std::to_string(ts::SequencePairCount(n)) +
+                                   " relationships of its " + std::to_string(n) +
+                                   " series; streams require every one");
+  }
   // The checkpointed window becomes the resident table content; logical
   // row numbering restarts at `window`.
   storage::DataMatrixTable table(DeriveSegmentCapacity(options));
@@ -129,12 +143,8 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
         IncrementalMaintainer maintainer,
         IncrementalMaintainer::Create(stream.framework_->mutable_model(),
                                       stream.framework_->mutable_scape(), options.incremental,
-                                      exec));
+                                      exec, &stream.maintenance_));
     stream.maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
-    stream.maintenance_.mean_relative_residual =
-        stream.maintainer_->profile().mean_relative_residual;
-    stream.maintenance_.baseline_mean_residual =
-        stream.maintainer_->profile().baseline_mean_residual;
   }
   // A restored stream is immediately queryable, so it serves immediately
   // too: publish the first epoch from the restored stack.
@@ -228,7 +238,7 @@ AppendResult StreamingAffinity::Refresh() {
   AppendResult out;
   if (options_.mode == UpdateMode::kIncremental && maintainer_ != nullptr) {
     out.mode = UpdateMode::kIncremental;
-    auto escalate = maintainer_->Advance(pending_, pending_used_, exec_);
+    auto escalate = maintainer_->Advance(pending_, pending_used_, exec_, &maintenance_);
     pending_used_ = 0;
     if (!escalate.ok()) {
       // The maintainer may be half-mutated; recover by re-freezing the
@@ -240,9 +250,6 @@ AppendResult StreamingAffinity::Refresh() {
       out.refreshed = out.status.ok();
       return out;
     }
-    // Accumulate maintenance accounting across maintainer generations
-    // (escalation re-freezes the structure and resets the maintainer).
-    maintenance_.AbsorbRefresh(maintainer_->profile());
     ++refreshes_;
     snapshot_row_ = rows_ingested();
     rows_since_refresh_ = 0;
@@ -295,10 +302,8 @@ Status StreamingAffinity::Rebuild() {
     AFFINITY_ASSIGN_OR_RETURN(
         IncrementalMaintainer maintainer,
         IncrementalMaintainer::Create(framework_->mutable_model(), framework_->mutable_scape(),
-                                      options_.incremental, exec_));
+                                      options_.incremental, exec_, &maintenance_));
     maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
-    maintenance_.mean_relative_residual = maintainer_->profile().mean_relative_residual;
-    maintenance_.baseline_mean_residual = maintainer_->profile().baseline_mean_residual;
   }
   pending_used_ = 0;
   snapshot_row_ = rows_ingested();
@@ -329,13 +334,12 @@ void StreamingAffinity::PublishServingSnapshot() {
     next = serve::SnapshotBuilder::BuildDelta(
         framework_->model(), framework_->scape(),
         maintainer_ != nullptr ? &maintainer_->relationships_by_key() : nullptr, table_,
-        prior.get(), engine.Capabilities(), engine.quality(), serving_generation_,
-        rows_ingested(), exec_, &stats, std::move(serving_scratch_));
+        prior.get(), engine, serving_generation_, rows_ingested(), exec_, &stats,
+        std::move(serving_scratch_));
     serving_scratch_.reset();
   }
   if (next == nullptr) {
-    next = serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
-                                         engine.Capabilities(), engine.quality(),
+    next = serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(), engine,
                                          serving_generation_, rows_ingested(), &stats);
   }
   // Recycle the retired epoch (no surviving readers) into the next build:
@@ -369,10 +373,9 @@ void StreamingAffinity::PublishServingSnapshot() {
 
 std::shared_ptr<const serve::ServingSnapshot> StreamingAffinity::BuildColdSnapshot() const {
   if (framework_ == nullptr) return nullptr;
-  const QueryEngine& engine = framework_->engine();
   const auto build = [&](const ScapeIndex* scape) {
-    return serve::SnapshotBuilder::Build(framework_->model(), scape, engine.Capabilities(),
-                                         engine.quality(), serving_generation_, snapshot_row_);
+    return serve::SnapshotBuilder::Build(framework_->model(), scape, framework_->engine(),
+                                         serving_generation_, snapshot_row_);
   };
   if (framework_->scape() == nullptr) return build(nullptr);
   // Runs from a fresh sort of the maintained model, not the live index:
@@ -405,14 +408,7 @@ StatusOr<MecResponse> StreamingAffinity::Mec(const MecRequest& request,
                                              FreshnessReport* report) const {
   const auto snap = serving();
   AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
-  // Serve from the published replica (the live structures only change at
-  // publication points, so the snapshot is the live state — answers are
-  // bitwise identical). kUnavailable is the snapshot's "cannot serve this"
-  // verdict; everything else is the final answer, success or error.
-  auto served = serve::SnapshotMec(*snap, request, options.method);
-  if (served.status().code() != StatusCode::kUnavailable) return served;
-  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  return framework_->engine().Mec(request, options.method);
+  return serve::SnapshotMec(*snap, request, options.method);
 }
 
 StatusOr<SelectionResult> StreamingAffinity::Met(const MetRequest& request,
@@ -420,10 +416,7 @@ StatusOr<SelectionResult> StreamingAffinity::Met(const MetRequest& request,
                                                  FreshnessReport* report) const {
   const auto snap = serving();
   AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
-  auto served = serve::SnapshotMet(*snap, request, options.method);
-  if (served.status().code() != StatusCode::kUnavailable) return served;
-  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  return framework_->engine().Met(request, options.method);
+  return serve::SnapshotMet(*snap, request, options.method);
 }
 
 StatusOr<SelectionResult> StreamingAffinity::Mer(const MerRequest& request,
@@ -431,10 +424,7 @@ StatusOr<SelectionResult> StreamingAffinity::Mer(const MerRequest& request,
                                                  FreshnessReport* report) const {
   const auto snap = serving();
   AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
-  auto served = serve::SnapshotMer(*snap, request, options.method);
-  if (served.status().code() != StatusCode::kUnavailable) return served;
-  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  return framework_->engine().Mer(request, options.method);
+  return serve::SnapshotMer(*snap, request, options.method);
 }
 
 StatusOr<TopKResult> StreamingAffinity::TopK(const TopKRequest& request,
@@ -442,10 +432,7 @@ StatusOr<TopKResult> StreamingAffinity::TopK(const TopKRequest& request,
                                              FreshnessReport* report) const {
   const auto snap = serving();
   AFFINITY_RETURN_IF_ERROR(PrepareFreshness(snap.get(), report));
-  auto served = serve::SnapshotTopK(*snap, request, options.method);
-  if (served.status().code() != StatusCode::kUnavailable) return served;
-  shared_->serve_fallbacks.fetch_add(1, std::memory_order_relaxed);
-  return framework_->engine().TopK(request, options.method);
+  return serve::SnapshotTopK(*snap, request, options.method);
 }
 
 }  // namespace affinity::core

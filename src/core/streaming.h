@@ -24,7 +24,13 @@
 /// the standard freshness/cost trade-off: an epoch ages by up to
 /// `rebuild_interval − 1` rows, every answer reports its age
 /// (`FreshnessReport`, `snapshot_age()`), and a shorter interval is the
-/// freshness control (DESIGN.md §9).
+/// freshness control (DESIGN.md §9). The epoch is the only thing a query
+/// reads, so every query is safe on any thread.
+///
+/// A stream keeps every relationship of its series: options that would
+/// truncate the relationship set (`SymexOptions::max_relationships` below
+/// n(n−1)/2) and checkpoints of truncated models are refused, so every
+/// epoch's WA surface is complete.
 ///
 /// A `StreamingAffinity` is one model instance over one series group. The
 /// sharded service (src/shard) runs N of them over disjoint groups behind
@@ -84,7 +90,8 @@ struct StreamingOptions {
 /// single Status surface behind `StreamingAffinity::Create` and the shard
 /// router's per-shard construction (bad configs report instead of
 /// crashing). Checks series/window/interval bounds, incremental tuning,
-/// and basic window-size sanity (`window ≤ 2^24`).
+/// basic window-size sanity (`window ≤ 2^24`), and that
+/// `build.symex.max_relationships` admits every one of the n(n−1)/2 pairs.
 Status ValidateStreamingOptions(const StreamingOptions& options, std::size_t series_count);
 
 /// Outcome of one Append call. `status` reports append/refresh failures;
@@ -139,7 +146,8 @@ class StreamingAffinity {
   /// `options.window`), the framework is reassembled around it
   /// (`Affinity::FromModelWith`), the quality tracker is replayed, and — in
   /// kIncremental mode — a fresh maintainer is frozen from the restored
-  /// stack. Logical row numbering restarts at `window`.
+  /// stack. Logical row numbering restarts at `window`. InvalidArgument
+  /// when the model lacks any of its n(n−1)/2 relationships.
   static StatusOr<StreamingAffinity> Restore(AffinityModel model, const StreamingOptions& options,
                                              const ExecContext& exec);
 
@@ -194,16 +202,9 @@ class StreamingAffinity {
   std::size_t refresh_count() const { return refreshes_; }
 
   /// Maintenance accounting of the incremental path (zeros in kRebuild
-  /// mode or before the first build), plus serve-path publication and
-  /// fallback counters. Returned by value: the fallback counter is
-  /// maintained by concurrent readers and folded in at call time.
-  MaintenanceProfile maintenance() const {
-    MaintenanceProfile p = maintenance_;
-    if (shared_ != nullptr) {
-      p.serve_fallbacks += shared_->serve_fallbacks.load(std::memory_order_relaxed);
-    }
-    return p;
-  }
+  /// mode or before the first build), plus serve-path publication
+  /// counters. Writer thread only.
+  const MaintenanceProfile& maintenance() const { return maintenance_; }
 
   /// The live per-series data-quality tracker (DESIGN.md §12): counts and
   /// run maxima over the window's validity/fill flags, kept by push/evict
@@ -234,12 +235,9 @@ class StreamingAffinity {
 
   // --- Queries (DESIGN.md §9) ---------------------------------------------
   //
-  // Each answers from the published epoch (`serving()`) and is safe on any
-  // thread. The one exception is a snapshot that declines with
-  // kUnavailable (e.g. an explicit WF method): the live engine answers
-  // instead, which belongs on the writer thread (DESIGN.md §13). All are
-  // FailedPrecondition before the first build. `report`, when non-null,
-  // receives the epoch's age.
+  // Each answers from the published epoch (`serving()`) alone and is
+  // safe on any thread (DESIGN.md §13). All are FailedPrecondition before
+  // the first build. `report`, when non-null, receives the epoch's age.
 
   StatusOr<MecResponse> Mec(const MecRequest& request, const FreshnessOptions& options = {},
                             FreshnessReport* report = nullptr) const;
@@ -359,8 +357,8 @@ class StreamingAffinity {
   /// single-writer — AppendRow/Rebuild/Load run on one thread. The only
   /// state shared with concurrent readers is this publisher (internally
   /// synchronized; see serve/serving_snapshot.h) and `shared_` below
-  /// (atomic counters). Every other member, including `serving_scratch_`
-  /// and `serving_generation_`, is writer-private.
+  /// (the atomic row count). Every other member, including
+  /// `serving_scratch_` and `serving_generation_`, is writer-private.
   std::unique_ptr<serve::EpochPublisher<serve::ServingSnapshot>> publisher_;
   std::uint64_t serving_generation_ = 0;
   /// The last *retired* epoch with no surviving readers, held for memory
@@ -370,10 +368,9 @@ class StreamingAffinity {
   /// only when the publisher confirmed this was the final reference.
   std::shared_ptr<serve::ServingSnapshot> serving_scratch_;
   /// State concurrent queries share with the writer besides the
-  /// publisher: relaxed atomics, heap-held so the stream stays movable.
+  /// publisher: a relaxed atomic, heap-held so the stream stays movable.
   struct ReaderShared {
-    std::atomic<std::size_t> rows{0};             ///< rows ingested
-    std::atomic<std::size_t> serve_fallbacks{0};  ///< kUnavailable live fallbacks
+    std::atomic<std::size_t> rows{0};  ///< rows ingested
   };
   std::unique_ptr<ReaderShared> shared_ = std::make_unique<ReaderShared>();
 };

@@ -7,9 +7,9 @@ namespace affinity::serve {
 
 namespace {
 
-/// The engine over `snap`: its frozen caps, scores and WA tables, the
-/// SCAPE runs it shares with the index, its lazily materialized window,
-/// and a sequential ExecContext.
+/// The engine over `snap`: its frozen caps, WF coefficient count, scores
+/// and WA tables, the SCAPE runs it shares with the index, its lazily
+/// materialized window, and a sequential ExecContext.
 core::QueryEngine EpochEngine(const ServingSnapshot& snap) {
   core::EpochView epoch;
   epoch.generation = snap.generation;
@@ -17,16 +17,15 @@ core::QueryEngine EpochEngine(const ServingSnapshot& snap) {
   epoch.m = snap.data.m();
   epoch.dense = [window = &snap.data]() -> const ts::DataMatrix& { return window->dense(); };
   epoch.caps = snap.caps;
+  epoch.wf_coefficients = snap.wf_coefficients;
   epoch.scape = snap.has_scape ? &snap.scape : nullptr;
   if (snap.caps.has_model) {
     // Location family f is Measure f; pair table t is Measure kCovariance + t.
     epoch.stats = &snap.stats;
-    for (std::size_t f = 0; f < snap.location.size(); ++f) {
-      epoch.wa_tables[f] = snap.location_ok[f] ? &snap.location[f] : nullptr;
-    }
+    for (std::size_t f = 0; f < snap.location.size(); ++f) epoch.wa_tables[f] = &snap.location[f];
     const auto first_pair = static_cast<std::size_t>(core::Measure::kCovariance);
     for (std::size_t t = 0; t < snap.pair_values.size(); ++t) {
-      epoch.wa_tables[first_pair + t] = snap.pair_ok[t] ? &snap.pair_values[t] : nullptr;
+      epoch.wa_tables[first_pair + t] = &snap.pair_values[t];
     }
   }
   epoch.quality = snap.caps.has_quality ? &snap.quality : nullptr;

@@ -7,19 +7,15 @@
 /// Each function binds the epoch to `core::QueryEngine` (`EpochView`)
 /// and asks it: the engine plans with the epoch's frozen capabilities,
 /// runs SCAPE queries over the runs the epoch shares with the index,
-/// reads WA values from the frozen tables and runs WN sweeps over the
-/// epoch's window. There is no second implementation, so answers are
-/// bitwise the live engine's at the epoch's publication point.
+/// reads WA values from the frozen tables, and runs WN sweeps and WF
+/// sketches over the epoch's window. There is no second implementation,
+/// so answers — errors included — are bitwise the live engine's at the
+/// epoch's publication point, and every status is final.
 ///
 /// Everything here is const over the snapshot and allocation-local, so
 /// any number of threads may serve queries from the same snapshot
 /// concurrently, while maintenance publishes new epochs — the lock-free
 /// serving contract.
-///
-/// What a snapshot cannot serve returns `StatusCode::kUnavailable`
-/// (e.g. WF queries, whose sketches are built per query, or a WA table
-/// absent on a truncated model); the streaming facade treats that code as
-/// "fall back to the live engine" and every other status as final.
 
 #include "common/status.h"
 #include "core/query.h"

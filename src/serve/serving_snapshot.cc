@@ -1,9 +1,10 @@
 #include "serve/serving_snapshot.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <utility>
+
+#include "common/check.h"
 
 namespace affinity::serve {
 
@@ -116,91 +117,67 @@ namespace {
 
 using core::Measure;
 
-/// Copies the engine's quality scores into the epoch — assigned in place,
-/// so a recycled scratch epoch keeps its capacity and never carries the
-/// previous epoch's scores; cleared when the engine has no surface.
-void FreezeQuality(const std::vector<double>* quality, ServingSnapshot* out) {
-  if (quality != nullptr) {
-    out->quality.assign(quality->begin(), quality->end());
+/// Freezes what the engine answers with besides the model — its
+/// capabilities, WF coefficient count and quality scores. The scores are
+/// assigned in place, so a recycled scratch epoch keeps its capacity and
+/// never carries the previous epoch's scores; cleared when the engine has
+/// no surface.
+void FreezeEngine(const core::QueryEngine& engine, ServingSnapshot* out) {
+  out->caps = engine.Capabilities();
+  out->wf_coefficients = engine.wf_coefficients();
+  if (engine.quality() != nullptr) {
+    out->quality.assign(engine.quality()->begin(), engine.quality()->end());
   } else {
     out->quality.clear();
   }
 }
 
 /// Fills the snapshot's WA location tables (one per L-measure family).
-/// A family whose accessor errors is marked absent, not fatal.
 void FillLocationTables(const core::AffinityModel& model, ServingSnapshot* out) {
   const std::size_t n = model.data().n();
   const Measure kLoc[3] = {Measure::kMean, Measure::kMedian, Measure::kMode};
   for (int f = 0; f < 3; ++f) {
-    out->location_ok[static_cast<std::size_t>(f)] = true;
     auto& table = out->location[static_cast<std::size_t>(f)];
     table.resize(n);
     for (std::size_t v = 0; v < n; ++v) {
-      auto value = model.SeriesMeasure(kLoc[f], static_cast<ts::SeriesId>(v));
-      if (!value.ok()) {
-        out->location_ok[static_cast<std::size_t>(f)] = false;
-        table.clear();
-        break;
-      }
-      table[v] = *value;
+      table[v] = *model.SeriesMeasure(kLoc[f], static_cast<ts::SeriesId>(v));
     }
   }
 }
 
 /// Fills the six pair measure tables in lexicographic pair order — the
 /// order every sweep walks, so snapshot WA sweeps read values in exactly
-/// the sequence the live engine computes them. A truncated model (missing
-/// relationship → NotFound) marks the table absent.
+/// the sequence the live engine computes them. One `PairMeasure` call per
+/// value: the per-measure oracle path.
 void FillPairTables(const core::AffinityModel& model, ServingSnapshot* out) {
   const std::size_t n = model.data().n();
-  if (n < 2) {
-    for (auto& flag : out->pair_ok) flag = true;
-    return;
-  }
   for (int t = 0; t < 6; ++t) {
     const auto measure = static_cast<Measure>(static_cast<int>(Measure::kCovariance) + t);
     auto& table = out->pair_values[static_cast<std::size_t>(t)];
     table.reserve(ts::SequencePairCount(n));
-    bool ok = true;
-    for (std::size_t u = 0; ok && u + 1 < n; ++u) {
+    for (std::size_t u = 0; u + 1 < n; ++u) {
       for (std::size_t v = u + 1; v < n; ++v) {
-        auto value = model.PairMeasure(
-            measure, ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)));
-        if (!value.ok()) {
-          ok = false;
-          table.clear();
-          break;
-        }
-        table.push_back(*value);
+        table.push_back(*model.PairMeasure(
+            measure, ts::SequencePair(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v))));
       }
     }
-    out->pair_ok[static_cast<std::size_t>(t)] = ok;
   }
 }
 
 /// The delta path's bulk variant: all six tables per pair, fanned out
-/// over `exec`. With `by_key` covering every lexicographic pair (a
-/// complete model, keys ascending — so slot p is pair p), each pair reads
-/// its record and pivot measures from the list; otherwise it is looked up
-/// (`PairMeasures6`). Each value is bitwise what FillPairTables stores; a
-/// missing relationship anywhere marks all six tables absent — the same
-/// final state FillPairTables reaches, because its only failure mode
-/// (NotFound) is measure-independent.
+/// over `exec`. With `by_key` (the model's relationships, keys ascending
+/// — so slot p is pair p), each pair reads its record and pivot measures
+/// from the list; otherwise it is looked up (`PairMeasures6`). Each value
+/// is bitwise what FillPairTables stores.
 void FillPairTablesBulk(const core::AffinityModel& model,
                         const std::vector<core::RelationshipRef>* by_key,
                         const ExecContext& exec, ServingSnapshot* out) {
   const std::size_t n = model.data().n();
-  if (n < 2) {
-    for (auto& flag : out->pair_ok) flag = true;
-    return;
-  }
   const std::size_t pairs = ts::SequencePairCount(n);
-  if (by_key != nullptr && by_key->size() != pairs) by_key = nullptr;
+  AFFINITY_DCHECK(by_key == nullptr || by_key->size() == pairs);
   for (auto& table : out->pair_values) table.resize(pairs);
   double* tables[6];
   for (int t = 0; t < 6; ++t) tables[t] = out->pair_values[static_cast<std::size_t>(t)].data();
-  std::atomic<bool> missing{false};
   ParallelChunks(exec, pairs, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
     const ts::SequencePair first = ts::PairFromIndex(lo, n);
     std::size_t u = first.u, v = first.v;
@@ -210,19 +187,19 @@ void FillPairTablesBulk(const core::AffinityModel& model,
       if (by_key != nullptr) {
         const core::RelationshipRef& ref = (*by_key)[p];
         model.PairMeasures6From(*ref.rec, e, *ref.pivot, values);
-      } else if (!model.PairMeasures6(e, values).ok()) {
-        missing.store(true, std::memory_order_relaxed);
-        return;
+      } else {
+        const Status found = model.PairMeasures6(e, values);
+        AFFINITY_DCHECK(found.ok());
       }
       for (int t = 0; t < 6; ++t) tables[t][p] = values[t];
     }
   });
-  if (missing.load(std::memory_order_relaxed)) {
-    for (auto& table : out->pair_values) table.clear();
-    for (auto& flag : out->pair_ok) flag = false;
-  } else {
-    for (auto& flag : out->pair_ok) flag = true;
-  }
+}
+
+/// Aborts unless `model` holds every relationship — the complete WA
+/// surface an epoch serves. A stream never publishes any other model.
+void CheckComplete(const core::AffinityModel& model) {
+  AFFINITY_CHECK_EQ(model.relationship_count(), ts::SequencePairCount(model.data().n()));
 }
 
 /// Copies the per-series statistics into the epoch (in place, keeping a
@@ -254,15 +231,15 @@ std::size_t RunBytes(const core::LocRun& run) {
 
 std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
     const core::AffinityModel& model, const core::ScapeIndex* scape,
-    const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
-    std::uint64_t generation, std::size_t snapshot_row, PublishStats* stats) {
+    const core::QueryEngine& engine, std::uint64_t generation, std::size_t snapshot_row,
+    PublishStats* stats) {
+  CheckComplete(model);
   auto out = std::make_shared<ServingSnapshot>();
   out->generation = generation;
   out->snapshot_row = snapshot_row;
   // Dense copy keeps names and the block-grid anchor.
   out->data = CowWindow::FromDense(model.data());
-  out->caps = caps;
-  FreezeQuality(quality, out.get());
+  FreezeEngine(engine, out.get());
 
   PublishStats local;
   local.bytes_copied += model.data().m() * model.data().n() * sizeof(double);
@@ -301,10 +278,10 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
 std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
     const core::AffinityModel& model, const core::ScapeIndex* scape,
     const std::vector<core::RelationshipRef>* by_key, const storage::DataMatrixTable& table,
-    const ServingSnapshot* prior,
-    const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
-    std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec,
-    PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
+    const ServingSnapshot* prior, const core::QueryEngine& engine, std::uint64_t generation,
+    std::size_t snapshot_row, const ExecContext& exec, PublishStats* stats,
+    std::shared_ptr<ServingSnapshot> scratch) {
+  CheckComplete(model);
   const std::size_t n = model.data().n();
   const std::size_t m = model.data().m();
   // The table must still retain (and agree with) the whole window; any
@@ -321,8 +298,7 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
   }
   out->generation = generation;
   out->snapshot_row = snapshot_row;
-  out->caps = caps;
-  FreezeQuality(quality, out.get());
+  FreezeEngine(engine, out.get());
   PublishStats total;
   total.delta = true;
   total.window_segments_total = out->data.segment_count();

@@ -16,10 +16,14 @@
 ///    publication point without copying them;
 ///  * the WA surface (per-series stats, L-measure values, the six pair
 ///    measure tables in lexicographic pair order) frozen into flat
-///    arrays, so snapshot WA queries never touch the live hash;
+///    arrays, so snapshot WA queries never touch the live hash — always
+///    complete, because a published model holds every relationship;
 ///  * the window as a `CowWindow`: refcounted immutable column segments
 ///    shared with the storage table (and with the previous epoch), with
-///    the dense form materialized lazily on the first WN sweep.
+///    the dense form materialized lazily on the first WN sweep or WF
+///    sketch;
+///  * the engine's capabilities, WF coefficient count and quality
+///    scores, so every query — WF included — is answered from the epoch.
 ///
 /// `SnapshotBuilder::BuildDelta` publishes that way — COW window, shared
 /// runs, bulk WA refill — with zero sample or run copies.
@@ -146,6 +150,9 @@ struct ServingSnapshot {
   /// The live engine's capabilities at publication — the engine plans
   /// kAuto over an epoch with these, exactly as the live engine planned.
   core::QueryPlanner::Capabilities caps;
+  /// The live engine's WF coefficient count at publication (0: WF not
+  /// enabled); WF queries sketch this epoch's window with it.
+  std::size_t wf_coefficients = 0;
 
   /// True when the engine had a SCAPE index; `scape` then holds its runs
   /// as of this publication.
@@ -153,17 +160,15 @@ struct ServingSnapshot {
   core::ScapeRuns scape;
 
   // --- WA surface ----------------------------------------------------------
+  // Always complete: the model that publishes an epoch holds every
+  // relationship (streams refuse truncated models).
   /// Exact per-series statistics (diagonal MEC semantics).
   std::vector<core::SeriesStats> stats;
   /// L-measure value per series, per family (mean/median/mode).
   std::array<std::vector<double>, 3> location;
-  std::array<bool, 3> location_ok{};  ///< false → family not servable
   /// Pair measure tables in lexicographic (u, v) order, indexed by
-  /// `Measure - kCovariance` (covariance .. Dice). A table absent (ok
-  /// false) — e.g. a truncated model without the relationship — makes the
-  /// affected WA query kUnavailable, and the caller falls back live.
+  /// `Measure - kCovariance` (covariance .. Dice).
   std::array<std::vector<double>, 6> pair_values;
-  std::array<bool, 6> pair_ok{};
 
   /// The live engine's composite quality scores at publication, one per
   /// series (DESIGN.md §12) — meaningful when `caps.has_quality`. Frozen
@@ -194,16 +199,15 @@ class SnapshotBuilder {
   /// Builds a replica of (`model`, `scape`) stamped with `generation` and
   /// `snapshot_row`, copying the window densely and every SCAPE run — the
   /// from-scratch oracle every published epoch must match bit for bit.
-  /// `scape` may be null (no SCAPE surface). `caps` must be the serving
-  /// engine's capabilities so kAuto plans match, and `quality` its
-  /// attached quality surface (`QueryEngine::quality()`; null when none,
-  /// matching `caps.has_quality`), copied into the epoch. Never fails: a
-  /// WA table whose model accessor errors (truncated model) is marked
-  /// absent instead, demoting only those queries to live fallback.
+  /// `scape` may be null (no SCAPE surface). `engine` is the engine that
+  /// answers over `model`: its capabilities (so kAuto plans match), WF
+  /// coefficient count and quality scores are frozen into the epoch.
+  /// `model` must hold every relationship (checked): a truncated batch
+  /// model has no complete WA surface to serve.
   static std::shared_ptr<const ServingSnapshot> Build(
       const core::AffinityModel& model, const core::ScapeIndex* scape,
-      const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
-      std::uint64_t generation, std::size_t snapshot_row, PublishStats* stats = nullptr);
+      const core::QueryEngine& engine, std::uint64_t generation, std::size_t snapshot_row,
+      PublishStats* stats = nullptr);
 
   /// Per-refresh publication (DESIGN.md §11): builds the snapshot `Build`
   /// would, but
@@ -233,10 +237,9 @@ class SnapshotBuilder {
   static std::shared_ptr<const ServingSnapshot> BuildDelta(
       const core::AffinityModel& model, const core::ScapeIndex* scape,
       const std::vector<core::RelationshipRef>* by_key, const storage::DataMatrixTable& table,
-      const ServingSnapshot* prior,
-      const core::QueryPlanner::Capabilities& caps, const std::vector<double>* quality,
-      std::uint64_t generation, std::size_t snapshot_row, const ExecContext& exec = {},
-      PublishStats* stats = nullptr, std::shared_ptr<ServingSnapshot> scratch = nullptr);
+      const ServingSnapshot* prior, const core::QueryEngine& engine, std::uint64_t generation,
+      std::size_t snapshot_row, const ExecContext& exec = {}, PublishStats* stats = nullptr,
+      std::shared_ptr<ServingSnapshot> scratch = nullptr);
 };
 
 /// Epoch-based publication point: writers atomically swap in a fresh

@@ -12,7 +12,6 @@ namespace affinity::shard {
 namespace {
 
 using core::ExecutedPlan;
-using core::FreshnessOptions;
 using core::Measure;
 using core::QueryMethod;
 using core::QueryPlanner;
@@ -149,21 +148,6 @@ ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather
   return plan(planner);
 }
 
-/// Shard s's answer: from its epoch snapshot, unless the snapshot declines
-/// with kUnavailable and the live shards are at hand — then from that
-/// shard's facade, which answers live. `*live_answer` records which.
-template <typename Served, typename Live>
-auto ShardAnswer(const RouterSnapshot& snap, const GatherContext& gather, std::size_t s,
-                 QueryMethod method, const Served& served, const Live& live, char* live_answer) {
-  *live_answer = 0;
-  auto answer = served(*snap.shards[s], method);
-  if (answer.status().code() != StatusCode::kUnavailable || gather.live == nullptr) {
-    return answer;
-  }
-  *live_answer = 1;
-  return live((*gather.live)[s], FreshnessOptions{method});
-}
-
 /// The epoch's cross co-moments, filled by the first caller: marginals of
 /// every series' shard column, then one blocked dot per cross pair, each
 /// pair whole in one chunk of `gather.exec` — the same bits at any thread
@@ -207,23 +191,15 @@ double CrossValue(const RouterSnapshot& snap, const CrossMoments& moments, Measu
   return *core::PairMeasureFromMoments(measure, pair_moments);
 }
 
-/// Marks `plan` as served from `snap` unless a shard answered live.
-void AnnotateServed(const RouterSnapshot& snap, const std::vector<char>& live_answers,
-                    ExecutedPlan* plan) {
-  if (std::find(live_answers.begin(), live_answers.end(), 1) == live_answers.end()) {
-    core::AnnotateSnapshotServed(plan, snap.generation);
-  }
-}
-
-/// The shared MET/MER gather: per-shard selections, local→global rewrite
-/// and sort, the cross pairs under `keep` and `min_quality`, then the
-/// k-way merge.
-template <typename PlanFn, typename Served, typename Live>
+/// The shared MET/MER gather: per-shard selections (`served(shard,
+/// method)`), local→global rewrite and sort, the cross pairs under `keep`
+/// and `min_quality`, then the k-way merge.
+template <typename PlanFn, typename Served>
 StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure measure,
                                              bool (*keep)(double, double, double), double a,
                                              double b, double min_quality,
                                              const GatherContext& gather, const PlanFn& plan,
-                                             const Served& served, const Live& live) {
+                                             const Served& served) {
   ExecutedPlan resolved = ResolvePlan(snap, gather, plan);
   const QueryMethod method = gather.method == QueryMethod::kAuto ? resolved.method : gather.method;
 
@@ -235,13 +211,10 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   std::vector<std::vector<ts::SequencePair>> pair_runs(n_shards);
   std::vector<core::PruneStats> prunes(n_shards);
   std::vector<core::AnswerQuality> qualities(n_shards);
-  std::vector<char> live_answers(n_shards, 0);
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       gather.exec, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t s = lo; s < hi; ++s) {
-          AFFINITY_ASSIGN_OR_RETURN(
-              core::SelectionResult r,
-              ShardAnswer(snap, gather, s, method, served, live, &live_answers[s]));
+          AFFINITY_ASSIGN_OR_RETURN(core::SelectionResult r, served(*snap.shards[s], method));
           prunes[s] = r.prune;
           qualities[s] = r.quality;
           if (location) {
@@ -275,7 +248,7 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   }
   out.quality = merged;
   if (min_quality > 0.0) core::AnnotateQualityFiltered(&resolved, min_quality, merged.excluded);
-  AnnotateServed(snap, live_answers, &resolved);
+  core::AnnotateSnapshotServed(&resolved, snap.generation);
   out.plan = std::move(resolved);
   return out;
 }
@@ -291,9 +264,6 @@ StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
       [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
       [&](const serve::ServingSnapshot& shard, QueryMethod m) {
         return serve::SnapshotMet(shard, request, m);
-      },
-      [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
-        return shard.Met(request, options);
       });
 }
 
@@ -306,9 +276,6 @@ StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
       gather, [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
       [&](const serve::ServingSnapshot& shard, QueryMethod m) {
         return serve::SnapshotMer(shard, request, m);
-      },
-      [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
-        return shard.Mer(request, options);
       });
 }
 
@@ -323,21 +290,11 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
   const std::size_t n_shards = snap.shards.size();
   std::vector<ScapeTopKResult> runs(n_shards);
   std::vector<core::AnswerQuality> qualities(n_shards);
-  std::vector<char> live_answers(n_shards, 0);
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       gather.exec, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t s = lo; s < hi; ++s) {
-          AFFINITY_ASSIGN_OR_RETURN(
-              core::TopKResult r,
-              ShardAnswer(
-                  snap, gather, s, method,
-                  [&](const serve::ServingSnapshot& shard, QueryMethod m) {
-                    return serve::SnapshotTopK(shard, request, m);
-                  },
-                  [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
-                    return shard.TopK(request, options);
-                  },
-                  &live_answers[s]));
+          AFFINITY_ASSIGN_OR_RETURN(core::TopKResult r,
+                                    serve::SnapshotTopK(*snap.shards[s], request, method));
           qualities[s] = r.quality;
           const std::vector<ts::SeriesId>& group = snap.routing->groups[s];
           for (ScapeTopKEntry& entry : r.entries) {
@@ -369,7 +326,7 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
   if (request.min_quality > 0.0) {
     core::AnnotateQualityFiltered(&plan, request.min_quality, merged.excluded);
   }
-  AnnotateServed(snap, live_answers, &plan);
+  core::AnnotateSnapshotServed(&plan, snap.generation);
   out.plan = std::move(plan);
   return out;
 }
@@ -405,22 +362,12 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
   }
   // One chunk per shard (writes are shard-disjoint request positions).
   std::vector<core::AnswerQuality> qualities(n_shards);
-  std::vector<char> live_answers(n_shards, 0);
   AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
       gather.exec, n_shards, [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
         for (std::size_t s = lo; s < hi; ++s) {
           if (slices[s].ids.empty()) continue;
-          AFFINITY_ASSIGN_OR_RETURN(
-              core::MecResponse r,
-              ShardAnswer(
-                  snap, gather, s, method,
-                  [&](const serve::ServingSnapshot& shard, QueryMethod m) {
-                    return serve::SnapshotMec(shard, slices[s], m);
-                  },
-                  [&](const core::StreamingAffinity& shard, const FreshnessOptions& options) {
-                    return shard.Mec(slices[s], options);
-                  },
-                  &live_answers[s]));
+          AFFINITY_ASSIGN_OR_RETURN(core::MecResponse r,
+                                    serve::SnapshotMec(*snap.shards[s], slices[s], method));
           qualities[s] = r.quality;
           if (location) {
             for (std::size_t t = 0; t < positions[s].size(); ++t) {
@@ -460,7 +407,7 @@ StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::Me
     if (!slices[s].ids.empty()) touched.push_back(qualities[s]);
   }
   out.quality = MergeShardQuality(touched);
-  AnnotateServed(snap, live_answers, &plan);
+  core::AnnotateSnapshotServed(&plan, snap.generation);
   out.plan = std::move(plan);
   return out;
 }

@@ -13,14 +13,11 @@
 /// `ShardedAffinity`'s queries run it over the epoch they acquire.
 ///
 /// Each shard's answer and the cross-pair values are the gather's inputs.
-/// Both come from the epoch — shard answers from its shard snapshots,
-/// cross values from the epoch's cross co-moment table, which the epoch's
-/// first cross reader fills with one exact sweep of its shard windows — so
-/// a gather takes no lock besides that fill's once-flag and may run on any
-/// thread. The live shards are read in one case only, and only when the
-/// caller hands them over (`GatherContext::live`, the facade on its writer
-/// thread): a shard snapshot declines with `StatusCode::kUnavailable`
-/// (e.g. WF), and that shard's facade answers instead.
+/// Both come from the epoch alone — shard answers from its shard
+/// snapshots, cross values from the epoch's cross co-moment table, which
+/// the epoch's first cross reader fills with one exact sweep of its shard
+/// windows — so a gather takes no lock besides that fill's once-flag and
+/// may run on any thread.
 
 #include <atomic>
 #include <cstdint>
@@ -32,7 +29,6 @@
 #include "common/status.h"
 #include "core/kernels.h"
 #include "core/query.h"
-#include "core/streaming.h"
 #include "serve/serve_query.h"
 #include "serve/serving_snapshot.h"
 #include "ts/data_matrix.h"
@@ -126,9 +122,6 @@ struct GatherContext {
   ExecContext exec;
   /// Where the cross co-moment fills are counted, or null.
   CrossSweepCounters* sweeps = nullptr;
-  /// The deployment's live shards, index-aligned with the epoch's, or null
-  /// (see the file docs for when they are read). Writer thread only.
-  const std::vector<core::StreamingAffinity>* live = nullptr;
 };
 
 /// Query 1 over a router epoch: locations or the pair matrix in request

@@ -319,7 +319,6 @@ StatusOr<ShardedAffinity::Query> ShardedAffinity::BeginQuery(
   query.gather.method = options.method;
   query.gather.exec = exec_;
   query.gather.sweeps = &shared_->sweeps;
-  query.gather.live = &shards_;
   return query;
 }
 
@@ -501,20 +500,20 @@ StatusOr<ShardedAffinity> ShardedAffinity::Load(const std::string& path, std::si
   ShardedAffinity service(options, std::move(partitioner), std::move(pool));
   service.shards_.reserve(options.shards);
   for (std::size_t s = 0; s < options.shards; ++s) {
+    const auto shard_error = [&](const Status& status) {
+      return Status(status.code(), "'" + path + "' shard " + std::to_string(s) + ": " +
+                                       std::string(status.message()));
+    };
     auto model = core::ReadModelStream(in);
-    if (!model.ok()) {
-      return Status(model.status().code(), "'" + path + "' shard " + std::to_string(s) + ": " +
-                                               std::string(model.status().message()));
-    }
+    if (!model.ok()) return shard_error(model.status());
     if (model->data().n() != service.router_.partitioner().group(s).size()) {
-      return Status::InvalidArgument("'" + path + "' shard " + std::to_string(s) +
-                                     ": model width disagrees with the shard assignment");
+      return shard_error(
+          Status::InvalidArgument("model width disagrees with the shard assignment"));
     }
-    AFFINITY_ASSIGN_OR_RETURN(
-        core::StreamingAffinity stream,
-        core::StreamingAffinity::Restore(std::move(model).value(), options.streaming,
-                                         service.exec_));
-    service.shards_.push_back(std::move(stream));
+    auto stream = core::StreamingAffinity::Restore(std::move(model).value(), options.streaming,
+                                                   service.exec_);
+    if (!stream.ok()) return shard_error(stream.status());
+    service.shards_.push_back(std::move(stream).value());
   }
   service.append_results_.resize(options.shards);
   // The restored shard snapshots form a real epoch (every restored shard

@@ -117,15 +117,14 @@ class ShardRouter {
 /// writer thread; shard fan-out inside a refresh goes through the
 /// internally synchronized ThreadPool and joins before the call returns.
 /// Met/Mer/TopK/Mec may run on any thread: they answer from the router
-/// epoch they acquire (the internally synchronized EpochPublisher) and
-/// date it against an atomic row count. One answer reads the live shards
-/// and so belongs on the writer thread: the fallback when a shard
-/// snapshot declines with kUnavailable (e.g. an explicit WF method).
+/// epoch they acquire (the internally synchronized EpochPublisher) alone
+/// and date it against an atomic row count.
 class ShardedAffinity {
  public:
   /// Creates N shards over the named series. Status errors (never crashes)
-  /// for invalid configurations: see ValidateStreamingOptions plus the
-  /// shard-count bounds of SeriesPartitioner::Create.
+  /// for invalid configurations: see ValidateStreamingOptions (checked for
+  /// every shard's series count, so each shard keeps every relationship)
+  /// plus the shard-count bounds of SeriesPartitioner::Create.
   static StatusOr<ShardedAffinity> Create(const std::vector<std::string>& names,
                                           const ShardedOptions& options);
 
@@ -220,6 +219,8 @@ class ShardedAffinity {
   /// relationship, as after an escalation — so answers may differ from the
   /// pre-checkpoint delta-maintained state by the bounded round-off the
   /// exact-refit cadence normally reclaims (~1e-13 relative; DESIGN.md §8).
+  /// A shard payload that fails to restore — e.g. a truncated model
+  /// (`StreamingAffinity::Restore`) — reports its shard index.
   static StatusOr<ShardedAffinity> Load(const std::string& path, std::size_t threads = 1);
 
   /// The configuration the service was created with.
@@ -237,7 +238,7 @@ class ShardedAffinity {
 
   /// A facade query's view: the current router epoch, each shard
   /// snapshot's age against the live row count, and the gather inputs
-  /// (the method, the pool, the sweep counters and the live shards).
+  /// (the method, the pool and the sweep counters).
   struct Query {
     std::shared_ptr<const RouterSnapshot> epoch;
     std::vector<ShardFreshness> ages;

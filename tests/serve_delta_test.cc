@@ -102,11 +102,9 @@ void ExpectSameSnapshot(const ServingSnapshot& got, const ServingSnapshot& want)
     EXPECT_EQ(got.stats[v].sum, want.stats[v].sum) << "series " << v;
   }
   for (int f = 0; f < 3; ++f) {
-    EXPECT_EQ(got.location_ok[f], want.location_ok[f]) << "loc family " << f;
     EXPECT_EQ(got.location[f], want.location[f]) << "loc family " << f;
   }
   for (int t = 0; t < 6; ++t) {
-    EXPECT_EQ(got.pair_ok[t], want.pair_ok[t]) << "pair table " << t;
     EXPECT_EQ(got.pair_values[t], want.pair_values[t]) << "pair table " << t;
   }
   EXPECT_EQ(got.caps.has_quality, want.caps.has_quality);

@@ -48,20 +48,22 @@ ts::Dataset TestData(std::size_t n) {
 constexpr std::size_t kReaders = 4;
 constexpr std::size_t kSlides = 160;  // appends after readiness, one refresh each
 
+constexpr core::QueryMethod kDft = core::QueryMethod::kDft;
+
 bool ServedFromSnapshot(const ExecutedPlan& plan) {
   return plan.rationale.find("served from read-optimized snapshot") != std::string::npos;
 }
 
 // Readers query each acquired epoch directly and through the stream's
-// facade, which answers from the epoch it acquires and dates it against
-// an atomic row count (DESIGN.md §13).
+// facade, which answers from the epoch it acquires — explicit WF
+// included — and dates it against an atomic row count (DESIGN.md §13).
 TEST(ServeStress, SingleInstanceReadersNeverBlockOnSlides) {
   StreamingOptions options;
   options.window = 40;
   options.rebuild_interval = 1;  // refresh on every append
   options.mode = core::UpdateMode::kIncremental;
   options.build.afclst.k = 2;
-  options.build.build_dft = false;
+  options.build.build_dft = true;
   auto stream = StreamingAffinity::Create(Names(8), options);
   ASSERT_TRUE(stream.ok());
   const ts::Dataset ds = TestData(8);
@@ -104,7 +106,14 @@ TEST(ServeStress, SingleInstanceReadersNeverBlockOnSlides) {
             !ServedFromSnapshot(facade_mec->plan)) {
           failures.fetch_add(1);
         }
-        queries.fetch_add(7, std::memory_order_relaxed);
+        // Explicit WF sketches the epoch's window; nothing live is read.
+        auto wf_met = stream->Met({Measure::kCorrelation, 0.5, true}, {kDft});
+        auto wf_mec = stream->Mec({Measure::kCorrelation, {0, 3, 7}}, {kDft});
+        if (!wf_met.ok() || !wf_mec.ok() || !ServedFromSnapshot(wf_met->plan) ||
+            !ServedFromSnapshot(wf_mec->plan)) {
+          failures.fetch_add(1);
+        }
+        queries.fetch_add(9, std::memory_order_relaxed);
       }
     });
   }
@@ -250,7 +259,7 @@ TEST(ServeStress, ShardedFacadeReadersDuringSlidesAndRebuild) {
   options.streaming.rebuild_interval = 1;
   options.streaming.mode = core::UpdateMode::kIncremental;
   options.streaming.build.afclst.k = 2;
-  options.streaming.build.build_dft = false;
+  options.streaming.build.build_dft = true;
   auto service = ShardedAffinity::Create(Names(16), options);
   ASSERT_TRUE(service.ok());
   const ts::Dataset ds = TestData(16);
@@ -275,7 +284,14 @@ TEST(ServeStress, ShardedFacadeReadersDuringSlidesAndRebuild) {
         if (!met.ok() || !topk.ok() || !mec.ok()) failures.fetch_add(1);
         if (met.ok() && met->shards.size() != 4) failures.fetch_add(1);
         if (mec.ok() && mec->response.pair_values.rows() != 4) failures.fetch_add(1);
-        queries.fetch_add(3, std::memory_order_relaxed);
+        // Explicit WF: every shard sketches its epoch's window.
+        auto wf_met = service->Met({Measure::kCorrelation, 0.5, true}, {kDft});
+        auto wf_mec = service->Mec({Measure::kCorrelation, {0, 5, 9, 15}}, {kDft});
+        if (!wf_met.ok() || !wf_mec.ok() || !ServedFromSnapshot(wf_met->result.plan) ||
+            !ServedFromSnapshot(wf_mec->response.plan)) {
+          failures.fetch_add(1);
+        }
+        queries.fetch_add(5, std::memory_order_relaxed);
       }
     });
   }

@@ -1,8 +1,7 @@
 // Tests for lock-free snapshot serving (DESIGN.md §11): per-refresh
-// publication, bitwise identity with the live engine/router, epoch
-// pinning across maintenance, kUnavailable fallback semantics, the
-// heat-adaptive cross co-moment watch-list, and the sparse-movement
-// SCAPE refresh fast path.
+// publication, bitwise identity with the live engine/router (WF included),
+// epoch pinning across maintenance, the router epoch's cross co-moments,
+// and the sparse-movement SCAPE refresh fast path.
 
 #include "serve/serve_query.h"
 
@@ -244,6 +243,19 @@ TEST(ServeSnapshot, MirrorsLiveEngineBitwise) {
     const TopKRequest jaccard{Measure::kJaccard, 5, true};
     expect_same_error(serve::SnapshotTopK(*snap, jaccard, QueryMethod::kScape).status(),
                       engine.TopK(jaccard, QueryMethod::kScape).status());
+    // kDft with WF not built, on the correlation and on a non-correlation
+    // measure.
+    for (const Measure measure : {Measure::kCorrelation, Measure::kCovariance}) {
+      const MecRequest mec{measure, {0, 3, 5}};
+      expect_same_error(serve::SnapshotMec(*snap, mec, QueryMethod::kDft).status(),
+                        engine.Mec(mec, QueryMethod::kDft).status());
+      const MetRequest met{measure, 0.5, true};
+      expect_same_error(serve::SnapshotMet(*snap, met, QueryMethod::kDft).status(),
+                        engine.Met(met, QueryMethod::kDft).status());
+      const MerRequest mer{measure, 0.2, 0.9};
+      expect_same_error(serve::SnapshotMer(*snap, mer, QueryMethod::kDft).status(),
+                        engine.Mer(mer, QueryMethod::kDft).status());
+    }
   }
 }
 
@@ -285,29 +297,79 @@ TEST(ServeSnapshot, EpochPinnedAcrossRefresh) {
   ExpectSameTopK(*after, *before);
 }
 
-TEST(ServeSnapshot, UnavailableQueriesFallBackToLive) {
-  StreamingOptions options = StreamOptions();
-  options.build.build_dft = true;  // WF exists live but is never snapshot-servable
-  auto stream = StreamingAffinity::Create(Names(10), options);
-  ASSERT_TRUE(stream.ok());
+TEST(ServeSnapshot, WfServedFromTheEpochBitwise) {
   const ts::Dataset ds = TestData();
-  FeedStream(&*stream, ds, 0, 60);
-  auto snap = stream->serving();
-  ASSERT_NE(snap, nullptr);
-  // Direct snapshot query: kUnavailable (sketches are built per query).
-  auto served = serve::SnapshotMet(*snap, {Measure::kCorrelation, 0.9, true}, QueryMethod::kDft);
-  EXPECT_EQ(served.status().code(), StatusCode::kUnavailable);
-  // The facade treats that as "fall back to the live engine" and succeeds.
-  FreshnessOptions wf;
-  wf.method = QueryMethod::kDft;
-  auto result = stream->Met({Measure::kCorrelation, 0.9, true}, wf);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->plan.rationale.find("served from read-optimized snapshot"),
-            std::string::npos);
-  // Real argument errors are final — they must NOT trigger fallback
-  // masking (same code live and served).
-  auto bad = stream->Mer({Measure::kCorrelation, 0.9, 0.1});
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StreamingOptions options = StreamOptions(threads);
+    options.build.build_dft = true;
+    auto stream = StreamingAffinity::Create(Names(10), options);
+    ASSERT_TRUE(stream.ok());
+    FeedStream(&*stream, ds, 0, 60);
+    auto snap = stream->serving();
+    ASSERT_NE(snap, nullptr);
+    ASSERT_TRUE(snap->caps.has_dft);
+    // No row arrived since the publication: the live engine is at the
+    // epoch's publication point, and it sketches over its thread pool
+    // while the epoch runs sequentially.
+    const auto& engine = stream->framework()->engine();
+
+    const MecRequest mec{Measure::kCorrelation, {0, 3, 5, 9}};
+    auto live_mec = engine.Mec(mec, QueryMethod::kDft);
+    auto served_mec = serve::SnapshotMec(*snap, mec, QueryMethod::kDft);
+    ASSERT_TRUE(live_mec.ok()) << live_mec.status().ToString();
+    ASSERT_TRUE(served_mec.ok()) << served_mec.status().ToString();
+    ExpectSameMec(*served_mec, *live_mec);
+    for (const MetRequest& req :
+         {MetRequest{Measure::kCorrelation, 0.5, true}, MetRequest{Measure::kCorrelation, 0.2, false}}) {
+      auto live = engine.Met(req, QueryMethod::kDft);
+      auto served = serve::SnapshotMet(*snap, req, QueryMethod::kDft);
+      ASSERT_TRUE(live.ok());
+      ASSERT_TRUE(served.ok());
+      ExpectSameSelection(*served, *live);
+    }
+    const MerRequest mer{Measure::kCorrelation, 0.2, 0.9};
+    auto live_mer = engine.Mer(mer, QueryMethod::kDft);
+    auto served_mer = serve::SnapshotMer(*snap, mer, QueryMethod::kDft);
+    ASSERT_TRUE(live_mer.ok());
+    ASSERT_TRUE(served_mer.ok());
+    ExpectSameSelection(*served_mer, *live_mer);
+
+    // The facade answers WF from the epoch and says so.
+    FreshnessOptions wf;
+    wf.method = QueryMethod::kDft;
+    auto facade = stream->Met({Measure::kCorrelation, 0.5, true}, wf);
+    ASSERT_TRUE(facade.ok());
+    EXPECT_NE(facade->plan.rationale.find("served from read-optimized snapshot"),
+              std::string::npos);
+    auto live_met = engine.Met({Measure::kCorrelation, 0.5, true}, QueryMethod::kDft);
+    ASSERT_TRUE(live_met.ok());
+    ExpectSameSelection(*facade, *live_met);
+
+    // kDft on a non-correlation measure, and a kDft top-k: the same code
+    // and text from the epoch and the engine.
+    const auto expect_same_error = [](const Status& served, const Status& live) {
+      EXPECT_FALSE(live.ok());
+      EXPECT_EQ(served.code(), live.code());
+      EXPECT_EQ(served.message(), live.message());
+    };
+    const MecRequest cov_mec{Measure::kCovariance, {0, 3}};
+    expect_same_error(serve::SnapshotMec(*snap, cov_mec, QueryMethod::kDft).status(),
+                      engine.Mec(cov_mec, QueryMethod::kDft).status());
+    const MetRequest cov_met{Measure::kCovariance, 0.0, true};
+    expect_same_error(serve::SnapshotMet(*snap, cov_met, QueryMethod::kDft).status(),
+                      engine.Met(cov_met, QueryMethod::kDft).status());
+    const MerRequest cov_mer{Measure::kCovariance, -0.5, 0.5};
+    expect_same_error(serve::SnapshotMer(*snap, cov_mer, QueryMethod::kDft).status(),
+                      engine.Mer(cov_mer, QueryMethod::kDft).status());
+    const TopKRequest topk{Measure::kCorrelation, 5, true};
+    expect_same_error(serve::SnapshotTopK(*snap, topk, QueryMethod::kDft).status(),
+                      engine.TopK(topk, QueryMethod::kDft).status());
+
+    // Real argument errors are final (same code live and served).
+    auto bad = stream->Mer({Measure::kCorrelation, 0.9, 0.1});
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -561,8 +623,7 @@ TEST(Serving, EpochWithoutQualitySurfaceRejectsThePredicate) {
   ASSERT_TRUE(fw.ok());
   const auto& engine = fw->engine();
   ASSERT_EQ(engine.quality(), nullptr);
-  auto snap = serve::SnapshotBuilder::Build(fw->model(), fw->scape(), engine.Capabilities(),
-                                            engine.quality(), 1, ds.matrix.m());
+  auto snap = serve::SnapshotBuilder::Build(fw->model(), fw->scape(), engine, 1, ds.matrix.m());
   ASSERT_FALSE(snap->caps.has_quality);
   MetRequest met{Measure::kCorrelation, 0.5, true};
   met.min_quality = 0.5;

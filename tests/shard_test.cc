@@ -179,6 +179,17 @@ TEST(Sharded, CreateValidatesOptions) {
   bad.streaming.incremental.escalation_factor = 0.0;
   EXPECT_FALSE(ShardedAffinity::Create(Names(16), bad).ok());
   EXPECT_TRUE(ShardedAffinity::Create(Names(16), SmallOptions(2)).ok());
+  // Every shard keeps every relationship: 2 range shards of 17 series
+  // hold 9 and 8 series, so a budget of 28 pairs truncates the 36 of the
+  // larger one.
+  bad = SmallOptions(2);
+  bad.streaming.build.symex.max_relationships = 28;
+  const auto truncated = ShardedAffinity::Create(Names(17), bad);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(truncated.status().message().find("28"), std::string::npos);
+  EXPECT_NE(truncated.status().message().find("36"), std::string::npos)
+      << truncated.status().ToString();
 }
 
 TEST(Sharded, AppendValidatesRowWidth) {
@@ -502,7 +513,7 @@ TEST(Sharded, DirtyFeedMatchesUnshardedAtEveryPublication) {
       SCOPED_TRACE("shards=" + std::to_string(shards) + " threads=" + std::to_string(threads));
       ShardedOptions options = SmallOptions(shards, threads);
       options.streaming.rebuild_interval = 10;
-      options.streaming.build.build_dft = true;  // WF answers only live
+      options.streaming.build.build_dft = true;  // WF sketches each epoch's window
       auto created = ShardedAffinity::Create(ds.matrix.names(), options);
       ASSERT_TRUE(created.ok());
       auto service = std::make_unique<ShardedAffinity>(std::move(*created));
@@ -547,16 +558,14 @@ TEST(Sharded, DirtyFeedMatchesUnshardedAtEveryPublication) {
       EXPECT_GE(publications, 15u);
       EXPECT_GT(excluded, 0u);  // the quality predicate did filter
 
-      // An explicit WF method: every shard snapshot declines with
-      // kUnavailable and the shard facades answer live.
-      const std::size_t fallbacks = service->maintenance().serve_fallbacks;
+      // An explicit WF method: every shard sketches its epoch's window,
+      // and the answer is served from the router epoch.
       FreshnessOptions wf;
       wf.method = QueryMethod::kDft;
       auto wf_met = service->Met(MetRequest{Measure::kCorrelation, 0.5, true}, wf);
       ASSERT_TRUE(wf_met.ok()) << wf_met.status().ToString();
       EXPECT_EQ(wf_met->result.plan.method, QueryMethod::kDft);
-      EXPECT_EQ(service->maintenance().serve_fallbacks, fallbacks + shards);
-      EXPECT_EQ(wf_met->result.plan.rationale.find("served from read-optimized snapshot"),
+      EXPECT_NE(wf_met->result.plan.rationale.find("served from read-optimized snapshot"),
                 std::string::npos);
     }
   }
@@ -860,6 +869,31 @@ TEST(Sharded, LoadRejectsCorruptManifests) {
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad.status().message().find("cluster assignment out of range"), std::string::npos)
       << bad.status().ToString();
+
+  // Shard 1's payload replaced by a model of its window that keeps 10 of
+  // its 28 relationships: the restore refuses it and names the shard.
+  {
+    std::ifstream in(good_path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const std::size_t shard1 = bytes.find("AFFM", shard0 + 4);
+  ASSERT_NE(shard1, std::string::npos);
+  core::SymexOptions symex;
+  symex.max_relationships = 10;
+  auto truncated_model = core::BuildAffinityModel(service->shard(1).framework()->model().data(),
+                                                  core::AfclstOptions{.k = 2}, symex);
+  ASSERT_TRUE(truncated_model.ok());
+  std::stringstream payload;
+  ASSERT_TRUE(core::WriteModelStream(*truncated_model, payload).ok());
+  const std::string truncated_path = TempPath("truncated_shard.affs");
+  std::ofstream(truncated_path, std::ios::binary) << bytes.substr(0, shard1) << payload.str();
+  const auto truncated = ShardedAffinity::Load(truncated_path);
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(truncated.status().message().find("shard 1"), std::string::npos)
+      << truncated.status().ToString();
+  EXPECT_NE(truncated.status().message().find("10 of the 28"), std::string::npos)
+      << truncated.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "ts/generators.h"
+#include "ts/rolling.h"
 
 namespace affinity::core {
 namespace {
@@ -58,6 +59,35 @@ TEST(Streaming, CreateValidatesOptions) {
   bad.rebuild_interval = 0;
   EXPECT_FALSE(StreamingAffinity::Create(Names(4), bad).ok());
   EXPECT_TRUE(StreamingAffinity::Create(Names(4), SmallOptions()).ok());
+
+  // A stream keeps every relationship: 10 series have 45 pairs, so a
+  // budget of 44 is refused in both modes, with the counts in the message.
+  for (const UpdateMode mode : {UpdateMode::kRebuild, UpdateMode::kIncremental}) {
+    bad = SmallOptions();
+    bad.mode = mode;
+    bad.build.symex.max_relationships = 44;
+    const auto truncated = StreamingAffinity::Create(Names(10), bad);
+    ASSERT_FALSE(truncated.ok());
+    EXPECT_EQ(truncated.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(truncated.status().message().find("44"), std::string::npos);
+    EXPECT_NE(truncated.status().message().find("45"), std::string::npos);
+    bad.build.symex.max_relationships = 45;
+    EXPECT_TRUE(StreamingAffinity::Create(Names(10), bad).ok());
+  }
+
+  // So is a checkpoint of a truncated model.
+  auto window = ts::TailWindow(TestData().matrix, 40);
+  ASSERT_TRUE(window.ok());
+  SymexOptions symex;
+  symex.max_relationships = 20;
+  auto model = BuildAffinityModel(*window, AfclstOptions{.k = 2}, symex);
+  ASSERT_TRUE(model.ok());
+  ASSERT_EQ(model->relationship_count(), 20u);
+  const auto restored = StreamingAffinity::Restore(std::move(*model), SmallOptions(), {});
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("20 of the 45"), std::string::npos)
+      << restored.status().ToString();
 }
 
 TEST(Streaming, NotReadyBeforeWindowFills) {

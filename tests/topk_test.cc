@@ -376,8 +376,7 @@ class TopKTieTest : public ::testing::Test {
 
   static std::shared_ptr<const serve::ServingSnapshot> Epoch() {
     const QueryEngine engine = Engine();
-    return serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(),
-                                         engine.Capabilities(), engine.quality(), 1,
+    return serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(), engine, 1,
                                          framework_->data().m());
   }
 
