@@ -19,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <complex>
@@ -712,6 +713,45 @@ void BM_TopK(benchmark::State& state, bool epoch, core::Measure measure,
         benchmark::RegisterBenchmark(name.c_str(), BM_TopK, epoch, measure, method)
             ->Unit(benchmark::kMicrosecond);
       }
+    }
+  }
+  return true;
+}();
+
+// BM_Met/snapshot/<measure>/<strategy>: a MET over the same epoch, τ at
+// the 95th percentile of the measure's frozen pair values (5% of the pairs
+// pass), answered by SCAPE or by the WA pass over the frozen table — the
+// rows behind the planner's epoch MET/MER rule (planner.h quotes them).
+// `verified` counts the entries SCAPE derived exactly.
+
+void BM_Met(benchmark::State& state, core::Measure measure, core::QueryMethod method) {
+  const TopKFixture& f = TopKData();
+  std::vector<double> values = f.epoch->pair_values[static_cast<std::size_t>(
+      static_cast<int>(measure) - static_cast<int>(core::Measure::kCovariance))];
+  const auto at = values.begin() + static_cast<std::ptrdiff_t>(values.size() * 95 / 100);
+  std::nth_element(values.begin(), at, values.end());
+  const core::MetRequest req{measure, *at, true};
+  std::size_t verified = 0;
+  std::size_t kept = 0;
+  for (auto _ : state) {
+    auto result = serve::SnapshotMet(*f.epoch, req, method);
+    AFFINITY_CHECK(result.ok());
+    verified = result->prune.verified;
+    kept = result->pairs.size();
+    benchmark::DoNotOptimize(result->pairs.data());
+  }
+  state.counters["verified"] = static_cast<double>(verified);
+  state.counters["kept"] = static_cast<double>(kept);
+}
+
+[[maybe_unused]] const bool kMetRegistered = [] {
+  for (const core::Measure measure : {core::Measure::kCovariance, core::Measure::kCorrelation}) {
+    for (const core::QueryMethod method : {core::QueryMethod::kScape, core::QueryMethod::kAffine}) {
+      const std::string name = std::string("BM_Met/snapshot/") +
+                               std::string(core::MeasureName(measure)) + "/" +
+                               std::string(core::QueryMethodName(method));
+      benchmark::RegisterBenchmark(name.c_str(), BM_Met, measure, method)
+          ->Unit(benchmark::kMicrosecond);
     }
   }
   return true;

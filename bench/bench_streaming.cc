@@ -23,10 +23,12 @@
 // upload a BENCH_*.json artifact without needing the benchmark library.
 //
 // With --serve the harness instead runs the lock-free serving gates
-// (DESIGN.md §11): served SCAPE vs served WA selection latency on one
-// epoch at window 4096 (must be ≥ 2× and select the same pairs) and
-// reader throughput under interval=1 slides vs idle (must stay ≥ 80%) —
-// both enforced with a non-zero exit.
+// (DESIGN.md §11): on one epoch at window 4096, kAuto's MET plan for a
+// covariance and a correlation request (SCAPE and the WA table pass; each
+// must select the same pairs either way, and the planned strategy must be
+// the faster one), and reader throughput under interval=1 slides vs idle
+// (the median of three alternated phase pairs must stay ≥ 80%) — both
+// enforced with a non-zero exit.
 //
 // With --serve-publish it runs the epoch-publication gate: steady-state
 // publication (COW window + shared SCAPE run handles + bulk WA refill)
@@ -403,32 +405,53 @@ double MedianUs(std::vector<double>& samples) {
   return samples.size() % 2 == 1 ? samples[h] : 0.5 * (samples[h - 1] + samples[h]);
 }
 
-// --- Lock-free serving sweep (ISSUE 7 acceptance) --------------------------
+// --- Lock-free serving sweep (--serve) -------------------------------------
 //
 // Two enforced gates, non-zero exit on failure:
-//  1. Served SCAPE selection: a covariance MET (τ = 0) served from the
-//     published epoch through its SCAPE runs (binary-search seeks +
-//     bulk-accepted spans) must be ≥ 2× faster than the served WA sweep
-//     over the same epoch's frozen pair table at window 4096 — and select
-//     the same pair set. n is sized so the walk is memory-bound (tens of
-//     thousands of accepted pairs); tiny instances measure per-query fixed
-//     cost, not index traversal.
+//  1. The epoch's selection plan. On one epoch at window 4096 (n = 384),
+//     two MET requests: covariance at τ = 0, whose exact bound lets SCAPE
+//     accept whole key spans, and correlation at τ = 0.9, whose loose
+//     ‖α‖ξ/U_min bound leaves most pairs in SCAPE's verify bands.
+//     (a) kAuto plans SCAPE for the first and the WA pass over the frozen
+//     pair table for the second (exact, no timing); (b) both strategies
+//     select the same pair set for each request; (c) for each request, the
+//     planned strategy's median latency beats the other's over
+//     query-by-query alternated samples. n is sized so each walk is
+//     memory-bound (tens of thousands of pairs); tiny instances measure
+//     per-query fixed cost, not the walk.
 //  2. Serving under maintenance: sustained query throughput from reader
 //     threads while the owner slides at interval 1 (a refresh per append)
 //     must stay ≥ 80% of the idle-stream throughput — queries never wait
-//     on maintenance. The writer is paced to ~10% CPU duty so the gate
-//     measures serving interference (blocking), not core fair-share on a
-//     single-core CI box.
+//     on maintenance. Idle and maintained phases alternate three times
+//     and the median of the three ratios is gated: one short phase pair
+//     spreads too widely on a shared host to tell. The writer is paced to
+//     ~10% CPU duty so the gate measures serving interference (blocking),
+//     not core fair-share on a single-core CI box.
 
-struct ServeResult {
+/// One gate-1 request: what kAuto planned, both strategies' medians, and
+/// the entries SCAPE verified.
+struct ServeSelection {
+  const char* name = "";
+  core::MetRequest req;
+  core::QueryMethod expected = core::QueryMethod::kScape;
+  core::QueryMethod planned = core::QueryMethod::kAuto;
   double scape_us = 0;
   double wa_us = 0;
-  double scape_speedup = 0;
-  double idle_qps = 0;
-  double maintained_qps = 0;
-  double qps_ratio = 0;
+  /// The other strategy's median over the planned one's (> 1: the plan
+  /// wins).
+  double planned_speedup = 0;
+  std::size_t verified = 0;
+  std::size_t selected = 0;
+};
+
+struct ServeResult {
+  ServeSelection selections[2];
+  std::vector<double> qps_ratios;  ///< maintained / idle, per phase pair
+  double idle_qps = 0;             ///< median over the idle phases
+  double maintained_qps = 0;       ///< median over the maintained phases
+  double qps_ratio = 0;            ///< median of `qps_ratios`
   std::uint64_t epochs = 0;
-  // Publication / fallback accounting of the gate-2 stream (DESIGN.md §11).
+  // Publication accounting of the gate-2 stream (DESIGN.md §11).
   core::MaintenanceProfile profile;
 };
 
@@ -436,7 +459,7 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
   ServeResult result;
   bool gate_ok = true;
 
-  // Gate 1: served SCAPE vs served WA selection latency at window 4096.
+  // Gate 1: the epoch's selection plan at window 4096.
   {
     ts::DatasetSpec spec;
     spec.num_series = 384;
@@ -473,47 +496,65 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
       std::fprintf(stderr, "no serving snapshot after refresh\n");
       return 1;
     }
-    const core::MetRequest req{core::Measure::kCovariance, 0.0, true};
-    // Agreement first (the contract the latency win must not cost): both
-    // strategies select the same pairs from the same epoch.
-    auto scape = serve::SnapshotMet(*snap, req, core::QueryMethod::kScape);
-    auto wa = serve::SnapshotMet(*snap, req, core::QueryMethod::kAffine);
-    if (!scape.ok() || !wa.ok()) {
-      std::fprintf(stderr, "served SCAPE/WA MET failed\n");
-      return 1;
-    }
-    std::sort(scape->pairs.begin(), scape->pairs.end());
-    std::sort(wa->pairs.begin(), wa->pairs.end());
-    if (scape->pairs != wa->pairs) {
-      std::fprintf(stderr, "FAIL: served SCAPE MET diverged from the served WA sweep\n");
-      gate_ok = false;
-    }
-    // The strategies alternate query by query and each side's median is
-    // compared, so drift on a shared host biases neither side.
+    result.selections[0].name = "covariance_tau0";
+    result.selections[0].req = core::MetRequest{core::Measure::kCovariance, 0.0, true};
+    result.selections[0].expected = core::QueryMethod::kScape;
+    result.selections[1].name = "correlation_tau0.9";
+    result.selections[1].req = core::MetRequest{core::Measure::kCorrelation, 0.9, true};
+    result.selections[1].expected = core::QueryMethod::kAffine;
     const std::size_t repeats = quick ? 60 : 300;
-    std::vector<double> scape_samples;
-    std::vector<double> wa_samples;
     std::size_t keep = 0;  // defeat dead-code elimination
-    const auto time_us = [&](core::QueryMethod method) {
-      Stopwatch watch;
-      auto s = serve::SnapshotMet(*snap, req, method);
-      if (s.ok()) keep += s->pairs.size();
-      return watch.ElapsedSeconds() * 1e6;
-    };
-    for (std::size_t r = 0; r < repeats; ++r) {
-      scape_samples.push_back(time_us(core::QueryMethod::kScape));
-      wa_samples.push_back(time_us(core::QueryMethod::kAffine));
+    for (ServeSelection& sel : result.selections) {
+      // (a) The plan, then (b) agreement: the latency check below must not
+      // compare strategies that answer differently.
+      auto planned = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kAuto);
+      auto scape = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kScape);
+      auto wa = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kAffine);
+      if (!planned.ok() || !scape.ok() || !wa.ok()) {
+        std::fprintf(stderr, "served %s MET failed\n", sel.name);
+        return 1;
+      }
+      sel.planned = planned->plan.method;
+      sel.verified = scape->prune.verified;
+      sel.selected = wa->pairs.size();
+      if (sel.planned != sel.expected) {
+        std::fprintf(stderr, "FAIL: %s: kAuto planned %s, expected %s\n", sel.name,
+                     std::string(core::QueryMethodName(sel.planned)).c_str(),
+                     std::string(core::QueryMethodName(sel.expected)).c_str());
+        gate_ok = false;
+      }
+      std::sort(scape->pairs.begin(), scape->pairs.end());
+      if (scape->pairs != wa->pairs || planned->pairs.size() != wa->pairs.size()) {
+        std::fprintf(stderr, "FAIL: %s: served SCAPE and WA selected different pairs\n",
+                     sel.name);
+        gate_ok = false;
+      }
+      // (c) The strategies alternate query by query and each side's median
+      // is compared, so drift on a shared host biases neither side.
+      std::vector<double> scape_samples;
+      std::vector<double> wa_samples;
+      const auto time_us = [&](core::QueryMethod method) {
+        Stopwatch watch;
+        auto s = serve::SnapshotMet(*snap, sel.req, method);
+        if (s.ok()) keep += s->pairs.size();
+        return watch.ElapsedSeconds() * 1e6;
+      };
+      for (std::size_t r = 0; r < repeats; ++r) {
+        scape_samples.push_back(time_us(core::QueryMethod::kScape));
+        wa_samples.push_back(time_us(core::QueryMethod::kAffine));
+      }
+      sel.scape_us = MedianUs(scape_samples);
+      sel.wa_us = MedianUs(wa_samples);
+      sel.planned_speedup = sel.expected == core::QueryMethod::kScape ? sel.wa_us / sel.scape_us
+                                                                      : sel.scape_us / sel.wa_us;
+      if (sel.planned_speedup <= 1.0) {
+        std::fprintf(stderr, "FAIL: %s: the planned %s is not faster (%.2fx)\n", sel.name,
+                     std::string(core::QueryMethodName(sel.expected)).c_str(),
+                     sel.planned_speedup);
+        gate_ok = false;
+      }
     }
-    result.scape_us = MedianUs(scape_samples);
-    result.wa_us = MedianUs(wa_samples);
     if (keep == 0) std::fprintf(stderr, "# (empty selections)\n");
-    result.scape_speedup = result.wa_us / result.scape_us;
-    if (result.scape_speedup < 2.0) {
-      std::fprintf(stderr,
-                   "FAIL: served SCAPE selection %.2fx vs served WA (< 2x) at window 4096\n",
-                   result.scape_speedup);
-      gate_ok = false;
-    }
   }
 
   // Gate 2: reader throughput under interval=1 slides vs idle.
@@ -599,19 +640,29 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
       for (std::thread& t : pool) t.join();
       return static_cast<double>(queries.load()) / elapsed;
     };
-    result.idle_qps = run_phase(false);
     const std::uint64_t before = stream->serving()->generation;
-    result.maintained_qps = run_phase(true);
+    std::vector<double> idle;
+    std::vector<double> maintained;
+    for (int pair = 0; pair < 3; ++pair) {
+      idle.push_back(run_phase(false));
+      maintained.push_back(run_phase(true));
+      result.qps_ratios.push_back(maintained.back() / idle.back());
+    }
     result.epochs = stream->serving()->generation - before;
-    result.qps_ratio = result.maintained_qps / result.idle_qps;
+    std::vector<double> ratios = result.qps_ratios;
+    result.qps_ratio = MedianUs(ratios);
+    result.idle_qps = MedianUs(idle);
+    result.maintained_qps = MedianUs(maintained);
     if (result.qps_ratio < 0.80) {
       std::fprintf(stderr,
-                   "FAIL: QPS under interval=1 slides is %.0f%% of idle (< 80%%)\n",
-                   result.qps_ratio * 100.0);
+                   "FAIL: QPS under interval=1 slides is %.0f%% of idle (< 80%%; median of "
+                   "%.3f, %.3f, %.3f)\n",
+                   result.qps_ratio * 100.0, result.qps_ratios[0], result.qps_ratios[1],
+                   result.qps_ratios[2]);
       gate_ok = false;
     }
     if (result.epochs == 0) {
-      std::fprintf(stderr, "FAIL: no epochs published during the maintained phase\n");
+      std::fprintf(stderr, "FAIL: no epochs published during the maintained phases\n");
       gate_ok = false;
     }
     result.profile = stream->maintenance();
@@ -619,12 +670,19 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
 
   std::printf("# bench_streaming --serve — lock-free snapshot serving\n");
   std::printf("metric,value\n");
-  std::printf("scape_met_us,%.1f\n", result.scape_us);
-  std::printf("wa_met_us,%.1f\n", result.wa_us);
-  std::printf("scape_speedup,%.2fx\n", result.scape_speedup);
+  for (const ServeSelection& sel : result.selections) {
+    std::printf("%s_plan,%s\n", sel.name, std::string(core::QueryMethodName(sel.planned)).c_str());
+    std::printf("%s_scape_us,%.1f\n", sel.name, sel.scape_us);
+    std::printf("%s_wa_us,%.1f\n", sel.name, sel.wa_us);
+    std::printf("%s_planned_speedup,%.2fx\n", sel.name, sel.planned_speedup);
+    std::printf("%s_scape_verified,%zu\n", sel.name, sel.verified);
+    std::printf("%s_selected,%zu\n", sel.name, sel.selected);
+  }
   std::printf("idle_qps,%.0f\n", result.idle_qps);
   std::printf("maintained_qps,%.0f\n", result.maintained_qps);
   std::printf("qps_ratio,%.3f\n", result.qps_ratio);
+  std::printf("qps_ratios,%.3f/%.3f/%.3f\n", result.qps_ratios[0], result.qps_ratios[1],
+              result.qps_ratios[2]);
   std::printf("epochs_published,%llu\n", static_cast<unsigned long long>(result.epochs));
   std::printf("epochs_delta,%zu\n", result.profile.epochs_delta);
   std::printf("window_segments_reused,%zu\n", result.profile.window_segments_reused);
@@ -641,11 +699,19 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
     std::fprintf(out, "{\n  \"context\": {\"executable\": \"bench_streaming\", "
                  "\"mode\": \"serve\", \"kernel_backend\": \"%s\"},\n  \"benchmarks\": [\n",
                  core::kernels::ActiveBackendName());
-    std::fprintf(out,
-                 "    {\"name\": \"serve_scape_met/window:4096\", \"run_type\": \"iteration\", "
-                 "\"iterations\": 1, \"real_time\": %.3f, \"cpu_time\": %.3f, "
-                 "\"time_unit\": \"us\", \"wa_us\": %.3f, \"scape_speedup\": %.3f},\n",
-                 result.scape_us, result.scape_us, result.wa_us, result.scape_speedup);
+    for (const ServeSelection& sel : result.selections) {
+      const double planned_us =
+          sel.expected == core::QueryMethod::kScape ? sel.scape_us : sel.wa_us;
+      std::fprintf(out,
+                   "    {\"name\": \"serve_met/%s/window:4096\", \"run_type\": \"iteration\", "
+                   "\"iterations\": 1, \"real_time\": %.3f, \"cpu_time\": %.3f, "
+                   "\"time_unit\": \"us\", \"plan\": \"%s\", \"scape_us\": %.3f, "
+                   "\"wa_us\": %.3f, \"planned_speedup\": %.3f, \"scape_verified\": %zu, "
+                   "\"selected\": %zu},\n",
+                   sel.name, planned_us, planned_us,
+                   std::string(core::QueryMethodName(sel.planned)).c_str(), sel.scape_us,
+                   sel.wa_us, sel.planned_speedup, sel.verified, sel.selected);
+    }
     std::fprintf(out,
                  "    {\"name\": \"serve_qps/interval:1\", \"run_type\": \"iteration\", "
                  "\"iterations\": 1, \"real_time\": %.3f, \"cpu_time\": %.3f, "
@@ -656,9 +722,9 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
                  1e6 / (result.maintained_qps > 0 ? result.maintained_qps : 1.0),
                  1e6 / (result.maintained_qps > 0 ? result.maintained_qps : 1.0),
                  result.idle_qps, result.maintained_qps, result.qps_ratio,
-                 static_cast<unsigned long long>(result.epochs), result.profile.epochs_delta, result.profile.window_segments_reused,
-                 result.profile.scape_runs_shared, result.profile.scape_runs_spliced,
-                 result.profile.snapshot_bytes_copied);
+                 static_cast<unsigned long long>(result.epochs), result.profile.epochs_delta,
+                 result.profile.window_segments_reused, result.profile.scape_runs_shared,
+                 result.profile.scape_runs_spliced, result.profile.snapshot_bytes_copied);
     std::fprintf(out, "  ]\n}\n");
     if (!out_path.empty()) std::fclose(out);
   }

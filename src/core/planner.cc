@@ -21,6 +21,9 @@ constexpr double kTreeStep = 8.0;     ///< run seek/emit per entry (SCAPE)
 /// levels of compare-and-move) — the top-k threshold algorithm pays two
 /// per entry it examines (planner.h).
 constexpr double kHeapOp = 12.0;
+/// One sequential read and compare: a selection's pass over an epoch's
+/// frozen table.
+constexpr double kTableRead = 2.0;
 
 }  // namespace
 
@@ -43,6 +46,15 @@ std::string_view QueryMethodName(QueryMethod method) {
 void AnnotateSnapshotServed(PlanChoice* plan, std::uint64_t generation) {
   plan->rationale +=
       "; served from read-optimized snapshot (generation " + std::to_string(generation) + ")";
+}
+
+void AnnotateScatterGather(PlanChoice* plan, Measure measure, std::size_t shards,
+                           std::size_t cross_pairs) {
+  plan->rationale += "; scatter-gather over " + std::to_string(shards) + " shards";
+  if (shards > 1 && !IsLocation(measure)) {
+    plan->rationale +=
+        " (+" + std::to_string(cross_pairs) + " cross-shard pairs via WN, k-way merge)";
+  }
 }
 
 void AnnotateQualityFiltered(PlanChoice* plan, double min_quality, std::size_t excluded) {
@@ -86,9 +98,7 @@ PlanChoice QueryPlanner::Shardify(PlanChoice choice, Measure measure) const {
   // snapshots (one exact sweep per epoch, shared by its queries), then
   // k-way-merges the per-shard and cross-shard runs.
   choice.estimated_cost += static_cast<double>(topology_.cross_pairs) * NaiveUnitCost(measure);
-  choice.rationale += "; scatter-gather over " + std::to_string(topology_.shards) +
-                      " shards (+" + std::to_string(topology_.cross_pairs) +
-                      " cross-shard pairs via WN, k-way merge)";
+  AnnotateScatterGather(&choice, measure, topology_.shards, topology_.cross_pairs);
   return choice;
 }
 
@@ -116,6 +126,19 @@ PlanChoice QueryPlanner::PlanSelection(Measure measure, double selectivity, bool
     // is folded into the constant.
     const double descent = static_cast<double>(n_) * std::log2(2.0 + entities);
     if (!top_k) {
+      // Over an epoch's frozen tables a WA selection is one pass reading
+      // every entity once. SCAPE's loose D-measure bound ‖α‖ξ/U_min leaves
+      // most entries in its verify bands, so the pass wins there; the
+      // exact T/L bound accepts whole spans and verifies nothing, so SCAPE
+      // keeps those (planner.h has the rule and the measured rows).
+      if (caps_.has_model && caps_.frozen_wa && IsDerived(measure)) {
+        return Shardify(
+            PlanChoice{QueryMethod::kAffine, entities * kTableRead,
+                       "WA: one pass over the epoch's frozen table (SCAPE's D-measure bound "
+                       "would verify most of the " +
+                           std::to_string(static_cast<std::size_t>(entities)) + " entities)"},
+            measure);
+      }
       return Shardify(PlanChoice{QueryMethod::kScape,
                                  descent + selectivity * entities * kTreeStep,
                                  "SCAPE: key-range scan per pivot, no per-entity computation"},

@@ -24,8 +24,9 @@
 /// symex.h and DESIGN.md §3.)
 ///
 /// Costs are abstract "scalar operation" counts, good for ranking
-/// strategies, not for predicting wall time. The top-k rule is the one
-/// checked against measured rows (see PlanTopK).
+/// strategies, not for predicting wall time. The top-k rule and the
+/// epoch's MET/MER rule are the ones checked against measured rows (see
+/// PlanTopK and PlanMet).
 
 #include <cstdint>
 #include <string>
@@ -52,6 +53,14 @@ struct PlanChoice;
 /// output still shows where it ran.
 void AnnotateSnapshotServed(PlanChoice* plan, std::uint64_t generation);
 
+/// Notes on `plan` that a router gathered it over `shards` shards. For a
+/// pair measure over more than one shard it adds that the `cross_pairs`
+/// pairs spanning two shards are valued by WN (the router epoch's cross
+/// co-moments), whatever strategy the shards run. Appends to the
+/// rationale only.
+void AnnotateScatterGather(PlanChoice* plan, Measure measure, std::size_t shards,
+                           std::size_t cross_pairs);
+
 /// Marks `plan` as post-filtered by the per-series quality predicate
 /// (DESIGN.md §12): candidates touching a series whose composite quality
 /// score fell below `min_quality` were excluded (`excluded` of them).
@@ -76,6 +85,10 @@ class QueryPlanner {
     bool has_scape = false;    ///< SCAPE index
     bool has_dft = false;      ///< WF sketches
     bool has_quality = false;  ///< per-series quality surface (DESIGN.md §12)
+    /// WA values are frozen table reads (a published epoch, DESIGN.md
+    /// §11), so a WA selection is one pass over a table. Batch engines
+    /// never set it.
+    bool frozen_wa = false;
   };
 
   /// Shard topology of the deployment answering the query. The default is
@@ -101,9 +114,34 @@ class QueryPlanner {
 
   /// Plans Query 2 (full MET sweep). `selectivity` is the expected fraction
   /// of entities in the result (0..1; used to cost the index scan).
+  ///
+  /// The epoch rule (`frozen_wa`): correlation and cosine plan WA, one
+  /// pass over the frozen pair table. SCAPE's ‖α‖ξ/U_min bound is loose
+  /// for these D-measures, so it derives many entries one by one (per
+  /// correlation MET 5.6k of 8.1k pairs on perfbench `slide`, 14.2k of
+  /// 32.6k on `query`). Covariance, dot product and the L-measures keep
+  /// SCAPE: their bound is exact, so SCAPE accepts whole key spans and
+  /// verifies nothing. Batch engines plan as before.
+  ///
+  /// Measured (µs; SCAPE entries verified in brackets; AMD EPYC).
+  /// bench_micro `BM_Met/snapshot`, sensor data n = 256, window 1024, τ
+  /// at the 95th percentile of the pair values (5% pass), medians of 5,
+  /// two runs:
+  ///   correlation:  SCAPE 26.8–27.0 [9,533]  vs the pass 9.4–9.6
+  ///   covariance:   SCAPE 14.2–15.0 [0]      vs the pass 9.3–9.5
+  /// `bench_streaming --serve`'s epoch, stock data n = 384, window 4096,
+  /// 10 runs:
+  ///   correlation, τ = 0.9:            SCAPE 204–217 [61,449]  vs 66–70
+  ///   covariance, τ = 0 (91% pass):    SCAPE 100–108 [0]       vs 118–124
+  /// Where the rule picks the slower path: covariance when few pairs
+  /// pass (the first table; the rule does not see τ and assumes half
+  /// pass, where SCAPE wins, as the τ = 0 row shows), and correlation
+  /// at τ = 0 on the n = 384 epoch, where SCAPE decides every sign
+  /// exactly, verifies 0 entries and read 110 µs against the pass's
+  /// 122–126 (a scratch probe, three runs).
   PlanChoice PlanMet(Measure measure, double selectivity = 0.5) const;
 
-  /// Plans Query 3 (full MER sweep).
+  /// Plans Query 3 (full MER sweep), by PlanMet's rule.
   PlanChoice PlanMer(Measure measure, double selectivity = 0.5) const;
 
   /// Plans a top-k query.

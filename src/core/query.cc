@@ -70,6 +70,58 @@ StatusOr<double> DiagonalValue(Measure measure, const SeriesStats& st) {
   }
 }
 
+/// WA MET/MER over an epoch's frozen table of n series: one walk in id
+/// order (an L-measure's table) or row by row in lexicographic pair order
+/// (row u holds pairs (u, u + 1 + j)), keeping every entity whose value
+/// passes `keep` — no window, no per-entity StatusOr, no chunks.
+template <typename Keep>
+SelectionResult FrozenSelect(const double* values, std::size_t n, bool location,
+                             const Keep& keep) {
+  SelectionResult out;
+  if (location) {
+    for (std::size_t v = 0; v < n; ++v) {
+      if (keep(values[v])) out.series.push_back(static_cast<ts::SeriesId>(v));
+    }
+    return out;
+  }
+  // The answer grows before each row by at least the row's length, so the
+  // scan only compares and stores: no per-pair call or capacity check,
+  // whatever the compiler inlines. It tests four values at a time: in a
+  // selective query most blocks keep nothing and cost one branch, and a
+  // block that keeps something writes each candidate and steps past the
+  // kept ones, with no branch per pair.
+  std::vector<ts::SequencePair>& pairs = out.pairs;
+  std::size_t size = 0;
+  for (std::size_t u = 0; u + 1 < n; ++u) {
+    const double* row = values + ts::PairsBeforeRow(u, n);
+    const std::size_t len = n - u - 1;
+    if (pairs.size() - size < len) pairs.resize(std::max(2 * pairs.size(), size + len));
+    ts::SequencePair* kept = pairs.data() + size;
+    // Writes pair (u, u + 1 + j) at `kept`, and keeps it when `pass`.
+    const auto offer = [&](std::size_t j, bool pass) {
+      kept->u = static_cast<ts::SeriesId>(u);
+      kept->v = static_cast<ts::SeriesId>(u + 1 + j);
+      kept += pass ? 1 : 0;
+    };
+    std::size_t j = 0;
+    for (; j + 4 <= len; j += 4) {
+      const bool k0 = keep(row[j]);
+      const bool k1 = keep(row[j + 1]);
+      const bool k2 = keep(row[j + 2]);
+      const bool k3 = keep(row[j + 3]);
+      if (!(k0 || k1 || k2 || k3)) continue;
+      offer(j, k0);
+      offer(j + 1, k1);
+      offer(j + 2, k2);
+      offer(j + 3, k3);
+    }
+    for (; j < len; ++j) offer(j, keep(row[j]));
+    size = static_cast<std::size_t>(kept - pairs.data());
+  }
+  pairs.resize(size);
+  return out;
+}
+
 }  // namespace
 
 QueryEngine::QueryEngine(const ts::DataMatrix* data) : data_(data) {
@@ -207,11 +259,9 @@ StatusOr<double> QueryEngine::SeriesValue(Measure measure, ts::SeriesId v,
   switch (method) {
     case QueryMethod::kNaive:
       return NaiveLocationMeasure(measure, dense().ColumnData(v), m());
-    case QueryMethod::kAffine: {
-      if (model_ != nullptr) return model_->SeriesMeasure(measure, v);
-      if (const double* table = FrozenTable(measure)) return table[v];
-      return FrozenTableError();
-    }
+    case QueryMethod::kAffine:
+      AFFINITY_DCHECK(model_ != nullptr);
+      return model_->SeriesMeasure(measure, v);
     default:
       return Status::InvalidArgument("L-measures support WN and WA only");
   }
@@ -225,21 +275,11 @@ StatusOr<double> QueryEngine::Value(Measure measure, ts::SeriesId u, ts::SeriesI
       return NaivePairMeasure(measure, window.ColumnData(u), window.ColumnData(v), window.m(),
                               window.anchor_row());
     }
-    case QueryMethod::kAffine: {
-      if (!has_wa()) return Status::FailedPrecondition("WA strategy not attached");
+    case QueryMethod::kAffine:
+      AFFINITY_DCHECK(model_ != nullptr);
       // Diagonal entries come from the exact per-series statistics.
-      if (u == v) {
-        const SeriesStats& st =
-            model_ != nullptr ? model_->series_stats(u) : (*epoch_->stats)[u];
-        return DiagonalValue(measure, st);
-      }
-      const ts::SequencePair e(u, v);
-      if (model_ != nullptr) return model_->PairMeasure(measure, e);
-      if (const double* table = FrozenTable(measure)) {
-        return table[ts::LexPairIndex(e.u, e.v, epoch_->n)];
-      }
-      return FrozenTableError();
-    }
+      if (u == v) return DiagonalValue(measure, model_->series_stats(u));
+      return model_->PairMeasure(measure, ts::SequencePair(u, v));
     case QueryMethod::kDft:
       return Status::Internal("WF values are computed batch-wise (see Mec/Met/Mer)");
     case QueryMethod::kScape:
@@ -265,6 +305,9 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
   MecResponse out;
   out.plan = std::move(plan);
   out.quality = answer_quality;
+  if (method == QueryMethod::kAffine && model_ == nullptr) {
+    return FrozenMec(request, std::move(out));
+  }
   const std::size_t count = request.ids.size();
   if (IsLocation(request.measure)) {
     out.location = la::Vector(count);
@@ -335,9 +378,38 @@ StatusOr<MecResponse> QueryEngine::Mec(const MecRequest& request, QueryMethod me
   return out;
 }
 
+StatusOr<MecResponse> QueryEngine::FrozenMec(const MecRequest& request, MecResponse out) const {
+  const double* values = FrozenTable(request.measure);
+  if (values == nullptr) return FrozenTableError();
+  const std::vector<ts::SeriesId>& ids = request.ids;
+  const std::size_t count = ids.size();
+  if (IsLocation(request.measure)) {
+    out.location = la::Vector(count);
+    for (std::size_t i = 0; i < count; ++i) out.location[i] = values[ids[i]];
+    return out;
+  }
+  const std::size_t n = epoch_->n;
+  const std::vector<SeriesStats>& stats = *epoch_->stats;
+  out.pair_values = la::Matrix(count, count);
+  for (std::size_t i = 0; i < count; ++i) {
+    // Diagonal entries come from the exact per-series statistics — as do
+    // the cells of a repeated id.
+    AFFINITY_ASSIGN_OR_RETURN(const double diagonal,
+                              DiagonalValue(request.measure, stats[ids[i]]));
+    out.pair_values(i, i) = diagonal;
+    for (std::size_t j = i + 1; j < count; ++j) {
+      const ts::SequencePair e(ids[i], ids[j]);
+      const double value = e.u == e.v ? diagonal : values[ts::LexPairIndex(e.u, e.v, n)];
+      out.pair_values(i, j) = value;
+      out.pair_values(j, i) = value;
+    }
+  }
+  return out;
+}
+
+template <typename Keep>
 StatusOr<SelectionResult> QueryEngine::SelectByPredicateDft(Measure measure,
-                                                            bool (*keep)(double, double, double),
-                                                            double a, double b) const {
+                                                            const Keep& keep) const {
   if (wf_coefficients_ == 0) return Status::FailedPrecondition("WF strategy not enabled");
   if (measure != Measure::kCorrelation) {
     return Status::InvalidArgument("the WF method only supports the correlation coefficient");
@@ -354,7 +426,7 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicateDft(Measure measure,
     ts::SequencePair p = ts::PairFromIndex(lo, n);
     std::size_t u = p.u, v = p.v;
     for (std::size_t i = lo; i < hi; ++i) {
-      if (keep(wf.Estimate(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)), a, b)) {
+      if (keep(wf.Estimate(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v)))) {
         parts[c].emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
       }
       ts::NextPair(n, &u, &v);
@@ -366,11 +438,20 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicateDft(Measure measure,
   return out;
 }
 
+template <typename Keep>
 StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryMethod method,
-                                                         bool (*keep)(double, double, double),
-                                                         double a, double b) const {
-  SelectionResult out;
+                                                         const Keep& keep) const {
+  if (method == QueryMethod::kDft) return SelectByPredicateDft(measure, keep);
   const std::size_t n = this->n();
+  if (method == QueryMethod::kAffine && model_ == nullptr) {
+    const bool location = IsLocation(measure);
+    // Like the chunked sweep, a pass with nothing to evaluate cannot fail.
+    if (n < (location ? 1u : 2u)) return SelectionResult{};
+    const double* values = FrozenTable(measure);
+    if (values == nullptr) return FrozenTableError();
+    return FrozenSelect(values, n, location, keep);
+  }
+  SelectionResult out;
   if (IsLocation(measure)) {
     std::vector<std::vector<ts::SeriesId>> parts(ExecNumChunks(n));
     AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
@@ -378,7 +459,7 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
           for (std::size_t v = lo; v < hi; ++v) {
             auto value = SeriesValue(measure, static_cast<ts::SeriesId>(v), method);
             if (!value.ok()) return value.status();
-            if (keep(*value, a, b)) parts[c].push_back(static_cast<ts::SeriesId>(v));
+            if (keep(*value)) parts[c].push_back(static_cast<ts::SeriesId>(v));
           }
           return Status::OK();
         }));
@@ -390,16 +471,12 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
   if (n < 2) return out;
   // WN sweeps hoist every column's marginals once per query (O(n·m)),
   // then pay exactly one fused blocked dot per pair — the marginal
-  // hoisting of DESIGN.md §10. WA over an epoch likewise resolves its
-  // frozen table once and reads one value per pair. Each pair's value is
-  // computed whole by one chunk, so results stay bitwise identical at any
-  // thread count.
+  // hoisting of DESIGN.md §10. Each pair's value is computed whole by one
+  // chunk, so results stay bitwise identical at any thread count.
   const ts::DataMatrix* window = method == QueryMethod::kNaive ? &dense() : nullptr;
   std::vector<kernels::Marginals> marginals;
   if (window != nullptr) marginals = kernels::HoistMarginals(*window, exec_);
-  const double* frozen = method == QueryMethod::kAffine ? FrozenTable(measure) : nullptr;
   const auto pair_value = [&](std::size_t u, std::size_t v) -> StatusOr<double> {
-    if (frozen != nullptr) return frozen[ts::LexPairIndex(u, v, n)];
     if (window == nullptr) {
       return Value(measure, static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v), method);
     }
@@ -418,7 +495,7 @@ StatusOr<SelectionResult> QueryEngine::SelectByPredicate(Measure measure, QueryM
         for (std::size_t i = lo; i < hi; ++i) {
           auto value = pair_value(u, v);
           if (!value.ok()) return value.status();
-          if (keep(*value, a, b)) {
+          if (keep(*value)) {
             parts[c].emplace_back(static_cast<ts::SeriesId>(u), static_cast<ts::SeriesId>(v));
           }
           ts::NextPair(n, &u, &v);
@@ -439,10 +516,6 @@ StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMetho
   method = plan.method;
   NoteEpoch(&plan);
   StatusOr<SelectionResult> result = [&]() -> StatusOr<SelectionResult> {
-    if (method == QueryMethod::kDft) {
-      return SelectByPredicateDft(request.measure, request.greater ? KeepGreater : KeepLesser,
-                                  request.tau, 0.0);
-    }
     if (method == QueryMethod::kScape) {
       if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
       AFFINITY_ASSIGN_OR_RETURN(
@@ -454,8 +527,9 @@ StatusOr<SelectionResult> QueryEngine::Met(const MetRequest& request, QueryMetho
       out.prune = r.prune;
       return out;
     }
-    return SelectByPredicate(request.measure, method, request.greater ? KeepGreater : KeepLesser,
-                             request.tau, 0.0);
+    return WithPredicate(request, [&](const auto& keep) {
+      return SelectByPredicate(request.measure, method, keep);
+    });
   }();
   if (!result.ok()) return result.status();
   result->plan = std::move(plan);
@@ -472,9 +546,6 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
   method = plan.method;
   NoteEpoch(&plan);
   StatusOr<SelectionResult> result = [&]() -> StatusOr<SelectionResult> {
-    if (method == QueryMethod::kDft) {
-      return SelectByPredicateDft(request.measure, KeepInside, request.lo, request.hi);
-    }
     if (method == QueryMethod::kScape) {
       if (scape_ == nullptr) return Status::FailedPrecondition("SCAPE index not attached");
       AFFINITY_ASSIGN_OR_RETURN(
@@ -486,7 +557,9 @@ StatusOr<SelectionResult> QueryEngine::Mer(const MerRequest& request, QueryMetho
       out.prune = r.prune;
       return out;
     }
-    return SelectByPredicate(request.measure, method, KeepInside, request.lo, request.hi);
+    return WithPredicate(request, [&](const auto& keep) {
+      return SelectByPredicate(request.measure, method, keep);
+    });
   }();
   if (!result.ok()) return result.status();
   result->plan = std::move(plan);

@@ -24,10 +24,12 @@
 /// The engine is the one implementation of every query. It answers over
 /// a batch model — the data matrix and whatever is attached — or over a
 /// published serving epoch (`EpochView`, DESIGN.md §11), whose WA values
-/// come from frozen tables instead of the model. Batch, it is the
-/// measurement surface of every benchmark: Figs. 9–12 time MEC under
-/// WN/WA; Figs. 15–16 and Table 4 time MET/MER under all four
-/// strategies.
+/// come from frozen tables instead of the model. There a WA MET, MER or
+/// top-k is one walk of the table in lexicographic order, and a WA MEC
+/// reads its cells by index; epochs run sequentially, so none of these
+/// takes the chunked loop. Batch, the engine is the measurement surface
+/// of every benchmark: Figs. 9–12 time MEC under WN/WA; Figs. 15–16 and
+/// Table 4 time MET/MER under all four strategies.
 
 #include <algorithm>
 #include <array>
@@ -201,12 +203,24 @@ class QualitySurface {
 /// MEC gather both run it, so codes and texts agree.
 Status CheckMecIds(const std::vector<ts::SeriesId>& ids, std::size_t n);
 
-/// The selection predicates — keep(value, a, b) — shared by the engine's
-/// MET/MER sweeps and the shard router's cross-pair filter, so bound
-/// semantics (strict comparisons, open ranges) are defined exactly once.
-inline bool KeepGreater(double value, double tau, double /*unused*/) { return value > tau; }
-inline bool KeepLesser(double value, double tau, double /*unused*/) { return value < tau; }
-inline bool KeepInside(double value, double lo, double hi) { return lo < value && value < hi; }
+/// Returns `body(keep)`, where `keep(value)` is the request's selection
+/// predicate, resolved once per query so a pass inlines it. The engine's
+/// MET/MER and the shard router's cross-pair filter both select through
+/// these, so bound semantics (strict comparisons, open ranges) are
+/// defined exactly once.
+template <typename Body>
+auto WithPredicate(const MetRequest& request, const Body& body) {
+  const double tau = request.tau;
+  if (request.greater) return body([tau](double value) { return value > tau; });
+  return body([tau](double value) { return value < tau; });
+}
+
+template <typename Body>
+auto WithPredicate(const MerRequest& request, const Body& body) {
+  const double lo = request.lo;
+  const double hi = request.hi;
+  return body([lo, hi](double value) { return lo < value && value < hi; });
+}
 
 /// A published serving epoch as the engine reads it
 /// (serve/serve_query.h binds one per query). Everything was frozen at
@@ -349,15 +363,26 @@ class QueryEngine {
   StatusOr<std::vector<ScapeTopKEntry>> FrozenTopK(const TopKRequest& request,
                                                    const QualitySurface& quality) const;
 
+  /// WA MEC over the frozen tables: locations, or cells by
+  /// `LexPairIndex` with the diagonal from the frozen per-series stats.
+  StatusOr<MecResponse> FrozenMec(const MecRequest& request, MecResponse out) const;
+
+  /// One value of the chunked sweeps: WN, or WA from the attached model.
+  /// WA without a model reads the frozen tables (FrozenMec,
+  /// SelectByPredicate, FrozenTopK) and never comes here.
   StatusOr<double> Value(Measure measure, ts::SeriesId u, ts::SeriesId v,
                          QueryMethod method) const;
   StatusOr<double> SeriesValue(Measure measure, ts::SeriesId v, QueryMethod method) const;
+
+  /// MET/MER under `method` (WN, WA or WF; the caller answers SCAPE):
+  /// every entity whose value passes `keep(value)` (`WithPredicate`), in
+  /// id or lexicographic pair order. WA over an epoch is one walk of the
+  /// frozen table.
+  template <typename Keep>
   StatusOr<SelectionResult> SelectByPredicate(Measure measure, QueryMethod method,
-                                              bool (*keep)(double, double, double), double a,
-                                              double b) const;
-  StatusOr<SelectionResult> SelectByPredicateDft(Measure measure,
-                                                 bool (*keep)(double, double, double), double a,
-                                                 double b) const;
+                                              const Keep& keep) const;
+  template <typename Keep>
+  StatusOr<SelectionResult> SelectByPredicateDft(Measure measure, const Keep& keep) const;
 
   /// The attached quality surface over this engine's n series.
   QualitySurface quality_surface() const { return QualitySurface(quality_, n()); }

@@ -118,12 +118,14 @@ namespace {
 using core::Measure;
 
 /// Freezes what the engine answers with besides the model — its
-/// capabilities, WF coefficient count and quality scores. The scores are
-/// assigned in place, so a recycled scratch epoch keeps its capacity and
-/// never carries the previous epoch's scores; cleared when the engine has
-/// no surface.
+/// capabilities (with a model, the epoch's WA values are table reads),
+/// WF coefficient count and quality scores. The scores are assigned in
+/// place, so a recycled scratch epoch keeps its capacity and never
+/// carries the previous epoch's scores; cleared when the engine has no
+/// surface.
 void FreezeEngine(const core::QueryEngine& engine, ServingSnapshot* out) {
   out->caps = engine.Capabilities();
+  out->caps.frozen_wa = out->caps.has_model;
   out->wf_coefficients = engine.wf_coefficients();
   if (engine.quality() != nullptr) {
     out->quality.assign(engine.quality()->begin(), engine.quality()->end());

@@ -147,8 +147,10 @@ struct ServingSnapshot {
   /// surface.
   CowWindow data;
 
-  /// The live engine's capabilities at publication — the engine plans
-  /// kAuto over an epoch with these, exactly as the live engine planned.
+  /// The live engine's capabilities at publication, plus `frozen_wa`
+  /// whenever the engine had a model: the engine plans kAuto over an
+  /// epoch with these, as the live engine planned except that correlation
+  /// and cosine MET/MER read the frozen pair table (planner.h).
   core::QueryPlanner::Capabilities caps;
   /// The live engine's WF coefficient count at publication (0: WF not
   /// enabled); WF queries sketch this epoch's window with it.

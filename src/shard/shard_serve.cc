@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/check.h"
 #include "core/planner.h"
 
 namespace affinity::shard {
@@ -37,19 +38,18 @@ core::AnswerQuality MergeShardQuality(const std::vector<core::AnswerQuality>& pa
 }
 
 /// The cross pairs a MET/MER gather keeps, in `cross` (lex) order: those
-/// with `keep(value(i), a, b)` whose endpoints, under `min_quality > 0`,
-/// both score at least `min_quality`. Pairs the predicate drops count
-/// into `merged->excluded`; when `merged->populated`, kept pairs fold
-/// their worst endpoint score into `merged->min_score`.
-template <typename ValueFn, typename ScoreFn>
+/// with `keep(values[i])` whose endpoints, under `min_quality > 0`, both
+/// score at least `min_quality`. Pairs the predicate drops count into
+/// `merged->excluded`; when `merged->populated`, kept pairs fold their
+/// worst endpoint score into `merged->min_score`.
+template <typename Keep, typename ScoreFn>
 std::vector<ts::SequencePair> KeepCrossPairs(const std::vector<ts::SequencePair>& cross,
-                                             const ValueFn& value,
-                                             bool (*keep)(double, double, double), double a,
-                                             double b, double min_quality, const ScoreFn& score,
+                                             const std::vector<double>& values, const Keep& keep,
+                                             double min_quality, const ScoreFn& score,
                                              core::AnswerQuality* merged) {
   std::vector<ts::SequencePair> kept;
   for (std::size_t i = 0; i < cross.size(); ++i) {
-    if (!keep(value(i), a, b)) continue;
+    if (!keep(values[i])) continue;
     const double su = score(cross[i].u);
     const double sv = score(cross[i].v);
     if (min_quality > 0.0 && (su < min_quality || sv < min_quality)) {
@@ -63,13 +63,14 @@ std::vector<ts::SequencePair> KeepCrossPairs(const std::vector<ts::SequencePair>
 }
 
 /// The cross-shard run of a top-k gather: one `core::TopKSelector` pass
-/// over the cross pairs whose endpoints both score at least
+/// over `values` for the cross pairs whose endpoints both score at least
 /// `request.min_quality` (the rest count into `*excluded`); `examined`
 /// counts every cross pair.
-template <typename ValueFn, typename ScoreFn>
+template <typename ScoreFn>
 core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
-                                   const ValueFn& value, const core::TopKRequest& request,
-                                   const ScoreFn& score, std::size_t* excluded) {
+                                   const std::vector<double>& values,
+                                   const core::TopKRequest& request, const ScoreFn& score,
+                                   std::size_t* excluded) {
   core::TopKSelector best(request.k, request.largest);
   for (std::size_t i = 0; i < cross.size(); ++i) {
     if (request.min_quality > 0.0 &&
@@ -77,7 +78,9 @@ core::ScapeTopKResult CrossTopKRun(const std::vector<ts::SequencePair>& cross,
       ++*excluded;
       continue;
     }
-    best.Offer(core::ScapeTopKEntry{cross[i], core::kNoSeries, value(i)});
+    if (best.Admits(values[i])) {
+      best.Offer(core::ScapeTopKEntry{cross[i], core::kNoSeries, values[i]});
+    }
   }
   core::ScapeTopKResult run;
   run.entries = std::move(best).Finish();
@@ -127,20 +130,21 @@ double QualityOf(const RouterSnapshot& snap, ts::SeriesId id) {
       snap.routing->local_of[id]);
 }
 
-/// The plan of one gather: an explicitly requested method per shard, or
-/// the shard-aware planner over the epoch's capabilities, which charges
-/// every candidate the cross-pair surcharge.
+/// The plan of one gather over `measure`: an explicitly requested method
+/// per shard, or the shard-aware planner over the epoch's capabilities,
+/// which charges every candidate the cross-pair surcharge. Both note that
+/// cross pairs are valued by WN.
 template <typename PlanFn>
 ExecutedPlan ResolvePlan(const RouterSnapshot& snap, const GatherContext& gather,
-                         const PlanFn& plan) {
+                         Measure measure, const PlanFn& plan) {
   const QueryMethod method = gather.method;
   if (method != QueryMethod::kAuto) {
     ExecutedPlan explicit_plan;
     explicit_plan.method = method;
-    explicit_plan.rationale = "explicitly requested " +
-                              std::string(core::QueryMethodName(method)) +
-                              " per shard; scatter-gather over " +
-                              std::to_string(snap.shards.size()) + " shards";
+    explicit_plan.rationale =
+        "explicitly requested " + std::string(core::QueryMethodName(method)) + " per shard";
+    core::AnnotateScatterGather(&explicit_plan, measure, snap.shards.size(),
+                                snap.routing->cross.size());
     return explicit_plan;
   }
   const QueryPlanner::Topology topology{snap.shards.size(), snap.routing->cross.size()};
@@ -182,7 +186,8 @@ const CrossMoments& FilledCrossMoments(const RouterSnapshot& snap, const GatherC
 
 /// Cross pair `i`'s value under the pair measure `measure`, from the
 /// filled co-moments — bitwise `NaivePairMeasure` over the two shard
-/// columns.
+/// columns. `CrossValues` derives whole vectors with it; a MEC, which
+/// reads a few cells, calls it per cell.
 double CrossValue(const RouterSnapshot& snap, const CrossMoments& moments, Measure measure,
                   std::size_t i) {
   const ts::SequencePair pair = snap.routing->cross[i];
@@ -194,13 +199,12 @@ double CrossValue(const RouterSnapshot& snap, const CrossMoments& moments, Measu
 /// The shared MET/MER gather: per-shard selections (`served(shard,
 /// method)`), local→global rewrite and sort, the cross pairs under `keep`
 /// and `min_quality`, then the k-way merge.
-template <typename PlanFn, typename Served>
+template <typename Keep, typename PlanFn, typename Served>
 StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure measure,
-                                             bool (*keep)(double, double, double), double a,
-                                             double b, double min_quality,
+                                             const Keep& keep, double min_quality,
                                              const GatherContext& gather, const PlanFn& plan,
                                              const Served& served) {
-  ExecutedPlan resolved = ResolvePlan(snap, gather, plan);
+  ExecutedPlan resolved = ResolvePlan(snap, gather, measure, plan);
   const QueryMethod method = gather.method == QueryMethod::kAuto ? resolved.method : gather.method;
 
   const bool location = core::IsLocation(measure);
@@ -235,11 +239,9 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
   // Cross-pair exclusions add to the shards'.
   core::AnswerQuality merged = MergeShardQuality(qualities);
   if (!location && n_shards > 1) {
-    const CrossMoments& moments = FilledCrossMoments(snap, gather);
-    const auto value = [&](std::size_t i) { return CrossValue(snap, moments, measure, i); };
     const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
-    pair_runs.push_back(KeepCrossPairs(snap.routing->cross, value, keep, a, b, min_quality, score,
-                                       &merged));  // already lex-sorted
+    pair_runs.push_back(KeepCrossPairs(snap.routing->cross, CrossValues(snap, measure, gather),
+                                       keep, min_quality, score, &merged));  // already lex-sorted
   }
   if (location) {
     out.series = MergeSortedRuns(series_runs, std::less<ts::SeriesId>{});
@@ -255,34 +257,56 @@ StatusOr<core::SelectionResult> RouterSelect(const RouterSnapshot& snap, Measure
 
 }  // namespace
 
+const std::vector<double>& CrossValues(const RouterSnapshot& snap, Measure measure,
+                                       const GatherContext& gather) {
+  AFFINITY_DCHECK(!core::IsLocation(measure));
+  const CrossMoments& moments = FilledCrossMoments(snap, gather);
+  CrossMoments::Values& slot = snap.cross_moments->by_measure[static_cast<std::size_t>(
+      static_cast<int>(measure) - static_cast<int>(Measure::kCovariance))];
+  std::call_once(slot.once, [&] {
+    slot.values.resize(snap.routing->cross.size());
+    ParallelChunks(gather.exec, slot.values.size(),
+                   [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
+                     for (std::size_t i = lo; i < hi; ++i) {
+                       slot.values[i] = CrossValue(snap, moments, measure, i);
+                     }
+                   });
+    if (gather.sweeps != nullptr) gather.sweeps->Add({0, 0, slot.values.size()});
+  });
+  return slot.values;
+}
+
 StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
                                           const core::MetRequest& request,
                                           const GatherContext& gather) {
-  return RouterSelect(
-      snap, request.measure, request.greater ? core::KeepGreater : core::KeepLesser,
-      request.tau, 0.0, request.min_quality, gather,
-      [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
-      [&](const serve::ServingSnapshot& shard, QueryMethod m) {
-        return serve::SnapshotMet(shard, request, m);
-      });
+  return core::WithPredicate(request, [&](const auto& keep) {
+    return RouterSelect(
+        snap, request.measure, keep, request.min_quality, gather,
+        [&](const QueryPlanner& planner) { return planner.PlanMet(request.measure); },
+        [&](const serve::ServingSnapshot& shard, QueryMethod m) {
+          return serve::SnapshotMet(shard, request, m);
+        });
+  });
 }
 
 StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
                                           const core::MerRequest& request,
                                           const GatherContext& gather) {
   if (request.lo > request.hi) return Status::InvalidArgument("MER requires lo <= hi");
-  return RouterSelect(
-      snap, request.measure, core::KeepInside, request.lo, request.hi, request.min_quality,
-      gather, [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
-      [&](const serve::ServingSnapshot& shard, QueryMethod m) {
-        return serve::SnapshotMer(shard, request, m);
-      });
+  return core::WithPredicate(request, [&](const auto& keep) {
+    return RouterSelect(
+        snap, request.measure, keep, request.min_quality, gather,
+        [&](const QueryPlanner& planner) { return planner.PlanMer(request.measure); },
+        [&](const serve::ServingSnapshot& shard, QueryMethod m) {
+          return serve::SnapshotMer(shard, request, m);
+        });
+  });
 }
 
 StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
                                       const core::TopKRequest& request,
                                       const GatherContext& gather) {
-  ExecutedPlan plan = ResolvePlan(snap, gather, [&](const QueryPlanner& planner) {
+  ExecutedPlan plan = ResolvePlan(snap, gather, request.measure, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
   const QueryMethod method = gather.method == QueryMethod::kAuto ? plan.method : gather.method;
@@ -313,9 +337,8 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
   core::AnswerQuality merged = MergeShardQuality(qualities);
   const auto score = [&](ts::SeriesId id) { return QualityOf(snap, id); };
   if (!core::IsLocation(request.measure) && n_shards > 1) {
-    const CrossMoments& moments = FilledCrossMoments(snap, gather);
-    const auto value = [&](std::size_t i) { return CrossValue(snap, moments, request.measure, i); };
-    runs.push_back(CrossTopKRun(snap.routing->cross, value, request, score, &merged.excluded));
+    runs.push_back(CrossTopKRun(snap.routing->cross, CrossValues(snap, request.measure, gather),
+                                request, score, &merged.excluded));
   }
   core::TopKResult out;
   static_cast<ScapeTopKResult&>(out) = core::MergeTopK(runs, request.k, request.largest);
@@ -333,7 +356,7 @@ StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
 
 StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
                                       const GatherContext& gather) {
-  ExecutedPlan plan = ResolvePlan(snap, gather, [&](const QueryPlanner& planner) {
+  ExecutedPlan plan = ResolvePlan(snap, gather, request.measure, [&](const QueryPlanner& planner) {
     return planner.PlanMec(request.measure, request.ids.size());
   });
   AFFINITY_RETURN_IF_ERROR(core::CheckMecIds(request.ids, snap.n));

@@ -16,9 +16,13 @@
 /// Both come from the epoch alone — shard answers from its shard
 /// snapshots, cross values from the epoch's cross co-moment table, which
 /// the epoch's first cross reader fills with one exact sweep of its shard
-/// windows — so a gather takes no lock besides that fill's once-flag and
-/// may run on any thread.
+/// windows. A MET, MER or top-k then reads one value vector per pair
+/// measure, which the epoch's first reader of that measure derives from
+/// the table (`CrossValues`); a MEC derives just the cells it returns. So
+/// a gather takes no lock besides those fills' once-flags and may run on
+/// any thread.
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -57,14 +61,27 @@ struct CrossMoments {
   std::vector<core::kernels::Marginals> marginals;
   /// Σ uv, index-aligned with `RoutingTables::cross`.
   std::vector<double> dots;
+
+  /// One pair measure's value of every cross pair, index-aligned with
+  /// `RoutingTables::cross`, derived under its own `once` by the epoch's
+  /// first gather that scans that measure (`CrossValues`).
+  struct Values {
+    std::once_flag once;
+    std::vector<double> values;
+  };
+  /// By `Measure - kCovariance` (covariance .. Dice).
+  std::array<Values, 6> by_measure;
 };
 
-/// Raw-scan accounting of the cross co-moment fills
+/// Raw-scan accounting of the cross co-moment fills and value derivations
 /// (`ShardedAffinity::cross_sweep_stats()`; perfbench's traced run
-/// reports them per query).
+/// reports the first two per query).
 struct CrossSweepStats {
   std::size_t pairs_scanned = 0;    ///< cross pairs whose Σ uv was swept (|cross| per fill)
   std::size_t columns_hoisted = 0;  ///< columns whose marginals were computed (n per fill)
+  /// Cross values derived into an epoch's value vectors (|cross| per
+  /// epoch and pair measure scanned).
+  std::size_t values_derived = 0;
 };
 
 /// An immutable serving replica of one sharded deployment at one lockstep
@@ -86,7 +103,8 @@ struct RouterSnapshot {
   /// The router's routing tables (shared, never copied per epoch).
   std::shared_ptr<const RoutingTables> routing;
 
-  /// This epoch's cross co-moments, filled on first use.
+  /// This epoch's cross co-moments and value vectors, each filled on
+  /// first use.
   std::unique_ptr<CrossMoments> cross_moments = std::make_unique<CrossMoments>();
 
   /// Capability intersection over the shards and the widest shard width —
@@ -102,15 +120,18 @@ class CrossSweepCounters {
   void Add(const CrossSweepStats& sweep) {
     pairs_scanned_.fetch_add(sweep.pairs_scanned, std::memory_order_relaxed);
     columns_hoisted_.fetch_add(sweep.columns_hoisted, std::memory_order_relaxed);
+    values_derived_.fetch_add(sweep.values_derived, std::memory_order_relaxed);
   }
   CrossSweepStats Read() const {
     return CrossSweepStats{pairs_scanned_.load(std::memory_order_relaxed),
-                           columns_hoisted_.load(std::memory_order_relaxed)};
+                           columns_hoisted_.load(std::memory_order_relaxed),
+                           values_derived_.load(std::memory_order_relaxed)};
   }
 
  private:
   std::atomic<std::size_t> pairs_scanned_{0};
   std::atomic<std::size_t> columns_hoisted_{0};
+  std::atomic<std::size_t> values_derived_{0};
 };
 
 /// What a gather reads besides its epoch. Default-constructed: the epoch
@@ -118,11 +139,22 @@ class CrossSweepCounters {
 struct GatherContext {
   /// Per-shard strategy; kAuto: the shard-aware planner.
   core::QueryMethod method = core::QueryMethod::kAuto;
-  /// Pool for the per-shard answers and the cross co-moment fill.
+  /// Pool for the per-shard answers, the cross co-moment fill and the
+  /// cross value derivations.
   ExecContext exec;
-  /// Where the cross co-moment fills are counted, or null.
+  /// Where the cross fills and derivations are counted, or null.
   CrossSweepCounters* sweeps = nullptr;
 };
+
+/// The value of pair measure `measure` for every cross pair of the epoch,
+/// index-aligned with `RoutingTables::cross`. The epoch's first caller
+/// for `measure` fills the cross co-moments if no one has, then derives
+/// the vector on `gather.exec`, each value whole in one chunk
+/// (`core::PairMeasureFromMoments`): bitwise `core::NaivePairMeasure`
+/// over the two shard columns, at any thread count. Every later caller
+/// only reads it. `measure` must be a pair measure.
+const std::vector<double>& CrossValues(const RouterSnapshot& snap, core::Measure measure,
+                                       const GatherContext& gather = {});
 
 /// Query 1 over a router epoch: locations or the pair matrix in request
 /// order, per-shard submatrices plus the cross cells (read from the
@@ -131,8 +163,8 @@ struct GatherContext {
 StatusOr<core::MecResponse> RouterMec(const RouterSnapshot& snap, const core::MecRequest& request,
                                       const GatherContext& gather = {});
 
-/// Query 2 over a router epoch: per-shard selections plus the kept cross
-/// pairs, k-way merged in (u, v) order.
+/// Query 2 over a router epoch: per-shard selections plus the cross pairs
+/// whose `CrossValues` pass, k-way merged in (u, v) order.
 StatusOr<core::SelectionResult> RouterMet(const RouterSnapshot& snap,
                                           const core::MetRequest& request,
                                           const GatherContext& gather = {});
@@ -142,8 +174,8 @@ StatusOr<core::SelectionResult> RouterMer(const RouterSnapshot& snap,
                                           const core::MerRequest& request,
                                           const GatherContext& gather = {});
 
-/// Top-k over a router epoch: per-shard runs plus the cross run, merged by
-/// `core::MergeTopK`.
+/// Top-k over a router epoch: per-shard runs plus the cross run (one pass
+/// over `CrossValues`), merged by `core::MergeTopK`.
 StatusOr<core::TopKResult> RouterTopK(const RouterSnapshot& snap,
                                       const core::TopKRequest& request,
                                       const GatherContext& gather = {});

@@ -239,7 +239,8 @@ void ShardedAffinity::PublishRouterSnapshot() {
   snap->window = options_.streaming.window;
   snap->n = router_.partitioner().n();
   snap->shards.reserve(shards_.size());
-  core::QueryPlanner::Capabilities caps{true, true, true};
+  core::QueryPlanner::Capabilities caps{
+      .has_model = true, .has_scape = true, .has_dft = true, .frozen_wa = true};
   std::size_t max_n = 0;
   for (const core::StreamingAffinity& shard : shards_) {
     std::shared_ptr<const serve::ServingSnapshot> shard_snap = shard.serving();
@@ -250,6 +251,7 @@ void ShardedAffinity::PublishRouterSnapshot() {
     caps.has_model = caps.has_model && shard_snap->caps.has_model;
     caps.has_scape = caps.has_scape && shard_snap->caps.has_scape;
     caps.has_dft = caps.has_dft && shard_snap->caps.has_dft;
+    caps.frozen_wa = caps.frozen_wa && shard_snap->caps.frozen_wa;
     max_n = std::max(max_n, shard_snap->data.n());
     snap->shards.push_back(std::move(shard_snap));
   }

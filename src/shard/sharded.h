@@ -19,7 +19,9 @@
 /// strategy, every shard answers from its snapshot in that epoch, and the
 /// gather adds the pairs no shard can see — pairs spanning two shards —
 /// from the epoch's cross co-moment table, which the epoch's first cross
-/// reader fills with one exact sweep of its shard windows (`CrossMoments`).
+/// reader fills with one exact sweep of its shard windows (`CrossMoments`);
+/// a MET, MER or top-k scans the measure's cross values, derived once per
+/// epoch (`CrossValues`).
 /// Results merge by k-way heap merge (`core::MergeTopK` for top-k;
 /// sorted-run merges for selections), so the merged answer matches an
 /// unsharded instance over the same data: the same entities, values to

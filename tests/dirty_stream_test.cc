@@ -376,7 +376,8 @@ TEST(DirtyStream, InjectedMaintenanceFailureEscalatesAndHeals) {
   EXPECT_EQ(stream->maintenance().escalations, escalations_before + 1);
 
   // The healed stream answers exactly like a from-scratch build over the
-  // same window: no wrong answers survive the recovery.
+  // same window, asked with the method the healed epoch planned: no wrong
+  // answers survive the recovery.
   const std::size_t window_start = stream->rows_ingested() - 64;
   la::Matrix tail(64, 10);
   for (std::size_t i = 0; i < 64; ++i) {
@@ -386,8 +387,8 @@ TEST(DirtyStream, InjectedMaintenanceFailureEscalatesAndHeals) {
   ASSERT_TRUE(oracle.ok());
   MetRequest met{Measure::kCorrelation, 0.5, true};
   const auto healed = stream->Met(met);
-  const auto want = oracle->engine().Met(met);
   ASSERT_TRUE(healed.ok());
+  const auto want = oracle->engine().Met(met, healed->plan.method);
   ASSERT_TRUE(want.ok());
   ASSERT_EQ(healed->pairs.size(), want->pairs.size());
   for (std::size_t i = 0; i < want->pairs.size(); ++i) {

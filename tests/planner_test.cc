@@ -78,6 +78,52 @@ TEST(Planner, TopKChargesTheThresholdAlgorithmForWhatItExamines) {
   EXPECT_EQ(tiny.PlanTopK(Measure::kCovariance, 10).method, QueryMethod::kAffine);
 }
 
+TEST(Planner, EpochPlansDerivedSelectionsAsOneTablePass) {
+  const QueryPlanner::Capabilities batch{.has_model = true, .has_scape = true, .has_dft = true};
+  QueryPlanner::Capabilities epoch_caps = batch;
+  epoch_caps.frozen_wa = true;
+  const QueryPlanner live(670, 720, batch);
+  const QueryPlanner epoch(670, 720, epoch_caps);
+  // D-measures SCAPE indexes: its loose bound verifies most entries, so an
+  // epoch reads its frozen table once instead.
+  for (Measure m : {Measure::kCorrelation, Measure::kCosine}) {
+    for (const PlanChoice& c : {epoch.PlanMet(m), epoch.PlanMer(m)}) {
+      EXPECT_EQ(c.method, QueryMethod::kAffine) << MeasureName(m);
+      EXPECT_NE(c.rationale.find("one pass over the epoch's frozen table"), std::string::npos)
+          << c.rationale;
+    }
+    EXPECT_EQ(live.PlanMet(m).method, QueryMethod::kScape) << MeasureName(m);
+    EXPECT_EQ(live.PlanMer(m).method, QueryMethod::kScape) << MeasureName(m);
+  }
+  // T- and L-measures: the exact bound verifies nothing; SCAPE stays, at
+  // the batch cost.
+  for (Measure m : {Measure::kCovariance, Measure::kDotProduct, Measure::kMean, Measure::kMedian,
+                    Measure::kMode}) {
+    EXPECT_EQ(epoch.PlanMet(m).method, QueryMethod::kScape) << MeasureName(m);
+    EXPECT_EQ(epoch.PlanMer(m).method, QueryMethod::kScape) << MeasureName(m);
+    EXPECT_EQ(epoch.PlanMet(m).estimated_cost, live.PlanMet(m).estimated_cost) << MeasureName(m);
+  }
+  // Jaccard/Dice are WA either way; top-k and MEC ignore the bit.
+  for (Measure m : AllMeasures()) {
+    if (m == Measure::kJaccard || m == Measure::kDice) {
+      EXPECT_EQ(epoch.PlanMet(m).method, QueryMethod::kAffine) << MeasureName(m);
+    }
+    EXPECT_EQ(epoch.PlanTopK(m, 10).method, live.PlanTopK(m, 10).method) << MeasureName(m);
+    EXPECT_EQ(epoch.PlanTopK(m, 10).estimated_cost, live.PlanTopK(m, 10).estimated_cost);
+    EXPECT_EQ(epoch.PlanMec(m, 8).method, live.PlanMec(m, 8).method) << MeasureName(m);
+  }
+  // Without a model the bit plans nothing new.
+  QueryPlanner::Capabilities index_only{.has_model = false, .has_scape = true};
+  index_only.frozen_wa = true;
+  EXPECT_EQ(QueryPlanner(670, 720, index_only).PlanMet(Measure::kCorrelation).method,
+            QueryMethod::kScape);
+  // A router charges the pass the cross-pair surcharge like any plan.
+  const QueryPlanner sharded(4, 64, epoch_caps, QueryPlanner::Topology{4, 96});
+  const PlanChoice routed = sharded.PlanMet(Measure::kCorrelation);
+  EXPECT_EQ(routed.method, QueryMethod::kAffine);
+  EXPECT_NE(routed.rationale.find("96 cross-shard pairs via WN"), std::string::npos);
+}
+
 TEST(Planner, CostsOrderStrategiesSensibly) {
   // With everything built, the index plan for a selective query must be
   // cheaper than the WA full sweep, which must be cheaper than WN.

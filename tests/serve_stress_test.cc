@@ -313,6 +313,12 @@ TEST(ServeStress, ShardedFacadeReadersDuringSlidesAndRebuild) {
   const std::size_t scanned = service->cross_sweep_stats().pairs_scanned;
   EXPECT_EQ(scanned % 96, 0u);
   EXPECT_LE(scanned, 96 * service->serving()->generation);
+  // They derive each (epoch, measure)'s cross values at most once too:
+  // whole vectors of 96, and the readers' MET and top-k scan one measure.
+  const std::size_t derived = service->cross_sweep_stats().values_derived;
+  EXPECT_GT(derived, 0u);
+  EXPECT_EQ(derived % 96, 0u);
+  EXPECT_LE(derived, 96 * service->serving()->generation);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Tests for lock-free snapshot serving (DESIGN.md §11): per-refresh
 // publication, bitwise identity with the live engine/router (WF included),
-// epoch pinning across maintenance, the router epoch's cross co-moments,
-// and the sparse-movement SCAPE refresh fast path.
+// the epoch's one-pass WA selections, epoch pinning across maintenance,
+// the router epoch's cross co-moments and cross value vectors, and the
+// sparse-movement SCAPE refresh fast path.
 
 #include "serve/serve_query.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,6 +138,19 @@ void ExpectSameSelection(const SelectionResult& served, const SelectionResult& l
   EXPECT_EQ(served.plan.method, live.plan.method);
 }
 
+/// The live engine's method for checking a served selection asked under
+/// `method`: the served plan's own under kAuto, where an epoch plans
+/// correlation and cosine MET/MER as one pass over its frozen pair table
+/// while the live engine plans SCAPE (planner.h's epoch rule).
+QueryMethod LiveMethod(QueryMethod method, const SelectionResult& served) {
+  return method == QueryMethod::kAuto ? served.plan.method : method;
+}
+
+/// The method an epoch plans a kAuto MET/MER over `measure` with.
+QueryMethod EpochAutoMethod(Measure measure) {
+  return core::IsDerived(measure) ? QueryMethod::kAffine : QueryMethod::kScape;
+}
+
 void ExpectSameTopK(const TopKResult& served, const TopKResult& live) {
   ASSERT_EQ(served.entries.size(), live.entries.size());
   for (std::size_t i = 0; i < live.entries.size(); ++i) {
@@ -180,22 +195,30 @@ TEST(ServeSnapshot, MirrorsLiveEngineBitwise) {
     for (QueryMethod method : methods) {
       SCOPED_TRACE(std::string("method=") + std::string(core::QueryMethodName(method)));
       // MET over a pair measure, a derived measure, and a location measure.
+      // Under kAuto the live engine answers with the served plan's method
+      // (LiveMethod), and the pairs then match bitwise and in order.
       for (const MetRequest& req :
            {MetRequest{Measure::kCovariance, 0.0, true}, MetRequest{Measure::kCorrelation, 0.9, true},
             MetRequest{Measure::kMean, 0.0, false}}) {
-        auto live = engine.Met(req, method);
         auto served = serve::SnapshotMet(*snap, req, method);
-        ASSERT_TRUE(live.ok());
         ASSERT_TRUE(served.ok());
+        if (method == QueryMethod::kAuto) {
+          EXPECT_EQ(served->plan.method, EpochAutoMethod(req.measure));
+        }
+        auto live = engine.Met(req, LiveMethod(method, *served));
+        ASSERT_TRUE(live.ok());
         ExpectSameSelection(*served, *live);
       }
       // MER.
       for (const MerRequest& req :
            {MerRequest{Measure::kCorrelation, 0.2, 0.9}, MerRequest{Measure::kCovariance, -0.5, 0.5}}) {
-        auto live = engine.Mer(req, method);
         auto served = serve::SnapshotMer(*snap, req, method);
-        ASSERT_TRUE(live.ok());
         ASSERT_TRUE(served.ok());
+        if (method == QueryMethod::kAuto) {
+          EXPECT_EQ(served->plan.method, EpochAutoMethod(req.measure));
+        }
+        auto live = engine.Mer(req, LiveMethod(method, *served));
+        ASSERT_TRUE(live.ok());
         ExpectSameSelection(*served, *live);
       }
       // Top-k: values compare bitwise.
@@ -268,8 +291,11 @@ TEST(ServeSnapshot, FacadeServesFromSnapshotAndMarksThePlan) {
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->plan.rationale.find("served from read-optimized snapshot"), std::string::npos)
       << result->plan.rationale;
-  // The facade's snapshot-served answer equals the raw engine's.
-  auto live = stream->framework()->engine().Met({Measure::kCorrelation, 0.9, true});
+  // The facade's snapshot-served answer equals the raw engine's under the
+  // served plan's method (the epoch's table pass).
+  EXPECT_EQ(result->plan.method, QueryMethod::kAffine);
+  auto live = stream->framework()->engine().Met({Measure::kCorrelation, 0.9, true},
+                                                result->plan.method);
   ASSERT_TRUE(live.ok());
   ExpectSameSelection(*result, *live);
 }
@@ -370,6 +396,86 @@ TEST(ServeSnapshot, WfServedFromTheEpochBitwise) {
     auto bad = stream->Mer({Measure::kCorrelation, 0.9, 0.1});
     EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   }
+}
+
+/// The pairs over n series whose value in the lexicographic `table`
+/// passes `keep`, in table order.
+template <typename Keep>
+std::vector<ts::SequencePair> PassingPairs(const std::vector<double>& table, std::size_t n,
+                                           const Keep& keep) {
+  std::vector<ts::SequencePair> out;
+  std::size_t p = 0;
+  for (ts::SeriesId u = 0; u + 1 < n; ++u) {
+    for (ts::SeriesId v = u + 1; v < n; ++v, ++p) {
+      if (keep(table[p])) out.emplace_back(u, v);
+    }
+  }
+  return out;
+}
+
+// A WA MET/MER over an epoch is one pass over its frozen table: exactly the
+// pairs whose frozen value passes the strict predicate, in lexicographic
+// order, for every pair measure. A τ equal to a table value keeps that
+// pair in neither direction; τ = ±inf keeps every pair or none.
+TEST(ServeSnapshot, TablePassKeepsExactlyThePassingPairsInLexOrder) {
+  auto stream = StreamingAffinity::Create(Names(10), StreamOptions());
+  ASSERT_TRUE(stream.ok());
+  FeedStream(&*stream, TestData(), 0, 60);
+  auto snap = stream->serving();
+  ASSERT_NE(snap, nullptr);
+  const std::size_t n = 10;
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto met = [&](Measure measure, double tau, bool greater) {
+    auto r = serve::SnapshotMet(*snap, {measure, tau, greater}, QueryMethod::kAffine);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->pairs : std::vector<ts::SequencePair>{};
+  };
+  const auto mer = [&](Measure measure, double lo, double hi) {
+    auto r = serve::SnapshotMer(*snap, {measure, lo, hi}, QueryMethod::kAffine);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->pairs : std::vector<ts::SequencePair>{};
+  };
+  for (std::size_t t = 0; t < snap->pair_values.size(); ++t) {
+    const auto measure =
+        static_cast<Measure>(static_cast<int>(Measure::kCovariance) + static_cast<int>(t));
+    SCOPED_TRACE(std::string(core::MeasureName(measure)));
+    const std::vector<double>& table = snap->pair_values[t];
+    ASSERT_EQ(table.size(), 45u);
+    std::vector<double> sorted = table;
+    std::sort(sorted.begin(), sorted.end());
+    const double tau = sorted[22];  // table values, so the strict bounds bite
+    const double lo = sorted[10];
+    const double hi = sorted[35];
+    const auto all = PassingPairs(table, n, [](double) { return true; });
+
+    const auto above = met(measure, tau, true);
+    const auto below = met(measure, tau, false);
+    EXPECT_EQ(above, PassingPairs(table, n, [&](double x) { return x > tau; }));
+    EXPECT_EQ(below, PassingPairs(table, n, [&](double x) { return x < tau; }));
+    const auto at_tau = static_cast<std::size_t>(std::count(table.begin(), table.end(), tau));
+    EXPECT_GE(at_tau, 1u);
+    EXPECT_EQ(above.size() + below.size() + at_tau, table.size());
+    EXPECT_EQ(mer(measure, lo, hi),
+              PassingPairs(table, n, [&](double x) { return lo < x && x < hi; }));
+    EXPECT_TRUE(mer(measure, tau, tau).empty());
+
+    EXPECT_TRUE(met(measure, inf, true).empty());
+    EXPECT_EQ(met(measure, -inf, true), all);
+    EXPECT_EQ(met(measure, inf, false), all);
+    EXPECT_TRUE(met(measure, -inf, false).empty());
+    EXPECT_EQ(mer(measure, -inf, inf), all);
+  }
+
+  // An L-measure's pass walks its table in id order.
+  const std::vector<double>& means = snap->location[0];
+  const double mid = means[3];
+  auto series = serve::SnapshotMet(*snap, {Measure::kMean, mid, true}, QueryMethod::kAffine);
+  ASSERT_TRUE(series.ok());
+  std::vector<ts::SeriesId> want;
+  for (ts::SeriesId v = 0; v < n; ++v) {
+    if (means[v] > mid) want.push_back(v);
+  }
+  EXPECT_EQ(series->series, want);
 }
 
 // ---------------------------------------------------------------------------
@@ -509,18 +615,18 @@ TEST(Serving, QualityPredicateServedFromEpoch) {
   for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kNaive, QueryMethod::kAffine,
                              QueryMethod::kScape}) {
     SCOPED_TRACE(std::string("method=") + std::string(core::QueryMethodName(method)));
-    auto live_met = engine.Met(met, method);
     auto served_met = serve::SnapshotMet(*snap, met, method);
-    ASSERT_TRUE(live_met.ok());
     ASSERT_TRUE(served_met.ok());
+    auto live_met = engine.Met(met, LiveMethod(method, *served_met));
+    ASSERT_TRUE(live_met.ok());
     ExpectSameSelection(*served_met, *live_met);
     ExpectSameQuality(served_met->quality, live_met->quality);
     excluded += served_met->quality.excluded;
 
-    auto live_mer = engine.Mer(mer, method);
     auto served_mer = serve::SnapshotMer(*snap, mer, method);
-    ASSERT_TRUE(live_mer.ok());
     ASSERT_TRUE(served_mer.ok());
+    auto live_mer = engine.Mer(mer, LiveMethod(method, *served_mer));
+    ASSERT_TRUE(live_mer.ok());
     ExpectSameSelection(*served_mer, *live_mer);
     ExpectSameQuality(served_mer->quality, live_mer->quality);
 
@@ -822,6 +928,95 @@ TEST(RouterServe, EachEpochFillsItsCrossMomentsOnce) {
   run_queries(*single);
   EXPECT_EQ(single->cross_sweep_stats().pairs_scanned, 0u);
   EXPECT_EQ(single->cross_sweep_stats().columns_hoisted, 0u);
+  EXPECT_EQ(single->cross_sweep_stats().values_derived, 0u);
+}
+
+// One epoch derives each pair measure's cross values once, whatever reads
+// them: a MET, a MER and a top-k of one measure share one derivation, a
+// MEC derives none, and another measure or the next epoch derives again.
+// The vector holds bitwise what a MEC cell derives, at 1/2/8 threads.
+TEST(RouterServe, EachEpochDerivesEachMeasuresCrossValuesOnce) {
+  const ts::Dataset ds = TestData(16);
+  std::vector<std::vector<double>> correlations;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto service = ShardedAffinity::Create(Names(16), ShardOptions(4, threads));
+    ASSERT_TRUE(service.ok());
+    Feed(&*service, ds, 0, 60);
+    const auto derived = [&] { return service->cross_sweep_stats().values_derived; };
+    EXPECT_EQ(derived(), 0u);
+    ASSERT_TRUE(service->Met({Measure::kCorrelation, 0.5, true}).ok());
+    EXPECT_EQ(derived(), 96u);
+    ASSERT_TRUE(service->Mer({Measure::kCorrelation, 0.2, 0.9}).ok());
+    ASSERT_TRUE(service->TopK({Measure::kCorrelation, 5, true}).ok());
+    ASSERT_TRUE(service->Mec({Measure::kCorrelation, {0, 5, 9, 15}}).ok());
+    EXPECT_EQ(derived(), 96u);
+    ASSERT_TRUE(service->TopK({Measure::kCovariance, 5, false}).ok());
+    EXPECT_EQ(derived(), 2 * 96u);
+
+    auto snap = service->serving();
+    ASSERT_NE(snap, nullptr);
+    const RoutingTables& routing = *snap->routing;
+    MecRequest mec;
+    for (ts::SeriesId id = 0; id < 16; ++id) mec.ids.push_back(id);
+    for (const Measure m : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
+                            Measure::kCosine, Measure::kJaccard, Measure::kDice}) {
+      SCOPED_TRACE(std::string(core::MeasureName(m)));
+      const std::vector<double>& values = CrossValues(*snap, m);
+      ASSERT_EQ(values.size(), routing.cross.size());
+      mec.measure = m;
+      auto cells = RouterMec(*snap, mec);
+      ASSERT_TRUE(cells.ok()) << cells.status().ToString();
+      for (std::size_t i = 0; i < routing.cross.size(); ++i) {
+        EXPECT_EQ(values[i], cells->pair_values(routing.cross[i].u, routing.cross[i].v)) << i;
+      }
+      // A second read returns the same vector, not a new derivation.
+      EXPECT_EQ(&CrossValues(*snap, m), &values);
+    }
+    correlations.push_back(CrossValues(*snap, Measure::kCorrelation));
+
+    Feed(&*service, ds, 60, 80);  // the next lockstep publication
+    ASSERT_TRUE(service->Met({Measure::kCorrelation, 0.5, true}).ok());
+    EXPECT_EQ(derived(), 3 * 96u);
+  }
+  EXPECT_EQ(correlations[1], correlations[0]);
+  EXPECT_EQ(correlations[2], correlations[0]);
+}
+
+// Whatever method the shards run, the router values cross pairs by WN:
+// an explicit plan says so, as a kAuto plan does. L-measures have no cross
+// pairs and no such note.
+TEST(RouterServe, ExplicitPlansSayCrossPairsAreValuedByWn) {
+  ShardedOptions options = ShardOptions(4);
+  options.streaming.build.build_dft = true;
+  auto service = ShardedAffinity::Create(Names(16), options);
+  ASSERT_TRUE(service.ok());
+  Feed(&*service, TestData(16), 0, 60);
+  const std::string note =
+      "; scatter-gather over 4 shards (+96 cross-shard pairs via WN, k-way merge)";
+  for (const QueryMethod method : {QueryMethod::kDft, QueryMethod::kAffine}) {
+    const std::string name(core::QueryMethodName(method));
+    SCOPED_TRACE(name);
+    const std::string want = "explicitly requested " + name + " per shard" + note;
+    auto met = service->Met({Measure::kCorrelation, 0.5, true}, {method});
+    ASSERT_TRUE(met.ok()) << met.status().ToString();
+    EXPECT_NE(met->result.plan.rationale.find(want), std::string::npos)
+        << met->result.plan.rationale;
+    auto mec = service->Mec({Measure::kCorrelation, {0, 5, 9, 15}}, {method});
+    ASSERT_TRUE(mec.ok()) << mec.status().ToString();
+    EXPECT_NE(mec->response.plan.rationale.find(want), std::string::npos)
+        << mec->response.plan.rationale;
+  }
+  auto planned = service->Met({Measure::kCorrelation, 0.5, true});
+  ASSERT_TRUE(planned.ok());
+  EXPECT_NE(planned->result.plan.rationale.find(note), std::string::npos)
+      << planned->result.plan.rationale;
+  auto means = service->Met({Measure::kMean, 0.0, true}, {QueryMethod::kAffine});
+  ASSERT_TRUE(means.ok());
+  EXPECT_NE(means->result.plan.rationale.find(
+                "explicitly requested WA per shard; scatter-gather over 4 shards"),
+            std::string::npos);
+  EXPECT_EQ(means->result.plan.rationale.find("cross-shard"), std::string::npos);
 }
 
 }  // namespace
