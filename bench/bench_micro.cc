@@ -26,6 +26,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <memory>
 #include <new>
 #include <string>
@@ -657,9 +658,10 @@ BENCHMARK(BM_MerSweepWA)->Apply(ThreadArgs);
 //
 // BM_TopK/<surface>/<measure>/<strategy>: a largest top-10 over the `query`
 // perfbench workload's shape (sensor data, n = 256, window 1024, 8 clusters)
-// on the live engine and on an epoch flattened from it, answered by the
-// SCAPE threshold algorithm or the WA pass. The `examined` counter is the
-// entries the strategy read (planner.h quotes these rows).
+// on the live batch engine, answered by the SCAPE threshold algorithm or
+// the WA sweep, and on an epoch flattened from it, which has no index and
+// answers with the WA pass. The `examined` counter is the entries the
+// strategy read (planner.h quotes the live rows).
 
 struct TopKFixture {
   core::Affinity fw;
@@ -680,8 +682,7 @@ const TopKFixture& TopKData() {
     auto built = core::Affinity::Build(ts::MakeSensorData(spec).matrix, options);
     AFFINITY_CHECK(built.ok());
     auto* f = new TopKFixture{std::move(built).value(), nullptr};
-    f->epoch = serve::SnapshotBuilder::Build(f->fw.model(), f->fw.scape(), f->fw.engine(), 1,
-                                             spec.num_samples);
+    f->epoch = serve::SnapshotBuilder::Build(f->fw.model(), f->fw.engine(), 1, spec.num_samples);
     return f;
   }();
   return *fixture;
@@ -702,29 +703,39 @@ void BM_TopK(benchmark::State& state, bool epoch, core::Measure measure,
   state.counters["examined"] = static_cast<double>(examined);
 }
 
-[[maybe_unused]] const bool kTopKRegistered = [] {
-  for (const bool epoch : {true, false}) {
-    for (const core::Measure measure : {core::Measure::kCovariance, core::Measure::kCorrelation}) {
-      for (const core::QueryMethod method :
-           {core::QueryMethod::kScape, core::QueryMethod::kAffine}) {
-        const std::string name = std::string("BM_TopK/") + (epoch ? "snapshot" : "live") + "/" +
-                                 std::string(core::MeasureName(measure)) + "/" +
-                                 std::string(core::QueryMethodName(method));
-        benchmark::RegisterBenchmark(name.c_str(), BM_TopK, epoch, measure, method)
-            ->Unit(benchmark::kMicrosecond);
-      }
-    }
+/// Registers `<family>/<surface>/<measure>/<strategy>` for the covariance
+/// and correlation rows: the epoch's WA pass, and the live batch engine
+/// under each of `live_methods`.
+template <typename Fn>
+void RegisterSurfaceRows(const char* family, Fn fn,
+                         std::initializer_list<core::QueryMethod> live_methods) {
+  for (const core::Measure measure : {core::Measure::kCovariance, core::Measure::kCorrelation}) {
+    const auto add = [&](bool epoch, core::QueryMethod method) {
+      const std::string name = std::string(family) + (epoch ? "/snapshot/" : "/live/") +
+                               std::string(core::MeasureName(measure)) + "/" +
+                               std::string(core::QueryMethodName(method));
+      benchmark::RegisterBenchmark(name.c_str(), fn, epoch, measure, method)
+          ->Unit(benchmark::kMicrosecond);
+    };
+    add(true, core::QueryMethod::kAffine);
+    for (const core::QueryMethod method : live_methods) add(false, method);
   }
+}
+
+[[maybe_unused]] const bool kTopKRegistered = [] {
+  RegisterSurfaceRows("BM_TopK", BM_TopK, {core::QueryMethod::kScape, core::QueryMethod::kAffine});
   return true;
 }();
 
-// BM_Met/snapshot/<measure>/<strategy>: a MET over the same epoch, τ at
-// the 95th percentile of the measure's frozen pair values (5% of the pairs
-// pass), answered by SCAPE or by the WA pass over the frozen table — the
-// rows behind the planner's epoch MET/MER rule (planner.h quotes them).
-// `verified` counts the entries SCAPE derived exactly.
+// BM_Met/<surface>/<measure>/<strategy>: a MET, τ at the 95th percentile
+// of the measure's frozen pair values (5% of the pairs pass), answered by
+// the WA pass over the same epoch's frozen table (`snapshot/*/WA`) or by
+// batch SCAPE over the fixture's model (`live/*/SCAPE`), the index an
+// epoch no longer carries. `verified` counts the entries SCAPE derived
+// exactly.
 
-void BM_Met(benchmark::State& state, core::Measure measure, core::QueryMethod method) {
+void BM_Met(benchmark::State& state, bool epoch, core::Measure measure,
+            core::QueryMethod method) {
   const TopKFixture& f = TopKData();
   std::vector<double> values = f.epoch->pair_values[static_cast<std::size_t>(
       static_cast<int>(measure) - static_cast<int>(core::Measure::kCovariance))];
@@ -734,7 +745,8 @@ void BM_Met(benchmark::State& state, core::Measure measure, core::QueryMethod me
   std::size_t verified = 0;
   std::size_t kept = 0;
   for (auto _ : state) {
-    auto result = serve::SnapshotMet(*f.epoch, req, method);
+    auto result =
+        epoch ? serve::SnapshotMet(*f.epoch, req, method) : f.fw.engine().Met(req, method);
     AFFINITY_CHECK(result.ok());
     verified = result->prune.verified;
     kept = result->pairs.size();
@@ -745,15 +757,7 @@ void BM_Met(benchmark::State& state, core::Measure measure, core::QueryMethod me
 }
 
 [[maybe_unused]] const bool kMetRegistered = [] {
-  for (const core::Measure measure : {core::Measure::kCovariance, core::Measure::kCorrelation}) {
-    for (const core::QueryMethod method : {core::QueryMethod::kScape, core::QueryMethod::kAffine}) {
-      const std::string name = std::string("BM_Met/snapshot/") +
-                               std::string(core::MeasureName(measure)) + "/" +
-                               std::string(core::QueryMethodName(method));
-      benchmark::RegisterBenchmark(name.c_str(), BM_Met, measure, method)
-          ->Unit(benchmark::kMicrosecond);
-    }
-  }
+  RegisterSurfaceRows("BM_Met", BM_Met, {core::QueryMethod::kScape});
   return true;
 }();
 

@@ -6,9 +6,9 @@
 // StreamingAffinity past its first build, then times each subsequent
 // refresh (the Append calls that absorb one interval). The incremental
 // path pays O(interval) per relationship plus O(n·window) exact
-// recomputation; the rebuild path pays the full AFCLST → SYMEX+ → SCAPE
-// build. The headline row is window=1024, interval=1, where the delta
-// path must be ≥ 5× faster.
+// recomputation; the rebuild path pays the full AFCLST → SYMEX+ build
+// (streams build no SCAPE index). The headline row is window=1024,
+// interval=1, where the delta path must be ≥ 5× faster.
 //
 // With --shards=LIST (e.g. --shards=1,8) the harness instead sweeps
 // `ShardedAffinity` at each shard count over one shared pool, timing the
@@ -24,17 +24,19 @@
 //
 // With --serve the harness instead runs the lock-free serving gates
 // (DESIGN.md §11): on one epoch at window 4096, kAuto's MET plan for a
-// covariance and a correlation request (SCAPE and the WA table pass; each
-// must select the same pairs either way, and the planned strategy must be
-// the faster one), and reader throughput under interval=1 slides vs idle
-// (the median of three alternated phase pairs must stay ≥ 80%) — both
-// enforced with a non-zero exit.
+// covariance and a correlation request (the WA table pass for both; each
+// served answer must select the same pairs as batch SCAPE over the
+// stream's model, whose median is printed beside the pass's, ungated),
+// and reader throughput of kAuto correlation top-k under interval=1
+// slides vs idle (the median of three alternated phase pairs must stay
+// ≥ 80%) — both enforced with a non-zero exit.
 //
 // With --serve-publish it runs the epoch-publication gate: steady-state
-// publication (COW window + shared SCAPE run handles + bulk WA refill)
-// at window 4096 / interval 1 must be ≥ 4× faster than a from-scratch
-// `SnapshotBuilder::Build` of the same state, bitwise identical, with
-// bytes-copied accounting per epoch — also enforced with a non-zero exit.
+// publication (COW window + bulk WA refill) at window 4096 / interval 1
+// must be ≥ 4× faster than a from-scratch `SnapshotBuilder::Build` of the
+// same state, with stats, locations and pair tables identical to a cold
+// build, and bytes-copied accounting per epoch — also enforced with a
+// non-zero exit.
 //
 // With --dirty it runs the dirty-ingestion checks (DESIGN.md §12): the
 // steady-state refresh cost of a stream carrying ~5% gaps through
@@ -84,7 +86,6 @@ struct Result {
   std::size_t refreshes = 0;
   double mean_seconds = 0;
   double min_seconds = 0;
-  std::size_t rekeys = 0;
   std::size_t refits = 0;
   // Retained block-partial accounting (incremental mode; zeros otherwise).
   std::size_t recompute_blocks_touched = 0;
@@ -107,7 +108,6 @@ struct ShardResult {
   std::size_t refreshes = 0;
   double mean_seconds = 0;
   double min_seconds = 0;
-  std::size_t rekeys = 0;
   std::size_t refits = 0;
   std::size_t pairs_swept_per_epoch = 0;  ///< cross pairs swept while 8 METs read one epoch
 };
@@ -164,7 +164,6 @@ ShardResult RunShardConfig(const ShardConfig& config, const ts::Dataset& feed,
     ++out.refreshes;
   }
   out.mean_seconds = total / static_cast<double>(out.refreshes);
-  out.rekeys = service->maintenance().tree_rekeys;
   out.refits = service->maintenance().relationships_refit;
 
   // Warm probe: repeated MET on the freshly published epoch, counting the
@@ -241,9 +240,9 @@ int RunShardSweep(const std::vector<std::size_t>& shard_counts, bool quick, bool
                    "    {\"name\": \"shard_refresh/shards:%zu/threads:%zu/window:%zu/"
                    "interval:%zu\", \"run_type\": \"iteration\", \"iterations\": %zu, "
                    "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"us\", "
-                   "\"rekeys\": %zu, \"refits\": %zu, \"pairs_swept_per_epoch\": %zu}%s\n",
+                   "\"refits\": %zu, \"pairs_swept_per_epoch\": %zu}%s\n",
                    r.config.shards, r.config.threads, r.config.window, r.config.interval,
-                   r.refreshes, r.mean_seconds * 1e6, r.mean_seconds * 1e6, r.rekeys, r.refits,
+                   r.refreshes, r.mean_seconds * 1e6, r.mean_seconds * 1e6, r.refits,
                    r.pairs_swept_per_epoch, i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out, "  ]\n}\n");
@@ -409,37 +408,36 @@ double MedianUs(std::vector<double>& samples) {
 //
 // Two enforced gates, non-zero exit on failure:
 //  1. The epoch's selection plan. On one epoch at window 4096 (n = 384),
-//     two MET requests: covariance at τ = 0, whose exact bound lets SCAPE
-//     accept whole key spans, and correlation at τ = 0.9, whose loose
-//     ‖α‖ξ/U_min bound leaves most pairs in SCAPE's verify bands.
-//     (a) kAuto plans SCAPE for the first and the WA pass over the frozen
-//     pair table for the second (exact, no timing); (b) both strategies
-//     select the same pair set for each request; (c) for each request, the
-//     planned strategy's median latency beats the other's over
-//     query-by-query alternated samples. n is sized so each walk is
-//     memory-bound (tens of thousands of pairs); tiny instances measure
+//     two MET requests: covariance at τ = 0 (91% of pairs pass) and
+//     correlation at τ = 0.9. (a) kAuto plans the WA pass over the frozen
+//     pair table for both — an epoch has no SCAPE index (exact, no
+//     timing); (b) each served answer selects the same pair set as batch
+//     SCAPE over the stream's model (`ScapeIndex::Build`). Both medians
+//     and their ratio are printed, ungated: covariance at τ = 0 is the
+//     one measured request where SCAPE was faster. n is sized so each walk
+//     is memory-bound (tens of thousands of pairs); tiny instances measure
 //     per-query fixed cost, not the walk.
-//  2. Serving under maintenance: sustained query throughput from reader
-//     threads while the owner slides at interval 1 (a refresh per append)
-//     must stay ≥ 80% of the idle-stream throughput — queries never wait
-//     on maintenance. Idle and maintained phases alternate three times
-//     and the median of the three ratios is gated: one short phase pair
-//     spreads too widely on a shared host to tell. The writer is paced to
-//     ~10% CPU duty so the gate measures serving interference (blocking),
-//     not core fair-share on a single-core CI box.
+//  2. Serving under maintenance: sustained kAuto correlation top-k
+//     (k = 10) throughput from reader threads while the owner slides at
+//     interval 1 (a refresh per append) must stay ≥ 80% of the
+//     idle-stream throughput — queries never wait on maintenance. A top-k
+//     pass reads every pair whatever the values, so its cost does not
+//     drift with the epoch a phase reads. Idle and maintained phases
+//     alternate three times and the median of the three ratios is gated:
+//     one short phase pair spreads too widely on a shared host to tell.
+//     The writer is paced to ~10% CPU duty so the gate measures serving
+//     interference (blocking), not core fair-share on a single-core CI
+//     box.
 
-/// One gate-1 request: what kAuto planned, both strategies' medians, and
-/// the entries SCAPE verified.
+/// One gate-1 request: what kAuto planned, the served pass's and batch
+/// SCAPE's medians, and the entries SCAPE verified.
 struct ServeSelection {
   const char* name = "";
   core::MetRequest req;
-  core::QueryMethod expected = core::QueryMethod::kScape;
   core::QueryMethod planned = core::QueryMethod::kAuto;
   double scape_us = 0;
   double wa_us = 0;
-  /// The other strategy's median over the planned one's (> 1: the plan
-  /// wins).
-  double planned_speedup = 0;
+  double scape_over_pass = 0;  ///< scape_us / wa_us (ungated)
   std::size_t verified = 0;
   std::size_t selected = 0;
 };
@@ -496,63 +494,64 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
       std::fprintf(stderr, "no serving snapshot after refresh\n");
       return 1;
     }
+    // Batch SCAPE over the stream's model, with the stream's quality
+    // surface so both sides pay the same answer stamp.
+    const core::AffinityModel& model = stream->framework()->model();
+    auto index = core::ScapeIndex::Build(model);
+    if (!index.ok()) {
+      std::fprintf(stderr, "SCAPE build failed: %s\n", index.status().ToString().c_str());
+      return 1;
+    }
+    core::QueryEngine batch(&model.data());
+    batch.AttachModel(&model);
+    batch.AttachScape(&*index);
+    batch.AttachQuality(&stream->quality_scores());
     result.selections[0].name = "covariance_tau0";
     result.selections[0].req = core::MetRequest{core::Measure::kCovariance, 0.0, true};
-    result.selections[0].expected = core::QueryMethod::kScape;
     result.selections[1].name = "correlation_tau0.9";
     result.selections[1].req = core::MetRequest{core::Measure::kCorrelation, 0.9, true};
-    result.selections[1].expected = core::QueryMethod::kAffine;
     const std::size_t repeats = quick ? 60 : 300;
     std::size_t keep = 0;  // defeat dead-code elimination
     for (ServeSelection& sel : result.selections) {
-      // (a) The plan, then (b) agreement: the latency check below must not
-      // compare strategies that answer differently.
-      auto planned = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kAuto);
-      auto scape = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kScape);
-      auto wa = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kAffine);
-      if (!planned.ok() || !scape.ok() || !wa.ok()) {
-        std::fprintf(stderr, "served %s MET failed\n", sel.name);
+      // (a) The plan, then (b) agreement with batch SCAPE.
+      auto served = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kAuto);
+      auto scape = batch.Met(sel.req, core::QueryMethod::kScape);
+      if (!served.ok() || !scape.ok()) {
+        std::fprintf(stderr, "%s MET failed\n", sel.name);
         return 1;
       }
-      sel.planned = planned->plan.method;
+      sel.planned = served->plan.method;
       sel.verified = scape->prune.verified;
-      sel.selected = wa->pairs.size();
-      if (sel.planned != sel.expected) {
-        std::fprintf(stderr, "FAIL: %s: kAuto planned %s, expected %s\n", sel.name,
-                     std::string(core::QueryMethodName(sel.planned)).c_str(),
-                     std::string(core::QueryMethodName(sel.expected)).c_str());
+      sel.selected = served->pairs.size();
+      if (sel.planned != core::QueryMethod::kAffine) {
+        std::fprintf(stderr, "FAIL: %s: kAuto planned %s, expected WA\n", sel.name,
+                     std::string(core::QueryMethodName(sel.planned)).c_str());
         gate_ok = false;
       }
       std::sort(scape->pairs.begin(), scape->pairs.end());
-      if (scape->pairs != wa->pairs || planned->pairs.size() != wa->pairs.size()) {
-        std::fprintf(stderr, "FAIL: %s: served SCAPE and WA selected different pairs\n",
+      if (scape->pairs != served->pairs) {
+        std::fprintf(stderr, "FAIL: %s: the served pass and batch SCAPE selected different pairs\n",
                      sel.name);
         gate_ok = false;
       }
-      // (c) The strategies alternate query by query and each side's median
-      // is compared, so drift on a shared host biases neither side.
+      // (c) Reported only: the two alternate query by query and each
+      // side's median is compared, so drift on a shared host biases
+      // neither side.
       std::vector<double> scape_samples;
       std::vector<double> wa_samples;
-      const auto time_us = [&](core::QueryMethod method) {
-        Stopwatch watch;
-        auto s = serve::SnapshotMet(*snap, sel.req, method);
-        if (s.ok()) keep += s->pairs.size();
-        return watch.ElapsedSeconds() * 1e6;
-      };
       for (std::size_t r = 0; r < repeats; ++r) {
-        scape_samples.push_back(time_us(core::QueryMethod::kScape));
-        wa_samples.push_back(time_us(core::QueryMethod::kAffine));
+        Stopwatch scape_watch;
+        auto a = batch.Met(sel.req, core::QueryMethod::kScape);
+        scape_samples.push_back(scape_watch.ElapsedSeconds() * 1e6);
+        Stopwatch wa_watch;
+        auto b = serve::SnapshotMet(*snap, sel.req, core::QueryMethod::kAuto);
+        wa_samples.push_back(wa_watch.ElapsedSeconds() * 1e6);
+        if (a.ok()) keep += a->pairs.size();
+        if (b.ok()) keep += b->pairs.size();
       }
       sel.scape_us = MedianUs(scape_samples);
       sel.wa_us = MedianUs(wa_samples);
-      sel.planned_speedup = sel.expected == core::QueryMethod::kScape ? sel.wa_us / sel.scape_us
-                                                                      : sel.scape_us / sel.wa_us;
-      if (sel.planned_speedup <= 1.0) {
-        std::fprintf(stderr, "FAIL: %s: the planned %s is not faster (%.2fx)\n", sel.name,
-                     std::string(core::QueryMethodName(sel.expected)).c_str(),
-                     sel.planned_speedup);
-        gate_ok = false;
-      }
+      sel.scape_over_pass = sel.scape_us / sel.wa_us;
     }
     if (keep == 0) std::fprintf(stderr, "# (empty selections)\n");
   }
@@ -609,7 +608,7 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
 
     const double duration = quick ? 0.3 : 0.8;
     const std::size_t readers = 2;
-    const core::MetRequest req{core::Measure::kCorrelation, 0.9, true};
+    const core::TopKRequest req{core::Measure::kCorrelation, 10, true};
     const auto run_phase = [&](bool slide) {
       std::atomic<bool> stop{false};
       std::atomic<std::size_t> queries{0};
@@ -619,8 +618,8 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
           while (!stop.load(std::memory_order_relaxed)) {
             auto s = stream->serving();
             if (s == nullptr) continue;
-            auto met = serve::SnapshotMet(*s, req, core::QueryMethod::kScape);
-            if (met.ok()) queries.fetch_add(1, std::memory_order_relaxed);
+            auto topk = serve::SnapshotTopK(*s, req, core::QueryMethod::kAuto);
+            if (topk.ok()) queries.fetch_add(1, std::memory_order_relaxed);
           }
         });
       }
@@ -674,7 +673,7 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
     std::printf("%s_plan,%s\n", sel.name, std::string(core::QueryMethodName(sel.planned)).c_str());
     std::printf("%s_scape_us,%.1f\n", sel.name, sel.scape_us);
     std::printf("%s_wa_us,%.1f\n", sel.name, sel.wa_us);
-    std::printf("%s_planned_speedup,%.2fx\n", sel.name, sel.planned_speedup);
+    std::printf("%s_scape_over_pass,%.2f\n", sel.name, sel.scape_over_pass);
     std::printf("%s_scape_verified,%zu\n", sel.name, sel.verified);
     std::printf("%s_selected,%zu\n", sel.name, sel.selected);
   }
@@ -686,8 +685,6 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
   std::printf("epochs_published,%llu\n", static_cast<unsigned long long>(result.epochs));
   std::printf("epochs_delta,%zu\n", result.profile.epochs_delta);
   std::printf("window_segments_reused,%zu\n", result.profile.window_segments_reused);
-  std::printf("scape_runs_shared,%zu\n", result.profile.scape_runs_shared);
-  std::printf("scape_runs_spliced,%zu\n", result.profile.scape_runs_spliced);
   std::printf("snapshot_bytes_copied,%zu\n", result.profile.snapshot_bytes_copied);
 
   if (json) {
@@ -700,31 +697,27 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
                  "\"mode\": \"serve\", \"kernel_backend\": \"%s\"},\n  \"benchmarks\": [\n",
                  core::kernels::ActiveBackendName());
     for (const ServeSelection& sel : result.selections) {
-      const double planned_us =
-          sel.expected == core::QueryMethod::kScape ? sel.scape_us : sel.wa_us;
       std::fprintf(out,
                    "    {\"name\": \"serve_met/%s/window:4096\", \"run_type\": \"iteration\", "
                    "\"iterations\": 1, \"real_time\": %.3f, \"cpu_time\": %.3f, "
                    "\"time_unit\": \"us\", \"plan\": \"%s\", \"scape_us\": %.3f, "
-                   "\"wa_us\": %.3f, \"planned_speedup\": %.3f, \"scape_verified\": %zu, "
+                   "\"wa_us\": %.3f, \"scape_over_pass\": %.3f, \"scape_verified\": %zu, "
                    "\"selected\": %zu},\n",
-                   sel.name, planned_us, planned_us,
+                   sel.name, sel.wa_us, sel.wa_us,
                    std::string(core::QueryMethodName(sel.planned)).c_str(), sel.scape_us,
-                   sel.wa_us, sel.planned_speedup, sel.verified, sel.selected);
+                   sel.wa_us, sel.scape_over_pass, sel.verified, sel.selected);
     }
     std::fprintf(out,
                  "    {\"name\": \"serve_qps/interval:1\", \"run_type\": \"iteration\", "
                  "\"iterations\": 1, \"real_time\": %.3f, \"cpu_time\": %.3f, "
                  "\"time_unit\": \"us\", \"idle_qps\": %.1f, \"maintained_qps\": %.1f, "
                  "\"qps_ratio\": %.3f, \"epochs_published\": %llu, \"epochs_delta\": %zu, "
-                 "\"window_segments_reused\": %zu, \"scape_runs_shared\": %zu, "
-                 "\"scape_runs_spliced\": %zu, \"snapshot_bytes_copied\": %zu}\n",
+                 "\"window_segments_reused\": %zu, \"snapshot_bytes_copied\": %zu}\n",
                  1e6 / (result.maintained_qps > 0 ? result.maintained_qps : 1.0),
                  1e6 / (result.maintained_qps > 0 ? result.maintained_qps : 1.0),
                  result.idle_qps, result.maintained_qps, result.qps_ratio,
                  static_cast<unsigned long long>(result.epochs), result.profile.epochs_delta,
-                 result.profile.window_segments_reused, result.profile.scape_runs_shared,
-                 result.profile.scape_runs_spliced, result.profile.snapshot_bytes_copied);
+                 result.profile.window_segments_reused, result.profile.snapshot_bytes_copied);
     std::fprintf(out, "  ]\n}\n");
     if (!out_path.empty()) std::fclose(out);
   }
@@ -734,13 +727,13 @@ int RunServeSweep(bool quick, bool json, const std::string& out_path) {
 // --- Incremental epoch publication sweep (--serve-publish) -----------------
 //
 // Enforced with a non-zero exit: at window 4096 / interval 1,
-// steady-state publication (COW window segments + the index's shared run
-// handles + bulk WA refill) must be ≥ 4× faster than a from-scratch
-// `SnapshotBuilder::Build` of the same state — while publishing
-// bitwise-identical snapshots (spot-checked here against a cold build;
-// the exhaustive per-epoch identity sweep lives in serve_delta_test).
-// The refresh median is reported beside it, ungated, so work moved from
-// publication into `ScapeIndex::Refresh` stays visible.
+// steady-state publication (COW window segments + bulk WA refill) must be
+// ≥ 4× faster than a from-scratch `SnapshotBuilder::Build` of the same
+// state — while publishing bitwise-identical snapshots (stats, locations
+// and pair tables spot-checked here against a cold build; the exhaustive
+// per-epoch identity sweep lives in serve_delta_test). The refresh median
+// is reported beside it, ungated, so work moved between publication and
+// the refresh stays visible.
 
 struct ServePublishResult {
   std::size_t epochs = 0;        ///< measured steady-state publications
@@ -752,8 +745,6 @@ struct ServePublishResult {
   std::size_t delta_bytes_per_epoch = 0;
   std::size_t full_bytes_per_epoch = 0;
   std::size_t window_segments_reused = 0;
-  std::size_t runs_shared = 0;
-  std::size_t runs_rewritten = 0;
 };
 
 /// Spread line for the CSV output: a noisy host (this gate runs on shared
@@ -798,7 +789,7 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
   };
   while (!stream->ready()) append();
   // Warm slides: steady state starts once the first refreshes have
-  // recycled their run buffers and a retired epoch.
+  // recycled a retired epoch.
   for (int i = 0; i < 4; ++i) append();
 
   ServePublishResult result;
@@ -832,9 +823,8 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
       full_stats = serve::PublishStats();
       Stopwatch full_watch;
       auto full = serve::SnapshotBuilder::Build(
-          stream->framework()->model(), stream->framework()->scape(),
-          stream->framework()->engine(), stream->serving()->generation,
-          stream->serving()->snapshot_row, &full_stats);
+          stream->framework()->model(), stream->framework()->engine(),
+          stream->serving()->generation, stream->serving()->snapshot_row, &full_stats);
       full_samples.push_back(full_watch.ElapsedSeconds() * 1e6);
       if (full == nullptr) {
         std::fprintf(stderr, "from-scratch build failed\n");
@@ -851,8 +841,6 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
   result.delta_bytes_per_epoch =
       (after.snapshot_bytes_copied - before.snapshot_bytes_copied) / result.epochs;
   result.window_segments_reused = after.window_segments_reused - before.window_segments_reused;
-  result.runs_shared = after.scape_runs_shared - before.scape_runs_shared;
-  result.runs_rewritten = after.scape_runs_spliced - before.scape_runs_spliced;
   result.refresh_us = MedianUs(refresh_samples);
   if (result.delta_epochs != result.epochs) {
     std::fprintf(stderr, "FAIL: only %zu of %zu steady-state epochs used the delta path\n",
@@ -861,7 +849,7 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
   }
 
   // The bitwise spot check: what was published against a cold build of
-  // the same state (runs from a fresh ScapeIndex::Build).
+  // the same state.
   auto published = stream->serving();
   auto cold = stream->BuildColdSnapshot();
   if (published == nullptr || cold == nullptr) {
@@ -870,16 +858,14 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
   }
   bool identical = published->generation == cold->generation &&
                    published->snapshot_row == cold->snapshot_row &&
-                   published->scape.pair.size() == cold->scape.pair.size();
-  for (int t = 0; identical && t < 6; ++t) {
-    identical = published->pair_values[t] == cold->pair_values[t];
-  }
-  for (std::size_t p = 0; identical && p < cold->scape.pair.size(); ++p) {
-    for (std::size_t f = 0; identical && f < 2; ++f) {
-      const core::PairRun& got = *published->scape.pair[p][f];
-      const core::PairRun& want = *cold->scape.pair[p][f];
-      identical = got.keys == want.keys && got.pairs == want.pairs && got.us == want.us;
-    }
+                   published->stats.size() == cold->stats.size() &&
+                   published->location == cold->location &&
+                   published->pair_values == cold->pair_values;
+  for (std::size_t v = 0; identical && v < cold->stats.size(); ++v) {
+    const core::SeriesStats& got = published->stats[v];
+    const core::SeriesStats& want = cold->stats[v];
+    identical = got.mean == want.mean && got.variance == want.variance &&
+                got.sum == want.sum && got.sumsq == want.sumsq;
   }
   if (!identical) {
     std::fprintf(stderr, "FAIL: published snapshot diverged from the cold build\n");
@@ -909,8 +895,6 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
   std::printf("delta_bytes_per_epoch,%zu\n", result.delta_bytes_per_epoch);
   std::printf("full_bytes_per_epoch,%zu\n", result.full_bytes_per_epoch);
   std::printf("window_segments_reused,%zu\n", result.window_segments_reused);
-  std::printf("scape_runs_shared,%zu\n", result.runs_shared);
-  std::printf("scape_runs_rewritten,%zu\n", result.runs_rewritten);
 
   if (json) {
     FILE* out = out_path.empty() ? stdout : std::fopen(out_path.c_str(), "w");
@@ -926,11 +910,9 @@ int RunServePublishSweep(bool quick, bool json, const std::string& out_path) {
                  "    {\"name\": \"serve_publish_delta/window:4096/interval:1\", "
                  "\"run_type\": \"iteration\", \"iterations\": %zu, \"real_time\": %.3f, "
                  "\"cpu_time\": %.3f, \"time_unit\": \"us\", \"bytes_per_epoch\": %zu, "
-                 "\"window_segments_reused\": %zu, \"scape_runs_shared\": %zu, "
-                 "\"scape_runs_rewritten\": %zu, \"refresh_us\": %.3f},\n",
+                 "\"window_segments_reused\": %zu, \"refresh_us\": %.3f},\n",
                  result.delta_epochs, result.delta_mean_us, result.delta_mean_us,
-                 result.delta_bytes_per_epoch, result.window_segments_reused, result.runs_shared,
-                 result.runs_rewritten, result.refresh_us);
+                 result.delta_bytes_per_epoch, result.window_segments_reused, result.refresh_us);
     std::fprintf(out,
                  "    {\"name\": \"serve_publish_full/window:4096/interval:1\", "
                  "\"run_type\": \"iteration\", \"iterations\": 1, \"real_time\": %.3f, "
@@ -1201,7 +1183,6 @@ Result RunConfig(const Config& config, const ts::Dataset& feed, std::size_t meas
     ++out.refreshes;
   }
   out.mean_seconds = total / static_cast<double>(out.refreshes);
-  out.rekeys = stream->maintenance().tree_rekeys;
   out.refits = stream->maintenance().relationships_refit;
   out.recompute_blocks_touched = stream->maintenance().recompute_blocks_touched;
   out.recompute_blocks_reused = stream->maintenance().recompute_blocks_reused;
@@ -1321,11 +1302,11 @@ int main(int argc, char** argv) {
                    "    {\"name\": \"steady_refresh/window:%zu/interval:%zu/mode:%s\", "
                    "\"run_type\": \"iteration\", \"iterations\": %zu, "
                    "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"us\", "
-                   "\"rekeys\": %zu, \"refits\": %zu, "
+                   "\"refits\": %zu, "
                    "\"recompute_blocks_touched\": %zu, "
                    "\"recompute_blocks_reused\": %zu}%s\n",
                    r.config.window, r.config.interval, ModeName(r.config.mode), r.refreshes,
-                   r.mean_seconds * 1e6, r.mean_seconds * 1e6, r.rekeys, r.refits,
+                   r.mean_seconds * 1e6, r.mean_seconds * 1e6, r.refits,
                    r.recompute_blocks_touched, r.recompute_blocks_reused,
                    i + 1 < results.size() ? "," : "");
     }

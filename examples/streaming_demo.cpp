@@ -2,7 +2,7 @@
 //
 // Rows arrive one at a time (here: a synthetic sensor feed replayed at
 // ingest speed); the StreamingAffinity wrapper maintains the trailing
-// analysis window and refreshes the stack (AFCLST → SYMEX+ → SCAPE) every
+// analysis window and refreshes the model (AFCLST → SYMEX+) every
 // `rebuild_interval` rows — incrementally (delta updates through every
 // layer, DESIGN.md §8) with drift-monitored escalation back to full
 // rebuilds when the regime shifts (the demo splices two different seeds
@@ -32,7 +32,6 @@
 #include "ts/generators.h"
 
 using affinity::core::Measure;
-using affinity::core::QueryMethod;
 using affinity::core::StreamingAffinity;
 using affinity::core::StreamingOptions;
 
@@ -121,10 +120,9 @@ int RunSharded(std::size_t shards) {
 
   const auto profile = service->maintenance();
   std::printf("ingested %zu rows; aggregated maintenance: %zu refreshes, %zu rows absorbed, "
-              "%zu delta updates, %zu exact refits, %zu index re-keys, %zu escalations\n",
+              "%zu delta updates, %zu exact refits, %zu escalations\n",
               service->rows_ingested(), profile.refreshes, profile.rows_absorbed,
-              profile.relationships_updated, profile.relationships_refit, profile.tree_rekeys,
-              profile.escalations);
+              profile.relationships_updated, profile.relationships_refit, profile.escalations);
   return 0;
 }
 
@@ -181,7 +179,7 @@ int main(int argc, char** argv) {
       }
       if (result.refreshed) {
         affinity::core::TopKRequest request{Measure::kCorrelation, 3, true};
-        auto top = stream->framework()->engine().TopK(request, QueryMethod::kScape);
+        auto top = stream->TopK(request);
         if (!top.ok()) return 1;
         std::printf("t=%4zu  %s  top correlated pairs:", stream->rows_ingested(),
                     result.escalated ? "escalated rebuild"
@@ -216,10 +214,9 @@ int main(int argc, char** argv) {
               stream->rows_ingested(), stream->rebuild_count(), stream->refresh_count(),
               profile.escalations, stream->snapshot_age());
   std::printf("maintenance: %zu rows absorbed, %zu delta updates, %zu exact refits, "
-              "%zu index re-keys, residual %.4f (baseline %.4f), resident rows %zu\n",
+              "residual %.4f (baseline %.4f), resident rows %zu\n",
               profile.rows_absorbed, profile.relationships_updated,
-              profile.relationships_refit, profile.tree_rekeys,
-              profile.mean_relative_residual, profile.baseline_mean_residual,
-              stream->table().retained_row_count());
+              profile.relationships_refit, profile.mean_relative_residual,
+              profile.baseline_mean_residual, stream->table().retained_row_count());
   return 0;
 }

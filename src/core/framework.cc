@@ -80,7 +80,6 @@ StatusOr<Affinity> Affinity::FromModelWith(AffinityModel model, const AffinityOp
         dft::DftCorrelationEstimator wf,
         dft::DftCorrelationEstimator::Build(fw.model_->data(), options.dft_coefficients, exec));
     fw.wf_ = std::make_unique<dft::DftCorrelationEstimator>(std::move(wf));
-    fw.dft_coefficients_ = options.dft_coefficients;
     fw.profile_.dft_seconds = watch.ElapsedSeconds();
   }
 
@@ -92,15 +91,6 @@ StatusOr<Affinity> Affinity::FromModelWith(AffinityModel model, const AffinityOp
 
   fw.profile_.total_seconds = total.ElapsedSeconds();
   return fw;
-}
-
-Status Affinity::RefreshWf() {
-  if (wf_ == nullptr) return Status::OK();
-  AFFINITY_ASSIGN_OR_RETURN(
-      dft::DftCorrelationEstimator wf,
-      dft::DftCorrelationEstimator::Build(model_->data(), dft_coefficients_, exec_));
-  *wf_ = std::move(wf);
-  return Status::OK();
 }
 
 double PercentRmse(const std::vector<double>& truth, const std::vector<double>& approx) {

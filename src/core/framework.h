@@ -18,6 +18,9 @@
 /// Build phases and full-sweep queries execute over a shared thread pool
 /// (owned by the framework, or supplied externally via `BuildWith`);
 /// results are identical at any thread count (DESIGN.md §7).
+///
+/// The SCAPE index and the amortized WF estimator are batch structures: a
+/// stream (streaming.h) builds its framework without them.
 
 #include <memory>
 
@@ -95,10 +98,14 @@ class Affinity {
   /// The SYMEX output (relationships, pivots, per-series stats).
   const AffinityModel& model() const { return *model_; }
 
-  /// The SCAPE index, or nullptr when build_scape was false.
+  /// The SCAPE index, or nullptr when build_scape was false. Always
+  /// nullptr on a stream's framework: streams build no index.
   const ScapeIndex* scape() const { return scape_.get(); }
 
-  /// The WF estimator, or nullptr when build_dft was false.
+  /// The amortized WF estimator, or nullptr when build_dft was false.
+  /// Always nullptr on a stream's framework: a served WF answer sketches
+  /// its epoch's window per query, so streams only enable WF on the
+  /// engine.
   const dft::DftCorrelationEstimator* wf() const { return wf_.get(); }
 
   /// Build-phase timings.
@@ -110,19 +117,13 @@ class Affinity {
   /// The data the framework answers queries over.
   const ts::DataMatrix& data() const { return model_->data(); }
 
-  /// Rebuilds the WF comparator sketches over the current model data — the
-  /// incremental maintenance path calls this after sliding the window so
-  /// `wf()` stays coherent with the snapshot. No-op when WF was not built.
-  Status RefreshWf();
-
  private:
   Affinity() = default;
 
   // The incremental maintenance path (core/incremental) mutates the model
-  // and index in place through the streaming facade.
+  // in place through the streaming facade.
   friend class StreamingAffinity;
   AffinityModel* mutable_model() { return model_.get(); }
-  ScapeIndex* mutable_scape() { return scape_.get(); }
   QueryEngine* mutable_engine() { return engine_.get(); }
 
   std::unique_ptr<ThreadPool> pool_;  ///< set when Build created its own
@@ -132,7 +133,6 @@ class Affinity {
   std::unique_ptr<dft::DftCorrelationEstimator> wf_;
   std::unique_ptr<QueryEngine> engine_;
   BuildProfile profile_;
-  std::size_t dft_coefficients_ = 0;  ///< remembered for RefreshWf
 };
 
 // ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ void SortedReplace(double* col, std::size_t m, double evicted, double added) {
 }  // namespace
 
 StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* model,
-                                                              ScapeIndex* scape,
                                                               const IncrementalOptions& options,
                                                               const ExecContext& exec,
                                                               MaintenanceProfile* profile) {
@@ -49,7 +48,6 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
   }
   IncrementalMaintainer mt;
   mt.model_ = model;
-  mt.scape_ = scape;
   mt.options_ = options;
   mt.window_ = model->data().m();
   mt.n_ = model->data().n();
@@ -437,15 +435,11 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
   model_->RecomputeDerived(exec, &sorted_cols_, cache);
   const double recompute_seconds = recompute_watch.ElapsedSeconds();
 
-  // ---- Re-solve relationships and re-key the index. ----------------------
+  // ---- Re-solve relationships. -------------------------------------------
   kernels::BlockSpanStats refit_spans;
   std::size_t refits = 0;
   AFFINITY_RETURN_IF_ERROR(SolveRelationships(refresh_index, exec, &refits,
                                               cache != nullptr ? &refit_spans : nullptr));
-  ScapeRefreshStats rekeyed;
-  if (scape_ != nullptr) {
-    AFFINITY_ASSIGN_OR_RETURN(rekeyed, scape_->Refresh(*model_, exec));
-  }
 
   // ---- Drift monitor: escalate when the population residual level left
   // the band the baseline established at the last full build.
@@ -457,8 +451,6 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
   profile->rows_absorbed += d;
   profile->relationships_refit += refits;
   profile->relationships_updated += slots_.size() - refits;
-  profile->tree_rekeys += rekeyed.entries_moved;
-  profile->scape_rekeys_skipped += rekeyed.entries_unchanged;
   kernels::BlockSpanStats spans = refit_spans;
   if (cache != nullptr) spans.Add(cache->last);
   profile->recompute_blocks_touched += spans.touched;
@@ -480,8 +472,6 @@ MaintenanceProfile AggregateShardProfiles(const std::vector<MaintenanceProfile>&
     out.rows_absorbed += p.rows_absorbed;
     out.relationships_updated += p.relationships_updated;
     out.relationships_refit += p.relationships_refit;
-    out.tree_rekeys += p.tree_rekeys;
-    out.scape_rekeys_skipped += p.scape_rekeys_skipped;
     out.escalations += p.escalations;
     out.recompute_blocks_touched += p.recompute_blocks_touched;
     out.recompute_blocks_reused += p.recompute_blocks_reused;
@@ -494,8 +484,6 @@ MaintenanceProfile AggregateShardProfiles(const std::vector<MaintenanceProfile>&
     out.epochs_published += p.epochs_published;
     out.epochs_delta += p.epochs_delta;
     out.window_segments_reused += p.window_segments_reused;
-    out.scape_runs_shared += p.scape_runs_shared;
-    out.scape_runs_spliced += p.scape_runs_spliced;
     out.snapshot_bytes_copied += p.snapshot_bytes_copied;
     out.publish_seconds += p.publish_seconds;
     // Shards publish concurrently too: max, like the refresh latencies.

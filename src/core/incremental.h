@@ -2,9 +2,10 @@
 #define AFFINITY_CORE_INCREMENTAL_H_
 
 /// \file incremental.h
-/// Incremental sliding-window maintenance of a built AFFINITY stack
-/// (DESIGN.md §8) — the delta alternative to rebuilding AFCLST → SYMEX+ →
-/// SCAPE from scratch every refresh.
+/// Incremental sliding-window maintenance of a built AFFINITY model
+/// (DESIGN.md §8) — the delta alternative to rebuilding AFCLST → SYMEX+
+/// from scratch every refresh. Streams build no SCAPE index, so there is
+/// none to maintain.
 ///
 /// The maintainer freezes the model *structure* captured at the last full
 /// build — cluster assignment ω, the pivot set, and the marching-order
@@ -27,8 +28,7 @@
 ///    `RecomputeDerived`. A per-pair residual monitor triggers
 ///    full-precision refits (which reproduce a from-scratch fit bit for
 ///    bit), and a round-robin exact refit cadence bounds accumulated
-///    round-off for the rest;
-///  * the SCAPE index re-keys its sorted runs (`ScapeIndex::Refresh`).
+///    round-off for the rest.
 ///
 /// A model-level drift monitor — the population mean relative fit residual,
 /// the quantity `core/quality` samples — escalates to a full rebuild when
@@ -46,7 +46,6 @@
 #include "common/exec_context.h"
 #include "common/status.h"
 #include "core/fit_kernels.h"
-#include "core/scape.h"
 #include "core/symex.h"
 
 namespace affinity::core {
@@ -92,8 +91,11 @@ struct MaintenanceProfile {
   std::size_t rows_absorbed = 0;           ///< rows slid into the window
   std::size_t relationships_updated = 0;   ///< delta-updated re-solves
   std::size_t relationships_refit = 0;     ///< full-precision refits
-  std::size_t tree_rekeys = 0;             ///< SCAPE entries whose ξ or U moved
-  std::size_t scape_rekeys_skipped = 0;    ///< SCAPE entries left bitwise unchanged
+  /// `tree_rekeys` and `scape_rekeys_skipped` (like `scape_runs_shared`
+  /// and `scape_runs_spliced` below) are never incremented — streams
+  /// maintain no SCAPE index — and stay because perfbench exports them.
+  std::size_t tree_rekeys = 0;
+  std::size_t scape_rekeys_skipped = 0;
   std::size_t escalations = 0;             ///< refreshes escalated to a full rebuild
   /// Retained block-partial accounting (DESIGN.md §10): grid blocks
   /// recomputed vs served from the cache across every exact chain
@@ -119,8 +121,8 @@ struct MaintenanceProfile {
   std::size_t epochs_published = 0;         ///< serving snapshots published
   std::size_t epochs_delta = 0;             ///< ... of which via BuildDelta (COW window)
   std::size_t window_segments_reused = 0;   ///< COW window segments shared with prior epoch
-  std::size_t scape_runs_shared = 0;        ///< SCAPE runs shared with the prior epoch
-  std::size_t scape_runs_spliced = 0;       ///< SCAPE runs the prior epoch did not hold
+  std::size_t scape_runs_shared = 0;        ///< never incremented (see `tree_rekeys`)
+  std::size_t scape_runs_spliced = 0;       ///< never incremented (see `tree_rekeys`)
   std::size_t snapshot_bytes_copied = 0;    ///< bytes materialized across publishes
   double publish_seconds = 0.0;             ///< cumulative publication wall time
   double last_publish_seconds = 0.0;        ///< publication wall time, last epoch
@@ -132,18 +134,17 @@ struct MaintenanceProfile {
 /// levels average over shards that have one.
 MaintenanceProfile AggregateShardProfiles(const std::vector<MaintenanceProfile>& shards);
 
-/// Slides a built (model, index) pair along the stream. Create() captures
-/// the frozen structure and the accumulators from a freshly built model;
-/// Advance() absorbs new rows. The model and index must outlive the
-/// maintainer and must not be structurally modified elsewhere.
+/// Slides a built model along the stream. Create() captures the frozen
+/// structure and the accumulators from a freshly built model; Advance()
+/// absorbs new rows. The model must outlive the maintainer and must not be
+/// structurally modified elsewhere.
 class IncrementalMaintainer {
  public:
-  /// Captures maintenance state from a freshly built model (and its SCAPE
-  /// index, which may be null when the deployment does not build one).
+  /// Captures maintenance state from a freshly built model.
   /// O(pairs · window): materializes every per-pair accumulator exactly and
   /// records the drift-monitor baseline, which it also writes into
   /// `*profile` as both residual levels.
-  static StatusOr<IncrementalMaintainer> Create(AffinityModel* model, ScapeIndex* scape,
+  static StatusOr<IncrementalMaintainer> Create(AffinityModel* model,
                                                 const IncrementalOptions& options,
                                                 const ExecContext& exec,
                                                 MaintenanceProfile* profile);
@@ -221,7 +222,6 @@ class IncrementalMaintainer {
   bool WillRefit(std::size_t slot_index, std::size_t refresh_index, const PairSlot& slot) const;
 
   AffinityModel* model_ = nullptr;
-  ScapeIndex* scape_ = nullptr;
   IncrementalOptions options_;
   std::size_t window_ = 0;
   std::size_t n_ = 0;

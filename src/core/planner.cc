@@ -21,9 +21,6 @@ constexpr double kTreeStep = 8.0;     ///< run seek/emit per entry (SCAPE)
 /// levels of compare-and-move) — the top-k threshold algorithm pays two
 /// per entry it examines (planner.h).
 constexpr double kHeapOp = 12.0;
-/// One sequential read and compare: a selection's pass over an epoch's
-/// frozen table.
-constexpr double kTableRead = 2.0;
 
 }  // namespace
 
@@ -126,19 +123,6 @@ PlanChoice QueryPlanner::PlanSelection(Measure measure, double selectivity, bool
     // is folded into the constant.
     const double descent = static_cast<double>(n_) * std::log2(2.0 + entities);
     if (!top_k) {
-      // Over an epoch's frozen tables a WA selection is one pass reading
-      // every entity once. SCAPE's loose D-measure bound ‖α‖ξ/U_min leaves
-      // most entries in its verify bands, so the pass wins there; the
-      // exact T/L bound accepts whole spans and verifies nothing, so SCAPE
-      // keeps those (planner.h has the rule and the measured rows).
-      if (caps_.has_model && caps_.frozen_wa && IsDerived(measure)) {
-        return Shardify(
-            PlanChoice{QueryMethod::kAffine, entities * kTableRead,
-                       "WA: one pass over the epoch's frozen table (SCAPE's D-measure bound "
-                       "would verify most of the " +
-                           std::to_string(static_cast<std::size_t>(entities)) + " entities)"},
-            measure);
-      }
       return Shardify(PlanChoice{QueryMethod::kScape,
                                  descent + selectivity * entities * kTreeStep,
                                  "SCAPE: key-range scan per pivot, no per-entity computation"},

@@ -24,9 +24,8 @@
 /// symex.h and DESIGN.md §3.)
 ///
 /// Costs are abstract "scalar operation" counts, good for ranking
-/// strategies, not for predicting wall time. The top-k rule and the
-/// epoch's MET/MER rule are the ones checked against measured rows (see
-/// PlanTopK and PlanMet).
+/// strategies, not for predicting wall time. The top-k rule is the one
+/// checked against measured rows (see PlanTopK).
 
 #include <cstdint>
 #include <string>
@@ -85,10 +84,6 @@ class QueryPlanner {
     bool has_scape = false;    ///< SCAPE index
     bool has_dft = false;      ///< WF sketches
     bool has_quality = false;  ///< per-series quality surface (DESIGN.md §12)
-    /// WA values are frozen table reads (a published epoch, DESIGN.md
-    /// §11), so a WA selection is one pass over a table. Batch engines
-    /// never set it.
-    bool frozen_wa = false;
   };
 
   /// Shard topology of the deployment answering the query. The default is
@@ -114,31 +109,8 @@ class QueryPlanner {
 
   /// Plans Query 2 (full MET sweep). `selectivity` is the expected fraction
   /// of entities in the result (0..1; used to cost the index scan).
-  ///
-  /// The epoch rule (`frozen_wa`): correlation and cosine plan WA, one
-  /// pass over the frozen pair table. SCAPE's ‖α‖ξ/U_min bound is loose
-  /// for these D-measures, so it derives many entries one by one (per
-  /// correlation MET 5.6k of 8.1k pairs on perfbench `slide`, 14.2k of
-  /// 32.6k on `query`). Covariance, dot product and the L-measures keep
-  /// SCAPE: their bound is exact, so SCAPE accepts whole key spans and
-  /// verifies nothing. Batch engines plan as before.
-  ///
-  /// Measured (µs; SCAPE entries verified in brackets; AMD EPYC).
-  /// bench_micro `BM_Met/snapshot`, sensor data n = 256, window 1024, τ
-  /// at the 95th percentile of the pair values (5% pass), medians of 5,
-  /// two runs:
-  ///   correlation:  SCAPE 26.8–27.0 [9,533]  vs the pass 9.4–9.6
-  ///   covariance:   SCAPE 14.2–15.0 [0]      vs the pass 9.3–9.5
-  /// `bench_streaming --serve`'s epoch, stock data n = 384, window 4096,
-  /// 10 runs:
-  ///   correlation, τ = 0.9:            SCAPE 204–217 [61,449]  vs 66–70
-  ///   covariance, τ = 0 (91% pass):    SCAPE 100–108 [0]       vs 118–124
-  /// Where the rule picks the slower path: covariance when few pairs
-  /// pass (the first table; the rule does not see τ and assumes half
-  /// pass, where SCAPE wins, as the τ = 0 row shows), and correlation
-  /// at τ = 0 on the n = 384 epoch, where SCAPE decides every sign
-  /// exactly, verifies 0 entries and read 110 µs against the pass's
-  /// 122–126 (a scratch probe, three runs).
+  /// Without SCAPE — every published epoch — a model plans WA: over an
+  /// epoch one pass over the frozen table (DESIGN.md §11).
   PlanChoice PlanMet(Measure measure, double selectivity = 0.5) const;
 
   /// Plans Query 3 (full MER sweep), by PlanMet's rule.
@@ -153,22 +125,18 @@ class QueryPlanner {
   /// loose. A WA pass reads every entity once at one lookup each and is
   /// chosen whenever it is cheaper: correlation and cosine plan WA
   /// whenever a model exists, while covariance, dot product and the
-  /// L-measures keep SCAPE unless k covers nearly every entity. The live
-  /// engine and an epoch plan in the same `QueryEngine` over the same
-  /// inputs, so a plan matches on both by construction; the one rule
-  /// follows the live costs, where the TA wins for T-measures.
+  /// L-measures keep SCAPE unless k covers nearly every entity. An epoch
+  /// has no SCAPE index, so it plans every top-k as the WA pass over its
+  /// frozen table.
   ///
-  /// Measured (bench_micro `BM_TopK`, sensor data n = 256, window 1024,
-  /// largest top-10; medians of 3 on a 4-core Intel Xeon, AVX2 backend;
-  /// µs, TA entries examined in brackets):
-  ///   epoch, correlation:  TA 3838 [9577]  vs the epoch's pass 83
-  ///   epoch, covariance:   TA  183 [10]    vs the epoch's pass 88
-  ///   live,  correlation:  TA 3003 [9577]  vs WA sweep 1765
-  ///   live,  covariance:   TA  133 [10]    vs WA sweep 1491
+  /// Measured (bench_micro `BM_TopK/live`, sensor data n = 256, window
+  /// 1024, largest top-10; medians of 3 on a 4-core Intel Xeon, AVX2
+  /// backend; µs, TA entries examined in brackets):
+  ///   correlation:  TA 3003 [9577]  vs WA sweep 1765
+  ///   covariance:   TA  133 [10]    vs WA sweep 1491
   /// The one measured case where the rule picks the slower path: stock
-  /// data n = 128, window 4096, correlation smallest top-10 on the live
-  /// engine, TA 117 [506] against the WA sweep's 460 (the epoch's pass
-  /// takes 15 there).
+  /// data n = 128, window 4096, correlation smallest top-10, TA 117 [506]
+  /// against the WA sweep's 460.
   PlanChoice PlanTopK(Measure measure, std::size_t k) const;
 
   /// Per-entity naive kernel cost of a measure (scalar ops) — the cost

@@ -130,7 +130,6 @@ QueryEngine::QueryEngine(const ts::DataMatrix* data) : data_(data) {
 
 QueryEngine::QueryEngine(EpochView epoch)
     : wf_coefficients_(epoch.wf_coefficients),
-      scape_(epoch.scape),
       quality_(epoch.quality),
       epoch_(std::move(epoch)) {}
 

@@ -232,12 +232,11 @@ struct EpochView {
   /// The dense window. Only the WN and WF branches call it, so an epoch
   /// materializes its copy-on-write window for those queries only.
   std::function<const ts::DataMatrix&()> dense;
-  /// The live engine's capabilities and WF coefficient count at
-  /// publication: kAuto plans, and WF sketches its window, exactly as
-  /// the live engine did then.
+  /// The live engine's capabilities, less SCAPE (an epoch has no
+  /// index), and WF coefficient count at publication: kAuto plans, and
+  /// WF sketches its window, as a stream's live engine did then.
   QueryPlanner::Capabilities caps;
-  std::size_t wf_coefficients = 0;   ///< 0: WF not enabled
-  const ScapeRuns* scape = nullptr;  ///< null: no SCAPE index
+  std::size_t wf_coefficients = 0;  ///< 0: WF not enabled
   /// The frozen WA surface: the exact per-series statistics (the MEC
   /// diagonal; null when the epoch has no WA at all) and, indexed by
   /// `Measure`, each measure's values — one per series for an
@@ -261,9 +260,9 @@ class QueryEngine {
   explicit QueryEngine(const ts::DataMatrix* data);
 
   /// An engine over a published epoch: it plans with the epoch's frozen
-  /// capabilities, reads WA values from its frozen tables and SCAPE runs
-  /// from its handles, sketches WF over its window, notes the generation
-  /// on every plan, and runs sequentially.
+  /// capabilities, reads WA values from its frozen tables, sketches WF
+  /// over its window, notes the generation on every plan, and runs
+  /// sequentially. An epoch has no SCAPE index.
   explicit QueryEngine(EpochView epoch);
 
   /// Enables the WA strategy.

@@ -1,10 +1,9 @@
 #include "core/scape.h"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -54,56 +53,111 @@ double Dot3(const double a[3], const double b[3]) {
 
 constexpr Measure kLocationMeasures[3] = {Measure::kMean, Measure::kMedian, Measure::kMode};
 
-/// Bitwise equality: a key that only flips a zero's sign still moves, so a
-/// kept run is always bit-identical to a rewrite of it.
-bool SameBits(double a, double b) {
-  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
-}
-
 /// The run order over member indices: by ξ, ties by member index.
 /// Members are kept in ascending entity order, so a tie falls back to the
-/// pair (or series) order — the order a from-scratch sort produces.
+/// pair (or series) order.
 bool RunBefore(const std::vector<double>& xi, std::uint32_t a, std::uint32_t b) {
   return xi[a] < xi[b] || (!(xi[b] < xi[a]) && a < b);
 }
 
-/// Restores run order after a re-key in one insertion pass: O(size +
-/// inversions), and a slide moves few entries past their neighbours.
-void InsertionPass(const std::vector<double>& xi, std::vector<std::uint32_t>* order) {
-  std::uint32_t* o = order->data();
-  for (std::size_t j = 1; j < order->size(); ++j) {
-    const std::uint32_t member = o[j];
-    std::size_t h = j;
-    while (h > 0 && RunBefore(xi, member, o[h - 1])) {
-      o[h] = o[h - 1];
-      --h;
+void SortRunOrder(const std::vector<double>& xi, std::vector<std::uint32_t>* order) {
+  std::sort(order->begin(), order->end(),
+            [&](std::uint32_t a, std::uint32_t b) { return RunBefore(xi, a, b); });
+}
+
+/// One pair pivot's relationships, in ascending pair order.
+struct PairPivotMembers {
+  PivotPair pivot;
+  std::vector<ts::SequencePair> pairs;
+  std::vector<const AffineRecord*> recs;
+};
+
+/// Writes pivot `node`'s covariance- and dot-product-family runs.
+Status BuildPairRuns(const AffinityModel& model, const PairPivotMembers& node,
+                     std::array<PairRun, 2>* runs) {
+  const PairMatrixMeasures* pm = model.FindPivotMeasures(node.pivot);
+  if (pm == nullptr) return Status::FailedPrecondition("SCAPE: pivot has no measures");
+  double alpha[2][3];
+  CovarianceAlpha(*pm, node.pivot.series_first, alpha[0]);
+  DotProductAlpha(*pm, node.pivot.series_first, alpha[1]);
+  const double norm[2] = {Norm3(alpha[0]), Norm3(alpha[1])};
+  const std::size_t size = node.pairs.size();
+  std::array<std::vector<double>, 2> xi, u;
+  for (std::size_t f = 0; f < 2; ++f) {
+    xi[f].resize(size);
+    u[f].resize(size);
+  }
+  for (std::size_t i = 0; i < size; ++i) {
+    const ts::SequencePair e = node.pairs[i];
+    double beta[3];
+    node.recs[i]->Beta(beta);
+    // The separable normalizers, same expressions as PairNormalizer:
+    // correlation-U for the covariance family, cosine-U for the dot one.
+    const SeriesStats& su = model.series_stats(e.u);
+    const SeriesStats& sv = model.series_stats(e.v);
+    u[0][i] = std::sqrt(su.variance * sv.variance);
+    u[1][i] = std::sqrt(su.sumsq * sv.sumsq);
+    for (std::size_t f = 0; f < 2; ++f) {
+      xi[f][i] = norm[f] > 0.0 ? Dot3(alpha[f], beta) / norm[f] : 0.0;
     }
-    o[h] = member;
   }
+  std::vector<std::uint32_t> order;
+  for (std::size_t f = 0; f < 2; ++f) {
+    PairRun& run = (*runs)[f];
+    run.norm = norm[f];
+    // Degenerate pivot (‖α‖ = 0 → T-value ≡ 0) or zero normalizer
+    // (constant series → D-value ≡ 0): the entry lives in the side list.
+    order.clear();
+    for (std::size_t i = 0; i < size; ++i) {
+      if (norm[f] > 0.0 && u[f][i] > 0.0) {
+        order.push_back(static_cast<std::uint32_t>(i));
+      } else {
+        run.side.push_back(ScapeSideEntry{node.pairs[i], u[f][i], xi[f][i]});
+      }
+    }
+    SortRunOrder(xi[f], &order);
+    run.keys.reserve(order.size());
+    run.pairs.reserve(order.size());
+    run.us.reserve(order.size());
+    for (const std::uint32_t i : order) {
+      run.keys.push_back(xi[f][i]);
+      run.pairs.push_back(node.pairs[i]);
+      run.us.push_back(u[f][i]);
+      run.u_min = std::min(run.u_min, u[f][i]);
+      run.u_max = std::max(run.u_max, u[f][i]);
+    }
+  }
+  return Status::OK();
 }
 
-/// A buffer for a run rewrite: the spare, with its capacity, when the
-/// index holds its only reference (no epoch shares it any more), else a
-/// fresh one. Callers overwrite every field.
-template <typename Run>
-std::shared_ptr<Run> Recycle(std::shared_ptr<const Run>* spare) {
-  std::shared_ptr<const Run> old = std::move(*spare);
-  if (old != nullptr && old.use_count() == 1) {
-    // use_count() is a relaxed load: the acquire fence orders every access
-    // of the last other owner (before its releasing drop) before the
-    // rewrite. Taking and dropping one more reference states the same
-    // edge as an acquire-release update of the count, which thread
-    // sanitizers model and a standalone fence they do not.
-    std::atomic_thread_fence(std::memory_order_acquire);
-    std::shared_ptr<const Run>(old).reset();
-    return std::const_pointer_cast<Run>(std::move(old));
+/// Writes cluster `cluster`'s mean, median and mode runs over its member
+/// series (ascending).
+Status BuildLocRuns(const AffinityModel& model, int cluster,
+                    const std::vector<ts::SeriesId>& members, std::array<LocRun, 3>* runs) {
+  const std::size_t size = members.size();
+  std::vector<double> xi(size);
+  std::vector<std::uint32_t> order(size);
+  for (std::size_t f = 0; f < 3; ++f) {
+    AFFINITY_ASSIGN_OR_RETURN(const double center,
+                              model.CenterLocation(kLocationMeasures[f], cluster));
+    // α = (centre L-value, 1): ‖α‖ ≥ 1, never degenerate.
+    const double norm = std::sqrt(center * center + 1.0);
+    for (std::size_t i = 0; i < size; ++i) {
+      const SeriesAffine& sa = model.series_affine(members[i]);
+      xi[i] = (center * sa.gain + sa.offset) / norm;
+      order[i] = static_cast<std::uint32_t>(i);
+    }
+    SortRunOrder(xi, &order);
+    LocRun& run = (*runs)[f];
+    run.norm = norm;
+    run.keys.resize(size);
+    run.series.resize(size);
+    for (std::size_t j = 0; j < size; ++j) {
+      run.keys[j] = xi[order[j]];
+      run.series[j] = members[order[j]];
+    }
   }
-  return std::make_shared<Run>();
-}
-
-void AddStats(ScapeRefreshStats* into, const ScapeRefreshStats& from) {
-  into->entries_moved += from.entries_moved;
-  into->entries_unchanged += from.entries_unchanged;
+  return Status::OK();
 }
 
 }  // namespace
@@ -135,7 +189,7 @@ int LocationFamilyOf(Measure m) {
 }
 
 // ---------------------------------------------------------------------------
-// Build and refresh.
+// Build.
 // ---------------------------------------------------------------------------
 
 StatusOr<ScapeIndex> ScapeIndex::Build(const AffinityModel& model, const ExecContext& exec) {
@@ -146,221 +200,43 @@ StatusOr<ScapeIndex> ScapeIndex::Build(const AffinityModel& model, const ExecCon
   // order of its runs. Independent of the execution context.
   std::unordered_map<std::uint64_t, std::size_t> pivot_slot;
   pivot_slot.reserve(model.pivot_count());
-  index.pair_state_.reserve(model.pivot_count());
+  std::vector<PairPivotMembers> pivots;
+  pivots.reserve(model.pivot_count());
   model.ForEachRelationship([&](const ts::SequencePair& e, const AffineRecord& rec) {
-    const auto [it, inserted] = pivot_slot.try_emplace(rec.pivot.Key(), index.pair_state_.size());
-    if (inserted) {
-      index.pair_state_.emplace_back();
-      index.pair_state_.back().pivot = rec.pivot;
-    }
-    PairPivotState& node = index.pair_state_[it->second];
-    node.members.push_back(e);
-    node.recs.push_back(&rec);
+    const auto [it, inserted] = pivot_slot.try_emplace(rec.pivot.Key(), pivots.size());
+    if (inserted) pivots.push_back(PairPivotMembers{rec.pivot, {}, {}});
+    pivots[it->second].pairs.push_back(e);
+    pivots[it->second].recs.push_back(&rec);
     ++index.pair_entries_;
   });
   const std::size_t n = model.data().n();
-  index.loc_state_.resize(model.clustering().k());
+  std::vector<std::vector<ts::SeriesId>> clusters(model.clustering().k());
   for (std::size_t v = 0; v < n; ++v) {
-    index.loc_state_[static_cast<std::size_t>(model.clustering().assignment[v])]
-        .members.push_back(static_cast<ts::SeriesId>(v));
-    ++index.series_entries_;
+    clusters[static_cast<std::size_t>(model.clustering().assignment[v])].push_back(
+        static_cast<ts::SeriesId>(v));
   }
-  index.runs_.pair.resize(index.pair_state_.size());
-  index.runs_.loc.resize(index.loc_state_.size());
-  AFFINITY_RETURN_IF_ERROR(index.RekeyAll(model, /*cold=*/true, exec).status());
+  index.series_entries_ = n;
+  // A chunk item writes only its own pivot's runs, so the index is
+  // identical at any thread count.
+  index.runs_.pair.resize(pivots.size());
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      exec, pivots.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t slot = lo; slot < hi; ++slot) {
+          AFFINITY_RETURN_IF_ERROR(BuildPairRuns(model, pivots[slot], &index.runs_.pair[slot]));
+        }
+        return Status::OK();
+      }));
+  index.runs_.loc.resize(clusters.size());
+  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
+      exec, clusters.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) -> Status {
+        for (std::size_t slot = lo; slot < hi; ++slot) {
+          AFFINITY_RETURN_IF_ERROR(BuildLocRuns(model, static_cast<int>(slot), clusters[slot],
+                                                &index.runs_.loc[slot]));
+        }
+        return Status::OK();
+      }));
   index.build_seconds_ = watch.ElapsedSeconds();
   return index;
-}
-
-StatusOr<ScapeRefreshStats> ScapeIndex::Refresh(const AffinityModel& model,
-                                                const ExecContext& exec) {
-  return RekeyAll(model, /*cold=*/false, exec);
-}
-
-StatusOr<ScapeRefreshStats> ScapeIndex::RekeyAll(const AffinityModel& model, bool cold,
-                                                 const ExecContext& exec) {
-  // A pivot's state and run handles are private to the chunk item that
-  // owns it; counts merge in chunk-index order, so the totals (like the
-  // runs) are thread-count invariant.
-  std::vector<ScapeRefreshStats> pair_stats(ExecNumChunks(pair_state_.size()));
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, pair_state_.size(), [&](std::size_t chunk, std::size_t lo, std::size_t hi) -> Status {
-        std::array<std::vector<std::uint32_t>, 2> entered;
-        for (std::size_t slot = lo; slot < hi; ++slot) {
-          AFFINITY_RETURN_IF_ERROR(
-              RekeyPairPivot(model, slot, cold, entered.data(), &pair_stats[chunk]));
-        }
-        return Status::OK();
-      }));
-  std::vector<ScapeRefreshStats> loc_stats(ExecNumChunks(loc_state_.size()));
-  AFFINITY_RETURN_IF_ERROR(TryParallelChunks(
-      exec, loc_state_.size(), [&](std::size_t chunk, std::size_t lo, std::size_t hi) -> Status {
-        for (std::size_t slot = lo; slot < hi; ++slot) {
-          AFFINITY_RETURN_IF_ERROR(RekeyLocPivot(model, slot, cold, &loc_stats[chunk]));
-        }
-        return Status::OK();
-      }));
-  ScapeRefreshStats total;
-  for (const ScapeRefreshStats& s : pair_stats) AddStats(&total, s);
-  for (const ScapeRefreshStats& s : loc_stats) AddStats(&total, s);
-  return total;
-}
-
-Status ScapeIndex::RekeyPairPivot(const AffinityModel& model, std::size_t slot, bool cold,
-                                  std::vector<std::uint32_t>* entered,
-                                  ScapeRefreshStats* stats) {
-  PairPivotState& node = pair_state_[slot];
-  const PairMatrixMeasures* pm = model.FindPivotMeasures(node.pivot);
-  if (pm == nullptr) {
-    return Status::FailedPrecondition("SCAPE: pivot structure changed since build");
-  }
-  double alpha[2][3];
-  CovarianceAlpha(*pm, node.pivot.series_first, alpha[0]);
-  DotProductAlpha(*pm, node.pivot.series_first, alpha[1]);
-  const double norm[2] = {Norm3(alpha[0]), Norm3(alpha[1])};
-  std::array<std::shared_ptr<const PairRun>, 2>& handles = runs_.pair[slot];
-  const std::size_t size = node.members.size();
-  double old_norm[2] = {0.0, 0.0};
-  bool moved[2] = {cold, cold};
-  bool migrated[2] = {false, false};  // an entry crossed between run and side list
-  for (std::size_t f = 0; f < 2; ++f) {
-    entered[f].clear();
-    if (cold) {
-      node.families[f].xi.resize(size);
-      node.families[f].u.resize(size);
-    } else {
-      old_norm[f] = handles[f]->norm;
-      moved[f] = !SameBits(norm[f], old_norm[f]);
-    }
-  }
-  for (std::size_t i = 0; i < size; ++i) {
-    const ts::SequencePair e = node.members[i];
-    double beta[3];
-    node.recs[i]->Beta(beta);
-    // The separable normalizers, same expressions as PairNormalizer:
-    // correlation-U for the covariance family, cosine-U for the dot one.
-    const SeriesStats& su = model.series_stats(e.u);
-    const SeriesStats& sv = model.series_stats(e.v);
-    const double normalizer[2] = {std::sqrt(su.variance * sv.variance),
-                                  std::sqrt(su.sumsq * sv.sumsq)};
-    for (std::size_t f = 0; f < 2; ++f) {
-      RunState<PairRun>& st = node.families[f];
-      const double xi = norm[f] > 0.0 ? Dot3(alpha[f], beta) / norm[f] : 0.0;
-      const double u = normalizer[f];
-      if (!cold) {
-        const bool was_in = old_norm[f] > 0.0 && st.u[i] > 0.0;
-        const bool is_in = norm[f] > 0.0 && u > 0.0;
-        if (SameBits(xi, st.xi[i]) && SameBits(u, st.u[i]) && was_in == is_in) {
-          ++stats->entries_unchanged;
-          continue;
-        }
-        ++stats->entries_moved;
-        moved[f] = true;
-        if (was_in != is_in) migrated[f] = true;
-        if (is_in && !was_in) entered[f].push_back(static_cast<std::uint32_t>(i));
-      }
-      st.xi[i] = xi;
-      st.u[i] = u;
-    }
-  }
-
-  for (std::size_t f = 0; f < 2; ++f) {
-    if (!moved[f]) continue;
-    RunState<PairRun>& st = node.families[f];
-    // Degenerate pivot (‖α‖ = 0 → T-value ≡ 0) or zero normalizer
-    // (constant series → D-value ≡ 0): the entry lives in the side list.
-    const auto in_run = [&](std::size_t i) { return norm[f] > 0.0 && st.u[i] > 0.0; };
-    if (cold) {
-      st.order.clear();
-      for (std::size_t i = 0; i < size; ++i) {
-        if (in_run(i)) st.order.push_back(static_cast<std::uint32_t>(i));
-      }
-      std::sort(st.order.begin(), st.order.end(),
-                [&](std::uint32_t a, std::uint32_t b) { return RunBefore(st.xi, a, b); });
-    } else {
-      // The prior run order with leavers dropped and entrants appended is
-      // nearly sorted; one insertion pass restores (ξ, pair) order.
-      if (migrated[f]) {
-        std::erase_if(st.order, [&](std::uint32_t i) { return !in_run(i); });
-        st.order.insert(st.order.end(), entered[f].begin(), entered[f].end());
-      }
-      InsertionPass(st.xi, &st.order);
-    }
-    std::shared_ptr<PairRun> run = Recycle(&st.spare);
-    run->norm = norm[f];
-    run->u_min = std::numeric_limits<double>::infinity();
-    run->u_max = 0.0;
-    const std::size_t count = st.order.size();
-    run->keys.resize(count);
-    run->pairs.resize(count);
-    run->us.resize(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      const std::uint32_t i = st.order[j];
-      run->keys[j] = st.xi[i];
-      run->pairs[j] = node.members[i];
-      run->us[j] = st.u[i];
-      run->u_min = std::min(run->u_min, st.u[i]);
-      run->u_max = std::max(run->u_max, st.u[i]);
-    }
-    run->side.clear();
-    if (count < size) {
-      for (std::size_t i = 0; i < size; ++i) {
-        if (!in_run(i)) run->side.push_back(ScapeSideEntry{node.members[i], st.u[i], st.xi[i]});
-      }
-    }
-    st.spare = std::move(handles[f]);
-    handles[f] = std::move(run);
-  }
-  return Status::OK();
-}
-
-Status ScapeIndex::RekeyLocPivot(const AffinityModel& model, std::size_t slot, bool cold,
-                                 ScapeRefreshStats* stats) {
-  LocPivotState& node = loc_state_[slot];
-  const std::size_t size = node.members.size();
-  for (std::size_t f = 0; f < 3; ++f) {
-    AFFINITY_ASSIGN_OR_RETURN(const double center,
-                              model.CenterLocation(kLocationMeasures[f], static_cast<int>(slot)));
-    // α = (centre L-value, 1): ‖α‖ ≥ 1, never degenerate.
-    const double norm = std::sqrt(center * center + 1.0);
-    RunState<LocRun>& st = node.families[f];
-    std::shared_ptr<const LocRun>& handle = runs_.loc[slot][f];
-    bool moved = cold || !SameBits(norm, handle->norm);
-    if (cold) st.xi.resize(size);
-    for (std::size_t i = 0; i < size; ++i) {
-      const SeriesAffine& sa = model.series_affine(node.members[i]);
-      const double xi = (center * sa.gain + sa.offset) / norm;
-      if (!cold) {
-        if (SameBits(xi, st.xi[i])) {
-          ++stats->entries_unchanged;
-          continue;
-        }
-        ++stats->entries_moved;
-        moved = true;
-      }
-      st.xi[i] = xi;
-    }
-    if (!moved) continue;
-    if (cold) {
-      st.order.resize(size);
-      for (std::size_t i = 0; i < size; ++i) st.order[i] = static_cast<std::uint32_t>(i);
-      std::sort(st.order.begin(), st.order.end(),
-                [&](std::uint32_t a, std::uint32_t b) { return RunBefore(st.xi, a, b); });
-    } else {
-      InsertionPass(st.xi, &st.order);
-    }
-    std::shared_ptr<LocRun> run = Recycle(&st.spare);
-    run->norm = norm;
-    run->keys.resize(size);
-    run->series.resize(size);
-    for (std::size_t j = 0; j < size; ++j) {
-      run->keys[j] = st.xi[st.order[j]];
-      run->series[j] = node.members[st.order[j]];
-    }
-    st.spare = std::move(handle);
-    handle = std::move(run);
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -397,29 +273,21 @@ double DerivedValue(const PairRun& run, std::size_t i) {
   return run.norm * run.keys[i] / run.us[i];
 }
 
-/// Pivot `p`'s run of `family` — and, since consecutive runs are separate
-/// allocations rather than one array, a prefetch of the runs a scan reads
-/// next: the header two pivots ahead and the leading keys and pairs one
-/// pivot ahead (whose header the previous call prefetched).
+/// Pivot `p`'s run of `family`, with a prefetch of the leading keys and
+/// pairs of the next pivot's run, which a scan reads next.
 const PairRun& RunAt(const ScapeRuns& runs, std::size_t p, std::size_t family) {
-  const std::size_t count = runs.pair.size();
-  if (p + 2 < count) {
-    const char* header = reinterpret_cast<const char*>(runs.pair[p + 2][family].get());
-    __builtin_prefetch(header);
-    __builtin_prefetch(header + 64);
-  }
-  if (p + 1 < count) {
-    const PairRun& next = *runs.pair[p + 1][family];
+  if (p + 1 < runs.pair.size()) {
+    const PairRun& next = runs.pair[p + 1][family];
     __builtin_prefetch(next.keys.data());
     __builtin_prefetch(next.pairs.data());
   }
-  return *runs.pair[p][family];
+  return runs.pair[p][family];
 }
 
 ScapeQueryResult LocationThreshold(const ScapeRuns& runs, int family, double tau, bool greater) {
   ScapeQueryResult out;
   for (const auto& node : runs.loc) {
-    const LocRun& run = *node[static_cast<std::size_t>(family)];
+    const LocRun& run = node[static_cast<std::size_t>(family)];
     const double tau_prime = tau / run.norm;
     if (greater) {
       AcceptSpan(run.series, UpperBound(run.keys, tau_prime), run.keys.size(), &out.series,
@@ -434,7 +302,7 @@ ScapeQueryResult LocationThreshold(const ScapeRuns& runs, int family, double tau
 ScapeQueryResult LocationRange(const ScapeRuns& runs, int family, double lo, double hi) {
   ScapeQueryResult out;
   for (const auto& node : runs.loc) {
-    const LocRun& run = *node[static_cast<std::size_t>(family)];
+    const LocRun& run = node[static_cast<std::size_t>(family)];
     // [ub(lo'), lb(hi')) is exactly the strict (lo', hi') band; AcceptSpan
     // no-ops on an inverted span.
     AcceptSpan(run.series, UpperBound(run.keys, lo / run.norm), LowerBound(run.keys, hi / run.norm),

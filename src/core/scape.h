@@ -23,12 +23,9 @@
 /// (pivot, measure family) holds them — a structure-of-arrays of keys,
 /// pairs and normalizers ordered by (ξ, pair); see DESIGN.md §2. Seeks are
 /// binary searches, so keys, bounds and search complexity are unchanged.
-/// A run is immutable once published and held by shared handle:
-/// `ScapeIndex::Refresh` writes a new run where keys moved (into recycled
-/// buffers) and keeps an unchanged run's handle, so a published epoch
-/// shares the index's runs by handle (DESIGN.md §8, §11). One MET, one MER and
-/// one top-k implementation run over a `ScapeRuns` set, for the batch
-/// engine and every served epoch alike.
+/// The index is a batch structure: `Build` sorts each run once, and a
+/// rebuilt model gets a new index. Streams build none (DESIGN.md §8):
+/// their epochs answer every selection from the frozen WA tables.
 ///
 /// Boundary semantics: the index stores ξ = αᵀβ/‖α‖ and queries compare
 /// against τ/‖α‖, so an entity whose measure value equals the threshold to
@@ -43,9 +40,7 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "common/exec_context.h"
@@ -246,13 +241,12 @@ int PairFamilyOf(Measure m);
 /// the slot of its per-cluster run and of its WA location table.
 int LocationFamilyOf(Measure m);
 
-/// The run handles of one index state, indexed by pivot slot:
-/// `pair[pivot][family]` (0 = covariance, 1 = dot product) and
-/// `loc[cluster][family]` (0 = mean, 1 = median, 2 = mode). Every handle
-/// is non-null once built. Copying the set shares the runs.
+/// The runs of one index, indexed by pivot slot: `pair[pivot][family]`
+/// (0 = covariance, 1 = dot product) and `loc[cluster][family]` (0 =
+/// mean, 1 = median, 2 = mode).
 struct ScapeRuns {
-  std::vector<std::array<std::shared_ptr<const PairRun>, 2>> pair;
-  std::vector<std::array<std::shared_ptr<const LocRun>, 3>> loc;
+  std::vector<std::array<PairRun, 2>> pair;
+  std::vector<std::array<LocRun, 3>> loc;
 };
 
 /// MET query (Query 2) over `runs`: entities whose `measure` is greater
@@ -276,12 +270,6 @@ StatusOr<ScapeQueryResult> ScapeMeasureRange(const ScapeRuns& runs, Measure meas
 /// frontier bound. Unimplemented for Jaccard/Dice.
 StatusOr<ScapeTopKResult> ScapeTopK(const ScapeRuns& runs, Measure measure, std::size_t k,
                                     bool largest);
-
-/// Accounting of one `ScapeIndex::Refresh`.
-struct ScapeRefreshStats {
-  std::size_t entries_moved = 0;      ///< entries whose ξ, U or side-list membership changed
-  std::size_t entries_unchanged = 0;  ///< entries left bitwise unchanged
-};
 
 /// The SCAPE index. Built once from an AffinityModel snapshot; queries are
 /// read-only and lock-free.
@@ -308,27 +296,7 @@ class ScapeIndex {
     return ScapeTopK(runs_, measure, k, largest);
   }
 
-  /// Re-keys the index against a maintained model whose derived state
-  /// (pivot measures, per-series stats, series-level relationships,
-  /// centre L-measures, transforms) has been refreshed for a new window —
-  /// the incremental alternative to rebuilding the index (DESIGN.md §8).
-  ///
-  /// The relationship/pivot *structure* must be unchanged since Build (the
-  /// incremental path freezes clustering and marching) and `model` must
-  /// be the instance the index was built from. Every entry's ξ and U are
-  /// recomputed exactly as Build computes them. A run none of whose
-  /// entries moved bitwise (and whose ‖α‖ held) keeps its handle; any
-  /// other run is written as a new run — in its prior order, then one
-  /// insertion pass restores (ξ, pair) order — never into the old one,
-  /// which lives on in the epochs that hold it. The new run reuses the
-  /// buffers of the run it replaced two refreshes ago once no epoch holds
-  /// that one, so steady-state re-keys allocate nothing. Entries migrate
-  /// between a run and its side list when a pivot or normalizer
-  /// degenerates (or recovers). The refreshed runs equal a from-scratch
-  /// Build over the same model, at any thread count.
-  StatusOr<ScapeRefreshStats> Refresh(const AffinityModel& model, const ExecContext& exec = {});
-
-  /// The current run handles (what a published epoch shares).
+  /// The sorted runs every query reads.
   const ScapeRuns& runs() const { return runs_; }
 
   /// Number of pair-level pivot nodes.
@@ -344,53 +312,8 @@ class ScapeIndex {
   double build_seconds() const { return build_seconds_; }
 
  private:
-  /// Maintenance state of one run: the current ξ (and U, pair runs only)
-  /// of every member, member-aligned; the member index of each run entry
-  /// in run order; and the run the last rewrite replaced, whose buffers
-  /// the next rewrite reuses once no epoch holds it.
-  template <typename Run>
-  struct RunState {
-    std::vector<double> xi;
-    std::vector<double> u;
-    std::vector<std::uint32_t> order;
-    std::shared_ptr<const Run> spare;
-  };
-
-  /// One pair pivot: its members in ascending pair order, their records
-  /// (hash nodes are stable; Refresh requires the model the index was
-  /// built from), and the state of its two family runs.
-  struct PairPivotState {
-    PivotPair pivot;
-    std::vector<ts::SequencePair> members;
-    std::vector<const AffineRecord*> recs;
-    std::array<RunState<PairRun>, 2> families;
-  };
-
-  /// One cluster: its member series in ascending order and the state of
-  /// its three L-measure runs.
-  struct LocPivotState {
-    std::vector<ts::SeriesId> members;
-    std::array<RunState<LocRun>, 3> families;
-  };
-
   ScapeIndex() = default;
 
-  /// Recomputes the keys of pair pivot `slot` (or cluster `slot`) and
-  /// rewrites each family run that moved — every run when `cold` (Build).
-  /// `entered` points at two scratch vectors, one per family, reused
-  /// across pivots; counts go to `stats`.
-  Status RekeyPairPivot(const AffinityModel& model, std::size_t slot, bool cold,
-                        std::vector<std::uint32_t>* entered, ScapeRefreshStats* stats);
-  Status RekeyLocPivot(const AffinityModel& model, std::size_t slot, bool cold,
-                       ScapeRefreshStats* stats);
-
-  /// Fans the per-pivot rekey out over `exec`, merging counts in chunk
-  /// order.
-  StatusOr<ScapeRefreshStats> RekeyAll(const AffinityModel& model, bool cold,
-                                       const ExecContext& exec);
-
-  std::vector<PairPivotState> pair_state_;
-  std::vector<LocPivotState> loc_state_;
   ScapeRuns runs_;
   std::size_t pair_entries_ = 0;
   std::size_t series_entries_ = 0;

@@ -62,7 +62,7 @@ StatusOr<ScapeTopKResult> ScapeTopK(const ScapeRuns& runs, Measure measure, std:
   std::vector<ScapeTopKEntry> side;
   if (loc_family >= 0) {
     for (const auto& node : runs.loc) {
-      const LocRun& run = *node[static_cast<std::size_t>(loc_family)];
+      const LocRun& run = node[static_cast<std::size_t>(loc_family)];
       if (run.keys.empty()) continue;
       Stream s;
       s.keys = run.keys.data();
@@ -73,7 +73,7 @@ StatusOr<ScapeTopKResult> ScapeTopK(const ScapeRuns& runs, Measure measure, std:
     }
   } else {
     for (const auto& node : runs.pair) {
-      const PairRun& run = *node[static_cast<std::size_t>(pair_family)];
+      const PairRun& run = node[static_cast<std::size_t>(pair_family)];
       if (run.norm > 0.0 && !run.keys.empty()) {
         Stream s;
         s.keys = run.keys.data();

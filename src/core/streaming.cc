@@ -131,25 +131,42 @@ StatusOr<StreamingAffinity> StreamingAffinity::Restore(AffinityModel model,
     stream.quality_->Push(row.data(), nullptr, nullptr);
   }
   stream.RefreshQualityScores();
-  AFFINITY_ASSIGN_OR_RETURN(Affinity fw,
-                            Affinity::FromModelWith(std::move(model), options.build, exec));
-  stream.framework_ = std::make_unique<Affinity>(std::move(fw));
-  stream.framework_->mutable_engine()->AttachQuality(stream.quality_scores_.get());
+  AFFINITY_RETURN_IF_ERROR(stream.BuildFramework([&](const AffinityOptions& build) {
+    return Affinity::FromModelWith(std::move(model), build, exec);
+  }));
   stream.shared_->rows.store(m, std::memory_order_relaxed);
   stream.snapshot_row_ = m;
   stream.rebuilds_ = 1;
-  if (options.mode == UpdateMode::kIncremental) {
-    AFFINITY_ASSIGN_OR_RETURN(
-        IncrementalMaintainer maintainer,
-        IncrementalMaintainer::Create(stream.framework_->mutable_model(),
-                                      stream.framework_->mutable_scape(), options.incremental,
-                                      exec, &stream.maintenance_));
-    stream.maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
-  }
   // A restored stream is immediately queryable, so it serves immediately
   // too: publish the first epoch from the restored stack.
   stream.PublishServingSnapshot();
   return stream;
+}
+
+Status StreamingAffinity::BuildFramework(
+    const std::function<StatusOr<Affinity>(const AffinityOptions&)>& build) {
+  // What a stream maintains is what its epochs read: the model, whose WA
+  // values fill the frozen tables, and the WF coefficient count. No served
+  // query plans SCAPE, and a served WF answer sketches its epoch's window
+  // per query, so neither the index nor the amortized WF estimator is
+  // built, whatever `options_.build` asks (DESIGN.md §8).
+  AffinityOptions options = options_.build;
+  options.build_scape = false;
+  options.build_dft = false;
+  AFFINITY_ASSIGN_OR_RETURN(Affinity fw, build(options));
+  framework_ = std::make_unique<Affinity>(std::move(fw));
+  QueryEngine* engine = framework_->mutable_engine();
+  engine->AttachQuality(quality_scores_.get());
+  if (options_.build.build_dft) engine->EnableDft(options_.build.dft_coefficients);
+  maintainer_ = nullptr;
+  if (options_.mode == UpdateMode::kIncremental) {
+    AFFINITY_ASSIGN_OR_RETURN(IncrementalMaintainer maintainer,
+                              IncrementalMaintainer::Create(framework_->mutable_model(),
+                                                            options_.incremental, exec_,
+                                                            &maintenance_));
+    maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
+  }
+  return Status::OK();
 }
 
 void StreamingAffinity::InitBuffers(std::size_t series_count) {
@@ -260,16 +277,10 @@ AppendResult StreamingAffinity::Refresh() {
       out.refreshed = out.status.ok();
       return out;
     }
-    // WF sketches (when built) are refreshed over the slid window so the
-    // facade stays coherent — only when the incremental snapshot is kept
-    // (a rebuild constructs fresh sketches itself).
-    out.status = framework_->RefreshWf();
-    out.refreshed = out.status.ok();
-    if (out.refreshed) {
-      // The quality surface advances with the snapshot it describes.
-      RefreshQualityScores();
-      PublishServingSnapshot();
-    }
+    out.refreshed = true;
+    // The quality surface advances with the snapshot it describes.
+    RefreshQualityScores();
+    PublishServingSnapshot();
     return out;
   }
   out.mode = UpdateMode::kRebuild;
@@ -290,21 +301,10 @@ Status StreamingAffinity::Rebuild() {
   // exclusion (when enabled) and the engine's quality surface must both
   // describe the window this build is about to freeze.
   RefreshQualityScores();
-  AffinityOptions build = options_.build;
-  if (build.afclst.min_center_quality > 0.0) {
-    build.afclst.series_quality = *quality_scores_;
-  }
-  AFFINITY_ASSIGN_OR_RETURN(Affinity fw, Affinity::BuildWith(window, build, exec_));
-  framework_ = std::make_unique<Affinity>(std::move(fw));
-  framework_->mutable_engine()->AttachQuality(quality_scores_.get());
-  maintainer_ = nullptr;
-  if (options_.mode == UpdateMode::kIncremental) {
-    AFFINITY_ASSIGN_OR_RETURN(
-        IncrementalMaintainer maintainer,
-        IncrementalMaintainer::Create(framework_->mutable_model(), framework_->mutable_scape(),
-                                      options_.incremental, exec_, &maintenance_));
-    maintainer_ = std::make_unique<IncrementalMaintainer>(std::move(maintainer));
-  }
+  AFFINITY_RETURN_IF_ERROR(BuildFramework([&](AffinityOptions build) {
+    if (build.afclst.min_center_quality > 0.0) build.afclst.series_quality = *quality_scores_;
+    return Affinity::BuildWith(window, build, exec_);
+  }));
   pending_used_ = 0;
   snapshot_row_ = rows_ingested();
   rows_since_refresh_ = 0;
@@ -324,23 +324,23 @@ void StreamingAffinity::PublishServingSnapshot() {
   const QueryEngine& engine = framework_->engine();
   std::shared_ptr<const serve::ServingSnapshot> next;
   {
-    // COW window segments, the index's run handles, bulk WA refill.
-    // BuildDelta declines (nullptr) only when the table cannot cover the
-    // window at the model's anchor — a checkpoint restored with an anchor
-    // the fresh table does not share — and the full copy below takes
-    // over; both publish identical bits. The prior epoch is released
-    // before Publish so a retired epoch can be recycled.
+    // COW window segments, bulk WA refill. BuildDelta declines (nullptr)
+    // only when the table cannot cover the window at the model's anchor —
+    // a checkpoint restored with an anchor the fresh table does not share
+    // — and the full copy below takes over; both publish identical bits.
+    // The prior epoch is released before Publish so a retired epoch can be
+    // recycled.
     const auto prior = publisher_->Acquire();
     next = serve::SnapshotBuilder::BuildDelta(
-        framework_->model(), framework_->scape(),
+        framework_->model(),
         maintainer_ != nullptr ? &maintainer_->relationships_by_key() : nullptr, table_,
         prior.get(), engine, serving_generation_, rows_ingested(), exec_, &stats,
         std::move(serving_scratch_));
     serving_scratch_.reset();
   }
   if (next == nullptr) {
-    next = serve::SnapshotBuilder::Build(framework_->model(), framework_->scape(), engine,
-                                         serving_generation_, rows_ingested(), &stats);
+    next = serve::SnapshotBuilder::Build(framework_->model(), engine, serving_generation_,
+                                         rows_ingested(), &stats);
   }
   // Recycle the retired epoch (no surviving readers) into the next build:
   // its tables are rewritten in place, so steady-state publication
@@ -355,17 +355,11 @@ void StreamingAffinity::PublishServingSnapshot() {
     std::atomic_thread_fence(std::memory_order_acquire);
     std::shared_ptr<const serve::ServingSnapshot>(retired).reset();
     serving_scratch_ = std::const_pointer_cast<serve::ServingSnapshot>(std::move(retired));
-    // Its run handles go now, not at the next build: the runs they pin
-    // are the buffers the index's next Refresh recycles.
-    serving_scratch_->scape.pair.clear();
-    serving_scratch_->scape.loc.clear();
   }
   const double seconds = watch.ElapsedSeconds();
   ++maintenance_.epochs_published;
   if (stats.delta) ++maintenance_.epochs_delta;
   maintenance_.window_segments_reused += stats.window_segments_reused;
-  maintenance_.scape_runs_shared += stats.runs_shared;
-  maintenance_.scape_runs_spliced += stats.runs_rewritten;
   maintenance_.snapshot_bytes_copied += stats.bytes_copied;
   maintenance_.publish_seconds += seconds;
   maintenance_.last_publish_seconds = seconds;
@@ -373,17 +367,8 @@ void StreamingAffinity::PublishServingSnapshot() {
 
 std::shared_ptr<const serve::ServingSnapshot> StreamingAffinity::BuildColdSnapshot() const {
   if (framework_ == nullptr) return nullptr;
-  const auto build = [&](const ScapeIndex* scape) {
-    return serve::SnapshotBuilder::Build(framework_->model(), scape, framework_->engine(),
-                                         serving_generation_, snapshot_row_);
-  };
-  if (framework_->scape() == nullptr) return build(nullptr);
-  // Runs from a fresh sort of the maintained model, not the live index:
-  // against the published epoch this checks every Refresh (re-key plus
-  // insertion pass) against a cold build.
-  auto cold = ScapeIndex::Build(framework_->model(), exec_);
-  if (!cold.ok()) return nullptr;
-  return build(&*cold);
+  return serve::SnapshotBuilder::Build(framework_->model(), framework_->engine(),
+                                       serving_generation_, snapshot_row_);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,19 +6,21 @@
 ///
 /// The paper motivates both "real-time and archival settings"; this wrapper
 /// provides the real-time half: rows stream into the storage layer's
-/// `data_matrix` table and the framework (AFCLST → SYMEX+ → SCAPE) is
-/// refreshed over the trailing analysis window every `rebuild_interval`
-/// rows. Two refresh policies are offered (`UpdateMode`):
+/// `data_matrix` table and the model (AFCLST → SYMEX+) is refreshed over
+/// the trailing analysis window every `rebuild_interval` rows. A stream
+/// maintains only what its epochs read: the model, whose WA values fill
+/// the frozen tables, and the WF coefficient count. The SCAPE index and
+/// the amortized WF estimator are batch structures it never builds
+/// (DESIGN.md §8). Two refresh policies are offered (`UpdateMode`):
 ///
 ///  * `kRebuild` — every refresh is a from-scratch parallel build of the
-///    whole stack (the original behaviour);
+///    model (the original behaviour);
 ///  * `kIncremental` — after the first full build, refreshes delta-update
-///    every layer in place through `core/incremental` (DESIGN.md §8):
-///    O(interval) ring-buffer accumulator updates per relationship instead
-///    of O(window) refits, exact recomputation of all per-series /
-///    per-pivot state, and SCAPE run re-keying. A drift monitor
-///    escalates back to a full rebuild when the frozen clustering stops
-///    describing the data.
+///    the model in place through `core/incremental` (DESIGN.md §8):
+///    O(interval) accumulator updates per relationship instead of
+///    O(window) refits, and exact recomputation of all per-series /
+///    per-pivot state. A drift monitor escalates back to a full rebuild
+///    when the frozen clustering stops describing the data.
 ///
 /// Between refreshes, queries answer against the last published epoch —
 /// the standard freshness/cost trade-off: an epoch ages by up to
@@ -47,6 +49,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,7 +82,10 @@ struct StreamingOptions {
   UpdateMode mode = UpdateMode::kRebuild;
   /// Tuning of the incremental path (kIncremental only).
   IncrementalOptions incremental;
-  /// Build configuration for each full build.
+  /// Build configuration for each full build. Streams do not read
+  /// `build_scape`: they build no SCAPE index whatever it says. With
+  /// `build_dft` set they enable WF (`dft_coefficients`) on the engine
+  /// but build no amortized estimator.
   AffinityOptions build;
   /// Storage segment capacity; 0 derives one from the window so resident
   /// rows stay O(window) after compaction.
@@ -179,7 +185,9 @@ class StreamingAffinity {
   /// True once at least one framework snapshot exists.
   bool ready() const { return framework_ != nullptr; }
 
-  /// The current framework snapshot (nullptr before the first build).
+  /// The current framework snapshot (nullptr before the first build):
+  /// the model and its engine. Its `scape()` and `wf()` are always null
+  /// (see `StreamingOptions::build`).
   const Affinity* framework() const { return framework_.get(); }
 
   /// Rows ingested in total (safe on any thread).
@@ -278,10 +286,9 @@ class StreamingAffinity {
 
   /// A from-scratch snapshot of the current state, stamped with the
   /// *current* generation and snapshot row: the window and WA surface
-  /// copied from the maintained model, and SCAPE runs from a fresh
-  /// `ScapeIndex::Build` of it — the oracle every published epoch must
-  /// match bitwise (tested per epoch). nullptr before the first build.
-  /// Not published; purely an inspection surface.
+  /// copied from the maintained model — the oracle every published epoch
+  /// must match bitwise (tested per epoch). nullptr before the first
+  /// build. Not published; purely an inspection surface.
   std::shared_ptr<const serve::ServingSnapshot> BuildColdSnapshot() const;
 
  private:
@@ -292,6 +299,14 @@ class StreamingAffinity {
   /// Shared tail of every construction path: the quality tracker and the
   /// preallocated pending-row pool.
   void InitBuffers(std::size_t series_count);
+
+  /// Every stream build (Rebuild, Restore) goes through here, the one
+  /// place that decides what a stream maintains: runs `build` with
+  /// `options_.build` less the SCAPE index and the WF estimator, adopts
+  /// the framework (quality surface, WF enabled on the engine when
+  /// `build_dft` asks) and, in kIncremental mode, freezes a fresh
+  /// maintainer from it.
+  Status BuildFramework(const std::function<StatusOr<Affinity>(const AffinityOptions&)>& build);
 
   /// Common body of Append/AppendMasked; null masks mean fully observed.
   AppendResult AppendRow(const std::vector<double>& values, const std::uint8_t* valid,
@@ -317,9 +332,9 @@ class StreamingAffinity {
   /// success, full rebuild, restore — i.e. exactly when the live
   /// structures change, so a published snapshot always equals the live
   /// structures until the next publication. Goes through
-  /// SnapshotBuilder::BuildDelta — COW window, the index's run handles —
-  /// and falls back to the full Build when the table cannot cover the
-  /// window; the published bits are identical either way.
+  /// SnapshotBuilder::BuildDelta — COW window, bulk WA refill — and falls
+  /// back to the full Build when the table cannot cover the window; the
+  /// published bits are identical either way.
   void PublishServingSnapshot();
 
   // Declared first so it outlives the framework snapshot whose engine

@@ -8,8 +8,8 @@ namespace affinity::serve {
 namespace {
 
 /// The engine over `snap`: its frozen caps, WF coefficient count, scores
-/// and WA tables, the SCAPE runs it shares with the index, its lazily
-/// materialized window, and a sequential ExecContext.
+/// and WA tables, its lazily materialized window, and a sequential
+/// ExecContext.
 core::QueryEngine EpochEngine(const ServingSnapshot& snap) {
   core::EpochView epoch;
   epoch.generation = snap.generation;
@@ -18,7 +18,6 @@ core::QueryEngine EpochEngine(const ServingSnapshot& snap) {
   epoch.dense = [window = &snap.data]() -> const ts::DataMatrix& { return window->dense(); };
   epoch.caps = snap.caps;
   epoch.wf_coefficients = snap.wf_coefficients;
-  epoch.scape = snap.has_scape ? &snap.scape : nullptr;
   if (snap.caps.has_model) {
     // Location family f is Measure f; pair table t is Measure kCovariance + t.
     epoch.stats = &snap.stats;

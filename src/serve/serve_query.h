@@ -6,11 +6,12 @@
 ///
 /// Each function binds the epoch to `core::QueryEngine` (`EpochView`)
 /// and asks it: the engine plans with the epoch's frozen capabilities,
-/// runs SCAPE queries over the runs the epoch shares with the index,
 /// reads WA values from the frozen tables, and runs WN sweeps and WF
 /// sketches over the epoch's window. There is no second implementation,
-/// so answers — errors included — are bitwise the live engine's at the
-/// epoch's publication point, and every status is final.
+/// so answers — errors included — are bitwise a stream's live engine's at
+/// the epoch's publication point, and every status is final. An epoch has
+/// no SCAPE index: an explicit kScape fails as it does on an engine
+/// without one.
 ///
 /// Everything here is const over the snapshot and allocation-local, so
 /// any number of threads may serve queries from the same snapshot

@@ -118,14 +118,13 @@ namespace {
 using core::Measure;
 
 /// Freezes what the engine answers with besides the model — its
-/// capabilities (with a model, the epoch's WA values are table reads),
-/// WF coefficient count and quality scores. The scores are assigned in
-/// place, so a recycled scratch epoch keeps its capacity and never
-/// carries the previous epoch's scores; cleared when the engine has no
-/// surface.
+/// capabilities less SCAPE (an epoch carries no index), WF coefficient
+/// count and quality scores. The scores are assigned in place, so a
+/// recycled scratch epoch keeps its capacity and never carries the
+/// previous epoch's scores; cleared when the engine has no surface.
 void FreezeEngine(const core::QueryEngine& engine, ServingSnapshot* out) {
   out->caps = engine.Capabilities();
-  out->caps.frozen_wa = out->caps.has_model;
+  out->caps.has_scape = false;
   out->wf_coefficients = engine.wf_coefficients();
   if (engine.quality() != nullptr) {
     out->quality.assign(engine.quality()->begin(), engine.quality()->end());
@@ -215,26 +214,16 @@ void FreezeStats(const core::AffinityModel& model, ServingSnapshot* out) {
   }
 }
 
-constexpr std::size_t kPairEntryBytes =
-    sizeof(double) + sizeof(ts::SequencePair) + sizeof(double);
-
-std::size_t RunBytes(const core::PairRun& run) {
-  return run.keys.size() * kPairEntryBytes + run.side.size() * sizeof(core::ScapeSideEntry);
-}
-
-std::size_t RunBytes(const core::LocRun& run) {
-  return run.keys.size() * (sizeof(double) + sizeof(ts::SeriesId));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // SnapshotBuilder
 
-std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
-    const core::AffinityModel& model, const core::ScapeIndex* scape,
-    const core::QueryEngine& engine, std::uint64_t generation, std::size_t snapshot_row,
-    PublishStats* stats) {
+std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(const core::AffinityModel& model,
+                                                              const core::QueryEngine& engine,
+                                                              std::uint64_t generation,
+                                                              std::size_t snapshot_row,
+                                                              PublishStats* stats) {
   CheckComplete(model);
   auto out = std::make_shared<ServingSnapshot>();
   out->generation = generation;
@@ -253,36 +242,15 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::Build(
   for (const auto& table : out->location) local.bytes_copied += table.size() * sizeof(double);
   for (const auto& table : out->pair_values) local.bytes_copied += table.size() * sizeof(double);
 
-  if (scape != nullptr) {
-    // Every run copied into epoch-owned storage: nothing is shared with
-    // the index, so this epoch is an independent oracle.
-    out->has_scape = true;
-    const core::ScapeRuns& runs = scape->runs();
-    out->scape.pair.resize(runs.pair.size());
-    for (std::size_t p = 0; p < runs.pair.size(); ++p) {
-      for (std::size_t f = 0; f < 2; ++f) {
-        out->scape.pair[p][f] = std::make_shared<const core::PairRun>(*runs.pair[p][f]);
-        local.bytes_copied += RunBytes(*runs.pair[p][f]);
-      }
-    }
-    out->scape.loc.resize(runs.loc.size());
-    for (std::size_t l = 0; l < runs.loc.size(); ++l) {
-      for (std::size_t f = 0; f < 3; ++f) {
-        out->scape.loc[l][f] = std::make_shared<const core::LocRun>(*runs.loc[l][f]);
-        local.bytes_copied += RunBytes(*runs.loc[l][f]);
-      }
-    }
-  }
   if (stats != nullptr) *stats = local;
   return out;
 }
 
 std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
-    const core::AffinityModel& model, const core::ScapeIndex* scape,
-    const std::vector<core::RelationshipRef>* by_key, const storage::DataMatrixTable& table,
-    const ServingSnapshot* prior, const core::QueryEngine& engine, std::uint64_t generation,
-    std::size_t snapshot_row, const ExecContext& exec, PublishStats* stats,
-    std::shared_ptr<ServingSnapshot> scratch) {
+    const core::AffinityModel& model, const std::vector<core::RelationshipRef>* by_key,
+    const storage::DataMatrixTable& table, const ServingSnapshot* prior,
+    const core::QueryEngine& engine, std::uint64_t generation, std::size_t snapshot_row,
+    const ExecContext& exec, PublishStats* stats, std::shared_ptr<ServingSnapshot> scratch) {
   CheckComplete(model);
   const std::size_t n = model.data().n();
   const std::size_t m = model.data().m();
@@ -316,27 +284,6 @@ std::shared_ptr<const ServingSnapshot> SnapshotBuilder::BuildDelta(
   for (const auto& tbl : out->location) total.bytes_copied += tbl.size() * sizeof(double);
   for (const auto& tbl : out->pair_values) total.bytes_copied += tbl.size() * sizeof(double);
 
-  out->has_scape = scape != nullptr;
-  if (scape != nullptr) {
-    // The epoch shares the index's immutable runs: a handle copy each.
-    out->scape = scape->runs();
-    const core::ScapeRuns none;
-    const core::ScapeRuns& was = prior != nullptr && prior->has_scape ? prior->scape : none;
-    const auto count_shared = [&](const auto& now, const auto& before) {
-      for (std::size_t p = 0; p < now.size(); ++p) {
-        for (std::size_t f = 0; f < now[p].size(); ++f) {
-          const bool shared = before.size() == now.size() && before[p][f] == now[p][f];
-          ++(shared ? total.runs_shared : total.runs_rewritten);
-        }
-      }
-    };
-    count_shared(out->scape.pair, was.pair);
-    count_shared(out->scape.loc, was.loc);
-  } else {
-    // A recycled scratch that once carried a SCAPE surface must not
-    // expose stale runs.
-    out->scape = {};
-  }
   if (stats != nullptr) *stats = total;
   return out;
 }

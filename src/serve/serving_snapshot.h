@@ -10,10 +10,6 @@
 /// queries from them while a slide is absorbing would require locks.
 /// Instead, each successful refresh publishes a `ServingSnapshot`:
 ///
-///  * the SCAPE index's sorted runs, shared by handle (`core::ScapeRuns`):
-///    a run is immutable once written, and a refresh that moves its keys
-///    writes a new one, so the epoch holds the runs of its own
-///    publication point without copying them;
 ///  * the WA surface (per-series stats, L-measure values, the six pair
 ///    measure tables in lexicographic pair order) frozen into flat
 ///    arrays, so snapshot WA queries never touch the live hash — always
@@ -25,11 +21,12 @@
 ///  * the engine's capabilities, WF coefficient count and quality
 ///    scores, so every query — WF included — is answered from the epoch.
 ///
-/// `SnapshotBuilder::BuildDelta` publishes that way — COW window, shared
-/// runs, bulk WA refill — with zero sample or run copies.
-/// `SnapshotBuilder::Build` is the from-scratch oracle: it copies
-/// everything it is given (the window densely, every run) into the new
-/// epoch, and it is the fallback when the table cannot cover the window.
+/// An epoch carries no SCAPE index: it answers every selection from the
+/// frozen tables (DESIGN.md §8). `SnapshotBuilder::BuildDelta` publishes
+/// that way — COW window, bulk WA refill — with zero sample copies.
+/// `SnapshotBuilder::Build` is the from-scratch oracle: it copies the
+/// window densely into the new epoch, and it is the fallback when the
+/// table cannot cover the window.
 ///
 /// Snapshots are published through an `EpochPublisher` — an atomic
 /// shared_ptr swap. Readers `Acquire()` a snapshot and keep it alive for
@@ -56,7 +53,6 @@
 #include "common/exec_context.h"
 #include "core/planner.h"
 #include "core/query.h"
-#include "core/scape.h"
 #include "core/symex.h"
 #include "storage/table.h"
 #include "ts/data_matrix.h"
@@ -136,7 +132,7 @@ class CowWindow {
 /// An immutable read-optimized replica of one AFFINITY instance at one
 /// refresh epoch. Everything a MET/MER/MEC/top-k needs is embedded; no
 /// pointer into the live stack survives in here (shared segment buffers
-/// and SCAPE runs are jointly owned and immutable).
+/// are jointly owned and immutable).
 struct ServingSnapshot {
   /// Publication epoch (monotone per publisher; 0 never published).
   std::uint64_t generation = 0;
@@ -147,19 +143,13 @@ struct ServingSnapshot {
   /// surface.
   CowWindow data;
 
-  /// The live engine's capabilities at publication, plus `frozen_wa`
-  /// whenever the engine had a model: the engine plans kAuto over an
-  /// epoch with these, as the live engine planned except that correlation
-  /// and cosine MET/MER read the frozen pair table (planner.h).
+  /// The live engine's capabilities at publication, less SCAPE (an
+  /// epoch has no index): the engine plans kAuto over an epoch with
+  /// these, so with a model every selection plans WA (planner.h).
   core::QueryPlanner::Capabilities caps;
   /// The live engine's WF coefficient count at publication (0: WF not
   /// enabled); WF queries sketch this epoch's window with it.
   std::size_t wf_coefficients = 0;
-
-  /// True when the engine had a SCAPE index; `scape` then holds its runs
-  /// as of this publication.
-  bool has_scape = false;
-  core::ScapeRuns scape;
 
   // --- WA surface ----------------------------------------------------------
   // Always complete: the model that publishes an epoch holds every
@@ -191,31 +181,29 @@ struct PublishStats {
   std::size_t bytes_copied = 0;           ///< bytes written into the new epoch
   std::size_t window_segments_total = 0;  ///< segment refs captured (0 = dense copy)
   std::size_t window_segments_reused = 0; ///< of those, shared with the prior epoch
-  std::size_t runs_shared = 0;            ///< SCAPE runs whose handle the prior epoch held
-  std::size_t runs_rewritten = 0;         ///< SCAPE runs the prior epoch did not hold
 };
 
 /// Builds `ServingSnapshot`s from the live structures.
 class SnapshotBuilder {
  public:
-  /// Builds a replica of (`model`, `scape`) stamped with `generation` and
-  /// `snapshot_row`, copying the window densely and every SCAPE run — the
-  /// from-scratch oracle every published epoch must match bit for bit.
-  /// `scape` may be null (no SCAPE surface). `engine` is the engine that
-  /// answers over `model`: its capabilities (so kAuto plans match), WF
-  /// coefficient count and quality scores are frozen into the epoch.
+  /// Builds a replica of `model` stamped with `generation` and
+  /// `snapshot_row`, copying the window densely — the from-scratch oracle
+  /// every published epoch must match bit for bit. `engine` is the engine
+  /// that answers over `model`: its capabilities less SCAPE, WF
+  /// coefficient count and quality scores are frozen into the epoch, so
+  /// an epoch of a batch engine with an index plans like a stream's.
   /// `model` must hold every relationship (checked): a truncated batch
   /// model has no complete WA surface to serve.
-  static std::shared_ptr<const ServingSnapshot> Build(
-      const core::AffinityModel& model, const core::ScapeIndex* scape,
-      const core::QueryEngine& engine, std::uint64_t generation, std::size_t snapshot_row,
-      PublishStats* stats = nullptr);
+  static std::shared_ptr<const ServingSnapshot> Build(const core::AffinityModel& model,
+                                                      const core::QueryEngine& engine,
+                                                      std::uint64_t generation,
+                                                      std::size_t snapshot_row,
+                                                      PublishStats* stats = nullptr);
 
   /// Per-refresh publication (DESIGN.md §11): builds the snapshot `Build`
   /// would, but
   ///  * captures the window as refcounted segment references into `table`
   ///    (zero sample copies; segments shared with the previous epoch),
-  ///  * takes the index's run handles instead of copying the runs,
   ///  * refills the WA surface in parallel over `exec`, six measures per
   ///    pair (bitwise equal to the per-measure path) — read from
   ///    `by_key` when non-null: `model`'s relationships in ascending
@@ -237,10 +225,10 @@ class SnapshotBuilder {
   /// the quality scores included — so recycling never changes the
   /// produced bits.
   static std::shared_ptr<const ServingSnapshot> BuildDelta(
-      const core::AffinityModel& model, const core::ScapeIndex* scape,
-      const std::vector<core::RelationshipRef>* by_key, const storage::DataMatrixTable& table,
-      const ServingSnapshot* prior, const core::QueryEngine& engine, std::uint64_t generation,
-      std::size_t snapshot_row, const ExecContext& exec = {}, PublishStats* stats = nullptr,
+      const core::AffinityModel& model, const std::vector<core::RelationshipRef>* by_key,
+      const storage::DataMatrixTable& table, const ServingSnapshot* prior,
+      const core::QueryEngine& engine, std::uint64_t generation, std::size_t snapshot_row,
+      const ExecContext& exec = {}, PublishStats* stats = nullptr,
       std::shared_ptr<ServingSnapshot> scratch = nullptr);
 };
 

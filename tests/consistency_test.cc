@@ -10,6 +10,8 @@
 
 #include "common/random.h"
 #include "core/framework.h"
+#include "core/streaming.h"
+#include "serve/serve_query.h"
 #include "ts/generators.h"
 
 namespace affinity::core {
@@ -22,20 +24,124 @@ struct Scenario {
 
 class RandomizedConsistency : public ::testing::TestWithParam<Scenario> {
  protected:
-  Affinity BuildFramework() {
+  ts::Dataset Data() {
     ts::DatasetSpec spec;
     spec.num_series = 26;
     spec.num_samples = 70;
     spec.num_clusters = 3;
     spec.noise_level = 0.05;  // noisier than other tests on purpose
     spec.seed = GetParam().seed;
-    const ts::Dataset ds =
-        GetParam().stock ? ts::MakeStockData(spec) : ts::MakeSensorData(spec);
-    auto fw = Affinity::Build(ds.matrix);
+    return GetParam().stock ? ts::MakeStockData(spec) : ts::MakeSensorData(spec);
+  }
+
+  Affinity BuildFramework() {
+    auto fw = Affinity::Build(Data().matrix);
     EXPECT_TRUE(fw.ok());
     return std::move(fw).value();
   }
 };
+
+/// A threshold halfway between two adjacent distinct `values` drawn by
+/// `rng`, at least 1e-9·(1 + |v|) from every value v — clear of the ties
+/// a key-transformed index may classify either way (scape.h "Boundary
+/// semantics"). NaN when no gap is wide enough.
+double CutBetween(std::vector<double> values, Xoshiro256* rng) {
+  std::sort(values.begin(), values.end());
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    const std::size_t i = rng->NextBounded(values.size() - 1);
+    const double lo = values[i];
+    const double hi = values[i + 1];
+    const double tau = 0.5 * (lo + hi);
+    if (tau - lo >= 1e-9 * (1.0 + std::fabs(lo)) && hi - tau >= 1e-9 * (1.0 + std::fabs(hi))) {
+      return tau;
+    }
+  }
+  return std::nan("");
+}
+
+/// Same entity sets, whatever order each side answered in.
+void ExpectSameSortedSets(std::vector<ts::SequencePair> pairs_a, std::vector<ts::SeriesId> series_a,
+                          std::vector<ts::SequencePair> pairs_b,
+                          std::vector<ts::SeriesId> series_b) {
+  std::sort(pairs_a.begin(), pairs_a.end());
+  std::sort(pairs_b.begin(), pairs_b.end());
+  std::sort(series_a.begin(), series_a.end());
+  std::sort(series_b.begin(), series_b.end());
+  EXPECT_EQ(pairs_a, pairs_b);
+  EXPECT_EQ(series_a, series_b);
+}
+
+// A stream builds no SCAPE index, so its epochs answer the measures SCAPE
+// used to serve there — covariance, dot product and the L-measures — with
+// the table pass. Over the stream's maintained model the pass selects
+// exactly what batch SCAPE over that model selects, and top-k returns the
+// same pairs.
+TEST_P(RandomizedConsistency, EpochPassEqualsBatchScape) {
+  const ts::Dataset ds = Data();
+  StreamingOptions options;
+  options.window = 50;
+  options.rebuild_interval = 5;
+  options.mode = UpdateMode::kIncremental;
+  auto stream = StreamingAffinity::Create(ds.matrix.names(), options);
+  ASSERT_TRUE(stream.ok());
+  std::vector<double> row(ds.matrix.n());
+  for (std::size_t i = 0; i < ds.matrix.m(); ++i) {
+    for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = ds.matrix.matrix()(i, j);
+    ASSERT_TRUE(stream->Append(row).ok());
+  }
+  ASSERT_GT(stream->refresh_count(), 0u);
+  const auto snap = stream->serving();
+  ASSERT_NE(snap, nullptr);
+  auto index = ScapeIndex::Build(stream->framework()->model());
+  ASSERT_TRUE(index.ok());
+  Xoshiro256 rng(GetParam().seed * 19 + 11);
+  for (const Measure measure : {Measure::kCovariance, Measure::kDotProduct, Measure::kMean,
+                                Measure::kMedian, Measure::kMode}) {
+    SCOPED_TRACE(std::string(MeasureName(measure)));
+    const std::vector<double>& values =
+        IsLocation(measure)
+            ? snap->location[static_cast<std::size_t>(LocationFamilyOf(measure))]
+            : snap->pair_values[static_cast<std::size_t>(measure) -
+                                static_cast<std::size_t>(Measure::kCovariance)];
+    for (int probe = 0; probe < 4; ++probe) {
+      const double tau = CutBetween(values, &rng);
+      const double other = CutBetween(values, &rng);
+      ASSERT_FALSE(std::isnan(tau) || std::isnan(other));
+      const bool greater = rng.NextDouble() < 0.5;
+      auto served_met = serve::SnapshotMet(*snap, {measure, tau, greater});
+      auto scape_met = index->MeasureThreshold(measure, tau, greater);
+      ASSERT_TRUE(served_met.ok());
+      ASSERT_TRUE(scape_met.ok());
+      ExpectSameSortedSets(served_met->pairs, served_met->series, scape_met->pairs,
+                           scape_met->series);
+      const double lo = std::min(tau, other);
+      const double hi = std::max(tau, other);
+      auto served_mer = serve::SnapshotMer(*snap, {measure, lo, hi});
+      auto scape_mer = index->MeasureRange(measure, lo, hi);
+      ASSERT_TRUE(served_mer.ok());
+      ASSERT_TRUE(scape_mer.ok());
+      ExpectSameSortedSets(served_mer->pairs, served_mer->series, scape_mer->pairs,
+                           scape_mer->series);
+    }
+  }
+  for (const Measure measure : {Measure::kCovariance, Measure::kDotProduct}) {
+    for (const bool largest : {true, false}) {
+      const std::size_t k = 1 + rng.NextBounded(20);
+      SCOPED_TRACE(std::string(MeasureName(measure)) + " k=" + std::to_string(k) +
+                   (largest ? " largest" : " smallest"));
+      auto served = serve::SnapshotTopK(*snap, {measure, k, largest});
+      auto scape = index->TopK(measure, k, largest);
+      ASSERT_TRUE(served.ok());
+      ASSERT_TRUE(scape.ok());
+      ASSERT_EQ(served->entries.size(), scape->entries.size());
+      for (std::size_t i = 0; i < scape->entries.size(); ++i) {
+        const double v = scape->entries[i].value;
+        EXPECT_EQ(served->entries[i].pair, scape->entries[i].pair) << "rank " << i;
+        EXPECT_NEAR(served->entries[i].value, v, 1e-12 * (1.0 + std::fabs(v))) << "rank " << i;
+      }
+    }
+  }
+}
 
 TEST_P(RandomizedConsistency, ScapeEqualsWaOnRandomThresholds) {
   const Affinity fw = BuildFramework();

@@ -68,20 +68,34 @@ Status FeedRows(StreamingAffinity* stream, const ts::Dataset& ds, std::size_t be
   return Status::OK();
 }
 
+/// An engine over `model` with WA and a SCAPE index built over the model.
+/// A stream builds no index, so its maintained model's kScape rows are
+/// answered by one of these too.
+struct IndexedEngine {
+  ScapeIndex index;
+  QueryEngine engine;
+
+  IndexedEngine(const AffinityModel& model, ScapeIndex idx, const ExecContext& exec)
+      : index(std::move(idx)), engine(&model.data()) {
+    engine.AttachModel(&model);
+    engine.AttachScape(&index);
+    engine.SetExec(exec);
+  }
+};
+
+StatusOr<std::unique_ptr<IndexedEngine>> IndexModel(const AffinityModel& model,
+                                                    const ExecContext& exec) {
+  AFFINITY_ASSIGN_OR_RETURN(ScapeIndex index, ScapeIndex::Build(model, exec));
+  return std::make_unique<IndexedEngine>(model, std::move(index), exec);
+}
+
 /// The from-scratch comparator: SYMEX+ over the incremental snapshot's
 /// window with the incremental snapshot's (extended) clustering, plus a
 /// fresh SCAPE index — what a full rebuild would produce had AFCLST
 /// returned the maintained clustering.
 struct Comparator {
   AffinityModel model;
-  ScapeIndex index;
-  QueryEngine engine;
-
-  explicit Comparator(AffinityModel m, ScapeIndex idx)
-      : model(std::move(m)), index(std::move(idx)), engine(&model.data()) {
-    engine.AttachModel(&model);
-    engine.AttachScape(&index);
-  }
+  std::unique_ptr<IndexedEngine> indexed;
 };
 
 StatusOr<std::unique_ptr<Comparator>> BuildComparator(const Affinity& fw,
@@ -93,9 +107,8 @@ StatusOr<std::unique_ptr<Comparator>> BuildComparator(const Affinity& fw,
   clustering.projection_errors = fw.model().clustering().projection_errors;
   AFFINITY_ASSIGN_OR_RETURN(AffinityModel model,
                             RunSymex(fw.data(), std::move(clustering), SymexOptions{}, exec));
-  AFFINITY_ASSIGN_OR_RETURN(ScapeIndex index, ScapeIndex::Build(model, exec));
-  auto comparator = std::make_unique<Comparator>(std::move(model), std::move(index));
-  comparator->engine.SetExec(exec);
+  auto comparator = std::make_unique<Comparator>(Comparator{std::move(model), nullptr});
+  AFFINITY_ASSIGN_OR_RETURN(comparator->indexed, IndexModel(comparator->model, exec));
   return comparator;
 }
 
@@ -237,6 +250,15 @@ void CompareQueries(const QueryEngine& inc, const QueryEngine& fresh, bool exact
   }
 }
 
+/// Compares the stream's maintained model with `comparator`: the models,
+/// then every query over both, SCAPE built over each.
+void CompareStream(const StreamingAffinity& stream, const Comparator& comparator, bool exact) {
+  CompareModels(stream.framework()->model(), comparator.model, exact);
+  auto maintained = IndexModel(stream.framework()->model(), stream.exec());
+  ASSERT_TRUE(maintained.ok());
+  CompareQueries((*maintained)->engine, comparator.indexed->engine, exact);
+}
+
 class IncrementalEquivalence : public ::testing::TestWithParam<int> {};
 
 // The headline contract, at every thread count: slide by 1, 2, and 8 rows
@@ -257,8 +279,7 @@ TEST_P(IncrementalEquivalence, MatchesFromScratchRebuildAcrossSlides) {
       ASSERT_EQ(stream->snapshot_age(), 0u);
       auto comparator = BuildComparator(*stream->framework(), stream->exec());
       ASSERT_TRUE(comparator.ok());
-      CompareModels(stream->framework()->model(), (*comparator)->model, /*exact=*/false);
-      CompareQueries(stream->framework()->engine(), (*comparator)->engine, /*exact=*/false);
+      CompareStream(*stream, **comparator, /*exact=*/false);
     }
   }
 }
@@ -275,8 +296,7 @@ TEST_P(IncrementalEquivalence, ExactRefitEveryRefreshIsBitIdentical) {
   ASSERT_EQ(stream->refresh_count(), 3u);
   auto comparator = BuildComparator(*stream->framework(), stream->exec());
   ASSERT_TRUE(comparator.ok());
-  CompareModels(stream->framework()->model(), (*comparator)->model, /*exact=*/true);
-  CompareQueries(stream->framework()->engine(), (*comparator)->engine, /*exact=*/true);
+  CompareStream(*stream, **comparator, /*exact=*/true);
 }
 
 // Sliding by more than the whole window (interval > window) degenerates to
@@ -291,8 +311,7 @@ TEST_P(IncrementalEquivalence, SlideLargerThanWindow) {
   auto comparator = BuildComparator(*stream->framework(), stream->exec());
   ASSERT_TRUE(comparator.ok());
   // A full-window slide refits everything exactly: bit-identical.
-  CompareModels(stream->framework()->model(), (*comparator)->model, /*exact=*/true);
-  CompareQueries(stream->framework()->engine(), (*comparator)->engine, /*exact=*/true);
+  CompareStream(*stream, **comparator, /*exact=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalEquivalence, ::testing::Values(1, 2, 8));

@@ -211,8 +211,8 @@ TEST(ParallelStreaming, RebuildsMatchSequentialStream) {
   MetRequest req;
   req.measure = Measure::kCorrelation;
   req.tau = 0.8;
-  auto a = seq->framework()->engine().Met(req, QueryMethod::kScape);
-  auto b = par->framework()->engine().Met(req, QueryMethod::kScape);
+  auto a = seq->Met(req);
+  auto b = par->Met(req);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->pairs, b->pairs);

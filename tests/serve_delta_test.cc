@@ -1,11 +1,9 @@
 // Tests for per-refresh epoch publication (DESIGN.md §11): every
-// published epoch (COW window segments, the index's shared SCAPE runs,
-// bulk WA refill) must be bitwise identical to a cold build of the same
-// state — SnapshotBuilder::Build with SCAPE runs from a fresh
-// ScapeIndex::Build, so each refreshed run is checked against a cold sort
-// — across refresh intervals, thread counts, escalations, manual
-// rebuilds, and restores; and a held epoch must stay queryable and
-// bit-stable while newer ones publish.
+// published epoch (COW window segments, bulk WA refill) must be bitwise
+// identical to a cold build of the same state (SnapshotBuilder::Build)
+// across refresh intervals, thread counts, escalations, manual rebuilds,
+// and restores; and a held epoch must stay queryable and bit-stable while
+// newer ones publish.
 
 #include "serve/serving_snapshot.h"
 
@@ -75,21 +73,6 @@ void ExpectSameWindow(const CowWindow& a, const CowWindow& b) {
   }
 }
 
-void ExpectSamePairRun(const core::PairRun& a, const core::PairRun& b, const char* what) {
-  EXPECT_EQ(a.norm, b.norm) << what;
-  EXPECT_EQ(a.u_min, b.u_min) << what;
-  EXPECT_EQ(a.u_max, b.u_max) << what;
-  EXPECT_EQ(a.keys, b.keys) << what;
-  EXPECT_EQ(a.pairs, b.pairs) << what;
-  EXPECT_EQ(a.us, b.us) << what;
-  ASSERT_EQ(a.side.size(), b.side.size()) << what;
-  for (std::size_t i = 0; i < a.side.size(); ++i) {
-    EXPECT_EQ(a.side[i].pair, b.side[i].pair) << what;
-    EXPECT_EQ(a.side[i].u, b.side[i].u) << what;
-    EXPECT_EQ(a.side[i].xi, b.side[i].xi) << what;
-  }
-}
-
 void ExpectSameSnapshot(const ServingSnapshot& got, const ServingSnapshot& want) {
   EXPECT_EQ(got.generation, want.generation);
   EXPECT_EQ(got.snapshot_row, want.snapshot_row);
@@ -109,28 +92,6 @@ void ExpectSameSnapshot(const ServingSnapshot& got, const ServingSnapshot& want)
   }
   EXPECT_EQ(got.caps.has_quality, want.caps.has_quality);
   EXPECT_EQ(got.quality, want.quality);
-  ASSERT_EQ(got.has_scape, want.has_scape);
-  ASSERT_EQ(got.scape.pair.size(), want.scape.pair.size());
-  for (std::size_t p = 0; p < want.scape.pair.size(); ++p) {
-    for (std::size_t f = 0; f < 2; ++f) {
-      const std::string what = "pair pivot " + std::to_string(p) + " family " + std::to_string(f);
-      ASSERT_NE(got.scape.pair[p][f], nullptr) << what;
-      ASSERT_NE(want.scape.pair[p][f], nullptr) << what;
-      ExpectSamePairRun(*got.scape.pair[p][f], *want.scape.pair[p][f], what.c_str());
-    }
-  }
-  ASSERT_EQ(got.scape.loc.size(), want.scape.loc.size());
-  for (std::size_t p = 0; p < want.scape.loc.size(); ++p) {
-    for (std::size_t f = 0; f < 3; ++f) {
-      ASSERT_NE(got.scape.loc[p][f], nullptr);
-      ASSERT_NE(want.scape.loc[p][f], nullptr);
-      const core::LocRun& a = *got.scape.loc[p][f];
-      const core::LocRun& b = *want.scape.loc[p][f];
-      EXPECT_EQ(a.norm, b.norm) << "loc pivot " << p << " family " << f;
-      EXPECT_EQ(a.keys, b.keys) << "loc pivot " << p << " family " << f;
-      EXPECT_EQ(a.series, b.series) << "loc pivot " << p << " family " << f;
-    }
-  }
 }
 
 /// Slides `slides` rows through a fresh stream and checks every published
@@ -332,7 +293,7 @@ TEST(ServeDelta, HeldRouterEpochAnswersUnchangedAfterNewerPublications) {
   EXPECT_EQ(after->pairs, before->pairs);
 }
 
-TEST(ServeDelta, DeltaReusesWindowSegmentsAndScapeRuns) {
+TEST(ServeDelta, DeltaReusesWindowSegments) {
   const ts::Dataset ds = TestData();
   auto stream = StreamingAffinity::Create(Names(ds.matrix.n()), StreamOptions(1, 1));
   ASSERT_TRUE(stream.ok());

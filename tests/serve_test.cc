@@ -1,14 +1,12 @@
 // Tests for lock-free snapshot serving (DESIGN.md §11): per-refresh
 // publication, bitwise identity with the live engine/router (WF included),
 // the epoch's one-pass WA selections, epoch pinning across maintenance,
-// the router epoch's cross co-moments and cross value vectors, and the
-// sparse-movement SCAPE refresh fast path.
+// and the router epoch's cross co-moments and cross value vectors.
 
 #include "serve/serve_query.h"
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -138,19 +136,6 @@ void ExpectSameSelection(const SelectionResult& served, const SelectionResult& l
   EXPECT_EQ(served.plan.method, live.plan.method);
 }
 
-/// The live engine's method for checking a served selection asked under
-/// `method`: the served plan's own under kAuto, where an epoch plans
-/// correlation and cosine MET/MER as one pass over its frozen pair table
-/// while the live engine plans SCAPE (planner.h's epoch rule).
-QueryMethod LiveMethod(QueryMethod method, const SelectionResult& served) {
-  return method == QueryMethod::kAuto ? served.plan.method : method;
-}
-
-/// The method an epoch plans a kAuto MET/MER over `measure` with.
-QueryMethod EpochAutoMethod(Measure measure) {
-  return core::IsDerived(measure) ? QueryMethod::kAffine : QueryMethod::kScape;
-}
-
 void ExpectSameTopK(const TopKResult& served, const TopKResult& live) {
   ASSERT_EQ(served.entries.size(), live.entries.size());
   for (std::size_t i = 0; i < live.entries.size(); ++i) {
@@ -190,40 +175,34 @@ TEST(ServeSnapshot, MirrorsLiveEngineBitwise) {
     EXPECT_EQ(snap->snapshot_row, 60u);
     const auto& engine = stream->framework()->engine();
 
-    const QueryMethod methods[] = {QueryMethod::kAuto, QueryMethod::kNaive, QueryMethod::kAffine,
-                                   QueryMethod::kScape};
-    for (QueryMethod method : methods) {
+    const MetRequest mets[] = {MetRequest{Measure::kCovariance, 0.0, true},
+                               MetRequest{Measure::kCorrelation, 0.9, true},
+                               MetRequest{Measure::kMean, 0.0, false}};
+    const MerRequest mers[] = {MerRequest{Measure::kCorrelation, 0.2, 0.9},
+                               MerRequest{Measure::kCovariance, -0.5, 0.5}};
+    const TopKRequest topks[] = {TopKRequest{Measure::kCorrelation, 5, true},
+                                 TopKRequest{Measure::kDotProduct, 4, true}};
+    for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kNaive, QueryMethod::kAffine}) {
       SCOPED_TRACE(std::string("method=") + std::string(core::QueryMethodName(method)));
-      // MET over a pair measure, a derived measure, and a location measure.
-      // Under kAuto the live engine answers with the served plan's method
-      // (LiveMethod), and the pairs then match bitwise and in order.
-      for (const MetRequest& req :
-           {MetRequest{Measure::kCovariance, 0.0, true}, MetRequest{Measure::kCorrelation, 0.9, true},
-            MetRequest{Measure::kMean, 0.0, false}}) {
+      // MET over a pair measure, a derived measure, and a location measure:
+      // the stream's live engine plans as its epoch does, and the pairs
+      // match bitwise and in order.
+      for (const MetRequest& req : mets) {
         auto served = serve::SnapshotMet(*snap, req, method);
+        auto live = engine.Met(req, method);
         ASSERT_TRUE(served.ok());
-        if (method == QueryMethod::kAuto) {
-          EXPECT_EQ(served->plan.method, EpochAutoMethod(req.measure));
-        }
-        auto live = engine.Met(req, LiveMethod(method, *served));
         ASSERT_TRUE(live.ok());
         ExpectSameSelection(*served, *live);
       }
-      // MER.
-      for (const MerRequest& req :
-           {MerRequest{Measure::kCorrelation, 0.2, 0.9}, MerRequest{Measure::kCovariance, -0.5, 0.5}}) {
+      for (const MerRequest& req : mers) {
         auto served = serve::SnapshotMer(*snap, req, method);
+        auto live = engine.Mer(req, method);
         ASSERT_TRUE(served.ok());
-        if (method == QueryMethod::kAuto) {
-          EXPECT_EQ(served->plan.method, EpochAutoMethod(req.measure));
-        }
-        auto live = engine.Mer(req, LiveMethod(method, *served));
         ASSERT_TRUE(live.ok());
         ExpectSameSelection(*served, *live);
       }
       // Top-k: values compare bitwise.
-      for (const TopKRequest& req :
-           {TopKRequest{Measure::kCorrelation, 5, true}, TopKRequest{Measure::kDotProduct, 4, true}}) {
+      for (const TopKRequest& req : topks) {
         auto live = engine.TopK(req, method);
         auto served = serve::SnapshotTopK(*snap, req, method);
         ASSERT_TRUE(live.ok());
@@ -258,6 +237,19 @@ TEST(ServeSnapshot, MirrorsLiveEngineBitwise) {
       expect_same_error(serve::SnapshotMec(*snap, req, QueryMethod::kScape).status(),
                         engine.Mec(req, QueryMethod::kScape).status());
     }
+    // A stream builds no SCAPE index: explicit kScape selections fail alike.
+    for (const MetRequest& req : mets) {
+      expect_same_error(serve::SnapshotMet(*snap, req, QueryMethod::kScape).status(),
+                        engine.Met(req, QueryMethod::kScape).status());
+    }
+    for (const MerRequest& req : mers) {
+      expect_same_error(serve::SnapshotMer(*snap, req, QueryMethod::kScape).status(),
+                        engine.Mer(req, QueryMethod::kScape).status());
+    }
+    for (const TopKRequest& req : topks) {
+      expect_same_error(serve::SnapshotTopK(*snap, req, QueryMethod::kScape).status(),
+                        engine.TopK(req, QueryMethod::kScape).status());
+    }
     const MerRequest inverted{Measure::kCorrelation, 0.9, 0.2};
     expect_same_error(serve::SnapshotMer(*snap, inverted).status(), engine.Mer(inverted).status());
     const TopKRequest wf_topk{Measure::kCorrelation, 5, true};
@@ -291,11 +283,10 @@ TEST(ServeSnapshot, FacadeServesFromSnapshotAndMarksThePlan) {
   ASSERT_TRUE(result.ok());
   EXPECT_NE(result->plan.rationale.find("served from read-optimized snapshot"), std::string::npos)
       << result->plan.rationale;
-  // The facade's snapshot-served answer equals the raw engine's under the
-  // served plan's method (the epoch's table pass).
+  // The facade's snapshot-served answer (the epoch's table pass) equals
+  // the raw engine's, which plans alike.
   EXPECT_EQ(result->plan.method, QueryMethod::kAffine);
-  auto live = stream->framework()->engine().Met({Measure::kCorrelation, 0.9, true},
-                                                result->plan.method);
+  auto live = stream->framework()->engine().Met({Measure::kCorrelation, 0.9, true});
   ASSERT_TRUE(live.ok());
   ExpectSameSelection(*result, *live);
 }
@@ -506,88 +497,6 @@ TEST(RouterServe, LoadPublishesFirstEpoch) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse-movement SCAPE refresh fast path: a slow-drift window where most
-// ξ keys land unchanged must skip their re-keys, the skip accounting must
-// surface, and a run none of whose entries moved must keep its handle.
-// ---------------------------------------------------------------------------
-
-/// Bitwise equality of two runs' contents.
-bool SameRunBits(const core::PairRun& a, const core::PairRun& b) {
-  const auto same_doubles = [](const std::vector<double>& x, const std::vector<double>& y) {
-    return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
-  };
-  if (std::memcmp(&a.norm, &b.norm, sizeof a.norm) != 0 || !same_doubles(a.keys, b.keys) ||
-      !same_doubles(a.us, b.us) || a.pairs != b.pairs || a.side.size() != b.side.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.side.size(); ++i) {
-    if (a.side[i].pair != b.side[i].pair ||
-        std::memcmp(&a.side[i].u, &b.side[i].u, sizeof(double)) != 0 ||
-        std::memcmp(&a.side[i].xi, &b.side[i].xi, sizeof(double)) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
-
-TEST(ServeMaintenance, SlowDriftSkipsScapeRekeys) {
-  // Cyclic stream with period == window == interval: after each refresh
-  // the window holds exactly the same 40 rows, so an exact refit (forced
-  // every refresh) reproduces each relationship bitwise and the refresh
-  // path can skip every unmoved key.
-  StreamingOptions options = StreamOptions();
-  options.rebuild_interval = 40;
-  options.incremental.exact_refit_period = 1;
-  auto stream = StreamingAffinity::Create(Names(10), options);
-  ASSERT_TRUE(stream.ok());
-  const ts::Dataset ds = TestData();
-  std::vector<double> row(10);
-  std::shared_ptr<const serve::ServingSnapshot> at_80;
-  for (std::size_t i = 0; i < 120; ++i) {
-    const std::size_t src = i % 40;
-    for (std::size_t j = 0; j < 10; ++j) row[j] = ds.matrix.matrix()(src, j);
-    ASSERT_TRUE(stream->Append(row).ok());
-    if (i + 1 == 80) at_80 = stream->serving();
-  }
-  // Refreshes ran at rows 80 and 120 over identical window content.
-  ASSERT_GE(stream->refresh_count(), 2u);
-  const core::MaintenanceProfile& profile = stream->maintenance();
-  EXPECT_GT(profile.scape_rekeys_skipped, 0u)
-      << "identical window content must skip unmoved ξ re-insertions";
-  // Across the row-120 refresh, a pair run whose contents are bitwise
-  // unchanged is the same handle (the row-80 epoch pins the old runs, so
-  // a rewrite could not reuse their addresses).
-  const auto at_120 = stream->serving();
-  ASSERT_NE(at_80, nullptr);
-  ASSERT_NE(at_120, nullptr);
-  ASSERT_EQ(at_80->scape.pair.size(), at_120->scape.pair.size());
-  std::size_t kept = 0;
-  for (std::size_t p = 0; p < at_120->scape.pair.size(); ++p) {
-    for (std::size_t f = 0; f < 2; ++f) {
-      const auto& before = at_80->scape.pair[p][f];
-      const auto& after = at_120->scape.pair[p][f];
-      if (before == after) {
-        ++kept;
-      } else {
-        EXPECT_FALSE(SameRunBits(*before, *after)) << "unchanged run rewritten: pivot " << p;
-      }
-    }
-  }
-  EXPECT_GT(kept, 0u);
-  EXPECT_GT(profile.scape_runs_shared, 0u);
-  // The fast path must not corrupt the index: SCAPE answers still match
-  // the naive sweep exactly.
-  const auto& engine = stream->framework()->engine();
-  auto scape = engine.Met({Measure::kCorrelation, 0.9, true}, QueryMethod::kScape);
-  auto naive = engine.Met({Measure::kCorrelation, 0.9, true}, QueryMethod::kNaive);
-  ASSERT_TRUE(scape.ok());
-  ASSERT_TRUE(naive.ok());
-  std::sort(scape->pairs.begin(), scape->pairs.end());
-  std::sort(naive->pairs.begin(), naive->pairs.end());
-  EXPECT_EQ(scape->pairs, naive->pairs);
-}
-
-// ---------------------------------------------------------------------------
 // Quality predicates are served from the epoch's frozen scores (DESIGN.md
 // §12).
 // ---------------------------------------------------------------------------
@@ -612,26 +521,39 @@ TEST(Serving, QualityPredicateServedFromEpoch) {
   MerRequest mer{Measure::kCorrelation, 0.2, 0.9};
   mer.min_quality = threshold;
   std::size_t excluded = 0;
+  const auto expect_same_error = [](const Status& served, const Status& live) {
+    EXPECT_FALSE(live.ok());
+    EXPECT_EQ(served.code(), live.code());
+    EXPECT_EQ(served.message(), live.message());
+  };
   for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kNaive, QueryMethod::kAffine,
                              QueryMethod::kScape}) {
     SCOPED_TRACE(std::string("method=") + std::string(core::QueryMethodName(method)));
-    auto served_met = serve::SnapshotMet(*snap, met, method);
-    ASSERT_TRUE(served_met.ok());
-    auto live_met = engine.Met(met, LiveMethod(method, *served_met));
-    ASSERT_TRUE(live_met.ok());
-    ExpectSameSelection(*served_met, *live_met);
-    ExpectSameQuality(served_met->quality, live_met->quality);
-    excluded += served_met->quality.excluded;
+    if (method == QueryMethod::kScape) {
+      // A stream builds no SCAPE index: explicit kScape fails alike.
+      expect_same_error(serve::SnapshotMet(*snap, met, method).status(),
+                        engine.Met(met, method).status());
+      expect_same_error(serve::SnapshotMer(*snap, mer, method).status(),
+                        engine.Mer(mer, method).status());
+    } else {
+      auto served_met = serve::SnapshotMet(*snap, met, method);
+      ASSERT_TRUE(served_met.ok());
+      auto live_met = engine.Met(met, method);
+      ASSERT_TRUE(live_met.ok());
+      ExpectSameSelection(*served_met, *live_met);
+      ExpectSameQuality(served_met->quality, live_met->quality);
+      excluded += served_met->quality.excluded;
 
-    auto served_mer = serve::SnapshotMer(*snap, mer, method);
-    ASSERT_TRUE(served_mer.ok());
-    auto live_mer = engine.Mer(mer, LiveMethod(method, *served_mer));
-    ASSERT_TRUE(live_mer.ok());
-    ExpectSameSelection(*served_mer, *live_mer);
-    ExpectSameQuality(served_mer->quality, live_mer->quality);
+      auto served_mer = serve::SnapshotMer(*snap, mer, method);
+      ASSERT_TRUE(served_mer.ok());
+      auto live_mer = engine.Mer(mer, method);
+      ASSERT_TRUE(live_mer.ok());
+      ExpectSameSelection(*served_mer, *live_mer);
+      ExpectSameQuality(served_mer->quality, live_mer->quality);
+    }
 
-    // Correlation plans the WA pass, covariance the TA (bypassed to the
-    // sweep under the predicate); both directions.
+    // Every top-k plans the WA pass, and the predicate routes an explicit
+    // SCAPE top-k to the WA sweep; both directions.
     for (TopKRequest topk : {TopKRequest{Measure::kCorrelation, 5, true},
                              TopKRequest{Measure::kCovariance, 4, false},
                              TopKRequest{Measure::kMean, 3, true}}) {
@@ -729,7 +651,7 @@ TEST(Serving, EpochWithoutQualitySurfaceRejectsThePredicate) {
   ASSERT_TRUE(fw.ok());
   const auto& engine = fw->engine();
   ASSERT_EQ(engine.quality(), nullptr);
-  auto snap = serve::SnapshotBuilder::Build(fw->model(), fw->scape(), engine, 1, ds.matrix.m());
+  auto snap = serve::SnapshotBuilder::Build(fw->model(), engine, 1, ds.matrix.m());
   ASSERT_FALSE(snap->caps.has_quality);
   MetRequest met{Measure::kCorrelation, 0.5, true};
   met.min_quality = 0.5;

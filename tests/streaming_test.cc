@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "core/serialize.h"
+#include "serve/serve_query.h"
+#include "shard/sharded.h"
 #include "ts/generators.h"
 #include "ts/rolling.h"
 
@@ -29,9 +32,10 @@ StreamingOptions SmallOptions() {
   return options;
 }
 
-/// Feeds `rows` rows of a clustered dataset into the stream.
-Status Feed(StreamingAffinity* stream, const ts::Dataset& ds, std::size_t begin,
-            std::size_t end) {
+/// Feeds `rows` rows of a clustered dataset into the stream (or sharded
+/// service).
+template <typename Sink>
+Status Feed(Sink* stream, const ts::Dataset& ds, std::size_t begin, std::size_t end) {
   std::vector<double> row(ds.matrix.n());
   for (std::size_t i = begin; i < end; ++i) {
     for (std::size_t j = 0; j < ds.matrix.n(); ++j) row[j] = ds.matrix.matrix()(i, j);
@@ -148,7 +152,7 @@ TEST(Streaming, QueriesWorkOnSnapshot) {
   ASSERT_TRUE(Feed(&*stream, ds, 0, 60).ok());
   ASSERT_TRUE(stream->ready());
   MetRequest request{Measure::kCorrelation, 0.9, true};
-  auto result = stream->framework()->engine().Met(request, QueryMethod::kScape);
+  auto result = stream->Met(request);
   ASSERT_TRUE(result.ok());
   // The clustered generator guarantees some highly correlated pairs.
   EXPECT_GT(result->pairs.size(), 0u);
@@ -230,17 +234,140 @@ TEST(Streaming, IncrementalModeRefreshesWithoutFullRebuilds) {
     EXPECT_DOUBLE_EQ(snap.matrix()(39, j), ds.matrix.matrix()(99, j));
     EXPECT_DOUBLE_EQ(snap.matrix()(0, j), ds.matrix.matrix()(60, j));
   }
-  // Accounting: every refresh absorbed the interval and re-keyed the index.
+  // Accounting: every refresh absorbed the interval; a stream has no
+  // index to re-key.
   const MaintenanceProfile& profile = stream->maintenance();
   EXPECT_EQ(profile.refreshes, 3u);
   EXPECT_EQ(profile.rows_absorbed, 60u);
-  EXPECT_GT(profile.tree_rekeys, 0u);
+  EXPECT_EQ(profile.tree_rekeys, 0u);
   EXPECT_GT(profile.relationships_refit + profile.relationships_updated, 0u);
   // Queries work against the maintained snapshot.
   MetRequest request{Measure::kCorrelation, 0.9, true};
-  auto result = stream->framework()->engine().Met(request, QueryMethod::kScape);
+  auto result = stream->Met(request);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->pairs.size(), 0u);
+}
+
+/// A published epoch behind the facade query signature.
+struct EpochFacade {
+  const serve::ServingSnapshot& snap;
+  StatusOr<SelectionResult> Met(const MetRequest& r, const FreshnessOptions& o = {}) const {
+    return serve::SnapshotMet(snap, r, o.method);
+  }
+  StatusOr<SelectionResult> Mer(const MerRequest& r, const FreshnessOptions& o = {}) const {
+    return serve::SnapshotMer(snap, r, o.method);
+  }
+  StatusOr<TopKResult> TopK(const TopKRequest& r, const FreshnessOptions& o = {}) const {
+    return serve::SnapshotTopK(snap, r, o.method);
+  }
+};
+
+const SelectionResult& Answer(const SelectionResult& r) { return r; }
+const SelectionResult& Answer(const shard::ShardedSelection& r) { return r.result; }
+const TopKResult& Answer(const TopKResult& r) { return r; }
+const TopKResult& Answer(const shard::ShardedTopK& r) { return r.result; }
+
+/// Every kAuto MET, MER and top-k on `facade` (a stream, an epoch or a
+/// router) plans WA, for every measure, and an explicit kScape fails with
+/// `no_index`, the engine's status without an index.
+template <typename Facade>
+void ExpectServedWithoutScape(const Facade& facade, const Status& no_index) {
+  FreshnessOptions scape;
+  scape.method = QueryMethod::kScape;
+  for (const Measure m : AllMeasures()) {
+    SCOPED_TRACE(std::string(MeasureName(m)));
+    const MetRequest met{m, 0.5, true};
+    const MerRequest mer{m, -0.5, 0.5};
+    const TopKRequest topk{m, 3, true};
+    auto met_auto = facade.Met(met);
+    auto mer_auto = facade.Mer(mer);
+    auto topk_auto = facade.TopK(topk);
+    ASSERT_TRUE(met_auto.ok() && mer_auto.ok() && topk_auto.ok());
+    EXPECT_EQ(Answer(*met_auto).plan.method, QueryMethod::kAffine);
+    EXPECT_EQ(Answer(*mer_auto).plan.method, QueryMethod::kAffine);
+    EXPECT_EQ(Answer(*topk_auto).plan.method, QueryMethod::kAffine);
+    for (const Status& status : {facade.Met(met, scape).status(), facade.Mer(mer, scape).status(),
+                                 facade.TopK(topk, scape).status()}) {
+      EXPECT_EQ(status.code(), no_index.code());
+      EXPECT_EQ(status.message(), no_index.message());
+    }
+  }
+}
+
+/// `stream` built neither the SCAPE index nor the WF estimator, kept its
+/// SCAPE counters at 0 and serves — facade and epoch — without an index.
+void ExpectStreamWithoutScape(const StreamingAffinity& stream) {
+  ASSERT_TRUE(stream.ready());
+  EXPECT_EQ(stream.framework()->scape(), nullptr);
+  EXPECT_EQ(stream.framework()->wf(), nullptr);
+  EXPECT_TRUE(stream.framework()->engine().Capabilities().has_dft);
+  const MaintenanceProfile& profile = stream.maintenance();
+  EXPECT_EQ(profile.tree_rekeys, 0u);
+  EXPECT_EQ(profile.scape_rekeys_skipped, 0u);
+  EXPECT_EQ(profile.scape_runs_shared, 0u);
+  EXPECT_EQ(profile.scape_runs_spliced, 0u);
+  const Status no_index =
+      stream.framework()->engine().Met({Measure::kCovariance, 0.5, true}, QueryMethod::kScape)
+          .status();
+  EXPECT_EQ(no_index.code(), StatusCode::kFailedPrecondition);
+  ExpectServedWithoutScape(stream, no_index);
+  ExpectServedWithoutScape(EpochFacade{*stream.serving()}, no_index);
+}
+
+// A stream maintains only what its epochs read (DESIGN.md §8): with the
+// default build options (`build_scape` and `build_dft` set) it builds no
+// SCAPE index and no WF estimator, in either mode, restored from a
+// checkpoint, and behind a router loaded from a shard manifest.
+TEST(Streaming, StreamsMaintainNoScapeIndex) {
+  const ts::Dataset ds = TestData();
+  for (const UpdateMode mode : {UpdateMode::kIncremental, UpdateMode::kRebuild}) {
+    const std::string tag = mode == UpdateMode::kIncremental ? "incremental" : "rebuild";
+    SCOPED_TRACE(tag);
+    StreamingOptions options;
+    ASSERT_TRUE(options.build.build_scape);
+    ASSERT_TRUE(options.build.build_dft);
+    options.window = 40;
+    options.rebuild_interval = 5;
+    options.mode = mode;
+    options.build.afclst.k = 2;
+    auto stream = StreamingAffinity::Create(Names(10), options);
+    ASSERT_TRUE(stream.ok());
+    ASSERT_TRUE(Feed(&*stream, ds, 0, 80).ok());
+    if (mode == UpdateMode::kIncremental) {
+      EXPECT_GT(stream->maintenance().refreshes, 0u);
+    }
+    ExpectStreamWithoutScape(*stream);
+
+    const std::string model_path = ::testing::TempDir() + "/no_scape_model_" + tag + ".bin";
+    ASSERT_TRUE(SaveModel(stream->framework()->model(), model_path).ok());
+    auto model = LoadModel(model_path);
+    ASSERT_TRUE(model.ok());
+    auto restored = StreamingAffinity::Restore(std::move(*model), options, ExecContext{});
+    ASSERT_TRUE(restored.ok());
+    ExpectStreamWithoutScape(*restored);
+
+    shard::ShardedOptions sharded;
+    sharded.shards = 2;
+    sharded.streaming = options;
+    auto service = shard::ShardedAffinity::Create(Names(10), sharded);
+    ASSERT_TRUE(service.ok());
+    ASSERT_TRUE(Feed(&*service, ds, 0, 80).ok());
+    const std::string manifest_path = ::testing::TempDir() + "/no_scape_shards_" + tag + ".bin";
+    ASSERT_TRUE(service->Save(manifest_path).ok());
+    auto loaded = shard::ShardedAffinity::Load(manifest_path);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_TRUE(loaded->options().streaming.build.build_scape);
+    for (std::size_t s = 0; s < loaded->shard_count(); ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      ExpectStreamWithoutScape(loaded->shard(s));
+    }
+    const Status no_index =
+        loaded->shard(0).framework()->engine().Met({Measure::kCovariance, 0.5, true},
+                                                   QueryMethod::kScape)
+            .status();
+    ExpectServedWithoutScape(*service, no_index);
+    ExpectServedWithoutScape(*loaded, no_index);
+  }
 }
 
 TEST(Streaming, IncrementalEscalatesOnRegimeChange) {
