@@ -495,6 +495,46 @@ void BM_HistogramMode(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramMode)->Arg(720)->Arg(1950);
 
+void BM_CoMomentRoll(benchmark::State& state) {
+  // The maintainer's roll of every co-moment across one slide (DESIGN.md
+  // §8): range(0) series, range(1) rows evicted and as many entering —
+  // (256, 64) is perfbench `query`'s refresh, (128, 1) `slide`'s. Every
+  // backend runs this one loop; `pairs` counts co-moments rolled per
+  // second.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto tail = static_cast<std::size_t>(state.range(1));
+  const std::size_t pairs = n * (n - 1) / 2;
+  const std::size_t stride = core::kernels::CoMomentRowStride(n);
+  const std::vector<double> rows = RandomSeries(2 * tail * stride, 46);
+  std::vector<double> co = RandomSeries(pairs, 47);
+  for (auto _ : state) {
+    double* slot = co.data();
+    for (std::size_t u = 0; u + 1 < n; ++u) {
+      core::kernels::CoMomentRoll(slot, n - u - 1, rows.data(), stride, tail, tail, u, u + 1);
+      slot += n - u - 1;
+    }
+    benchmark::DoNotOptimize(co.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["pairs"] = benchmark::Counter(static_cast<double>(pairs),
+                                               benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_CoMomentRoll)->Args({256, 64})->Args({128, 1});
+
+void BM_ModeSorted(benchmark::State& state) {
+  // The mode re-fill of one maintained sorted window column: extremes
+  // from the ends, then one histogram pass.
+  const auto m = static_cast<std::size_t>(state.range(0));
+  std::vector<double> x = RandomSeries(m, 10);
+  std::sort(x.begin(), x.end());
+  std::vector<std::uint32_t> hist;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ts::stats::ModeSortedWithScratch(x.data(), m, ts::stats::kModeBins,
+                                                              &hist));
+  }
+}
+BENCHMARK(BM_ModeSorted)->Arg(1024)->Arg(4096);
+
 void BM_NaiveDensityMode(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));
   const std::vector<double> x = RandomSeries(m, 9);

@@ -303,8 +303,10 @@ Dot12Result RunDot12Config(const Dot12Config& config, const ts::Dataset& feed,
     return result;
   };
   while (!stream->ready()) append();
-  // One warm interval so the retained chains are past their cold build.
-  for (int i = 0; i < 2; ++i) append();
+  // Warm past every slot's first refit, so the retained chains are past
+  // their cold build: a co-moment chain is built by its slot's first refit
+  // after Create, one slot in `exact_refit_period` per refresh.
+  for (std::size_t i = 0; i < options.incremental.exact_refit_period + 2; ++i) append();
 
   Dot12Result out;
   out.config = config;

@@ -134,12 +134,18 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
   // affinity-lint: allow(unordered-iter): collect-then-sort — slot order fixed by the sort below
   for (auto& [key, rec] : model->aff_hash_) rel_items.emplace_back(key, &rec);
   std::sort(rel_items.begin(), rel_items.end());
+  // Streams hold every relationship, so slot i is the i-th pair in
+  // lexicographic order and each triangle row's co-moments are one run.
+  AFFINITY_CHECK_EQ(rel_items.size(), ts::SequencePairCount(mt.n_));
   mt.slots_.reserve(model->aff_hash_.size());
   mt.by_key_.reserve(model->aff_hash_.size());
+  std::size_t lex_u = 0, lex_v = 1;
   for (const auto& [key, rec] : rel_items) {
     PairSlot s;
     s.e = ts::SequencePair(static_cast<ts::SeriesId>(key >> 32),
                            static_cast<ts::SeriesId>(key & 0xffffffffULL));
+    AFFINITY_CHECK(s.e.u == lex_u && s.e.v == lex_v);
+    ts::NextPair(mt.n_, &lex_u, &lex_v);
     s.rec = rec;
     const auto it = pivot_index.find(rec->pivot.Key());
     if (it == pivot_index.end()) {
@@ -149,6 +155,7 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
     mt.slots_.push_back(s);
     mt.by_key_.push_back(RelationshipRef{rec, &mt.pivot_slots_[it->second].entry->measures});
   }
+  mt.co_moments_.resize(mt.slots_.size());
 
   // The series-side right-hand-side entries: Σ r·s by the chain
   // RecomputeDerived runs (a restored model does not carry it).
@@ -159,9 +166,10 @@ StatusOr<IncrementalMaintainer> IncrementalMaintainer::Create(AffinityModel* mod
         data.ColumnData(static_cast<ts::SeriesId>(v)), m, data.anchor_row());
   }
 
-  // Materialize every co-moment exactly and capture the drift-monitor
-  // baseline. Re-solving here reproduces the SYMEX+ fits bit for bit
-  // (shared kernels, identical accumulation order).
+  // Materialize every co-moment exactly (BlockedDot: no chain retains
+  // anything yet) and capture the drift-monitor baseline. Re-solving here
+  // reproduces the SYMEX+ fits bit for bit (shared kernels, identical
+  // accumulation order).
   std::size_t refits = 0;
   AFFINITY_RETURN_IF_ERROR(mt.SolveRelationships(kRefitAll, exec, &refits));
   mt.baseline_residual_ = mt.mean_residual_;
@@ -183,7 +191,7 @@ bool IncrementalMaintainer::WillRefit(std::size_t slot_index, std::size_t refres
 Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
                                                  const ExecContext& exec,
                                                  std::size_t* refit_count,
-                                                 kernels::BlockSpanStats* span_stats) {
+                                                 kernels::BlockSpanStats* chain_spans) {
   const std::size_t m = window_;
   const std::size_t anchor = model_->data_.anchor_row();
 
@@ -204,7 +212,8 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
   std::vector<std::size_t> refits(ExecNumChunks(slots_.size()), 0);
   std::vector<double> residual_sums(ExecNumChunks(slots_.size()), 0.0);
   std::vector<kernels::BlockSpanStats> chunk_spans(
-      span_stats != nullptr ? ExecNumChunks(slots_.size()) : 0);
+      chain_spans != nullptr ? ExecNumChunks(slots_.size()) : 0);
+  if (chain_spans != nullptr && chains_.empty()) chains_.resize(slots_.size());
   ParallelChunks(exec, slots_.size(), [&](std::size_t chunk, std::size_t lo, std::size_t hi) {
     std::size_t local_refits = 0;
     double local_sum = 0.0;
@@ -213,18 +222,19 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
       const PivotSlot& ps = pivot_slots_[s.pivot_slot];
       const PivotPair& pivot = s.rec->pivot;
       const bool refit = WillRefit(i, refresh_index, s);
+      double& co_moment = co_moments_[i];
       if (refit) {
         const double* su = model_->data_.ColumnData(s.e.u);
         const double* sv = model_->data_.ColumnData(s.e.v);
-        if (options_.retain_block_partials) {
+        if (chain_spans != nullptr) {
           // Exact re-materialization from retained partials: bitwise
           // equal to BlockedDot by construction, paying only the blocks
           // the window moved over since this chain last slid.
-          s.rhs_chain.SlideTo(
+          chains_[i].SlideTo(
               anchor, m, [su, sv](std::size_t r, double* v) { v[0] = su[r] * sv[r]; },
-              &s.co_moment, span_stats != nullptr ? &chunk_spans[chunk] : nullptr);
+              &co_moment, &chunk_spans[chunk]);
         } else {
-          s.co_moment = kernels::BlockedDot(su, sv, m, anchor);
+          co_moment = kernels::BlockedDot(su, sv, m, anchor);
         }
         ++local_refits;
       }
@@ -236,8 +246,8 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
       const ts::SeriesId t_series = pivot.series_first ? s.e.v : s.e.u;
       const double center_dot = model_->series_center_dot_[t_series];
       const SeriesStats& st = model_->series_stats_[t_series];
-      const double rhs[3] = {pivot.series_first ? s.co_moment : center_dot,
-                             pivot.series_first ? center_dot : s.co_moment, st.sum};
+      const double rhs[3] = {pivot.series_first ? co_moment : center_dot,
+                             pivot.series_first ? center_dot : co_moment, st.sum};
       double x[3];
       if (!ps.invertible) {
         // Rank-deficient fallback (pivot columns collinear), from the same
@@ -247,7 +257,7 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
         const PairMatrixMeasures& pm = ps.entry->measures;
         const double s11 = pivot.series_first ? pm.dot11 : pm.dot22;
         const double sh1 = pivot.series_first ? pm.h1 : pm.h2;
-        fit::SolveRankDeficient(s11, sh1, s.co_moment, st.sum, m, x);
+        fit::SolveRankDeficient(s11, sh1, co_moment, st.sum, m, x);
         // Back to design-column order (the dropped coordinate is the
         // centre column, which sits first when the series is second).
         if (!pivot.series_first) std::swap(x[0], x[1]);
@@ -281,8 +291,8 @@ Status IncrementalMaintainer::SolveRelationships(std::size_t refresh_index,
     // order — deterministic because the decomposition is thread-count-invariant
     sum += residual_sums[c];
   }
-  if (span_stats != nullptr) {
-    for (const kernels::BlockSpanStats& cs : chunk_spans) span_stats->Add(cs);
+  if (chain_spans != nullptr) {
+    for (const kernels::BlockSpanStats& cs : chunk_spans) chain_spans->Add(cs);
   }
   *refit_count = total_refits;
   mean_residual_ = slots_.empty() ? 0.0 : sum / static_cast<double>(slots_.size());
@@ -337,23 +347,45 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
     }
   });
 
-  // ---- Roll the per-pair co-moments: evict the leaving rows (read from
-  // the old matrix), add the entering ones. Slots scheduled for an exact
-  // refit skip the delta — their co-moments re-materialize in the solve
-  // pass.
-  ParallelChunks(exec, slots_.size(), [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      PairSlot& s = slots_[i];
-      if (WillRefit(i, refresh_index, s)) continue;
-      const double* su = model_->data_.ColumnData(s.e.u);  // still the old matrix here
-      const double* sv = model_->data_.ColumnData(s.e.v);
-      for (std::size_t r = 0; r < tail; ++r) s.co_moment -= su[r] * sv[r];
-      for (std::size_t r = 0; r < tail; ++r) {
-        const std::vector<double>& row = rows[skip + r];
-        s.co_moment += row[s.e.u] * row[s.e.v];
+  // ---- Roll the per-pair co-moments: each subtracts the evicted rows'
+  // products (read from the old matrix), then adds the entering rows'.
+  // A full-window slide refits every slot instead (so here skip == 0),
+  // and so does a refit period of 1. Other slots due for an exact refit
+  // roll too: the solve pass overwrites them. The moved rows — evicted, then
+  // entering — are packed row-major kRollBatchRows at a time; each batch
+  // rolls every chunk's pairs, runs of triangle rows, a register block of
+  // co-moments at a time, so every co-moment still meets the rows in
+  // order.
+  if (refresh_index != kRefitAll && options_.exact_refit_period > 1) {
+    AFFINITY_DCHECK(skip == 0);
+    const std::size_t stride = kernels::CoMomentRowStride(n_);
+    const std::size_t moved = 2 * tail;
+    moved_rows_.resize(std::min(moved, kRollBatchRows) * stride);
+    for (std::size_t first = 0; first < moved; first += kRollBatchRows) {
+      const std::size_t last = std::min(moved, first + kRollBatchRows);
+      const std::size_t evicted = first < tail ? std::min(last, tail) - first : 0;
+      const std::size_t entering = last - first - evicted;
+      for (std::size_t j = 0; j < n_; ++j) {
+        const double* col = model_->data_.ColumnData(static_cast<ts::SeriesId>(j));
+        for (std::size_t r = 0; r < evicted; ++r) moved_rows_[r * stride + j] = col[first + r];
       }
+      const std::size_t first_entering = std::max(first, tail) - tail;
+      for (std::size_t r = 0; r < entering; ++r) {
+        const std::vector<double>& row = rows[first_entering + r];
+        std::copy(row.begin(), row.end(), moved_rows_.begin() + (evicted + r) * stride);
+      }
+      ParallelChunks(exec, slots_.size(),
+                     [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
+                       for (std::size_t i = lo; i < hi;) {
+                         const ts::SequencePair& e = slots_[i].e;
+                         const std::size_t run = std::min(hi - i, n_ - e.v);
+                         kernels::CoMomentRoll(&co_moments_[i], run, moved_rows_.data(), stride,
+                                               evicted, entering, e.u, e.v);
+                         i += run;
+                       }
+                     });
     }
-  });
+  }
 
   // ---- Maintain the sorted column views (before the slide: evictions
   // read the old columns). A full-window slide just re-sorts. The
@@ -436,10 +468,17 @@ StatusOr<bool> IncrementalMaintainer::Advance(const std::vector<std::vector<doub
   const double recompute_seconds = recompute_watch.ElapsedSeconds();
 
   // ---- Re-solve relationships. -------------------------------------------
+  // A slot refits every `exact_refit_period` refreshes, tail × period rows
+  // apart; its chain reuses a grid block only if one survives that far
+  // inside the window. Otherwise BlockedDot gives the same bits without
+  // the chain (a full-window slide never passes). The test is
+  // tail × period + kBlockElems ≤ window, spelled so it cannot overflow.
+  const bool through_chains = cache != nullptr && w >= kernels::kBlockElems &&
+                              options_.exact_refit_period <= (w - kernels::kBlockElems) / tail;
   kernels::BlockSpanStats refit_spans;
   std::size_t refits = 0;
   AFFINITY_RETURN_IF_ERROR(SolveRelationships(refresh_index, exec, &refits,
-                                              cache != nullptr ? &refit_spans : nullptr));
+                                              through_chains ? &refit_spans : nullptr));
 
   // ---- Drift monitor: escalate when the population residual level left
   // the band the baseline established at the last full build.

@@ -73,12 +73,18 @@ struct IncrementalOptions {
   double escalation_slack = 0.02;
   /// Retain the blocked partial sums of every exact O(window) chain
   /// across refreshes (DESIGN.md §10): RecomputeDerived's per-column
-  /// marginals, per-pivot dot12, per-series cross terms, and the
-  /// accumulator re-materializations then recompute only the grid blocks
-  /// a slide touched — O(interval + kBlockElems) per chain — with totals
-  /// bitwise identical to the cold pass by construction. Off is the
-  /// pre-retention behaviour (every refresh re-reads the whole window);
-  /// kept as a knob so bench_streaming can measure the gap.
+  /// marginals, per-pivot dot12, per-series cross terms and mode
+  /// histograms then recompute only the grid blocks a slide touched —
+  /// O(interval + kBlockElems) per chain — with totals bitwise identical
+  /// to the cold pass by construction. A co-moment's exact refit also
+  /// goes through a retained per-slot chain, but only on refreshes where
+  /// a grid block survives between two refits of one slot:
+  /// `tail × exact_refit_period + kBlockElems ≤ window`, `tail` being
+  /// the refresh's entering rows. Otherwise the refit is one
+  /// `kernels::BlockedDot`, the same bits without the chain's memory.
+  /// Off is the pre-retention behaviour (every refresh re-reads the
+  /// whole window); kept as a knob so bench_streaming can measure the
+  /// gap. Either setting yields the same bits.
   bool retain_block_partials = true;
 };
 
@@ -177,19 +183,14 @@ class IncrementalMaintainer {
   void InjectFailuresForTesting(std::size_t count) { inject_failures_ = count; }
 
  private:
-  /// One maintained relationship: the hash slot it publishes into plus its
-  /// windowed co-moment and monitor state.
+  /// One maintained relationship: the hash slot it publishes into plus
+  /// its monitor state. Slot i is the i-th pair in lexicographic order
+  /// (streams hold every relationship), so its co-moment is
+  /// `co_moments_[i]` and its chain, when chains are in use, `chains_[i]`.
   struct PairSlot {
     ts::SequencePair e;
     AffineRecord* rec = nullptr;     ///< stable pointer into affHash
     std::size_t pivot_slot = 0;      ///< index into pivot_slots_
-    double co_moment = 0.0;          ///< Σ s_u·s_v over the window
-    /// Retained block partials of the co-moment chain: an exact refit
-    /// then re-materializes from O(interval + kBlockElems) of fresh data
-    /// instead of re-reading the whole window, bitwise equal to
-    /// BlockedDot(s_u, s_v) (gated by
-    /// IncrementalOptions::retain_block_partials).
-    kernels::BlockChain<1> rhs_chain;
     double rel_residual = 0.0;       ///< monitor value from the last refresh
     double residual_at_refit = 0.0;  ///< level when last exactly refit
   };
@@ -207,18 +208,17 @@ class IncrementalMaintainer {
   /// Recomputes pivot factors, re-solves / refits every relationship, and
   /// refreshes the residual monitor. `refresh_index` drives the
   /// round-robin refit schedule; kRefitAll forces exact refits everywhere
-  /// (used by Create to materialize the accumulators). `span_stats`, when
-  /// non-null, accumulates the retained-partial accounting of the refit
-  /// re-materializations.
+  /// (used by Create to materialize the co-moments). A refit overwrites
+  /// the slot's co-moment: through its retained chain when `chain_spans`
+  /// is non-null (which then accumulates the chains' accounting), else
+  /// with one `BlockedDot`.
   static constexpr std::size_t kRefitAll = ~std::size_t{0};
   Status SolveRelationships(std::size_t refresh_index, const ExecContext& exec,
                             std::size_t* refit_count,
-                            kernels::BlockSpanStats* span_stats = nullptr);
+                            kernels::BlockSpanStats* chain_spans = nullptr);
 
   /// The (deterministic) exact-refit schedule: round-robin cadence plus
-  /// the residual-drift trigger. Shared by the delta pass and the solve
-  /// pass so a slot is never delta-updated and then re-materialized
-  /// inconsistently.
+  /// the residual-drift trigger.
   bool WillRefit(std::size_t slot_index, std::size_t refresh_index, const PairSlot& slot) const;
 
   AffinityModel* model_ = nullptr;
@@ -249,6 +249,26 @@ class IncrementalMaintainer {
   std::vector<PivotSlot> pivot_slots_;
   std::vector<PairSlot> slots_;
   std::vector<RelationshipRef> by_key_;  ///< slots_' records and pivot measures
+  /// Σ s_u·s_v over the window, one per slot in lexicographic pair order:
+  /// each triangle row is one contiguous run, which the row-blocked roll
+  /// (`kernels::CoMomentRoll`) updates in place.
+  std::vector<double> co_moments_;
+  /// Retained block partials of each slot's co-moment chain, for exact
+  /// refits that re-materialize from O(interval + kBlockElems) of fresh
+  /// data, bitwise equal to BlockedDot(s_u, s_v). Allocated by the first
+  /// refresh whose shape lets a block survive between refits (see
+  /// `IncrementalOptions::retain_block_partials`); empty until then.
+  std::vector<kernels::BlockChain<1>> chains_;
+  /// One batch of the rows a slide moves, row-major at
+  /// `kernels::CoMomentRowStride(n)` doubles a row: the next of the
+  /// evicted rows (read before the slide), then of the entering rows —
+  /// the roll's input, at most kRollBatchRows rows, kept so a
+  /// steady-state refresh allocates nothing for it.
+  std::vector<double> moved_rows_;
+  /// The rows one roll batch packs: a slide's 2·tail moved rows in one
+  /// batch up to tail 64, so the buffer stays within 128 rows however far
+  /// a refresh slides.
+  static constexpr std::size_t kRollBatchRows = 128;
   /// This maintainer's completed refreshes: the round-robin refit
   /// schedule's counter, restarted by every re-freeze.
   std::size_t refreshes_ = 0;

@@ -58,7 +58,9 @@
 /// the scalar chains **bit for bit**. The scalar reference lives in
 /// `kernels::scalar` and stays callable for cross-backend tests. min/max
 /// marginals are value-equal across backends (a ±0.0 tie may resolve to
-/// the other sign bit); all sum chains are bit-equal.
+/// the other sign bit); all sum chains are bit-equal. The maintainer's
+/// co-moment roll (`CoMomentRoll`) is not a chain and not dispatched: a
+/// scalar register block keeps the core busy, and every backend runs it.
 ///
 /// The primitive layer is header-only on purpose: `ts/stats` sits *below*
 /// core in the link order but must share the canonical accumulation order
@@ -425,6 +427,66 @@ inline void FusedGram5(const double* c1, const double* c2, std::size_t m, double
 inline void FusedPairMoments(const double* x, const double* y, std::size_t m, double out[5],
                              std::size_t anchor = 0) {
   ActiveOps().fused_pair_moments(x, y, m, out, anchor);
+}
+
+// --- Co-moment roll (DESIGN.md §8) ----------------------------------------
+
+namespace detail {
+
+/// Rolls the kBlock co-moments at co[0..kBlock) — pairs (u, v .. v +
+/// kBlock) — across the moved rows (see CoMomentRoll).
+template <std::size_t kBlock>
+inline void CoMomentRollBlock(double* co, const double* rows, std::size_t stride,
+                              std::size_t evicted, std::size_t entering, std::size_t u,
+                              std::size_t v) {
+  double c[kBlock];
+  for (std::size_t q = 0; q < kBlock; ++q) c[q] = co[q];
+  const double* row = rows;
+  for (std::size_t r = 0; r < evicted; ++r, row += stride) {
+    for (std::size_t q = 0; q < kBlock; ++q) c[q] -= row[u] * row[v + q];
+  }
+  for (std::size_t r = 0; r < entering; ++r, row += stride) {
+    for (std::size_t q = 0; q < kBlock; ++q) c[q] += row[u] * row[v + q];
+  }
+  for (std::size_t q = 0; q < kBlock; ++q) co[q] = c[q];
+}
+
+}  // namespace detail
+
+/// The maintainer's co-moment roll over one run of a triangle row: the
+/// pairs (u, v0 + j), j < count, whose co-moments Σ s_u·s_v sit at
+/// co[0..count). `rows` holds `evicted + entering` rows, row-major,
+/// `stride` doubles apart, each holding one sample per series: rows a
+/// slide evicts, then rows it enters. Each co-moment subtracts every
+/// evicted product in row order, then adds every entering product in row
+/// order — one separately rounded multiply and one subtract or add per
+/// row, never fused. A slide's moved rows may therefore be rolled in
+/// consecutive batches (evicted rows first) without changing a bit. The
+/// co-moments are independent, so the kernel holds four of them across
+/// the rows, which the core overlaps where one chain would wait on each
+/// add. Not dispatched: every backend runs this one loop.
+inline void CoMomentRoll(double* co, std::size_t count, const double* rows, std::size_t stride,
+                         std::size_t evicted, std::size_t entering, std::size_t u,
+                         std::size_t v0) {
+  std::size_t j = 0;
+  for (; j + 4 <= count; j += 4) {
+    detail::CoMomentRollBlock<4>(co + j, rows, stride, evicted, entering, u, v0 + j);
+  }
+  for (; j < count; ++j) {
+    detail::CoMomentRollBlock<1>(co + j, rows, stride, evicted, entering, u, v0 + j);
+  }
+}
+
+/// The row stride, in doubles, to pack the roll's moved rows of n
+/// series at: n rounded up to an odd number of 64-byte lines, so
+/// successive rows start in different L1 sets. A power-of-two stride
+/// (n = 256 is 2 KiB a row) maps every row's slice into the same few
+/// sets, and the roll reads one slice per row.
+inline std::size_t CoMomentRowStride(std::size_t n) {
+  constexpr std::size_t kLine = 8;  // doubles per 64-byte line
+  std::size_t lines = (n + kLine - 1) / kLine;
+  if (lines % 2 == 0) ++lines;
+  return lines * kLine;
 }
 
 // --- Retained block partials (DESIGN.md §10) -------------------------------

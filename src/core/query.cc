@@ -12,14 +12,16 @@ namespace affinity::core {
 
 namespace {
 
-/// Quality predicate on a top-k planned as SCAPE: the threshold
-/// algorithm pops a fixed k entries with no notion of eligibility, so
-/// restricting the competition to eligible series needs the sweep
-/// (WA when a model is attached, else WN). Rewrites `plan` accordingly;
-/// identity otherwise.
-void RouteQualityTopK(double min_quality, bool has_model, ExecutedPlan* plan) {
-  if (min_quality <= 0.0 || plan->method != QueryMethod::kScape) return;
-  plan->method = has_model ? QueryMethod::kAffine : QueryMethod::kNaive;
+/// Quality predicate on a top-k planned as SCAPE over an attached index:
+/// the threshold algorithm pops a fixed k entries with no notion of
+/// eligibility, so restricting the competition to eligible series needs
+/// the sweep (WA when a model is attached, else WN). Rewrites `plan`
+/// accordingly; identity otherwise. Without an index, a SCAPE top-k
+/// fails whatever the predicate.
+void RouteQualityTopK(double min_quality, const QueryPlanner::Capabilities& caps,
+                      ExecutedPlan* plan) {
+  if (min_quality <= 0.0 || plan->method != QueryMethod::kScape || !caps.has_scape) return;
+  plan->method = caps.has_model ? QueryMethod::kAffine : QueryMethod::kNaive;
   plan->rationale += "; quality filter: SCAPE bypassed, " +
                      std::string(QueryMethodName(plan->method)) +
                      " sweep over eligible entities";
@@ -614,7 +616,7 @@ StatusOr<TopKResult> QueryEngine::TopK(const TopKRequest& request, QueryMethod m
   ExecutedPlan plan = ResolvePlan(method, [&](const QueryPlanner& planner) {
     return planner.PlanTopK(request.measure, request.k);
   });
-  RouteQualityTopK(request.min_quality, Capabilities().has_model, &plan);
+  RouteQualityTopK(request.min_quality, Capabilities(), &plan);
   method = plan.method;
   NoteEpoch(&plan);
   if (method == QueryMethod::kScape) {

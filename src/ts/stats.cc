@@ -57,20 +57,8 @@ double ModeWithScratch(const double* x, std::size_t m, int bins,
     hi = std::max(hi, x[i]);
   }
   if (hi <= lo) return lo;  // constant series
-  const double width = (hi - lo) / static_cast<double>(bins);
-  hist_scratch->assign(static_cast<std::size_t>(bins), 0);
-  std::vector<std::uint32_t>& hist = *hist_scratch;
-  const double inv_width = static_cast<double>(bins) / (hi - lo);
-  for (std::size_t i = 0; i < m; ++i) {
-    auto b = static_cast<long>((x[i] - lo) * inv_width);
-    if (b >= bins) b = bins - 1;  // x == hi lands in the top bin
-    ++hist[static_cast<std::size_t>(b)];
-  }
-  std::size_t best = 0;
-  for (std::size_t b = 1; b < hist.size(); ++b) {
-    if (hist[b] > hist[best]) best = b;  // ties keep the lower bin
-  }
-  return lo + (static_cast<double>(best) + 0.5) * width;
+  FillModeHistogram(x, m, lo, hi, bins, hist_scratch);
+  return ModeFromHistogram(lo, hi, *hist_scratch);
 }
 
 double ModeSortedWithScratch(const double* sorted, std::size_t m, int bins,
@@ -82,31 +70,15 @@ double ModeSortedWithScratch(const double* sorted, std::size_t m, int bins,
   const double lo = sorted[0];
   const double hi = sorted[m - 1];
   if (hi <= lo) return lo;  // constant series
-  const double width = (hi - lo) / static_cast<double>(bins);
-  const double inv_width = static_cast<double>(bins) / (hi - lo);
-  // Identical per-element bin map to ModeWithScratch, including the top
-  // clamp. It is monotone non-decreasing in x (subtraction of a common
-  // lo, multiplication by a positive constant, and truncation all
-  // preserve order), so bin populations are boundary differences.
-  const auto bin_of = [&](double x) {
-    auto b = static_cast<long>((x - lo) * inv_width);
-    return b >= bins ? bins - 1 : b;
-  };
-  hist_scratch->assign(static_cast<std::size_t>(bins), 0);
-  std::vector<std::uint32_t>& hist = *hist_scratch;
-  const double* cur = sorted;
-  const double* const end = sorted + m;
-  for (int b = 0; b < bins && cur != end; ++b) {
-    const double* next =
-        std::partition_point(cur, end, [&](double x) { return bin_of(x) <= b; });
-    hist[static_cast<std::size_t>(b)] = static_cast<std::uint32_t>(next - cur);
-    cur = next;
-  }
-  std::size_t best = 0;
-  for (std::size_t b = 1; b < hist.size(); ++b) {
-    if (hist[b] > hist[best]) best = b;  // ties keep the lower bin
-  }
-  return lo + (static_cast<double>(best) + 0.5) * width;
+  FillModeHistogram(sorted, m, lo, hi, bins, hist_scratch);
+  return ModeFromHistogram(lo, hi, *hist_scratch);
+}
+
+void FillModeHistogram(const double* x, std::size_t m, double lo, double hi, int bins,
+                       std::vector<std::uint32_t>* hist) {
+  hist->assign(static_cast<std::size_t>(bins), 0);
+  std::uint32_t* counts = hist->data();
+  for (std::size_t i = 0; i < m; ++i) ++counts[ModeBinOf(x[i], lo, hi, bins)];
 }
 
 double ModeFromHistogram(double lo, double hi, const std::vector<std::uint32_t>& counts) {

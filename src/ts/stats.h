@@ -53,12 +53,11 @@ double Mode(const double* x, std::size_t m, int bins = kModeBins);
 double ModeWithScratch(const double* x, std::size_t m, int bins,
                        std::vector<std::uint32_t>* hist);
 
-/// Mode of an ascending-sorted series: bin populations are counted by
-/// boundary bisection (O(bins·log m)) instead of a full histogram pass —
-/// the shape the incremental refresh wants, where a sorted view of every
-/// window column is already maintained. Each element's bin is the same
-/// `(x - lo)·bins/(hi - lo)` map ModeWithScratch applies (monotone in x,
-/// so bisection is valid), so the result is bitwise identical to
+/// Mode of an ascending-sorted series — the shape the incremental refresh
+/// wants, where a sorted view of every window column is already
+/// maintained: the extremes are the end elements instead of a scan, and
+/// the bins fill in the same one pass (`FillModeHistogram`) as
+/// ModeWithScratch, so the result is bitwise identical to
 /// Mode()/ModeWithScratch() over any permutation of the same samples.
 double ModeSortedWithScratch(const double* sorted, std::size_t m, int bins,
                              std::vector<std::uint32_t>* hist);
@@ -71,6 +70,13 @@ inline int ModeBinOf(double x, double lo, double hi, int bins) {
   const auto b = static_cast<long>((x - lo) * inv_width);
   return b >= bins ? bins - 1 : static_cast<int>(b);
 }
+
+/// Counts x[0..m) into `bins` equal-width bins over [lo, hi] (hi > lo,
+/// every x inside) by one pass through ModeBinOf: the histogram fill
+/// Mode(), ModeWithScratch() and ModeSortedWithScratch() share. Counts
+/// are integers, so they do not depend on the order of x.
+void FillModeHistogram(const double* x, std::size_t m, double lo, double hi, int bins,
+                       std::vector<std::uint32_t>* hist);
 
 /// Finishes the mode from already-counted bin populations over [lo, hi)
 /// (hi > lo): same argmax (ties → lower bin) and same centre arithmetic

@@ -14,6 +14,8 @@
 #include "core/incremental.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,6 +23,7 @@
 
 #include "core/quality.h"
 #include "core/streaming.h"
+#include "serve/serving_snapshot.h"
 #include "ts/generators.h"
 
 namespace affinity::core {
@@ -29,10 +32,10 @@ namespace {
 constexpr std::size_t kWindow = 48;
 constexpr std::size_t kSeries = 12;
 
-ts::Dataset FeedData() {
+ts::Dataset FeedData(std::size_t num_samples = 400) {
   ts::DatasetSpec spec;
   spec.num_series = kSeries;
-  spec.num_samples = 400;
+  spec.num_samples = num_samples;
   spec.num_clusters = 3;
   spec.noise_level = 0.05;
   spec.seed = 17;
@@ -40,11 +43,12 @@ ts::Dataset FeedData() {
 }
 
 StatusOr<StreamingAffinity> MakeStream(std::size_t threads, std::size_t interval,
-                                       std::size_t refit_period) {
+                                       std::size_t refit_period,
+                                       std::size_t window = kWindow) {
   std::vector<std::string> names;
   for (std::size_t j = 0; j < kSeries; ++j) names.push_back("s" + std::to_string(j));
   StreamingOptions options;
-  options.window = kWindow;
+  options.window = window;
   options.rebuild_interval = interval;
   options.mode = UpdateMode::kIncremental;
   options.incremental.exact_refit_period = refit_period;
@@ -314,6 +318,28 @@ TEST_P(IncrementalEquivalence, SlideLargerThanWindow) {
   CompareStream(*stream, **comparator, /*exact=*/true);
 }
 
+// A slide of more than 64 rows moves more rows (evicted plus entering)
+// than one batch of the co-moment roll packs (128): here 2 × 150 rows
+// roll as 128 evicted, then 22 evicted plus 106 entering, then 44
+// entering. The maintained snapshot must still agree with the rebuild.
+TEST_P(IncrementalEquivalence, RollInSeveralBatchesMatchesRebuild) {
+  const auto threads = static_cast<std::size_t>(GetParam());
+  constexpr std::size_t kWideWindow = 400;
+  constexpr std::size_t kInterval = 150;
+  const ts::Dataset ds = FeedData(kWideWindow + 3 * kInterval);
+  auto stream = MakeStream(threads, kInterval, /*refit_period=*/16, kWideWindow);
+  ASSERT_TRUE(stream.ok());
+  ASSERT_TRUE(FeedRows(&*stream, ds, 0, kWideWindow).ok());
+  ASSERT_TRUE(stream->ready());
+  for (std::size_t fed = kWideWindow; fed < kWideWindow + 3 * kInterval; fed += kInterval) {
+    ASSERT_TRUE(FeedRows(&*stream, ds, fed, fed + kInterval).ok());
+    ASSERT_EQ(stream->snapshot_age(), 0u);
+    auto comparator = BuildComparator(*stream->framework(), stream->exec());
+    ASSERT_TRUE(comparator.ok());
+    CompareStream(*stream, **comparator, /*exact=*/false);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, IncrementalEquivalence, ::testing::Values(1, 2, 8));
 
 // Thread-count invariance of the maintained model itself (§7): the
@@ -349,6 +375,125 @@ TEST(IncrementalQuality, StaysWithinQualityGates) {
   EXPECT_NEAR(inc_quality->mean_relative_residual, fresh_quality->mean_relative_residual,
               1e-9);
   EXPECT_NEAR(inc_quality->max_relative_residual, fresh_quality->max_relative_residual, 1e-9);
+}
+
+// Retained block partials change no bit (DESIGN.md §10). A refit goes
+// through its slot's chain only where a grid block survives between two
+// refits of the slot (tail × exact_refit_period + kBlockElems ≤ window),
+// else through one BlockedDot; the derived chains and mode histograms are
+// retained whatever the shape. At period 32 the shapes below put the
+// rule on both sides: (1024, 64) and (1024, 16) refit by BlockedDot,
+// (4096, 1) and (4096, 16) through chains. Each stream with retention is
+// compared with one without at every publication: every epoch's six pair
+// tables, location tables and series stats, bitwise.
+struct RetentionShape {
+  std::size_t window;
+  std::size_t interval;
+};
+
+StatusOr<StreamingAffinity> MakeRetentionStream(RetentionShape shape, std::size_t threads,
+                                                bool retain) {
+  std::vector<std::string> names;
+  for (std::size_t j = 0; j < kSeries; ++j) names.push_back("s" + std::to_string(j));
+  StreamingOptions options;
+  options.window = shape.window;
+  options.rebuild_interval = shape.interval;
+  options.mode = UpdateMode::kIncremental;
+  options.incremental.exact_refit_period = 32;
+  options.incremental.retain_block_partials = retain;
+  options.build.afclst.k = 3;
+  options.build.build_dft = false;
+  options.build.threads = threads;
+  return StreamingAffinity::Create(names, options);
+}
+
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+void ExpectSameEpoch(const serve::ServingSnapshot& got, const serve::ServingSnapshot& want) {
+  EXPECT_EQ(got.generation, want.generation);
+  ASSERT_EQ(got.stats.size(), want.stats.size());
+  for (std::size_t v = 0; v < want.stats.size(); ++v) {
+    const SeriesStats& a = got.stats[v];
+    const SeriesStats& b = want.stats[v];
+    EXPECT_EQ(Bits({a.sum, a.sumsq, a.mean, a.variance}),
+              Bits({b.sum, b.sumsq, b.mean, b.variance}))
+        << "series " << v;
+  }
+  for (int f = 0; f < 3; ++f) {
+    EXPECT_EQ(Bits(got.location[f]), Bits(want.location[f])) << "family " << f;
+  }
+  for (int t = 0; t < 6; ++t) {
+    EXPECT_EQ(Bits(got.pair_values[t]), Bits(want.pair_values[t])) << "table " << t;
+  }
+}
+
+/// Feeds the same rows to a stream with retention and one without,
+/// comparing their epochs at every publication. The gapped feed goes
+/// through AppendMasked with the aligner's repair: a gap or a fill
+/// carries the series' last value forward.
+void RunRetentionPair(RetentionShape shape, std::size_t threads, bool gapped) {
+  SCOPED_TRACE(testing::Message() << "window=" << shape.window << " interval=" << shape.interval
+                                  << " threads=" << threads << (gapped ? " gapped" : " clean"));
+  constexpr std::size_t kRefreshes = 70;  // past two refits of every slot at period 32
+  ts::DatasetSpec spec;
+  spec.num_series = kSeries;
+  spec.num_samples = shape.window + kRefreshes * shape.interval;
+  spec.num_clusters = 3;
+  spec.noise_level = 0.05;
+  spec.seed = 23;
+  const ts::Dataset ds = ts::MakeSensorData(spec);
+  auto kept = MakeRetentionStream(shape, threads, /*retain=*/true);
+  auto cold = MakeRetentionStream(shape, threads, /*retain=*/false);
+  ASSERT_TRUE(kept.ok() && cold.ok());
+  std::vector<double> row(kSeries), last(kSeries);
+  std::vector<std::uint8_t> valid(kSeries), filled(kSeries);
+  std::size_t epochs = 0;
+  for (std::size_t i = 0; i < spec.num_samples; ++i) {
+    for (std::size_t j = 0; j < kSeries; ++j) {
+      row[j] = ds.matrix.matrix()(i, j);
+      valid[j] = 1;
+      filled[j] = 0;
+      if (gapped && i > 0 && i % (j + 3) == 0) {
+        row[j] = last[j];
+        const bool gap = i % (2 * j + 7) == 0;
+        valid[j] = gap ? 0 : 1;
+        filled[j] = gap ? 0 : 1;
+      }
+      last[j] = row[j];
+    }
+    const AppendResult a = gapped ? kept->AppendMasked(row, valid, filled) : kept->Append(row);
+    const AppendResult b = gapped ? cold->AppendMasked(row, valid, filled) : cold->Append(row);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_EQ(a.refreshed, b.refreshed);
+    ASSERT_EQ(a.escalated, b.escalated);
+    if (!a.refreshed) continue;
+    const auto got = kept->serving();
+    const auto want = cold->serving();
+    ASSERT_NE(got, nullptr);
+    ASSERT_NE(want, nullptr);
+    ExpectSameEpoch(*got, *want);
+    ++epochs;
+  }
+  EXPECT_GE(epochs, kRefreshes);
+  EXPECT_GT(kept->maintenance().recompute_blocks_touched, 0u);
+  EXPECT_EQ(cold->maintenance().recompute_blocks_touched, 0u);
+  // A 1024-row window keeps no whole grid block across a slide.
+  if (shape.window > kernels::kBlockElems) {
+    EXPECT_GT(kept->maintenance().recompute_blocks_reused, 0u);
+  }
+}
+
+TEST(IncrementalRetention, RetentionChangesNoBit) {
+  for (const RetentionShape shape : {RetentionShape{1024, 64}, RetentionShape{1024, 16},
+                                     RetentionShape{4096, 1}, RetentionShape{4096, 16}}) {
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      for (const bool gapped : {false, true}) RunRetentionPair(shape, threads, gapped);
+    }
+  }
 }
 
 }  // namespace

@@ -205,19 +205,38 @@ TEST(AnchoredKernels, ChainEqualityHoldsAtEveryPhase) {
 TEST(ModeSorted, BitwiseEqualToHistogramModeOnAnyPermutation) {
   Xoshiro256 rng(77);
   std::vector<std::uint32_t> hist_a, hist_b;
+  const auto expect_same = [&](const std::vector<double>& x, const char* what) {
+    std::vector<double> sorted = x;
+    std::sort(sorted.begin(), sorted.end());
+    const std::size_t m = x.size();
+    EXPECT_EQ(ts::stats::ModeSortedWithScratch(sorted.data(), m, ts::stats::kModeBins, &hist_a),
+              ts::stats::ModeWithScratch(x.data(), m, ts::stats::kModeBins, &hist_b))
+        << what << " m=" << m;
+    EXPECT_EQ(hist_a, hist_b) << what << " m=" << m << ": bin populations must match exactly";
+  };
+  // Fewer values than bins (m = 100), about as many, and many more (m =
+  // 4096).
   for (const std::size_t m : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{100}, std::size_t{1025}}) {
+                              std::size_t{100}, std::size_t{1025}, std::size_t{4096}}) {
     std::vector<double> x(m);
     for (double& v : x) v = rng.Uniform(-3.0, 3.0);
     // Duplicate runs so bin-boundary ties are exercised.
     for (std::size_t i = 2; i + 1 < m; i += 5) x[i + 1] = x[i];
-    std::vector<double> sorted = x;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(ts::stats::ModeSortedWithScratch(sorted.data(), m, ts::stats::kModeBins, &hist_a),
-              ts::stats::ModeWithScratch(x.data(), m, ts::stats::kModeBins, &hist_b))
-        << "m=" << m;
-    EXPECT_EQ(hist_a, hist_b) << "bin populations must match exactly";
+    expect_same(x, "uniform");
+    if (m < 8) continue;
+    // Several values equal to the maximum: each takes the top clamp into
+    // the last bin.
+    const double hi = *std::max_element(x.begin(), x.end());
+    for (const std::size_t i : {std::size_t{0}, m / 4, m / 2, 3 * m / 4}) x[i] = hi;
+    expect_same(x, "top clamp");
+    EXPECT_GE(hist_a.back(), 4u);
   }
+  // Two distinct values: everything lands in the first and the last bin.
+  std::vector<double> two(300, -1.5);
+  for (std::size_t i = 0; i < two.size(); i += 3) two[i] = 2.25;
+  expect_same(two, "two values");
+  EXPECT_EQ(hist_a.front(), 200u);
+  EXPECT_EQ(hist_a.back(), 100u);
   // Constant series short-circuit.
   const std::vector<double> flat(9, 4.25);
   EXPECT_EQ(ts::stats::ModeSortedWithScratch(flat.data(), 9, 16, &hist_a), 4.25);

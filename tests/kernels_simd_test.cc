@@ -4,8 +4,11 @@
 // engineered to expose reordered rounding (±0.0, denormals, 1e140
 // magnitudes). Also covers the dispatch machinery itself: env-style
 // parsing, the programmatic setter, and the prefetch-distance knob
-// (a pure scheduling hint — it must never change bits).
+// (a pure scheduling hint — it must never change bits). The maintainer's
+// co-moment roll, which every backend runs as one loop, is checked on the
+// same engineered rows against a per-slot reference loop.
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -91,6 +94,56 @@ Reference ScalarReference(const double* x, const double* y, std::size_t m, std::
   return r;
 }
 
+/// The maintainer's per-slot co-moment roll, written as it ran before the
+/// row-blocked kernel: for each pair in lexicographic order, subtract the
+/// evicted products (read from the old window's columns) in row order,
+/// then add the entering products (read from the arriving rows) in row
+/// order.
+std::vector<double> ReferenceRoll(std::vector<double> co,
+                                  const std::vector<std::vector<double>>& old_columns,
+                                  const std::vector<std::vector<double>>& entering_rows,
+                                  std::size_t n, std::size_t tail) {
+  std::size_t slot = 0;
+  for (std::size_t u = 0; u < n; ++u) {
+    for (std::size_t v = u + 1; v < n; ++v, ++slot) {
+      double& co_moment = co[slot];
+      const double* su = old_columns[u].data();
+      const double* sv = old_columns[v].data();
+      for (std::size_t r = 0; r < tail; ++r) co_moment -= su[r] * sv[r];
+      for (std::size_t r = 0; r < tail; ++r) {
+        const std::vector<double>& row = entering_rows[r];
+        co_moment += row[u] * row[v];
+      }
+    }
+  }
+  return co;
+}
+
+/// The roll kernel over packed rows (the evicted rows, then the entering
+/// rows), fed `batch` rows a call as the maintainer batches them, every
+/// triangle row split into two runs (as a chunk boundary splits it) so
+/// runs that start past the row's first pair are covered too.
+std::vector<double> KernelRoll(std::vector<double> co, const std::vector<double>& rows,
+                               std::size_t n, std::size_t stride, std::size_t tail,
+                               std::size_t batch) {
+  for (std::size_t first = 0; first < 2 * tail; first += batch) {
+    const std::size_t last = std::min(2 * tail, first + batch);
+    const std::size_t evicted = first < tail ? std::min(last, tail) - first : 0;
+    const std::size_t entering = last - first - evicted;
+    const double* batch_rows = rows.data() + first * stride;
+    std::size_t slot = 0;
+    for (std::size_t u = 0; u + 1 < n; ++u) {
+      const std::size_t count = n - u - 1;
+      const std::size_t split = count / 3;
+      CoMomentRoll(co.data() + slot, split, batch_rows, stride, evicted, entering, u, u + 1);
+      CoMomentRoll(co.data() + slot + split, count - split, batch_rows, stride, evicted, entering,
+                   u, u + 1 + split);
+      slot += count;
+    }
+  }
+  return co;
+}
+
 TEST(KernelBackends, CrossBackendBitwiseEquality) {
   const std::vector<Backend> backends = SimdBackends();
   if (backends.empty()) GTEST_SKIP() << "no SIMD backend runs on this machine";
@@ -138,6 +191,44 @@ TEST(KernelBackends, CrossBackendBitwiseEquality) {
             EXPECT_EQ(Bits(gram[c]), Bits(ref.gram[c])) << "FusedGram5 chain " << c;
             EXPECT_EQ(Bits(pm[c]), Bits(ref.pm[c])) << "FusedPairMoments chain " << c;
           }
+        }
+      }
+    }
+  }
+}
+
+// The maintainer's co-moment roll (DESIGN.md §8) reproduces the per-slot
+// reference bit for bit at row lengths and tails that leave every block
+// remainder, on moved rows that expose reordered rounding, whether the
+// moved rows arrive in one call or in batches that split the evicted or
+// the entering rows.
+TEST(CoMomentRoll, BitwiseEqualToPerSlotRollInAnyBatches) {
+  for (const ColumnKind kind : {ColumnKind::kRandom, ColumnKind::kSignedZeros,
+                                ColumnKind::kDenormal, ColumnKind::kHuge}) {
+    for (const std::size_t n : {2, 3, 17, 64, 257}) {
+      for (const std::size_t tail : {1, 3, 16, 64}) {
+        // 2·tail rows, row-major at the maintainer's padded stride: the
+        // evicted rows, then the entering rows.
+        const std::size_t stride = CoMomentRowStride(n);
+        const std::vector<double> rows = MakeColumn(kind, 2 * tail * stride, 31 * n + tail);
+        std::vector<std::vector<double>> old_columns(n, std::vector<double>(tail));
+        std::vector<std::vector<double>> entering_rows(tail, std::vector<double>(n));
+        for (std::size_t r = 0; r < tail; ++r) {
+          for (std::size_t j = 0; j < n; ++j) {
+            old_columns[j][r] = rows[r * stride + j];
+            entering_rows[r][j] = rows[(tail + r) * stride + j];
+          }
+        }
+        const std::vector<double> start =
+            MakeColumn(ColumnKind::kRandom, n * (n - 1) / 2, 7 * n + tail);
+        const std::vector<double> want =
+            ReferenceRoll(start, old_columns, entering_rows, n, tail);
+        for (const std::size_t batch : {2 * tail, std::size_t{3}, tail + 1}) {
+          const std::vector<double> got = KernelRoll(start, rows, n, stride, tail, batch);
+          std::size_t wrong = 0;
+          for (std::size_t i = 0; i < want.size(); ++i) wrong += Bits(got[i]) != Bits(want[i]);
+          EXPECT_EQ(wrong, 0u) << "n=" << n << " tail=" << tail << " batch=" << batch
+                               << " kind=" << static_cast<int>(kind);
         }
       }
     }

@@ -552,14 +552,20 @@ TEST(Serving, QualityPredicateServedFromEpoch) {
       ExpectSameQuality(served_mer->quality, live_mer->quality);
     }
 
-    // Every top-k plans the WA pass, and the predicate routes an explicit
-    // SCAPE top-k to the WA sweep; both directions.
+    // Every top-k plans the WA pass, both directions. An explicit SCAPE
+    // top-k fails alike under the predicate too: there is no index to
+    // bypass.
     for (TopKRequest topk : {TopKRequest{Measure::kCorrelation, 5, true},
                              TopKRequest{Measure::kCovariance, 4, false},
                              TopKRequest{Measure::kMean, 3, true}}) {
       topk.min_quality = threshold;
       auto live = engine.TopK(topk, method);
       auto served = serve::SnapshotTopK(*snap, topk, method);
+      if (method == QueryMethod::kScape) {
+        expect_same_error(served.status(), live.status());
+        EXPECT_EQ(live.status().code(), StatusCode::kFailedPrecondition);
+        continue;
+      }
       ASSERT_TRUE(live.ok());
       ASSERT_TRUE(served.ok());
       ExpectSameTopK(*served, *live);

@@ -535,5 +535,45 @@ TEST_F(TopKTieTest, BitwiseAcrossThreadCountsAndTheEpoch) {
   }
 }
 
+TEST_F(TopKTieTest, QualityPredicateBypassesOnlyAnAttachedScapeIndex) {
+  // A batch engine with its SCAPE index and a quality surface: under a
+  // predicate, kAuto and an explicit kScape top-k are the WA sweep over
+  // the eligible series.
+  ASSERT_NE(framework_->scape(), nullptr);
+  QueryEngine indexed = Engine();
+  indexed.AttachScape(framework_->scape());
+  for (Measure measure : {Measure::kCovariance, Measure::kDotProduct, Measure::kCorrelation,
+                          Measure::kMean}) {
+    for (const bool largest : {true, false}) {
+      SCOPED_TRACE(std::string(MeasureName(measure)) + (largest ? " largest" : " smallest"));
+      TopKRequest request{measure, 7, largest};
+      request.min_quality = 0.5;
+      auto wa = indexed.TopK(request, QueryMethod::kAffine);
+      ASSERT_TRUE(wa.ok());
+      EXPECT_GT(wa->quality.excluded, 0u);
+      for (QueryMethod method : {QueryMethod::kAuto, QueryMethod::kScape}) {
+        SCOPED_TRACE(std::string(QueryMethodName(method)));
+        auto got = indexed.TopK(request, method);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got->plan.method, QueryMethod::kAffine);
+        ExpectSameEntries(got->entries, wa->entries);
+        EXPECT_EQ(got->examined, wa->examined);
+        EXPECT_EQ(got->quality.excluded, wa->quality.excluded);
+        EXPECT_EQ(got->quality.min_score, wa->quality.min_score);
+      }
+    }
+  }
+  // Without an index an explicit SCAPE top-k fails the same way with or
+  // without the predicate: there is nothing to bypass.
+  const QueryEngine bare = Engine();
+  TopKRequest request{Measure::kCovariance, 7, true};
+  const Status plain = bare.TopK(request, QueryMethod::kScape).status();
+  request.min_quality = 0.5;
+  const Status filtered = bare.TopK(request, QueryMethod::kScape).status();
+  EXPECT_EQ(plain.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(filtered.code(), plain.code());
+  EXPECT_EQ(filtered.message(), plain.message());
+}
+
 }  // namespace
 }  // namespace affinity::core
